@@ -116,6 +116,7 @@ def _ratio_mp(rs: RootSystem, lam_rho: Vec, mu: Vec, h: float) -> complex:
 
 
 def _neville(xs, ys, x):
+    """Value at x of the polynomial through the points (xs, ys)."""
     vals = list(ys)
     n = len(vals)
     for level in range(1, n):

@@ -7,7 +7,8 @@ identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 wall/regularity error,
 4 convergence failure.  Set FLATVOL_CACHE to a directory to cache the
-serialized kappa chamber splines across runs.
+serialized kappa chamber splines across runs; a damaged cache file is
+ignored with a warning and rewritten.
 """
 
 from __future__ import annotations
@@ -109,10 +110,15 @@ def _spline_cache_path(rs: RootSystem) -> str | None:
 
 
 def _load_spline_cache(rs: RootSystem) -> None:
+    """Restore cached chambers; a cache that cannot be read or fails the
+    chamber check is ignored with a warning (and rewritten on save)."""
     path = _spline_cache_path(rs)
     if path and os.path.exists(path):
-        with open(path) as fh:
-            kappa_build(rs).load_chambers_json(json.load(fh))
+        try:
+            with open(path) as fh:
+                kappa_build(rs).load_chambers_json(json.load(fh))
+        except (OSError, ValueError) as exc:
+            sys.stderr.write(f"warning: ignoring spline cache {path}: {exc}\n")
 
 
 def _save_spline_cache(rs: RootSystem) -> None:

@@ -41,10 +41,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def vscale(c: Q, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 

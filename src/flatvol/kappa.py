@@ -8,8 +8,9 @@ Lebesgue measure on t*.  Two independent evaluation routes are provided:
   {x >= 0 : sum x_i v_i = xi} by vertex enumeration and an anchored
   triangulation, all in rational arithmetic;
 * `kappa_build` returns a chamber-complex spline whose polynomials are
-  interpolated from `kappa_point` values and cross-validated at extra
-  points, then evaluated independently ever after.
+  built in closed form by Lawrence's vertex formula (one term per
+  feasible basis of the vectors) and each checked once against
+  `kappa_point` at the chamber's sample point.
 
 Chamber polynomials are stored relative to coordinate Lebesgue measure in
 the simple-root basis; the single conversion factor to inner-product
@@ -20,20 +21,21 @@ from __future__ import annotations
 
 import json
 import math
-import random
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, count
 
-from .exact import Mat, Q, Vec, det, nullspace, rref, solve, vdot, vec
+from .exact import Mat, Q, Vec, det, inverse, mat_t, matvec, nullspace, rref, solve, vdot, vec
 from .liecore import RootSystem
 from .poly import (
     Poly,
-    monomials_homogeneous,
     poly_add,
     poly_const,
     poly_directional_derivative,
     poly_eval,
+    poly_mul,
     poly_scale,
 )
 
@@ -58,7 +60,8 @@ class OnWallError(ValueError):
 
 
 class DegenerateArrangementError(RuntimeError):
-    """Interpolation system unexpectedly singular; signals an internal bug."""
+    """A built chamber polynomial disagrees with the fiber-polytope volume
+    at its sample point; signals an internal bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +167,12 @@ class VectorConfig:
 
     def _basis_solver(self) -> Mat:
         cols = tuple(self.vectors[j] for j in self._basis_cols)
-        from .exact import inverse, mat_t
-
         return inverse(mat_t(cols))
 
     def _change_of_variables_det(self) -> Q:
         # columns: d x*/d xi (basis solution embedded in R^n), then the kernel.
         n = self.n
         cols: list[Vec] = []
-        from .exact import matvec
-
         for i in range(self.rank):
             e = tuple(Q(1 if k == i else 0) for k in range(self.rank))
             xb = matvec(self._solver, e)
@@ -198,9 +197,52 @@ class VectorConfig:
             walls.add(_primitive(ns[0]))
         return sorted(walls)
 
-    def particular_solution(self, xi: Vec) -> list[Q]:
-        from .exact import matvec
+    @cached_property
+    def vertex_table(self) -> list[tuple[Mat, Poly]]:
+        """Lawrence's vertex terms: one entry (A_s^-1, w_s y_s^d) per basis s.
 
+        A_s is the square matrix of the basis vectors as columns.  For xi
+        with A_s^-1 xi > 0, s is a vertex of the fiber polytope over xi,
+        and the linear form y_s(xi) is the objective c at that vertex.
+        With reduced costs g_j = c_j - y_s(v_j) (j not in s), the weight
+        is w_s = 1 / (d! |det A_s| prod_j (-g_j)).  The objective is
+        c_j = 1/(k+j) for the least k >= 2 making every g_j nonzero.
+        """
+        bases = []
+        for sigma in combinations(range(self.n), self.rank):
+            cols = tuple(self.vectors[i] for i in sigma)
+            d = det(cols)
+            if d != 0:
+                bases.append((sigma, inverse(mat_t(cols)), abs(d)))
+        fact = math.factorial(self.degree)
+        for k in count(2):
+            c = [Q(1, k + j) for j in range(self.n)]
+            weighted = []
+            for sigma, inv, absdet in bases:
+                y = tuple(
+                    sum((c[i] * row[col] for i, row in zip(sigma, inv)), Q(0))
+                    for col in range(self.rank)
+                )
+                denom = fact * absdet
+                for j in range(self.n):
+                    if j not in sigma:
+                        denom *= vdot(y, self.vectors[j]) - c[j]
+                if denom == 0:
+                    break
+                weighted.append((inv, 1 / denom, y))
+            else:  # every reduced cost is nonzero
+                break
+        unit = [tuple(int(i == col) for i in range(self.rank)) for col in range(self.rank)]
+        table = []
+        for inv, weight, y in weighted:
+            form = {m: yc for m, yc in zip(unit, y) if yc != 0}
+            term = poly_const(weight, self.rank)
+            for _ in range(self.degree):
+                term = poly_mul(term, form)
+            table.append((inv, term))
+        return table
+
+    def particular_solution(self, xi: Vec) -> list[Q]:
         xb = matvec(self._solver, xi)
         full = [Q(0)] * self.n
         for val, j in zip(xb, self._basis_cols):
@@ -306,10 +348,12 @@ class Chamber:
 class PiecewisePolynomial:
     """Lazy chamber complex for kappa: one homogeneous polynomial per cone.
 
-    Chambers are materialized on first query by exact interpolation of
-    `kappa_point` values at generic rational points inside the chamber,
-    with cross-validation at extra points.  Materialized chambers are kept
-    for the lifetime of the object and can be serialized to JSON.
+    Chambers are materialized on first query.  The polynomial is the sum
+    of Lawrence's vertex terms w_s y_s(xi)^d over the bases s feasible
+    in the chamber (`VectorConfig.vertex_table`), checked once, exactly,
+    against the fiber-polytope density at the query point.  Materialized
+    chambers are kept for the lifetime of the object and can be
+    serialized to JSON.
     """
 
     def __init__(self, config: VectorConfig, label: str):
@@ -322,11 +366,6 @@ class PiecewisePolynomial:
         self._value_cache: dict[Vec, Q] = {}
 
     # -- queries -----------------------------------------------------------
-
-    def in_support(self, xi: Vec) -> bool:
-        if self.config.orthant_support:
-            return all(c >= 0 for c in xi)
-        return self.config.density(xi) != 0 or not self.config.on_wall(xi)
 
     def value_exact(self, xi: Vec) -> Q:
         """Density relative to coordinate Lebesgue, exact.
@@ -374,9 +413,30 @@ class PiecewisePolynomial:
         hit = self.chambers.get(signs)
         if hit is not None:
             return hit
-        chamber = self._interpolate_chamber(xi, signs)
+        chamber = Chamber(signs=signs, sample_point=xi, polynomial=self._vertex_sum(xi))
+        if not self._passes_check(chamber):
+            raise DegenerateArrangementError(
+                f"vertex formula disagrees with the fiber volume in chamber {signs}"
+            )
         self.chambers[signs] = chamber
         return chamber
+
+    def _vertex_sum(self, xi: Vec) -> Poly:
+        """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi."""
+        out: Poly = {}
+        for inv, term in self.config.vertex_table:
+            if all(vdot(row, xi) > 0 for row in inv):
+                out = poly_add(out, term)
+        return out
+
+    def _passes_check(self, chamber: Chamber) -> bool:
+        """One exact check of a chamber against the fiber-polytope density."""
+        xi = chamber.sample_point
+        return (
+            len(xi) == self.rank
+            and self.config.sign_vector(xi) == chamber.signs
+            and poly_eval(chamber.polynomial, xi) == self.config.density(xi)
+        )
 
     def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> Vec:
         """A nearby interior point on the same side of every strict wall.
@@ -396,58 +456,6 @@ class PiecewisePolynomial:
                     return cand
                 eps /= 4
         raise DegenerateArrangementError("cannot nudge off walls")  # pragma: no cover
-
-    def _interpolate_chamber(self, xi: Vec, signs: tuple[int, ...]) -> Chamber:
-        cfg = self.config
-        monos = monomials_homogeneous(self.rank, self.degree)
-        needed = len(monos) + 2
-        points = self._chamber_points(xi, signs, needed)
-        rows = [[_mono_eval(m, p) for m in monos] for p in points]
-        vals = [cfg.density(p) for p in points]
-        coeffs = _solve_interpolation(rows[: len(monos)], vals[: len(monos)])
-        if coeffs is None:
-            # try a different subset before declaring degeneracy
-            points = self._chamber_points(xi, signs, needed + len(monos), salt=1)
-            rows = [[_mono_eval(m, p) for m in monos] for p in points]
-            vals = [cfg.density(p) for p in points]
-            coeffs = _solve_interpolation(rows[: len(monos)], vals[: len(monos)])
-            if coeffs is None:
-                raise DegenerateArrangementError(
-                    f"singular interpolation system in chamber {signs}"
-                )
-        poly: Poly = {m: c for m, c in zip(monos, coeffs) if c != 0}
-        for p, v in zip(points[len(monos):], vals[len(monos):]):
-            if poly_eval(poly, p) != v:
-                raise DegenerateArrangementError(
-                    f"cross-validation failed in chamber {signs}"
-                )
-        return Chamber(signs=signs, sample_point=xi, polynomial=poly)
-
-    def _chamber_points(
-        self, xi: Vec, signs: tuple[int, ...], count: int, salt: int = 0
-    ) -> list[Vec]:
-        cfg = self.config
-        margin = min(
-            abs(vdot(u, xi)) / sum(abs(c) for c in u) for u in cfg.walls
-        )
-        if cfg.orthant_support:
-            margin = min(margin, min(c for c in xi if c != 0))
-        step = margin / 2
-        seed = hash((signs, salt, "kappa-spline")) & 0xFFFFFFFF
-        rng = random.Random(seed)
-        pts: list[Vec] = []
-        seen = set()
-        while len(pts) < count:
-            denom = rng.randint(7, 64)
-            delta = tuple(Q(rng.randint(-denom, denom), denom) * step for _ in range(self.rank))
-            cand = tuple(x + d for x, d in zip(xi, delta))
-            if cand in seen:
-                continue
-            if cfg.sign_vector(cand) != signs:
-                continue
-            seen.add(cand)
-            pts.append(cand)
-        return pts
 
     # -- rank <= 2 full enumeration -----------------------------------------
 
@@ -494,55 +502,48 @@ class PiecewisePolynomial:
         }
 
     def dump_json(self, path: str) -> None:
-        with open(path, "w") as fh:
+        """Write the dump through a temporary file, so readers never see
+        a partial one."""
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
 
     def load_chambers_json(self, data: dict) -> None:
-        """Adopt chambers from a serialized dump (cache restore)."""
+        """Adopt chambers from a serialized dump (cache restore).
+
+        Chambers already in memory are kept; each other one must pass the
+        one-point check.  A malformed dump or a failed check raises
+        ValueError and adopts nothing.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("chamber dump is not a JSON object")
         if data.get("label") != self.label or data.get("degree") != self.degree:
             return
-        for ch in data["chambers"]:
-            signs = tuple(ch["signs"])
-            poly = {
-                tuple(int(e) for e in key.split(",")): Fraction(val)
-                for key, val in ch["polynomial"].items()
-            }
-            self.chambers[signs] = Chamber(
-                signs=signs,
-                sample_point=vec(ch["sample_point"]),
-                polynomial=poly,
-            )
-
-
-def _mono_eval(m: tuple[int, ...], p: Vec) -> Q:
-    out = Q(1)
-    for x, e in zip(p, m):
-        if e:
-            out *= x**e
-    return out
-
-
-def _solve_interpolation(rows: list[list[Q]], vals: list[Q]) -> list[Q] | None:
-    n = len(rows)
-    aug = [list(r) + [v] for r, v in zip(rows, vals)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        adopted = []
+        try:
+            for ch in data["chambers"]:
+                signs = tuple(ch["signs"])
+                if signs in self.chambers:
+                    continue
+                poly = {
+                    tuple(int(e) for e in key.split(",")): Fraction(val)
+                    for key, val in ch["polynomial"].items()
+                }
+                adopted.append(
+                    Chamber(signs=signs, sample_point=vec(ch["sample_point"]), polynomial=poly)
+                )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed chamber dump: {exc!r}") from exc
+        for chamber in adopted:
+            if not self._passes_check(chamber):
+                raise ValueError(f"cached chamber {chamber.signs} fails the one-point check")
+        for chamber in adopted:
+            self.chambers[chamber.signs] = chamber
 
 
 def kappa_build(rs: RootSystem, multiplicity: int = 1) -> PiecewisePolynomial:
     """Chamber-complex spline for kappa of a supported root system."""
-    if rs.rank > 4 or rs.n_positive * multiplicity > 12 * max(1, multiplicity):
-        raise ValueError("configuration outside the supported table")
     key = ("_spline", multiplicity)
     cache = rs.__dict__.setdefault("_kappa_splines", {})
     if key not in cache:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import enumerate_dominant
+from .characters import _neville, enumerate_dominant
 from .exact import Q, Vec, lattice_points_in_ball, pairwise_sum, vadd, vscale, vsub, vzero
 from .kappa import (
     OnWallError,
@@ -220,7 +220,7 @@ def sphere_volume_kappa(
 
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
-    the interpolated chamber spline.
+    the chamber spline (Lawrence's vertex formula per chamber).
     """
     b = len(mus)
     if b < 3:
@@ -406,7 +406,7 @@ def toric_decomposition(
     shift = -w1(*mu1) - w2(*mu2) + w(tau), w ranging over affine Weyl
     representatives mapping the alcove into the dominant chamber.  Every
     kappa value is computed by the fiber-polytope route, independently of
-    the interpolated spline used in the kappa-sum.  Nonzero terms require
+    the vertex-formula spline used in the kappa-sum.  Nonzero terms require
     |w(tau)| <= |mu1| + |mu2|, which the default radius provably covers.
     """
     bound_sq = _support_bound_sq(rs, [mu1, mu2, tau])
@@ -509,17 +509,6 @@ def _character_table_from_coords(
     return num / den
 
 
-def _neville_real(xs: list[float], ys: list[float], x: float) -> float:
-    vals = list(ys)
-    n = len(vals)
-    for level in range(1, n):
-        for i in range(n - level):
-            vals[i] = (
-                (x - xs[i + level]) * vals[i] - (x - xs[i]) * vals[i + 1]
-            ) / (xs[i] - xs[i + level])
-    return vals[0]
-
-
 def witten_volume(
     rs: RootSystem,
     surface: Surface,
@@ -601,8 +590,8 @@ def witten_volume(
                 "Casimir cutoff or the smallest epsilon"
             )
         partials = [float(np.add.reduce(series * np.exp(-e * qnorm))) for e in xs]
-        extrapolated = _neville_real(xs, partials, 0.0)
-        shorter = _neville_real(xs[:-1], partials[:-1], 0.0) if len(xs) > 2 else partials[-1]
+        extrapolated = _neville(xs, partials, 0.0)
+        shorter = _neville(xs[:-1], partials[:-1], 0.0) if len(xs) > 2 else partials[-1]
         residual = abs(extrapolated - shorter)
         params = {
             "casimir_cutoff": str(casimir_cutoff),
@@ -618,7 +607,7 @@ def witten_volume(
         )
         partials = [float(np.add.reduce(series[:c])) for c in counts]
         xs = [1.0 / c for c in counts]
-        extrapolated = _neville_real(xs, partials, 0.0) if len(counts) > 1 else partials[0]
+        extrapolated = _neville(xs, partials, 0.0) if len(counts) > 1 else partials[0]
         residual = abs(extrapolated - partials[0])
         params = {
             "casimir_cutoff": str(casimir_cutoff),

@@ -7,16 +7,11 @@ to nonzero Fractions.  Zero polynomials are empty dicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .exact import Q, Vec
 
 Poly = dict[tuple[int, ...], Fraction]
-
-
-def poly_zero() -> Poly:
-    return {}
 
 
 def poly_const(c: Q, nvars: int) -> Poly:
@@ -62,21 +57,6 @@ def poly_eval(p: Poly, point: Vec) -> Q:
                 term *= x**e
         total += term
     return total
-
-
-def poly_eval_float(p: Poly, point: tuple[float, ...]) -> float:
-    total = 0.0
-    for m, c in p.items():
-        term = float(c)
-        for x, e in zip(point, m):
-            if e:
-                term *= x**e
-        total += term
-    return total
-
-
-def poly_degree(p: Poly) -> int:
-    return max((sum(m) for m in p), default=-1)
 
 
 def poly_directional_derivative(p: Poly, direction: Vec) -> Poly:
@@ -154,18 +134,3 @@ def poly_subs_affine(p: Poly, forms: list[Poly]) -> Poly:
         out = poly_add(out, term)
     return out
 
-
-def monomials_homogeneous(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree exactly `degree`."""
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for bars in combinations(range(degree + nvars - 1), nvars - 1):
-        prev = -1
-        exps = []
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(degree + nvars - 2 - prev)
-        out.append(tuple(exps))
-    return out

@@ -153,3 +153,34 @@ def test_convergence_failure_exit_code():
             "--weights", "6", "--eps0", "0.4")
     assert r.returncode == 4
     assert "convergence" in r.stderr
+
+
+def test_truncated_spline_cache_is_ignored(tmp_path):
+    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
+    plain = run(*args, env={"FLATVOL_CACHE": ""})
+    env = {"FLATVOL_CACHE": str(tmp_path)}
+    assert run(*args, env=env).returncode == 0
+    cache_file = tmp_path / "kappa_A2.json"
+    full = cache_file.read_text()
+    cache_file.write_text(full[:200])
+    r = run(*args, env=env)
+    assert r.returncode == 0
+    assert r.stdout == plain.stdout
+    assert "warning" in r.stderr
+    assert cache_file.read_text() == full  # rewritten whole
+
+
+def test_edited_spline_cache_is_ignored(tmp_path):
+    args = ("volume", "A1", "1/2", "1/2", "1/2")
+    plain = run(*args, env={"FLATVOL_CACHE": ""})
+    env = {"FLATVOL_CACHE": str(tmp_path)}
+    assert run(*args, env=env).returncode == 0
+    cache_file = tmp_path / "kappa_A1.json"
+    data = json.loads(cache_file.read_text())
+    data["chambers"][0]["polynomial"] = {"0": "5"}
+    cache_file.write_text(json.dumps(data))
+    r = run(*args, env=env)
+    assert r.returncode == 0
+    assert r.stdout == plain.stdout
+    assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 1.0
+    assert "warning" in r.stderr

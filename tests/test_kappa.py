@@ -48,22 +48,27 @@ def test_outside_support_everywhere_zero(b2, g2):
             assert kappa_point(rs, xi).rational == 0
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
-def test_spline_equals_fiber_volumes(name):
+@pytest.mark.parametrize(
+    "name,multiplicity",
+    [("A1", 1), ("A2", 1), ("B2", 1), ("C2", 1), ("G2", 1), ("A3", 1),
+     ("B2", 2), ("A2", 3), ("G2", 2)],
+    ids=["A1", "A2", "B2", "C2", "G2", "A3", "B2x2", "A2x3", "G2x2"],
+)
+def test_spline_equals_fiber_volumes(name, multiplicity):
     rs = build_root_system(name)
-    spline = kappa_build(rs)
+    spline = kappa_build(rs, multiplicity)
     rng = random.Random(11)
     checked = 0
     while checked < 60:
         xi = vec([Q(rng.randint(1, 40), rng.randint(1, 13)) for _ in range(rs.rank)])
         if spline.on_wall(xi):
             continue
-        assert spline.value_exact(xi) == kappa_point(rs, xi).rational
+        assert spline.value_exact(xi) == kappa_point(rs, xi, multiplicity).rational
         checked += 1
 
 
 def test_spline_slow_types_smoke():
-    for name, pts in [("C3", 2), ("A4", 2)]:
+    for name, pts in [("C3", 2), ("A4", 2), ("D4", 1)]:
         rs = build_root_system(name)
         spline = kappa_build(rs)
         rng = random.Random(5)
