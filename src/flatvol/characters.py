@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,55 +128,55 @@ def _neville(xs, ys, x):
     return vals[0]
 
 
+def _shifted_norms(rs: RootSystem, casimir_cutoff):
+    """Yield (g |lambda+rho|^2, coords) for the dominant weights lambda with
+    |lambda+rho|^2 <= cutoff, in lexicographic order of the coordinates.
+
+    g is the common denominator of the fundamental-weight Gram matrix, so
+    the norms are ints.  Every entry of that matrix is positive, so the
+    norm grows in each coordinate and each loop stops at its first miss.
+    """
+    cutoff = Fraction(casimir_cutoff).limit_denominator(10**12) if isinstance(
+        casimir_cutoff, float
+    ) else Fraction(casimir_cutoff)
+    if cutoff < 0:
+        return
+    gram_w = [
+        [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
+    ]
+    g = math.lcm(*(x.denominator for row in gram_w for x in row))
+    gram = [[int(x * g) for x in row] for row in gram_w]
+    limit = math.floor(cutoff * g)
+    last = rs.rank - 1
+    v = [1] * rs.rank  # lambda + rho in fundamental-weight coordinates
+
+    def rec(i: int, q: int):
+        row = gram[i]
+        while q <= limit:
+            if i == last:
+                yield q, tuple(c - 1 for c in v)
+            else:
+                yield from rec(i + 1, q)
+            # |v + e_i|^2 - |v|^2 = 2 (G v)_i + G_ii
+            q += 2 * sum(map(operator.mul, row, v)) + row[i]
+            v[i] += 1
+        v[i] = 1
+
+    yield from rec(0, sum(map(sum, gram)))
+
+
 def enumerate_dominant(rs: RootSystem, casimir_cutoff) -> list[DominantWeight]:
     """Dominant weights with <lambda+rho, lambda+rho> <= cutoff.
 
     Sorted by the shifted norm, ties broken lexicographically on the
     fundamental-weight coordinates.
     """
-    cutoff = Fraction(casimir_cutoff).limit_denominator(10**12) if isinstance(
-        casimir_cutoff, float
-    ) else Fraction(casimir_cutoff)
-    if cutoff < 0:
-        return []
-    gram_w = [
-        [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
-    ]
-    bounds = []
-    for i in range(rs.rank):
-        # positive-entry Gram: v^T G v >= G_ii v_i^2 for v >= 1 componentwise
-        b = 1
-        while Q(b + 1) ** 2 * gram_w[i][i] <= cutoff:
-            b += 1
-        bounds.append(b)
-    out: list[tuple[Q, tuple[int, ...]]] = []
-
-    def norm_sq_shift(coords: tuple[int, ...]) -> Q:
-        v = [c + 1 for c in coords]
-        total = Q(0)
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                total += v[i] * v[j] * gram_w[i][j]
-        return total
-
-    def rec(i: int, prefix: list[int]):
-        if i == rs.rank:
-            coords = tuple(prefix)
-            q = norm_sq_shift(coords)
-            if q <= cutoff:
-                out.append((q, coords))
-            return
-        for c in range(0, bounds[i]):
-            rec(i + 1, prefix + [c])
-
-    rec(0, [])
-    out.sort()
-    return [DominantWeight(coords) for _, coords in out]
+    return [DominantWeight(coords) for _, coords in sorted(_shifted_norms(rs, casimir_cutoff))]
 
 
 def casimir_cutoff_for_count(rs: RootSystem, count: int) -> Fraction:
     """Smallest convenient cutoff whose weight list has >= count entries."""
     cutoff = rs.ip(rs.rho, rs.rho) * 4
-    while len(enumerate_dominant(rs, cutoff)) < count:
+    while sum(1 for _ in _shifted_norms(rs, cutoff)) < count:
         cutoff *= 2
     return cutoff

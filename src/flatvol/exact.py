@@ -6,7 +6,11 @@ routines are exact; no floats enter until a caller asks for them.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -168,32 +172,28 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[Vec]:
     """Integer coefficient vectors n with n^T gram n <= radius_sq.
 
     gram must be positive definite.  Enumerates an exact bounding box
-    |n_i|^2 <= radius_sq * (gram^{-1})_{ii} and filters exactly.
+    |n_i|^2 <= radius_sq * (gram^{-1})_{ii} in lexicographic order and
+    filters exactly, in ints: gram is scaled by its common denominator.
     """
     if radius_sq < 0:
         return []
-    rank = len(gram)
+    bounds = [math.isqrt(math.floor(radius_sq * g)) for g in _inverse_diagonal(gram)]
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    igram = [[int(x * scale) for x in row] for row in gram]
+    limit = math.floor(radius_sq * scale)
+    return [
+        vec(n)
+        for n in itertools.product(*(range(-b, b + 1) for b in bounds))
+        if sum(c * sum(map(operator.mul, row, n)) for c, row in zip(n, igram)) <= limit
+    ]
+
+
+@lru_cache(maxsize=64)
+def _inverse_diagonal(gram: Mat) -> Vec:
+    """Diagonal of gram^-1; callers pass the few lattice Gram matrices of
+    the supported root systems again and again."""
     ginv = inverse(gram)
-    bounds = []
-    for i in range(rank):
-        b2 = radius_sq * ginv[i][i]
-        b = 0
-        while Q(b + 1) * Q(b + 1) <= b2:
-            b += 1
-        bounds.append(b)
-    out: list[Vec] = []
-
-    def rec(i: int, prefix: list[int]):
-        if i == rank:
-            n = vec(prefix)
-            if vdot(n, matvec(gram, n)) <= radius_sq:
-                out.append(n)
-            return
-        for k in range(-bounds[i], bounds[i] + 1):
-            rec(i + 1, prefix + [k])
-
-    rec(0, [])
-    return out
+    return tuple(ginv[i][i] for i in range(len(gram)))
 
 
 def pairwise_sum(values: Sequence[float]) -> float:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count
+from operator import mul
 
 from .exact import Mat, Q, Vec, det, inverse, mat_t, matvec, nullspace, rref, solve, vdot, vec
 from .liecore import RootSystem
@@ -159,6 +160,8 @@ class VectorConfig:
         self._solver = self._basis_solver()
         self._jacobian = self._change_of_variables_det()
         self.walls = self._wall_functionals()
+        # the same normals in Python ints, for exact integer dot products
+        self.int_walls = [tuple(int(c) for c in u) for u in self.walls]
 
     def _independent_columns(self) -> tuple[int, ...]:
         _, pivots = rref(self._amat_rows)
@@ -260,14 +263,14 @@ class VectorConfig:
         return self._jacobian * _polytope_volume(constraints, self.degree)
 
     def on_wall(self, xi: Vec) -> bool:
-        return any(vdot(u, xi) == 0 for u in self.walls)
+        return 0 in self.sign_vector(xi)
 
     def sign_vector(self, xi: Vec) -> tuple[int, ...]:
-        out = []
-        for u in self.walls:
-            v = vdot(u, xi)
-            out.append(0 if v == 0 else (1 if v > 0 else -1))
-        return tuple(out)
+        # u.xi has the sign of u.(D xi), D the common denominator of xi
+        scale = math.lcm(*(c.denominator for c in xi))
+        ints = [c.numerator * (scale // c.denominator) for c in xi]
+        dots = (sum(map(mul, u, ints)) for u in self.int_walls)
+        return tuple((d > 0) - (d < 0) for d in dots)
 
 
 def _primitive(v: Vec) -> Vec:
@@ -363,7 +366,6 @@ class PiecewisePolynomial:
         self.degree = config.degree
         self.det_gram = config.det_gram
         self.chambers: dict[tuple[int, ...], Chamber] = {}
-        self._value_cache: dict[Vec, Q] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -371,14 +373,10 @@ class PiecewisePolynomial:
         """Density relative to coordinate Lebesgue, exact.
 
         On-wall points of positive-degree configurations are evaluated by
-        closure continuity; degree-0 walls raise OnWallError.  Values are
-        memoized: grid scans and lattice sums repeat arguments heavily.
+        closure continuity; degree-0 walls raise OnWallError.
         """
         if self.config.orthant_support and any(c < 0 for c in xi):
             return Q(0)
-        hit = self._value_cache.get(xi)
-        if hit is not None:
-            return hit
         signs = self.config.sign_vector(xi)
         if 0 in signs:
             if self.degree == 0:
@@ -387,9 +385,7 @@ class PiecewisePolynomial:
             chamber = self._chamber_at(interior)
         else:
             chamber = self._chamber_at(xi, signs)
-        value = poly_eval(chamber.polynomial, xi)
-        self._value_cache[xi] = value
-        return value
+        return poly_eval(chamber.polynomial, xi)
 
     def value(self, xi: Vec) -> float:
         return float(self.value_exact(xi)) / math.sqrt(float(self.det_gram))

@@ -235,6 +235,13 @@ class RootSystem:
             out = vadd(out, vscale(c, w))
         return out
 
+    def coroot_vector(self, coeffs: Vec) -> Vec:
+        """The coroot-lattice vector with the given coroot-basis coefficients."""
+        out = vzero(self.rank)
+        for c, b in zip(coeffs, self.coroot_basis):
+            out = vadd(out, vscale(c, b))
+        return out
+
     def to_weight_coords(self, v: Vec) -> Vec:
         """Coordinates of v in the fundamental-weight basis."""
         return tuple(self.pair_coroot(v, a) for a in self.simple_roots)
@@ -369,10 +376,7 @@ def enumerate_waff_positive(rs: RootSystem, radius_sq: Q | int) -> list[AffineWe
     out = []
     bary = alcove_barycenter(rs)
     for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
-        m = vzero(rs.rank)
-        for c, b in zip(coeffs, rs.coroot_basis):
-            m = vadd(m, vscale(c, b))
-        out.append(_positive_rep_for_translation(rs, m, bary))
+        out.append(_positive_rep_for_translation(rs, rs.coroot_vector(coeffs), bary))
     return out
 
 

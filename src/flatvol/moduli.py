@@ -7,7 +7,12 @@ sphere (and its b-marked generalization):
       (-1)^n (#Z / covol) * sum_{l in lattice} sum_{w1..w_{b-1} in W}
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably (the alternating double sum is supported in
-  conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball);
+  conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
+  runs in Python ints: all arguments are scaled by the common denominator
+  D of the markings, so kappa(x / D) = D^-d kappa(x) for the degree d;
+  equal partial sums of Weyl images are merged, the arguments are grouped
+  by chamber with integer wall dot products, and each chamber polynomial
+  is evaluated once over its group (`_kappa_sum`);
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value computed by the independent fiber-polytope
   route; and
@@ -31,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -204,13 +211,7 @@ def _lattice_ball_for(rs: RootSystem, center: Vec, bound_sq: Q) -> list[Vec]:
     the support ball; the extra terms cancel exactly in the signed sum.
     """
     radius_sq = 2 * rs.norm_sq(center) + 2 * bound_sq
-    out = []
-    for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
-        l = vzero(rs.rank)
-        for c, b in zip(coeffs, rs.coroot_basis):
-            l = vadd(l, vscale(c, b))
-        out.append(l)
-    return out
+    return [rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)]
 
 
 def sphere_volume_kappa(
@@ -220,7 +221,11 @@ def sphere_volume_kappa(
 
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
-    the chamber spline (Lawrence's vertex formula per chamber).
+    the chamber spline (Lawrence's vertex formula per chamber).  The sum
+    runs in integers scaled by the common denominator of the markings:
+    equal partial sums of Weyl images are merged, the arguments grouped by
+    chamber, and each chamber polynomial is evaluated once over its group
+    (`_kappa_sum`).
     """
     b = len(mus)
     if b < 3:
@@ -234,11 +239,7 @@ def sphere_volume_kappa(
         radius_sq = bound_sq
     lattice = _lattice_ball_for(rs, mus[-1], radius_sq)
 
-    base_images = [[(w.sign, w.act(m)) for w in weyl] for m in mus[:-1]]
-    total = Q(0)
-    for l in lattice:
-        tail = vadd(mus[-1], l)
-        total += _alternating_sum_kappa(spline, base_images, tail)
+    total = _kappa_sum(spline, weyl, mus, lattice)
     sign = -1 if n % 2 else 1
     rational = sign * rs.center_order * total
     value = float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
@@ -259,20 +260,107 @@ def sphere_volume_kappa(
     )
 
 
-def _alternating_sum_kappa(spline, base_images, tail: Vec) -> Q:
-    """sum over Weyl tuples of product-of-signs * kappa(sum w_j mu_j + tail)."""
+def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
+    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
+    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
+
+    All coordinates are scaled by the common denominator D of the markings
+    into Python ints (lattice vectors are integral: coroots are integer
+    combinations of simple roots), and every vector carries its integer
+    dot products with the wall normals.  The Weyl images are folded one
+    marking at a time into a dict from partial sum to signed coefficient.
+    A dict keeps first insertion, so the arguments mu_b + l + partial sum
+    are met in the order (l, w_1, ..., w_k) of the term-by-term sum, and
+    chambers are built and checked in that order.  Arguments with a
+    negative coordinate lie outside the support cone.  An argument on a
+    wall goes through `spline.value_exact` where it is first met, even when
+    its merged coefficient is zero: at degree 0 that raises OnWallError,
+    otherwise the value comes by closure continuity.  The other arguments
+    are grouped by chamber, and each chamber's polynomial is evaluated
+    once over its group.
+    """
+    rank = spline.rank
+    scale = 1
+    for m in mus:
+        for c in m:
+            scale = math.lcm(scale, c.denominator)
+    walls = spline.config.int_walls
+
+    def extended(v: list[int]) -> tuple[int, ...]:
+        # the coordinates, then the dot products with the wall normals;
+        # both are linear, so sums of extended vectors stay extended
+        return (*v, *(sum(map(mul, u, v)) for u in walls))
+
+    scaled = [[c.numerator * (scale // c.denominator) for c in m] for m in mus]
+    actions = [(w.sign, [[int(x) for x in row] for row in w.matrix]) for w in weyl]
+    folded = {(0,) * (rank + len(walls)): 1}
+    for m in scaled[:-1]:
+        images = [(s, extended([sum(map(mul, row, m)) for row in a])) for s, a in actions]
+        nxt: dict[tuple[int, ...], int] = {}
+        for p, coef in folded.items():
+            for s, img in images:
+                key = tuple(map(add, p, img))
+                nxt[key] = nxt.get(key, 0) + s * coef
+        folded = nxt
+    entries = [(p[:rank], p[rank:], coef) for p, coef in folded.items()]
+
+    orthant = spline.config.orthant_support
+    positive = (0).__lt__  # off the walls, the side of each wall as a bool
     total = Q(0)
-
-    def rec(j: int, acc: Vec, sign: int):
-        nonlocal total
-        if j == len(base_images):
-            total += sign * spline.value_exact(acc)
-            return
-        for s, img in base_images[j]:
-            rec(j + 1, vadd(acc, img), sign * s)
-
-    rec(0, tail, 1)
+    # side of the walls -> (chamber polynomial, arguments, coefficients)
+    groups: dict[tuple[bool, ...], tuple[Poly, list, list]] = {}
+    wall_values: dict[tuple[int, ...], Q] = {}
+    for l in lattice:
+        tail = extended([scale * int(c) + x for c, x in zip(l, scaled[-1])])
+        tail_x, tail_dots = tail[:rank], tail[rank:]
+        for p_x, p_dots, coef in entries:
+            x = tuple(map(add, tail_x, p_x))
+            if orthant and min(x) < 0:
+                continue
+            dots = tuple(map(add, tail_dots, p_dots))
+            if 0 in dots:
+                value = wall_values.get(x)
+                if value is None:
+                    value = spline.value_exact(tuple(Q(c, scale) for c in x))
+                    wall_values[x] = value
+                total += coef * value
+                continue
+            side = tuple(map(positive, dots))
+            group = groups.get(side)
+            if group is None:
+                poly = spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
+                group = groups[side] = (poly, [], [])
+            if coef:
+                group[1].append(x)
+                group[2].append(coef)
+    for poly, xs, coefs in groups.values():
+        total += _scaled_poly_sum(poly, xs, coefs, scale)
     return total
+
+
+def _scaled_poly_sum(poly: Poly, xs: list, coefs: list[int], scale: int) -> Q:
+    """sum of coef * poly(x / scale) over int tuples x and int coefs,
+    accumulated in ints over one common denominator.
+
+    Each monomial is summed over all points at once, by `map` over
+    columns of coordinate powers.
+    """
+    if not poly or not xs:
+        return Q(0)
+    degree = max(sum(m) for m in poly)
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    columns = list(zip(*xs))
+    powers: dict[tuple[int, int], list[int]] = {}
+    acc = 0
+    for m, c in poly.items():
+        column = coefs
+        for i, e in enumerate(m):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = list(map(pow, columns[i], repeat(e)))
+                column = list(map(mul, column, powers[i, e]))
+        acc += c.numerator * (den // c.denominator) * scale ** (degree - sum(m)) * sum(column)
+    return Q(acc, den * scale**degree)
 
 
 def pants_volume_kappa(
@@ -305,16 +393,19 @@ class PantsVolumePoly:
         bound_sq = _support_bound_sq(rs, [mu1, mu2, vzero(rs.rank)])
         max_alcove_sq = max(rs.norm_sq(v) for v in rs.alcove.vertices)
         radius_sq = 2 * max_alcove_sq + 2 * bound_sq
-        shifts: list[tuple[int, Vec]] = []
-        for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
-            l = vzero(rs.rank)
-            for c, bvec in zip(coeffs, rs.coroot_basis):
-                l = vadd(l, vscale(c, bvec))
-            for w1 in weyl:
-                i1 = w1.act(mu1)
-                for w2 in weyl:
-                    shifts.append((w1.sign * w2.sign, vadd(vadd(i1, w2.act(mu2)), l)))
-        self.terms = shifts
+        self.lattice = [
+            rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)
+        ]
+        # (sign, shift) per lattice vector and Weyl pair: each mu3 + shift
+        # is one kappa argument
+        row1 = [(w.sign, w.act(mu1)) for w in weyl]
+        row2 = [(w.sign, w.act(mu2)) for w in weyl]
+        self.terms = [
+            (s1 * s2, vadd(vadd(i1, i2), l))
+            for l in self.lattice
+            for s1, i1 in row1
+            for s2, i2 in row2
+        ]
         self.sign_prefactor = -1 if rs.n_positive % 2 else 1
 
     # normalization shared with the kappa-sum reports
@@ -324,9 +415,8 @@ class PantsVolumePoly:
 
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, same units as pants_volume_kappa.exact."""
-        total = Q(0)
-        for s, c in self.terms:
-            total += s * self.spline.value_exact(vadd(c, mu3))
+        mus = [self.mu1, self.mu2, mu3]
+        total = _kappa_sum(self.spline, self.rs.weyl_elements(), mus, self.lattice)
         return self.sign_prefactor * self.rs.center_order * total
 
     def value(self, mu3: Vec) -> float:

@@ -50,6 +50,16 @@ def test_volume_wall_exit_code():
     assert "wall" in r.stderr
 
 
+def test_volume_wall_exit_code_with_cancelling_terms():
+    # the on-wall kappa argument's signed coefficients cancel; still exit 3
+    r = run("volume", "A1", "0", "1/3", "1/3")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == (
+        "wall error: on-wall evaluation at (Fraction(0, 1),) for a degree-0 spline\n"
+    )
+
+
 def test_volume_all_methods_deviation():
     r = run("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6",
             "--method", "all", "--weights", "20000")

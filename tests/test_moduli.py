@@ -1,14 +1,17 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
 
 from flatvol import (
     ConvergenceError,
+    GroupSpec,
     Marking,
     OnWallError,
+    RootSystem,
     Surface,
     SymmetricPoly,
     UnsupportedDecompositionError,
@@ -26,7 +29,8 @@ from flatvol import (
     volume_G,
     witten_volume,
 )
-from flatvol.exact import vadd, vscale
+from flatvol.exact import lattice_points_in_ball, vadd, vscale
+from flatvol.kappa import kappa_build
 from flatvol.poly import poly_eval, poly_subs_affine
 from flatvol.exact import nullspace
 
@@ -63,6 +67,98 @@ def test_a1_region_dichotomy(a1):
 def test_a1_wall_error_for_degree_zero(a1):
     with pytest.raises(OnWallError):
         pants_volume_kappa(a1, t_mu(a1, "1/2"), t_mu(a1, "1/4"), t_mu(a1, "1/4"))
+
+
+@pytest.mark.parametrize("ts", [("0", "1/3", "1/3"), ("1", "1/3", "2/3")])
+def test_a1_wall_error_survives_cancellation(a1, ts):
+    """The on-wall argument's merged coefficient cancels to zero here; the
+    degree-0 wall error must still be raised, at the first such argument."""
+    mus = [t_mu(a1, t) for t in ts]
+    message = "on-wall evaluation at (Fraction(0, 1),) for a degree-0 spline"
+    with pytest.raises(OnWallError, match=re.escape(message)):
+        sphere_volume_kappa(a1, mus)
+    with pytest.raises(OnWallError, match=re.escape(message)):
+        pants_volume_poly(a1, mus[0], mus[1]).value_exact(mus[2])
+
+
+def reference_kappa_sum(rs, mus):
+    """The kappa-sum term by term: sign * value_exact over every lattice
+    vector and Weyl tuple, with the lattice ball of sphere_volume_kappa.
+    Also returns how many nonnegative arguments lie on a chamber wall."""
+    spline = kappa_build(rs, len(mus) - 2)
+    bound_sq = (len(mus) - 1) * sum(rs.norm_sq(m) for m in mus[:-1])
+    radius_sq = 2 * rs.norm_sq(mus[-1]) + 2 * bound_sq
+    rows = [[(w.sign, w.act(m)) for w in rs.weyl_elements()] for m in mus[:-1]]
+    total, on_wall = Q(0), 0
+    for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
+        tail = vadd(mus[-1], rs.coroot_vector(coeffs))
+        for choice in itertools.product(*rows):
+            arg, sign = tail, 1
+            for s, img in choice:
+                arg, sign = vadd(arg, img), sign * s
+            on_wall += min(arg) >= 0 and spline.on_wall(arg)
+            total += sign * spline.value_exact(arg)
+    return (-1) ** rs.n_positive * rs.center_order * total, on_wall
+
+
+@pytest.mark.parametrize(
+    "name, marks, hits_walls",
+    [
+        ("A2", ["1/4,1/5", "1/3,1/7", "2/7,1/6"], False),
+        ("A2", ["1/2,1/2", "1/4,1/5", "1/5,1/4"], True),
+        ("A2", ["1/4,1/4", "1/4,1/4", "1/4,1/4"], True),
+        ("B2", ["1/4,1/5", "1/3,1/7", "1/7,1/6"], False),
+        ("B2", ["1/4,1/4", "1/4,1/4", "1/2,0"], True),
+        ("G2", ["1/9,1/11", "1/10,1/12", "1/8,1/13"], False),
+        ("G2", ["1/8,1/8", "1/8,1/8", "1/8,1/8"], True),
+        ("B2", ["1/4,1/5", "0,1/3", "1/3,1/7", "1/5,1/4"], True),
+        ("B2", ["1/4,1/4", "1/4,1/4", "1/4,1/4", "1/4,1/4"], True),
+        ("A2", ["1/3,1/3", "1/4,1/5", "0,1/2", "1/3,1/7", "1/5,1/4"], False),
+        ("A2", ["1/3,1/3", "1/3,1/3", "1/3,1/3", "1/3,1/3", "1/3,1/3"], True),
+    ],
+)
+def test_kappa_sum_matches_term_by_term_reference(name, marks, hits_walls):
+    """Markings on alcove walls, and repeated markings, put kappa arguments
+    on chamber walls, where the value comes from closure continuity."""
+    rs = build_root_system(name)
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
+    expect, on_wall = reference_kappa_sum(rs, mus)
+    assert sphere_volume_kappa(rs, mus).exact["rational"] == expect
+    if hits_walls:
+        assert on_wall > 0
+
+
+@pytest.mark.parametrize(
+    "name, marks",
+    [
+        ("B2", ["1/4,1/4", "1/4,1/4", "1/2,0"]),
+        ("G2", ["1/8,1/8", "1/8,1/8", "1/8,1/8"]),
+        ("A2", ["0,1/2", "1/2,0", "1/4,1/4", "1/4,1/4", "1/3,1/3"]),
+    ],
+)
+def test_kappa_sum_builds_chambers_in_term_order(name, marks):
+    """On a fresh root system the engine builds the same chambers, with the
+    same sample points and in the same order, as the term-by-term sum, so
+    a spline cache written after either is the same file."""
+    built = []
+    for evaluate in (sphere_volume_kappa, reference_kappa_sum):
+        rs = RootSystem(GroupSpec.parse(name))
+        mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
+        evaluate(rs, mus)
+        chambers = kappa_build(rs, len(mus) - 2).chambers.values()
+        built.append([(c.signs, c.sample_point) for c in chambers])
+    assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_kappa_sum_at_alcove_vertices(name):
+    rs = build_root_system(name)
+    others = [rs.from_weight_coords(vec(m.split(","))) for m in ("1/2,0", "1/4,1/4")]
+    for vertex in rs.alcove.vertices[1:]:
+        mus = [vertex, *others]
+        expect, on_wall = reference_kappa_sum(rs, mus)
+        assert on_wall > 0
+        assert sphere_volume_kappa(rs, mus).exact["rational"] == expect
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
@@ -162,17 +258,19 @@ def alcove_membership_interior(rs, mu) -> bool:
 # -- piecewise-polynomial volume ----------------------------------------------
 
 
-def test_pants_poly_matches_kappa_sum(a2):
-    rng = random.Random(5)
-    m1, m2 = rational_alcove_point(a2, rng), rational_alcove_point(a2, rng)
-    vol = pants_volume_poly(a2, m1, m2)
-    for _ in range(10):
-        m3 = rational_alcove_point(a2, rng)
-        if vol.on_wall(m3):
-            continue
-        assert vol.value_exact(m3) == pants_volume_kappa(a2, m1, m2, m3).exact["rational"]
-        cell = vol.polynomial_at(m3)
-        assert poly_eval(cell, m3) == vol.value_exact(m3)
+def test_pants_poly_matches_kappa_sum(a2, b2, g2):
+    # a prime denominator keeps B2 and G2 third markings off the cell walls
+    for rs, count, denom in ((a2, 10, 40), (b2, 6, 37), (g2, 4, 37)):
+        rng = random.Random(5)
+        m1, m2 = rational_alcove_point(rs, rng), rational_alcove_point(rs, rng)
+        vol = pants_volume_poly(rs, m1, m2)
+        for _ in range(count):
+            m3 = rational_alcove_point(rs, rng, denom=denom)
+            if vol.on_wall(m3):
+                continue
+            assert vol.value_exact(m3) == pants_volume_kappa(rs, m1, m2, m3).exact["rational"]
+            cell = vol.polynomial_at(m3)
+            assert poly_eval(cell, m3) == vol.value_exact(m3)
 
 
 def test_pants_poly_a1_piecewise_constant(a1):
