@@ -109,11 +109,32 @@ def _spline_cache_path(rs: RootSystem) -> str | None:
     return os.path.join(cache_dir, f"kappa_{rs.spec.name}.json")
 
 
+# cache path -> (spline, file stamp, chamber count) at this process's last
+# write of the file.  A spline only ever gains chambers, so while the stamp
+# and the count still match, the file holds exactly the dump of the spline
+# and repeated commands in one process neither reparse nor rewrite it.
+_written: dict[str, tuple] = {}
+
+
+def _file_stamp(path: str) -> tuple | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _in_sync(path: str, spline) -> bool:
+    entry = _written.get(path)
+    return (entry is not None and entry[0] is spline
+            and entry[1:] == (_file_stamp(path), len(spline.chambers)))
+
+
 def _load_spline_cache(rs: RootSystem) -> None:
     """Restore cached chambers; a cache that cannot be read or fails the
     chamber check is ignored with a warning (and rewritten on save)."""
     path = _spline_cache_path(rs)
-    if path and os.path.exists(path):
+    if path and os.path.exists(path) and not _in_sync(path, kappa_build(rs)):
         try:
             with open(path) as fh:
                 kappa_build(rs).load_chambers_json(json.load(fh))
@@ -123,8 +144,10 @@ def _load_spline_cache(rs: RootSystem) -> None:
 
 def _save_spline_cache(rs: RootSystem) -> None:
     path = _spline_cache_path(rs)
-    if path:
-        kappa_build(rs).dump_json(path)
+    spline = kappa_build(rs)
+    if path and not _in_sync(path, spline):
+        spline.dump_json(path)
+        _written[path] = (spline, _file_stamp(path), len(spline.chambers))
 
 
 # -- subcommands -------------------------------------------------------------

@@ -194,3 +194,42 @@ def test_edited_spline_cache_is_ignored(tmp_path):
     assert r.stdout == plain.stdout
     assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 1.0
     assert "warning" in r.stderr
+
+
+def test_spline_cache_in_sync_within_one_process(tmp_path, monkeypatch, capsys):
+    """Repeated commands in one process leave an unchanged cache file alone;
+    a file changed from outside is read again, and a grown spline is
+    written again."""
+    from flatvol import GroupSpec, RootSystem, cli, kappa_build
+
+    rs = RootSystem(GroupSpec.parse("B2"))  # a spline no other test shares
+    monkeypatch.setattr(cli, "build_root_system", lambda name: rs)
+    monkeypatch.setenv("FLATVOL_CACHE", str(tmp_path))
+    spline = kappa_build(rs)
+    loads = []
+    load = spline.load_chambers_json
+    monkeypatch.setattr(spline, "load_chambers_json", lambda d: loads.append(1) or load(d))
+    cache_file, out = tmp_path / "kappa_B2.json", tmp_path / "v.json"
+    # the toric route builds no chamber, so the spline grows only below
+    args = ["volume", "B2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "toric",
+            "--out", str(out)]
+
+    def state():
+        st = cache_file.stat()
+        return st.st_ino, st.st_mtime_ns, cache_file.read_bytes(), out.read_bytes()
+
+    assert cli.main(args) == 0
+    first = state()
+    assert cli.main(args) == 0
+    assert state() == first and loads == []
+
+    cache_file.write_bytes(first[2][:20])
+    assert cli.main(args) == 0
+    assert "warning" in capsys.readouterr().err  # read again, and rewritten
+    assert state()[2:] == first[2:]
+
+    spline.enumerate_support_chambers()
+    assert cli.main(args) == 0
+    assert loads == [1]
+    assert len(json.loads(cache_file.read_text())["chambers"]) == len(spline.chambers) > 0
+    assert state()[3] == first[3]
