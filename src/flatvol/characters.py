@@ -10,13 +10,15 @@ limit along the rho direction with 3-point Richardson extrapolation.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import Q, Vec, vadd, vec
+from .kappa import OnWallError
 from .liecore import RootSystem
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "CharacterValue",
     "weyl_dimension",
     "character_eval",
+    "character_table",
     "enumerate_dominant",
 ]
 
@@ -62,23 +65,35 @@ def weyl_dimension(rs: RootSystem, lam: DominantWeight) -> int:
     return int(d)
 
 
-def _alternating_sum(rs: RootSystem, xi: Vec, mu: Vec) -> complex:
-    """sum_w det(w) exp(2 pi i <w xi, mu>)."""
-    total = 0.0 + 0.0j
+def character_table(rs: RootSystem, lam_rho: np.ndarray, mu: Vec) -> np.ndarray:
+    """chi_lambda(e^mu) for all rows of lam_rho (lambda + rho in simple-root
+    coordinates), by the Weyl-group sums in floating point.
+
+    Raises OnWallError when the denominator vanishes (mu not regular).
+    """
+    gram = np.array([[float(x) for x in row] for row in rs.gram])
+    gmu = gram @ np.array([float(c) for c in mu])
+    num = np.zeros(len(lam_rho), dtype=complex)
+    den = 0.0 + 0.0j
+    rho_f = np.array([float(c) for c in rs.rho])
     for w in rs.weyl_elements():
-        phase = float(rs.ip(w.act(xi), mu))
-        total += w.sign * cmath.exp(2j * math.pi * phase)
-    return total
+        wm = np.array([[float(x) for x in row] for row in w.matrix])
+        phases = (lam_rho @ wm.T) @ gmu
+        num += w.sign * np.exp(2j * np.pi * phases)
+        den += w.sign * np.exp(2j * np.pi * float((wm @ rho_f) @ gmu))
+    if abs(den) < 1e-12 * len(rs.weyl_elements()):
+        raise OnWallError("marking is not regular; character table undefined")
+    return num / den
 
 
 def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterValue:
     """chi_lambda at exp(mu), for mu with exact rational coordinates."""
     lam_rho = vadd(lam.vector(rs), rs.rho)
-    den = _alternating_sum(rs, rs.rho, mu)
-    tol = 1e-12 * len(rs.weyl_elements())
-    if abs(den) > tol:
-        num = _alternating_sum(rs, lam_rho, mu)
-        return CharacterValue(value=num / den, condition="regular-evaluation")
+    try:
+        table = character_table(rs, np.array([[float(c) for c in lam_rho]]), mu)
+        return CharacterValue(value=complex(table[0]), condition="regular-evaluation")
+    except OnWallError:
+        pass  # singular denominator: take the limit below
     # Deterministic limit along rho: steps h, h/2, h/4 with Neville
     # extrapolation to 0.  rho is regular for every mu.  The alternating
     # sums cancel to order h^n near a singular point, so the ratios are

@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 
 from .exact import Q, Vec, vadd, vec, vscale, vsub
 from .kappa import OnWallError, SymmetricPoly, kappa_build
@@ -353,6 +354,7 @@ def cmd_oracle(args) -> int:
     }
     side_path = (args.out + ".json") if args.out else None
     _print_json(sidecar, side_path)
+    _save_spline_cache(rs)
     return 0
 
 
@@ -373,12 +375,14 @@ def cmd_glue(args) -> int:
         "report": rep.to_json_dict(),
     }
     _print_json(out, args.out)
+    _save_spline_cache(rs)
     return 0
 
 
 # -- entry point ---------------------------------------------------------------
 
 
+@cache  # built once per process: the parser does not change between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="flatvol",

@@ -62,7 +62,8 @@ class OnWallError(ValueError):
 
 class DegenerateArrangementError(RuntimeError):
     """A built chamber polynomial disagrees with the fiber-polytope volume
-    at its sample point; signals an internal bug."""
+    at its sample point (an internal bug), or a wall of the configuration
+    contains the nudge direction."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,12 @@ class VectorConfig:
         self.walls = self._wall_functionals()
         # the same normals in Python ints, for exact integer dot products
         self.int_walls = [tuple(int(c) for c in u) for u in self.walls]
+        # a fixed direction off every wall: a point on a wall is read in the
+        # chamber this direction points to, on the side nudge_signs gives
+        self.nudge = tuple(Q(1, (i + 1) ** (i + 1)) for i in range(self.rank))
+        self.nudge_signs = self.sign_vector(self.nudge)
+        if 0 in self.nudge_signs:
+            raise DegenerateArrangementError(f"nudge direction {self.nudge} lies on a wall")
 
     def _independent_columns(self) -> tuple[int, ...]:
         _, pivots = rref(self._amat_rows)
@@ -377,24 +384,23 @@ class PiecewisePolynomial:
         """
         if self.config.orthant_support and any(c < 0 for c in xi):
             return Q(0)
-        signs = self.config.sign_vector(xi)
-        if 0 in signs:
-            if self.degree == 0:
-                raise OnWallError(f"on-wall evaluation at {xi} for a degree-0 spline")
-            interior = self._nudge_off_walls(xi, signs)
-            chamber = self._chamber_at(interior)
-        else:
-            chamber = self._chamber_at(xi, signs)
-        return poly_eval(chamber.polynomial, xi)
+        return poly_eval(self.chamber_polynomial_at(xi), xi)
 
     def value(self, xi: Vec) -> float:
         return float(self.value_exact(xi)) / math.sqrt(float(self.det_gram))
 
     def chamber_polynomial_at(self, xi: Vec) -> Poly:
-        """Polynomial of the (unique) chamber whose interior contains xi."""
+        """Polynomial of the chamber whose interior contains xi.
+
+        On a wall it is the polynomial of the chamber that the nudge
+        direction points to, which by continuity gives the value at xi
+        when the degree is positive; degree-0 walls raise OnWallError.
+        """
         signs = self.config.sign_vector(xi)
         if 0 in signs:
-            raise OnWallError(f"{xi} lies on a chamber wall")
+            if self.degree == 0:
+                raise OnWallError(f"on-wall evaluation at {xi} for a degree-0 spline")
+            return self._chamber_at(*self._nudge_off_walls(xi, signs)).polynomial
         return self._chamber_at(xi, signs).polynomial
 
     def on_wall(self, xi: Vec) -> bool:
@@ -434,24 +440,17 @@ class PiecewisePolynomial:
             and poly_eval(chamber.polynomial, xi) == self.config.density(xi)
         )
 
-    def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> Vec:
-        """A nearby interior point on the same side of every strict wall.
-
-        Used for closure-continuous evaluation on walls; any adjacent
-        chamber gives the same value when the degree is positive.
-        """
-        for k in range(1, 40):
-            direction = tuple(Q(1, (k + i) ** (i + 1)) for i in range(self.rank))
-            eps = Q(1, 4)
-            for _ in range(30):
-                cand = tuple(x + eps * d for x, d in zip(xi, direction))
-                csigns = self.config.sign_vector(cand)
-                if 0 not in csigns and all(
-                    s == 0 or s == c for s, c in zip(signs, csigns)
-                ):
-                    return cand
-                eps /= 4
-        raise DegenerateArrangementError("cannot nudge off walls")  # pragma: no cover
+    def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> tuple[Vec, tuple[int, ...]]:
+        """The first xi + 4^-k d (k >= 1) along the nudge direction d that
+        lies off every wall, with its signs: those of xi, and on each wall
+        through xi the side d points to."""
+        target = tuple(s or n for s, n in zip(signs, self.config.nudge_signs))
+        eps = Q(1, 4)
+        while True:
+            cand = tuple(x + eps * d for x, d in zip(xi, self.config.nudge))
+            if self.config.sign_vector(cand) == target:
+                return cand, target
+            eps /= 4
 
     # -- rank <= 2 full enumeration -----------------------------------------
 
@@ -577,36 +576,6 @@ class SymmetricPoly:
         m = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls({m: Q(1)}, nvars)
 
-    @classmethod
-    def from_monomials(cls, p: Poly, nvars: int) -> "SymmetricPoly":
-        """Convert a symmetric polynomial in x-variables to the e-basis."""
-        from itertools import permutations
-
-        work = dict(p)
-        for m, c in p.items():
-            for perm in set(permutations(m)):
-                if work.get(perm) != c:
-                    raise ValueError("polynomial is not symmetric")
-        out: dict[tuple[int, ...], Q] = {}
-        while work:
-            lead = max(work, key=lambda m: tuple(sorted(m, reverse=True)))
-            lam = tuple(sorted(lead, reverse=True))
-            coeff = work[lead]
-            emono = [0] * nvars
-            padded = lam + (0,)
-            for i in range(len(lam)):
-                emono[i] = padded[i] - padded[i + 1] if i + 1 <= nvars else 0
-            emono_t = tuple(emono[:nvars])
-            out[emono_t] = out.get(emono_t, Q(0)) + coeff
-            expansion = _expand_e_monomial(emono_t, nvars)
-            for mm, cc in expansion.items():
-                nc = work.get(mm, Q(0)) - coeff * cc
-                if nc == 0:
-                    work.pop(mm, None)
-                else:
-                    work[mm] = nc
-        return cls(out, nvars)
-
     def degree(self) -> int:
         return max(
             (sum((i + 1) * e for i, e in enumerate(m)) for m in self.terms), default=0
@@ -616,11 +585,7 @@ class SymmetricPoly:
         """Expand into x-monomials, in `nvars` variables (>= self.nvars)."""
         out: Poly = poly_const(Q(0), nvars)
         for m, c in self.terms.items():
-            term = poly_const(Q(1), nvars)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = _poly_mul_elementary(term, i + 1, nvars)
-            out = poly_add(out, poly_scale(c, term))
+            out = poly_add(out, poly_scale(c, _expand_e_monomial(m, nvars)))
         return out
 
 
@@ -641,8 +606,6 @@ def _poly_mul_elementary(p: Poly, index: int, nvars: int) -> Poly:
     for subset in combinations(range(nvars), index):
         m = tuple(1 if i in subset else 0 for i in range(nvars))
         e_poly[m] = Q(1)
-    from .poly import poly_mul
-
     return poly_mul(p, e_poly)
 
 

@@ -29,6 +29,7 @@ from .exact import (
     inverse,
     lattice_points_in_ball,
     mat,
+    mat_t,
     matmul,
     matvec,
     solve,
@@ -201,7 +202,7 @@ class RootSystem:
             tuple(self.ip(a, b) for b in self.coroot_basis) for a in self.coroot_basis
         )
         self.det_coroot_gram: Q = det(self.coroot_gram)
-        self._coroot_basis_inv: Mat = inverse(mat_cols(self.coroot_basis))
+        self._coroot_basis_inv: Mat = inverse(mat_t(self.coroot_basis))
         self.center_order: int = int(det(self.cartan_matrix))
         self.alcove = Alcove(
             vertices=(vzero(self.rank),)
@@ -317,10 +318,6 @@ class RootSystem:
             if all(self.ip(img, a) >= 0 for a in self.simple_roots):
                 return img, w
         raise RuntimeError("no dominant representative found")  # pragma: no cover
-
-
-def mat_cols(cols) -> Mat:
-    return tuple(zip(*cols))
 
 
 @lru_cache(maxsize=None)

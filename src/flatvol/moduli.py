@@ -34,14 +34,14 @@ for b >= 1, while closed surfaces use the plain #Z Vol(G)^{2h-2} sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
 import numpy as np
 
-from .characters import _neville, enumerate_dominant
+from .characters import _neville, character_table, enumerate_dominant
 from .exact import Q, Vec, lattice_points_in_ball, pairwise_sum, vadd, vscale, vsub, vzero
 from .kappa import (
     OnWallError,
@@ -116,20 +116,17 @@ class Surface:
 
 @dataclass
 class Marking:
-    """Boundary labels: alcove points with their regularity classification."""
+    """Boundary labels: points of the closed alcove."""
 
     points: list[Vec]
-    membership: list[str] = field(default_factory=list)
 
     @classmethod
     def of(cls, rs: RootSystem, points: list[Vec]) -> "Marking":
-        membership = []
         for p in points:
             kind, _ = alcove_membership(rs, p)
             if kind == "outside":
                 raise ValueError(f"marking point {p} lies outside the closed alcove")
-            membership.append(kind)
-        return cls(points=list(points), membership=membership)
+        return cls(points=list(points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -260,31 +257,28 @@ def sphere_volume_kappa(
     )
 
 
-def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
-    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
-    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
+def _common_denominator(mus: list[Vec]) -> int:
+    return math.lcm(*(c.denominator for m in mus for c in m))
 
-    All coordinates are scaled by the common denominator D of the markings
-    into Python ints (lattice vectors are integral: coroots are integer
-    combinations of simple roots), and every vector carries its integer
-    dot products with the wall normals.  The Weyl images are folded one
-    marking at a time into a dict from partial sum to signed coefficient.
-    A dict keeps first insertion, so the arguments mu_b + l + partial sum
-    are met in the order (l, w_1, ..., w_k) of the term-by-term sum, and
-    chambers are built and checked in that order.  Arguments with a
-    negative coordinate lie outside the support cone.  An argument on a
-    wall goes through `spline.value_exact` where it is first met, even when
-    its merged coefficient is zero: at degree 0 that raises OnWallError,
-    otherwise the value comes by closure continuity.  The other arguments
-    are grouped by chamber, and each chamber's polynomial is evaluated
-    once over its group.
+
+def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
+    """Yield (x, dots, coef) for the kappa arguments of the lattice sum
+    over l in lattice and Weyl tuples (w_1..w_k), b = k + 1: x is
+    D (w_1 mu_1 + ... + w_k mu_k + mu_b + l) in Python ints, D the common
+    denominator of the markings, dots its dot products with the wall
+    normals, and coef the summed product of the signs of the tuples that
+    give x.
+
+    Lattice vectors are integral (coroots are integer combinations of
+    simple roots).  The Weyl images are folded one marking at a time into
+    a dict from partial sum to signed coefficient.  A dict keeps first
+    insertion, so the arguments are met in the order (l, w_1, ..., w_k)
+    of the term-by-term sum; merged coefficients may be zero.  Arguments
+    with a negative coordinate, outside the support cone, are skipped.
     """
-    rank = spline.rank
-    scale = 1
-    for m in mus:
-        for c in m:
-            scale = math.lcm(scale, c.denominator)
-    walls = spline.config.int_walls
+    rank = config.rank
+    scale = _common_denominator(mus)
+    walls = config.int_walls
 
     def extended(v: list[int]) -> tuple[int, ...]:
         # the coordinates, then the dot products with the wall normals;
@@ -304,12 +298,7 @@ def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
         folded = nxt
     entries = [(p[:rank], p[rank:], coef) for p, coef in folded.items()]
 
-    orthant = spline.config.orthant_support
-    positive = (0).__lt__  # off the walls, the side of each wall as a bool
-    total = Q(0)
-    # side of the walls -> (chamber polynomial, arguments, coefficients)
-    groups: dict[tuple[bool, ...], tuple[Poly, list, list]] = {}
-    wall_values: dict[tuple[int, ...], Q] = {}
+    orthant = config.orthant_support
     for l in lattice:
         tail = extended([scale * int(c) + x for c, x in zip(l, scaled[-1])])
         tail_x, tail_dots = tail[:rank], tail[rank:]
@@ -317,22 +306,41 @@ def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
             x = tuple(map(add, tail_x, p_x))
             if orthant and min(x) < 0:
                 continue
-            dots = tuple(map(add, tail_dots, p_dots))
-            if 0 in dots:
-                value = wall_values.get(x)
-                if value is None:
-                    value = spline.value_exact(tuple(Q(c, scale) for c in x))
-                    wall_values[x] = value
-                total += coef * value
-                continue
-            side = tuple(map(positive, dots))
-            group = groups.get(side)
-            if group is None:
-                poly = spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
-                group = groups[side] = (poly, [], [])
-            if coef:
-                group[1].append(x)
-                group[2].append(coef)
+            yield x, tuple(map(add, tail_dots, p_dots)), coef
+
+
+def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
+    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
+    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
+
+    The arguments come from `_kappa_arguments`, scaled by D.  They are
+    grouped by chamber, that is by the side of each wall; an argument on
+    a wall joins the chamber the nudge direction points to, whose
+    polynomial gives its value by continuity.  A chamber's polynomial is
+    taken at the first argument the term order meets in it, even one
+    whose coefficient is zero, so chambers are built and checked in that
+    order; it is then evaluated once over its group.  At degree 0 kappa
+    jumps on a wall, and the first argument on one raises OnWallError.
+    """
+    scale = _common_denominator(mus)
+    nudge = spline.config.nudge_signs
+    positive = (0).__lt__
+    # side of the walls -> (chamber polynomial, arguments, coefficients)
+    groups: dict[tuple[bool, ...], tuple[Poly, list, list]] = {}
+    for x, dots, coef in _kappa_arguments(spline.config, weyl, mus, lattice):
+        if 0 in dots:
+            if not spline.degree:  # raises OnWallError
+                spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
+            dots = tuple(d or n for d, n in zip(dots, nudge))
+        side = tuple(map(positive, dots))
+        group = groups.get(side)
+        if group is None:
+            poly = spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
+            group = groups[side] = (poly, [], [])
+        if coef:
+            group[1].append(x)
+            group[2].append(coef)
+    total = Q(0)
     for poly, xs, coefs in groups.values():
         total += _scaled_poly_sum(poly, xs, coefs, scale)
     return total
@@ -389,22 +397,11 @@ class PantsVolumePoly:
         self.mu1 = mu1
         self.mu2 = mu2
         self.spline = kappa_build(rs, 1)
-        weyl = rs.weyl_elements()
         bound_sq = _support_bound_sq(rs, [mu1, mu2, vzero(rs.rank)])
         max_alcove_sq = max(rs.norm_sq(v) for v in rs.alcove.vertices)
         radius_sq = 2 * max_alcove_sq + 2 * bound_sq
         self.lattice = [
             rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)
-        ]
-        # (sign, shift) per lattice vector and Weyl pair: each mu3 + shift
-        # is one kappa argument
-        row1 = [(w.sign, w.act(mu1)) for w in weyl]
-        row2 = [(w.sign, w.act(mu2)) for w in weyl]
-        self.terms = [
-            (s1 * s2, vadd(vadd(i1, i2), l))
-            for l in self.lattice
-            for s1, i1 in row1
-            for s2, i2 in row2
         ]
         self.sign_prefactor = -1 if rs.n_positive % 2 else 1
 
@@ -422,6 +419,10 @@ class PantsVolumePoly:
     def value(self, mu3: Vec) -> float:
         return float(self.value_exact(mu3)) / math.sqrt(float(self.norm_denominator))
 
+    def _arguments(self, mu3: Vec):
+        mus = [self.mu1, self.mu2, mu3]
+        return _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus, self.lattice)
+
     def on_wall(self, mu3: Vec) -> bool:
         """True when some kappa argument sits on a wall that matters.
 
@@ -429,26 +430,21 @@ class PantsVolumePoly:
         the support cone, where kappa vanishes identically, so wall
         coincidences there do not make mu3 non-regular.
         """
-        for _, c in self.terms:
-            arg = vadd(c, mu3)
-            if any(x < 0 for x in arg):
-                continue
-            if self.spline.on_wall(arg):
-                return True
-        return False
+        return any(0 in dots for _, dots, _ in self._arguments(mu3))
 
     def polynomial_at(self, mu3: Vec) -> Poly:
         """Exact polynomial (rational part) on the cell containing mu3."""
         if self.on_wall(mu3):
             raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
+        scale = _common_denominator([self.mu1, self.mu2, mu3])
         total: Poly = {}
-        for s, c in self.terms:
-            arg = vadd(c, mu3)
-            if all(x > 0 for x in arg):
-                chamber_poly = self.spline.chamber_polynomial_at(arg)
-                total = poly_add(total, poly_scale(Q(s), poly_shift(chamber_poly, c)))
-        scale = Q(self.sign_prefactor * self.rs.center_order)
-        return poly_scale(scale, total)
+        for x, _, coef in self._arguments(mu3):
+            arg = tuple(Q(c, scale) for c in x)
+            chamber_poly = self.spline.chamber_polynomial_at(arg)
+            if coef:
+                shifted = poly_shift(chamber_poly, vsub(arg, mu3))
+                total = poly_add(total, poly_scale(Q(coef), shifted))
+        return poly_scale(Q(self.sign_prefactor * self.rs.center_order), total)
 
 
 def pants_volume_poly(rs: RootSystem, mu1: Vec, mu2: Vec) -> PantsVolumePoly:
@@ -580,25 +576,6 @@ def conjugacy_volume(rs: RootSystem, mu: Vec) -> float:
     return volume_G(rs) / vol_t * s
 
 
-def _character_table_from_coords(
-    rs: RootSystem, lam_rho: np.ndarray, mu: Vec
-) -> np.ndarray:
-    """chi_lambda(e^mu) for all rows of lam_rho (simple-root coordinates)."""
-    gram = np.array([[float(x) for x in row] for row in rs.gram])
-    gmu = gram @ np.array([float(c) for c in mu])
-    num = np.zeros(len(lam_rho), dtype=complex)
-    den = 0.0 + 0.0j
-    rho_f = np.array([float(c) for c in rs.rho])
-    for w in rs.weyl_elements():
-        wm = np.array([[float(x) for x in row] for row in w.matrix])
-        phases = (lam_rho @ wm.T) @ gmu
-        num += w.sign * np.exp(2j * np.pi * phases)
-        den += w.sign * np.exp(2j * np.pi * float((wm @ rho_f) @ gmu))
-    if abs(den) < 1e-12 * len(rs.weyl_elements()):
-        raise ValueError("marking is not regular; character table undefined")
-    return num / den
-
-
 def witten_volume(
     rs: RootSystem,
     surface: Surface,
@@ -652,7 +629,7 @@ def witten_volume(
     terms = dims ** (-float(p))
     char_product = np.ones(len(weights), dtype=complex)
     for mu in marking.points:
-        char_product = char_product * _character_table_from_coords(rs, lam_rho, mu)
+        char_product = char_product * character_table(rs, lam_rho, mu)
     series = np.real(terms * char_product)
 
     if b >= 1:

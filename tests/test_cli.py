@@ -60,6 +60,16 @@ def test_volume_wall_exit_code_with_cancelling_terms():
     )
 
 
+def test_volume_irregular_marking_exit_code():
+    # the first marking lies on an alcove wall, where the character table
+    # of the series route is undefined: a regularity error, not a usage one
+    r = run("volume", "A2", "1/2,1/2", "1/4,1/5", "1/5,1/4",
+            "--method", "all", "--weights", "2000")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == "wall error: marking is not regular; character table undefined\n"
+
+
 def test_volume_all_methods_deviation():
     r = run("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6",
             "--method", "all", "--weights", "20000")
@@ -156,6 +166,15 @@ def test_spline_cache_env(tmp_path):
     assert data["chambers"]
     r2 = run("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", env=env)
     assert json.loads(r2.stdout) == json.loads(r.stdout)
+
+
+def test_glue_and_oracle_save_spline_cache(tmp_path):
+    for command in (("glue", "A1", "--surface", "0,4", "1/3", "1/3", "1/3", "1/3"),
+                    ("oracle", "A1", "1/2", "1/2", "--samples", "2000")):
+        cache = tmp_path / command[0]
+        r = run(*command, env={"FLATVOL_CACHE": str(cache)})
+        assert r.returncode == 0
+        assert json.loads((cache / "kappa_A1.json").read_text())["chambers"]
 
 
 def test_convergence_failure_exit_code():

@@ -17,8 +17,9 @@ from flatvol import (
     symmetric_extension,
     vec,
 )
-from flatvol.kappa import VectorConfig, PiecewisePolynomial
-from flatvol.poly import poly_subs_affine
+from flatvol.kappa import DegenerateArrangementError, VectorConfig, PiecewisePolynomial
+from flatvol.liecore import _SUPPORTED
+from flatvol.poly import poly_eval, poly_subs_affine
 from flatvol.exact import nullspace, vdot
 
 
@@ -109,6 +110,28 @@ def test_a2_chambers_piecewise_linear(a2):
     assert len(chambers) == 2
     polys = sorted(str(sorted(c.polynomial.items())) for c in chambers)
     assert polys == ["[((0, 1), Fraction(1, 1))]", "[((1, 0), Fraction(1, 1))]"]
+
+
+def test_nudge_direction_crosses_every_wall():
+    """The nudge direction has a nonzero product with every wall normal of
+    every supported group (walls do not depend on multiplicity); a
+    configuration with a wall through it is refused."""
+    for series, rank in sorted(_SUPPORTED):
+        rs = build_root_system(f"{series}{rank}")
+        cfg = VectorConfig(list(rs.positive_roots), det_gram=rs.det_gram)
+        assert all(vdot(u, cfg.nudge) != 0 for u in cfg.walls)
+    with pytest.raises(DegenerateArrangementError):
+        VectorConfig([vec([1, 0]), vec([0, 1]), vec([4, 1])], det_gram=Q(1))
+
+
+def test_chamber_polynomial_on_a_wall(a1, a2):
+    """On a wall, positive degree reads the chamber the nudge direction
+    points to, whose polynomial gives the value there; degree 0 raises."""
+    xi = vec([3, 3])  # on the wall spanned by alpha1 + alpha2
+    poly = kappa_build(a2).chamber_polynomial_at(xi)
+    assert poly_eval(poly, xi) == kappa_point(a2, xi).rational == 3
+    with pytest.raises(OnWallError, match="degree-0"):
+        kappa_build(a1).chamber_polynomial_at(vec([0]))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "A3"])
@@ -265,14 +288,6 @@ def test_symmetric_extension_examples():
             mono = tuple(1 if k in (i, j) else 0 for k in range(3))
             expect[mono] = Q(2)
     assert expanded == expect
-
-
-def test_symmetric_from_monomials_checks_symmetry():
-    p = {(1, 0): Q(1), (0, 1): Q(1)}
-    sp = SymmetricPoly.from_monomials(p, 2)
-    assert sp.terms == {(1, 0): Q(1)}
-    with pytest.raises(ValueError):
-        SymmetricPoly.from_monomials({(1, 0): Q(1)}, 2)
 
 
 def test_pullback_operator_identity_and_direction(a1, a2):

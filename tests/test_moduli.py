@@ -31,7 +31,7 @@ from flatvol import (
 )
 from flatvol.exact import lattice_points_in_ball, vadd, vscale
 from flatvol.kappa import kappa_build
-from flatvol.poly import poly_eval, poly_subs_affine
+from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 
 from conftest import rational_alcove_point, rational_triple
@@ -148,6 +148,67 @@ def test_kappa_sum_builds_chambers_in_term_order(name, marks):
         chambers = kappa_build(rs, len(mus) - 2).chambers.values()
         built.append([(c.signs, c.sample_point) for c in chambers])
     assert built[0] == built[1]
+
+
+def reference_pants_poly(vol, mu3):
+    """(on_wall, polynomial_at) of a PantsVolumePoly term by term in
+    Fractions, over every lattice vector and Weyl pair; the polynomial is
+    None on a cell wall."""
+    rs, spline = vol.rs, vol.spline
+    weyl = rs.weyl_elements()
+    terms = [
+        (w1.sign * w2.sign, vadd(vadd(w1.act(vol.mu1), w2.act(vol.mu2)), l))
+        for l in vol.lattice
+        for w1 in weyl
+        for w2 in weyl
+    ]
+    args = [(s, c, vadd(c, mu3)) for s, c in terms]
+    if any(min(arg) >= 0 and spline.on_wall(arg) for _, _, arg in args):
+        return True, None
+    total = {}
+    for s, c, arg in args:
+        if min(arg) > 0:
+            shifted = poly_shift(spline.chamber_polynomial_at(arg), c)
+            total = poly_add(total, poly_scale(Q(s), shifted))
+    return False, poly_scale(Q((-1) ** rs.n_positive * rs.center_order), total)
+
+
+@pytest.mark.parametrize(
+    "name, marks, thirds, walls",
+    [
+        ("A2", ["1/2,1/2", "1/4,1/5"], ["1/5,1/4", "1/3,1/3", "1/7,2/7"], 1),
+        ("A2", ["0,1/2", "1/4,1/5"], ["1/5,1/4", "1/3,1/3"], 0),
+        ("B2", ["1/4,1/4", "1/4,1/4"], ["1/2,0", "1/5,1/7", "1/9,1/3"], 1),
+        ("B2", ["1/4,1/5", "0,1/3"], ["1/6,1/5", "1/5,1/7"], 1),
+        ("G2", ["1/8,1/8", "1/8,1/8"], ["1/8,1/8", "1/7,1/9"], 1),
+    ],
+)
+def test_pants_poly_matches_term_by_term_reference(name, marks, thirds, walls):
+    """on_wall and polynomial_at agree with the term-by-term reference, and
+    on fresh root systems both build the same chambers in the same order.
+    A marking with a zero coordinate is fixed by a reflection, so merged
+    coefficients cancel; the chambers are built all the same."""
+    results, built = [], []
+    for use_reference in (False, True):
+        rs = RootSystem(GroupSpec.parse(name))
+        m1, m2 = (rs.from_weight_coords(vec(m.split(","))) for m in marks)
+        vol = pants_volume_poly(rs, m1, m2)
+        out = []
+        for t in thirds:
+            mu3 = rs.from_weight_coords(vec(t.split(",")))
+            if use_reference:
+                out.append(reference_pants_poly(vol, mu3))
+            elif vol.on_wall(mu3):
+                with pytest.raises(OnWallError):
+                    vol.polynomial_at(mu3)
+                out.append((True, None))
+            else:
+                out.append((False, vol.polynomial_at(mu3)))
+        results.append(out)
+        built.append([(c.signs, c.sample_point) for c in vol.spline.chambers.values()])
+    assert results[0] == results[1]
+    assert built[0] == built[1]
+    assert [wall for wall, _ in results[0]].count(True) == walls
 
 
 @pytest.mark.parametrize("name", ["B2", "G2"])
@@ -302,6 +363,14 @@ def test_pants_poly_continuity_across_walls(a2, b2):
         rng = random.Random(8)
         m1, m2 = rational_alcove_point(rs, rng), rational_alcove_point(rs, rng)
         vol = pants_volume_poly(rs, m1, m2)
+        weyl = rs.weyl_elements()
+        # each kappa argument is mu3 + shift
+        shifts = {
+            vadd(vadd(w1.act(m1), w2.act(m2)), l)
+            for l in vol.lattice
+            for w1 in weyl
+            for w2 in weyl
+        }
         tested = 0
         attempts = 0
         while tested < 2 and attempts < 40:
@@ -327,7 +396,7 @@ def test_pants_poly_continuity_across_walls(a2, b2):
             assert poly_b != poly_p
             # identify the affine wall crossed inside the bracket
             crossings = set()
-            for _, c in vol.terms:
+            for c in shifts:
                 for u in vol.spline.config.walls:
                     a_lo = sum(uu * (cc + xx) for uu, cc, xx in zip(u, c, lo_pt))
                     a_hi = sum(uu * (cc + xx) for uu, cc, xx in zip(u, c, hi_pt))
