@@ -74,29 +74,38 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def det(a: Mat) -> Q:
-    """Determinant by fraction-free elimination on a copy."""
+def det(a: Sequence[Sequence[Q | int]]) -> Q | int:
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, so the
+    elimination runs in Python ints and every division in it is exact.
+    Rows of ints give an int, rows holding a Fraction give a Fraction.
+    """
     n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    result = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = []
+    scale = 1
+    for row in a:
+        s = math.lcm(*(x.denominator for x in row))
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in row])
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            prev = 0
+            break
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pval = m[col][col]
-        result *= pval
-        inv = 1 / pval
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return result * sign
+        top, pk = m[k], m[k][k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - f * top[j]) // prev
+        prev = pk
+    if all(type(x) is int for row in a for x in row):
+        return sign * prev
+    return Q(sign * prev, scale)
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

@@ -5,8 +5,9 @@ R_+^n under x -> sum_i x_i v_i, taken relative to the inner-product
 Lebesgue measure on t*.  Two independent evaluation routes are provided:
 
 * `kappa_point` computes the exact (n-rank)-volume of the fiber polytope
-  {x >= 0 : sum x_i v_i = xi} by vertex enumeration and an anchored
-  triangulation, all in rational arithmetic;
+  {x >= 0 : sum x_i v_i = xi}: its vertices are the basic feasible
+  solutions (one rank x rank solve per basis of the vectors), and its
+  volume is summed over an anchored triangulation in integers;
 * `kappa_build` returns a chamber-complex spline whose polynomials are
   built in closed form by Lawrence's vertex formula (one term per
   feasible basis of the vectors) and each checked once against
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count
-from operator import mul
+from operator import mul, sub
 
-from .exact import Mat, Q, Vec, det, inverse, mat_t, matvec, nullspace, rref, solve, vdot, vec
+from .exact import Mat, Q, Vec, det, inverse, mat_t, nullspace, rref, solve, vdot, vec
 from .liecore import RootSystem
 from .poly import (
     Poly,
@@ -71,35 +72,17 @@ class DegenerateArrangementError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_vertices(constraints: list[tuple[Vec, Q]], dim: int) -> list[Vec]:
-    """Vertices of {y : a.y <= b}, by solving d-subsets of tight constraints."""
-    if dim == 0:
-        return [()] if all(b >= 0 for _, b in constraints) else []
-    verts: set[Vec] = set()
-    idx = range(len(constraints))
-    for subset in combinations(idx, dim):
-        amat = tuple(constraints[i][0] for i in subset)
-        bvec = tuple(constraints[i][1] for i in subset)
-        y = solve(amat, bvec)
-        if y is None:
-            continue
-        if all(vdot(a, y) <= b for a, b in constraints):
-            verts.add(y)
-    return sorted(verts)
+def _polytope_volume(verts: list[Vec], facets: list[frozenset[int]], dim: int) -> Q:
+    """Exact Lebesgue volume of the convex hull of `verts` in R^dim.
 
-
-def _polytope_volume(constraints: list[tuple[Vec, Q]], dim: int) -> Q:
-    """Exact Lebesgue volume of a bounded H-polytope in R^dim."""
-    if dim == 0:
-        return Q(1) if all(b >= 0 for _, b in constraints) else Q(0)
-    verts = _enumerate_vertices(constraints, dim)
+    `facets` lists, per supporting inequality, the indices of the
+    vertices on it.  The hull is triangulated by pulling the least vertex
+    index into every facet that misses it, recursively, and the simplex
+    volumes are taken in ints: the vertices are scaled by one common
+    denominator.
+    """
     if len(verts) <= dim:
         return Q(0)
-
-    tight_sets = [
-        frozenset(i for i, v in enumerate(verts) if vdot(a, v) == b)
-        for a, b in constraints
-    ]
     memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     def simplices(vset: frozenset[int]) -> list[tuple[int, ...]]:
@@ -111,7 +94,7 @@ def _polytope_volume(constraints: list[tuple[Vec, Q]], dim: int) -> Q:
         anchor = min(vset)
         out: list[tuple[int, ...]] = []
         seen: set[frozenset[int]] = set()
-        for tight in tight_sets:
+        for tight in facets:
             sub = vset & tight
             if not sub or anchor in sub or sub == vset or sub in seen:
                 continue
@@ -120,17 +103,15 @@ def _polytope_volume(constraints: list[tuple[Vec, Q]], dim: int) -> Q:
         memo[vset] = out
         return out
 
-    total = Q(0)
-    fact = math.factorial(dim)
+    scale = math.lcm(*(c.denominator for v in verts for c in v))
+    points = [[c.numerator * (scale // c.denominator) for c in v] for v in verts]
+    total = 0
     for simplex in simplices(frozenset(range(len(verts)))):
         if len(simplex) != dim + 1:
             continue
-        v0 = verts[simplex[0]]
-        edges = tuple(
-            tuple(a - b for a, b in zip(verts[i], v0)) for i in simplex[1:]
-        )
-        total += abs(det(edges))
-    return total / fact
+        v0 = points[simplex[0]]
+        total += abs(det([list(map(sub, points[i], v0)) for i in simplex[1:]]))
+    return Q(total, scale**dim * math.factorial(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +123,9 @@ class VectorConfig:
     """A finite spanning multiset of vectors in coordinate space.
 
     Precomputes the data needed to evaluate the pushforward density of
-    the orthant measure: a kernel basis, the change-of-variables factor,
-    and the wall hyperplanes (spans of corank-one subsets).
+    the orthant measure: the free columns that coordinatize each fiber,
+    the change-of-variables factor, and the wall hyperplanes (spans of
+    corank-one subsets).
     """
 
     def __init__(self, vectors: list[Vec], det_gram: Q, orthant_support: bool = False):
@@ -153,13 +135,13 @@ class VectorConfig:
         self.det_gram = det_gram
         self.degree = self.n - self.rank
         self.orthant_support = orthant_support
-        rows = [tuple(v[i] for v in self.vectors) for i in range(self.rank)]
-        self._amat_rows = rows
-        self.kernel = nullspace(rows, self.n)
-        assert len(self.kernel) == self.degree, "configuration must span"
-        self._basis_cols = self._independent_columns()
-        self._solver = self._basis_solver()
-        self._jacobian = self._change_of_variables_det()
+        # the fiber over xi is coordinatized by x_F, F the non-pivot columns
+        # of the row-reduced configuration; x_P then follows, P the pivots,
+        # and the Jacobian of x -> (sum_i x_i v_i, x_F) is 1/|det A_P|
+        _, pivots = rref([tuple(v[i] for v in self.vectors) for i in range(self.rank)])
+        assert len(pivots) == self.rank, "configuration must span"
+        self._free = tuple(j for j in range(self.n) if j not in pivots)
+        self._jacobian = 1 / abs(det(tuple(self.vectors[j] for j in pivots)))
         self.walls = self._wall_functionals()
         # the same normals in Python ints, for exact integer dot products
         self.int_walls = [tuple(int(c) for c in u) for u in self.walls]
@@ -169,30 +151,6 @@ class VectorConfig:
         self.nudge_signs = self.sign_vector(self.nudge)
         if 0 in self.nudge_signs:
             raise DegenerateArrangementError(f"nudge direction {self.nudge} lies on a wall")
-
-    def _independent_columns(self) -> tuple[int, ...]:
-        _, pivots = rref(self._amat_rows)
-        assert len(pivots) == self.rank
-        return tuple(pivots)
-
-    def _basis_solver(self) -> Mat:
-        cols = tuple(self.vectors[j] for j in self._basis_cols)
-        return inverse(mat_t(cols))
-
-    def _change_of_variables_det(self) -> Q:
-        # columns: d x*/d xi (basis solution embedded in R^n), then the kernel.
-        n = self.n
-        cols: list[Vec] = []
-        for i in range(self.rank):
-            e = tuple(Q(1 if k == i else 0) for k in range(self.rank))
-            xb = matvec(self._solver, e)
-            full = [Q(0)] * n
-            for val, j in zip(xb, self._basis_cols):
-                full[j] = val
-            cols.append(tuple(full))
-        cols.extend(self.kernel)
-        m = tuple(zip(*cols))
-        return abs(det(m))
 
     def _wall_functionals(self) -> list[Vec]:
         """Primitive integer normals of hyperplanes spanned by subsets."""
@@ -252,22 +210,32 @@ class VectorConfig:
             table.append((inv, term))
         return table
 
-    def particular_solution(self, xi: Vec) -> list[Q]:
-        xb = matvec(self._solver, xi)
-        full = [Q(0)] * self.n
-        for val, j in zip(xb, self._basis_cols):
-            full[j] = val
-        return full
-
     def density(self, xi: Vec) -> Q:
-        """Pushforward density at xi, relative to coordinate Lebesgue."""
+        """Pushforward density at xi, relative to coordinate Lebesgue.
+
+        This is the volume of the fiber polytope {x >= 0 : sum x_i v_i = xi}
+        in the coordinates x_F, times the Jacobian.  Its vertices are the
+        basic feasible solutions: for each basis B of the vectors, the
+        solution of A_B x_B = xi, kept when x_B >= 0 (several bases may
+        give one vertex).  Vertex x lies on facet i when x_i = 0.
+        """
         if self.orthant_support and any(c < 0 for c in xi):
             return Q(0)
-        xstar = self.particular_solution(xi)
-        constraints = [
-            (tuple(-k[i] for k in self.kernel), xstar[i]) for i in range(self.n)
+        found: dict[Vec, list[Q]] = {}
+        for basis in combinations(range(self.n), self.rank):
+            xb = solve(tuple(zip(*(self.vectors[j] for j in basis))), xi)
+            if xb is None or any(c < 0 for c in xb):
+                continue
+            x = [Q(0)] * self.n
+            for j, c in zip(basis, xb):
+                x[j] = c
+            found[tuple(x[j] for j in self._free)] = x
+        coords = sorted(found)
+        facets = [
+            frozenset(k for k, y in enumerate(coords) if found[y][i] == 0)
+            for i in range(self.n)
         ]
-        return self._jacobian * _polytope_volume(constraints, self.degree)
+        return self._jacobian * _polytope_volume(coords, facets, self.degree)
 
     def on_wall(self, xi: Vec) -> bool:
         return 0 in self.sign_vector(xi)
@@ -281,21 +249,13 @@ class VectorConfig:
 
 
 def _primitive(v: Vec) -> Vec:
-    from math import gcd
-
-    denoms = [c.denominator for c in v]
-    scale = Q(1)
-    for d in denoms:
-        scale = scale * d // gcd(int(scale), d) if scale.denominator == 1 else scale * d
-    ints = [int(c * scale) for c in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return vec(ints)
+    """The primitive integer vector on the ray of v, leading entry positive."""
+    scale = math.lcm(*(c.denominator for c in v))
+    ints = [c.numerator * (scale // c.denominator) for c in v]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x != 0) < 0:
+        g = -g
+    return vec(x // g for x in ints)
 
 
 def _root_config(rs: RootSystem, multiplicity: int = 1) -> VectorConfig:

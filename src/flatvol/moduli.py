@@ -42,7 +42,7 @@ from operator import add, mul
 import numpy as np
 
 from .characters import _neville, character_table, enumerate_dominant
-from .exact import Q, Vec, lattice_points_in_ball, pairwise_sum, vadd, vscale, vsub, vzero
+from .exact import Q, Vec, det, lattice_points_in_ball, pairwise_sum, vadd, vscale, vsub, vzero
 from .kappa import (
     OnWallError,
     SymmetricPoly,
@@ -740,12 +740,8 @@ def glue_volume(
             f"no supported pants decomposition for genus {h}, boundary {b}"
         )
 
-    denom = 1
-    for p in marking.points:
-        for c in p:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-
     if rs.rank == 1:
+        denom = _common_denominator(marking.points)
         total = kfac * _integrate_alcove_rank1(rs, integrand, denom)
         method_params = {"integration": "exact-breakpoint", "nodes": None}
     elif rs.rank == 2:
@@ -792,20 +788,17 @@ def _integrate_alcove_rank1(rs: RootSystem, integrand, marking_denominator: int)
 
 
 def _integrate_alcove_rank2(rs: RootSystem, integrand, nodes: int) -> float:
-    """Midpoint grid over the alcove triangle in fundamental-weight coords.
+    """Midpoint grid over the alcove triangle {x v1 + y v2 : x + y < 1},
+    v1 and v2 its nonzero vertices (the fundamental weights for A2, B2
+    and C2; for G2 one of them is half a fundamental weight).
 
     O(1/g) accuracy near the kinks of the piecewise-polynomial integrand;
     acceptance-grade gluing runs are rank 1, this is a display aid.
     """
     g = max(4, int(math.isqrt(nodes)))
-    w1, w2 = rs.fundamental_weights
-    gw = tuple(
-        tuple(rs.ip(a, b) for b in rs.fundamental_weights)
-        for a in rs.fundamental_weights
-    )
-    from .exact import det as _det
-
-    area_scale = math.sqrt(float(_det(gw)))
+    v1, v2 = rs.alcove.vertices[1:]
+    gram = tuple(tuple(rs.ip(a, b) for b in (v1, v2)) for a in (v1, v2))
+    area_scale = math.sqrt(float(det(gram)))
     vals = []
     for i in range(g):
         for j in range(g):
@@ -813,7 +806,7 @@ def _integrate_alcove_rank2(rs: RootSystem, integrand, nodes: int) -> float:
             y = Q(2 * j + 1, 2 * g)
             if x + y >= 1:
                 continue
-            nu = vadd(vscale(x, w1), vscale(y, w2))
+            nu = vadd(vscale(x, v1), vscale(y, v2))
             vals.append(integrand(nu))
     cell = area_scale / (g * g) * covolume_T(rs)
     return pairwise_sum(vals) * cell

@@ -134,6 +134,31 @@ def test_chamber_polynomial_on_a_wall(a1, a2):
         kappa_build(a1).chamber_polynomial_at(vec([0]))
 
 
+@pytest.mark.parametrize(
+    "name,multiplicity,points",
+    [
+        ("B2", 2, [(3, 3), (1, 2), (2, 4), (0, Q(3, 2)), (Q(5, 2), 0), (0, 0)]),
+        ("A2", 3, [(3, 3), (Q(7, 5), Q(7, 5)), (0, 2), (Q(7, 3), 0), (0, 0)]),
+        ("G2", 2, [(1, 1), (2, 3), (Q(3, 2), Q(9, 4)), (0, Q(5, 2)), (Q(5, 3), 0), (0, 0)]),
+        ("D4", 1, [(3, 4, 3, 3), (1, 2, 1, 1), (2, 3, 2, 2), (0, 3, 2, 1)]),
+    ],
+    ids=["B2x2", "A2x3", "G2x2", "D4"],
+)
+def test_fiber_volume_at_degenerate_points(name, multiplicity, points):
+    """At points on one wall, on several walls and on the support-cone
+    boundary several bases give one vertex of the fiber polytope; its
+    volume still equals the adjacent chamber polynomial there."""
+    rs = build_root_system(name)
+    spline = kappa_build(rs, multiplicity)
+    walls_hit = set()
+    for p in points:
+        xi = vec(p)
+        walls_hit.add(spline.config.sign_vector(xi).count(0))
+        expect = poly_eval(spline.chamber_polynomial_at(xi), xi)
+        assert kappa_point(rs, xi, multiplicity).rational == expect, (name, p)
+    assert 0 not in walls_hit and max(walls_hit) >= 2
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "A3"])
 def test_wall_continuity_exact(name):
     """Chamber polynomials agree identically on every shared wall.

@@ -567,6 +567,32 @@ def test_glue_two_pants_matches_four_marked_kappa(a1):
     assert abs(g.value - k.value) <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_glue_two_pants_rank2_matches_four_marked_kappa(name):
+    """The rank-2 grid covers the alcove, whose vertices are not always
+    the fundamental weights (G2), with the |dnu| normalization."""
+    rs = build_root_system(name)
+    mus = [
+        rs.from_weight_coords(vec([Q(a), Q(b)]))
+        for a, b in [("1/8", "1/5"), ("1/9", "1/7"), ("1/7", "1/6"), ("1/10", "1/4")]
+    ]
+    g = glue_volume(rs, Surface(0, 4), Marking.of(rs, mus))
+    k = sphere_volume_kappa(rs, mus)
+    assert abs(g.value - k.value) <= 1e-3 * k.value
+
+
+def test_a4_pants_kappa_sum_equals_toric_decomposition():
+    rs = build_root_system("A4")
+    mus = [
+        rs.from_weight_coords(vec(s.split(",")))
+        for s in ("1/9,1/11,1/13,1/10", "1/10,1/12,1/14,1/9", "1/8,1/13,1/11,1/12")
+    ]
+    pants = pants_volume_kappa(rs, *mus)
+    terms, toric = toric_decomposition(rs, *mus)
+    assert toric.exact["rational"] == pants.exact["rational"] > 0
+    assert len(terms) == 167
+
+
 def test_glue_unsupported(a1):
     with pytest.raises(UnsupportedDecompositionError):
         glue_volume(a1, Surface(2, 1), Marking.of(a1, [t_mu(a1, "1/2")]))
