@@ -32,6 +32,7 @@ from .liecore import (
 )
 from .mc import product_class_histogram, shape_compare
 from .moduli import (
+    EPS_NODES,
     ConvergenceError,
     Marking,
     Surface,
@@ -178,18 +179,17 @@ def cmd_roots(args) -> int:
 
 
 def _volume_reports(rs, m1, m2, m3, method, args):
-    radius_sq = Fraction(args.radius_sq) if args.radius_sq else None
     reports = {}
     if method in ("kappa", "all"):
-        reports["kappa"] = pants_volume_kappa(rs, m1, m2, m3, radius_sq=radius_sq)
+        reports["kappa"] = pants_volume_kappa(rs, m1, m2, m3)
     if method in ("toric", "all"):
-        _, rep = toric_decomposition(rs, m1, m2, m3, radius_sq=radius_sq)
+        _, rep = toric_decomposition(rs, m1, m2, m3)
         reports["toric"] = rep
     if method in ("witten", "all"):
         marking = Marking.of(rs, [m1, m2, m3])
         schedule = None
         if args.eps0 is not None:
-            schedule = [args.eps0 / 2**k for k in range(args.eps_nodes)]
+            schedule = [args.eps0 / 2**k for k in range(EPS_NODES)]
         reports["witten"] = witten_volume(
             rs,
             Surface(0, 3),
@@ -382,6 +382,13 @@ def cmd_glue(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not 0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return x
+
+
 @cache  # built once per process: the parser does not change between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -406,13 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kappa")
     p.add_argument("--weights", type=int, default=None,
                    help="dominant-weight count for the character series")
-    p.add_argument("--eps0", type=float, default=None,
-                   help="largest heat-kernel epsilon (geometric schedule)")
-    p.add_argument("--eps-nodes", type=int, default=4,
-                   help="number of epsilon nodes in the schedule")
-    p.add_argument("--radius-sq", default=None,
-                   help="lattice/affine truncation radius^2 as a rational "
-                        "(default: the provable support bound)")
+    p.add_argument("--eps0", type=_positive_float, default=None,
+                   help="largest heat-kernel epsilon of a geometric schedule "
+                        f"of {EPS_NODES} nodes, each half the last")
     p.add_argument("--out")
     p.set_defaults(func=cmd_volume)
 

@@ -2,6 +2,16 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  All
 routines are exact; no floats enter until a caller asks for them.
+
+Every linear-algebra result is read from one fraction-free elimination
+(Bareiss's integer-preserving Gaussian elimination, Math. Comp. 22,
+1968): each row is scaled to Python ints by the lcm of its denominators,
+a forward pass with pivot skipping brings the rows to echelon form with
+exact integer divisions only, and a fraction-free back substitution
+returns the solutions times the last pivot.  `det` reads that pivot,
+`solve` back-substitutes one right-hand column, `inverse_det` (and
+`inverse`) eliminates [A | I] once, and `pivot_columns` and `nullspace`
+read the echelon form.
 """
 
 from __future__ import annotations
@@ -74,105 +84,141 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def det(a: Sequence[Sequence[Q | int]]) -> Q | int:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Each row is scaled to integers by the lcm of its denominators, so the
-    elimination runs in Python ints and every division in it is exact.
-    Rows of ints give an int, rows holding a Fraction give a Fraction.
-    """
-    n = len(a)
+def _int_rows(rows: Iterable[Sequence[Q | int]]) -> tuple[list[list[int]], int]:
+    """Each row scaled to ints by the lcm of its denominators, and the
+    product of those scales."""
     m = []
     scale = 1
-    for row in a:
+    for row in rows:
         s = math.lcm(*(x.denominator for x in row))
         scale *= s
         m.append([x.numerator * (s // x.denominator) for x in row])
+    return m, scale
+
+
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Forward fraction-free (Bareiss) elimination of int rows, in place.
+
+    Pivots are sought in the first ncols columns, left to right, skipping
+    a column with no nonzero entry at or below the current row; the rest
+    of each row is carried along.  Every division is exact, because each
+    entry is a minor of the input (Sylvester's identity), and the pivot of
+    pivot row k is the minor on rows 0..k and pivot columns 0..k of the
+    permuted input.  Entries below a pivot are left as they were: nothing
+    reads them again.  Returns (pivot columns, sign of the row
+    permutation, last pivot); the last pivot of a nonsingular square
+    matrix is its determinant times that sign.
+    """
+    nrows = len(m)
+    width = len(m[0]) if m else 0
+    pivots: list[int] = []
     sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            prev = 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
             break
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        top, pk = m[k], m[k][k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
+        top = m[r]
+        pk = top[c]
+        rest = range(c + 1, width)
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in rest:
                 row[j] = (pk * row[j] - f * top[j]) // prev
+        pivots.append(c)
         prev = pk
-    if all(type(x) is int for row in a for x in row):
-        return sign * prev
-    return Q(sign * prev, scale)
+        r += 1
+    return pivots, sign, prev
+
+
+def _back_substitute(
+    m: list[list[int]], pivots: list[int], last: int, rhs: Sequence[int]
+) -> list[int]:
+    """Fraction-free back substitution on an eliminated system.
+
+    Solves the pivot rows of m for the unknowns on the pivot columns with
+    right-hand side rhs (one int per pivot row) and returns them times
+    `last`, the last pivot.  By Cramer's rule those products are ints, so
+    every division is exact.
+    """
+    y = [0] * len(pivots)
+    for i in reversed(range(len(pivots))):
+        row = m[i]
+        s = last * rhs[i] - sum(row[pivots[k]] * y[k] for k in range(i + 1, len(pivots)))
+        y[i] = s // row[pivots[i]]
+    return y
+
+
+def det(a: Sequence[Sequence[Q | int]]) -> Q | int:
+    """Determinant: the last pivot of the fraction-free elimination.
+
+    Rows of ints give an int, rows holding a Fraction give a Fraction.
+    """
+    ints = all(type(x) is int for row in a for x in row)
+    m, scale = ([list(row) for row in a], 1) if ints else _int_rows(a)
+    pivots, sign, last = _eliminate(m, len(m))
+    d = sign * last if len(pivots) == len(m) else 0
+    return d if ints else Q(d, scale)
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:
     """Solve a @ x = b exactly; None when the system is singular."""
     n = len(a)
-    m = [list(row) + [bv] for row, bv in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    m, _ = _int_rows([*row, bv] for row, bv in zip(a, b))
+    pivots, _, last = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return tuple(Q(y, last) for y in _back_substitute(m, pivots, last, [row[n] for row in m]))
+
+
+def inverse_det(a: Mat) -> tuple[Mat, Q] | None:
+    """(a^-1, det a) from one elimination of [a | I]; None when a is singular."""
+    n = len(a)
+    m, scale = _int_rows([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a))
+    pivots, sign, last = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    cols = [_back_substitute(m, pivots, last, [row[n + j] for row in m]) for j in range(n)]
+    inv = tuple(tuple(Q(col[i], last) for col in cols) for i in range(n))
+    return inv, Q(sign * last, scale)
 
 
 def inverse(a: Mat) -> Mat:
-    n = len(a)
-    cols = []
-    for j in range(n):
-        e = tuple(Q(1 if i == j else 0) for i in range(n))
-        x = solve(a, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return tuple(zip(*cols))
+    """a^-1; ValueError when a is singular."""
+    result = inverse_det(a)
+    if result is None:
+        raise ValueError("matrix is singular")
+    return result[0]
 
 
-def rref(rows: Sequence[Sequence[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def pivot_columns(rows: Sequence[Sequence[Q | int]]) -> list[int]:
+    """Indices of the pivot columns of the row echelon form of a matrix."""
+    m, _ = _int_rows(rows)
+    return _eliminate(m, len(m[0]) if m else 0)[0]
 
 
 def nullspace(a: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
-    """Basis of {x : a @ x = 0} for a matrix given as rows of length ncols."""
-    m, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {x : a @ x = 0} for a matrix given as rows of length ncols:
+    one vector per non-pivot column f, with x_f = 1 and the other
+    non-pivot entries 0."""
+    m, _ = _int_rows(a)
+    pivots, _, last = _eliminate(m, ncols)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         x = [Q(0)] * ncols
         x[f] = Q(1)
-        for i, p in enumerate(pivots):
-            x[p] = -m[i][f]
+        y = _back_substitute(m, pivots, last, [-row[f] for row in m])
+        for p, yp in zip(pivots, y):
+            x[p] = Q(yp, last)
         basis.append(tuple(x))
     return basis
 

@@ -29,7 +29,9 @@ from functools import cached_property
 from itertools import combinations, count
 from operator import mul, sub
 
-from .exact import Mat, Q, Vec, det, inverse, mat_t, nullspace, rref, solve, vdot, vec
+from .exact import (
+    Mat, Q, Vec, det, inverse_det, mat_t, nullspace, pivot_columns, solve, vdot, vec,
+)
 from .liecore import RootSystem
 from .poly import (
     Poly,
@@ -138,7 +140,7 @@ class VectorConfig:
         # the fiber over xi is coordinatized by x_F, F the non-pivot columns
         # of the row-reduced configuration; x_P then follows, P the pivots,
         # and the Jacobian of x -> (sum_i x_i v_i, x_F) is 1/|det A_P|
-        _, pivots = rref([tuple(v[i] for v in self.vectors) for i in range(self.rank)])
+        pivots = pivot_columns([tuple(v[i] for v in self.vectors) for i in range(self.rank)])
         assert len(pivots) == self.rank, "configuration must span"
         self._free = tuple(j for j in range(self.n) if j not in pivots)
         self._jacobian = 1 / abs(det(tuple(self.vectors[j] for j in pivots)))
@@ -178,10 +180,9 @@ class VectorConfig:
         """
         bases = []
         for sigma in combinations(range(self.n), self.rank):
-            cols = tuple(self.vectors[i] for i in sigma)
-            d = det(cols)
-            if d != 0:
-                bases.append((sigma, inverse(mat_t(cols)), abs(d)))
+            inv_det = inverse_det(mat_t(tuple(self.vectors[i] for i in sigma)))
+            if inv_det is not None:
+                bases.append((sigma, inv_det[0], abs(inv_det[1])))
         fact = math.factorial(self.degree)
         for k in count(2):
             c = [Q(1, k + j) for j in range(self.n)]

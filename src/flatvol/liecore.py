@@ -187,11 +187,8 @@ class RootSystem:
         self.highest_root: Vec = max(
             self.positive_roots, key=lambda r: (sum(r), r)
         )
-        # Fundamental weights: columns solve C x = e_i.
-        self.fundamental_weights: tuple[Vec, ...] = tuple(
-            solve(self.cartan_matrix, tuple(Q(1 if j == i else 0) for j in range(self.rank)))
-            for i in range(self.rank)
-        )
+        # Fundamental weights: the columns of C^-1, solving C x = e_i.
+        self.fundamental_weights: tuple[Vec, ...] = mat_t(inverse(self.cartan_matrix))
         self.rho: Vec = vec(
             sum(w[j] for w in self.fundamental_weights) for j in range(self.rank)
         )
@@ -204,9 +201,11 @@ class RootSystem:
         self.det_coroot_gram: Q = det(self.coroot_gram)
         self._coroot_basis_inv: Mat = inverse(mat_t(self.coroot_basis))
         self.center_order: int = int(det(self.cartan_matrix))
+        # the gram matrix is symmetric, so the rows of its inverse are
+        # the dual basis of the simple roots
         self.alcove = Alcove(
             vertices=(vzero(self.rank),)
-            + tuple(self._alcove_vertex(i) for i in range(self.rank))
+            + tuple(self._alcove_vertex(u) for u in inverse(self.gram))
         )
         self._weyl: tuple[WeylElement, ...] | None = None
         self._w0: WeylElement | None = None
@@ -272,8 +271,7 @@ class RootSystem:
         positive.sort(key=lambda r: (sum(r), r))
         return tuple(positive)
 
-    def _alcove_vertex(self, i: int) -> Vec:
-        u = solve(self.gram, tuple(Q(1 if j == i else 0) for j in range(self.rank)))
+    def _alcove_vertex(self, u: Vec) -> Vec:
         h = self.ip(self.highest_root, u)
         return vscale(1 / h, u)
 

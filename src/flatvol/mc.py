@@ -151,6 +151,8 @@ def product_class_histogram(
     _check_group(rs)
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if bins < 1:
+        raise ValueError("need at least one bin")
     rng = np.random.default_rng(seed)
     d1 = class_representative(rs, mu1)
     d2 = class_representative(rs, mu2)

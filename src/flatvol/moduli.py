@@ -591,12 +591,21 @@ def witten_volume(
     surfaces use #Z Vol(G)^{2h-2} sum d^{-(2h-2)}.  Exponent-one series
     are heat-kernel damped over eps_schedule and extrapolated to zero;
     absolutely convergent series use partial-sum extrapolation in 1/N.
+    A given eps_schedule needs at least two distinct positive, finite
+    epsilons: with one node the extrapolation would be its own residual.
     """
     h, b = surface.genus, surface.boundary
     if 2 * h + b < 3:
         raise ValueError("character series requires 2h + b >= 3")
     if len(marking) != b:
         raise ValueError(f"marking length {len(marking)} != boundary count {b}")
+    if eps_schedule is not None and (
+        len(set(eps_schedule)) < 2 or not all(0 < e < math.inf for e in eps_schedule)
+    ):
+        raise ValueError(
+            f"epsilon schedule {list(eps_schedule)} needs at least two distinct "
+            "positive, finite nodes"
+        )
     p = surface.euler_weight
     if casimir_cutoff is None:
         from .characters import casimir_cutoff_for_count
@@ -699,10 +708,13 @@ def witten_volume(
     )
 
 
-def default_eps_schedule(max_qnorm: float, nodes: int = 4) -> list[float]:
+EPS_NODES = 4  # epsilons in a heat-kernel schedule
+
+
+def default_eps_schedule(max_qnorm: float) -> list[float]:
     """Geometric schedule with the damping at the cutoff below 1e-8."""
     eps_min = 18.0 / max_qnorm
-    return [eps_min * 2.0 ** (nodes - 1 - k) for k in range(nodes)]
+    return [eps_min * 2.0 ** (EPS_NODES - 1 - k) for k in range(EPS_NODES)]
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +735,8 @@ def glue_volume(
     quadrature fallback on rank 2.
     """
     h, b = surface.genus, surface.boundary
+    if len(marking) != b:
+        raise ValueError(f"marking length {len(marking)} != boundary count {b}")
     if (h, b) == (1, 1):
         integrand = lambda nu: _pants_value_triple(rs, marking.points[0], nu, star(rs, nu))
         kfac = 1.0

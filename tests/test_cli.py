@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 
 def run(*args, env=None):
     e = dict(os.environ)
@@ -182,6 +184,26 @@ def test_convergence_failure_exit_code():
             "--weights", "6", "--eps0", "0.4")
     assert r.returncode == 4
     assert "convergence" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    # a one-node schedule certified itself; a nonpositive epsilon overflowed
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten",
+     "--eps0", "0.4", "--eps-nodes", "1"),
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--eps0", "-1"),
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--eps0", "0"),
+    # a negative radius printed a zero volume
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--radius-sq", "-1"),
+    # surplus and missing markings
+    ("glue", "A1", "--surface", "1,1", "1/3", "1/4"),
+    ("glue", "A1", "--surface", "0,4", "1/3", "1/4", "1/5"),
+    ("oracle", "A1", "1/3", "1/4", "--bins", "0"),
+], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
+        "glue-missing", "bins-zero"])
+def test_usage_errors(args):
+    r = run(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
 
 
 def test_truncated_spline_cache_is_ignored(tmp_path):

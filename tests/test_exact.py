@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from flatvol.exact import det
+from flatvol.exact import det, inverse, inverse_det, nullspace, pivot_columns, solve
 
 
 def leibniz(m):
@@ -57,3 +57,90 @@ def test_det_singular_and_row_swaps(fractions):
 
 def test_det_empty_matrix():
     assert det(()) == 1
+
+
+def random_echelon_product(rng, nrows, ncols, rank, fractions):
+    """(L @ E, pivots): E in row echelon form with `rank` rows whose
+    leading entries sit on the columns `pivots`, L a random nonsingular
+    matrix.  Row operations keep the pivot columns, so they are the
+    pivot columns of the product."""
+    pivots = sorted(rng.sample(range(ncols), rank))
+    entry = (lambda: Q(rng.randint(-9, 9), rng.randint(1, 7))) if fractions else (
+        lambda: rng.randint(-9, 9))
+    e = [[0] * ncols for _ in range(nrows)]
+    for i, p in enumerate(pivots):
+        e[i][p] = rng.choice([-3, -2, -1, 1, 2, 3])
+        for j in range(p + 1, ncols):
+            e[i][j] = entry()
+    while True:
+        lower = random_matrix(rng, nrows, fractions)
+        if leibniz(lower) != 0:
+            break
+    product = [[sum(lower[i][k] * e[k][j] for k in range(nrows)) for j in range(ncols)]
+               for i in range(nrows)]
+    return product, pivots
+
+
+def shapes():
+    """(fractions, nrows, ncols, rank) over int and Fraction matrices up to
+    5 x 5, full rank and rank-deficient, 0 x 0 and 1 x 1 included."""
+    for fractions in (False, True):
+        for nrows in range(6):
+            for ncols in range(6):
+                for rank in range(min(nrows, ncols) + 1):
+                    yield fractions, nrows, ncols, rank
+
+
+def matvec(a, x):
+    return [sum(r * c for r, c in zip(row, x)) for row in a]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+def test_solve_and_inverse_square(fractions):
+    rng = random.Random(9)
+    for n in range(6):
+        for rank in range(n + 1):
+            for _ in range(6):
+                a, _ = random_echelon_product(rng, n, n, rank, fractions)
+                b = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                x = solve(a, b)
+                if rank < n:
+                    assert x is None
+                    with pytest.raises(ValueError):
+                        inverse(a)
+                    assert inverse_det(a) is None
+                    continue
+                assert matvec(a, x) == b
+                assert all(type(c) is Q for c in x)
+                inv, d = inverse_det(a)
+                assert inv == inverse(a)
+                assert d == leibniz(a)
+                unit = [[int(i == j) for j in range(n)] for i in range(n)]
+                assert [matvec(a, col) for col in zip(*inv)] == [list(r) for r in zip(*unit)]
+                assert [matvec(inv, col) for col in zip(*a)] == [list(r) for r in zip(*unit)]
+
+
+def test_pivot_columns_and_nullspace():
+    rng = random.Random(10)
+    for fractions, nrows, ncols, rank in shapes():
+        for _ in range(3):
+            a, pivots = random_echelon_product(rng, nrows, ncols, rank, fractions)
+            assert pivot_columns(a) == pivots
+            basis = nullspace(a, ncols)
+            assert len(basis) == ncols - rank
+            for x in basis:
+                assert matvec(a, x) == [0] * nrows
+            # the basis vectors are independent: each has a 1 on its own
+            # non-pivot column and 0 on the others
+            free = [j for j in range(ncols) if j not in pivots]
+            assert [[x[j] for j in free] for x in basis] == [
+                [int(i == j) for j in free] for i in free
+            ]
+
+
+def test_solve_one_by_one_and_empty():
+    assert solve(((Q(3),),), (Q(2),)) == (Q(2, 3),)
+    assert solve(((Q(0),),), (Q(2),)) is None
+    assert solve((), ()) == ()
+    assert inverse(()) == ()
+    assert inverse_det(((Q(-2, 5),),)) == (((Q(-5, 2),),), Q(-2, 5))

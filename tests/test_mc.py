@@ -157,6 +157,12 @@ def test_oracle_rejects_high_rank():
         product_class_histogram(rs, rs.rho, rs.rho, bins=8, n_samples=10, seed=0)
 
 
+def test_histogram_rejects_no_bins(a1):
+    with pytest.raises(ValueError, match="bin"):
+        product_class_histogram(a1, t_mu(a1, "1/3"), t_mu(a1, "1/4"),
+                                bins=0, n_samples=10, seed=0)
+
+
 def test_conjugation_invariance_exact(a1, a2):
     """Conjugating a sample by a common element fixes the class parameter."""
     for rs in (a1, a2):

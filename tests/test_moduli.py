@@ -544,6 +544,18 @@ def test_witten_divergence_guard(a1):
         )
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [[0.4], [], [0.4, 0.4], [0.4, 0.0], [0.4, -0.2], [0.4, math.nan], [math.inf, 0.4]],
+)
+def test_witten_rejects_degenerate_eps_schedule(a1, schedule):
+    # with one node the extrapolation would be its own residual, and a
+    # nonpositive epsilon undamps the series
+    mus = [t_mu(a1, "2/5"), t_mu(a1, "9/20"), t_mu(a1, "3/5")]
+    with pytest.raises(ValueError, match="epsilon schedule"):
+        witten_volume(a1, Surface(0, 3), Marking.of(a1, mus), eps_schedule=schedule)
+
+
 # -- gluing ----------------------------------------------------------------------
 
 
@@ -603,3 +615,10 @@ def test_four_marked_sphere_symmetry(a1):
     base = sphere_volume_kappa(a1, mus).exact["rational"]
     for perm in itertools.permutations(mus):
         assert sphere_volume_kappa(a1, list(perm)).exact["rational"] == base
+
+
+@pytest.mark.parametrize("surface, count", [((1, 1), 2), ((0, 4), 3), ((0, 4), 5)])
+def test_glue_rejects_wrong_marking_count(a1, surface, count):
+    mk = Marking.of(a1, [t_mu(a1, "1/3")] * count)
+    with pytest.raises(ValueError, match="boundary count"):
+        glue_volume(a1, Surface(*surface), mk)
