@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -167,11 +168,19 @@ def _shifted_norms(rs: RootSystem, casimir_cutoff):
 
     def rec(i: int, q: int):
         row = gram[i]
+        if i == last:
+            # only v_i moves here, so the increment grows by 2 G_ii a step
+            head = tuple(c - 1 for c in v[:last])
+            step = 2 * sum(map(operator.mul, row, v)) + row[i]
+            c = 0
+            while q <= limit:
+                yield q, (*head, c)
+                q += step
+                step += 2 * row[i]
+                c += 1
+            return
         while q <= limit:
-            if i == last:
-                yield q, tuple(c - 1 for c in v)
-            else:
-                yield from rec(i + 1, q)
+            yield from rec(i + 1, q)
             # |v + e_i|^2 - |v|^2 = 2 (G v)_i + G_ii
             q += 2 * sum(map(operator.mul, row, v)) + row[i]
             v[i] += 1
@@ -192,6 +201,6 @@ def enumerate_dominant(rs: RootSystem, casimir_cutoff) -> list[DominantWeight]:
 def casimir_cutoff_for_count(rs: RootSystem, count: int) -> Fraction:
     """Smallest convenient cutoff whose weight list has >= count entries."""
     cutoff = rs.ip(rs.rho, rs.rho) * 4
-    while sum(1 for _ in _shifted_norms(rs, cutoff)) < count:
+    while sum(1 for _ in islice(_shifted_norms(rs, cutoff), count)) < count:
         cutoff *= 2
     return cutoff

@@ -42,6 +42,7 @@ from .moduli import (
     mixed_characteristic_number,
     moduli_dimension,
     pants_volume_kappa,
+    pants_volume_poly,
     toric_decomposition,
     witten_volume,
 )
@@ -318,13 +319,14 @@ def cmd_oracle(args) -> int:
     )
     stat = None
     if rs.spec.name == "A1":
+        pants = pants_volume_poly(rs, m1, m2)  # one lattice ball for the grid
+
         def vol(t: float) -> float:
             tq = Fraction(t).limit_denominator(1 << 20)
             if not 0 < tq < 1:
                 return 0.0
-            mu3 = rs.from_weight_coords((tq,))
             try:
-                return pants_volume_kappa(rs, m1, m2, mu3).value
+                return pants.value(rs.from_weight_coords((tq,)))
             except OnWallError:
                 return 0.0
 

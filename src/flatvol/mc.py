@@ -5,6 +5,12 @@ of independent uniform conjugacy-class elements has density proportional
 to vol(mu1, mu2, *s) times the class Jacobian prod_a 2 sin(pi<a, s>)
 (one net sine power per positive root, the same resolution as the
 character-series bookkeeping).  Everything is seed-deterministic.
+
+Both factors are sampled as full Haar matrices, so the oracle stays a
+simulation.  For SU(2) only the real trace of the product is needed, and
+conjugating by g1 reduces it to one 2x2 product w = g1^H g2:
+tr(g1 d1 g1^H g2 d2 g2^H) = tr(d1 w d2 w^H) = sum_jk Re(d1_j d2_k) |w_jk|^2
+for diagonal d1, d2.
 """
 
 from __future__ import annotations
@@ -106,9 +112,7 @@ def class_parameter(rs: RootSystem, u: np.ndarray) -> Vec:
 def class_parameter_batch(rs: RootSystem, u: np.ndarray) -> np.ndarray:
     """Alcove coordinates for a batch: t for A1, (x, y) weight coords for A2."""
     if rs.spec.name == "A1":
-        tr = np.real(np.einsum("nii->n", u))
-        t = np.arccos(np.clip(tr / 2.0, -1.0, 1.0)) / math.pi
-        return t[:, None]
+        return _a1_parameter(np.real(np.einsum("nii->n", u)))[:, None]
     phases = np.angle(np.linalg.eigvals(u)) / (2 * math.pi)
     f = np.mod(phases, 1.0)
     f.sort(axis=1)
@@ -123,6 +127,15 @@ def class_parameter_batch(rs: RootSystem, u: np.ndarray) -> np.ndarray:
     x = v[:, 0] - v[:, 1]
     y = v[:, 1] - v[:, 2]
     return np.stack([x, y], axis=1)
+
+
+def _a1_parameter(tr: np.ndarray) -> np.ndarray:
+    """Alcove parameter t in [0, 1] of SU(2) elements from their real traces."""
+    return np.arccos(np.clip(tr / 2.0, -1.0, 1.0)) / math.pi
+
+
+def _bin_index(params: np.ndarray, bins: int) -> np.ndarray:
+    return np.minimum((params * bins).astype(int), bins - 1)
 
 
 def sample_class(rs: RootSystem, mu: Vec, rng: np.random.Generator) -> ClassSample:
@@ -147,7 +160,16 @@ def product_class_histogram(
     n_samples: int,
     seed: int,
 ) -> ClassHistogram:
-    """Histogram of the class parameter of g1 g2, g_i uniform on C_{mu_i}."""
+    """Histogram of the class parameter of g1 d1 g1^H g2 d2 g2^H, d_i =
+    exp(mu_i) and g_i Haar-uniform, so each factor is uniform on C_{mu_i}.
+
+    A1 forms one product w = g1^H g2 per sample pair and reads the real
+    trace as sum_jk Re(d1_j d2_k) |w_jk|^2, which is tr(d1 w d2 w^H).  A2
+    keeps the full product and its eigenvalues: per chunk of 65536 pairs
+    on a 2-core x86-64 VM the products take about 0.12 s against 0.46 s
+    for the Haar QR and 0.41 s for `eigvals`, so fewer products would not
+    pay.
+    """
     _check_group(rs)
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -156,29 +178,27 @@ def product_class_histogram(
     rng = np.random.default_rng(seed)
     d1 = class_representative(rs, mu1)
     d2 = class_representative(rs, mu2)
-    dim = 1 if rs.spec.name == "A1" else 2
-    if rs.spec.name == "A1":
-        counts = np.zeros(bins, dtype=np.int64)
-        edges = np.linspace(0.0, 1.0, bins + 1)
-    else:
-        counts = np.zeros(bins * bins, dtype=np.int64)
-        edges = np.linspace(0.0, 1.0, bins + 1)
+    a1 = rs.spec.name == "A1"
+    cells = bins if a1 else bins * bins
+    counts = np.zeros(cells, dtype=np.int64)
+    if a1:
+        coef = np.real(np.outer(np.diag(d1), np.diag(d2)))  # Re(d1_j d2_k)
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         g1 = haar_sample(rs, m, rng)
         g2 = haar_sample(rs, m, rng)
-        u = (g1 @ d1 @ np.conj(np.swapaxes(g1, 1, 2))) @ (
-            g2 @ d2 @ np.conj(np.swapaxes(g2, 1, 2))
-        )
-        params = class_parameter_batch(rs, u)
-        if dim == 1:
-            idx = np.minimum((params[:, 0] * bins).astype(int), bins - 1)
-            np.add.at(counts, idx, 1)
+        if a1:
+            w = np.einsum("nji,njk->nik", np.conj(g1), g2)
+            tr = np.einsum("njk,jk->n", np.abs(w) ** 2, coef)
+            idx = _bin_index(_a1_parameter(tr), bins)
         else:
-            ix = np.minimum((params[:, 0] * bins).astype(int), bins - 1)
-            iy = np.minimum((params[:, 1] * bins).astype(int), bins - 1)
-            np.add.at(counts, ix * bins + iy, 1)
+            u = (g1 @ d1 @ np.conj(np.swapaxes(g1, 1, 2))) @ (
+                g2 @ d2 @ np.conj(np.swapaxes(g2, 1, 2))
+            )
+            params = class_parameter_batch(rs, u)
+            idx = _bin_index(params[:, 0], bins) * bins + _bin_index(params[:, 1], bins)
+        counts += np.bincount(idx, minlength=cells)
         done += m
     return ClassHistogram(
         group=rs.spec.name,
@@ -186,7 +206,7 @@ def product_class_histogram(
         counts=counts,
         total=n_samples,
         seed=seed,
-        edges=edges,
+        edges=np.linspace(0.0, 1.0, bins + 1),
     )
 
 

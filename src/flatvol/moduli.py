@@ -41,7 +41,12 @@ from operator import add, mul
 
 import numpy as np
 
-from .characters import _neville, character_table, enumerate_dominant
+from .characters import (
+    _neville,
+    _shifted_norms,
+    casimir_cutoff_for_count,
+    character_table,
+)
 from .exact import Q, Vec, det, lattice_points_in_ball, pairwise_sum, vadd, vscale, vsub, vzero
 from .kappa import (
     OnWallError,
@@ -608,10 +613,9 @@ def witten_volume(
         )
     p = surface.euler_weight
     if casimir_cutoff is None:
-        from .characters import casimir_cutoff_for_count
-
         casimir_cutoff = casimir_cutoff_for_count(rs, weight_count or 2000)
-    weights = enumerate_dominant(rs, casimir_cutoff)
+    # the order of `enumerate_dominant`, without its DominantWeight objects
+    weights = [coords for _, coords in sorted(_shifted_norms(rs, casimir_cutoff))]
     if weight_count is not None:
         weights = weights[:weight_count]
     if not weights:
@@ -619,7 +623,7 @@ def witten_volume(
 
     # vectorized weight data: lam+rho in simple-root coordinates, Weyl
     # dimensions as products of coroot pairings, and shifted Casimir norms
-    wcoords = np.array([w.coords for w in weights], dtype=float) + 1.0
+    wcoords = np.array(weights, dtype=float) + 1.0
     fw = np.array(
         [[float(c) for c in w] for w in rs.fundamental_weights]
     )  # row i = coords of omega_i
@@ -695,7 +699,7 @@ def witten_volume(
         total = extrapolated
 
     value = prefactor * total
-    if len(weights) >= 8 and residual > 0.05 * abs(total) + 1e-12:
+    if residual > 0.05 * abs(total) + 1e-12:
         raise ConvergenceError(
             f"series extrapolation residual {residual} too large for total {total}"
         )

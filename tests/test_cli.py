@@ -2,8 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from flatvol import build_root_system, pants_volume_kappa, product_class_histogram
+from flatvol.cli import parse_marking
+from flatvol.kappa import OnWallError
+from flatvol.mc import shape_compare
 
 
 def run(*args, env=None):
@@ -135,6 +141,36 @@ def test_oracle_deterministic_output():
     assert a.stdout.startswith("# {")  # stamp comment leads the CSV
 
 
+@pytest.mark.parametrize("t1, t2, walls_met", [
+    ("1/8", "3/8", [Fraction(1, 4), Fraction(1, 2)]),
+    ("13/40", "19/40", []),
+])
+def test_oracle_statistic_matches_per_point_kappa(t1, t2, walls_met):
+    # the model CDF from one pants table equals the one from a kappa-sum
+    # per grid point, on the cell walls |t1 - t2| and t1 + t2 too, which
+    # the grid k/256 meets for 1/8, 3/8
+    r = run("oracle", "A1", t1, t2, "--samples", "20000", "--seed", "5", "--bins", "64")
+    assert r.returncode == 0, r.stderr
+    sidecar = json.loads(r.stdout[r.stdout.index("\n{"):])
+    rs = build_root_system("A1")
+    m1, m2 = parse_marking(rs, t1), parse_marking(rs, t2)
+    walls = []
+
+    def vol(t):
+        tq = Fraction(t).limit_denominator(1 << 20)
+        if not 0 < tq < 1:
+            return 0.0
+        try:
+            return pants_volume_kappa(rs, m1, m2, rs.from_weight_coords((tq,))).value
+        except OnWallError:
+            walls.append(tq)
+            return 0.0
+
+    hist = product_class_histogram(rs, m1, m2, bins=64, n_samples=20000, seed=5)
+    assert sidecar["ks_statistic_vs_kappa"] == shape_compare(hist, vol, rs)
+    assert walls == walls_met
+
+
 def test_oracle_degenerate_factor_single_bin():
     r = run("oracle", "A1", "1/2", "0", "--samples", "2000", "--seed", "3",
             "--bins", "50")
@@ -184,6 +220,17 @@ def test_convergence_failure_exit_code():
             "--weights", "6", "--eps0", "0.4")
     assert r.returncode == 4
     assert "convergence" in r.stderr
+
+
+@pytest.mark.parametrize("weights", ["3", "7"])
+def test_tiny_weight_list_fails_convergence(weights):
+    # with so few weights the extrapolation residual exceeds 5% of the
+    # total (the kappa-sum gives 1.0): exit 4, not a wrong number
+    r = run("volume", "A1", "1/3", "1/4", "1/5", "--method", "witten",
+            "--weights", weights)
+    assert r.returncode == 4
+    assert "residual" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("args", [

@@ -12,7 +12,7 @@ from flatvol import (
     shape_compare,
     vec,
 )
-from flatvol.mc import class_parameter_batch, class_representative, haar_sample
+from flatvol.mc import _CHUNK, class_parameter_batch, class_representative, haar_sample
 
 
 def t_mu(rs, t):
@@ -188,3 +188,41 @@ def test_product_unitarity_defect(a1):
     )
     defect = np.abs(u @ np.conj(np.swapaxes(u, 1, 2)) - np.eye(2)).max()
     assert defect < 1e-10
+
+
+def _five_product_parameters(rs, mu1, mu2, n_samples, seed):
+    """Class parameters of the full products g1 d1 g1^H g2 d2 g2^H, drawn
+    chunk by chunk in the order of `product_class_histogram`."""
+    rng = np.random.default_rng(seed)
+    d1 = class_representative(rs, mu1)
+    d2 = class_representative(rs, mu2)
+    params = []
+    for done in range(0, n_samples, _CHUNK):
+        m = min(_CHUNK, n_samples - done)
+        g1 = haar_sample(rs, m, rng)
+        g2 = haar_sample(rs, m, rng)
+        u = (g1 @ d1 @ np.conj(np.swapaxes(g1, 1, 2))) @ (
+            g2 @ d2 @ np.conj(np.swapaxes(g2, 1, 2))
+        )
+        params.append(class_parameter_batch(rs, u)[:, 0])
+    return np.concatenate(params)
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [("0", "1/3"), ("1/2", "1/2"), ("1/2", "2/5"), ("3/8", "3/8"), ("1/5", "7/10"),
+     ("13/40", "19/40")],
+)
+def test_histogram_matches_five_product_reference(a1, t1, t2):
+    # the one-product trace sum_jk Re(d1_j d2_k) |w_jk|^2, w = g1^H g2,
+    # bins every sample as the full product does; 70 001 samples end in a
+    # partial chunk
+    n = 70001
+    for seed in (0, 17, 2024):
+        t = _five_product_parameters(a1, t_mu(a1, t1), t_mu(a1, t2), n, seed)
+        for bins in (1, 64, 400):
+            h = product_class_histogram(a1, t_mu(a1, t1), t_mu(a1, t2),
+                                        bins=bins, n_samples=n, seed=seed)
+            expect = np.zeros(bins, dtype=np.int64)
+            np.add.at(expect, np.minimum((t * bins).astype(int), bins - 1), 1)
+            assert np.array_equal(h.counts, expect), (t1, t2, seed, bins)
