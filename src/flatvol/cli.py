@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
@@ -260,29 +262,38 @@ def cmd_scan(args) -> int:
     return 0
 
 
+_SYM_TERM = re.compile(r"[+-]?[^+-]+")
+_SYM_FACTOR = re.compile(r"(?:(\d+(?:/\d+)?)|e(\d+)(?:\^(\d+))?)")
+
+
 def _parse_sym_poly(text: str, k: int) -> SymmetricPoly:
-    """Parse '1', 'e1', 'e1^2+e2', '3*e1*e2 - 1/2*e3' into the e-basis."""
-    text = text.replace("-", "+-").replace(" ", "")
-    if k <= 0 and text not in ("1", "0", "+-1"):
-        raise UsageError(f"complex dimension is {k}; only constant polynomials allowed")
-    nvars = max(k, 0)
+    """Parse '1', '-e1', 'e1^2+e2', '3*e1*e2 - 1/2*e3' into the e-basis.
+
+    The text is a signed sum of '*'-products; a factor is a plain
+    rational, e<i> or e<i>^<n> with n a nonnegative integer.  Anything
+    else is a usage error."""
+    compact = text.replace(" ", "")
     terms: dict[tuple[int, ...], Fraction] = {}
-    for raw in text.split("+"):
-        if not raw:
-            continue
-        coeff = Fraction(1)
+    nvars = max(k, 0)
+    if not compact or "".join(_SYM_TERM.findall(compact)) != compact:
+        raise UsageError(f"cannot parse polynomial {text!r}")
+    for term in _SYM_TERM.findall(compact):
+        coeff = Fraction(-1 if term[0] == "-" else 1)
         expo = [0] * nvars
-        for factor in raw.split("*"):
-            if not factor:
+        for factor in term.lstrip("+-").split("*"):
+            match = _SYM_FACTOR.fullmatch(factor)
+            if match is None:
+                raise UsageError(f"cannot parse factor {factor!r} of polynomial {text!r}")
+            number, index, power = match.groups()
+            if number is not None:
+                coeff *= Fraction(number)
                 continue
-            if factor.startswith("e"):
-                base, _, power = factor.partition("^")
-                idx = int(base[1:])
-                if not 1 <= idx <= nvars:
-                    raise UsageError(f"e{idx} exceeds the complex dimension {k}")
-                expo[idx - 1] += int(power) if power else 1
-            else:
-                coeff *= Fraction(factor)
+            idx = int(index)
+            if k <= 0:
+                raise UsageError(f"complex dimension is {k}; only constant polynomials allowed")
+            if not 1 <= idx <= nvars:
+                raise UsageError(f"e{idx} exceeds the complex dimension {k}")
+            expo[idx - 1] += int(power) if power else 1
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return SymmetricPoly(terms, nvars)
@@ -319,16 +330,23 @@ def cmd_oracle(args) -> int:
     )
     stat = None
     if rs.spec.name == "A1":
-        pants = pants_volume_poly(rs, m1, m2)  # one lattice ball for the grid
+        # the A1 volume is constant between the points where a kappa
+        # argument meets its wall: one kappa-sum per cell, at its first
+        # grid point, and 0.0 on a breakpoint
+        pants = pants_volume_poly(rs, m1, m2)
+        breaks = sorted(rs.to_weight_coords((Q(-k, a),))[0] for a, k in pants.walls())
+        cell_values: dict[int, float] = {}
 
         def vol(t: float) -> float:
             tq = Fraction(t).limit_denominator(1 << 20)
             if not 0 < tq < 1:
                 return 0.0
-            try:
-                return pants.value(rs.from_weight_coords((tq,)))
-            except OnWallError:
+            cell = bisect_left(breaks, tq)
+            if cell < len(breaks) and breaks[cell] == tq:
                 return 0.0
+            if cell not in cell_values:
+                cell_values[cell] = pants.value(rs.from_weight_coords((tq,)))
+            return cell_values[cell]
 
         try:
             stat = shape_compare(hist, vol, rs)
@@ -369,7 +387,7 @@ def cmd_glue(args) -> int:
     except ValueError as exc:
         raise UsageError(f"cannot parse --surface {args.surface!r}: h,b") from exc
     points = [parse_marking(rs, t) for t in args.marking]
-    rep = glue_volume(rs, surface, Marking.of(rs, points), nodes=args.nodes)
+    rep = glue_volume(rs, surface, Marking.of(rs, points))
     out = {
         "group": rs.spec.name,
         "surface": {"genus": surface.genus, "boundary": surface.boundary},
@@ -452,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="volume by an alcove gluing integral")
     p.add_argument("group")
     p.add_argument("--surface", required=True, help="h,b (supported: 1,1 and 0,4)")
-    p.add_argument("--nodes", type=int, default=512)
     p.add_argument("marking", nargs="+")
     p.add_argument("--out")
     p.set_defaults(func=cmd_glue)

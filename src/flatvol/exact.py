@@ -249,18 +249,3 @@ def _inverse_diagonal(gram: Mat) -> Vec:
     the supported root systems again and again."""
     ginv = inverse(gram)
     return tuple(ginv[i][i] for i in range(len(gram)))
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """Deterministic fixed-order pairwise summation of floats."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]

@@ -1,0 +1,396 @@
+"""Exact gluing integrals over the alcove, for rank 1 and 2.
+
+A pants factor whose marking slots are fixed points, nu or *nu
+(`moduli._AffinePants`) is piecewise polynomial in nu: each of its kappa
+arguments is affine in nu, so each wall of an argument is a line in the
+alcove.  `AlcoveFactor` finds the lines across which the factor's
+polynomial jumps and the jumps themselves; `alcove_integral` cuts the
+alcove by those lines into convex cells and integrates the product of
+the factors over them exactly.  `moduli.glue_volume` imports this module
+on first use.
+
+Points and lines are exact and in Python ints: a point of the alcove in
+root coordinates is a tuple (z_1, ..., z_r, den) with den > 0 standing for
+z / den, and a line a.z + k = 0 is the primitive integer tuple
+(a_1, ..., a_r, k) whose first nonzero a_i is positive.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from functools import cached_property
+from operator import mul
+
+from .exact import Q, det, vsub
+from .kappa import OnWallError, kappa_build
+from .liecore import RootSystem
+from .poly import Poly, poly_add, poly_scale
+from .moduli import _AffinePants, _affine_sum, _common_denominator
+
+__all__ = ["AlcoveFactor", "alcove_integral"]
+
+
+def _sign(v: int) -> int:
+    return 1 if v > 0 else -1
+
+
+class AlcoveFactor(_AffinePants):
+    """A pants factor over the alcove: its lines, its jumps across them
+    and its polynomial on a cell."""
+
+    @cached_property
+    def _alcove_args(self) -> list:
+        """(c, L, coef, walls) for the arguments whose support meets the
+        open alcove, walls[j] = (D L^T u_j, u_j.c) the line of wall u_j.
+        At degree 0 kappa jumps on a wall, so an argument that stays on a
+        wall for every nu raises OnWallError."""
+        scale = self.scale
+        corners = _alcove_corners(self.rs)
+        out = []
+        for c, L, coef in self.args:
+            xs = [[ci * v[-1] + scale * sum(map(mul, row, v[:-1])) for ci, row in zip(c, L)]
+                  for v in corners]
+            if any(max(col) <= 0 < -min(col) for col in zip(*xs)):
+                continue  # a coordinate negative on the open alcove
+            walls = [(tuple(scale * sum(map(mul, u, col)) for col in zip(*L)),
+                      sum(map(mul, u, c)))
+                     for u in self.spline.config.int_walls]
+            if not self.spline.degree and any(not k and not any(a) for a, k in walls):
+                raise OnWallError(
+                    f"a kappa argument lies on a wall for every nu (lattice term {c})")
+            out.append((c, L, coef, walls))
+        return out
+
+    @cached_property
+    def lines(self) -> dict:
+        """Every line crossing the open alcove on which a kappa argument
+        meets a wall -> the indices of those arguments; a line is the
+        primitive integer (a, k) of a.nu + k = 0, first nonzero a > 0."""
+        corners = _alcove_corners(self.rs)
+        out: dict = {}
+        for i, (*_, walls) in enumerate(self._alcove_args):
+            # several walls of one argument share a line when L is singular
+            for line in {_primitive_line(a, k) for a, k in walls if any(a)}:
+                values = [_line_value(line, v) for v in corners]
+                if min(values) < 0 < max(values):
+                    out.setdefault(line, []).append(i)
+        return out
+
+    @cached_property
+    def direction(self) -> tuple[int, ...]:
+        """A direction off every line: the cell of a point on a line is
+        read just beside it, on this side."""
+        big = 1 + max((abs(a[0]) for *_, walls in self._alcove_args for a, _ in walls),
+                      default=0)
+        return (1, big)[: self.rs.rank]
+
+    def _signs(self, walls, point, direction) -> tuple[int, ...]:
+        """Chamber signs of an argument at point + eps * direction (eps -> 0+);
+        on a wall it keeps for every nu, the nudge side."""
+        z, den = point[:-1], point[-1]
+        out = []
+        for (a, k), nudge in zip(walls, self.spline.config.nudge_signs):
+            v = sum(map(mul, a, z)) + k * den or sum(map(mul, a, direction))
+            out.append(_sign(v) if v else nudge)
+        return tuple(out)
+
+    def _polynomial(self, terms) -> Poly:
+        """sum of coef * p_chamber(x(nu)) over (argument, signs, coef) terms.
+        Every support chamber must be built (`enumerate_support_chambers`);
+        signs naming no chamber are outside the support cone."""
+        chambers = self.spline.chambers
+        groups: dict = {}
+        for (c, L, _, _), signs, coef in terms:
+            chamber = chambers.get(signs)
+            if chamber is None or not coef:
+                continue
+            group = groups.setdefault((signs, L), (chamber.polynomial, L, [], []))
+            group[2].append(c)
+            group[3].append(coef)
+        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), self.scale))
+
+    def cell_polynomial(self, point) -> Poly:
+        """Polynomial of the cell at a homogeneous point (z, den), read
+        beside it along `direction` when it lies on a line."""
+        return self._polynomial(
+            (arg, self._signs(arg[3], point, self.direction), arg[2])
+            for arg in self._alcove_args
+        )
+
+    def jumps(self) -> dict:
+        """line -> (cuts, jumps) for the lines across which the polynomial
+        changes somewhere: jumps[i] is the polynomial on the positive side
+        minus the one on the negative side, between the positions cuts[i]
+        and cuts[i + 1] along the line (rank 1: one jump, no cuts).
+
+        The jump of one argument changes along the line only where its
+        other walls cross it, so it is taken once between consecutive such
+        crossings: the arguments on the line, read on either side.
+        """
+        corners = _alcove_corners(self.rs)
+        args = self._alcove_args
+        out = {}
+        for line, on_line in self.lines.items():
+            others = {_primitive_line(a, k) for i in on_line
+                      for a, k in args[i][3] if any(a)} - {line}
+            cuts, points = _segment_points(corners, line, others)
+            jumps = []
+            for point in points:
+                terms = []
+                for i in on_line:
+                    for side in (1, -1):
+                        direction = tuple(side * a for a in line[:-1])
+                        terms.append((args[i], self._signs(args[i][3], point, direction),
+                                      side * args[i][2]))
+                jumps.append(self._polynomial(terms))
+            if any(jumps):
+                out[line] = (cuts, jumps)
+        return out
+
+
+def _point(coords: list[int], den: int) -> tuple[int, ...]:
+    g = math.gcd(*coords, den)
+    if den < 0:
+        g = -g
+    return (*(c // g for c in coords), den // g)
+
+
+def _alcove_corners(rs: RootSystem) -> list[tuple[int, ...]]:
+    """The alcove's vertices as homogeneous points, counterclockwise for
+    rank 2."""
+    verts = list(rs.alcove.vertices)
+    if rs.rank == 2 and det([vsub(v, verts[0]) for v in verts[1:]]) < 0:
+        verts.reverse()
+    return [_point([c.numerator * (d // c.denominator) for c in v], d)
+            for v in verts for d in [_common_denominator([v])]]
+
+
+def _primitive_line(a, k: int) -> tuple[int, ...]:
+    g = math.gcd(*a, k)
+    if next(x for x in a if x) < 0:
+        g = -g
+    return (*(x // g for x in a), k // g)
+
+
+def _line_value(line, point) -> int:
+    """den * (a.z + k): the side of the line the point is on."""
+    return sum(map(mul, line, point))
+
+
+def _cross(u, v) -> tuple[int, int, int]:
+    """The line through two rank-2 points, or the point where two lines
+    meet (den 0 when they are parallel)."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _split(cell: list, line) -> tuple[list, list]:
+    """The parts of a convex cell (vertices in order; an interval [lo, hi]
+    for rank 1) on the negative and positive side of a line through it."""
+    values = [_line_value(line, v) for v in cell]
+    neg, pos = [], []
+    for i, (p, fp) in enumerate(zip(cell, values)):
+        q, fq = cell[i - len(cell) + 1], values[i - len(cell) + 1]
+        if fp <= 0:
+            neg.append(p)
+        if fp >= 0:
+            pos.append(p)
+        if fp * fq < 0:
+            cut = _point([fq * x - fp * y for x, y in zip(p[:-1], q[:-1])],
+                         fq * p[-1] - fp * q[-1])
+            neg.append(cut)
+            pos.append(cut)
+    return list(dict.fromkeys(neg)), list(dict.fromkeys(pos))
+
+
+def _arrangement(corners: list, lines: list) -> list[list]:
+    """The cells into which the lines cut the alcove."""
+    cells = [corners]
+    for line in lines:
+        nxt = []
+        for cell in cells:
+            values = [_line_value(line, v) for v in cell]
+            if min(values) < 0 < max(values):
+                nxt.extend(_split(cell, line))
+            else:
+                nxt.append(cell)
+        cells = nxt
+    return cells
+
+
+def _centroid(points: list) -> tuple[int, ...]:
+    den = math.lcm(*(p[-1] for p in points))
+    sums = [sum(p[i] * (den // p[-1]) for p in points) for i in range(len(points[0]) - 1)]
+    return _point(sums, den * len(points))
+
+
+def _position(line, p) -> Q:
+    """Where a point of a rank-2 line lies along its direction."""
+    return Q(line[1] * p[0] - line[0] * p[1], p[2])
+
+
+def _segment_points(corners: list, line, others) -> tuple[list, list]:
+    """The positions along the line of its ends in the alcove and of its
+    crossings with the other lines inside, in order, and one point
+    between each consecutive two (rank 1: no positions, the point)."""
+    ends = [p for p in _split(corners, line)[0] if not _line_value(line, p)]
+    if len(ends) == 1:
+        return [], ends
+    span = sorted(_position(line, p) for p in ends)
+    cuts = set(ends)
+    for other in others:
+        x, y, den = _cross(line, other)
+        if den and span[0] < _position(line, (x, y, den)) < span[1]:
+            cuts.add(_point([x, y], den))
+    ordered = sorted(cuts, key=lambda p: _position(line, p))
+    return ([_position(line, p) for p in ordered],
+            [_centroid([p, q]) for p, q in zip(ordered, ordered[1:])])
+
+
+def _facets(cell: list) -> list:
+    """(key, points, sign) per facet of a cell: its edges in order, or for
+    rank 1 its two ends, the lower one counted negatively."""
+    if len(cell[0]) == 2:
+        return [((cell[1],), (cell[1],), 1), ((cell[0],), (cell[0],), -1)]
+    return [(frozenset(pq), pq, 1) for pq in zip(cell, cell[1:] + cell[:1])]
+
+
+def _facet_line(key) -> tuple[int, ...]:
+    if len(key) == 1:
+        (x, den), = key
+        return _primitive_line((den,), -x)
+    *a, k = _cross(*key)
+    return _primitive_line(a, k)
+
+
+def _jump_across(jumps: dict, key) -> Poly:
+    """The jump of a factor across a facet, {} where it has none."""
+    line = _facet_line(key)
+    if line not in jumps:
+        return {}
+    cuts, polys = jumps[line]
+    if not cuts:
+        return polys[0]
+    lo = min(_position(line, p) for p in key)
+    return polys[bisect_right(cuts, lo) - 1]
+
+
+def _as_ints(poly: Poly) -> tuple[dict, int]:
+    """An integer polynomial and a denominator with the given quotient."""
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in poly.items()}, den
+
+
+def _cone_integral(factors: list[tuple[dict, int]], points: tuple) -> Q:
+    """Integral of a product of polynomials over the cone from the origin
+    over a facet, signed by its orientation: conv(0, p, q) with det(p, q),
+    or for rank 1 conv(0, p) with p.
+
+    On s p + t q the product is a sum of terms h s^(n-j) t^j, and the
+    simplex integral of s^(n-j) t^j is j! (n - j)! / (n + 2)!; for rank 1,
+    q = 0 and (n + 1)! replaces (n + 2)!.  The sums run in integers over
+    one denominator.
+    """
+    rank = len(points[0]) - 1
+    den = math.lcm(*(x[-1] for x in points))
+    pts = [tuple(x * (den // pt[-1]) for x in pt[:-1]) for pt in points]
+    if rank == 1:
+        (p,), q, volume = pts, (0,), pts[0][0]
+    else:
+        (p, q), volume = pts, pts[0][0] * pts[1][1] - pts[0][1] * pts[1][0]
+    tops = [max(map(sum, ints)) for ints, _ in factors]
+    top = sum(tops)
+    fact = [math.factorial(n) for n in range(top + rank + 1)]
+    # coefficients in t of (p_i s + q_i t)^e
+    lifts = []
+    for pi, qi in zip(p, q):
+        rows = [[1]]
+        for _ in range(max(tops)):
+            last = rows[-1]
+            rows.append([a * pi + b * qi for a, b in zip(last + [0], [0] + last)])
+        lifts.append(rows)
+    product = {(0, 0): 1}  # (degree n, power j of t) -> coefficient, times den^top
+    for (ints, _), degree in zip(factors, tops):
+        restricted: dict = {}
+        for m, c in ints.items():
+            n = sum(m)
+            coeffs = [c * den ** (degree - n)]
+            for rows, e in zip(lifts, m):
+                row = rows[e]
+                nxt = [0] * (len(coeffs) + len(row) - 1)
+                for i, a in enumerate(coeffs):
+                    for j, b in enumerate(row):
+                        nxt[i + j] += a * b
+                coeffs = nxt
+            for j, v in enumerate(coeffs):
+                restricted[n, j] = restricted.get((n, j), 0) + v
+        nxt_product: dict = {}
+        for (n1, j1), a in product.items():
+            for (n2, j2), b in restricted.items():
+                key = (n1 + n2, j1 + j2)
+                nxt_product[key] = nxt_product.get(key, 0) + a * b
+        product = nxt_product
+    total = sum(v * fact[j] * fact[n - j] * (fact[top + rank] // fact[n + rank])
+                for (n, j), v in product.items())
+    dens = math.prod(d for _, d in factors)
+    return Q(volume * total, fact[top + rank] * den ** (top + rank) * dens)
+
+
+def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int]:
+    """Integral over the alcove, in root coordinates, of the product of
+    the factors' rational parts, and the number of cells it took.
+
+    The alcove is cut by the lines across which some factor changes.  On
+    each cell every factor is one polynomial: read at the centroid of the
+    first cell, and from cell to neighbouring cell changed by the factor's
+    jump across their common facet.  By the divergence theorem the
+    integral is a sum over facets of cones from the origin, and an inner
+    facet carries the difference of the products on its two sides, so
+    facets that no factor jumps across drop out.
+    """
+    kappa_build(rs, 1).enumerate_support_chambers()
+    jumps = [f.jumps() for f in factors]
+    cells = _arrangement(_alcove_corners(rs), sorted(set().union(*jumps)))
+    neighbours: dict = {}
+    for i, cell in enumerate(cells):
+        for key, _, _ in _facets(cell):
+            neighbours.setdefault(key, []).append(i)
+    polys = [{0: f.cell_polynomial(_centroid(cells[0]))} for f in factors]
+    order = [0]
+    for i in order:
+        for key, _, _ in _facets(cells[i]):
+            for j in neighbours[key]:
+                if j in polys[0]:
+                    continue
+                order.append(j)
+                side = _sign(_line_value(_facet_line(key), _centroid(cells[j])))
+                for f_jumps, f_polys in zip(jumps, polys):
+                    jump = _jump_across(f_jumps, key)
+                    f_polys[j] = poly_add(f_polys[i], poly_scale(Q(side), jump))
+    cell_ints = [[_as_ints(f_polys[i]) for i in range(len(cells))] for f_polys in polys]
+    jump_ints: dict = {}  # id of a jump polynomial -> its integer form
+    total = Q(0)
+    for i, cell in enumerate(cells):
+        mine = [f_ints[i] for f_ints in cell_ints]
+        for key, points, sign in _facets(cell):
+            other = [j for j in neighbours[key] if j != i]
+            if not other:
+                side, terms = 1, [mine]
+            elif other[0] < i:
+                continue  # counted from the other side
+            else:
+                # prod(mine) - prod(theirs) = sum over the factors f that
+                # jump of theirs_1 ... theirs_(f-1) (mine_f - theirs_f) mine_(f+1) ...
+                theirs = [f_ints[other[0]] for f_ints in cell_ints]
+                side = _sign(_line_value(_facet_line(key), _centroid(cell)))
+                terms = []
+                for f, f_jumps in enumerate(jumps):
+                    jump = _jump_across(f_jumps, key)
+                    if jump:
+                        if id(jump) not in jump_ints:
+                            jump_ints[id(jump)] = _as_ints(jump)
+                        terms.append([*theirs[:f], jump_ints[id(jump)], *mine[f + 1:]])
+            for term in terms:
+                if all(ints for ints, _ in term):
+                    total += side * sign * _cone_integral(term, points)
+    return total, len(cells)

@@ -33,11 +33,13 @@ for b >= 1, while closed surfaces use the plain #Z Vol(G)^{2h-2} sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .characters import (
     casimir_cutoff_for_count,
     character_table,
 )
-from .exact import Q, Vec, det, lattice_points_in_ball, pairwise_sum, vadd, vscale, vsub, vzero
+from .exact import Q, Vec, lattice_points_in_ball, vadd, vsub, vzero
 from .kappa import (
     OnWallError,
     SymmetricPoly,
@@ -65,7 +67,7 @@ from .liecore import (
     star,
     volume_G,
 )
-from .poly import Poly, poly_add, poly_eval, poly_scale, poly_shift
+from .poly import Poly, poly_eval, poly_scale, poly_subs_affine
 
 __all__ = [
     "Surface",
@@ -384,6 +386,163 @@ def pants_volume_kappa(
 
 
 # ---------------------------------------------------------------------------
+# pants volumes affine in a varying marking
+# ---------------------------------------------------------------------------
+
+NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
+
+
+class _AffinePants:
+    """The rational part of a pants volume as a function of nu, when each
+    marking slot is a fixed point, NU or STAR_NU (root coordinates).
+
+    Every kappa argument of the lattice sum is then affine in nu:
+    x(nu) = (c + D L nu) / D, with D the common denominator of the fixed
+    markings, c an integer vector and L an integer matrix (a sum of Weyl
+    matrices, times the matrix of * for a STAR_NU slot).  The last slot is
+    not imaged by the Weyl group, so putting a varying slot last keeps the
+    number of distinct L small.  On a region where every argument stays in
+    one chamber the volume is sum coef * p_chamber(x(nu)), a polynomial in
+    nu; each wall u of an argument bounds such regions by the line
+    (D L^T u).nu + u.c = 0.
+    """
+
+    def __init__(self, rs: RootSystem, slots: list):
+        self.rs = rs
+        self.spline = kappa_build(rs, 1)
+        self.prefactor = (-1 if rs.n_positive % 2 else 1) * rs.center_order
+        fixed = [s for s in slots if not isinstance(s, str)]
+        self.scale = _common_denominator(fixed) if fixed else 1
+        max_alcove_sq = max(rs.norm_sq(v) for v in rs.alcove.vertices)
+        norms = [max_alcove_sq if isinstance(s, str) else rs.norm_sq(s) for s in slots]
+        # nonzero terms have |slot_b + l| <= sum of the other slot norms
+        radius_sq = 2 * norms[-1] + 2 * (len(slots) - 1) * sum(norms[:-1], Q(0))
+        self.lattice = [
+            rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)
+        ]
+        self.slots = slots
+
+    @cached_property
+    def args(self) -> list:
+        """Every argument (c, L, coef), in the term order (l, w_1, ..., w_{b-1})
+        of the lattice sum; merged coefficients may be zero."""
+        rs, slots, scale, rank = self.rs, self.slots, self.scale, self.rs.rank
+        unit = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        zero = tuple((0,) * rank for _ in range(rank))
+        star_matrix = tuple(tuple(-int(x) for x in row) for row in rs.w0.matrix)
+
+        def affine(slot):  # (D c, L) of the slot
+            if slot == NU:
+                return (0,) * rank, unit
+            if slot == STAR_NU:
+                return (0,) * rank, star_matrix
+            return tuple(x.numerator * (scale // x.denominator) for x in slot), zero
+
+        def act(w, vec_):
+            return tuple(sum(map(mul, row, vec_)) for row in w)
+
+        actions = [(w.sign, tuple(tuple(int(x) for x in row) for row in w.matrix))
+                   for w in rs.weyl_elements()]
+        folded = {((0,) * rank, zero): 1}
+        for slot in slots[:-1]:
+            c, L = affine(slot)
+            images = [(s, act(w, c), tuple(zip(*(act(w, col) for col in zip(*L)))))
+                      for s, w in actions]
+            nxt: dict = {}
+            for (pc, pL), coef in folded.items():
+                for s, ic, iL in images:
+                    key = (tuple(map(add, pc, ic)),
+                           tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(pL, iL)))
+                    nxt[key] = nxt.get(key, 0) + s * coef
+            folded = nxt
+        last_c, last_L = affine(slots[-1])
+        entries = [(tuple(map(add, c, last_c)),
+                    tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(L, last_L)), coef)
+                   for (c, L), coef in folded.items()]
+        return [
+            (tuple(x + scale * int(y) for x, y in zip(c, l)), L, coef)
+            for l in self.lattice
+            for c, L, coef in entries
+        ]
+
+    def polynomial_at(self, nu: Vec) -> Poly:
+        """Polynomial (in nu) of the cell containing nu; OnWallError when
+        a kappa argument with no negative coordinate lies on a wall at nu.
+
+        Chambers are taken at the first argument met in them, in term
+        order, as `_kappa_sum` does."""
+        den = _common_denominator([nu])
+        z = [c.numerator * (den // c.denominator) for c in nu]
+        scale, walls = self.scale, self.spline.config.int_walls
+        met = []
+        for c, L, coef in self.args:
+            x = [ci * den + scale * sum(map(mul, row, z)) for ci, row in zip(c, L)]
+            if min(x) < 0:
+                continue  # outside the support cone
+            dots = [sum(map(mul, u, x)) for u in walls]
+            if 0 in dots:
+                raise OnWallError(f"{nu} lies on a cell wall of the volume function")
+            met.append((tuple(map((0).__lt__, dots)), x, c, L, coef))
+        chambers: dict = {}
+        groups: dict = {}
+        for side, x, c, L, coef in met:
+            poly = chambers.get(side)
+            if poly is None:
+                point = tuple(Q(xi, den * scale) for xi in x)
+                poly = chambers[side] = self.spline.chamber_polynomial_at(point)
+            if coef:
+                group = groups.setdefault((side, L), (poly, L, [], []))
+                group[2].append(c)
+                group[3].append(coef)
+        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), scale))
+
+
+def _affine_sum(groups, scale: int) -> Poly:
+    """sum over groups (p, L, cs, coefs) of coef * p((c + scale L nu) / scale)
+    as a polynomial in nu, for integer vectors c and coefs.
+
+    With y = L nu, sum coef p(c / D + y) = sum_k y^k sum_m p_m binom(m, k)
+    M_{m-k} / D^{|m - k|}, M_b = sum coef c^b the integer moments of the
+    group; the result is then composed with nu -> L nu (skipped for the
+    identity)."""
+    out: dict = {}
+    for poly, L, cs, coefs in groups:
+        if not poly:
+            continue
+        den = math.lcm(*(c.denominator for c in poly.values()))
+        degree = max(map(sum, poly))
+        columns = list(zip(*cs))
+        powers: dict = {}
+        moments: dict = {}
+
+        def moment(b):
+            if b not in moments:
+                column = coefs
+                for i, e in enumerate(b):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = list(map(pow, columns[i], repeat(e)))
+                        column = list(map(mul, column, powers[i, e]))
+                moments[b] = sum(column)
+            return moments[b]
+
+        shifted: dict = {}
+        for m, pm in poly.items():
+            pm = pm.numerator * (den // pm.denominator) * scale ** (degree - sum(m))
+            for k in itertools.product(*(range(e + 1) for e in m)):
+                weight = math.prod(map(math.comb, m, k)) * scale ** sum(k)
+                shifted[k] = shifted.get(k, 0) + pm * weight * moment(tuple(map(sub, m, k)))
+        if any(x != (i == j) for i, row in enumerate(L) for j, x in enumerate(row)):
+            units = [tuple(int(i == j) for j in range(len(L))) for i in range(len(L))]
+            shifted = poly_subs_affine(shifted, [dict(zip(units, row)) for row in L])
+        total = den * scale**degree
+        for k, v in shifted.items():
+            if v:
+                out[k] = out.get(k, 0) + Q(v, total)
+    return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
 # piecewise-polynomial volume in the third marking
 # ---------------------------------------------------------------------------
 
@@ -391,23 +550,20 @@ def pants_volume_kappa(
 class PantsVolumePoly:
     """The pants volume as a function of the third marking.
 
-    Piecewise polynomial over the alcove; cells are materialized on demand
-    from the kappa chamber spline by exact composition, so only the cell
-    containing a query point is ever constructed.  Values are exact and
-    agree with `pants_volume_kappa` (same normalization fields).
+    Piecewise polynomial over the alcove; the cell containing a query
+    point is read from the kappa chamber spline by grouping the kappa
+    arguments by chamber (`_AffinePants` with the third slot varying).
+    Values are exact and agree with `pants_volume_kappa` (same
+    normalization fields).
     """
 
     def __init__(self, rs: RootSystem, mu1: Vec, mu2: Vec):
         self.rs = rs
         self.mu1 = mu1
         self.mu2 = mu2
-        self.spline = kappa_build(rs, 1)
-        bound_sq = _support_bound_sq(rs, [mu1, mu2, vzero(rs.rank)])
-        max_alcove_sq = max(rs.norm_sq(v) for v in rs.alcove.vertices)
-        radius_sq = 2 * max_alcove_sq + 2 * bound_sq
-        self.lattice = [
-            rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)
-        ]
+        self.affine = _AffinePants(rs, [mu1, mu2, NU])
+        self.spline = self.affine.spline
+        self.lattice = self.affine.lattice
         self.sign_prefactor = -1 if rs.n_positive % 2 else 1
 
     # normalization shared with the kappa-sum reports
@@ -424,10 +580,6 @@ class PantsVolumePoly:
     def value(self, mu3: Vec) -> float:
         return float(self.value_exact(mu3)) / math.sqrt(float(self.norm_denominator))
 
-    def _arguments(self, mu3: Vec):
-        mus = [self.mu1, self.mu2, mu3]
-        return _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus, self.lattice)
-
     def on_wall(self, mu3: Vec) -> bool:
         """True when some kappa argument sits on a wall that matters.
 
@@ -435,21 +587,22 @@ class PantsVolumePoly:
         the support cone, where kappa vanishes identically, so wall
         coincidences there do not make mu3 non-regular.
         """
-        return any(0 in dots for _, dots, _ in self._arguments(mu3))
+        mus = [self.mu1, self.mu2, mu3]
+        arguments = _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus,
+                                     self.lattice)
+        return any(0 in dots for _, dots, _ in arguments)
 
     def polynomial_at(self, mu3: Vec) -> Poly:
         """Exact polynomial (rational part) on the cell containing mu3."""
-        if self.on_wall(mu3):
-            raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
-        scale = _common_denominator([self.mu1, self.mu2, mu3])
-        total: Poly = {}
-        for x, _, coef in self._arguments(mu3):
-            arg = tuple(Q(c, scale) for c in x)
-            chamber_poly = self.spline.chamber_polynomial_at(arg)
-            if coef:
-                shifted = poly_shift(chamber_poly, vsub(arg, mu3))
-                total = poly_add(total, poly_scale(Q(coef), shifted))
-        return poly_scale(Q(self.sign_prefactor * self.rs.center_order), total)
+        return self.affine.polynomial_at(mu3)
+
+    def walls(self) -> list[tuple[int, ...]]:
+        """The lines a.mu3 + k = 0 (a, k integers, root coordinates) that
+        cross the open alcove and on which some kappa argument meets a
+        wall; for rank 1 these are the points where the volume may jump."""
+        from .gluing import AlcoveFactor
+
+        return list(AlcoveFactor(self.rs, [self.mu1, self.mu2, NU]).lines)
 
 
 def pants_volume_poly(rs: RootSystem, mu1: Vec, mu2: Vec) -> PantsVolumePoly:
@@ -726,105 +879,44 @@ def default_eps_schedule(max_qnorm: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def glue_volume(
-    rs: RootSystem, surface: Surface, marking: Marking, nodes: int = 512
-) -> VolumeReport:
-    """Volume by an alcove gluing integral over a pants decomposition.
+def glue_volume(rs: RootSystem, surface: Surface, marking: Marking) -> VolumeReport:
+    """Volume by the alcove gluing integral over a pants decomposition.
 
-    Supported decompositions: (h=1, b=1) as a self-glued pants and
-    (h=0, b=4) as two pants glued along one circle (disconnected pieces,
-    so the 1/#Z factor applies).  The measure |dnu| normalizes t modulo
-    the weight lattice to mass one.  Rank-1 integrands are integrated
-    exactly by rational breakpoint splitting; `nodes` is used for the
-    quadrature fallback on rank 2.
+    Supported decompositions, for rank <= 2: (h=1, b=1) as a self-glued
+    pants and (h=0, b=4) as two pants glued along one circle
+    (disconnected pieces, so the 1/#Z factor applies).  The measure |dnu|
+    gives t modulo the weight lattice mass one; in root coordinates it is
+    sqrt(det Gram * det coroot Gram) times Lebesgue, the inverse of the
+    pants normalization.  The integrand is piecewise polynomial and is
+    integrated exactly (`gluing.alcove_integral`), so the value is a rational
+    times the stamped normalization: 1 for (1,1) and that of the
+    four-marked kappa-sum for (0,4).
     """
     h, b = surface.genus, surface.boundary
     if len(marking) != b:
         raise ValueError(f"marking length {len(marking)} != boundary count {b}")
+    m = marking.points
     if (h, b) == (1, 1):
-        integrand = lambda nu: _pants_value_triple(rs, marking.points[0], nu, star(rs, nu))
-        kfac = 1.0
+        slots, kfac = [[m[0], STAR_NU, NU]], Q(1)
     elif (h, b) == (0, 4):
-        m = marking.points
-
-        def integrand(nu):
-            left = _pants_value_triple(rs, m[0], m[1], nu)
-            right = _pants_value_triple(rs, star(rs, nu), m[2], m[3])
-            return left * right
-
-        kfac = 1.0 / rs.center_order
+        slots, kfac = [[m[0], m[1], NU], [m[2], m[3], STAR_NU]], Q(1, rs.center_order)
     else:
         raise UnsupportedDecompositionError(
             f"no supported pants decomposition for genus {h}, boundary {b}"
         )
-
-    if rs.rank == 1:
-        denom = _common_denominator(marking.points)
-        total = kfac * _integrate_alcove_rank1(rs, integrand, denom)
-        method_params = {"integration": "exact-breakpoint", "nodes": None}
-    elif rs.rank == 2:
-        total = kfac * _integrate_alcove_rank2(rs, integrand, nodes)
-        method_params = {"integration": "midpoint-grid", "nodes": nodes}
-    else:
+    if rs.rank > 2:
         raise UnsupportedDecompositionError("gluing integrals support rank <= 2")
+    from .gluing import AlcoveFactor, alcove_integral  # loaded on first use
+
+    integral, cells = alcove_integral(rs, [AlcoveFactor(rs, s) for s in slots])
+    rational = kfac * integral
+    norm = rs.det_coroot_gram * rs.det_gram
+    two = len(slots) == 2
     return VolumeReport(
-        value=total,
-        method="gluing-quadrature",
-        parameters={**method_params, "surface": {"genus": h, "boundary": b}},
+        value=float(rational) / math.sqrt(float(norm)) if two else float(rational),
+        method="gluing-integral",
+        parameters={"integration": "exact-cells", "cells": cells,
+                    "surface": {"genus": h, "boundary": b}},
         stamp=convention_stamp(rs),
+        exact={"rational": rational, "normalization": f"1/sqrt({norm})" if two else "1"},
     )
-
-
-def _pants_value_triple(rs: RootSystem, a: Vec, bpt: Vec, c: Vec) -> float:
-    return sphere_volume_kappa(rs, [a, bpt, c]).value
-
-
-def _integrate_alcove_rank1(rs: RootSystem, integrand, marking_denominator: int) -> float:
-    """Exact alcove integral in the |dnu| normalization, rank 1.
-
-    Parametrize nu = (v/2) alpha for v in [0, 1]; then |dnu| = dv.  The
-    integrand is piecewise constant in v: the kappa-sum arguments are
-    affine in v with slopes in {0, 1/2, 1}, so every breakpoint is a
-    rational with denominator dividing 4 * marking_denominator, and
-    midpoint sampling between grid neighbours is exact.
-    """
-    alpha = rs.simple_roots[0]
-    steps = 4 * marking_denominator
-    pieces = []
-    for k in range(steps):
-        mid = Q(2 * k + 1, 2 * steps)
-        try:
-            val = integrand(vscale(mid / 2, alpha))
-        except OnWallError:
-            # midpoints avoid the rational breakpoint grid, but markings on
-            # the alcove boundary can park a kappa argument on a wall for a
-            # whole interval; the piecewise-constant value just off the
-            # midpoint is the same.
-            val = integrand(vscale(mid / 2 + Q(1, 16 * steps), alpha))
-        pieces.append(val / steps)
-    return pairwise_sum(pieces)
-
-
-def _integrate_alcove_rank2(rs: RootSystem, integrand, nodes: int) -> float:
-    """Midpoint grid over the alcove triangle {x v1 + y v2 : x + y < 1},
-    v1 and v2 its nonzero vertices (the fundamental weights for A2, B2
-    and C2; for G2 one of them is half a fundamental weight).
-
-    O(1/g) accuracy near the kinks of the piecewise-polynomial integrand;
-    acceptance-grade gluing runs are rank 1, this is a display aid.
-    """
-    g = max(4, int(math.isqrt(nodes)))
-    v1, v2 = rs.alcove.vertices[1:]
-    gram = tuple(tuple(rs.ip(a, b) for b in (v1, v2)) for a in (v1, v2))
-    area_scale = math.sqrt(float(det(gram)))
-    vals = []
-    for i in range(g):
-        for j in range(g):
-            x = Q(2 * i + 1, 2 * g)
-            y = Q(2 * j + 1, 2 * g)
-            if x + y >= 1:
-                continue
-            nu = vadd(vscale(x, v1), vscale(y, v2))
-            vals.append(integrand(nu))
-    cell = area_scale / (g * g) * covolume_T(rs)
-    return pairwise_sum(vals) * cell

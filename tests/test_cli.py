@@ -6,8 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from flatvol import build_root_system, pants_volume_kappa, product_class_histogram
-from flatvol.cli import parse_marking
+from flatvol import (
+    build_root_system,
+    pants_volume_kappa,
+    product_class_histogram,
+    sphere_volume_kappa,
+)
+from flatvol.cli import _parse_sym_poly, parse_marking
 from flatvol.kappa import OnWallError
 from flatvol.mc import shape_compare
 
@@ -188,10 +193,34 @@ def test_glue_examples():
     r = run("glue", "A1", "--surface", "1,1", "2/5")
     d = json.loads(r.stdout)
     assert abs(d["report"]["value"] - 0.6) < 1e-12
+    assert d["report"]["exact"] == {"rational": "3/5", "normalization": "1"}
+    marks = ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"]
+    r = run("glue", "A2", "--surface", "0,4", *marks)
+    rs = build_root_system("A2")
+    kappa = sphere_volume_kappa(rs, [parse_marking(rs, m) for m in marks]).exact
+    assert json.loads(r.stdout)["report"]["exact"] == {
+        "rational": str(kappa["rational"]), "normalization": kappa["normalization"]}
     r = run("glue", "A1", "--surface", "0,4", "2/5", "1/2", "3/5", "1/3")
     assert r.returncode == 0
     r = run("glue", "A1", "--surface", "3,1", "1/2")
     assert r.returncode == 2
+
+
+def test_glue_whole_alcove_wall_exit_code():
+    # t = 0 puts a kappa argument on the degree-0 wall for every nu
+    r = run("glue", "A1", "--surface", "1,1", "0")
+    assert r.returncode == 3, r.stderr
+    assert "wall" in r.stderr
+    r = run("glue", "A1", "--surface", "1,1", "1")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["report"]["value"] == 0.0
+
+
+def test_parse_sym_poly_signed_terms():
+    assert _parse_sym_poly("-e1", 2).terms == {(1, 0): -1}
+    assert _parse_sym_poly("3*e1*e2 - 1/2*e2", 2).terms == {(1, 1): 3, (0, 1): Fraction(-1, 2)}
+    assert _parse_sym_poly("e2^2 - e1^0 + 2", 2).terms == {(0, 2): 1, (0, 0): 1}
+    assert _parse_sym_poly("-1", 0).terms == {(): -1}
 
 
 def test_spline_cache_env(tmp_path):
@@ -245,8 +274,16 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("glue", "A1", "--surface", "1,1", "1/3", "1/4"),
     ("glue", "A1", "--surface", "0,4", "1/3", "1/4", "1/5"),
     ("oracle", "A1", "1/3", "1/4", "--bins", "0"),
+    # the gluing integral is exact: no quadrature nodes
+    ("glue", "A1", "--surface", "0,4", "1/3", "1/4", "1/5", "1/6", "--nodes", "512"),
+    # Fraction reads exponent notation, and a sign inside a term was split off
+    ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "2e1"),
+    ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1e1"),
+    ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1*-1"),
+    ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1^-1"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
-        "glue-missing", "bins-zero"])
+        "glue-missing", "bins-zero", "glue-nodes", "poly-2e1", "poly-1e1", "poly-times-minus",
+        "poly-negative-power"])
 def test_usage_errors(args):
     r = run(*args)
     assert r.returncode == 2, r.stderr

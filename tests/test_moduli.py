@@ -581,8 +581,8 @@ def test_glue_two_pants_matches_four_marked_kappa(a1):
 
 @pytest.mark.parametrize("name", ["B2", "G2"])
 def test_glue_two_pants_rank2_matches_four_marked_kappa(name):
-    """The rank-2 grid covers the alcove, whose vertices are not always
-    the fundamental weights (G2), with the |dnu| normalization."""
+    """The gluing integral covers the alcove, whose vertices are not
+    always the fundamental weights (G2), with the |dnu| normalization."""
     rs = build_root_system(name)
     mus = [
         rs.from_weight_coords(vec([Q(a), Q(b)]))
@@ -590,7 +590,59 @@ def test_glue_two_pants_rank2_matches_four_marked_kappa(name):
     ]
     g = glue_volume(rs, Surface(0, 4), Marking.of(rs, mus))
     k = sphere_volume_kappa(rs, mus)
-    assert abs(g.value - k.value) <= 1e-3 * k.value
+    assert abs(g.value - k.value) <= 1e-12 * k.value
+
+
+@pytest.mark.parametrize("name, marks", [
+    ("A1", ["2/5", "1/2", "3/5", "1/3"]),
+    ("A1", ["1/2", "1/2", "1/2", "1/2"]),
+    ("A2", ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"]),
+    ("B2", ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"]),
+    ("C2", ["1/8,1/5", "1/9,1/7", "1/7,1/6", "1/10,1/4"]),
+    ("G2", ["1/4,1/5", "1/5,1/4", "1/6,1/4", "1/4,1/6"]),
+])
+def test_glue_two_pants_exact_rational(name, marks):
+    """Gluing two pants along a circle gives the four-marked kappa-sum
+    exactly: the same rational with the same normalization."""
+    rs = build_root_system(name)
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
+    g = glue_volume(rs, Surface(0, 4), Marking.of(rs, mus))
+    k = sphere_volume_kappa(rs, mus)
+    assert g.exact == k.exact
+    assert k.exact["rational"] > 0
+    assert g.value == k.value
+
+
+@pytest.mark.parametrize("name, mark, rel_tol", [
+    ("B2", "1/4,1/5", 1e-9),
+    ("G2", "1/8,1/5", 1e-9),
+    ("A2", "1/4,1/5", 1e-3),  # the series residual is larger here
+])
+def test_glue_one_handle_rank2_matches_witten(name, mark, rel_tol):
+    rs = build_root_system(name)
+    mk = Marking.of(rs, [rs.from_weight_coords(vec(mark.split(",")))])
+    g = glue_volume(rs, Surface(1, 1), mk)
+    w = witten_volume(rs, Surface(1, 1), mk, weight_count=20000)
+    assert abs(g.value - w.value) <= rel_tol * abs(w.value)
+    assert g.exact["normalization"] == "1" and g.value == float(g.exact["rational"])
+
+
+def test_glue_one_handle_singular_argument_maps():
+    """At the A2 barycenter *mu = mu, and arguments w1 mu + w2 *nu + nu
+    with a singular w2 * + 1 meet one line with several walls; each
+    argument counts once in the jump across it.  The cells' polynomials
+    agree with the kappa-sum at their centroids, and a 512-node midpoint
+    grid gives 0.03703."""
+    rs = build_root_system("A2")
+    mk = Marking.of(rs, [rs.from_weight_coords(vec(["1/3", "1/3"]))])
+    assert glue_volume(rs, Surface(1, 1), mk).exact["rational"] == Q(1, 27)
+
+
+def test_glue_whole_alcove_on_wall(a1):
+    # at t = 0 the argument w1 = -1, l = 0 lies on the wall for every nu,
+    # where the degree-0 kappa jumps
+    with pytest.raises(OnWallError):
+        glue_volume(a1, Surface(1, 1), Marking.of(a1, [t_mu(a1, 0)]))
 
 
 def test_a4_pants_kappa_sum_equals_toric_decomposition():
