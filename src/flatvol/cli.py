@@ -409,6 +409,25 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _attach_poly_values(argv: list[str]) -> list[str]:
+    """Join '--poly VALUE' into '--poly=VALUE': argparse reads a separate
+    value that starts with '-', such as '-e1', as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--poly":
+            out[-1] = f"--poly={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 @cache  # built once per process: the parser does not change between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -431,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu3")
     p.add_argument("--method", choices=["kappa", "witten", "toric", "all"],
                    default="kappa")
-    p.add_argument("--weights", type=int, default=None,
+    p.add_argument("--weights", type=_positive_int, default=None,
                    help="dominant-weight count for the character series")
     p.add_argument("--eps0", type=_positive_float, default=None,
                    help="largest heat-kernel epsilon of a geometric schedule "
@@ -480,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

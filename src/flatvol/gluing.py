@@ -1,13 +1,14 @@
 """Exact gluing integrals over the alcove, for rank 1 and 2.
 
 A pants factor whose marking slots are fixed points, nu or *nu
-(`moduli._AffinePants`) is piecewise polynomial in nu: each of its kappa
-arguments is affine in nu, so each wall of an argument is a line in the
-alcove.  `AlcoveFactor` finds the lines across which the factor's
-polynomial jumps and the jumps themselves; `alcove_integral` cuts the
-alcove by those lines into convex cells and integrates the product of
-the factors over them exactly.  `moduli.glue_volume` imports this module
-on first use.
+(`moduli._AffinePants`) is piecewise polynomial in nu: its kappa
+arguments, from the one Weyl fold of the lattice sum, are affine in nu
+and come extended by their wall dot products, so each wall of an
+argument is read off as a line in the alcove.  `AlcoveFactor` finds the
+lines across which the factor's polynomial jumps and the jumps
+themselves; `alcove_integral` cuts the alcove by those lines into convex
+cells and integrates the product of the factors over them exactly.
+`moduli.glue_volume` imports this module on first use.
 
 Points and lines are exact and in Python ints: a point of the alcove in
 root coordinates is a tuple (z_1, ..., z_r, den) with den > 0 standing for
@@ -26,7 +27,7 @@ from .exact import Q, det, vsub
 from .kappa import OnWallError, kappa_build
 from .liecore import RootSystem
 from .poly import Poly, poly_add, poly_scale
-from .moduli import _AffinePants, _affine_sum, _common_denominator
+from .moduli import _AffinePants, _affine_sum, _common_denominator, _scaled
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
 
@@ -42,20 +43,19 @@ class AlcoveFactor(_AffinePants):
     @cached_property
     def _alcove_args(self) -> list:
         """(c, L, coef, walls) for the arguments whose support meets the
-        open alcove, walls[j] = (D L^T u_j, u_j.c) the line of wall u_j.
-        At degree 0 kappa jumps on a wall, so an argument that stays on a
-        wall for every nu raises OnWallError."""
-        scale = self.scale
+        open alcove, walls[j] = (D L^T u_j, u_j.c) the line of wall u_j,
+        read off the extended argument.  At degree 0 kappa jumps on a wall,
+        so an argument that stays on a wall for every nu raises OnWallError."""
+        rank, scale = self.rs.rank, self.scale
         corners = _alcove_corners(self.rs)
         out = []
         for c, L, coef in self.args:
+            c, dots, L, normals = c[:rank], c[rank:], L[:rank], L[rank:]
             xs = [[ci * v[-1] + scale * sum(map(mul, row, v[:-1])) for ci, row in zip(c, L)]
                   for v in corners]
             if any(max(col) <= 0 < -min(col) for col in zip(*xs)):
                 continue  # a coordinate negative on the open alcove
-            walls = [(tuple(scale * sum(map(mul, u, col)) for col in zip(*L)),
-                      sum(map(mul, u, c)))
-                     for u in self.spline.config.int_walls]
+            walls = [(tuple(scale * a for a in row), k) for row, k in zip(normals, dots)]
             if not self.spline.degree and any(not k and not any(a) for a, k in walls):
                 raise OnWallError(
                     f"a kappa argument lies on a wall for every nu (lattice term {c})")
@@ -162,8 +162,7 @@ def _alcove_corners(rs: RootSystem) -> list[tuple[int, ...]]:
     verts = list(rs.alcove.vertices)
     if rs.rank == 2 and det([vsub(v, verts[0]) for v in verts[1:]]) < 0:
         verts.reverse()
-    return [_point([c.numerator * (d // c.denominator) for c in v], d)
-            for v in verts for d in [_common_denominator([v])]]
+    return [_point(_scaled(v, d), d) for v in verts for d in [_common_denominator([v])]]
 
 
 def _primitive_line(a, k: int) -> tuple[int, ...]:

@@ -1,23 +1,25 @@
 """Volumes and characteristic numbers of moduli of flat connections.
 
-Three independent computational routes are provided for the three-holed
-sphere (and its b-marked generalization):
+Four routes are provided, each independent of the ones it checks:
 
-* the exact lattice kappa-sum
+* the exact lattice kappa-sum for the b-marked sphere
       (-1)^n (#Z / covol) * sum_{l in lattice} sum_{w1..w_{b-1} in W}
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably (the alternating double sum is supported in
   conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
-  runs in Python ints: all arguments are scaled by the common denominator
-  D of the markings, so kappa(x / D) = D^-d kappa(x) for the degree d;
-  equal partial sums of Weyl images are merged, the arguments are grouped
-  by chamber with integer wall dot products, and each chamber polynomial
-  is evaluated once over its group (`_kappa_sum`);
+  runs in Python ints scaled by the common denominator of the markings:
+  one Weyl fold (`_weyl_fold`) merges equal partial sums of Weyl images,
+  the arguments are grouped by chamber with integer wall dot products,
+  and each chamber polynomial is evaluated once over its group;
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value computed by the independent fiber-polytope
-  route; and
+  route;
 * the character series (Witten series), heat-kernel regularized when the
-  dimension exponent makes it only conditionally convergent.
+  dimension exponent makes it only conditionally convergent; and
+* the exact gluing integral over the alcove for the (1,1) and (0,4)
+  surfaces (`glue_volume`, cut into cells by `gluing.py`), whose pants
+  factors are the same lattice sum with a marking varying over the
+  alcove (`_AffinePants`, built on the same fold).
 
 Conventions (stamped into every report): alcove pairing e^{2 pi i <.,.>},
 kappa relative to inner-product Lebesgue measure, covol = covolume of the
@@ -33,12 +35,11 @@ for b >= 1, while closed surfaces use the plain #Z Vol(G)^{2h-2} sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, product, repeat
 from operator import add, mul, sub
 
 import numpy as np
@@ -201,20 +202,29 @@ def moduli_dimension(rs: RootSystem, surface: Surface) -> int:
 # lattice kappa-sums
 # ---------------------------------------------------------------------------
 
+NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 
-def _support_bound_sq(rs: RootSystem, mus: list[Vec]) -> Q:
-    """Rational upper bound for (sum_j |mu_j|)^2 over all but the last marking."""
-    norms = [rs.norm_sq(m) for m in mus[:-1]]
+
+def _norm_sq(rs: RootSystem, slot) -> Q:
+    """|slot|^2; for a varying slot its largest value, at an alcove vertex."""
+    if isinstance(slot, str):
+        return max(rs.norm_sq(v) for v in rs.alcove.vertices)
+    return rs.norm_sq(slot)
+
+
+def _support_bound_sq(rs: RootSystem, slots: list) -> Q:
+    """Rational upper bound for (sum_j |mu_j|)^2 over all but the last slot."""
+    norms = [_norm_sq(rs, s) for s in slots[:-1]]
     return len(norms) * sum(norms, Q(0))
 
 
-def _lattice_ball_for(rs: RootSystem, center: Vec, bound_sq: Q) -> list[Vec]:
-    """Lattice vectors l with |center + l|^2 possibly <= bound_sq.
+def _lattice_ball_for(rs: RootSystem, last, bound_sq: Q) -> list[Vec]:
+    """Lattice vectors l with |last + l|^2 possibly <= bound_sq.
 
-    Enumerates |l|^2 <= 2 |center|^2 + 2 bound_sq, which provably covers
+    Enumerates |l|^2 <= 2 |last|^2 + 2 bound_sq, which provably covers
     the support ball; the extra terms cancel exactly in the signed sum.
     """
-    radius_sq = 2 * rs.norm_sq(center) + 2 * bound_sq
+    radius_sq = 2 * _norm_sq(rs, last) + 2 * bound_sq
     return [rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)]
 
 
@@ -236,16 +246,13 @@ def sphere_volume_kappa(
         raise ValueError("need at least three markings")
     multiplicity = b - 2
     spline = kappa_build(rs, multiplicity)
-    weyl = rs.weyl_elements()
-    n = rs.n_positive
     bound_sq = _support_bound_sq(rs, mus)
     if radius_sq is None:
         radius_sq = bound_sq
     lattice = _lattice_ball_for(rs, mus[-1], radius_sq)
 
-    total = _kappa_sum(spline, weyl, mus, lattice)
-    sign = -1 if n % 2 else 1
-    rational = sign * rs.center_order * total
+    total = _kappa_sum(spline, rs.weyl_elements(), mus, lattice)
+    rational = (-1) ** rs.n_positive * rs.center_order * total
     value = float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
     return VolumeReport(
         value=value,
@@ -268,6 +275,44 @@ def _common_denominator(mus: list[Vec]) -> int:
     return math.lcm(*(c.denominator for m in mus for c in m))
 
 
+def _scaled(v: Vec, scale: int) -> list[int]:
+    """scale * v in ints, for a multiple scale of v's denominators."""
+    return [c.numerator * (scale // c.denominator) for c in v]
+
+
+def _extend(walls, v) -> tuple[int, ...]:
+    """The coordinates of v, then its dot products with the wall normals;
+    both are linear, so sums of extended vectors stay extended."""
+    return (*v, *(sum(map(mul, u, v)) for u in walls))
+
+
+def _weyl_fold(weyl, walls, slots: list, columns: int = 1) -> dict[tuple[int, ...], int]:
+    """{w_1 s_1 + ... + w_k s_k: summed sign of the tuple} over Weyl tuples
+    (w_1..w_k), each slot s_j an integer matrix given by its `columns`
+    columns; a sum is flattened column after column, each column extended
+    (`_extend`).  The images are folded one slot at a time into a dict from
+    partial sum to signed coefficient.  A dict keeps first insertion, so
+    the sums are met in the order (w_1, ..., w_k) of the term-by-term sum;
+    merged coefficients may be zero.
+    """
+    actions = [(w.sign, [[int(x) for x in row] for row in w.matrix]) for w in weyl]
+    folded = {(0,) * columns * (len(actions[0][1]) + len(walls)): 1}
+    for cols in slots:
+        images = []
+        for s, a in actions:
+            img: tuple[int, ...] = ()
+            for col in cols:
+                img += _extend(walls, [sum(map(mul, row, col)) for row in a])
+            images.append((s, img))
+        nxt: dict[tuple[int, ...], int] = {}
+        for p, coef in folded.items():
+            for s, img in images:
+                key = tuple(map(add, p, img))
+                nxt[key] = nxt.get(key, 0) + s * coef
+        folded = nxt
+    return folded
+
+
 def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
     """Yield (x, dots, coef) for the kappa arguments of the lattice sum
     over l in lattice and Weyl tuples (w_1..w_k), b = k + 1: x is
@@ -277,37 +322,21 @@ def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
     give x.
 
     Lattice vectors are integral (coroots are integer combinations of
-    simple roots).  The Weyl images are folded one marking at a time into
-    a dict from partial sum to signed coefficient.  A dict keeps first
-    insertion, so the arguments are met in the order (l, w_1, ..., w_k)
-    of the term-by-term sum; merged coefficients may be zero.  Arguments
-    with a negative coordinate, outside the support cone, are skipped.
+    simple roots).  The extended Weyl images of the markings are folded
+    by `_weyl_fold`, so the arguments are met in the order
+    (l, w_1, ..., w_k) of the term-by-term sum; merged coefficients may be
+    zero.  Arguments with a negative coordinate, outside the support cone,
+    are skipped.
     """
-    rank = config.rank
+    rank, walls = config.rank, config.int_walls
     scale = _common_denominator(mus)
-    walls = config.int_walls
-
-    def extended(v: list[int]) -> tuple[int, ...]:
-        # the coordinates, then the dot products with the wall normals;
-        # both are linear, so sums of extended vectors stay extended
-        return (*v, *(sum(map(mul, u, v)) for u in walls))
-
-    scaled = [[c.numerator * (scale // c.denominator) for c in m] for m in mus]
-    actions = [(w.sign, [[int(x) for x in row] for row in w.matrix]) for w in weyl]
-    folded = {(0,) * (rank + len(walls)): 1}
-    for m in scaled[:-1]:
-        images = [(s, extended([sum(map(mul, row, m)) for row in a])) for s, a in actions]
-        nxt: dict[tuple[int, ...], int] = {}
-        for p, coef in folded.items():
-            for s, img in images:
-                key = tuple(map(add, p, img))
-                nxt[key] = nxt.get(key, 0) + s * coef
-        folded = nxt
+    *imaged, last = (_scaled(m, scale) for m in mus)
+    folded = _weyl_fold(weyl, walls, [[m] for m in imaged])
     entries = [(p[:rank], p[rank:], coef) for p, coef in folded.items()]
 
     orthant = config.orthant_support
     for l in lattice:
-        tail = extended([scale * int(c) + x for c, x in zip(l, scaled[-1])])
+        tail = _extend(walls, [scale * int(c) + x for c, x in zip(l, last)])
         tail_x, tail_dots = tail[:rank], tail[rank:]
         for p_x, p_dots, coef in entries:
             x = tuple(map(add, tail_x, p_x))
@@ -353,28 +382,33 @@ def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
     return total
 
 
-def _scaled_poly_sum(poly: Poly, xs: list, coefs: list[int], scale: int) -> Q:
-    """sum of coef * poly(x / scale) over int tuples x and int coefs,
-    accumulated in ints over one common denominator.
-
-    Each monomial is summed over all points at once, by `map` over
-    columns of coordinate powers.
-    """
-    if not poly or not xs:
-        return Q(0)
-    degree = max(sum(m) for m in poly)
-    den = math.lcm(*(c.denominator for c in poly.values()))
-    columns = list(zip(*xs))
+def _moments(points: list, coefs: list[int], exponents) -> dict[tuple[int, ...], int]:
+    """{b: sum of coef * x^b over int points x} for the exponent tuples b;
+    each power of a coordinate is one `map` over its column."""
+    columns = list(zip(*points))
     powers: dict[tuple[int, int], list[int]] = {}
-    acc = 0
-    for m, c in poly.items():
+    out = {}
+    for b in exponents:
         column = coefs
-        for i, e in enumerate(m):
+        for i, e in enumerate(b):
             if e:
                 if (i, e) not in powers:
                     powers[i, e] = list(map(pow, columns[i], repeat(e)))
                 column = list(map(mul, column, powers[i, e]))
-        acc += c.numerator * (den // c.denominator) * scale ** (degree - sum(m)) * sum(column)
+        out[b] = sum(column)
+    return out
+
+
+def _scaled_poly_sum(poly: Poly, xs: list, coefs: list[int], scale: int) -> Q:
+    """sum of coef * poly(x / scale) over int tuples x and int coefs,
+    accumulated in ints over one common denominator."""
+    if not poly or not xs:
+        return Q(0)
+    degree = max(sum(m) for m in poly)
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    moments = _moments(xs, coefs, poly)
+    acc = sum(c.numerator * (den // c.denominator) * scale ** (degree - sum(m)) * moments[m]
+              for m, c in poly.items())
     return Q(acc, den * scale**degree)
 
 
@@ -389,8 +423,6 @@ def pants_volume_kappa(
 # pants volumes affine in a varying marking
 # ---------------------------------------------------------------------------
 
-NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
-
 
 class _AffinePants:
     """The rational part of a pants volume as a function of nu, when each
@@ -399,102 +431,58 @@ class _AffinePants:
     Every kappa argument of the lattice sum is then affine in nu:
     x(nu) = (c + D L nu) / D, with D the common denominator of the fixed
     markings, c an integer vector and L an integer matrix (a sum of Weyl
-    matrices, times the matrix of * for a STAR_NU slot).  The last slot is
-    not imaged by the Weyl group, so putting a varying slot last keeps the
-    number of distinct L small.  On a region where every argument stays in
-    one chamber the volume is sum coef * p_chamber(x(nu)), a polynomial in
-    nu; each wall u of an argument bounds such regions by the line
-    (D L^T u).nu + u.c = 0.
+    matrices, times the matrix of * for a STAR_NU slot).  c comes from the
+    fixed slots only and L from the varying ones only, so each is one
+    `_weyl_fold`, c's the fold `_kappa_arguments` streams, and their
+    coefficients multiply.  Both are extended by the wall normals u, so
+    each wall of an argument is read off as the line (D L^T u).nu + u.c = 0.
+    The last slot is not imaged by the Weyl group, so putting a varying
+    slot last keeps the number of distinct L small.  Where every argument
+    stays in one chamber the volume is the polynomial sum coef *
+    p_chamber(x(nu)).
     """
 
     def __init__(self, rs: RootSystem, slots: list):
         self.rs = rs
-        self.spline = kappa_build(rs, 1)
-        self.prefactor = (-1 if rs.n_positive % 2 else 1) * rs.center_order
-        fixed = [s for s in slots if not isinstance(s, str)]
-        self.scale = _common_denominator(fixed) if fixed else 1
-        max_alcove_sq = max(rs.norm_sq(v) for v in rs.alcove.vertices)
-        norms = [max_alcove_sq if isinstance(s, str) else rs.norm_sq(s) for s in slots]
-        # nonzero terms have |slot_b + l| <= sum of the other slot norms
-        radius_sq = 2 * norms[-1] + 2 * (len(slots) - 1) * sum(norms[:-1], Q(0))
-        self.lattice = [
-            rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)
-        ]
         self.slots = slots
+        self.spline = kappa_build(rs, 1)
+        self.prefactor = (-1) ** rs.n_positive * rs.center_order
+        self.scale = _common_denominator([s for s in slots if not isinstance(s, str)])
+        # nonzero terms have |slot_b + l| <= sum of the other slot norms
+        self.lattice = _lattice_ball_for(rs, slots[-1], _support_bound_sq(rs, slots))
 
     @cached_property
     def args(self) -> list:
-        """Every argument (c, L, coef), in the term order (l, w_1, ..., w_{b-1})
-        of the lattice sum; merged coefficients may be zero."""
-        rs, slots, scale, rank = self.rs, self.slots, self.scale, self.rs.rank
-        unit = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-        zero = tuple((0,) * rank for _ in range(rank))
-        star_matrix = tuple(tuple(-int(x) for x in row) for row in rs.w0.matrix)
-
-        def affine(slot):  # (D c, L) of the slot
-            if slot == NU:
-                return (0,) * rank, unit
-            if slot == STAR_NU:
-                return (0,) * rank, star_matrix
-            return tuple(x.numerator * (scale // x.denominator) for x in slot), zero
-
-        def act(w, vec_):
-            return tuple(sum(map(mul, row, vec_)) for row in w)
-
-        actions = [(w.sign, tuple(tuple(int(x) for x in row) for row in w.matrix))
-                   for w in rs.weyl_elements()]
-        folded = {((0,) * rank, zero): 1}
-        for slot in slots[:-1]:
-            c, L = affine(slot)
-            images = [(s, act(w, c), tuple(zip(*(act(w, col) for col in zip(*L)))))
-                      for s, w in actions]
-            nxt: dict = {}
-            for (pc, pL), coef in folded.items():
-                for s, ic, iL in images:
-                    key = (tuple(map(add, pc, ic)),
-                           tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(pL, iL)))
-                    nxt[key] = nxt.get(key, 0) + s * coef
-            folded = nxt
-        last_c, last_L = affine(slots[-1])
-        entries = [(tuple(map(add, c, last_c)),
-                    tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(L, last_L)), coef)
-                   for (c, L), coef in folded.items()]
-        return [
-            (tuple(x + scale * int(y) for x, y in zip(c, l)), L, coef)
-            for l in self.lattice
-            for c, L, coef in entries
-        ]
-
-    def polynomial_at(self, nu: Vec) -> Poly:
-        """Polynomial (in nu) of the cell containing nu; OnWallError when
-        a kappa argument with no negative coordinate lies on a wall at nu.
-
-        Chambers are taken at the first argument met in them, in term
-        order, as `_kappa_sum` does."""
-        den = _common_denominator([nu])
-        z = [c.numerator * (den // c.denominator) for c in nu]
-        scale, walls = self.scale, self.spline.config.int_walls
-        met = []
-        for c, L, coef in self.args:
-            x = [ci * den + scale * sum(map(mul, row, z)) for ci, row in zip(c, L)]
-            if min(x) < 0:
-                continue  # outside the support cone
-            dots = [sum(map(mul, u, x)) for u in walls]
-            if 0 in dots:
-                raise OnWallError(f"{nu} lies on a cell wall of the volume function")
-            met.append((tuple(map((0).__lt__, dots)), x, c, L, coef))
-        chambers: dict = {}
-        groups: dict = {}
-        for side, x, c, L, coef in met:
-            poly = chambers.get(side)
-            if poly is None:
-                point = tuple(Q(xi, den * scale) for xi in x)
-                poly = chambers[side] = self.spline.chamber_polynomial_at(point)
-            if coef:
-                group = groups.setdefault((side, L), (poly, L, [], []))
-                group[2].append(c)
-                group[3].append(coef)
-        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), scale))
+        """Every argument (c, L, coef), extended: c has rank + walls entries
+        and L as many rows.  They come in the term order (l, w_1, ..., w_{b-1})
+        of the lattice sum with the Weyl elements of the fixed slots first;
+        merged coefficients may be zero."""
+        rs, rank, scale = self.rs, self.rs.rank, self.scale
+        walls = self.spline.config.int_walls
+        width = rank + len(walls)
+        unit = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        columns = {NU: unit, STAR_NU: [[-int(x) for x in col] for col in zip(*rs.w0.matrix)]}
+        *imaged, last = self.slots
+        fixed = _weyl_fold(rs.weyl_elements(), walls,
+                           [[_scaled(s, scale)] for s in imaged if not isinstance(s, str)])
+        varying = _weyl_fold(rs.weyl_elements(), walls,
+                             [columns[s] for s in imaged if isinstance(s, str)], rank)
+        if isinstance(last, str):  # the last slot joins every term as it is
+            tail = (0,) * rank
+            last_L = tuple(chain.from_iterable(_extend(walls, col) for col in columns[last]))
+        else:
+            tail, last_L = _scaled(last, scale), (0,) * rank * width
+        ls = []  # (rows of L, coef); the fold gives L column after column
+        for flat, coef in varying.items():
+            flat = tuple(map(add, flat, last_L))
+            ls.append((tuple(zip(*(flat[j:j + width] for j in range(0, rank * width, width)))),
+                       coef))
+        out = []
+        for l in self.lattice:
+            t = _extend(walls, [scale * int(y) + x for y, x in zip(l, tail)])
+            out.extend((tuple(map(add, t, c)), L, cf * cv)
+                       for c, cf in fixed.items() for L, cv in ls)
+        return out
 
 
 def _affine_sum(groups, scale: int) -> Poly:
@@ -503,35 +491,22 @@ def _affine_sum(groups, scale: int) -> Poly:
 
     With y = L nu, sum coef p(c / D + y) = sum_k y^k sum_m p_m binom(m, k)
     M_{m-k} / D^{|m - k|}, M_b = sum coef c^b the integer moments of the
-    group; the result is then composed with nu -> L nu (skipped for the
-    identity)."""
+    group (`_moments`); the result is then composed with nu -> L nu
+    (skipped for the identity)."""
     out: dict = {}
     for poly, L, cs, coefs in groups:
         if not poly:
             continue
         den = math.lcm(*(c.denominator for c in poly.values()))
         degree = max(map(sum, poly))
-        columns = list(zip(*cs))
-        powers: dict = {}
-        moments: dict = {}
-
-        def moment(b):
-            if b not in moments:
-                column = coefs
-                for i, e in enumerate(b):
-                    if e:
-                        if (i, e) not in powers:
-                            powers[i, e] = list(map(pow, columns[i], repeat(e)))
-                        column = list(map(mul, column, powers[i, e]))
-                moments[b] = sum(column)
-            return moments[b]
-
+        below = {m: list(product(*(range(e + 1) for e in m))) for m in poly}
+        moments = _moments(cs, coefs, set().union(*below.values()))
         shifted: dict = {}
         for m, pm in poly.items():
             pm = pm.numerator * (den // pm.denominator) * scale ** (degree - sum(m))
-            for k in itertools.product(*(range(e + 1) for e in m)):
+            for k in below[m]:
                 weight = math.prod(map(math.comb, m, k)) * scale ** sum(k)
-                shifted[k] = shifted.get(k, 0) + pm * weight * moment(tuple(map(sub, m, k)))
+                shifted[k] = shifted.get(k, 0) + pm * weight * moments[tuple(map(sub, m, k))]
         if any(x != (i == j) for i, row in enumerate(L) for j, x in enumerate(row)):
             units = [tuple(int(i == j) for j in range(len(L))) for i in range(len(L))]
             shifted = poly_subs_affine(shifted, [dict(zip(units, row)) for row in L])
@@ -547,24 +522,20 @@ def _affine_sum(groups, scale: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-class PantsVolumePoly:
-    """The pants volume as a function of the third marking.
+class PantsVolumePoly(_AffinePants):
+    """The pants volume as a function of the third marking: the affine
+    table with slots [mu1, mu2, NU], so every L is the unit matrix.
 
-    Piecewise polynomial over the alcove; the cell containing a query
-    point is read from the kappa chamber spline by grouping the kappa
-    arguments by chamber (`_AffinePants` with the third slot varying).
-    Values are exact and agree with `pants_volume_kappa` (same
+    Piecewise polynomial over the alcove.  Values and wall tests stream
+    the fixed-marking arguments (`_kappa_arguments`) as `_kappa_sum` does;
+    the cell polynomial at a point groups the table's arguments by
+    chamber.  Values are exact and agree with `pants_volume_kappa` (same
     normalization fields).
     """
 
     def __init__(self, rs: RootSystem, mu1: Vec, mu2: Vec):
-        self.rs = rs
-        self.mu1 = mu1
-        self.mu2 = mu2
-        self.affine = _AffinePants(rs, [mu1, mu2, NU])
-        self.spline = self.affine.spline
-        self.lattice = self.affine.lattice
-        self.sign_prefactor = -1 if rs.n_positive % 2 else 1
+        super().__init__(rs, [mu1, mu2, NU])
+        self.mu1, self.mu2 = mu1, mu2
 
     # normalization shared with the kappa-sum reports
     @property
@@ -574,8 +545,8 @@ class PantsVolumePoly:
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, same units as pants_volume_kappa.exact."""
         mus = [self.mu1, self.mu2, mu3]
-        total = _kappa_sum(self.spline, self.rs.weyl_elements(), mus, self.lattice)
-        return self.sign_prefactor * self.rs.center_order * total
+        return self.prefactor * _kappa_sum(self.spline, self.rs.weyl_elements(), mus,
+                                           self.lattice)
 
     def value(self, mu3: Vec) -> float:
         return float(self.value_exact(mu3)) / math.sqrt(float(self.norm_denominator))
@@ -593,8 +564,36 @@ class PantsVolumePoly:
         return any(0 in dots for _, dots, _ in arguments)
 
     def polynomial_at(self, mu3: Vec) -> Poly:
-        """Exact polynomial (rational part) on the cell containing mu3."""
-        return self.affine.polynomial_at(mu3)
+        """Exact polynomial (rational part) on the cell containing mu3;
+        OnWallError when a kappa argument with no negative coordinate lies
+        on a wall at mu3.
+
+        Chambers are taken at the first argument met in them, in term
+        order, as `_kappa_sum` does."""
+        rank, scale = self.rs.rank, self.scale
+        den = _common_denominator([mu3])
+        # every L is the unit matrix, extended: L (den mu3) is z
+        z = _extend(self.spline.config.int_walls, _scaled(mu3, den))
+        met = []
+        for c, L, coef in self.args:
+            x = [ci * den + scale * zi for ci, zi in zip(c, z)]
+            if min(x[:rank]) < 0:
+                continue  # outside the support cone
+            if 0 in x[rank:]:
+                raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
+            met.append((tuple(map((0).__lt__, x[rank:])), x[:rank], c[:rank], L, coef))
+        chambers: dict = {}
+        groups: dict = {}
+        for side, x, c, L, coef in met:
+            poly = chambers.get(side)
+            if poly is None:
+                point = tuple(Q(xi, den * scale) for xi in x)
+                poly = chambers[side] = self.spline.chamber_polynomial_at(point)
+            if coef:
+                group = groups.setdefault(side, (poly, L[:rank], [], []))
+                group[2].append(c)
+                group[3].append(coef)
+        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), scale))
 
     def walls(self) -> list[tuple[int, ...]]:
         """The lines a.mu3 + k = 0 (a, k integers, root coordinates) that
@@ -602,7 +601,7 @@ class PantsVolumePoly:
         wall; for rank 1 these are the points where the volume may jump."""
         from .gluing import AlcoveFactor
 
-        return list(AlcoveFactor(self.rs, [self.mu1, self.mu2, NU]).lines)
+        return list(AlcoveFactor(self.rs, self.slots).lines)
 
 
 def pants_volume_poly(rs: RootSystem, mu1: Vec, mu2: Vec) -> PantsVolumePoly:

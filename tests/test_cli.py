@@ -135,6 +135,15 @@ def test_chern_dimension_error():
     assert r.returncode == 2
 
 
+def test_chern_poly_value_may_start_with_minus():
+    # argparse alone reads a separate value '-e1' as an unknown option
+    marks = ("A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
+    plus, minus = run("chern", *marks, "--poly", "e1"), run("chern", *marks, "--poly", "-e1")
+    assert minus.returncode == 0, minus.stderr
+    assert json.loads(minus.stdout)["polynomial"] == "-e1"
+    assert json.loads(minus.stdout)["value"] == -json.loads(plus.stdout)["value"]
+
+
 def test_oracle_deterministic_output():
     args = ("oracle", "A1", "1/2", "1/2", "--samples", "20000",
             "--seed", "11", "--bins", "64")
@@ -281,13 +290,34 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1e1"),
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1*-1"),
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1^-1"),
+    # an empty weight list, and islice's own message for a negative count
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--weights", "0"),
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--weights", "-5"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
         "glue-missing", "bins-zero", "glue-nodes", "poly-2e1", "poly-1e1", "poly-times-minus",
-        "poly-negative-power"])
+        "poly-negative-power", "weights-zero", "weights-negative"])
 def test_usage_errors(args):
     r = run(*args)
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
+
+
+def test_gluing_module_loads_on_first_glue():
+    """The gluing module stays out of a process until a glue run needs it."""
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import flatvol",
+        "from flatvol.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['volume', 'A2', '1/4,1/5', '1/3,1/7', '2/7,1/6']) == 0",
+        "    before = 'flatvol.gluing' in sys.modules",
+        "    assert main(['glue', 'A1', '--surface', '1,1', '2/5']) == 0",
+        "print(before, 'flatvol.gluing' in sys.modules)",
+    ])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "FLATVOL_CACHE": ""})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
 
 
 def test_truncated_spline_cache_is_ignored(tmp_path):

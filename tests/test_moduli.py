@@ -320,18 +320,29 @@ def alcove_membership_interior(rs, mu) -> bool:
 
 
 def test_pants_poly_matches_kappa_sum(a2, b2, g2):
+    rows = []
     # a prime denominator keeps B2 and G2 third markings off the cell walls
     for rs, count, denom in ((a2, 10, 40), (b2, 6, 37), (g2, 4, 37)):
         rng = random.Random(5)
         m1, m2 = rational_alcove_point(rs, rng), rational_alcove_point(rs, rng)
+        rows.append((rs, m1, m2, [rational_alcove_point(rs, rng, denom=denom)
+                                  for _ in range(count)]))
+    # rank 3, where `chern` reads the cell polynomial too
+    a3 = build_root_system("A3")
+    rows.append((a3, *(a3.from_weight_coords(vec(m.split(",")))
+                       for m in ("1/5,1/7,1/9", "1/6,1/8,1/7")),
+                 [a3.from_weight_coords(vec(["1/9", "1/5", "1/8"]))]))
+    checked = set()
+    for rs, m1, m2, thirds in rows:
         vol = pants_volume_poly(rs, m1, m2)
-        for _ in range(count):
-            m3 = rational_alcove_point(rs, rng, denom=denom)
+        for m3 in thirds:
             if vol.on_wall(m3):
                 continue
             assert vol.value_exact(m3) == pants_volume_kappa(rs, m1, m2, m3).exact["rational"]
             cell = vol.polynomial_at(m3)
             assert poly_eval(cell, m3) == vol.value_exact(m3)
+            checked.add(rs.spec.name)
+    assert checked == {"A2", "B2", "G2", "A3"}
 
 
 def test_pants_poly_a1_piecewise_constant(a1):
