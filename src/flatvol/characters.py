@@ -4,8 +4,9 @@ Characters are evaluated by the direct Weyl-group sums
 chi_lambda(e^mu) = sum_w det(w) e^{2 pi i <w(lambda+rho), mu>} /
                    sum_w det(w) e^{2 pi i <w rho, mu>},
 which is the period-1 convention in which the alcove constraint reads
-<alpha_0, mu> <= 1.  Singular denominators fall back to a deterministic
-limit along the rho direction with 3-point Richardson extrapolation.
+<alpha_0, mu> <= 1.  At a singular mu (the identity, central elements,
+alcove walls) both sums vanish; their ratio is then taken exactly as the
+limit along rho, as in the proof of Weyl's dimension formula.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "weyl_dimension",
     "character_eval",
     "character_table",
+    "singular_order",
     "enumerate_dominant",
 ]
 
@@ -66,82 +68,49 @@ def weyl_dimension(rs: RootSystem, lam: DominantWeight) -> int:
     return int(d)
 
 
+def singular_order(rs: RootSystem, mu: Vec) -> int:
+    """Number of positive roots alpha with <alpha, mu> an integer, exactly:
+    the order to which both Weyl sums at mu vanish along rho."""
+    return sum(1 for a in rs.positive_roots if rs.ip(a, mu).denominator == 1)
+
+
 def character_table(rs: RootSystem, lam_rho: np.ndarray, mu: Vec) -> np.ndarray:
     """chi_lambda(e^mu) for all rows of lam_rho (lambda + rho in simple-root
     coordinates), by the Weyl-group sums in floating point.
 
-    Raises OnWallError when the denominator vanishes (mu not regular).
+    At a singular mu both sums vanish to order k = singular_order(rs, mu)
+    along rho, and their k-th derivatives there weight each term by
+    <w(lambda+rho), rho>^k and <w rho, rho>^k; the ratio of those is the
+    limit (at k = 0, the plain sums).  Raises OnWallError when the
+    denominator is too small to divide by in floating point.
     """
+    k = singular_order(rs, mu)
     gram = np.array([[float(x) for x in row] for row in rs.gram])
     gmu = gram @ np.array([float(c) for c in mu])
     num = np.zeros(len(lam_rho), dtype=complex)
     den = 0.0 + 0.0j
     rho_f = np.array([float(c) for c in rs.rho])
+    grho = gram @ rho_f
     for w in rs.weyl_elements():
         wm = np.array([[float(x) for x in row] for row in w.matrix])
-        phases = (lam_rho @ wm.T) @ gmu
-        num += w.sign * np.exp(2j * np.pi * phases)
-        den += w.sign * np.exp(2j * np.pi * float((wm @ rho_f) @ gmu))
+        wl, wr = lam_rho @ wm.T, wm @ rho_f
+        num += w.sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
+        den += w.sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
     if abs(den) < 1e-12 * len(rs.weyl_elements()):
         raise OnWallError("marking is not regular; character table undefined")
     return num / den
 
 
 def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterValue:
-    """chi_lambda at exp(mu), for mu with exact rational coordinates."""
+    """chi_lambda at exp(mu), for mu with exact rational coordinates.
+
+    The condition is "limit-evaluation" exactly when mu is singular.  A
+    regular mu so near a wall that the float guard of character_table
+    trips raises OnWallError."""
     lam_rho = vadd(lam.vector(rs), rs.rho)
-    try:
-        table = character_table(rs, np.array([[float(c) for c in lam_rho]]), mu)
-        return CharacterValue(value=complex(table[0]), condition="regular-evaluation")
-    except OnWallError:
-        pass  # singular denominator: take the limit below
-    # Deterministic limit along rho: steps h, h/2, h/4 with Neville
-    # extrapolation to 0.  rho is regular for every mu.  The alternating
-    # sums cancel to order h^n near a singular point, so the ratios are
-    # computed in high-precision arithmetic before extrapolating.
-    scale = 1.0 + math.sqrt(abs(float(rs.ip(lam_rho, lam_rho))))
-    h0 = 1e-4 / scale
-    hs = [h0, h0 / 2, h0 / 4]
-    vals = [complex(_ratio_mp(rs, lam_rho, mu, h)) for h in hs]
-    return CharacterValue(value=_neville(hs, vals, 0.0), condition="limit-evaluation")
-
-
-def _ratio_mp(rs: RootSystem, lam_rho: Vec, mu: Vec, h: float) -> complex:
-    import mpmath as mp
-
-    with mp.workdps(60):
-        hq = mp.mpf(h)
-        shifted = [mp.mpf(m.numerator) / m.denominator + hq * float(r) for m, r in zip(mu, rs.rho)]
-        gram = [[mp.mpf(x.numerator) / x.denominator for x in row] for row in rs.gram]
-        gmu = [
-            sum(gram[i][j] * shifted[j] for j in range(rs.rank)) for i in range(rs.rank)
-        ]
-
-        def alt(xi: Vec):
-            total = mp.mpc(0)
-            for w in rs.weyl_elements():
-                wxi = w.act(xi)
-                phase = sum(
-                    (mp.mpf(c.numerator) / c.denominator) * gmu[i]
-                    for i, c in enumerate(wxi)
-                )
-                total += w.sign * mp.expjpi(2 * phase)
-            return total
-
-        ratio = alt(lam_rho) / alt(rs.rho)
-        return complex(ratio)
-
-
-def _neville(xs, ys, x):
-    """Value at x of the polynomial through the points (xs, ys)."""
-    vals = list(ys)
-    n = len(vals)
-    for level in range(1, n):
-        for i in range(n - level):
-            vals[i] = (
-                (x - xs[i + level]) * vals[i] - (x - xs[i]) * vals[i + 1]
-            ) / (xs[i] - xs[i + level])
-    return vals[0]
+    table = character_table(rs, np.array([[float(c) for c in lam_rho]]), mu)
+    condition = "limit-evaluation" if singular_order(rs, mu) else "regular-evaluation"
+    return CharacterValue(value=complex(table[0]), condition=condition)
 
 
 def _shifted_norms(rs: RootSystem, casimir_cutoff):

@@ -8,7 +8,9 @@ identical invocations produce byte-identical output.
 Exit codes: 0 success, 2 usage error, 3 wall/regularity error,
 4 convergence failure.  Set FLATVOL_CACHE to a directory to cache the
 serialized kappa chamber splines across runs; a damaged cache file is
-ignored with a warning and rewritten.
+ignored with a warning and rewritten, and a cache that cannot be written
+is skipped with a warning.  Markings outside the closed alcove are usage
+errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import re
 import sys
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 
@@ -28,6 +30,7 @@ from .kappa import OnWallError, SymmetricPoly, kappa_build
 from .liecore import (
     RootSystem,
     UnsupportedTypeError,
+    alcove_membership,
     build_root_system,
     covolume_T,
     volume_G,
@@ -57,7 +60,8 @@ class UsageError(ValueError):
 
 
 def parse_marking(rs: RootSystem, text: str) -> Vec:
-    """Parse exact fundamental-weight coordinates, echoing no floats."""
+    """Parse exact fundamental-weight coordinates of a point of the closed
+    alcove, echoing no floats."""
     parts = text.split(",")
     if rs.rank == 1 and len(parts) == 1:
         coords = [Fraction(parts[0])]
@@ -67,7 +71,10 @@ def parse_marking(rs: RootSystem, text: str) -> Vec:
         raise UsageError(
             f"marking {text!r} needs {rs.rank} comma-separated rationals"
         )
-    return rs.from_weight_coords(vec(coords))
+    mu = rs.from_weight_coords(vec(coords))
+    if alcove_membership(rs, mu)[0] == "outside":
+        raise UsageError(f"marking {text!r} lies outside the closed alcove")
+    return mu
 
 
 def marking_echo(rs: RootSystem, mu: Vec) -> str:
@@ -110,7 +117,9 @@ def _spline_cache_path(rs: RootSystem) -> str | None:
     cache_dir = os.environ.get("FLATVOL_CACHE")
     if not cache_dir:
         return None
-    os.makedirs(cache_dir, exist_ok=True)
+    # a directory that cannot be made shows as a failed save, with a warning
+    with suppress(OSError):
+        os.makedirs(cache_dir, exist_ok=True)
     return os.path.join(cache_dir, f"kappa_{rs.spec.name}.json")
 
 
@@ -151,7 +160,11 @@ def _save_spline_cache(rs: RootSystem) -> None:
     path = _spline_cache_path(rs)
     spline = kappa_build(rs)
     if path and not _in_sync(path, spline):
-        spline.dump_json(path)
+        try:
+            spline.dump_json(path)
+        except OSError as exc:
+            sys.stderr.write(f"warning: cannot write spline cache {path}: {exc}\n")
+            return
         _written[path] = (spline, _file_stamp(path), len(spline.chambers))
 
 
@@ -251,11 +264,7 @@ def cmd_scan(args) -> int:
         return [marking_echo(rs, mu3), _float_str(rep.value), "kappa-sum",
                 str(rep.exact["rational"])]
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(row_for, samples))
-    else:
-        rows = [row_for(s) for s in samples]
+    rows = [row_for(s) for s in samples]
     header = ["mu3_weight_coords", "value", "method", "exact_rational"]
     _write_csv(rows, header, args.out, stamp=convention_stamp(rs))
     _save_spline_cache(rs)
@@ -321,14 +330,11 @@ def cmd_chern(args) -> int:
 
 def cmd_oracle(args) -> int:
     rs = build_root_system(args.group)
-    if rs.spec.name not in ("A1", "A2"):
-        raise UsageError("the holonomy oracle supports A1 and A2 only")
     _load_spline_cache(rs)
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     hist = product_class_histogram(
         rs, m1, m2, bins=args.bins, n_samples=args.samples, seed=args.seed
     )
-    stat = None
     if rs.spec.name == "A1":
         # the A1 volume is constant between the points where a kappa
         # argument meets its wall: one kappa-sum per cell, at its first
@@ -352,7 +358,6 @@ def cmd_oracle(args) -> int:
             stat = shape_compare(hist, vol, rs)
         except ValueError:
             stat = None  # degenerate markings: volume vanishes a.e.
-    if rs.spec.name == "A1":
         rows = [
             [str(i), _float_str(hist.edges[i]), _float_str(hist.edges[i + 1]),
              str(int(c))]
@@ -360,6 +365,7 @@ def cmd_oracle(args) -> int:
         ]
         header = ["bin", "lo", "hi", "count"]
     else:
+        stat = None
         rows = [[str(i), str(int(c))] for i, c in enumerate(hist.counts)]
         header = ["bin", "count"]
     _write_csv(rows, header, args.out, stamp=convention_stamp(rs, seed=args.seed))
@@ -435,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volumes of moduli of flat connections on surfaces.",
     )
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for scans (results thread-count independent)")
+                    help="ignored: scans run their rows in order, in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="dump root-system data as JSON")

@@ -45,10 +45,10 @@ from operator import add, mul, sub
 import numpy as np
 
 from .characters import (
-    _neville,
     _shifted_norms,
     casimir_cutoff_for_count,
     character_table,
+    singular_order,
 )
 from .exact import Q, Vec, lattice_points_in_ball, vadd, vsub, vzero
 from .kappa import (
@@ -750,6 +750,8 @@ def witten_volume(
     absolutely convergent series use partial-sum extrapolation in 1/N.
     A given eps_schedule needs at least two distinct positive, finite
     epsilons: with one node the extrapolation would be its own residual.
+    A marking point that is not regular (on an alcove wall) raises
+    OnWallError.
     """
     h, b = surface.genus, surface.boundary
     if 2 * h + b < 3:
@@ -794,6 +796,8 @@ def witten_volume(
     terms = dims ** (-float(p))
     char_product = np.ones(len(weights), dtype=complex)
     for mu in marking.points:
+        if singular_order(rs, mu):
+            raise OnWallError("marking is not regular; character table undefined")
         char_product = char_product * character_table(rs, lam_rho, mu)
     series = np.real(terms * char_product)
 
@@ -865,6 +869,18 @@ def witten_volume(
 
 
 EPS_NODES = 4  # epsilons in a heat-kernel schedule
+
+
+def _neville(xs, ys, x):
+    """Value at x of the polynomial through the points (xs, ys)."""
+    vals = list(ys)
+    n = len(vals)
+    for level in range(1, n):
+        for i in range(n - level):
+            vals[i] = (
+                (x - xs[i + level]) * vals[i] - (x - xs[i]) * vals[i + 1]
+            ) / (xs[i] - xs[i + level])
+    return vals[0]
 
 
 def default_eps_schedule(max_qnorm: float) -> list[float]:

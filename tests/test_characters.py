@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -14,7 +17,8 @@ from flatvol import (
     vec,
     weyl_dimension,
 )
-from flatvol.characters import casimir_cutoff_for_count
+from flatvol.characters import casimir_cutoff_for_count, singular_order
+from flatvol.exact import vadd, vscale
 
 
 def test_dimension_examples(a1, a2):
@@ -56,6 +60,63 @@ def test_character_at_identity_equals_dimension(name):
         cv = character_eval(rs, lam, zero)
         assert cv.condition == "limit-evaluation"
         assert abs(cv.value - d) <= 1e-9 * d
+
+
+def test_characters_need_no_mpmath():
+    code = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from flatvol import build_root_system, character_eval, vec, weyl_dimension",
+        "from flatvol.characters import enumerate_dominant",
+        "for name in ('A1', 'A2', 'B2', 'G2'):",
+        "    rs = build_root_system(name)",
+        "    for lam in enumerate_dominant(rs, 60)[:10]:",
+        "        cv = character_eval(rs, lam, vec([0] * rs.rank))",
+        "        assert abs(cv.value - weyl_dimension(rs, lam)) < 1e-9, (name, lam)",
+        "print('ok')",
+    ])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "ok\n"
+
+
+def test_a1_at_central_element(a1):
+    # t = 1 is the center -1 of SU(2): chi_m = (-1)^m (m + 1)
+    for m in range(12):
+        cv = character_eval(a1, DominantWeight((m,)), vec([Q(1, 2)]))
+        assert cv.condition == "limit-evaluation"
+        assert abs(cv.value - (-1) ** m * (m + 1)) <= 1e-12 * (m + 1)
+
+
+def test_a2_at_central_vertices(a2):
+    # the nonzero alcove vertices are the central elements of SU(3):
+    # chi = dim times a cube root of unity
+    weights = enumerate_dominant(a2, casimir_cutoff_for_count(a2, 30))[:30]
+    for vertex in a2.alcove.vertices:
+        if not any(vertex):
+            continue
+        for lam in weights:
+            d = weyl_dimension(a2, lam)
+            cv = character_eval(a2, lam, vertex)
+            assert cv.condition == "limit-evaluation"
+            assert abs(abs(cv.value) - d) <= 1e-10 * d
+            assert abs((cv.value / d) ** 3 - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_edge_midpoints_match_nearby_regular_points(name):
+    # on one alcove wall (k = 1) the limit equals the regular value a
+    # step 1e-7 along rho away, up to that step times the gradient
+    rs = build_root_system(name)
+    weights = enumerate_dominant(rs, casimir_cutoff_for_count(rs, 10))[:10]
+    for a, b in itertools.combinations(rs.alcove.vertices, 2):
+        mid = vec([(x + y) / 2 for x, y in zip(a, b)])
+        assert singular_order(rs, mid) == 1
+        near = vadd(mid, vscale(Q(1, 10**7), rs.rho))
+        for lam in weights:
+            cv, cn = character_eval(rs, lam, mid), character_eval(rs, lam, near)
+            assert (cv.condition, cn.condition) == ("limit-evaluation", "regular-evaluation")
+            assert abs(cv.value - cn.value) <= 1e-5 * weyl_dimension(rs, lam)
 
 
 def test_w_invariance(a2):

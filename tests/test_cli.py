@@ -121,6 +121,19 @@ def test_scan_byte_identical_and_threads():
     assert a.stdout == b.stdout == c.stdout
 
 
+def test_scan_cache_bytes_independent_of_threads(tmp_path):
+    # rows run in order, so the row that first reaches a chamber, and with
+    # it the chamber's sample point in a fresh cache, is fixed
+    dumps = []
+    for threads in ("1", "2"):
+        cache = tmp_path / threads
+        r = run("--threads", threads, "scan", "B2", "1/4,1/4", "1/4,1/4",
+                "--along", "0,0:1/2,0", "--steps", "10", env={"FLATVOL_CACHE": str(cache)})
+        assert r.returncode == 0, r.stderr
+        dumps.append((cache / "kappa_B2.json").read_bytes())
+    assert dumps[0] == dumps[1]
+
+
 def test_chern_identity_and_fd():
     r = run("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1")
     d = json.loads(r.stdout)
@@ -293,9 +306,14 @@ def test_tiny_weight_list_fails_convergence(weights):
     # an empty weight list, and islice's own message for a negative count
     ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--weights", "0"),
     ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--weights", "-5"),
+    # markings outside the closed alcove printed a negative and a zero value
+    ("volume", "A1", "3/2", "1/2", "1/2"),
+    ("chern", "A2", "1/4,1/5", "1/3,1/7", "2,1", "--poly", "1"),
+    ("scan", "A1", "1/2", "1/2", "--along", "0:3/2"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
         "glue-missing", "bins-zero", "glue-nodes", "poly-2e1", "poly-1e1", "poly-times-minus",
-        "poly-negative-power", "weights-zero", "weights-negative"])
+        "poly-negative-power", "weights-zero", "weights-negative",
+        "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove"])
 def test_usage_errors(args):
     r = run(*args)
     assert r.returncode == 2, r.stderr
@@ -333,6 +351,18 @@ def test_truncated_spline_cache_is_ignored(tmp_path):
     assert r.stdout == plain.stdout
     assert "warning" in r.stderr
     assert cache_file.read_text() == full  # rewritten whole
+
+
+def test_unusable_spline_cache_dir_is_skipped(tmp_path):
+    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
+    plain = run(*args, env={"FLATVOL_CACHE": ""})
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a file")
+    r = run(*args, env={"FLATVOL_CACHE": str(not_a_dir)})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == plain.stdout
+    assert r.stderr.count("warning") == 1 and r.stderr.startswith("warning")
+    assert not_a_dir.read_text() == "a file"
 
 
 def test_edited_spline_cache_is_ignored(tmp_path):
