@@ -91,12 +91,12 @@ def character_table(rs: RootSystem, lam_rho: np.ndarray, mu: Vec) -> np.ndarray:
     den = 0.0 + 0.0j
     rho_f = np.array([float(c) for c in rs.rho])
     grho = gram @ rho_f
-    for w in rs.weyl_elements():
-        wm = np.array([[float(x) for x in row] for row in w.matrix])
+    for sign, m in rs.weyl_actions():
+        wm = np.array(m, dtype=float)
         wl, wr = lam_rho @ wm.T, wm @ rho_f
-        num += w.sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
-        den += w.sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
-    if abs(den) < 1e-12 * len(rs.weyl_elements()):
+        num += sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
+        den += sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
+    if abs(den) < 1e-12 * len(rs.weyl_actions()):
         raise OnWallError("marking is not regular; character table undefined")
     return num / den
 

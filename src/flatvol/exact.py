@@ -9,9 +9,9 @@ Every linear-algebra result is read from one fraction-free elimination
 a forward pass with pivot skipping brings the rows to echelon form with
 exact integer divisions only, and a fraction-free back substitution
 returns the solutions times the last pivot.  `det` reads that pivot,
-`solve` back-substitutes one right-hand column, `inverse_det` (and
-`inverse`) eliminates [A | I] once, and `pivot_columns` and `nullspace`
-read the echelon form.
+`solve` back-substitutes one right-hand column, `scaled_inverse` (and
+`inverse_det`, `inverse`) eliminates [A | I] once, and `pivot_columns`
+and `nullspace` read the echelon form.
 """
 
 from __future__ import annotations
@@ -178,16 +178,26 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return tuple(Q(y, last) for y in _back_substitute(m, pivots, last, [row[n] for row in m]))
 
 
-def inverse_det(a: Mat) -> tuple[Mat, Q] | None:
-    """(a^-1, det a) from one elimination of [a | I]; None when a is singular."""
+def scaled_inverse(a: Mat) -> tuple[list[list[int]], int, Q] | None:
+    """(N, e, det a) with a^-1 = N / e, N in ints and e > 0, from one
+    elimination of [a | I]; None when a is singular."""
     n = len(a)
     m, scale = _int_rows([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a))
     pivots, sign, last = _eliminate(m, n)
     if len(pivots) < n:
         return None
     cols = [_back_substitute(m, pivots, last, [row[n + j] for row in m]) for j in range(n)]
-    inv = tuple(tuple(Q(col[i], last) for col in cols) for i in range(n))
-    return inv, Q(sign * last, scale)
+    flip = -1 if last < 0 else 1
+    return [[flip * col[i] for col in cols] for i in range(n)], flip * last, Q(sign * last, scale)
+
+
+def inverse_det(a: Mat) -> tuple[Mat, Q] | None:
+    """(a^-1, det a); None when a is singular."""
+    result = scaled_inverse(a)
+    if result is None:
+        return None
+    rows, e, d = result
+    return tuple(tuple(Q(x, e) for x in row) for row in rows), d
 
 
 def inverse(a: Mat) -> Mat:

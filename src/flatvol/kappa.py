@@ -9,9 +9,13 @@ Lebesgue measure on t*.  Two independent evaluation routes are provided:
   solutions (one rank x rank solve per basis of the vectors), and its
   volume is summed over an anchored triangulation in integers;
 * `kappa_build` returns a chamber-complex spline whose polynomials are
-  built in closed form by Lawrence's vertex formula (one term per
+  built in closed form by Lawrence's vertex formula (J. Lawrence,
+  "Polytope volume computation", Math. Comp. 57, 1991; one term per
   feasible basis of the vectors) and each checked once against
-  `kappa_point` at the chamber's sample point.
+  `kappa_point` at the chamber's sample point.  The vertex table is kept
+  in Python ints (feasibility rows of each basis inverse, and each term
+  as integer numerators over one table denominator), so a chamber's
+  polynomial is an integer sum divided once.
 
 Chamber polynomials are stored relative to coordinate Lebesgue measure in
 the simple-root basis; the single conversion factor to inner-product
@@ -25,12 +29,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, count
 from operator import mul, sub
 
 from .exact import (
-    Mat, Q, Vec, det, inverse_det, mat_t, nullspace, pivot_columns, solve, vdot, vec,
+    Q, Vec, _eliminate, det, mat_t, nullspace, pivot_columns, scaled_inverse, solve, vec,
 )
 from .liecore import RootSystem
 from .poly import (
@@ -57,6 +61,9 @@ __all__ = [
     "pullback_operator",
     "apply_operator",
 ]
+
+
+IntPoly = dict[tuple[int, ...], int]  # integer numerators over a known denominator
 
 
 class OnWallError(ValueError):
@@ -112,7 +119,10 @@ def _polytope_volume(verts: list[Vec], facets: list[frozenset[int]], dim: int) -
         if len(simplex) != dim + 1:
             continue
         v0 = points[simplex[0]]
-        total += abs(det([list(map(sub, points[i], v0)) for i in simplex[1:]]))
+        edges = [list(map(sub, points[i], v0)) for i in simplex[1:]]
+        pivots, _, last = _eliminate(edges, dim)
+        if len(pivots) == dim:  # the last pivot is then the determinant, up to sign
+            total += abs(last)
     return Q(total, scale**dim * math.factorial(dim))
 
 
@@ -168,8 +178,10 @@ class VectorConfig:
         return sorted(walls)
 
     @cached_property
-    def vertex_table(self) -> list[tuple[Mat, Poly]]:
-        """Lawrence's vertex terms: one entry (A_s^-1, w_s y_s^d) per basis s.
+    def vertex_table(self) -> tuple[list[tuple[list[list[int]], IntPoly]], int]:
+        """Lawrence's vertex terms in ints: (entries, T), one entry
+        (M_s, N_s) per basis s, with M_s = e_s A_s^-1 for an integer
+        e_s > 0 and N_s = T w_s y_s^d, both in ints.
 
         A_s is the square matrix of the basis vectors as columns.  For xi
         with A_s^-1 xi > 0, s is a vertex of the fiber polytope over xi,
@@ -177,39 +189,54 @@ class VectorConfig:
         With reduced costs g_j = c_j - y_s(v_j) (j not in s), the weight
         is w_s = 1 / (d! |det A_s| prod_j (-g_j)).  The objective is
         c_j = 1/(k+j) for the least k >= 2 making every g_j nonzero.
+
+        s is feasible at xi when every row of M_s dots D xi positively, D
+        a common denominator of xi.  With c_j = C_j / L (L the lcm of the
+        k + j) and S v_j in ints (S the lcm of the vectors' denominators),
+        y_s = a / (L e_s) with a = sum_i C_{s_i} (row i of M_s), and
+        g_j = G_j / (L e_s S) with G_j = e_s S C_j - C_s . (M_s S v_j).
+        The multinomial theorem gives w_s y_s^d the coefficient
+        (d! / m!) a^m F_s at x^m, F_s = S^d / (d! |det A_s| prod_j (-G_j)),
+        and T is the lcm of the denominators of the F_s.  N_s is keyed in
+        the order in which d successive products by y_s first meet the
+        monomials.
         """
+        scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
+        ints = [[c.numerator * (scale // c.denominator) for c in v] for v in self.vectors]
         bases = []
         for sigma in combinations(range(self.n), self.rank):
-            inv_det = inverse_det(mat_t(tuple(self.vectors[i] for i in sigma)))
-            if inv_det is not None:
-                bases.append((sigma, inv_det[0], abs(inv_det[1])))
+            inv = scaled_inverse(mat_t(tuple(self.vectors[i] for i in sigma)))
+            if inv is not None:
+                rows, e, d = inv
+                # M_s S v_j for the vectors off the basis
+                off = [(j, [sum(map(mul, row, ints[j])) for row in rows])
+                       for j in range(self.n) if j not in sigma]
+                bases.append((sigma, rows, e * scale, abs(d), off))
         fact = math.factorial(self.degree)
         for k in count(2):
-            c = [Q(1, k + j) for j in range(self.n)]
+            lcm = math.lcm(*range(k, k + self.n))
+            c = [lcm // (k + j) for j in range(self.n)]
             weighted = []
-            for sigma, inv, absdet in bases:
-                y = tuple(
-                    sum((c[i] * row[col] for i, row in zip(sigma, inv)), Q(0))
-                    for col in range(self.rank)
-                )
-                denom = fact * absdet
-                for j in range(self.n):
-                    if j not in sigma:
-                        denom *= vdot(y, self.vectors[j]) - c[j]
-                if denom == 0:
+            for sigma, rows, es, absdet, off in bases:
+                cs = [c[i] for i in sigma]
+                costs = math.prod(sum(map(mul, cs, col)) - es * c[j] for j, col in off)
+                if costs == 0:
                     break
-                weighted.append((inv, 1 / denom, y))
+                a = [sum(map(mul, cs, col)) for col in zip(*rows)]
+                weighted.append((rows, a, Q(scale**self.degree) / (fact * absdet * costs)))
             else:  # every reduced cost is nonzero
                 break
-        unit = [tuple(int(i == col) for i in range(self.rank)) for col in range(self.rank)]
-        table = []
-        for inv, weight, y in weighted:
-            form = {m: yc for m, yc in zip(unit, y) if yc != 0}
-            term = poly_const(weight, self.rank)
-            for _ in range(self.degree):
-                term = poly_mul(term, form)
-            table.append((inv, term))
-        return table
+        den = math.lcm(*(f.denominator for _, _, f in weighted))
+        entries = []
+        for rows, a, f in weighted:
+            mult = f.numerator * (den // f.denominator)
+            support = tuple(col for col, ac in enumerate(a) if ac)
+            entries.append((rows, {
+                m: mult * (fact // math.prod(map(math.factorial, m)))
+                * math.prod(ac**e for ac, e in zip(a, m) if e)
+                for m in _power_monomials(support, self.rank, self.degree)
+            }))
+        return entries, den
 
     def density(self, xi: Vec) -> Q:
         """Pushforward density at xi, relative to coordinate Lebesgue.
@@ -243,16 +270,32 @@ class VectorConfig:
 
     def sign_vector(self, xi: Vec) -> tuple[int, ...]:
         # u.xi has the sign of u.(D xi), D the common denominator of xi
-        scale = math.lcm(*(c.denominator for c in xi))
-        ints = [c.numerator * (scale // c.denominator) for c in xi]
+        ints = _ints(xi)
         dots = (sum(map(mul, u, ints)) for u in self.int_walls)
         return tuple((d > 0) - (d < 0) for d in dots)
 
 
+def _ints(v: Vec) -> list[int]:
+    """D v in ints, D the least common denominator of v's entries."""
+    scale = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (scale // c.denominator) for c in v]
+
+
+@lru_cache(maxsize=None)
+def _power_monomials(support: tuple[int, ...], rank: int, degree: int) -> tuple[tuple, ...]:
+    """The exponents of (sum of y_i x_i over i in support)^degree, in the
+    order in which successive products by that form first meet them."""
+    keys = ((0,) * rank,)
+    for _ in range(degree):
+        keys = tuple(dict.fromkeys(
+            tuple(e + (j == i) for j, e in enumerate(m)) for m in keys for i in support
+        ))
+    return keys
+
+
 def _primitive(v: Vec) -> Vec:
     """The primitive integer vector on the ray of v, leading entry positive."""
-    scale = math.lcm(*(c.denominator for c in v))
-    ints = [c.numerator * (scale // c.denominator) for c in v]
+    ints = _ints(v)
     g = math.gcd(*ints)
     if next(x for x in ints if x != 0) < 0:
         g = -g
@@ -385,12 +428,22 @@ class PiecewisePolynomial:
         return chamber
 
     def _vertex_sum(self, xi: Vec) -> Poly:
-        """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi."""
-        out: Poly = {}
-        for inv, term in self.config.vertex_table:
-            if all(vdot(row, xi) > 0 for row in inv):
-                out = poly_add(out, term)
-        return out
+        """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi:
+        the integer numerators of `VectorConfig.vertex_table` are added,
+        dropping a monomial whose sum reaches zero, and divided once by the
+        table denominator."""
+        entries, den = self.config.vertex_table
+        x = _ints(xi)
+        acc: IntPoly = {}
+        for rows, term in entries:
+            if all(sum(map(mul, row, x)) > 0 for row in rows):
+                for m, c in term.items():
+                    nc = acc.get(m, 0) + c
+                    if nc:
+                        acc[m] = nc
+                    else:
+                        del acc[m]
+        return {m: Q(c, den) for m, c in acc.items()}
 
     def _passes_check(self, chamber: Chamber) -> bool:
         """One exact check of a chamber against the fiber-polytope density."""

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .exact import (
     Mat,
@@ -25,20 +26,19 @@ from .exact import (
     Vec,
     as_q,
     det,
-    identity,
     inverse,
     lattice_points_in_ball,
     mat,
     mat_t,
-    matmul,
     matvec,
-    solve,
     vadd,
     vdot,
     vec,
     vscale,
     vzero,
 )
+
+IntMat = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "GroupSpec",
@@ -131,12 +131,6 @@ class AffineWeylElement:
     def act(self, v: Vec) -> Vec:
         return vadd(self.linear.act(v), self.translation)
 
-    def coset_label(self) -> Vec:
-        """Lattice vector labelling the left coset W.w, i.e. linear^{-1}(translation)."""
-        label = solve(self.linear.matrix, self.translation)
-        assert label is not None
-        return label
-
 
 @dataclass(frozen=True)
 class Alcove:
@@ -171,12 +165,11 @@ class RootSystem:
             tuple(Q(1 if i == j else 0) for j in range(self.rank))
             for i in range(self.rank)
         )
+        # the simple reflections s_i(v) = v - <v, alpha_i^vee> alpha_i, in ints
         self._reflections = tuple(
             tuple(
-                tuple(
-                    Q(1 if k == j else 0) - (self.cartan_matrix[i][j] if k == i else 0)
-                    for j in range(self.rank)
-                )
+                tuple(int(k == j) - (cartan_rows[i][j] if k == i else 0)
+                      for j in range(self.rank))
                 for k in range(self.rank)
             )
             for i in range(self.rank)
@@ -208,6 +201,7 @@ class RootSystem:
             + tuple(self._alcove_vertex(u) for u in inverse(self.gram))
         )
         self._weyl: tuple[WeylElement, ...] | None = None
+        self._weyl_actions: tuple[tuple[int, IntMat], ...] | None = None
         self._w0: WeylElement | None = None
 
     # -- inner products and pairings -------------------------------------
@@ -250,26 +244,24 @@ class RootSystem:
         """Coordinates of v in the coroot basis."""
         return matvec(self._coroot_basis_inv, v)
 
-    def in_integral_lattice(self, v: Vec) -> bool:
-        return all(c.denominator == 1 for c in self.lattice_coords(v))
-
     # -- roots -------------------------------------------------------------
 
     def _generate_positive_roots(self) -> tuple[Vec, ...]:
-        roots = set(self.simple_roots)
-        frontier = set(self.simple_roots)
+        """The reflection orbit of the simple roots, in ints, cut to the
+        nonnegative vectors and sorted by (height, coordinates)."""
+        roots = {tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)}
+        frontier = set(roots)
         while frontier:
             new = set()
             for r in frontier:
                 for refl in self._reflections:
-                    img = matvec(refl, r)
+                    img = tuple(sum(map(mul, row, r)) for row in refl)
                     if img not in roots:
                         new.add(img)
             roots |= new
             frontier = new
-        positive = [r for r in roots if all(c >= 0 for c in r)]
-        positive.sort(key=lambda r: (sum(r), r))
-        return tuple(positive)
+        positive = sorted((sum(r), r) for r in roots if min(r) >= 0)
+        return tuple(vec(r) for _, r in positive)
 
     def _alcove_vertex(self, u: Vec) -> Vec:
         h = self.ip(self.highest_root, u)
@@ -279,29 +271,43 @@ class RootSystem:
 
     def weyl_elements(self) -> tuple[WeylElement, ...]:
         if self._weyl is None:
-            self._weyl = self._generate_weyl()
+            self._generate_weyl()
         return self._weyl
 
-    def _generate_weyl(self) -> tuple[WeylElement, ...]:
-        seen = {identity(self.rank)}
-        frontier = [identity(self.rank)]
+    def weyl_actions(self) -> tuple[tuple[int, IntMat], ...]:
+        """(sign, matrix in Python ints) of each element of `weyl_elements`,
+        in the same order, for callers that act on integer vectors."""
+        if self._weyl_actions is None:
+            self._generate_weyl()
+        return self._weyl_actions
+
+    def _generate_weyl(self) -> None:
+        """Close the simple reflections under products, in ints.  The length
+        of an element is its number of inversions: positive roots it maps to
+        negative ones.  Elements sort by (length, matrix)."""
+        eye = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+        seen = {eye}
+        frontier = [eye]
         while frontier:
             new = []
             for m in frontier:
+                cols = tuple(zip(*m))
                 for refl in self._reflections:
-                    img = matmul(refl, m)
+                    img = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in refl)
                     if img not in seen:
                         seen.add(img)
                         new.append(img)
             frontier = new
-        elements = []
-        for m in seen:
-            inv_count = sum(
-                1 for r in self.positive_roots if all(c <= 0 for c in matvec(m, r))
-            )
-            elements.append(WeylElement(matrix=m, length=inv_count))
-        elements.sort(key=lambda w: (w.length, w.matrix))
-        return tuple(elements)
+        roots = [tuple(map(int, r)) for r in self.positive_roots]
+        ranked = sorted(
+            (sum(1 for r in roots if all(sum(map(mul, row, r)) <= 0 for row in m)), m)
+            for m in seen
+        )
+        self._weyl_actions = tuple((-1 if n % 2 else 1, m) for n, m in ranked)
+        self._weyl = tuple(
+            WeylElement(matrix=tuple(tuple(Q(x) for x in row) for row in m), length=n)
+            for n, m in ranked
+        )
 
     @property
     def w0(self) -> WeylElement:

@@ -251,7 +251,7 @@ def sphere_volume_kappa(
         radius_sq = bound_sq
     lattice = _lattice_ball_for(rs, mus[-1], radius_sq)
 
-    total = _kappa_sum(spline, rs.weyl_elements(), mus, lattice)
+    total = _kappa_sum(spline, rs.weyl_actions(), mus, lattice)
     rational = (-1) ** rs.n_positive * rs.center_order * total
     value = float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
     return VolumeReport(
@@ -286,16 +286,16 @@ def _extend(walls, v) -> tuple[int, ...]:
     return (*v, *(sum(map(mul, u, v)) for u in walls))
 
 
-def _weyl_fold(weyl, walls, slots: list, columns: int = 1) -> dict[tuple[int, ...], int]:
+def _weyl_fold(actions, walls, slots: list, columns: int = 1) -> dict[tuple[int, ...], int]:
     """{w_1 s_1 + ... + w_k s_k: summed sign of the tuple} over Weyl tuples
-    (w_1..w_k), each slot s_j an integer matrix given by its `columns`
-    columns; a sum is flattened column after column, each column extended
-    (`_extend`).  The images are folded one slot at a time into a dict from
-    partial sum to signed coefficient.  A dict keeps first insertion, so
-    the sums are met in the order (w_1, ..., w_k) of the term-by-term sum;
-    merged coefficients may be zero.
+    (w_1..w_k), the group given by its (sign, integer matrix) pairs
+    (`RootSystem.weyl_actions`), each slot s_j an integer matrix given by
+    its `columns` columns; a sum is flattened column after column, each
+    column extended (`_extend`).  The images are folded one slot at a time
+    into a dict from partial sum to signed coefficient.  A dict keeps first
+    insertion, so the sums are met in the order (w_1, ..., w_k) of the
+    term-by-term sum; merged coefficients may be zero.
     """
-    actions = [(w.sign, [[int(x) for x in row] for row in w.matrix]) for w in weyl]
     folded = {(0,) * columns * (len(actions[0][1]) + len(walls)): 1}
     for cols in slots:
         images = []
@@ -313,7 +313,7 @@ def _weyl_fold(weyl, walls, slots: list, columns: int = 1) -> dict[tuple[int, ..
     return folded
 
 
-def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
+def _kappa_arguments(config, actions, mus: list[Vec], lattice: list[Vec]):
     """Yield (x, dots, coef) for the kappa arguments of the lattice sum
     over l in lattice and Weyl tuples (w_1..w_k), b = k + 1: x is
     D (w_1 mu_1 + ... + w_k mu_k + mu_b + l) in Python ints, D the common
@@ -331,7 +331,7 @@ def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
     rank, walls = config.rank, config.int_walls
     scale = _common_denominator(mus)
     *imaged, last = (_scaled(m, scale) for m in mus)
-    folded = _weyl_fold(weyl, walls, [[m] for m in imaged])
+    folded = _weyl_fold(actions, walls, [[m] for m in imaged])
     entries = [(p[:rank], p[rank:], coef) for p, coef in folded.items()]
 
     orthant = config.orthant_support
@@ -345,7 +345,7 @@ def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
             yield x, tuple(map(add, tail_dots, p_dots)), coef
 
 
-def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
+def _kappa_sum(spline, actions, mus: list[Vec], lattice: list[Vec]) -> Q:
     """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
     the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
 
@@ -363,7 +363,7 @@ def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
     positive = (0).__lt__
     # side of the walls -> (chamber polynomial, arguments, coefficients)
     groups: dict[tuple[bool, ...], tuple[Poly, list, list]] = {}
-    for x, dots, coef in _kappa_arguments(spline.config, weyl, mus, lattice):
+    for x, dots, coef in _kappa_arguments(spline.config, actions, mus, lattice):
         if 0 in dots:
             if not spline.degree:  # raises OnWallError
                 spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
@@ -461,11 +461,12 @@ class _AffinePants:
         walls = self.spline.config.int_walls
         width = rank + len(walls)
         unit = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        columns = {NU: unit, STAR_NU: [[-int(x) for x in col] for col in zip(*rs.w0.matrix)]}
+        _, w0 = rs.weyl_actions()[-1]  # the longest element sorts last
+        columns = {NU: unit, STAR_NU: [[-x for x in col] for col in zip(*w0)]}
         *imaged, last = self.slots
-        fixed = _weyl_fold(rs.weyl_elements(), walls,
+        fixed = _weyl_fold(rs.weyl_actions(), walls,
                            [[_scaled(s, scale)] for s in imaged if not isinstance(s, str)])
-        varying = _weyl_fold(rs.weyl_elements(), walls,
+        varying = _weyl_fold(rs.weyl_actions(), walls,
                              [columns[s] for s in imaged if isinstance(s, str)], rank)
         if isinstance(last, str):  # the last slot joins every term as it is
             tail = (0,) * rank
@@ -545,7 +546,7 @@ class PantsVolumePoly(_AffinePants):
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, same units as pants_volume_kappa.exact."""
         mus = [self.mu1, self.mu2, mu3]
-        return self.prefactor * _kappa_sum(self.spline, self.rs.weyl_elements(), mus,
+        return self.prefactor * _kappa_sum(self.spline, self.rs.weyl_actions(), mus,
                                            self.lattice)
 
     def value(self, mu3: Vec) -> float:
@@ -559,7 +560,7 @@ class PantsVolumePoly(_AffinePants):
         coincidences there do not make mu3 non-regular.
         """
         mus = [self.mu1, self.mu2, mu3]
-        arguments = _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus,
+        arguments = _kappa_arguments(self.spline.config, self.rs.weyl_actions(), mus,
                                      self.lattice)
         return any(0 in dots for _, dots, _ in arguments)
 

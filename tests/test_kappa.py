@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction as Q
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from flatvol import (
 )
 from flatvol.kappa import DegenerateArrangementError, VectorConfig, PiecewisePolynomial
 from flatvol.liecore import _SUPPORTED
-from flatvol.poly import poly_eval, poly_subs_affine
-from flatvol.exact import nullspace, vdot
+from flatvol.poly import poly_add, poly_const, poly_eval, poly_mul, poly_subs_affine
+from flatvol.exact import inverse_det, mat_t, nullspace, vdot
 
 
 def test_a1_value_and_wall(a1):
@@ -66,6 +67,64 @@ def test_spline_equals_fiber_volumes(name, multiplicity):
             continue
         assert spline.value_exact(xi) == kappa_point(rs, xi, multiplicity).rational
         checked += 1
+
+
+def reference_vertex_sum(cfg, xi):
+    """Lawrence's vertex formula term by term in Fractions: a Fraction
+    inverse and feasibility test per basis, and w_s y_s^d as d successive
+    products by the linear form y_s, with the same objective c_j = 1/(k+j)
+    (least k >= 2 with every reduced cost nonzero) as the spline."""
+    bases = []
+    for sigma in combinations(range(cfg.n), cfg.rank):
+        inv_det = inverse_det(mat_t(tuple(cfg.vectors[i] for i in sigma)))
+        if inv_det is not None:
+            bases.append((sigma, *inv_det))
+    for k in count(2):
+        c = [Q(1, k + j) for j in range(cfg.n)]
+        terms = []
+        for sigma, inv, d in bases:
+            y = [sum((c[i] * row[col] for i, row in zip(sigma, inv)), Q(0))
+                 for col in range(cfg.rank)]
+            costs = [c[j] - vdot(y, cfg.vectors[j]) for j in range(cfg.n) if j not in sigma]
+            if 0 in costs:
+                break
+            weight = 1 / (math.factorial(cfg.degree) * abs(d) * math.prod(-g for g in costs))
+            terms.append((inv, weight, y))
+        else:
+            break
+    out = {}
+    for inv, weight, y in terms:
+        if all(vdot(row, xi) > 0 for row in inv):
+            form = {tuple(int(i == col) for i in range(cfg.rank)): yc
+                    for col, yc in enumerate(y) if yc}
+            term = poly_const(weight, cfg.rank)
+            for _ in range(cfg.degree):
+                term = poly_mul(term, form)
+            out = poly_add(out, term)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,multiplicity",
+    [("A2", 1), ("A2", 2), ("A2", 3), ("B2", 1), ("B2", 2), ("G2", 1), ("G2", 2), ("A3", 1)],
+    ids=["A2", "A2x2", "A2x3", "B2", "B2x2", "G2", "G2x2", "A3"],
+)
+def test_integer_vertex_table_matches_reference_sum(name, multiplicity):
+    """The integer vertex table and one-denominator vertex sums give every
+    chamber polynomial of the Fraction vertex formula, coefficient by
+    coefficient and in the same monomial order."""
+    rs = build_root_system(name)
+    spline = kappa_build(rs, multiplicity)
+    if rs.rank == 2:
+        points = [ch.sample_point for ch in spline.enumerate_support_chambers()]
+    else:
+        grid = [vec(p) for p in [(1, 2, 3), (3, 2, 1), (2, 3, 2), (1, 1, 3), (4, 1, 2), (1, 4, 2),
+                                    (5, 3, 1), (2, 5, 4)]]
+        points = [xi for xi in grid if not spline.on_wall(xi)]
+    assert points
+    for xi in points:
+        poly = spline.chamber_polynomial_at(xi)
+        assert list(poly.items()) == list(reference_vertex_sum(spline.config, xi).items())
 
 
 def test_spline_slow_types_smoke():

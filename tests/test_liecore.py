@@ -1,5 +1,9 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -15,8 +19,8 @@ from flatvol import (
     volume_G,
     weyl_group,
 )
-from flatvol.exact import lattice_points_in_ball, vec
-from flatvol.liecore import alcove_barycenter
+from flatvol.exact import det, identity, lattice_points_in_ball, matmul, matvec, solve, vec
+from flatvol.liecore import RootSystem, alcove_barycenter
 
 SUPPORTED = {
     # name: (positive roots, Weyl order, center order)
@@ -40,6 +44,66 @@ def test_root_system_counts(name):
     assert len(weyl_group(rs)) == worder
     assert rs.center_order == center
     assert (rs.dim_g - rs.rank) // 2 == npos
+
+
+def reference_weyl(rs):
+    """The Weyl group generated in Fractions: close the simple reflections
+    under products, count inversions, sort by (length, matrix)."""
+    refl = [
+        tuple(tuple(Q(int(k == j)) - (rs.cartan_matrix[i][j] if k == i else 0)
+                    for j in range(rs.rank)) for k in range(rs.rank))
+        for i in range(rs.rank)
+    ]
+    seen = {identity(rs.rank)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for m in frontier:
+            for r in refl:
+                img = matmul(r, m)
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return sorted(
+        (sum(all(c <= 0 for c in matvec(m, r)) for r in rs.positive_roots), m) for m in seen
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTED))
+def test_integer_weyl_group(name):
+    """The Weyl group generated in ints has the elements, lengths and order
+    of the Fraction generation, and its cached integer actions are the
+    matrices with their determinants as signs."""
+    rs = RootSystem(GroupSpec.parse(name))
+    weyl = rs.weyl_elements()
+    assert len(weyl) == SUPPORTED[name][1]
+    assert [(w.length, w.matrix) for w in weyl] == reference_weyl(rs)
+    assert all(type(x) is Q for w in weyl for row in w.matrix for x in row)
+    actions = rs.weyl_actions()
+    assert len(actions) == len(weyl)
+    for (sign, m), w in zip(actions, weyl):
+        assert m == w.matrix and all(type(x) is int for row in m for x in row)
+        assert sign == det(m) == w.sign
+
+
+# sha256 of each FLATVOL_CACHE file written by the command, from a fresh cache
+CACHE_DIGESTS = [
+    (("G2", "1/8,1/5", "1/9,1/7", "1/7,1/6"),
+     "kappa_G2.json", "c6beb200a8e192ac039782669b27ec3e010043c29aa934e15ffaaa2a5e1f54de"),
+    (("A3", "1/5,1/7,1/9", "1/6,1/8,1/7", "1/9,1/5,1/8"),
+     "kappa_A3.json", "5980d12ffdfc3b2531093ea1081b996d28491dd571b758169c59dc96ef2857c8"),
+]
+
+
+@pytest.mark.parametrize("args,name,digest", CACHE_DIGESTS, ids=["G2", "A3"])
+def test_spline_cache_bytes_pinned(tmp_path, args, name, digest):
+    env = dict(os.environ, FLATVOL_CACHE=str(tmp_path))
+    r = subprocess.run([sys.executable, "-m", "flatvol.cli", "volume", *args],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert os.listdir(tmp_path) == [name]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORTED))
@@ -133,7 +197,8 @@ def test_enumerate_waff_positive_counts(a1, a2):
     assert len(els) == 1 and els[0].linear.length == 0
     els = enumerate_waff_positive(a1, 2)
     assert len(els) == 3
-    labels = sorted(e.coset_label() for e in els)
+    # the coset W.w is labelled by the lattice vector linear^-1(translation)
+    labels = sorted(solve(e.linear.matrix, e.translation) for e in els)
     assert labels == [(-1,), (0,), (1,)]
     # count equals the brute-force lattice-point count in the ball
     for rs, r2 in [(a1, Q(8)), (a2, Q(6))]:
@@ -154,10 +219,10 @@ def test_waff_positive_elements_map_alcove_into_chamber(a2):
 def test_waff_representatives_unique_per_coset(a2):
     seen = set()
     for aff in enumerate_waff_positive(a2, 8):
-        label = aff.coset_label()
+        label = solve(aff.linear.matrix, aff.translation)
         assert label not in seen
         seen.add(label)
-        assert a2.in_integral_lattice(aff.translation)
+        assert all(c.denominator == 1 for c in a2.lattice_coords(aff.translation))
 
 
 def test_covolume(a1, a2):
