@@ -15,11 +15,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .exact import Q, Vec, vadd, vec
+from .exact import Q, Vec, common_denominator, scaled, vadd, vec
 from .kappa import OnWallError
 from .liecore import RootSystem
 
@@ -91,12 +91,13 @@ def character_table(rs: RootSystem, lam_rho: np.ndarray, mu: Vec) -> np.ndarray:
     den = 0.0 + 0.0j
     rho_f = np.array([float(c) for c in rs.rho])
     grho = gram @ rho_f
-    for sign, m in rs.weyl_actions():
-        wm = np.array(m, dtype=float)
+    weyl = rs.weyl_elements()
+    for w in weyl:
+        wm = np.array(w.matrix, dtype=float)
         wl, wr = lam_rho @ wm.T, wm @ rho_f
-        num += sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
-        den += sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
-    if abs(den) < 1e-12 * len(rs.weyl_actions()):
+        num += w.sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
+        den += w.sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
+    if abs(den) < 1e-12 * len(weyl):
         raise OnWallError("marking is not regular; character table undefined")
     return num / den
 
@@ -129,8 +130,8 @@ def _shifted_norms(rs: RootSystem, casimir_cutoff):
     gram_w = [
         [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
     ]
-    g = math.lcm(*(x.denominator for row in gram_w for x in row))
-    gram = [[int(x * g) for x in row] for row in gram_w]
+    g = common_denominator(chain.from_iterable(gram_w))
+    gram = [scaled(row, g) for row in gram_w]
     limit = math.floor(cutoff * g)
     last = rs.rank - 1
     v = [1] * rs.rank  # lambda + rho in fundamental-weight coordinates

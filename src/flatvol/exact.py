@@ -3,6 +3,11 @@
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  All
 routines are exact; no floats enter until a caller asks for them.
 
+Rationals are put over one denominator by two helpers, used wherever
+the package moves to integer arithmetic: `common_denominator` is the lcm
+of their denominators, and `scaled` multiplies them by such a multiple
+into Python ints.
+
 Every linear-algebra result is read from one fraction-free elimination
 (Bareiss's integer-preserving Gaussian elimination, Math. Comp. 22,
 1968): each row is scaled to Python ints by the lcm of its denominators,
@@ -84,15 +89,25 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
+def common_denominator(xs: Iterable[Q | int]) -> int:
+    """The least common denominator of rationals (1 when there are none)."""
+    return math.lcm(*(x.denominator for x in xs))
+
+
+def scaled(xs: Iterable[Q | int], scale: int) -> list[int]:
+    """scale * x in ints for each x, scale a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
 def _int_rows(rows: Iterable[Sequence[Q | int]]) -> tuple[list[list[int]], int]:
     """Each row scaled to ints by the lcm of its denominators, and the
     product of those scales."""
     m = []
     scale = 1
     for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
+        s = common_denominator(row)
         scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in row])
+        m.append(scaled(row, s))
     return m, scale
 
 
@@ -243,8 +258,8 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[Vec]:
     if radius_sq < 0:
         return []
     bounds = [math.isqrt(math.floor(radius_sq * g)) for g in _inverse_diagonal(gram)]
-    scale = math.lcm(*(x.denominator for row in gram for x in row))
-    igram = [[int(x * scale) for x in row] for row in gram]
+    scale = common_denominator(itertools.chain.from_iterable(gram))
+    igram = [scaled(row, scale) for row in gram]
     limit = math.floor(radius_sq * scale)
     return [
         vec(n)

@@ -23,11 +23,11 @@ from bisect import bisect_right
 from functools import cached_property
 from operator import mul
 
-from .exact import Q, det, vsub
+from .exact import Q, common_denominator, det, scaled, vsub
 from .kappa import OnWallError, kappa_build
 from .liecore import RootSystem
 from .poly import Poly, poly_add, poly_scale
-from .moduli import _AffinePants, _affine_sum, _common_denominator, _scaled
+from .moduli import _AffinePants, _affine_sum
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
 
@@ -162,7 +162,7 @@ def _alcove_corners(rs: RootSystem) -> list[tuple[int, ...]]:
     verts = list(rs.alcove.vertices)
     if rs.rank == 2 and det([vsub(v, verts[0]) for v in verts[1:]]) < 0:
         verts.reverse()
-    return [_point(_scaled(v, d), d) for v in verts for d in [_common_denominator([v])]]
+    return [_point(scaled(v, d), d) for v in verts for d in [common_denominator(v)]]
 
 
 def _primitive_line(a, k: int) -> tuple[int, ...]:
@@ -276,8 +276,8 @@ def _jump_across(jumps: dict, key) -> Poly:
 
 def _as_ints(poly: Poly) -> tuple[dict, int]:
     """An integer polynomial and a denominator with the given quotient."""
-    den = math.lcm(*(c.denominator for c in poly.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in poly.items()}, den
+    den = common_denominator(poly.values())
+    return dict(zip(poly, scaled(poly.values(), den))), den
 
 
 def _cone_integral(factors: list[tuple[dict, int]], points: tuple) -> Q:

@@ -30,11 +30,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from operator import mul, sub
 
 from .exact import (
-    Q, Vec, _eliminate, det, mat_t, nullspace, pivot_columns, scaled_inverse, solve, vec,
+    Q, Vec, _eliminate, common_denominator, det, mat_t, nullspace, pivot_columns, scaled,
+    scaled_inverse, solve, vec,
 )
 from .liecore import RootSystem
 from .poly import (
@@ -112,8 +113,8 @@ def _polytope_volume(verts: list[Vec], facets: list[frozenset[int]], dim: int) -
         memo[vset] = out
         return out
 
-    scale = math.lcm(*(c.denominator for v in verts for c in v))
-    points = [[c.numerator * (scale // c.denominator) for c in v] for v in verts]
+    scale = common_denominator(chain.from_iterable(verts))
+    points = [scaled(v, scale) for v in verts]
     total = 0
     for simplex in simplices(frozenset(range(len(verts)))):
         if len(simplex) != dim + 1:
@@ -137,16 +138,18 @@ class VectorConfig:
     Precomputes the data needed to evaluate the pushforward density of
     the orthant measure: the free columns that coordinatize each fiber,
     the change-of-variables factor, and the wall hyperplanes (spans of
-    corank-one subsets).
+    corank-one subsets) by their primitive integer normals.
     """
 
-    def __init__(self, vectors: list[Vec], det_gram: Q, orthant_support: bool = False):
+    def __init__(self, vectors: list[Vec], det_gram: Q):
         self.vectors = [vec(v) for v in vectors]
         self.rank = len(self.vectors[0])
         self.n = len(self.vectors)
         self.det_gram = det_gram
         self.degree = self.n - self.rank
-        self.orthant_support = orthant_support
+        # nonnegative vectors push the orthant into the orthant: a point
+        # with a negative coordinate has density 0, without any computation
+        self.orthant_support = all(c >= 0 for v in self.vectors for c in v)
         # the fiber over xi is coordinatized by x_F, F the non-pivot columns
         # of the row-reduced configuration; x_P then follows, P the pivots,
         # and the Jacobian of x -> (sum_i x_i v_i, x_F) is 1/|det A_P|
@@ -155,8 +158,6 @@ class VectorConfig:
         self._free = tuple(j for j in range(self.n) if j not in pivots)
         self._jacobian = 1 / abs(det(tuple(self.vectors[j] for j in pivots)))
         self.walls = self._wall_functionals()
-        # the same normals in Python ints, for exact integer dot products
-        self.int_walls = [tuple(int(c) for c in u) for u in self.walls]
         # a fixed direction off every wall: a point on a wall is read in the
         # chamber this direction points to, on the side nudge_signs gives
         self.nudge = tuple(Q(1, (i + 1) ** (i + 1)) for i in range(self.rank))
@@ -164,11 +165,9 @@ class VectorConfig:
         if 0 in self.nudge_signs:
             raise DegenerateArrangementError(f"nudge direction {self.nudge} lies on a wall")
 
-    def _wall_functionals(self) -> list[Vec]:
+    def _wall_functionals(self) -> list[tuple[int, ...]]:
         """Primitive integer normals of hyperplanes spanned by subsets."""
-        walls: set[Vec] = set()
-        if self.rank == 1:
-            return [(Q(1),)]
+        walls: set[tuple[int, ...]] = set()
         distinct = sorted(set(self.vectors))
         for subset in combinations(distinct, self.rank - 1):
             ns = nullspace([tuple(v) for v in subset], self.rank)
@@ -201,8 +200,8 @@ class VectorConfig:
         the order in which d successive products by y_s first meet the
         monomials.
         """
-        scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
-        ints = [[c.numerator * (scale // c.denominator) for c in v] for v in self.vectors]
+        scale = common_denominator(chain.from_iterable(self.vectors))
+        ints = [scaled(v, scale) for v in self.vectors]
         bases = []
         for sigma in combinations(range(self.n), self.rank):
             inv = scaled_inverse(mat_t(tuple(self.vectors[i] for i in sigma)))
@@ -226,10 +225,10 @@ class VectorConfig:
                 weighted.append((rows, a, Q(scale**self.degree) / (fact * absdet * costs)))
             else:  # every reduced cost is nonzero
                 break
-        den = math.lcm(*(f.denominator for _, _, f in weighted))
+        fs = [f for *_, f in weighted]
+        den = common_denominator(fs)
         entries = []
-        for rows, a, f in weighted:
-            mult = f.numerator * (den // f.denominator)
+        for (rows, a, _), mult in zip(weighted, scaled(fs, den)):
             support = tuple(col for col, ac in enumerate(a) if ac)
             entries.append((rows, {
                 m: mult * (fact // math.prod(map(math.factorial, m)))
@@ -258,11 +257,12 @@ class VectorConfig:
             for j, c in zip(basis, xb):
                 x[j] = c
             found[tuple(x[j] for j in self._free)] = x
-        coords = sorted(found)
+        vertices = sorted(found.items())  # the keys are distinct
         facets = [
-            frozenset(k for k, y in enumerate(coords) if found[y][i] == 0)
+            frozenset(k for k, (_, x) in enumerate(vertices) if x[i] == 0)
             for i in range(self.n)
         ]
+        coords = [y for y, _ in vertices]
         return self._jacobian * _polytope_volume(coords, facets, self.degree)
 
     def on_wall(self, xi: Vec) -> bool:
@@ -270,15 +270,9 @@ class VectorConfig:
 
     def sign_vector(self, xi: Vec) -> tuple[int, ...]:
         # u.xi has the sign of u.(D xi), D the common denominator of xi
-        ints = _ints(xi)
-        dots = (sum(map(mul, u, ints)) for u in self.int_walls)
+        ints = scaled(xi, common_denominator(xi))
+        dots = (sum(map(mul, u, ints)) for u in self.walls)
         return tuple((d > 0) - (d < 0) for d in dots)
-
-
-def _ints(v: Vec) -> list[int]:
-    """D v in ints, D the least common denominator of v's entries."""
-    scale = math.lcm(*(c.denominator for c in v))
-    return [c.numerator * (scale // c.denominator) for c in v]
 
 
 @lru_cache(maxsize=None)
@@ -293,24 +287,20 @@ def _power_monomials(support: tuple[int, ...], rank: int, degree: int) -> tuple[
     return keys
 
 
-def _primitive(v: Vec) -> Vec:
+def _primitive(v: Vec) -> tuple[int, ...]:
     """The primitive integer vector on the ray of v, leading entry positive."""
-    ints = _ints(v)
+    ints = scaled(v, common_denominator(v))
     g = math.gcd(*ints)
     if next(x for x in ints if x != 0) < 0:
         g = -g
-    return vec(x // g for x in ints)
+    return tuple(x // g for x in ints)
 
 
 def _root_config(rs: RootSystem, multiplicity: int = 1) -> VectorConfig:
     key = ("_config", multiplicity)
     cache = rs.__dict__.setdefault("_kappa_configs", {})
     if key not in cache:
-        cache[key] = VectorConfig(
-            list(rs.positive_roots) * multiplicity,
-            det_gram=rs.det_gram,
-            orthant_support=True,
-        )
+        cache[key] = VectorConfig(list(rs.positive_roots) * multiplicity, det_gram=rs.det_gram)
     return cache[key]
 
 
@@ -433,7 +423,7 @@ class PiecewisePolynomial:
         dropping a monomial whose sum reaches zero, and divided once by the
         table denominator."""
         entries, den = self.config.vertex_table
-        x = _ints(xi)
+        x = scaled(xi, common_denominator(xi))
         acc: IntPoly = {}
         for rows, term in entries:
             if all(sum(map(mul, row, x)) > 0 for row in rows):
@@ -589,11 +579,6 @@ class SymmetricPoly:
             raise ValueError(f"e_{index} undefined in {nvars} variables")
         m = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls({m: Q(1)}, nvars)
-
-    def degree(self) -> int:
-        return max(
-            (sum((i + 1) * e for i, e in enumerate(m)) for m in self.terms), default=0
-        )
 
     def expand_monomials(self, nvars: int) -> Poly:
         """Expand into x-monomials, in `nvars` variables (>= self.nvars)."""

@@ -9,7 +9,8 @@ as e^{2*pi*i*<lambda, mu>}.
 
 Irrational scalars appear in exactly two places: the covolume of the
 coroot lattice (sqrt of a rational determinant) and the Riemannian volume
-of the group.  Everything else is a Fraction.
+of the group.  Everything else is a Fraction, except the integer objects:
+the Weyl group is stored once, as integer matrices.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Orthogonal action on simple-root coordinates plus its length."""
+    """Orthogonal action on simple-root coordinates, an integer matrix,
+    plus its length."""
 
-    matrix: Mat
+    matrix: IntMat
     length: int
 
     @property
@@ -201,7 +203,6 @@ class RootSystem:
             + tuple(self._alcove_vertex(u) for u in inverse(self.gram))
         )
         self._weyl: tuple[WeylElement, ...] | None = None
-        self._weyl_actions: tuple[tuple[int, IntMat], ...] | None = None
         self._w0: WeylElement | None = None
 
     # -- inner products and pairings -------------------------------------
@@ -274,13 +275,6 @@ class RootSystem:
             self._generate_weyl()
         return self._weyl
 
-    def weyl_actions(self) -> tuple[tuple[int, IntMat], ...]:
-        """(sign, matrix in Python ints) of each element of `weyl_elements`,
-        in the same order, for callers that act on integer vectors."""
-        if self._weyl_actions is None:
-            self._generate_weyl()
-        return self._weyl_actions
-
     def _generate_weyl(self) -> None:
         """Close the simple reflections under products, in ints.  The length
         of an element is its number of inversions: positive roots it maps to
@@ -303,11 +297,7 @@ class RootSystem:
             (sum(1 for r in roots if all(sum(map(mul, row, r)) <= 0 for row in m)), m)
             for m in seen
         )
-        self._weyl_actions = tuple((-1 if n % 2 else 1, m) for n, m in ranked)
-        self._weyl = tuple(
-            WeylElement(matrix=tuple(tuple(Q(x) for x in row) for row in m), length=n)
-            for n, m in ranked
-        )
+        self._weyl = tuple(WeylElement(matrix=m, length=n) for n, m in ranked)
 
     @property
     def w0(self) -> WeylElement:

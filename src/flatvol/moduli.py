@@ -50,7 +50,9 @@ from .characters import (
     character_table,
     singular_order,
 )
-from .exact import Q, Vec, lattice_points_in_ball, vadd, vsub, vzero
+from .exact import (
+    Q, Vec, common_denominator, lattice_points_in_ball, scaled, vadd, vsub, vzero,
+)
 from .kappa import (
     OnWallError,
     SymmetricPoly,
@@ -251,7 +253,7 @@ def sphere_volume_kappa(
         radius_sq = bound_sq
     lattice = _lattice_ball_for(rs, mus[-1], radius_sq)
 
-    total = _kappa_sum(spline, rs.weyl_actions(), mus, lattice)
+    total = _kappa_sum(spline, rs.weyl_elements(), mus, lattice)
     rational = (-1) ** rs.n_positive * rs.center_order * total
     value = float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
     return VolumeReport(
@@ -271,39 +273,30 @@ def sphere_volume_kappa(
     )
 
 
-def _common_denominator(mus: list[Vec]) -> int:
-    return math.lcm(*(c.denominator for m in mus for c in m))
-
-
-def _scaled(v: Vec, scale: int) -> list[int]:
-    """scale * v in ints, for a multiple scale of v's denominators."""
-    return [c.numerator * (scale // c.denominator) for c in v]
-
-
 def _extend(walls, v) -> tuple[int, ...]:
     """The coordinates of v, then its dot products with the wall normals;
     both are linear, so sums of extended vectors stay extended."""
     return (*v, *(sum(map(mul, u, v)) for u in walls))
 
 
-def _weyl_fold(actions, walls, slots: list, columns: int = 1) -> dict[tuple[int, ...], int]:
+def _weyl_fold(weyl, walls, slots: list, columns: int = 1) -> dict[tuple[int, ...], int]:
     """{w_1 s_1 + ... + w_k s_k: summed sign of the tuple} over Weyl tuples
-    (w_1..w_k), the group given by its (sign, integer matrix) pairs
-    (`RootSystem.weyl_actions`), each slot s_j an integer matrix given by
-    its `columns` columns; a sum is flattened column after column, each
-    column extended (`_extend`).  The images are folded one slot at a time
-    into a dict from partial sum to signed coefficient.  A dict keeps first
+    (w_1..w_k), w_j ranging over `weyl` (`RootSystem.weyl_elements`, whose
+    matrices are integer), each slot s_j an integer matrix given by its
+    `columns` columns; a sum is flattened column after column, each column
+    extended (`_extend`).  The images are folded one slot at a time into a
+    dict from partial sum to signed coefficient.  A dict keeps first
     insertion, so the sums are met in the order (w_1, ..., w_k) of the
     term-by-term sum; merged coefficients may be zero.
     """
-    folded = {(0,) * columns * (len(actions[0][1]) + len(walls)): 1}
+    folded = {(0,) * columns * (len(weyl[0].matrix) + len(walls)): 1}
     for cols in slots:
         images = []
-        for s, a in actions:
+        for w in weyl:
             img: tuple[int, ...] = ()
             for col in cols:
-                img += _extend(walls, [sum(map(mul, row, col)) for row in a])
-            images.append((s, img))
+                img += _extend(walls, [sum(map(mul, row, col)) for row in w.matrix])
+            images.append((w.sign, img))
         nxt: dict[tuple[int, ...], int] = {}
         for p, coef in folded.items():
             for s, img in images:
@@ -313,7 +306,7 @@ def _weyl_fold(actions, walls, slots: list, columns: int = 1) -> dict[tuple[int,
     return folded
 
 
-def _kappa_arguments(config, actions, mus: list[Vec], lattice: list[Vec]):
+def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
     """Yield (x, dots, coef) for the kappa arguments of the lattice sum
     over l in lattice and Weyl tuples (w_1..w_k), b = k + 1: x is
     D (w_1 mu_1 + ... + w_k mu_k + mu_b + l) in Python ints, D the common
@@ -328,10 +321,10 @@ def _kappa_arguments(config, actions, mus: list[Vec], lattice: list[Vec]):
     zero.  Arguments with a negative coordinate, outside the support cone,
     are skipped.
     """
-    rank, walls = config.rank, config.int_walls
-    scale = _common_denominator(mus)
-    *imaged, last = (_scaled(m, scale) for m in mus)
-    folded = _weyl_fold(actions, walls, [[m] for m in imaged])
+    rank, walls = config.rank, config.walls
+    scale = common_denominator(chain.from_iterable(mus))
+    *imaged, last = (scaled(m, scale) for m in mus)
+    folded = _weyl_fold(weyl, walls, [[m] for m in imaged])
     entries = [(p[:rank], p[rank:], coef) for p, coef in folded.items()]
 
     orthant = config.orthant_support
@@ -345,7 +338,7 @@ def _kappa_arguments(config, actions, mus: list[Vec], lattice: list[Vec]):
             yield x, tuple(map(add, tail_dots, p_dots)), coef
 
 
-def _kappa_sum(spline, actions, mus: list[Vec], lattice: list[Vec]) -> Q:
+def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
     """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
     the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
 
@@ -358,12 +351,12 @@ def _kappa_sum(spline, actions, mus: list[Vec], lattice: list[Vec]) -> Q:
     order; it is then evaluated once over its group.  At degree 0 kappa
     jumps on a wall, and the first argument on one raises OnWallError.
     """
-    scale = _common_denominator(mus)
+    scale = common_denominator(chain.from_iterable(mus))
     nudge = spline.config.nudge_signs
     positive = (0).__lt__
     # side of the walls -> (chamber polynomial, arguments, coefficients)
     groups: dict[tuple[bool, ...], tuple[Poly, list, list]] = {}
-    for x, dots, coef in _kappa_arguments(spline.config, actions, mus, lattice):
+    for x, dots, coef in _kappa_arguments(spline.config, weyl, mus, lattice):
         if 0 in dots:
             if not spline.degree:  # raises OnWallError
                 spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
@@ -405,10 +398,10 @@ def _scaled_poly_sum(poly: Poly, xs: list, coefs: list[int], scale: int) -> Q:
     if not poly or not xs:
         return Q(0)
     degree = max(sum(m) for m in poly)
-    den = math.lcm(*(c.denominator for c in poly.values()))
+    den = common_denominator(poly.values())
     moments = _moments(xs, coefs, poly)
-    acc = sum(c.numerator * (den // c.denominator) * scale ** (degree - sum(m)) * moments[m]
-              for m, c in poly.items())
+    acc = sum(c * scale ** (degree - sum(m)) * moments[m]
+              for m, c in zip(poly, scaled(poly.values(), den)))
     return Q(acc, den * scale**degree)
 
 
@@ -447,7 +440,7 @@ class _AffinePants:
         self.slots = slots
         self.spline = kappa_build(rs, 1)
         self.prefactor = (-1) ** rs.n_positive * rs.center_order
-        self.scale = _common_denominator([s for s in slots if not isinstance(s, str)])
+        self.scale = common_denominator(c for s in slots if not isinstance(s, str) for c in s)
         # nonzero terms have |slot_b + l| <= sum of the other slot norms
         self.lattice = _lattice_ball_for(rs, slots[-1], _support_bound_sq(rs, slots))
 
@@ -458,21 +451,20 @@ class _AffinePants:
         of the lattice sum with the Weyl elements of the fixed slots first;
         merged coefficients may be zero."""
         rs, rank, scale = self.rs, self.rs.rank, self.scale
-        walls = self.spline.config.int_walls
+        walls = self.spline.config.walls
         width = rank + len(walls)
         unit = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        _, w0 = rs.weyl_actions()[-1]  # the longest element sorts last
-        columns = {NU: unit, STAR_NU: [[-x for x in col] for col in zip(*w0)]}
+        columns = {NU: unit, STAR_NU: [[-x for x in col] for col in zip(*rs.w0.matrix)]}
         *imaged, last = self.slots
-        fixed = _weyl_fold(rs.weyl_actions(), walls,
-                           [[_scaled(s, scale)] for s in imaged if not isinstance(s, str)])
-        varying = _weyl_fold(rs.weyl_actions(), walls,
+        fixed = _weyl_fold(rs.weyl_elements(), walls,
+                           [[scaled(s, scale)] for s in imaged if not isinstance(s, str)])
+        varying = _weyl_fold(rs.weyl_elements(), walls,
                              [columns[s] for s in imaged if isinstance(s, str)], rank)
         if isinstance(last, str):  # the last slot joins every term as it is
             tail = (0,) * rank
             last_L = tuple(chain.from_iterable(_extend(walls, col) for col in columns[last]))
         else:
-            tail, last_L = _scaled(last, scale), (0,) * rank * width
+            tail, last_L = scaled(last, scale), (0,) * rank * width
         ls = []  # (rows of L, coef); the fold gives L column after column
         for flat, coef in varying.items():
             flat = tuple(map(add, flat, last_L))
@@ -498,13 +490,13 @@ def _affine_sum(groups, scale: int) -> Poly:
     for poly, L, cs, coefs in groups:
         if not poly:
             continue
-        den = math.lcm(*(c.denominator for c in poly.values()))
+        den = common_denominator(poly.values())
         degree = max(map(sum, poly))
         below = {m: list(product(*(range(e + 1) for e in m))) for m in poly}
         moments = _moments(cs, coefs, set().union(*below.values()))
         shifted: dict = {}
-        for m, pm in poly.items():
-            pm = pm.numerator * (den // pm.denominator) * scale ** (degree - sum(m))
+        for m, pm in zip(poly, scaled(poly.values(), den)):
+            pm *= scale ** (degree - sum(m))
             for k in below[m]:
                 weight = math.prod(map(math.comb, m, k)) * scale ** sum(k)
                 shifted[k] = shifted.get(k, 0) + pm * weight * moments[tuple(map(sub, m, k))]
@@ -546,7 +538,7 @@ class PantsVolumePoly(_AffinePants):
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, same units as pants_volume_kappa.exact."""
         mus = [self.mu1, self.mu2, mu3]
-        return self.prefactor * _kappa_sum(self.spline, self.rs.weyl_actions(), mus,
+        return self.prefactor * _kappa_sum(self.spline, self.rs.weyl_elements(), mus,
                                            self.lattice)
 
     def value(self, mu3: Vec) -> float:
@@ -560,7 +552,7 @@ class PantsVolumePoly(_AffinePants):
         coincidences there do not make mu3 non-regular.
         """
         mus = [self.mu1, self.mu2, mu3]
-        arguments = _kappa_arguments(self.spline.config, self.rs.weyl_actions(), mus,
+        arguments = _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus,
                                      self.lattice)
         return any(0 in dots for _, dots, _ in arguments)
 
@@ -572,9 +564,9 @@ class PantsVolumePoly(_AffinePants):
         Chambers are taken at the first argument met in them, in term
         order, as `_kappa_sum` does."""
         rank, scale = self.rs.rank, self.scale
-        den = _common_denominator([mu3])
+        den = common_denominator(mu3)
         # every L is the unit matrix, extended: L (den mu3) is z
-        z = _extend(self.spline.config.int_walls, _scaled(mu3, den))
+        z = _extend(self.spline.config.walls, scaled(mu3, den))
         met = []
         for c, L, coef in self.args:
             x = [ci * den + scale * zi for ci, zi in zip(c, z)]

@@ -1,8 +1,11 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,25 @@ def run(*args, env=None):
         text=True,
         env=e,
     )
+
+
+def test_bench_trace_targets_resolve():
+    """Every (module, attribute) that the bench tracer wraps exists in
+    flatvol, so a traced bench run cannot crash on a deleted or renamed
+    name.  A method must be defined on its class itself, because the
+    tracer reads it from the class dict.  Nothing is installed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for modname, attr in layers.TARGETS:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            target = vars(getattr(owner, cls_name)).get(meth)
+        else:
+            target = getattr(owner, attr, None)
+        assert callable(target), f"{modname}: {attr} does not resolve"
 
 
 def test_roots_dump():

@@ -72,19 +72,16 @@ def reference_weyl(rs):
 
 @pytest.mark.parametrize("name", sorted(SUPPORTED))
 def test_integer_weyl_group(name):
-    """The Weyl group generated in ints has the elements, lengths and order
-    of the Fraction generation, and its cached integer actions are the
-    matrices with their determinants as signs."""
+    """The Weyl group is stored once, as integer matrices: they equal the
+    Fraction generation entry for entry, with the same lengths and order,
+    each sign is the determinant, and acting on Fractions gives Fractions."""
     rs = RootSystem(GroupSpec.parse(name))
     weyl = rs.weyl_elements()
     assert len(weyl) == SUPPORTED[name][1]
     assert [(w.length, w.matrix) for w in weyl] == reference_weyl(rs)
-    assert all(type(x) is Q for w in weyl for row in w.matrix for x in row)
-    actions = rs.weyl_actions()
-    assert len(actions) == len(weyl)
-    for (sign, m), w in zip(actions, weyl):
-        assert m == w.matrix and all(type(x) is int for row in m for x in row)
-        assert sign == det(m) == w.sign
+    assert all(type(x) is int for w in weyl for row in w.matrix for x in row)
+    assert all(w.sign == det(w.matrix) for w in weyl)
+    assert all(type(x) is Q for w in weyl for x in w.act(rs.rho))
 
 
 # sha256 of each FLATVOL_CACHE file written by the command, from a fresh cache

@@ -181,6 +181,7 @@ def reference_pants_poly(vol, mu3):
         ("B2", ["1/4,1/4", "1/4,1/4"], ["1/2,0", "1/5,1/7", "1/9,1/3"], 1),
         ("B2", ["1/4,1/5", "0,1/3"], ["1/6,1/5", "1/5,1/7"], 1),
         ("G2", ["1/8,1/8", "1/8,1/8"], ["1/8,1/8", "1/7,1/9"], 1),
+        ("A3", ["1/4,1/5,1/6", "1/6,1/5,1/4"], ["1/5,1/6,1/4"], 0),
     ],
 )
 def test_pants_poly_matches_term_by_term_reference(name, marks, thirds, walls):
