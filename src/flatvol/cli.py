@@ -329,6 +329,12 @@ def cmd_chern(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    if args.bins < 1:
+        raise UsageError("--bins must be at least 1")
     rs = build_root_system(args.group)
     _load_spline_cache(rs)
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)

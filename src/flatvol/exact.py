@@ -15,8 +15,8 @@ a forward pass with pivot skipping brings the rows to echelon form with
 exact integer divisions only, and a fraction-free back substitution
 returns the solutions times the last pivot.  `det` reads that pivot,
 `solve` back-substitutes one right-hand column, `scaled_inverse` (and
-`inverse_det`, `inverse`) eliminates [A | I] once, and `pivot_columns`
-and `nullspace` read the echelon form.
+`inverse`) eliminates [A | I] once, and `pivot_columns` and `nullspace`
+read the echelon form.
 """
 
 from __future__ import annotations
@@ -206,21 +206,13 @@ def scaled_inverse(a: Mat) -> tuple[list[list[int]], int, Q] | None:
     return [[flip * col[i] for col in cols] for i in range(n)], flip * last, Q(sign * last, scale)
 
 
-def inverse_det(a: Mat) -> tuple[Mat, Q] | None:
-    """(a^-1, det a); None when a is singular."""
-    result = scaled_inverse(a)
-    if result is None:
-        return None
-    rows, e, d = result
-    return tuple(tuple(Q(x, e) for x in row) for row in rows), d
-
-
 def inverse(a: Mat) -> Mat:
     """a^-1; ValueError when a is singular."""
-    result = inverse_det(a)
+    result = scaled_inverse(a)
     if result is None:
         raise ValueError("matrix is singular")
-    return result[0]
+    rows, e, _ = result
+    return tuple(tuple(Q(x, e) for x in row) for row in rows)
 
 
 def pivot_columns(rows: Sequence[Sequence[Q | int]]) -> list[int]:

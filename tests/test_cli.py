@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -229,6 +230,26 @@ def test_oracle_degenerate_factor_single_bin():
     assert occupied[0].split(",")[0] == "25"
 
 
+ORACLE_ROUTES_DIGEST = "c74c135bb0b1222da3f18fc6ba50127f2cf72c3debd3cf2b733f696ab0a18822"
+
+
+def test_oracle_bytes_pinned():
+    """The routes-job oracle run (10^6 samples, 256 bins): CSV and sidecar
+    on stdout keep the bytes of the complex-matrix implementation."""
+    r = run("oracle", "A1", "13/40", "19/40", "--samples", "1000000", "--seed", "5",
+            env={"FLATVOL_CACHE": ""})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == ORACLE_ROUTES_DIGEST
+
+
+@pytest.mark.parametrize("option, value", [("--samples", "0"), ("--seed", "-1"),
+                                           ("--bins", "0")])
+def test_oracle_usage_error_names_option(option, value):
+    r = run("oracle", "A1", "1/3", "1/4", f"{option}={value}")
+    assert r.returncode == 2
+    assert option in r.stderr.splitlines()[0]
+
+
 def test_oracle_rejects_rank_over_two():
     assert run("oracle", "B2", "1/4,1/4", "1/4,1/4").returncode == 2
 
@@ -318,6 +339,8 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("glue", "A1", "--surface", "1,1", "1/3", "1/4"),
     ("glue", "A1", "--surface", "0,4", "1/3", "1/4", "1/5"),
     ("oracle", "A1", "1/3", "1/4", "--bins", "0"),
+    ("oracle", "A1", "1/3", "1/4", "--samples", "0"),
+    ("oracle", "A1", "1/3", "1/4", "--seed=-1"),
     # the gluing integral is exact: no quadrature nodes
     ("glue", "A1", "--surface", "0,4", "1/3", "1/4", "1/5", "1/6", "--nodes", "512"),
     # Fraction reads exponent notation, and a sign inside a term was split off
@@ -333,8 +356,8 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2,1", "--poly", "1"),
     ("scan", "A1", "1/2", "1/2", "--along", "0:3/2"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
-        "glue-missing", "bins-zero", "glue-nodes", "poly-2e1", "poly-1e1", "poly-times-minus",
-        "poly-negative-power", "weights-zero", "weights-negative",
+        "glue-missing", "bins-zero", "samples-zero", "seed-negative", "glue-nodes", "poly-2e1",
+        "poly-1e1", "poly-times-minus", "poly-negative-power", "weights-zero", "weights-negative",
         "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove"])
 def test_usage_errors(args):
     r = run(*args)

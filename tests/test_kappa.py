@@ -21,7 +21,7 @@ from flatvol import (
 from flatvol.kappa import DegenerateArrangementError, VectorConfig, PiecewisePolynomial
 from flatvol.liecore import _SUPPORTED
 from flatvol.poly import poly_add, poly_const, poly_eval, poly_mul, poly_subs_affine
-from flatvol.exact import inverse_det, mat_t, nullspace, vdot
+from flatvol.exact import det, inverse, mat_t, nullspace, vdot
 
 
 def test_a1_value_and_wall(a1):
@@ -76,9 +76,10 @@ def reference_vertex_sum(cfg, xi):
     (least k >= 2 with every reduced cost nonzero) as the spline."""
     bases = []
     for sigma in combinations(range(cfg.n), cfg.rank):
-        inv_det = inverse_det(mat_t(tuple(cfg.vectors[i] for i in sigma)))
-        if inv_det is not None:
-            bases.append((sigma, *inv_det))
+        basis = mat_t(tuple(cfg.vectors[i] for i in sigma))
+        d = det(basis)
+        if d:
+            bases.append((sigma, inverse(basis), d))
     for k in count(2):
         c = [Q(1, k + j) for j in range(cfg.n)]
         terms = []

@@ -12,7 +12,14 @@ from flatvol import (
     shape_compare,
     vec,
 )
-from flatvol.mc import _CHUNK, class_parameter_batch, class_representative, haar_sample
+from flatvol.mc import (
+    _CHUNK,
+    _a1_off_diagonal,
+    _quaternion_draw,
+    class_parameter_batch,
+    class_representative,
+    haar_sample,
+)
 
 
 def t_mu(rs, t):
@@ -214,9 +221,9 @@ def _five_product_parameters(rs, mu1, mu2, n_samples, seed):
      ("13/40", "19/40")],
 )
 def test_histogram_matches_five_product_reference(a1, t1, t2):
-    # the one-product trace sum_jk Re(d1_j d2_k) |w_jk|^2, w = g1^H g2,
-    # bins every sample as the full product does; 70 001 samples end in a
-    # partial chunk
+    # the quaternion trace S + (C - S) |w_01|^2, w = g1^H g2, bins every
+    # sample as the full product does; 70 001 samples end in a partial
+    # chunk
     n = 70001
     for seed in (0, 17, 2024):
         t = _five_product_parameters(a1, t_mu(a1, t1), t_mu(a1, t2), n, seed)
@@ -226,3 +233,28 @@ def test_histogram_matches_five_product_reference(a1, t1, t2):
             expect = np.zeros(bins, dtype=np.int64)
             np.add.at(expect, np.minimum((t * bins).astype(int), bins - 1), 1)
             assert np.array_equal(h.counts, expect), (t1, t2, seed, bins)
+
+
+def test_quaternion_off_diagonal_matches_haar_matrices(a1):
+    """The real bilinear |w_01|^2 of two quaternion draws equals the one
+    read from `haar_sample`'s matrices of the same draws."""
+    n = 50000
+    rng = np.random.default_rng(12)
+    q1, q2 = _quaternion_draw(rng, n), _quaternion_draw(rng, n)
+    rng = np.random.default_rng(12)
+    g1, g2 = haar_sample(a1, n, rng), haar_sample(a1, n, rng)
+    w = np.einsum("nji,njk->nik", np.conj(g1), g2)
+    assert np.abs(_a1_off_diagonal(q1, q2) - np.abs(w[:, 0, 1]) ** 2).max() < 1e-14
+
+
+@pytest.mark.parametrize("t1, t2, bins", [
+    ("0", "1/3", 3), ("1", "1/3", 3), ("1/3", "0", 3), ("0", "1/4", 4),
+    ("1", "1/4", 4), ("0", "3/5", 5), ("1", "2/5", 5), ("0", "1/6", 6),
+])
+def test_central_factor_on_bin_edge_fills_one_bin(a1, t1, t2, bins):
+    # a central factor leaves the other class fixed, here on a bin edge:
+    # the point mass lands in one bin, not split by rounding noise
+    for seed in (0, 1):
+        h = product_class_histogram(a1, t_mu(a1, t1), t_mu(a1, t2),
+                                    bins=bins, n_samples=5000, seed=seed)
+        assert np.count_nonzero(h.counts) == 1
