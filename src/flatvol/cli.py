@@ -59,14 +59,23 @@ class UsageError(ValueError):
     pass
 
 
+def parse_rational(text: str) -> Fraction:
+    """The rational a command-line number spells; a zero denominator is a
+    usage error naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"rational {text!r} has a zero denominator") from None
+
+
 def parse_marking(rs: RootSystem, text: str) -> Vec:
     """Parse exact fundamental-weight coordinates of a point of the closed
     alcove, echoing no floats."""
     parts = text.split(",")
     if rs.rank == 1 and len(parts) == 1:
-        coords = [Fraction(parts[0])]
+        coords = [parse_rational(parts[0])]
     elif len(parts) == rs.rank:
-        coords = [Fraction(p) for p in parts]
+        coords = [parse_rational(p) for p in parts]
     else:
         raise UsageError(
             f"marking {text!r} needs {rs.rank} comma-separated rationals"
@@ -295,7 +304,7 @@ def _parse_sym_poly(text: str, k: int) -> SymmetricPoly:
                 raise UsageError(f"cannot parse factor {factor!r} of polynomial {text!r}")
             number, index, power = match.groups()
             if number is not None:
-                coeff *= Fraction(number)
+                coeff *= parse_rational(number)
                 continue
             idx = int(index)
             if k <= 0:

@@ -240,8 +240,9 @@ def nullspace(a: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
     return basis
 
 
-def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[Vec]:
-    """Integer coefficient vectors n with n^T gram n <= radius_sq.
+def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
+    """Integer coefficient vectors n with n^T gram n <= radius_sq, as int
+    tuples.
 
     gram must be positive definite.  Enumerates an exact bounding box
     |n_i|^2 <= radius_sq * (gram^{-1})_{ii} in lexicographic order and
@@ -249,20 +250,22 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[Vec]:
     """
     if radius_sq < 0:
         return []
-    bounds = [math.isqrt(math.floor(radius_sq * g)) for g in _inverse_diagonal(gram)]
-    scale = common_denominator(itertools.chain.from_iterable(gram))
-    igram = [scaled(row, scale) for row in gram]
+    inv_diag, igram, scale = _ball_data(gram)
+    bounds = [math.isqrt(math.floor(radius_sq * g)) for g in inv_diag]
     limit = math.floor(radius_sq * scale)
     return [
-        vec(n)
+        n
         for n in itertools.product(*(range(-b, b + 1) for b in bounds))
         if sum(c * sum(map(operator.mul, row, n)) for c, row in zip(n, igram)) <= limit
     ]
 
 
 @lru_cache(maxsize=64)
-def _inverse_diagonal(gram: Mat) -> Vec:
-    """Diagonal of gram^-1; callers pass the few lattice Gram matrices of
-    the supported root systems again and again."""
+def _ball_data(gram: Mat) -> tuple[Vec, tuple[tuple[int, ...], ...], int]:
+    """(diagonal of gram^-1, gram scaled to ints, the scale); callers pass
+    the few lattice Gram matrices of the supported root systems again and
+    again."""
     ginv = inverse(gram)
-    return tuple(ginv[i][i] for i in range(len(gram)))
+    scale = common_denominator(itertools.chain.from_iterable(gram))
+    return (tuple(ginv[i][i] for i in range(len(gram))),
+            tuple(tuple(scaled(row, scale)) for row in gram), scale)

@@ -7,10 +7,12 @@ Four routes are provided, each independent of the ones it checks:
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably (the alternating double sum is supported in
   conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
-  runs in Python ints scaled by the common denominator of the markings:
+  runs in integers scaled by the common denominator of the markings:
   one Weyl fold (`_weyl_fold`) merges equal partial sums of Weyl images,
-  the arguments are grouped by chamber with integer wall dot products,
-  and each chamber polynomial is evaluated once over its group;
+  the arguments, their wall dot products and their chambers are whole
+  integer arrays (int64, or Python ints in object arrays when int64
+  could overflow), and each chamber polynomial is evaluated once over
+  its group in Python ints;
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value computed by the independent fiber-polytope
   route;
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import add, mul, sub
 
 import numpy as np
@@ -208,10 +210,15 @@ NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 
 
 def _norm_sq(rs: RootSystem, slot) -> Q:
-    """|slot|^2; for a varying slot its largest value, at an alcove vertex."""
+    """|slot|^2; for a varying slot its largest value, at an alcove vertex.
+    A fixed slot is scaled to ints by its common denominator D and paired
+    with the integer-scaled Gram matrix, so |slot|^2 is one Fraction."""
     if isinstance(slot, str):
         return max(rs.norm_sq(v) for v in rs.alcove.vertices)
-    return rs.norm_sq(slot)
+    den = common_denominator(slot)
+    v = scaled(slot, den)
+    return Q(sum(x * sum(map(mul, row, v)) for x, row in zip(v, rs.int_gram)),
+             rs.gram_scale * den * den)
 
 
 def _support_bound_sq(rs: RootSystem, slots: list) -> Q:
@@ -220,14 +227,17 @@ def _support_bound_sq(rs: RootSystem, slots: list) -> Q:
     return len(norms) * sum(norms, Q(0))
 
 
-def _lattice_ball_for(rs: RootSystem, last, bound_sq: Q) -> list[Vec]:
-    """Lattice vectors l with |last + l|^2 possibly <= bound_sq.
+def _lattice_ball_for(rs: RootSystem, last, bound_sq: Q) -> list[tuple[int, ...]]:
+    """Lattice vectors l with |last + l|^2 possibly <= bound_sq, as int
+    tuples in root coordinates (the coroot basis is integral there).
 
     Enumerates |l|^2 <= 2 |last|^2 + 2 bound_sq, which provably covers
     the support ball; the extra terms cancel exactly in the signed sum.
     """
     radius_sq = 2 * _norm_sq(rs, last) + 2 * bound_sq
-    return [rs.coroot_vector(c) for c in lattice_points_in_ball(rs.coroot_gram, radius_sq)]
+    rows = rs.coroot_matrix
+    return [tuple(sum(map(mul, row, n)) for row in rows)
+            for n in lattice_points_in_ball(rs.coroot_gram, radius_sq)]
 
 
 def sphere_volume_kappa(
@@ -239,9 +249,9 @@ def sphere_volume_kappa(
     power of the positive roots each repeated (b-2) times, evaluated by
     the chamber spline (Lawrence's vertex formula per chamber).  The sum
     runs in integers scaled by the common denominator of the markings:
-    equal partial sums of Weyl images are merged, the arguments grouped by
-    chamber, and each chamber polynomial is evaluated once over its group
-    (`_kappa_sum`).
+    equal partial sums of Weyl images are merged, the arguments are
+    grouped by chamber as integer arrays, and each chamber polynomial is
+    evaluated once over its group (`_kappa_sum`).
     """
     b = len(mus)
     if b < 3:
@@ -306,72 +316,117 @@ def _weyl_fold(weyl, walls, slots: list, columns: int = 1) -> dict[tuple[int, ..
     return folded
 
 
-def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[Vec]):
-    """Yield (x, dots, coef) for the kappa arguments of the lattice sum
-    over l in lattice and Weyl tuples (w_1..w_k), b = k + 1: x is
-    D (w_1 mu_1 + ... + w_k mu_k + mu_b + l) in Python ints, D the common
-    denominator of the markings, dots its dot products with the wall
-    normals, and coef the summed product of the signs of the tuples that
-    give x.
+def _abs_max(xs: list[int]) -> int:
+    return max(max(xs, default=0), -min(xs, default=0))
 
-    Lattice vectors are integral (coroots are integer combinations of
-    simple roots).  The extended Weyl images of the markings are folded
-    by `_weyl_fold`, so the arguments are met in the order
-    (l, w_1, ..., w_k) of the term-by-term sum; merged coefficients may be
-    zero.  Arguments with a negative coordinate, outside the support cone,
-    are skipped.
+
+def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[tuple[int, ...]]):
+    """The kappa arguments of the lattice sum over l in lattice and Weyl
+    tuples (w_1..w_k), b = k + 1, as whole integer arrays (args, coefs).
+
+    Row r of args is x = D (w_1 mu_1 + ... + w_k mu_k + mu_b + l), D the
+    common denominator of the markings, followed by its dot products with
+    the wall normals (rank + walls columns); coefs[r] is the summed product
+    of the signs of the tuples that give x.  Two tables are extended by
+    their wall dot products, once each: the tails T, D (mu_b + l) for each
+    lattice vector l (integral in root coordinates), and the fold P of the
+    Weyl images (`_weyl_fold`, in which equal partial sums merge).  Then
+    args = T[:, None] + P[None] is l-major: the order (l, w_1, ..., w_k)
+    of the term-by-term sum.  Merged coefficients may be zero.  Rows with
+    a negative coordinate, outside the support cone, are dropped.
+
+    The arrays are int64 when a bound on max|T| + max|P| (and every
+    coefficient) is below 2^62, so no sum can overflow; otherwise, for
+    markings with huge denominators, the same statements run on
+    dtype=object arrays, which hold Python ints.
     """
     rank, walls = config.rank, config.walls
     scale = common_denominator(chain.from_iterable(mus))
     *imaged, last = (scaled(m, scale) for m in mus)
-    folded = _weyl_fold(weyl, walls, [[m] for m in imaged])
-    entries = [(p[:rank], p[rank:], coef) for p, coef in folded.items()]
+    folded = _weyl_fold(weyl, (), [[m] for m in imaged])
+    keys, coefs = list(chain.from_iterable(folded)), list(folded.values())
+    # a wall dot product is at most the l1 norm of its normal (>= 1) times
+    # the largest coordinate
+    coordinate_max = (scale * _abs_max(list(chain.from_iterable(lattice)))
+                      + _abs_max(last) + _abs_max(keys))
+    bound = coordinate_max * max(1, *(sum(map(abs, u)) for u in walls))
+    dtype = np.int64 if max(bound, _abs_max(coefs)) < 2**62 else object
 
-    orthant = config.orthant_support
-    for l in lattice:
-        tail = _extend(walls, [scale * int(c) + x for c, x in zip(l, last)])
-        tail_x, tail_dots = tail[:rank], tail[rank:]
-        for p_x, p_dots, coef in entries:
-            x = tuple(map(add, tail_x, p_x))
-            if orthant and min(x) < 0:
-                continue
-            yield x, tuple(map(add, tail_dots, p_dots)), coef
+    wall_rows = np.array(walls, dtype=dtype).reshape(len(walls), rank)
+    tails = (scale * np.array(lattice, dtype=dtype).reshape(len(lattice), rank)
+             + np.array(last, dtype=dtype))
+    folds = np.array(keys, dtype=dtype).reshape(len(coefs), rank)
+    tails, folds = (np.concatenate([t, t @ wall_rows.T], axis=1) for t in (tails, folds))
+    args = (tails[:, None] + folds[None]).reshape(-1, tails.shape[1])
+    coefs = np.tile(np.array(coefs, dtype=dtype), len(lattice))
+    if config.orthant_support:
+        inside = args[:, 0] >= 0
+        for i in range(1, rank):
+            inside &= args[:, i] >= 0
+        args, coefs = args[inside], coefs[inside]
+    return args, coefs
 
 
-def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[Vec]) -> Q:
+def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[tuple[int, ...]]) -> Q:
     """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
     the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
 
-    The arguments come from `_kappa_arguments`, scaled by D.  They are
-    grouped by chamber, that is by the side of each wall; an argument on
-    a wall joins the chamber the nudge direction points to, whose
-    polynomial gives its value by continuity.  A chamber's polynomial is
-    taken at the first argument the term order meets in it, even one
-    whose coefficient is zero, so chambers are built and checked in that
-    order; it is then evaluated once over its group.  At degree 0 kappa
-    jumps on a wall, and the first argument on one raises OnWallError.
+    The arguments come from `_kappa_arguments` as integer arrays, scaled
+    by D.  Each row's side of the walls is packed into one int64 code,
+    bit i set when the row lies on the positive side of wall i; a row on
+    wall i takes the side the nudge direction points to, whose chamber
+    polynomial gives its value by continuity.  Rows are grouped by code
+    (`np.unique`), and the groups are visited in the order of their first
+    row.  A group's chamber polynomial is taken at that row, the first
+    argument the term order meets in the chamber, even one whose
+    coefficient is zero, so chambers are built and checked in term order.
+    Each polynomial is then evaluated once over its group's rows of
+    nonzero coefficient, in Python ints (`_scaled_poly_sum`).  At degree 0
+    kappa jumps on a wall: the first on-wall row raises OnWallError, after
+    the chambers met before it have been built.
     """
+    config = spline.config
+    rank = config.rank
     scale = common_denominator(chain.from_iterable(mus))
-    nudge = spline.config.nudge_signs
-    positive = (0).__lt__
-    # side of the walls -> (chamber polynomial, arguments, coefficients)
-    groups: dict[tuple[bool, ...], tuple[Poly, list, list]] = {}
-    for x, dots, coef in _kappa_arguments(spline.config, weyl, mus, lattice):
-        if 0 in dots:
-            if not spline.degree:  # raises OnWallError
-                spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
-            dots = tuple(d or n for d, n in zip(dots, nudge))
-        side = tuple(map(positive, dots))
-        group = groups.get(side)
-        if group is None:
-            poly = spline.chamber_polynomial_at(tuple(Q(c, scale) for c in x))
-            group = groups[side] = (poly, [], [])
-        if coef:
-            group[1].append(x)
-            group[2].append(coef)
+    args, coefs = _kappa_arguments(config, weyl, mus, lattice)
+    dots = args[:, rank:]
+    assert dots.shape[1] <= 62, "the side of every wall must fit in one int64"
+    side = dots > 0
+    on_wall = dots == 0
+    walled = on_wall.any()
+    if walled:
+        side |= on_wall & (np.array(config.nudge_signs) > 0)
+    code = side @ (1 << np.arange(dots.shape[1], dtype=np.int64))
+    _, first, group = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first).tolist()
+
+    def point(row: int) -> Vec:
+        return tuple(Q(c, scale) for c in args[row, :rank].tolist())
+
+    # rows from stop on are not evaluated: at degree 0, stop is the first
+    # row on a wall
+    stop = len(code)
+    if walled and not spline.degree:
+        stop = int(np.flatnonzero(on_wall.any(axis=1))[0])
+    polys = [None] * len(first)
+    for g in order:
+        row = int(first[g])
+        if row >= stop:
+            break
+        chamber = spline.chambers.get(tuple(1 if s else -1 for s in side[row].tolist()))
+        polys[g] = chamber.polynomial if chamber else spline.chamber_polynomial_at(point(row))
+    if stop < len(code):
+        spline.chamber_polynomial_at(point(stop))  # raises OnWallError
+
+    # the rows of nonzero coefficient, sorted by group
+    rows = np.flatnonzero(coefs)
+    rows = rows[np.argsort(group[rows], kind="stable")]
+    starts = [0, *accumulate(np.bincount(group[rows], minlength=len(first)).tolist())]
+    xs, cs = args[rows, :rank].tolist(), coefs[rows].tolist()
     total = Q(0)
-    for poly, xs, coefs in groups.values():
-        total += _scaled_poly_sum(poly, xs, coefs, scale)
+    for g in order:
+        lo, hi = starts[g], starts[g + 1]
+        total += _scaled_poly_sum(polys[g], xs[lo:hi], cs[lo:hi], scale)
     return total
 
 
@@ -426,7 +481,7 @@ class _AffinePants:
     markings, c an integer vector and L an integer matrix (a sum of Weyl
     matrices, times the matrix of * for a STAR_NU slot).  c comes from the
     fixed slots only and L from the varying ones only, so each is one
-    `_weyl_fold`, c's the fold `_kappa_arguments` streams, and their
+    `_weyl_fold`, c's the fold `_kappa_arguments` makes, and their
     coefficients multiply.  Both are extended by the wall normals u, so
     each wall of an argument is read off as the line (D L^T u).nu + u.c = 0.
     The last slot is not imaged by the Weyl group, so putting a varying
@@ -472,7 +527,7 @@ class _AffinePants:
                        coef))
         out = []
         for l in self.lattice:
-            t = _extend(walls, [scale * int(y) + x for y, x in zip(l, tail)])
+            t = _extend(walls, [scale * y + x for y, x in zip(l, tail)])
             out.extend((tuple(map(add, t, c)), L, cf * cv)
                        for c, cf in fixed.items() for L, cv in ls)
         return out
@@ -519,9 +574,9 @@ class PantsVolumePoly(_AffinePants):
     """The pants volume as a function of the third marking: the affine
     table with slots [mu1, mu2, NU], so every L is the unit matrix.
 
-    Piecewise polynomial over the alcove.  Values and wall tests stream
-    the fixed-marking arguments (`_kappa_arguments`) as `_kappa_sum` does;
-    the cell polynomial at a point groups the table's arguments by
+    Piecewise polynomial over the alcove.  Values and wall tests read the
+    fixed-marking argument arrays (`_kappa_arguments`), as `_kappa_sum`
+    does; the cell polynomial at a point groups the table's arguments by
     chamber.  Values are exact and agree with `pants_volume_kappa` (same
     normalization fields).
     """
@@ -545,16 +600,19 @@ class PantsVolumePoly(_AffinePants):
         return float(self.value_exact(mu3)) / math.sqrt(float(self.norm_denominator))
 
     def on_wall(self, mu3: Vec) -> bool:
-        """True when some kappa argument sits on a wall that matters.
+        """True when some kappa argument sits on a wall that matters: a
+        wall dot-product column of the argument array (`_kappa_arguments`)
+        holds a zero.
 
-        Arguments with a strictly negative coordinate are locally outside
-        the support cone, where kappa vanishes identically, so wall
-        coincidences there do not make mu3 non-regular.
+        The rows with a strictly negative coordinate are already dropped:
+        they are locally outside the support cone, where kappa vanishes
+        identically, so wall coincidences there do not make mu3
+        non-regular.
         """
         mus = [self.mu1, self.mu2, mu3]
-        arguments = _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus,
-                                     self.lattice)
-        return any(0 in dots for _, dots, _ in arguments)
+        args, _ = _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus,
+                                   self.lattice)
+        return bool((args[:, self.rs.rank:] == 0).any())
 
     def polynomial_at(self, mu3: Vec) -> Poly:
         """Exact polynomial (rational part) on the cell containing mu3;

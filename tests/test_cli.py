@@ -75,6 +75,25 @@ def test_volume_kappa_constant():
     assert d["reports"]["kappa"]["stamp"]["root_order"]
 
 
+# sha256 of the `volume` stdout for markings whose common denominator exceeds
+# 2^63, where the kappa-sum runs on Python-int (object) arrays
+HUGE_DENOMINATOR_DIGESTS = [
+    (("A2", "1/4294967311,1/5", "1/3,1/7", "2/7,1/4294967357"),
+     "bebe3c2ade5afcb319ad218bc5ff32fc2f870176fd822ce3ff838850fea5627e"),
+    (("A2", "1431655775/4294967311,1/3", "1/3,2/7", "2/7,1431655792/4294967357"),
+     "fa9301cca9da2d7a046122bac0e0046052c3d8d8501b377eaad8167c4bc11881"),
+    (("G2", "715827886/4294967311,1/2", "1/6,7/12", "1/6,715827894/4294967357"),
+     "936f39f54f2f6a7c36cf297a6705348aa2b7c5f71004ab8f057115455b34768c"),
+]
+
+
+@pytest.mark.parametrize("args, digest", HUGE_DENOMINATOR_DIGESTS, ids=["A2-zero", "A2", "G2"])
+def test_volume_huge_denominator_bytes_pinned(args, digest):
+    r = run("volume", *args)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 def test_volume_outside_region_zero():
     r = run("volume", "A1", "1/10", "1/10", "4/5")
     assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 0.0
@@ -355,14 +374,24 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("volume", "A1", "3/2", "1/2", "1/2"),
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2,1", "--poly", "1"),
     ("scan", "A1", "1/2", "1/2", "--along", "0:3/2"),
+    # a zero denominator raised ZeroDivisionError with a traceback (exit 1)
+    ("volume", "A2", "1/4,1/5", "1/3,1/7", "1/0,1/6"),
+    ("glue", "A1", "--surface", "1,1", "1/0"),
+    ("oracle", "A1", "1/3", "1/0"),
+    ("scan", "A2", "1/4,1/5", "1/3,1/7", "--along", "1/0,1/5:1/3,1/3"),
+    ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1/0*e1"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
         "glue-missing", "bins-zero", "samples-zero", "seed-negative", "glue-nodes", "poly-2e1",
         "poly-1e1", "poly-times-minus", "poly-negative-power", "weights-zero", "weights-negative",
-        "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove"])
+        "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove",
+        "volume-zero-denominator", "glue-zero-denominator", "oracle-zero-denominator",
+        "scan-zero-denominator", "chern-zero-denominator"])
 def test_usage_errors(args):
     r = run(*args)
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
+    if any("1/0" in a for a in args):
+        assert "error: rational '1/0' has a zero denominator" in r.stderr
 
 
 def test_gluing_module_loads_on_first_glue():

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from flatvol import (
@@ -31,6 +32,7 @@ from flatvol import (
 )
 from flatvol.exact import lattice_points_in_ball, vadd, vscale
 from flatvol.kappa import kappa_build
+from flatvol.moduli import _kappa_arguments, _lattice_ball_for, _support_bound_sq
 from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 
@@ -101,6 +103,16 @@ def reference_kappa_sum(rs, mus):
     return (-1) ** rs.n_positive * rs.center_order * total, on_wall
 
 
+# common denominators above 2^63 (the products of the primes 4294967311 and
+# 4294967357 with small ones): the kappa-sum's object-dtype arrays
+HUGE_DENOMINATORS = [
+    ("A2", ["1431655775/4294967311,1/3", "1/3,2/7", "2/7,1431655792/4294967357"], False),
+    ("G2", ["715827886/4294967311,1/2", "1/6,7/12", "1/6,715827894/4294967357"], False),
+]
+# the one rank-3 case: seven walls packed into each chamber code
+A3_TRIPLE = ("A3", ["1/4,1/5,1/6", "1/6,1/5,1/4", "1/5,1/6,1/4"], False)
+
+
 @pytest.mark.parametrize(
     "name, marks, hits_walls",
     [
@@ -115,6 +127,8 @@ def reference_kappa_sum(rs, mus):
         ("B2", ["1/4,1/4", "1/4,1/4", "1/4,1/4", "1/4,1/4"], True),
         ("A2", ["1/3,1/3", "1/4,1/5", "0,1/2", "1/3,1/7", "1/5,1/4"], False),
         ("A2", ["1/3,1/3", "1/3,1/3", "1/3,1/3", "1/3,1/3", "1/3,1/3"], True),
+        *HUGE_DENOMINATORS,
+        A3_TRIPLE,
     ],
 )
 def test_kappa_sum_matches_term_by_term_reference(name, marks, hits_walls):
@@ -134,6 +148,10 @@ def test_kappa_sum_matches_term_by_term_reference(name, marks, hits_walls):
         ("B2", ["1/4,1/4", "1/4,1/4", "1/2,0"]),
         ("G2", ["1/8,1/8", "1/8,1/8", "1/8,1/8"]),
         ("A2", ["0,1/2", "1/2,0", "1/4,1/4", "1/4,1/4", "1/3,1/3"]),
+        *((name, marks) for name, marks, _ in HUGE_DENOMINATORS),
+        A3_TRIPLE[:2],
+        # a chamber first met at an argument whose merged coefficient is zero
+        ("B2", ["1/8,1/2", "1/2,11/40", "17/40,9/40", "5/8,13/40"]),
     ],
 )
 def test_kappa_sum_builds_chambers_in_term_order(name, marks):
@@ -148,6 +166,37 @@ def test_kappa_sum_builds_chambers_in_term_order(name, marks):
         chambers = kappa_build(rs, len(mus) - 2).chambers.values()
         built.append([(c.signs, c.sample_point) for c in chambers])
     assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("name, marks, dtype", [
+    *((name, marks, object) for name, marks, _ in HUGE_DENOMINATORS),
+    (*A3_TRIPLE[:2], np.int64),
+])
+def test_kappa_arguments_dtype(name, marks, dtype):
+    """The argument arrays hold Python ints exactly when int64 could
+    overflow."""
+    rs = build_root_system(name)
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
+    lattice = _lattice_ball_for(rs, mus[-1], _support_bound_sq(rs, mus))
+    args, coefs = _kappa_arguments(kappa_build(rs).config, rs.weyl_elements(), mus, lattice)
+    assert args.dtype == coefs.dtype == dtype
+    assert all(type(x) is int for x in args[0].tolist())
+
+
+@pytest.mark.parametrize("ts, built", [
+    (("1/2", "1/4", "1/4"), [((1,), (Q(1, 2),))]),
+    (("1", "1/3", "2/3"), []),
+])
+def test_kappa_sum_degree_zero_wall_after_chambers(ts, built):
+    """At degree 0 the first on-wall argument raises OnWallError, and the
+    chambers met before it in term order are built first, as the
+    term-by-term sum builds them."""
+    for evaluate in (sphere_volume_kappa, reference_kappa_sum):
+        rs = RootSystem(GroupSpec.parse("A1"))
+        with pytest.raises(OnWallError):
+            evaluate(rs, [t_mu(rs, t) for t in ts])
+        chambers = kappa_build(rs, 1).chambers.values()
+        assert [(c.signs, c.sample_point) for c in chambers] == built
 
 
 def reference_pants_poly(vol, mu3):
@@ -254,6 +303,9 @@ def test_truncation_radius_stability(name):
     )
     assert bigger.exact["rational"] == base.exact["rational"]
     assert bigger.parameters["lattice_points"] > base.parameters["lattice_points"]
+    # a radius that leaves no lattice point sums nothing
+    empty = pants_volume_kappa(rs, *mus, radius_sq=-8 * base.parameters["lattice_radius_sq"] - 8)
+    assert (empty.exact["rational"], empty.parameters["lattice_points"]) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
