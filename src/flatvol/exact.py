@@ -240,6 +240,17 @@ def nullspace(a: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
     return basis
 
 
+def quadratic_form(gram: Mat, v: Sequence[Q | int]) -> Q:
+    """v^T gram v, exact: v is scaled to ints by its common denominator and
+    paired with the integer-scaled gram (`_int_form`), so the sum is one
+    Fraction."""
+    den = common_denominator(v)
+    x = scaled(v, den)
+    igram, scale = _int_form(gram)
+    return Q(sum(c * sum(map(operator.mul, row, x)) for c, row in zip(x, igram)),
+             scale * den * den)
+
+
 def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
     """Integer coefficient vectors n with n^T gram n <= radius_sq, as int
     tuples.
@@ -250,8 +261,8 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
     """
     if radius_sq < 0:
         return []
-    inv_diag, igram, scale = _ball_data(gram)
-    bounds = [math.isqrt(math.floor(radius_sq * g)) for g in inv_diag]
+    bounds = [math.isqrt(math.floor(radius_sq * g)) for g in _inverse_diagonal(gram)]
+    igram, scale = _int_form(gram)
     limit = math.floor(radius_sq * scale)
     return [
         n
@@ -261,11 +272,17 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _ball_data(gram: Mat) -> tuple[Vec, tuple[tuple[int, ...], ...], int]:
-    """(diagonal of gram^-1, gram scaled to ints, the scale); callers pass
-    the few lattice Gram matrices of the supported root systems again and
-    again."""
-    ginv = inverse(gram)
+def _int_form(gram: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(gram scaled to ints by its common denominator, that denominator);
+    callers pass the few Gram matrices of the supported root systems again
+    and again."""
     scale = common_denominator(itertools.chain.from_iterable(gram))
-    return (tuple(ginv[i][i] for i in range(len(gram))),
-            tuple(tuple(scaled(row, scale)) for row in gram), scale)
+    return tuple(tuple(scaled(row, scale)) for row in gram), scale
+
+
+@lru_cache(maxsize=64)
+def _inverse_diagonal(gram: Mat) -> Vec:
+    """Diagonal of gram^-1; callers pass the few lattice Gram matrices of
+    the supported root systems again and again."""
+    ginv = inverse(gram)
+    return tuple(ginv[i][i] for i in range(len(gram)))

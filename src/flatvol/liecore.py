@@ -10,8 +10,7 @@ as e^{2*pi*i*<lambda, mu>}.
 Irrational scalars appear in exactly two places: the covolume of the
 coroot lattice (sqrt of a rational determinant) and the Riemannian volume
 of the group.  Everything else is a Fraction, except the integer objects:
-the Weyl group, the coroot basis and the scaled Gram matrix are stored
-once, as integer matrices.
+the Weyl group and the coroot basis are stored once, as integer matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from operator import mul
 
 from .exact import (
@@ -28,14 +26,13 @@ from .exact import (
     Q,
     Vec,
     as_q,
-    common_denominator,
     det,
     inverse,
     lattice_points_in_ball,
     mat,
     mat_t,
     matvec,
-    scaled,
+    quadratic_form,
     vadd,
     vdot,
     vec,
@@ -167,9 +164,6 @@ class RootSystem:
             for i in range(self.rank)
         )
         self.det_gram: Q = det(self.gram)
-        # gram = int_gram / gram_scale with int_gram in ints
-        self.gram_scale: int = common_denominator(chain.from_iterable(self.gram))
-        self.int_gram: IntMat = tuple(tuple(scaled(row, self.gram_scale)) for row in self.gram)
         self.simple_roots: tuple[Vec, ...] = tuple(
             tuple(Q(1 if i == j else 0) for j in range(self.rank))
             for i in range(self.rank)
@@ -194,14 +188,12 @@ class RootSystem:
         self.rho: Vec = vec(
             sum(w[j] for w in self.fundamental_weights) for j in range(self.rank)
         )
-        self.coroot_basis: tuple[Vec, ...] = tuple(
-            vscale(1 / self._d[i], self.simple_roots[i]) for i in range(self.rank)
-        )
-        # the simple coroots alpha_i / d_i are integral in root coordinates
-        # (1 / d_i is an integer): column j of coroot_matrix is alpha_j^vee
-        assert all(x.denominator == 1 for b in self.coroot_basis for x in b)
-        self.coroot_matrix: IntMat = tuple(
-            tuple(int(b[i]) for b in self.coroot_basis) for i in range(self.rank)
+        # the simple coroots alpha_i / d_i, integral in root coordinates
+        # (1 / d_i is an integer)
+        assert all((1 / d).denominator == 1 for d in self._d)
+        self.coroot_basis: IntMat = tuple(
+            tuple(int(i == j) * int(1 / self._d[i]) for j in range(self.rank))
+            for i in range(self.rank)
         )
         self.coroot_gram: Mat = tuple(
             tuple(self.ip(a, b) for b in self.coroot_basis) for a in self.coroot_basis
@@ -225,7 +217,8 @@ class RootSystem:
         return vdot(u, matvec(self.gram, v))
 
     def norm_sq(self, u: Vec) -> Q:
-        return self.ip(u, u)
+        """ip(u, u), summed in ints (`quadratic_form`)."""
+        return quadratic_form(self.gram, u)
 
     def coroot(self, root: Vec) -> Vec:
         return vscale(2 / self.norm_sq(root), root)

@@ -210,15 +210,10 @@ NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 
 
 def _norm_sq(rs: RootSystem, slot) -> Q:
-    """|slot|^2; for a varying slot its largest value, at an alcove vertex.
-    A fixed slot is scaled to ints by its common denominator D and paired
-    with the integer-scaled Gram matrix, so |slot|^2 is one Fraction."""
+    """|slot|^2; for a varying slot its largest value, at an alcove vertex."""
     if isinstance(slot, str):
         return max(rs.norm_sq(v) for v in rs.alcove.vertices)
-    den = common_denominator(slot)
-    v = scaled(slot, den)
-    return Q(sum(x * sum(map(mul, row, v)) for x, row in zip(v, rs.int_gram)),
-             rs.gram_scale * den * den)
+    return rs.norm_sq(slot)
 
 
 def _support_bound_sq(rs: RootSystem, slots: list) -> Q:
@@ -235,8 +230,8 @@ def _lattice_ball_for(rs: RootSystem, last, bound_sq: Q) -> list[tuple[int, ...]
     the support ball; the extra terms cancel exactly in the signed sum.
     """
     radius_sq = 2 * _norm_sq(rs, last) + 2 * bound_sq
-    rows = rs.coroot_matrix
-    return [tuple(sum(map(mul, row, n)) for row in rows)
+    columns = list(zip(*rs.coroot_basis))
+    return [tuple(sum(map(mul, col, n)) for col in columns)
             for n in lattice_points_in_ball(rs.coroot_gram, radius_sq)]
 
 
@@ -346,8 +341,9 @@ def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[tuple[int, ...]
     folded = _weyl_fold(weyl, (), [[m] for m in imaged])
     keys, coefs = list(chain.from_iterable(folded)), list(folded.values())
     # a wall dot product is at most the l1 norm of its normal (>= 1) times
-    # the largest coordinate
-    coordinate_max = (scale * _abs_max(list(chain.from_iterable(lattice)))
+    # the largest coordinate; scale itself enters an array even when every
+    # lattice vector is zero
+    coordinate_max = (scale * max(1, _abs_max(list(chain.from_iterable(lattice))))
                       + _abs_max(last) + _abs_max(keys))
     bound = coordinate_max * max(1, *(sum(map(abs, u)) for u in walls))
     dtype = np.int64 if max(bound, _abs_max(coefs)) < 2**62 else object
@@ -413,8 +409,7 @@ def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[tuple[int, ...]]) -> 
         row = int(first[g])
         if row >= stop:
             break
-        chamber = spline.chambers.get(tuple(1 if s else -1 for s in side[row].tolist()))
-        polys[g] = chamber.polynomial if chamber else spline.chamber_polynomial_at(point(row))
+        polys[g] = spline.chamber_polynomial_at(point(row))
     if stop < len(code):
         spline.chamber_polynomial_at(point(stop))  # raises OnWallError
 

@@ -78,6 +78,8 @@ def test_volume_kappa_constant():
 # sha256 of the `volume` stdout for markings whose common denominator exceeds
 # 2^63, where the kappa-sum runs on Python-int (object) arrays
 HUGE_DENOMINATOR_DIGESTS = [
+    (("A1", "1/4294967311", "1/4294967357", "1/4294967357"),
+     "812416b0fdb30d21ce17ffcf7f60f2290950d7d5bef051c98a1b76ca0f5727aa"),
     (("A2", "1/4294967311,1/5", "1/3,1/7", "2/7,1/4294967357"),
      "bebe3c2ade5afcb319ad218bc5ff32fc2f870176fd822ce3ff838850fea5627e"),
     (("A2", "1431655775/4294967311,1/3", "1/3,2/7", "2/7,1431655792/4294967357"),
@@ -87,7 +89,7 @@ HUGE_DENOMINATOR_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("args, digest", HUGE_DENOMINATOR_DIGESTS, ids=["A2-zero", "A2", "G2"])
+@pytest.mark.parametrize("args, digest", HUGE_DENOMINATOR_DIGESTS, ids=["A1-origin", "A2-zero", "A2", "G2"])
 def test_volume_huge_denominator_bytes_pinned(args, digest):
     r = run("volume", *args)
     assert r.returncode == 0, r.stderr

@@ -104,8 +104,11 @@ def reference_kappa_sum(rs, mus):
 
 
 # common denominators above 2^63 (the products of the primes 4294967311 and
-# 4294967357 with small ones): the kappa-sum's object-dtype arrays
+# 4294967357 with small ones): the kappa-sum's object-dtype arrays.  The A1
+# markings are so small that the only lattice vector is zero, so the scale
+# alone must send the sum to object arrays.
 HUGE_DENOMINATORS = [
+    ("A1", ["1/4294967311", "1/4294967357", "1/4294967357"], False),
     ("A2", ["1431655775/4294967311,1/3", "1/3,2/7", "2/7,1431655792/4294967357"], False),
     ("G2", ["715827886/4294967311,1/2", "1/6,7/12", "1/6,715827894/4294967357"], False),
 ]
