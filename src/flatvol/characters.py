@@ -12,10 +12,9 @@ limit along rho, as in the proof of Weyl's dimension formula.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -114,49 +113,32 @@ def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterVal
     return CharacterValue(value=complex(table[0]), condition=condition)
 
 
-def _shifted_norms(rs: RootSystem, casimir_cutoff):
-    """Yield (g |lambda+rho|^2, coords) for the dominant weights lambda with
-    |lambda+rho|^2 <= cutoff, in lexicographic order of the coordinates.
+def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:
+    """(g |lambda+rho|^2, coords) for the dominant weights lambda with
+    |lambda+rho|^2 <= cutoff, as int64 arrays sorted by the norm, ties in
+    lexicographic order of the fundamental-weight coordinates.
 
-    g is the common denominator of the fundamental-weight Gram matrix, so
-    the norms are ints.  Every entry of that matrix is positive, so the
-    norm grows in each coordinate and each loop stops at its first miss.
+    g is the common denominator of the fundamental-weight Gram matrix G,
+    so the norms are ints.  Every entry of G is positive, so v = lambda +
+    rho >= 1 has g |v|^2 >= G_ii v_i^2: the box v_i <= sqrt(limit / G_ii),
+    enumerated in lexicographic order, holds every weight; it is filtered
+    by the norm and stably sorted by it.
     """
     cutoff = Fraction(casimir_cutoff).limit_denominator(10**12) if isinstance(
         casimir_cutoff, float
     ) else Fraction(casimir_cutoff)
-    if cutoff < 0:
-        return
     gram_w = [
         [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
     ]
     g = common_denominator(chain.from_iterable(gram_w))
     gram = [scaled(row, g) for row in gram_w]
     limit = math.floor(cutoff * g)
-    last = rs.rank - 1
-    v = [1] * rs.rank  # lambda + rho in fundamental-weight coordinates
-
-    def rec(i: int, q: int):
-        row = gram[i]
-        if i == last:
-            # only v_i moves here, so the increment grows by 2 G_ii a step
-            head = tuple(c - 1 for c in v[:last])
-            step = 2 * sum(map(operator.mul, row, v)) + row[i]
-            c = 0
-            while q <= limit:
-                yield q, (*head, c)
-                q += step
-                step += 2 * row[i]
-                c += 1
-            return
-        while q <= limit:
-            yield from rec(i + 1, q)
-            # |v + e_i|^2 - |v|^2 = 2 (G v)_i + G_ii
-            q += 2 * sum(map(operator.mul, row, v)) + row[i]
-            v[i] += 1
-        v[i] = 1
-
-    yield from rec(0, sum(map(sum, gram)))
+    box = [math.isqrt(max(0, limit) // row[i]) for i, row in enumerate(gram)]
+    v = np.indices(box).reshape(rs.rank, -1).T + 1
+    q = ((v @ np.array(gram)) * v).sum(axis=1)
+    v, q = v[q <= limit], q[q <= limit]
+    order = np.argsort(q, kind="stable")
+    return q[order], v[order] - 1
 
 
 def enumerate_dominant(rs: RootSystem, casimir_cutoff) -> list[DominantWeight]:
@@ -165,12 +147,12 @@ def enumerate_dominant(rs: RootSystem, casimir_cutoff) -> list[DominantWeight]:
     Sorted by the shifted norm, ties broken lexicographically on the
     fundamental-weight coordinates.
     """
-    return [DominantWeight(coords) for _, coords in sorted(_shifted_norms(rs, casimir_cutoff))]
+    return [DominantWeight(tuple(c)) for c in _shifted_norms(rs, casimir_cutoff)[1].tolist()]
 
 
 def casimir_cutoff_for_count(rs: RootSystem, count: int) -> Fraction:
     """Smallest convenient cutoff whose weight list has >= count entries."""
     cutoff = rs.ip(rs.rho, rs.rho) * 4
-    while sum(1 for _ in islice(_shifted_norms(rs, cutoff), count)) < count:
+    while len(_shifted_norms(rs, cutoff)[0]) < count:
         cutoff *= 2
     return cutoff

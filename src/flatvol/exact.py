@@ -240,15 +240,9 @@ def nullspace(a: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
     return basis
 
 
-def quadratic_form(gram: Mat, v: Sequence[Q | int]) -> Q:
-    """v^T gram v, exact: v is scaled to ints by its common denominator and
-    paired with the integer-scaled gram (`_int_form`), so the sum is one
-    Fraction."""
-    den = common_denominator(v)
-    x = scaled(v, den)
-    igram, scale = _int_form(gram)
-    return Q(sum(c * sum(map(operator.mul, row, x)) for c, row in zip(x, igram)),
-             scale * den * den)
+def int_quadratic(igram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """x^T igram x for an integer form and an int vector."""
+    return sum(c * sum(map(operator.mul, row, x)) for c, row in zip(x, igram))
 
 
 def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
@@ -264,11 +258,8 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
     bounds = [math.isqrt(math.floor(radius_sq * g)) for g in _inverse_diagonal(gram)]
     igram, scale = _int_form(gram)
     limit = math.floor(radius_sq * scale)
-    return [
-        n
-        for n in itertools.product(*(range(-b, b + 1) for b in bounds))
-        if sum(c * sum(map(operator.mul, row, n)) for c, row in zip(n, igram)) <= limit
-    ]
+    return [n for n in itertools.product(*(range(-b, b + 1) for b in bounds))
+            if int_quadratic(igram, n) <= limit]
 
 
 @lru_cache(maxsize=64)

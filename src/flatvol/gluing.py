@@ -99,16 +99,15 @@ class AlcoveFactor(_AffinePants):
         """sum of coef * p_chamber(x(nu)) over (argument, signs, coef) terms.
         Every support chamber must be built (`enumerate_support_chambers`);
         signs naming no chamber are outside the support cone."""
-        chambers = self.spline.chambers
         groups: dict = {}
         for (c, L, _, _), signs, coef in terms:
-            chamber = chambers.get(signs)
-            if chamber is None or not coef:
+            form = self.spline.integer_form(signs)
+            if form is None or not coef:
                 continue
-            group = groups.setdefault((signs, L), (chamber.polynomial, L, [], []))
+            group = groups.setdefault((signs, L), (form, L, [], []))
             group[2].append(c)
             group[3].append(coef)
-        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), self.scale))
+        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), self.spline, self.scale))
 
     def cell_polynomial(self, point) -> Poly:
         """Polynomial of the cell at a homogeneous point (z, den), read

@@ -33,6 +33,8 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, count
 from operator import mul, sub
 
+import numpy as np
+
 from .exact import (
     Q, Vec, _eliminate, common_denominator, det, mat_t, nullspace, pivot_columns, scaled,
     scaled_inverse, solve, vec,
@@ -158,6 +160,10 @@ class VectorConfig:
         self._free = tuple(j for j in range(self.n) if j not in pivots)
         self._jacobian = 1 / abs(det(tuple(self.vectors[j] for j in pivots)))
         self.walls = self._wall_functionals()
+        # the int64 matrix [I; walls]: x -> x and its wall dot products
+        self.extension = np.vstack([np.eye(self.rank, dtype=np.int64),
+                                    np.array(self.walls, dtype=np.int64).reshape(-1, self.rank)])
+        self.wall_bits = 1 << np.arange(len(self.walls), dtype=np.int64)  # wall sides, packed
         # a fixed direction off every wall: a point on a wall is read in the
         # chamber this direction points to, on the side nudge_signs gives
         self.nudge = tuple(Q(1, (i + 1) ** (i + 1)) for i in range(self.rank))
@@ -367,6 +373,9 @@ class PiecewisePolynomial:
         self.degree = config.degree
         self.det_gram = config.det_gram
         self.chambers: dict[tuple[int, ...], Chamber] = {}
+        self.monomials = _power_monomials(tuple(range(self.rank)), self.rank, self.degree)
+        self.exponents = np.array(self.monomials, dtype=np.int64)
+        self._integer_forms: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -399,6 +408,21 @@ class PiecewisePolynomial:
 
     def on_wall(self, xi: Vec) -> bool:
         return self.config.on_wall(xi)
+
+    def integer_form(self, signs: tuple[int, ...], point=None) -> tuple[list[int], int] | None:
+        """The chamber with these wall signs (each +1 or -1) as integer
+        numerators over `monomials` and one denominator, made once.  A new
+        chamber is built at point() by `chamber_polynomial_at`, or None
+        is returned when no point is given."""
+        form = self._integer_forms.get(signs)
+        if form is None and (signs in self.chambers or point is not None):
+            if signs not in self.chambers:
+                self.chamber_polynomial_at(point())
+            poly = self.chambers[signs].polynomial
+            den = common_denominator(poly.values())
+            form = (scaled((poly.get(m, 0) for m in self.monomials), den), den)
+            self._integer_forms[signs] = form
+        return form
 
     # -- materialization ----------------------------------------------------
 

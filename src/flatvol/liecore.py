@@ -10,7 +10,8 @@ as e^{2*pi*i*<lambda, mu>}.
 Irrational scalars appear in exactly two places: the covolume of the
 coroot lattice (sqrt of a rational determinant) and the Riemannian volume
 of the group.  Everything else is a Fraction, except the integer objects:
-the Weyl group and the coroot basis are stored once, as integer matrices.
+the Weyl group and the coroot basis are stored once, as integer matrices,
+and as int64 tables for the lattice sums.
 """
 
 from __future__ import annotations
@@ -18,21 +19,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
+
+import numpy as np
 
 from .exact import (
     Mat,
     Q,
     Vec,
+    _int_form,
     as_q,
+    common_denominator,
     det,
+    int_quadratic,
     inverse,
     lattice_points_in_ball,
     mat,
     mat_t,
     matvec,
-    quadratic_form,
+    scaled,
     vadd,
     vdot,
     vec,
@@ -209,6 +215,7 @@ class RootSystem:
         )
         self._weyl: tuple[WeylElement, ...] | None = None
         self._w0: WeylElement | None = None
+        self._lattice_table = (-1, np.zeros((0, self.rank), dtype=np.int64), np.zeros(0))
 
     # -- inner products and pairings -------------------------------------
 
@@ -217,8 +224,11 @@ class RootSystem:
         return vdot(u, matvec(self.gram, v))
 
     def norm_sq(self, u: Vec) -> Q:
-        """ip(u, u), summed in ints (`quadratic_form`)."""
-        return quadratic_form(self.gram, u)
+        """ip(u, u): u scaled to ints by its common denominator, paired with
+        the integer-scaled gram (`exact.int_quadratic`), and one Fraction."""
+        den = common_denominator(u)
+        igram, scale = _int_form(self.gram)
+        return Q(int_quadratic(igram, scaled(u, den)), scale * den * den)
 
     def coroot(self, root: Vec) -> Vec:
         return vscale(2 / self.norm_sq(root), root)
@@ -274,6 +284,21 @@ class RootSystem:
         h = self.ip(self.highest_root, u)
         return vscale(1 / h, u)
 
+    def coroot_ball(self, limit: int) -> np.ndarray:
+        """The coroot-lattice vectors l with g |l|^2 <= limit (g the scale of
+        `exact._int_form(gram)`) as int64 rows in root coordinates, in the
+        order of `lattice_points_in_ball`, read off one table whose radius
+        doubles as needed: filtering a larger ball keeps that (lex) order."""
+        top, vectors, norms = self._lattice_table
+        if limit > top:
+            igram, g = _int_form(self.gram)
+            top = max(limit, 2 * top)
+            coeffs = lattice_points_in_ball(self.coroot_gram, Q(top, g))
+            vectors = np.array(coeffs, dtype=np.int64) @ np.array(self.coroot_basis, dtype=np.int64)
+            norms = ((vectors @ np.array(igram, dtype=np.int64)) * vectors).sum(axis=1)
+            self._lattice_table = top, vectors, norms
+        return vectors[norms <= limit]
+
     # -- Weyl group ----------------------------------------------------------
 
     def weyl_elements(self) -> tuple[WeylElement, ...]:
@@ -304,6 +329,14 @@ class RootSystem:
             for m in seen
         )
         self._weyl = tuple(WeylElement(matrix=m, length=n) for n, m in ranked)
+
+    @cached_property
+    def weyl_array(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The matrices of `weyl_elements` as one int64 tensor, their signs,
+        and their largest absolute row sum, a bound of max|w x| / max|x|."""
+        mats = np.array([w.matrix for w in self.weyl_elements()], dtype=np.int64)
+        signs = np.array([w.sign for w in self.weyl_elements()], dtype=np.int64)
+        return mats, signs, int(np.abs(mats).sum(axis=2).max())
 
     @property
     def w0(self) -> WeylElement:

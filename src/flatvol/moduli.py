@@ -7,12 +7,13 @@ Four routes are provided, each independent of the ones it checks:
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably (the alternating double sum is supported in
   conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
-  runs in integers scaled by the common denominator of the markings:
-  one Weyl fold (`_weyl_fold`) merges equal partial sums of Weyl images,
-  the arguments, their wall dot products and their chambers are whole
-  integer arrays (int64, or Python ints in object arrays when int64
-  could overflow), and each chamber polynomial is evaluated once over
-  its group in Python ints;
+  is one exact pass over whole integer arrays, scaled by the common
+  denominator of the markings: the lattice ball and the Weyl matrices
+  are cached tables of the root system, the Weyl-image sums are
+  broadcast (`_weyl_fold`), each argument's chamber is found by its wall
+  signs, and the chamber polynomials' moments are taken for every
+  chamber at once, modulo 2^64, exact when a bound allows, and otherwise
+  also from residues modulo primes (`_moments`);
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value computed by the independent fiber-polytope
   route;
@@ -40,9 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, chain, product, repeat
-from operator import add, mul, sub
+from functools import cached_property, lru_cache
+from itertools import chain, count, islice, product, repeat
+from operator import mul, sub
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .characters import (
     singular_order,
 )
 from .exact import (
-    Q, Vec, common_denominator, lattice_points_in_ball, scaled, vadd, vsub, vzero,
+    Q, Vec, _int_form, common_denominator, int_quadratic, scaled, vadd, vsub, vzero,
 )
 from .kappa import (
     OnWallError,
@@ -224,15 +225,13 @@ def _support_bound_sq(rs: RootSystem, slots: list) -> Q:
 
 def _lattice_ball_for(rs: RootSystem, last, bound_sq: Q) -> list[tuple[int, ...]]:
     """Lattice vectors l with |last + l|^2 possibly <= bound_sq, as int
-    tuples in root coordinates (the coroot basis is integral there).
+    tuples in root coordinates (`RootSystem.coroot_ball`).
 
     Enumerates |l|^2 <= 2 |last|^2 + 2 bound_sq, which provably covers
     the support ball; the extra terms cancel exactly in the signed sum.
     """
-    radius_sq = 2 * _norm_sq(rs, last) + 2 * bound_sq
-    columns = list(zip(*rs.coroot_basis))
-    return [tuple(sum(map(mul, col, n)) for col in columns)
-            for n in lattice_points_in_ball(rs.coroot_gram, radius_sq)]
+    limit = math.floor(_int_form(rs.gram)[1] * (2 * _norm_sq(rs, last) + 2 * bound_sq))
+    return list(map(tuple, rs.coroot_ball(limit).tolist()))
 
 
 def sphere_volume_kappa(
@@ -242,27 +241,29 @@ def sphere_volume_kappa(
 
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
-    the chamber spline (Lawrence's vertex formula per chamber).  The sum
-    runs in integers scaled by the common denominator of the markings:
-    equal partial sums of Weyl images are merged, the arguments are
-    grouped by chamber as integer arrays, and each chamber polynomial is
-    evaluated once over its group (`_kappa_sum`).
+    the chamber spline (Lawrence's vertex formula per chamber).  The
+    norms g D^2 |mu_j|^2 in ints (D the common denominator of the
+    markings, g that of the Gram matrix) give the lattice ball, and the
+    sum is one pass over integer arrays (`_kappa_sum`).
     """
     b = len(mus)
     if b < 3:
         raise ValueError("need at least three markings")
     multiplicity = b - 2
     spline = kappa_build(rs, multiplicity)
-    bound_sq = _support_bound_sq(rs, mus)
-    if radius_sq is None:
-        radius_sq = bound_sq
-    lattice = _lattice_ball_for(rs, mus[-1], radius_sq)
+    scale = common_denominator(chain.from_iterable(mus))
+    igram, g = _int_form(rs.gram)
+    norms = [int_quadratic(igram, scaled(m, scale)) for m in mus]
+    if radius_sq is None:  # `_support_bound_sq`
+        radius_sq = Q((b - 1) * sum(norms[:-1]), g * scale * scale)
+    # as in `_lattice_ball_for`: g |l|^2 <= g (2 |mu_b|^2 + 2 radius_sq)
+    lattice = rs.coroot_ball((2 * norms[-1] + 2 * g * scale * scale * radius_sq) // (scale * scale))
 
-    total = _kappa_sum(spline, rs.weyl_elements(), mus, lattice)
+    total = _kappa_sum(spline, rs, mus, lattice)
     rational = (-1) ** rs.n_positive * rs.center_order * total
-    value = float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
+    norm = rs.det_coroot_gram * rs.det_gram
     return VolumeReport(
-        value=value,
+        value=float(rational) / math.sqrt(float(norm)),
         method="kappa-sum",
         parameters={
             "markings": [[str(c) for c in m] for m in mus],
@@ -273,118 +274,86 @@ def sphere_volume_kappa(
         stamp=convention_stamp(rs),
         exact={
             "rational": rational,
-            "normalization": f"1/sqrt({rs.det_coroot_gram * rs.det_gram})",
+            "normalization": f"1/sqrt({norm})",
         },
     )
 
 
-def _extend(walls, v) -> tuple[int, ...]:
-    """The coordinates of v, then its dot products with the wall normals;
-    both are linear, so sums of extended vectors stay extended."""
-    return (*v, *(sum(map(mul, u, v)) for u in walls))
+def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
+    """The sums w_1 s_1 + ... + w_k s_k over Weyl tuples in the term order
+    (w_1 major), each slot an integer matrix of `columns` columns and each
+    sum flattened column after column, and the tuples' signs: one product
+    with the Weyl tensor (`RootSystem.weyl_array`), one broadcast sum per
+    slot.  Equal sums are not merged; their terms cancel exactly."""
+    mats, signs, _ = rs.weyl_array
+    width = columns * rs.rank
+    if not len(slots):
+        return np.zeros((1, width), dtype=np.int64), np.ones(1, dtype=np.int64)
+    slots = np.asarray(slots).reshape(len(slots), rs.rank, columns)
+    images = np.swapaxes(mats[:, None] @ slots, 2, 3).reshape(len(mats), len(slots), width)
+    sums, coefs = images[:, 0], signs
+    for j in range(1, len(slots)):
+        sums = (sums[:, None] + images[None, :, j]).reshape(-1, width)
+        coefs = (coefs[:, None] * signs).reshape(-1)
+    return sums, coefs
 
 
-def _weyl_fold(weyl, walls, slots: list, columns: int = 1) -> dict[tuple[int, ...], int]:
-    """{w_1 s_1 + ... + w_k s_k: summed sign of the tuple} over Weyl tuples
-    (w_1..w_k), w_j ranging over `weyl` (`RootSystem.weyl_elements`, whose
-    matrices are integer), each slot s_j an integer matrix given by its
-    `columns` columns; a sum is flattened column after column, each column
-    extended (`_extend`).  The images are folded one slot at a time into a
-    dict from partial sum to signed coefficient.  A dict keeps first
-    insertion, so the sums are met in the order (w_1, ..., w_k) of the
-    term-by-term sum; merged coefficients may be zero.
-    """
-    folded = {(0,) * columns * (len(weyl[0].matrix) + len(walls)): 1}
-    for cols in slots:
-        images = []
-        for w in weyl:
-            img: tuple[int, ...] = ()
-            for col in cols:
-                img += _extend(walls, [sum(map(mul, row, col)) for row in w.matrix])
-            images.append((w.sign, img))
-        nxt: dict[tuple[int, ...], int] = {}
-        for p, coef in folded.items():
-            for s, img in images:
-                key = tuple(map(add, p, img))
-                nxt[key] = nxt.get(key, 0) + s * coef
-        folded = nxt
-    return folded
-
-
-def _abs_max(xs: list[int]) -> int:
-    return max(max(xs, default=0), -min(xs, default=0))
-
-
-def _kappa_arguments(config, weyl, mus: list[Vec], lattice: list[tuple[int, ...]]):
-    """The kappa arguments of the lattice sum over l in lattice and Weyl
-    tuples (w_1..w_k), b = k + 1, as whole integer arrays (args, coefs).
+def _kappa_arguments(rs: RootSystem, config, mus: list[Vec], lattice):
+    """The kappa arguments of the lattice sum over l in lattice (int
+    vectors in root coordinates) and Weyl tuples (w_1..w_k), b = k + 1, as
+    whole integer arrays (args, coefs).
 
     Row r of args is x = D (w_1 mu_1 + ... + w_k mu_k + mu_b + l), D the
-    common denominator of the markings, followed by its dot products with
-    the wall normals (rank + walls columns); coefs[r] is the summed product
-    of the signs of the tuples that give x.  Two tables are extended by
-    their wall dot products, once each: the tails T, D (mu_b + l) for each
-    lattice vector l (integral in root coordinates), and the fold P of the
-    Weyl images (`_weyl_fold`, in which equal partial sums merge).  Then
-    args = T[:, None] + P[None] is l-major: the order (l, w_1, ..., w_k)
-    of the term-by-term sum.  Merged coefficients may be zero.  Rows with
-    a negative coordinate, outside the support cone, are dropped.
+    common denominator of the markings, then its wall dot products
+    (`VectorConfig.extension`); coefs[r] = +-1 is the tuple's sign.  With
+    the tails T = D (mu_b + l) and the Weyl-image sums P (`_weyl_fold`),
+    T[:, None] + P[None] is in the order (l, w_1, ..., w_k) of the
+    term-by-term sum.  Rows with a negative coordinate, outside the
+    support cone, are dropped before the rest are extended.
 
-    The arrays are int64 when a bound on max|T| + max|P| (and every
-    coefficient) is below 2^62, so no sum can overflow; otherwise, for
-    markings with huge denominators, the same statements run on
-    dtype=object arrays, which hold Python ints.
+    The arrays are int64 when a bound on every entry is below 2^62; for
+    huge denominators the same statements run on object arrays of ints.
     """
-    rank, walls = config.rank, config.walls
-    scale = common_denominator(chain.from_iterable(mus))
-    *imaged, last = (scaled(m, scale) for m in mus)
-    folded = _weyl_fold(weyl, (), [[m] for m in imaged])
-    keys, coefs = list(chain.from_iterable(folded)), list(folded.values())
-    # a wall dot product is at most the l1 norm of its normal (>= 1) times
-    # the largest coordinate; scale itself enters an array even when every
-    # lattice vector is zero
-    coordinate_max = (scale * max(1, _abs_max(list(chain.from_iterable(lattice))))
-                      + _abs_max(last) + _abs_max(keys))
-    bound = coordinate_max * max(1, *(sum(map(abs, u)) for u in walls))
-    dtype = np.int64 if max(bound, _abs_max(coefs)) < 2**62 else object
-
-    wall_rows = np.array(walls, dtype=dtype).reshape(len(walls), rank)
-    tails = (scale * np.array(lattice, dtype=dtype).reshape(len(lattice), rank)
-             + np.array(last, dtype=dtype))
-    folds = np.array(keys, dtype=dtype).reshape(len(coefs), rank)
-    tails, folds = (np.concatenate([t, t @ wall_rows.T], axis=1) for t in (tails, folds))
-    args = (tails[:, None] + folds[None]).reshape(-1, tails.shape[1])
-    coefs = np.tile(np.array(coefs, dtype=dtype), len(lattice))
-    if config.orthant_support:
-        inside = args[:, 0] >= 0
-        for i in range(1, rank):
-            inside &= args[:, i] >= 0
-        args, coefs = args[inside], coefs[inside]
-    return args, coefs
-
-
-def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[tuple[int, ...]]) -> Q:
-    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
-    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1.
-
-    The arguments come from `_kappa_arguments` as integer arrays, scaled
-    by D.  Each row's side of the walls is packed into one int64 code,
-    bit i set when the row lies on the positive side of wall i; a row on
-    wall i takes the side the nudge direction points to, whose chamber
-    polynomial gives its value by continuity.  Rows are grouped by code
-    (`np.unique`), and the groups are visited in the order of their first
-    row.  A group's chamber polynomial is taken at that row, the first
-    argument the term order meets in the chamber, even one whose
-    coefficient is zero, so chambers are built and checked in term order.
-    Each polynomial is then evaluated once over its group's rows of
-    nonzero coefficient, in Python ints (`_scaled_poly_sum`).  At degree 0
-    kappa jumps on a wall: the first on-wall row raises OnWallError, after
-    the chambers met before it have been built.
-    """
-    config = spline.config
     rank = config.rank
     scale = common_denominator(chain.from_iterable(mus))
-    args, coefs = _kappa_arguments(config, weyl, mus, lattice)
+    *imaged, last = (scaled(m, scale) for m in mus)
+    lattice = np.asarray(lattice, dtype=np.int64).reshape(-1, rank)
+    # |w m| <= weyl_norm max|m|, |u.x| <= |u|_1 max|x|; scale enters an
+    # array even when every lattice vector is zero
+    coordinate_max = (scale * max(1, int(np.abs(lattice).max(initial=0))) + max(map(abs, last))
+                      + rs.weyl_array[2] * sum(max(map(abs, m)) for m in imaged))
+    bound = coordinate_max * max(1, *(sum(map(abs, u)) for u in config.walls))
+    dtype = np.int64 if bound < 2**62 else object
+
+    tails = scale * lattice.astype(dtype) + np.array(last, dtype=dtype)
+    folds, coefs = _weyl_fold(rs, np.array(imaged, dtype=dtype))
+    args = (tails[:, None] + folds[None]).reshape(-1, rank)
+    coefs = np.tile(coefs, len(lattice)).astype(dtype, copy=False)
+    if config.orthant_support:
+        inside = (args >= 0).all(axis=1)
+        args, coefs = args[inside], coefs[inside]
+    return args @ config.extension.T, coefs
+
+
+def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
+    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
+    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1,
+    in one pass over the integer arrays of `_kappa_arguments`, scaled by D.
+
+    A row's wall sides are packed into one int64 code (bit i: positive side
+    of wall i; on the wall, the side the nudge direction points to, whose
+    chamber polynomial gives the value by continuity).  A stable sort by
+    code groups the rows; in the order of their first rows, the first
+    argument the term order meets in each chamber, the groups' chambers
+    are looked up by sign (`PiecewisePolynomial.integer_form`) and built
+    there if new, so in term order.  At degree 0 the first on-wall row
+    raises OnWallError, after the chambers met before it.  Chamber
+    polynomials are homogeneous of degree d, so with (c_g, e_g) a group's
+    integer form and M_g its moments (`_moments`) the sum is
+    sum_g c_g . M_g / (e_g D^d).
+    """
+    config, rank = spline.config, spline.rank
+    args, coefs = _kappa_arguments(rs, config, mus, lattice)
     dots = args[:, rank:]
     assert dots.shape[1] <= 62, "the side of every wall must fit in one int64"
     side = dots > 0
@@ -392,67 +361,93 @@ def _kappa_sum(spline, weyl, mus: list[Vec], lattice: list[tuple[int, ...]]) -> 
     walled = on_wall.any()
     if walled:
         side |= on_wall & (np.array(config.nudge_signs) > 0)
-    code = side @ (1 << np.arange(dots.shape[1], dtype=np.int64))
-    _, first, group = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first).tolist()
+    code = side @ config.wall_bits
+    order = np.argsort(code, kind="stable")
+    ordered = code[order]  # a group starts at row 0 and at each new code
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))[:len(code)])
+    first = order[starts]  # each group's first row, since the sort is stable
+    signs = list(map(tuple, np.where(side[first], 1, -1).tolist()))
+    scale = common_denominator(chain.from_iterable(mus))
 
     def point(row: int) -> Vec:
         return tuple(Q(c, scale) for c in args[row, :rank].tolist())
 
-    # rows from stop on are not evaluated: at degree 0, stop is the first
-    # row on a wall
+    # rows from stop on are not evaluated: at degree 0, the first on a wall
     stop = len(code)
     if walled and not spline.degree:
         stop = int(np.flatnonzero(on_wall.any(axis=1))[0])
-    polys = [None] * len(first)
-    for g in order:
-        row = int(first[g])
+    forms = [None] * len(starts)
+    for row, g in sorted(zip(first.tolist(), range(len(starts)))):
         if row >= stop:
             break
-        polys[g] = spline.chamber_polynomial_at(point(row))
+        forms[g] = spline.integer_form(signs[g], lambda: point(row))
     if stop < len(code):
         spline.chamber_polynomial_at(point(stop))  # raises OnWallError
 
-    # the rows of nonzero coefficient, sorted by group
-    rows = np.flatnonzero(coefs)
-    rows = rows[np.argsort(group[rows], kind="stable")]
-    starts = [0, *accumulate(np.bincount(group[rows], minlength=len(first)).tolist())]
-    xs, cs = args[rows, :rank].tolist(), coefs[rows].tolist()
-    total = Q(0)
-    for g in order:
-        lo, hi = starts[g], starts[g + 1]
-        total += _scaled_poly_sum(polys[g], xs[lo:hi], cs[lo:hi], scale)
-    return total
+    moments = _moments(args[order, :rank], coefs[order], starts, spline.exponents)
+    common = math.lcm(*(den for _, den in forms))
+    return Q(sum(sum(map(mul, m, c)) * (common // den) for m, (c, den) in zip(moments, forms)),
+             common * scale**spline.degree)
 
 
-def _moments(points: list, coefs: list[int], exponents) -> dict[tuple[int, ...], int]:
-    """{b: sum of coef * x^b over int points x} for the exponent tuples b;
-    each power of a coordinate is one `map` over its column."""
-    columns = list(zip(*points))
-    powers: dict[tuple[int, int], list[int]] = {}
-    out = {}
-    for b in exponents:
-        column = coefs
-        for i, e in enumerate(b):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = list(map(pow, columns[i], repeat(e)))
-                column = list(map(mul, column, powers[i, e]))
-        out[b] = sum(column)
-    return out
+def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[list[int]]:
+    """M[g][e] = sum of coefs[i] * points[i]^exponents[e] over the rows i of
+    group g (from starts[g] to the next start, none empty), in Python ints,
+    for all groups at once: per-coordinate power tables, the monomial
+    matrix gathered from them and weighted by the coefficients, and
+    `np.add.reduceat` over the starts.
+
+    B = max(1, max|x|)^t sum|coef| (t the largest degree) bounds every
+    entry.  The pass runs modulo 2^64 in uint64, whose arithmetic wraps,
+    exact alone when B < 2^63; otherwise also modulo the fewest primes
+    below 2^31 (a product of two residues fits int64) that bring the
+    moduli's product P above 2B, and the entries are rebuilt in (-P/2, P/2]
+    by the Chinese remainder theorem (J. von zur Gathen and J. Gerhard,
+    Modern Computer Algebra, ch. 5).  Python ints enter as x % p.
+    """
+    top = int(exponents.sum(axis=1).max())
+    bound = max(1, int(np.abs(points).max(initial=0))) ** top * int(np.abs(coefs).sum())
+    k = 0
+    while _crt_basis(k)[1] <= 2 * bound:
+        k += 1
+    primes, product, weights = _crt_basis(k)
+    tables = []
+    for p in (0, *primes):
+        if p:
+            x, c = ((a % p).astype(np.int64) for a in (points, coefs))
+        else:
+            x, c = ((a % 2**64).astype(np.uint64) if a.dtype == object else a.view(np.uint64)
+                    for a in (points, coefs))
+
+        def mod(a, p=p):  # a % p, in place; floor division is the faster
+            if p:
+                a -= a // p * p
+            return a
+
+        terms = np.empty((len(x), len(exponents)), dtype=x.dtype)
+        terms[:] = c[:, None]
+        for i, column in enumerate(exponents.T):  # one coordinate's powers at a time
+            power = np.ones((len(x), top + 1), dtype=x.dtype)
+            for e in range(top):
+                power[:, e + 1] = mod(power[:, e] * x[:, i])
+            terms *= power[:, column]
+            mod(terms)
+        tables.append(mod(np.add.reduceat(terms, starts, axis=0)))
+    if not primes:  # |M| <= B < 2^63: the signed reading of the pass modulo 2^64
+        return tables[0].view(np.int64).tolist()
+    moments = sum(t.astype(object) * w for t, w in zip(tables, weights)) % product
+    return np.where(moments > product // 2, moments - product, moments).tolist()
 
 
-def _scaled_poly_sum(poly: Poly, xs: list, coefs: list[int], scale: int) -> Q:
-    """sum of coef * poly(x / scale) over int tuples x and int coefs,
-    accumulated in ints over one common denominator."""
-    if not poly or not xs:
-        return Q(0)
-    degree = max(sum(m) for m in poly)
-    den = common_denominator(poly.values())
-    moments = _moments(xs, coefs, poly)
-    acc = sum(c * scale ** (degree - sum(m)) * moments[m]
-              for m, c in zip(poly, scaled(poly.values(), den)))
-    return Q(acc, den * scale**degree)
+@lru_cache(maxsize=None)
+def _crt_basis(k: int) -> tuple[list[int], int, list[int]]:
+    """The k largest primes below 2^31, the product P of them and 2^64, and
+    the CRT weights (P/m) ((P/m)^-1 mod m) of the moduli 2^64 and the
+    primes, m: each is 1 modulo its m and 0 modulo the others."""
+    odd = np.arange(3, 46341, 2)  # every odd composite below 2^31 has a factor here
+    primes = list(islice((n for n in count(2**31 - 1, -2) if (n % odd).all()), k))
+    product = 2**64 * math.prod(primes)
+    return primes, product, [product // m * pow(product // m, -1, m) for m in (2**64, *primes)]
 
 
 def pants_volume_kappa(
@@ -499,61 +494,74 @@ class _AffinePants:
         """Every argument (c, L, coef), extended: c has rank + walls entries
         and L as many rows.  They come in the term order (l, w_1, ..., w_{b-1})
         of the lattice sum with the Weyl elements of the fixed slots first;
-        merged coefficients may be zero."""
+        equal arguments are not merged."""
         rs, rank, scale = self.rs, self.rs.rank, self.scale
-        walls = self.spline.config.walls
-        width = rank + len(walls)
-        unit = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        columns = {NU: unit, STAR_NU: [[-x for x in col] for col in zip(*rs.w0.matrix)]}
+        extension = self.spline.config.extension
         *imaged, last = self.slots
-        fixed = _weyl_fold(rs.weyl_elements(), walls,
-                           [[scaled(s, scale)] for s in imaged if not isinstance(s, str)])
-        varying = _weyl_fold(rs.weyl_elements(), walls,
-                             [columns[s] for s in imaged if isinstance(s, str)], rank)
-        if isinstance(last, str):  # the last slot joins every term as it is
-            tail = (0,) * rank
-            last_L = tuple(chain.from_iterable(_extend(walls, col) for col in columns[last]))
-        else:
-            tail, last_L = scaled(last, scale), (0,) * rank * width
-        ls = []  # (rows of L, coef); the fold gives L column after column
-        for flat, coef in varying.items():
-            flat = tuple(map(add, flat, last_L))
-            ls.append((tuple(zip(*(flat[j:j + width] for j in range(0, rank * width, width)))),
-                       coef))
-        out = []
-        for l in self.lattice:
-            t = _extend(walls, [scale * y + x for y, x in zip(l, tail)])
-            out.extend((tuple(map(add, t, c)), L, cf * cv)
-                       for c, cf in fixed.items() for L, cv in ls)
-        return out
+        # the L part depends only on which slots vary: made once per root system
+        pattern = (*(s for s in imaged if isinstance(s, str)), isinstance(last, str) and last)
+        ls = rs.__dict__.setdefault("_affine_matrices", {}).get(pattern)
+        if ls is None:
+            columns = {NU: np.eye(rank, dtype=np.int64),
+                       STAR_NU: -np.array(rs.w0.matrix, dtype=np.int64)}
+            varying, coefs = _weyl_fold(rs, [columns[s] for s in pattern[:-1]], rank)
+            if pattern[-1]:  # the last slot joins every term as it is
+                varying = varying + columns[last].T.reshape(-1)
+            # the fold gives L column after column; (its rows, extended, coef)
+            ls = rs._affine_matrices[pattern] = [(tuple(map(tuple, L)), coef) for L, coef in zip(
+                (extension @ varying.reshape(-1, rank, rank).transpose(0, 2, 1)).tolist(),
+                coefs.tolist())]
+        fixed, fixed_coefs = _weyl_fold(rs, np.array(
+            [scaled(s, scale) for s in imaged if not isinstance(s, str)], dtype=object))
+        tail = (0,) * rank if isinstance(last, str) else scaled(last, scale)
+        tails = scale * np.array(self.lattice, dtype=object).reshape(-1, rank) + tail
+        cs = ((tails[:, None] + fixed[None]).reshape(-1, rank) @ extension.T).tolist()
+        return [(tuple(c), L, cf * cv)
+                for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)) for L, cv in ls]
 
 
-def _affine_sum(groups, scale: int) -> Poly:
-    """sum over groups (p, L, cs, coefs) of coef * p((c + scale L nu) / scale)
-    as a polynomial in nu, for integer vectors c and coefs.
+def _column_moments(points: list, coefs: list[int], exponents) -> dict[tuple[int, ...], int]:
+    """{b: sum of coef * x^b over int points x} for the exponent tuples b, in
+    Python ints: an `_affine_sum` group has too few rows to repay numpy's
+    fixed cost per call, which `_moments` spends on the kappa-sum's."""
+    columns = list(zip(*points))
+    powers: dict[tuple[int, int], list[int]] = {}
+    out = {}
+    for b in exponents:
+        column = coefs
+        for i, e in enumerate(b):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = list(map(pow, columns[i], repeat(e)))
+                column = list(map(mul, column, powers[i, e]))
+        out[b] = sum(column)
+    return out
+
+
+def _affine_sum(groups, spline, scale: int) -> Poly:
+    """sum over groups (form, L, cs, coefs) of coef * p((c + scale L nu) / scale)
+    as a polynomial in nu, for integer vectors c and coefs, p the chamber
+    polynomial of integer form `form` (`PiecewisePolynomial.integer_form`)
+    over the spline's degree-d monomials.
 
     With y = L nu, sum coef p(c / D + y) = sum_k y^k sum_m p_m binom(m, k)
-    M_{m-k} / D^{|m - k|}, M_b = sum coef c^b the integer moments of the
-    group (`_moments`); the result is then composed with nu -> L nu
+    M_{m-k} / D^{d - |k|}, M_b = sum coef c^b the integer moments of the
+    group (`_column_moments`); the result is then composed with nu -> L nu
     (skipped for the identity)."""
+    below = {m: list(product(*(range(e + 1) for e in m))) for m in spline.monomials}
+    exponents = set().union(*below.values())
     out: dict = {}
-    for poly, L, cs, coefs in groups:
-        if not poly:
-            continue
-        den = common_denominator(poly.values())
-        degree = max(map(sum, poly))
-        below = {m: list(product(*(range(e + 1) for e in m))) for m in poly}
-        moments = _moments(cs, coefs, set().union(*below.values()))
+    for (numerators, den), L, cs, coefs in groups:
+        moments = _column_moments(cs, coefs, exponents)
         shifted: dict = {}
-        for m, pm in zip(poly, scaled(poly.values(), den)):
-            pm *= scale ** (degree - sum(m))
-            for k in below[m]:
+        for m, pm in zip(spline.monomials, numerators):
+            for k in below[m] if pm else ():
                 weight = math.prod(map(math.comb, m, k)) * scale ** sum(k)
                 shifted[k] = shifted.get(k, 0) + pm * weight * moments[tuple(map(sub, m, k))]
         if any(x != (i == j) for i, row in enumerate(L) for j, x in enumerate(row)):
             units = [tuple(int(i == j) for j in range(len(L))) for i in range(len(L))]
             shifted = poly_subs_affine(shifted, [dict(zip(units, row)) for row in L])
-        total = den * scale**degree
+        total = den * scale**spline.degree
         for k, v in shifted.items():
             if v:
                 out[k] = out.get(k, 0) + Q(v, total)
@@ -588,8 +596,7 @@ class PantsVolumePoly(_AffinePants):
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, same units as pants_volume_kappa.exact."""
         mus = [self.mu1, self.mu2, mu3]
-        return self.prefactor * _kappa_sum(self.spline, self.rs.weyl_elements(), mus,
-                                           self.lattice)
+        return self.prefactor * _kappa_sum(self.spline, self.rs, mus, self.lattice)
 
     def value(self, mu3: Vec) -> float:
         return float(self.value_exact(mu3)) / math.sqrt(float(self.norm_denominator))
@@ -605,8 +612,7 @@ class PantsVolumePoly(_AffinePants):
         non-regular.
         """
         mus = [self.mu1, self.mu2, mu3]
-        args, _ = _kappa_arguments(self.spline.config, self.rs.weyl_elements(), mus,
-                                   self.lattice)
+        args, _ = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
         return bool((args[:, self.rs.rank:] == 0).any())
 
     def polynomial_at(self, mu3: Vec) -> Poly:
@@ -619,7 +625,7 @@ class PantsVolumePoly(_AffinePants):
         rank, scale = self.rs.rank, self.scale
         den = common_denominator(mu3)
         # every L is the unit matrix, extended: L (den mu3) is z
-        z = _extend(self.spline.config.walls, scaled(mu3, den))
+        z = (self.spline.config.extension @ np.array(scaled(mu3, den), dtype=object)).tolist()
         met = []
         for c, L, coef in self.args:
             x = [ci * den + scale * zi for ci, zi in zip(c, z)]
@@ -627,19 +633,15 @@ class PantsVolumePoly(_AffinePants):
                 continue  # outside the support cone
             if 0 in x[rank:]:
                 raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
-            met.append((tuple(map((0).__lt__, x[rank:])), x[:rank], c[:rank], L, coef))
-        chambers: dict = {}
+            met.append((tuple(1 if v > 0 else -1 for v in x[rank:]), x[:rank], c[:rank], L, coef))
         groups: dict = {}
-        for side, x, c, L, coef in met:
-            poly = chambers.get(side)
-            if poly is None:
-                point = tuple(Q(xi, den * scale) for xi in x)
-                poly = chambers[side] = self.spline.chamber_polynomial_at(point)
+        for signs, x, c, L, coef in met:
+            form = self.spline.integer_form(signs, lambda: tuple(Q(xi, den * scale) for xi in x))
             if coef:
-                group = groups.setdefault(side, (poly, L[:rank], [], []))
+                group = groups.setdefault(signs, (form, L[:rank], [], []))
                 group[2].append(c)
                 group[3].append(coef)
-        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), scale))
+        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), self.spline, scale))
 
     def walls(self) -> list[tuple[int, ...]]:
         """The lines a.mu3 + k = 0 (a, k integers, root coordinates) that
@@ -815,15 +817,13 @@ def witten_volume(
     if casimir_cutoff is None:
         casimir_cutoff = casimir_cutoff_for_count(rs, weight_count or 2000)
     # the order of `enumerate_dominant`, without its DominantWeight objects
-    weights = [coords for _, coords in sorted(_shifted_norms(rs, casimir_cutoff))]
-    if weight_count is not None:
-        weights = weights[:weight_count]
-    if not weights:
+    weights = _shifted_norms(rs, casimir_cutoff)[1][:weight_count]
+    if not len(weights):
         raise ValueError("empty weight list; raise the cutoff")
 
     # vectorized weight data: lam+rho in simple-root coordinates, Weyl
     # dimensions as products of coroot pairings, and shifted Casimir norms
-    wcoords = np.array(weights, dtype=float) + 1.0
+    wcoords = weights.astype(float) + 1.0
     fw = np.array(
         [[float(c) for c in w] for w in rs.fundamental_weights]
     )  # row i = coords of omega_i

@@ -172,6 +172,27 @@ def test_enumerate_dominant(a1, a2):
     assert norms == sorted(norms)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_dominant_weights_match_exact_walk(name):
+    """The array walk gives every dominant weight with |lambda+rho|^2 <= cutoff,
+    in the order of sorted (norm, coords), as an exact Fraction walk of
+    the same box does; the cutoff for a count is the first doubling of
+    4 |rho|^2 that reaches it."""
+    rs = build_root_system(name)
+    cutoff = 12 * rs.ip(rs.rho, rs.rho)
+    top = [int(math.isqrt(math.floor(cutoff / rs.ip(w, w)))) for w in rs.fundamental_weights]
+    walk = []
+    for v in itertools.product(*(range(1, t + 1) for t in top)):
+        lam_rho = rs.from_weight_coords(vec(v))
+        if rs.ip(lam_rho, lam_rho) <= cutoff:
+            walk.append((rs.ip(lam_rho, lam_rho), tuple(c - 1 for c in v)))
+    assert [w.coords for w in enumerate_dominant(rs, cutoff)] == [c for _, c in sorted(walk)]
+    for count in (1, 7, 40):
+        cut = casimir_cutoff_for_count(rs, count)
+        assert len(enumerate_dominant(rs, cut)) >= count
+        assert cut == 4 * rs.ip(rs.rho, rs.rho) or len(enumerate_dominant(rs, cut / 2)) < count
+
+
 @pytest.mark.parametrize("name", ["A1", "A2"])
 def test_weyl_orthogonality_quadrature(name):
     """int_A chi_lam chi_sig-bar |Delta|^2 dmu = delta * covol within 1e-6.

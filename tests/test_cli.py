@@ -96,6 +96,23 @@ def test_volume_huge_denominator_bytes_pinned(args, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of the `volume` stdout for markings with distinct prime denominators,
+# whose chamber moments overflow int64 and are rebuilt from residues
+PRIME_DENOMINATOR_DIGESTS = [
+    (("G2", "1/37,1/41", "1/43,1/47", "2/53,1/59"),
+     "27c4c743454813c02cd480022337ffea2a8f65bd66f863f3816fdddcbcc7b38c"),
+    (("A3", "1/37,1/41,1/43", "1/47,1/53,1/59", "1/61,1/67,2/71"),
+     "42a06b8758bcd1ce65d0509ca2f8e99ab48a7c2277b6985abff584b83c7cb72e"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PRIME_DENOMINATOR_DIGESTS, ids=["G2", "A3"])
+def test_volume_prime_denominator_bytes_pinned(args, digest):
+    r = run("volume", *args)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 def test_volume_outside_region_zero():
     r = run("volume", "A1", "1/10", "1/10", "4/5")
     assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 0.0

@@ -19,7 +19,9 @@ from flatvol import (
     volume_G,
     weyl_group,
 )
-from flatvol.exact import det, identity, lattice_points_in_ball, matmul, matvec, solve, vec
+from flatvol.exact import (
+    _int_form, det, identity, lattice_points_in_ball, matmul, matvec, solve, vec,
+)
 from flatvol.liecore import RootSystem, alcove_barycenter
 
 SUPPORTED = {
@@ -298,3 +300,15 @@ def test_alcove_representative_unique(a2, g2):
             assert kind in ("interior", "boundary")
             for aff in enumerate_waff_positive(rs, 4)[:4]:
                 assert alcove_representative(rs, aff.act(v)) == r
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "C2", "C3", "D4", "G2"])
+def test_coroot_ball_table_matches_enumeration(name):
+    """After a growing, then shrinking, sequence of radii the lattice table
+    gives `lattice_points_in_ball` exactly, in order, in root coordinates."""
+    rs = RootSystem(GroupSpec.parse(name))
+    g = _int_form(rs.gram)[1]
+    for radius in (Q(1, 2), 3, Q(7, 3), 6, 5, 1, 0, Q(1, 5), -1):
+        expect = [[int(c) for c in rs.coroot_vector(n)]
+                  for n in lattice_points_in_ball(rs.coroot_gram, radius)]
+        assert rs.coroot_ball(math.floor(g * radius)).tolist() == expect

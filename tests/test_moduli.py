@@ -32,7 +32,7 @@ from flatvol import (
 )
 from flatvol.exact import lattice_points_in_ball, vadd, vscale
 from flatvol.kappa import kappa_build
-from flatvol.moduli import _kappa_arguments, _lattice_ball_for, _support_bound_sq
+from flatvol.moduli import _kappa_arguments, _lattice_ball_for, _moments, _support_bound_sq
 from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 
@@ -114,6 +114,9 @@ HUGE_DENOMINATORS = [
 ]
 # the one rank-3 case: seven walls packed into each chamber code
 A3_TRIPLE = ("A3", ["1/4,1/5,1/6", "1/6,1/5,1/4", "1/5,1/6,1/4"], False)
+# prime denominators, as in the bench's triples: the chamber moments
+# overflow int64 and are rebuilt from residues (`_moments`)
+PRIME_G2 = ("G2", ["1/37,1/41", "1/43,1/47", "2/53,1/59"], False)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +135,7 @@ A3_TRIPLE = ("A3", ["1/4,1/5,1/6", "1/6,1/5,1/4", "1/5,1/6,1/4"], False)
         ("A2", ["1/3,1/3", "1/3,1/3", "1/3,1/3", "1/3,1/3", "1/3,1/3"], True),
         *HUGE_DENOMINATORS,
         A3_TRIPLE,
+        PRIME_G2,
     ],
 )
 def test_kappa_sum_matches_term_by_term_reference(name, marks, hits_walls):
@@ -155,6 +159,7 @@ def test_kappa_sum_matches_term_by_term_reference(name, marks, hits_walls):
         A3_TRIPLE[:2],
         # a chamber first met at an argument whose merged coefficient is zero
         ("B2", ["1/8,1/2", "1/2,11/40", "17/40,9/40", "5/8,13/40"]),
+        PRIME_G2[:2],
     ],
 )
 def test_kappa_sum_builds_chambers_in_term_order(name, marks):
@@ -181,9 +186,51 @@ def test_kappa_arguments_dtype(name, marks, dtype):
     rs = build_root_system(name)
     mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
     lattice = _lattice_ball_for(rs, mus[-1], _support_bound_sq(rs, mus))
-    args, coefs = _kappa_arguments(kappa_build(rs).config, rs.weyl_elements(), mus, lattice)
+    args, coefs = _kappa_arguments(rs, kappa_build(rs).config, mus, lattice)
     assert args.dtype == coefs.dtype == dtype
     assert all(type(x) is int for x in args[0].tolist())
+
+
+def python_moments(points, coefs, starts, exponents):
+    """The moments of `_moments`, summed term by term in Python ints."""
+    ends = [*starts[1:], len(points)]
+    return [[sum(c * math.prod(x**e for x, e in zip(p, m))
+                 for p, c in zip(points[lo:hi], coefs[lo:hi]))
+             for m in exponents]
+            for lo, hi in zip(starts, ends)]
+
+
+@pytest.mark.parametrize("bits, step, dtype", [
+    (30, 0, np.int64), (62, 0, np.int64), (63, 0, np.int64), (63, 1, np.int64),
+    (160, 0, np.int64), (30, 0, object), (400, 0, object),
+])
+def test_moments_match_python_ints(bits, step, dtype):
+    """`_moments` equals the moments summed in Python ints on seeded points
+    with negative entries.  Its bound B = max|x|^t sum|coef| lies below
+    2^bits (step 0) or just above it (step 1): one pass modulo 2^64 when
+    B < 2^63, residues modulo primes and the CRT at and above; object
+    arrays of Python ints enter alike."""
+    rng = random.Random(bits + step)
+    n, rank, top = 40, 3, 4
+    exponents = [m for m in itertools.product(range(top + 1), repeat=rank) if sum(m) <= top]
+    coefs = [rng.randint(-3, 3) for _ in range(n)]
+    total = sum(map(abs, coefs))
+    lo, hi = 0, 2 ** (bits // top + 1)  # the largest x with x^t sum|coef| < 2^bits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**top * total < 2**bits else (lo, mid - 1)
+    x = lo + step
+    assert (x**top * total < 2**63) == (bits <= 63 and not step)
+    points = [[rng.randint(-x, x) for _ in range(rank)] for _ in range(n)]
+    points[0][0] = -x
+    starts = [0, *sorted(rng.sample(range(1, n), 6))]
+    # seeded rows in seven groups, then one group whose largest moment is
+    # its bound: every row at -x with coefficient 3
+    for points, coefs, starts in ((points, coefs, starts), ([[-x] * rank] * n, [3] * n, [0])):
+        got = _moments(np.array(points, dtype=dtype), np.array(coefs, dtype=dtype),
+                       np.array(starts), np.array(exponents))
+        assert got == python_moments(points, coefs, starts, exponents)
+        assert all(type(v) is int for row in got for v in row)
 
 
 @pytest.mark.parametrize("ts, built", [
