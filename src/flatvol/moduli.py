@@ -282,9 +282,8 @@ def sphere_volume_kappa(
 def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
     """The sums w_1 s_1 + ... + w_k s_k over Weyl tuples in the term order
     (w_1 major), each slot an integer matrix of `columns` columns and each
-    sum flattened column after column, and the tuples' signs: one product
-    with the Weyl tensor (`RootSystem.weyl_array`), one broadcast sum per
-    slot.  Equal sums are not merged; their terms cancel exactly."""
+    sum flattened column after column, and the tuples' signs, unmerged: one
+    product with the Weyl tensor (`RootSystem.weyl_array`), one sum a slot."""
     mats, signs, _ = rs.weyl_array
     width = columns * rs.rank
     if not len(slots):
@@ -419,9 +418,11 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
             x, c = ((a % 2**64).astype(np.uint64) if a.dtype == object else a.view(np.uint64)
                     for a in (points, coefs))
 
-        def mod(a, p=p):  # a % p, in place; floor division is the faster
+        def mod(a, p=p):  # a % p in place, through one temporary; // beats %
             if p:
-                a -= a // p * p
+                q = a // p
+                q *= p
+                a -= q
             return a
 
         terms = np.empty((len(x), len(exponents)), dtype=x.dtype)
