@@ -1,9 +1,9 @@
 """Exact gluing integrals over the alcove, for rank 1 and 2.
 
 A pants factor whose marking slots are fixed points, nu or *nu
-(`moduli._AffinePants`) is piecewise polynomial in nu: its kappa
-arguments, from the one Weyl fold of the lattice sum, are affine in nu
-and come extended by their wall dot products, so each wall of an
+(`AlcoveFactor`) is piecewise polynomial in nu: its kappa arguments, from
+the one Weyl fold of the lattice sum (`moduli._weyl_fold`), are affine in
+nu and come extended by their wall dot products, so each wall of an
 argument is read off as a line in the alcove.  `AlcoveFactor` finds the
 lines across which the factor's polynomial jumps and the jumps
 themselves; `alcove_integral` cuts the alcove by those lines into convex
@@ -23,11 +23,13 @@ from bisect import bisect_right
 from functools import cached_property
 from operator import mul
 
+import numpy as np
+
 from .exact import Q, common_denominator, det, scaled, vsub
 from .kappa import OnWallError, kappa_build
 from .liecore import RootSystem
 from .poly import Poly, poly_add, poly_scale
-from .moduli import _AffinePants, _affine_sum
+from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _weyl_fold
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
 
@@ -36,9 +38,63 @@ def _sign(v: int) -> int:
     return 1 if v > 0 else -1
 
 
-class AlcoveFactor(_AffinePants):
-    """A pants factor over the alcove: its lines, its jumps across them
-    and its polynomial on a cell."""
+class AlcoveFactor:
+    """A pants factor over the alcove, each marking slot a fixed point, NU
+    or STAR_NU (root coordinates): its rational part as a function of nu,
+    its lines, its jumps across them and its polynomial on a cell.
+
+    Every kappa argument of the lattice sum is then affine in nu:
+    x(nu) = (c + D L nu) / D, with D the common denominator of the fixed
+    markings, c an integer vector and L an integer matrix (a sum of Weyl
+    matrices, times the matrix of * for a STAR_NU slot).  c comes from the
+    fixed slots only and L from the varying ones only, so each is one
+    `_weyl_fold`, c's the fold `moduli._kappa_arguments` makes, and their
+    coefficients multiply.  Both are extended by the wall normals u, so
+    each wall of an argument is read off as the line (D L^T u).nu + u.c = 0.
+    The last slot is not imaged by the Weyl group, so putting a varying
+    slot last keeps the number of distinct L small.  Where every argument
+    stays in one chamber the volume is the polynomial sum coef *
+    p_chamber(x(nu)).
+    """
+
+    def __init__(self, rs: RootSystem, slots: list):
+        self.rs = rs
+        self.slots = slots
+        self.spline = kappa_build(rs, 1)
+        self.prefactor = (-1) ** rs.n_positive * rs.center_order
+        self.scale = common_denominator(c for s in slots if not isinstance(s, str) for c in s)
+        # nonzero terms have |slot_b + l| <= sum of the other slot norms
+        self.lattice = _lattice_ball(rs, slots)[0]
+
+    @cached_property
+    def args(self) -> list:
+        """Every argument (c, L, coef), extended: c has rank + walls entries
+        and L as many rows.  They come in the term order (l, w_1, ..., w_{b-1})
+        of the lattice sum with the Weyl elements of the fixed slots first;
+        equal arguments are not merged."""
+        rs, rank, scale = self.rs, self.rs.rank, self.scale
+        extension = self.spline.config.extension
+        *imaged, last = self.slots
+        # the L part depends only on which slots vary: made once per root system
+        pattern = (*(s for s in imaged if isinstance(s, str)), isinstance(last, str) and last)
+        ls = rs.__dict__.setdefault("_affine_matrices", {}).get(pattern)
+        if ls is None:
+            columns = {NU: np.eye(rank, dtype=np.int64),
+                       STAR_NU: -np.array(rs.w0.matrix, dtype=np.int64)}
+            varying, coefs = _weyl_fold(rs, [columns[s] for s in pattern[:-1]], rank)
+            if pattern[-1]:  # the last slot joins every term as it is
+                varying = varying + columns[last].T.reshape(-1)
+            # the fold gives L column after column; (its rows, extended, coef)
+            ls = rs._affine_matrices[pattern] = [(tuple(map(tuple, L)), coef) for L, coef in zip(
+                (extension @ varying.reshape(-1, rank, rank).transpose(0, 2, 1)).tolist(),
+                coefs.tolist())]
+        fixed, fixed_coefs = _weyl_fold(rs, np.array(
+            [scaled(s, scale) for s in imaged if not isinstance(s, str)], dtype=object))
+        tail = (0,) * rank if isinstance(last, str) else scaled(last, scale)
+        tails = scale * self.lattice.astype(object) + tail
+        cs = ((tails[:, None] + fixed[None]).reshape(-1, rank) @ extension.T).tolist()
+        return [(tuple(c), L, cf * cv)
+                for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)) for L, cv in ls]
 
     @cached_property
     def _alcove_args(self) -> list:

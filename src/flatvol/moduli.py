@@ -13,7 +13,9 @@ Four routes are provided, each independent of the ones it checks:
   broadcast (`_weyl_fold`), each argument's chamber is found by its wall
   signs, and the chamber polynomials' moments are taken for every
   chamber at once, modulo 2^64, exact when a bound allows, and otherwise
-  also from residues modulo primes (`_moments`);
+  also from residues modulo primes (`_moments`).  The pants volume's
+  cell polynomial in its third marking (`PantsVolumePoly.polynomial_at`)
+  reads the same arrays and chamber groups;
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value computed by the independent fiber-polytope
   route;
@@ -22,7 +24,7 @@ Four routes are provided, each independent of the ones it checks:
 * the exact gluing integral over the alcove for the (1,1) and (0,4)
   surfaces (`glue_volume`, cut into cells by `gluing.py`), whose pants
   factors are the same lattice sum with a marking varying over the
-  alcove (`_AffinePants`, built on the same fold).
+  alcove (`gluing.AlcoveFactor`, built on the same fold).
 
 Conventions (stamped into every report): alcove pairing e^{2 pi i <.,.>},
 kappa relative to inner-product Lebesgue measure, covol = covolume of the
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, count, islice, product, repeat
 from operator import mul, sub
 
@@ -210,28 +212,30 @@ def moduli_dimension(rs: RootSystem, surface: Surface) -> int:
 NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 
 
-def _norm_sq(rs: RootSystem, slot) -> Q:
-    """|slot|^2; for a varying slot its largest value, at an alcove vertex."""
-    if isinstance(slot, str):
-        return max(rs.norm_sq(v) for v in rs.alcove.vertices)
-    return rs.norm_sq(slot)
+def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[Q, Q]:
+    """(r, R) for the lattice sum over the slots mu_1 .. mu_b: nonzero terms
+    have |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
+    (sum_{j<b} |mu_j|)^2 (or r = radius_sq when given), so the ball
+    |l|^2 <= R = 2 |mu_b|^2 + 2 r provably covers them; the extra terms
+    cancel exactly in the signed sum.  A varying slot counts with its
+    largest norm, at an alcove vertex.  The norms are g D^2 |mu|^2 in ints,
+    D the common denominator of the points and g that of the Gram matrix."""
+    points = [max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(s, str) else s for s in slots]
+    scale = common_denominator(chain.from_iterable(points))
+    igram, g = _int_form(rs.gram)
+    norms = [int_quadratic(igram, scaled(m, scale)) for m in points]
+    unit = g * scale * scale
+    if radius_sq is None:
+        radius_sq = Q((len(slots) - 1) * sum(norms[:-1]), unit)
+    return radius_sq, Q(2 * norms[-1], unit) + 2 * radius_sq
 
 
-def _support_bound_sq(rs: RootSystem, slots: list) -> Q:
-    """Rational upper bound for (sum_j |mu_j|)^2 over all but the last slot."""
-    norms = [_norm_sq(rs, s) for s in slots[:-1]]
-    return len(norms) * sum(norms, Q(0))
-
-
-def _lattice_ball_for(rs: RootSystem, last, bound_sq: Q) -> list[tuple[int, ...]]:
-    """Lattice vectors l with |last + l|^2 possibly <= bound_sq, as int
-    tuples in root coordinates (`RootSystem.coroot_ball`).
-
-    Enumerates |l|^2 <= 2 |last|^2 + 2 bound_sq, which provably covers
-    the support ball; the extra terms cancel exactly in the signed sum.
-    """
-    limit = math.floor(_int_form(rs.gram)[1] * (2 * _norm_sq(rs, last) + 2 * bound_sq))
-    return list(map(tuple, rs.coroot_ball(limit).tolist()))
+def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[np.ndarray, Q]:
+    """The lattice vectors of the ball of `_support_radii`, as int64 rows in
+    root coordinates (`RootSystem.coroot_ball`), and r."""
+    radius_sq, provable = _support_radii(rs, slots, radius_sq)
+    limit = _int_form(rs.gram)[1] * provable.numerator // provable.denominator  # floor(g R)
+    return rs.coroot_ball(limit), radius_sq
 
 
 def sphere_volume_kappa(
@@ -242,22 +246,15 @@ def sphere_volume_kappa(
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
     the chamber spline (Lawrence's vertex formula per chamber).  The
-    norms g D^2 |mu_j|^2 in ints (D the common denominator of the
-    markings, g that of the Gram matrix) give the lattice ball, and the
-    sum is one pass over integer arrays (`_kappa_sum`).
+    lattice ball is that of `_support_radii`, and the sum is one pass over
+    integer arrays (`_kappa_sum`).
     """
     b = len(mus)
     if b < 3:
         raise ValueError("need at least three markings")
     multiplicity = b - 2
     spline = kappa_build(rs, multiplicity)
-    scale = common_denominator(chain.from_iterable(mus))
-    igram, g = _int_form(rs.gram)
-    norms = [int_quadratic(igram, scaled(m, scale)) for m in mus]
-    if radius_sq is None:  # `_support_bound_sq`
-        radius_sq = Q((b - 1) * sum(norms[:-1]), g * scale * scale)
-    # as in `_lattice_ball_for`: g |l|^2 <= g (2 |mu_b|^2 + 2 radius_sq)
-    lattice = rs.coroot_ball((2 * norms[-1] + 2 * g * scale * scale * radius_sq) // (scale * scale))
+    lattice, radius_sq = _lattice_ball(rs, mus, radius_sq)
 
     total = _kappa_sum(spline, rs, mus, lattice)
     rational = (-1) ** rs.n_positive * rs.center_order * total
@@ -300,7 +297,7 @@ def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
 def _kappa_arguments(rs: RootSystem, config, mus: list[Vec], lattice):
     """The kappa arguments of the lattice sum over l in lattice (int
     vectors in root coordinates) and Weyl tuples (w_1..w_k), b = k + 1, as
-    whole integer arrays (args, coefs).
+    whole integer arrays (args, coefs), and their scale D.
 
     Row r of args is x = D (w_1 mu_1 + ... + w_k mu_k + mu_b + l), D the
     common denominator of the markings, then its wall dot products
@@ -331,28 +328,25 @@ def _kappa_arguments(rs: RootSystem, config, mus: list[Vec], lattice):
     if config.orthant_support:
         inside = (args >= 0).all(axis=1)
         args, coefs = args[inside], coefs[inside]
-    return args @ config.extension.T, coefs
+    return args @ config.extension.T, coefs, scale
 
 
-def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
-    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
-    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1,
-    in one pass over the integer arrays of `_kappa_arguments`, scaled by D.
+def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The rows of `_kappa_arguments` (args at scale D) grouped by chamber:
+    (order, starts, forms), order a stable sort of the rows by chamber,
+    group g its rows order[starts[g]:starts[g + 1]] and forms[g] its
+    chamber's integer form (`PiecewisePolynomial.integer_form`).
 
     A row's wall sides are packed into one int64 code (bit i: positive side
     of wall i; on the wall, the side the nudge direction points to, whose
     chamber polynomial gives the value by continuity).  A stable sort by
     code groups the rows; in the order of their first rows, the first
     argument the term order meets in each chamber, the groups' chambers
-    are looked up by sign (`PiecewisePolynomial.integer_form`) and built
-    there if new, so in term order.  At degree 0 the first on-wall row
-    raises OnWallError, after the chambers met before it.  Chamber
-    polynomials are homogeneous of degree d, so with (c_g, e_g) a group's
-    integer form and M_g its moments (`_moments`) the sum is
-    sum_g c_g . M_g / (e_g D^d).
+    are looked up by sign and built there if new, so in term order.  At
+    degree 0 the first on-wall row raises OnWallError, after the chambers
+    met before it.
     """
     config, rank = spline.config, spline.rank
-    args, coefs = _kappa_arguments(rs, config, mus, lattice)
     dots = args[:, rank:]
     assert dots.shape[1] <= 62, "the side of every wall must fit in one int64"
     side = dots > 0
@@ -366,7 +360,6 @@ def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))[:len(code)])
     first = order[starts]  # each group's first row, since the sort is stable
     signs = list(map(tuple, np.where(side[first], 1, -1).tolist()))
-    scale = common_denominator(chain.from_iterable(mus))
 
     def point(row: int) -> Vec:
         return tuple(Q(c, scale) for c in args[row, :rank].tolist())
@@ -382,8 +375,20 @@ def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
         forms[g] = spline.integer_form(signs[g], lambda: point(row))
     if stop < len(code):
         spline.chamber_polynomial_at(point(stop))  # raises OnWallError
+    return order, starts, forms
 
-    moments = _moments(args[order, :rank], coefs[order], starts, spline.exponents)
+
+def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
+    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
+    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1,
+    in one pass over the integer arrays of `_kappa_arguments`, scaled by D
+    and grouped by chamber (`_chamber_groups`).  Chamber polynomials are
+    homogeneous of degree d, so with (c_g, e_g) a group's integer form and
+    M_g its moments (`_moments`) the sum is sum_g c_g . M_g / (e_g D^d).
+    """
+    args, coefs, scale = _kappa_arguments(rs, spline.config, mus, lattice)
+    order, starts, forms = _chamber_groups(spline, args, scale)
+    moments = _moments(args[order, :spline.rank], coefs[order], starts, spline.exponents)
     common = math.lcm(*(den for _, den in forms))
     return Q(sum(sum(map(mul, m, c)) * (common // den) for m, (c, den) in zip(moments, forms)),
              common * scale**spline.degree)
@@ -459,72 +464,17 @@ def pants_volume_kappa(
 
 
 # ---------------------------------------------------------------------------
-# pants volumes affine in a varying marking
+# pants volumes polynomial in a marking
 # ---------------------------------------------------------------------------
-
-
-class _AffinePants:
-    """The rational part of a pants volume as a function of nu, when each
-    marking slot is a fixed point, NU or STAR_NU (root coordinates).
-
-    Every kappa argument of the lattice sum is then affine in nu:
-    x(nu) = (c + D L nu) / D, with D the common denominator of the fixed
-    markings, c an integer vector and L an integer matrix (a sum of Weyl
-    matrices, times the matrix of * for a STAR_NU slot).  c comes from the
-    fixed slots only and L from the varying ones only, so each is one
-    `_weyl_fold`, c's the fold `_kappa_arguments` makes, and their
-    coefficients multiply.  Both are extended by the wall normals u, so
-    each wall of an argument is read off as the line (D L^T u).nu + u.c = 0.
-    The last slot is not imaged by the Weyl group, so putting a varying
-    slot last keeps the number of distinct L small.  Where every argument
-    stays in one chamber the volume is the polynomial sum coef *
-    p_chamber(x(nu)).
-    """
-
-    def __init__(self, rs: RootSystem, slots: list):
-        self.rs = rs
-        self.slots = slots
-        self.spline = kappa_build(rs, 1)
-        self.prefactor = (-1) ** rs.n_positive * rs.center_order
-        self.scale = common_denominator(c for s in slots if not isinstance(s, str) for c in s)
-        # nonzero terms have |slot_b + l| <= sum of the other slot norms
-        self.lattice = _lattice_ball_for(rs, slots[-1], _support_bound_sq(rs, slots))
-
-    @cached_property
-    def args(self) -> list:
-        """Every argument (c, L, coef), extended: c has rank + walls entries
-        and L as many rows.  They come in the term order (l, w_1, ..., w_{b-1})
-        of the lattice sum with the Weyl elements of the fixed slots first;
-        equal arguments are not merged."""
-        rs, rank, scale = self.rs, self.rs.rank, self.scale
-        extension = self.spline.config.extension
-        *imaged, last = self.slots
-        # the L part depends only on which slots vary: made once per root system
-        pattern = (*(s for s in imaged if isinstance(s, str)), isinstance(last, str) and last)
-        ls = rs.__dict__.setdefault("_affine_matrices", {}).get(pattern)
-        if ls is None:
-            columns = {NU: np.eye(rank, dtype=np.int64),
-                       STAR_NU: -np.array(rs.w0.matrix, dtype=np.int64)}
-            varying, coefs = _weyl_fold(rs, [columns[s] for s in pattern[:-1]], rank)
-            if pattern[-1]:  # the last slot joins every term as it is
-                varying = varying + columns[last].T.reshape(-1)
-            # the fold gives L column after column; (its rows, extended, coef)
-            ls = rs._affine_matrices[pattern] = [(tuple(map(tuple, L)), coef) for L, coef in zip(
-                (extension @ varying.reshape(-1, rank, rank).transpose(0, 2, 1)).tolist(),
-                coefs.tolist())]
-        fixed, fixed_coefs = _weyl_fold(rs, np.array(
-            [scaled(s, scale) for s in imaged if not isinstance(s, str)], dtype=object))
-        tail = (0,) * rank if isinstance(last, str) else scaled(last, scale)
-        tails = scale * np.array(self.lattice, dtype=object).reshape(-1, rank) + tail
-        cs = ((tails[:, None] + fixed[None]).reshape(-1, rank) @ extension.T).tolist()
-        return [(tuple(c), L, cf * cv)
-                for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)) for L, cv in ls]
 
 
 def _column_moments(points: list, coefs: list[int], exponents) -> dict[tuple[int, ...], int]:
     """{b: sum of coef * x^b over int points x} for the exponent tuples b, in
-    Python ints: an `_affine_sum` group has too few rows to repay numpy's
-    fixed cost per call, which `_moments` spends on the kappa-sum's."""
+    Python ints, one column at a time.  A gluing group has too few rows to
+    repay numpy's fixed cost per call, which `_moments` spends on the
+    kappa-sum's.  A cell polynomial needs every exponent up to the degree,
+    and `_moments` holds the whole monomial matrix of them at once: taken
+    that way, a cold A4 `chern` peaked at 508 MB against 97 MB."""
     columns = list(zip(*points))
     powers: dict[tuple[int, int], list[int]] = {}
     out = {}
@@ -569,25 +519,24 @@ def _affine_sum(groups, spline, scale: int) -> Poly:
     return {k: v for k, v in out.items() if v}
 
 
-# ---------------------------------------------------------------------------
-# piecewise-polynomial volume in the third marking
-# ---------------------------------------------------------------------------
+class PantsVolumePoly:
+    """The pants volume as a function of the third marking mu3.
 
-
-class PantsVolumePoly(_AffinePants):
-    """The pants volume as a function of the third marking: the affine
-    table with slots [mu1, mu2, NU], so every L is the unit matrix.
-
-    Piecewise polynomial over the alcove.  Values and wall tests read the
-    fixed-marking argument arrays (`_kappa_arguments`), as `_kappa_sum`
-    does; the cell polynomial at a point groups the table's arguments by
-    chamber.  Values are exact and agree with `pants_volume_kappa` (same
-    normalization fields).
+    Piecewise polynomial over the alcove.  Values, wall tests and cell
+    polynomials all read the fixed-marking argument arrays
+    (`_kappa_arguments`) over one lattice ball, that of the slots
+    [mu1, mu2, NU], which covers every mu3 of the alcove; the cell
+    polynomial takes the chamber groups of `_kappa_sum`
+    (`_chamber_groups`) and shifts each group's chamber polynomial to mu3
+    (`_affine_sum`).  Values are exact and agree with `pants_volume_kappa`
+    (same normalization fields).
     """
 
     def __init__(self, rs: RootSystem, mu1: Vec, mu2: Vec):
-        super().__init__(rs, [mu1, mu2, NU])
-        self.mu1, self.mu2 = mu1, mu2
+        self.rs, self.mu1, self.mu2 = rs, mu1, mu2
+        self.spline = kappa_build(rs, 1)
+        self.prefactor = (-1) ** rs.n_positive * rs.center_order
+        self.lattice = _lattice_ball(rs, [mu1, mu2, NU])[0]
 
     # normalization shared with the kappa-sum reports
     @property
@@ -613,36 +562,28 @@ class PantsVolumePoly(_AffinePants):
         non-regular.
         """
         mus = [self.mu1, self.mu2, mu3]
-        args, _ = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
+        args, _, _ = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
         return bool((args[:, self.rs.rank:] == 0).any())
 
     def polynomial_at(self, mu3: Vec) -> Poly:
         """Exact polynomial (rational part) on the cell containing mu3;
-        OnWallError when a kappa argument with no negative coordinate lies
-        on a wall at mu3.
+        OnWallError, before any chamber is built, when a kappa argument
+        with no negative coordinate lies on a wall at mu3 (`on_wall`).
 
-        Chambers are taken at the first argument met in them, in term
-        order, as `_kappa_sum` does."""
-        rank, scale = self.rs.rank, self.scale
-        den = common_denominator(mu3)
-        # every L is the unit matrix, extended: L (den mu3) is z
-        z = (self.spline.config.extension @ np.array(scaled(mu3, den), dtype=object)).tolist()
-        met = []
-        for c, L, coef in self.args:
-            x = [ci * den + scale * zi for ci, zi in zip(c, z)]
-            if min(x[:rank]) < 0:
-                continue  # outside the support cone
-            if 0 in x[rank:]:
-                raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
-            met.append((tuple(1 if v > 0 else -1 for v in x[rank:]), x[:rank], c[:rank], L, coef))
-        groups: dict = {}
-        for signs, x, c, L, coef in met:
-            form = self.spline.integer_form(signs, lambda: tuple(Q(xi, den * scale) for xi in x))
-            if coef:
-                group = groups.setdefault(signs, (form, L[:rank], [], []))
-                group[2].append(c)
-                group[3].append(coef)
-        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), self.spline, scale))
+        Each argument is x = c + D mu3 at the scale D of the markings, so
+        near mu3 the sum is that of coef * p((c + D nu) / D), the chambers
+        grouped and built as `_kappa_sum` does."""
+        rank, mus = self.rs.rank, [self.mu1, self.mu2, mu3]
+        args, coefs, scale = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
+        if (args[:, rank:] == 0).any():
+            raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
+        order, starts, forms = _chamber_groups(self.spline, args, scale)
+        offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
+        coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
+        unit = np.eye(rank, dtype=np.int64).tolist()
+        groups = [(form, unit, offsets[lo:hi], coefs[lo:hi])
+                  for form, lo, hi in zip(forms, bounds, bounds[1:])]
+        return poly_scale(Q(self.prefactor), _affine_sum(groups, self.spline, scale))
 
     def walls(self) -> list[tuple[int, ...]]:
         """The lines a.mu3 + k = 0 (a, k integers, root coordinates) that
@@ -650,7 +591,7 @@ class PantsVolumePoly(_AffinePants):
         wall; for rank 1 these are the points where the volume may jump."""
         from .gluing import AlcoveFactor
 
-        return list(AlcoveFactor(self.rs, self.slots).lines)
+        return list(AlcoveFactor(self.rs, [self.mu1, self.mu2, NU]).lines)
 
 
 def pants_volume_poly(rs: RootSystem, mu1: Vec, mu2: Vec) -> PantsVolumePoly:
@@ -701,8 +642,7 @@ def toric_decomposition(
     the vertex-formula spline used in the kappa-sum.  Nonzero terms require
     |w(tau)| <= |mu1| + |mu2|, which the default radius provably covers.
     """
-    bound_sq = _support_bound_sq(rs, [mu1, mu2, tau])
-    provable = 2 * rs.norm_sq(tau) + 2 * bound_sq
+    bound_sq, provable = _support_radii(rs, [mu1, mu2, tau])
     requested = provable if radius_sq is None else radius_sq
     weyl = rs.weyl_elements()
     smu1, smu2 = star(rs, mu1), star(rs, mu2)

@@ -204,6 +204,31 @@ def test_chern_identity_and_fd():
     assert r.returncode == 0
 
 
+# sha256 of the `chern` stdout and of the spline cache file it writes to a
+# fresh FLATVOL_CACHE, beyond A2 and degree 1: cell polynomials of degree 2,
+# 4 and 3 under operators of degree 2, 4 and 3
+CHERN_DIGESTS = [
+    (("B2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1^2"),
+     "10655d3c9a49923d774dcea1e170c083f7a2155b93ce8d4176cac661ec3d92fe",
+     "fe076a90191e67def7dcfdcf70181e509e7f2445e9c17bc00e8ca5c0594cdd83"),
+    (("G2", "1/9,1/11", "1/10,1/12", "1/8,1/13", "--poly", "e1^4+e2*e1-3*e4"),
+     "d82ec15d97e4901b1aa034dce8ffa69562069afc1cef624c6242b571a34d537c",
+     "d14f6ae667bdb9132baf345a46e908f09666fd32be5a3f21b8c67abcb6761489"),
+    (("A3", "1/5,1/7,1/9", "1/6,1/8,1/7", "1/9,1/5,1/8", "--poly", "e1^3-e3"),
+     "4b259f1c89e38031065f49970ef4218b83e14a71ac304cc468ecf0fd2cb0e829",
+     "5980d12ffdfc3b2531093ea1081b996d28491dd571b758169c59dc96ef2857c8"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_digest, cache_digest", CHERN_DIGESTS, ids=["B2", "G2", "A3"])
+def test_chern_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
+    r = run("chern", *args, env={"FLATVOL_CACHE": str(tmp_path)})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == stdout_digest
+    cache = (tmp_path / f"kappa_{args[0]}.json").read_bytes()
+    assert hashlib.sha256(cache).hexdigest() == cache_digest
+
+
 def test_chern_dimension_error():
     r = run("chern", "A1", "1/2", "1/2", "1/2", "--poly", "e1")
     assert r.returncode == 2

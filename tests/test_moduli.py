@@ -32,7 +32,7 @@ from flatvol import (
 )
 from flatvol.exact import lattice_points_in_ball, vadd, vscale
 from flatvol.kappa import kappa_build
-from flatvol.moduli import _kappa_arguments, _lattice_ball_for, _moments, _support_bound_sq
+from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments
 from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 
@@ -185,8 +185,8 @@ def test_kappa_arguments_dtype(name, marks, dtype):
     overflow."""
     rs = build_root_system(name)
     mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
-    lattice = _lattice_ball_for(rs, mus[-1], _support_bound_sq(rs, mus))
-    args, coefs = _kappa_arguments(rs, kappa_build(rs).config, mus, lattice)
+    lattice, _ = _lattice_ball(rs, mus)
+    args, coefs, _ = _kappa_arguments(rs, kappa_build(rs).config, mus, lattice)
     assert args.dtype == coefs.dtype == dtype
     assert all(type(x) is int for x in args[0].tolist())
 
@@ -309,6 +309,18 @@ def test_pants_poly_matches_term_by_term_reference(name, marks, thirds, walls):
     assert results[0] == results[1]
     assert built[0] == built[1]
     assert [wall for wall, _ in results[0]].count(True) == walls
+
+
+def test_pants_poly_on_wall_builds_nothing():
+    """An on-wall third marking raises OnWallError before any chamber is
+    built, so a spline cache written after it is unchanged."""
+    rs = RootSystem(GroupSpec.parse("A2"))
+    m1, m2, m3 = (rs.from_weight_coords(vec(m.split(",")))
+                  for m in ("1/2,1/2", "1/4,1/5", "1/5,1/4"))
+    vol = pants_volume_poly(rs, m1, m2)
+    with pytest.raises(OnWallError):
+        vol.polynomial_at(m3)
+    assert not vol.spline.chambers
 
 
 @pytest.mark.parametrize("name", ["B2", "G2"])
