@@ -27,21 +27,13 @@ from functools import cache
 
 from .exact import Q, Vec, vadd, vec, vscale, vsub
 from .kappa import OnWallError, SymmetricPoly, kappa_build
-from .liecore import (
-    RootSystem,
-    UnsupportedTypeError,
-    alcove_membership,
-    build_root_system,
-    covolume_T,
-    volume_G,
-)
+from .liecore import RootSystem, alcove_membership, build_root_system, covolume_T, volume_G
 from .mc import product_class_histogram, shape_compare
 from .moduli import (
     EPS_NODES,
     ConvergenceError,
     Marking,
     Surface,
-    UnsupportedDecompositionError,
     convention_stamp,
     glue_volume,
     mixed_characteristic_number,
@@ -94,8 +86,8 @@ def _float_str(x: float) -> str:
     return repr(float(x))
 
 
-def _print_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=1, sort_keys=True)
+def _write(text: str, out_path: str | None) -> None:
+    """Write text and a newline to the file out_path, or to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -103,23 +95,14 @@ def _print_json(obj, out_path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _write_csv(
-    rows: list[list[str]],
-    header: list[str],
-    out_path: str | None,
-    stamp: dict | None = None,
-) -> None:
-    lines = []
-    if stamp is not None:
-        lines.append("# " + json.dumps(stamp, sort_keys=True))
-    lines.append(",".join(header))
-    lines.extend(",".join(r) for r in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _print_json(obj, out_path: str | None) -> None:
+    _write(json.dumps(obj, indent=1, sort_keys=True), out_path)
+
+
+def _write_csv(rows: list[list[str]], header: list[str], out_path: str | None,
+               stamp: dict) -> None:
+    lines = ["# " + json.dumps(stamp, sort_keys=True), ",".join(header)]
+    _write("\n".join(lines + [",".join(r) for r in rows]), out_path)
 
 
 def _spline_cache_path(rs: RootSystem) -> str | None:
@@ -180,8 +163,7 @@ def _save_spline_cache(rs: RootSystem) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_roots(args) -> int:
-    rs = build_root_system(args.group)
+def cmd_roots(rs: RootSystem, args) -> None:
     dump = {
         "group": rs.spec.name,
         "rank": rs.rank,
@@ -200,7 +182,6 @@ def cmd_roots(args) -> int:
         "stamp": convention_stamp(rs),
     }
     _print_json(dump, args.out)
-    return 0
 
 
 def _volume_reports(rs, m1, m2, m3, method, args):
@@ -225,9 +206,7 @@ def _volume_reports(rs, m1, m2, m3, method, args):
     return reports
 
 
-def cmd_volume(args) -> int:
-    rs = build_root_system(args.group)
-    _load_spline_cache(rs)
+def cmd_volume(rs: RootSystem, args) -> None:
     m1, m2, m3 = (parse_marking(rs, t) for t in (args.mu1, args.mu2, args.mu3))
     reports = _volume_reports(rs, m1, m2, m3, args.method, args)
     out = {
@@ -245,13 +224,9 @@ def cmd_volume(args) -> int:
                 deviations[f"{a}-vs-{b}"] = abs(vals[a] - vals[b]) / scale
         out["pairwise_relative_deviation"] = deviations
     _print_json(out, args.out)
-    _save_spline_cache(rs)
-    return 0
 
 
-def cmd_scan(args) -> int:
-    rs = build_root_system(args.group)
-    _load_spline_cache(rs)
+def cmd_scan(rs: RootSystem, args) -> None:
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     start_txt, _, end_txt = args.along.partition(":")
     if not end_txt:
@@ -276,8 +251,6 @@ def cmd_scan(args) -> int:
     rows = [row_for(s) for s in samples]
     header = ["mu3_weight_coords", "value", "method", "exact_rational"]
     _write_csv(rows, header, args.out, stamp=convention_stamp(rs))
-    _save_spline_cache(rs)
-    return 0
 
 
 _SYM_TERM = re.compile(r"[+-]?[^+-]+")
@@ -317,9 +290,7 @@ def _parse_sym_poly(text: str, k: int) -> SymmetricPoly:
     return SymmetricPoly(terms, nvars)
 
 
-def cmd_chern(args) -> int:
-    rs = build_root_system(args.group)
-    _load_spline_cache(rs)
+def cmd_chern(rs: RootSystem, args) -> None:
     m1, m2, m3 = (parse_marking(rs, t) for t in (args.mu1, args.mu2, args.mu3))
     k = moduli_dimension(rs, Surface(0, 3))
     p = _parse_sym_poly(args.poly, k)
@@ -333,19 +304,9 @@ def cmd_chern(args) -> int:
         "stamp": convention_stamp(rs),
     }
     _print_json(out, args.out)
-    _save_spline_cache(rs)
-    return 0
 
 
-def cmd_oracle(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
-    if args.bins < 1:
-        raise UsageError("--bins must be at least 1")
-    rs = build_root_system(args.group)
-    _load_spline_cache(rs)
+def cmd_oracle(rs: RootSystem, args) -> None:
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     hist = product_class_histogram(
         rs, m1, m2, bins=args.bins, n_samples=args.samples, seed=args.seed
@@ -395,13 +356,9 @@ def cmd_oracle(args) -> int:
     }
     side_path = (args.out + ".json") if args.out else None
     _print_json(sidecar, side_path)
-    _save_spline_cache(rs)
-    return 0
 
 
-def cmd_glue(args) -> int:
-    rs = build_root_system(args.group)
-    _load_spline_cache(rs)
+def cmd_glue(rs: RootSystem, args) -> None:
     try:
         h_txt, b_txt = args.surface.split(",")
         surface = Surface(int(h_txt), int(b_txt))
@@ -416,8 +373,6 @@ def cmd_glue(args) -> int:
         "report": rep.to_json_dict(),
     }
     _print_json(out, args.out)
-    _save_spline_cache(rs)
-    return 0
 
 
 # -- entry point ---------------------------------------------------------------
@@ -434,6 +389,13 @@ def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
     return n
 
 
@@ -501,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group", choices=["A1", "A2"])
     p.add_argument("mu1")
     p.add_argument("mu2")
-    p.add_argument("--samples", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=256)
+    p.add_argument("--samples", type=_positive_int, default=10**5)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--bins", type=_positive_int, default=256)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
@@ -524,15 +486,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        rs = build_root_system(args.group)
+        if args.func is cmd_roots:  # builds no spline: no cache to read or save
+            cmd_roots(rs, args)
+        else:
+            _load_spline_cache(rs)
+            args.func(rs, args)
+            _save_spline_cache(rs)
+        return 0
     except OnWallError as exc:
         sys.stderr.write(f"wall error: {exc}\n")
         return WALL_ERROR
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
         return CONVERGENCE_ERROR
-    except (UsageError, UnsupportedTypeError, UnsupportedDecompositionError,
-            ValueError) as exc:
+    except ValueError as exc:  # usage, unsupported type and decomposition errors
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(ap.format_usage())
         return USAGE_ERROR

@@ -13,7 +13,9 @@ cells and integrates the product of the factors over them exactly.
 Points and lines are exact and in Python ints: a point of the alcove in
 root coordinates is a tuple (z_1, ..., z_r, den) with den > 0 standing for
 z / den, and a line a.z + k = 0 is the primitive integer tuple
-(a_1, ..., a_r, k) whose first nonzero a_i is positive.
+(a_1, ..., a_r, k) whose first nonzero a_i is positive.  A polynomial is an
+integer form ({exponents: numerator}, denominator), as `moduli._affine_sum`
+returns it: no coefficient becomes a Fraction before the cone integrals.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .exact import Q, common_denominator, det, scaled, vsub
 from .kappa import OnWallError, kappa_build
 from .liecore import RootSystem
-from .poly import Poly, poly_add, poly_scale
 from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _weyl_fold
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
@@ -151,10 +152,11 @@ class AlcoveFactor:
             out.append(_sign(v) if v else nudge)
         return tuple(out)
 
-    def _polynomial(self, terms) -> Poly:
-        """sum of coef * p_chamber(x(nu)) over (argument, signs, coef) terms.
-        Every support chamber must be built (`enumerate_support_chambers`);
-        signs naming no chamber are outside the support cone."""
+    def _polynomial(self, terms) -> tuple[dict, int]:
+        """prefactor * sum of coef * p_chamber(x(nu)) over (argument, signs,
+        coef) terms, as the integer form `_affine_sum` returns.  Every support
+        chamber must be built (`enumerate_support_chambers`); signs naming
+        no chamber are outside the support cone."""
         groups: dict = {}
         for (c, L, _, _), signs, coef in terms:
             form = self.spline.integer_form(signs)
@@ -162,12 +164,12 @@ class AlcoveFactor:
                 continue
             group = groups.setdefault((signs, L), (form, L, [], []))
             group[2].append(c)
-            group[3].append(coef)
-        return poly_scale(Q(self.prefactor), _affine_sum(groups.values(), self.spline, self.scale))
+            group[3].append(self.prefactor * coef)
+        return _affine_sum(groups.values(), self.spline, self.scale)
 
-    def cell_polynomial(self, point) -> Poly:
-        """Polynomial of the cell at a homogeneous point (z, den), read
-        beside it along `direction` when it lies on a line."""
+    def cell_polynomial(self, point) -> tuple[dict, int]:
+        """Integer form of the cell's polynomial at a homogeneous point
+        (z, den), read beside it along `direction` when it lies on a line."""
         return self._polynomial(
             (arg, self._signs(arg[3], point, self.direction), arg[2])
             for arg in self._alcove_args
@@ -175,9 +177,9 @@ class AlcoveFactor:
 
     def jumps(self) -> dict:
         """line -> (cuts, jumps) for the lines across which the polynomial
-        changes somewhere: jumps[i] is the polynomial on the positive side
-        minus the one on the negative side, between the positions cuts[i]
-        and cuts[i + 1] along the line (rank 1: one jump, no cuts).
+        changes somewhere: jumps[i], an integer form, is the polynomial on the
+        positive side minus the one on the negative side, between the
+        positions cuts[i] and cuts[i + 1] along the line (rank 1: one jump, no cuts).
 
         The jump of one argument changes along the line only where its
         other walls cross it, so it is taken once between consecutive such
@@ -199,7 +201,7 @@ class AlcoveFactor:
                         terms.append((args[i], self._signs(args[i][3], point, direction),
                                       side * args[i][2]))
                 jumps.append(self._polynomial(terms))
-            if any(jumps):
+            if any(numerators for numerators, _ in jumps):
                 out[line] = (cuts, jumps)
         return out
 
@@ -317,11 +319,11 @@ def _facet_line(key) -> tuple[int, ...]:
     return _primitive_line(a, k)
 
 
-def _jump_across(jumps: dict, key) -> Poly:
-    """The jump of a factor across a facet, {} where it has none."""
+def _jump_across(jumps: dict, key) -> tuple[dict, int]:
+    """A factor's jump across a facet as an integer form, ({}, 1) where none."""
     line = _facet_line(key)
     if line not in jumps:
-        return {}
+        return {}, 1
     cuts, polys = jumps[line]
     if not cuts:
         return polys[0]
@@ -329,10 +331,12 @@ def _jump_across(jumps: dict, key) -> Poly:
     return polys[bisect_right(cuts, lo) - 1]
 
 
-def _as_ints(poly: Poly) -> tuple[dict, int]:
-    """An integer polynomial and a denominator with the given quotient."""
-    den = common_denominator(poly.values())
-    return dict(zip(poly, scaled(poly.values(), den))), den
+def _add(a: tuple[dict, int], b: tuple[dict, int], sign: int) -> tuple[dict, int]:
+    """a + sign * b for integer forms, over the lcm of their denominators."""
+    (p, dp), (q, dq) = a, b
+    den = math.lcm(dp, dq)
+    return {m: v for m in p | q
+            if (v := p.get(m, 0) * (den // dp) + sign * q.get(m, 0) * (den // dq))}, den
 
 
 def _cone_integral(factors: list[tuple[dict, int]], points: tuple) -> Q:
@@ -400,7 +404,7 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     jump across their common facet.  By the divergence theorem the
     integral is a sum over facets of cones from the origin, and an inner
     facet carries the difference of the products on its two sides, so
-    facets that no factor jumps across drop out.
+    facets that no factor jumps across drop out; the polynomials stay integer forms.
     """
     kappa_build(rs, 1).enumerate_support_chambers()
     jumps = [f.jumps() for f in factors]
@@ -419,13 +423,10 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
                 order.append(j)
                 side = _sign(_line_value(_facet_line(key), _centroid(cells[j])))
                 for f_jumps, f_polys in zip(jumps, polys):
-                    jump = _jump_across(f_jumps, key)
-                    f_polys[j] = poly_add(f_polys[i], poly_scale(Q(side), jump))
-    cell_ints = [[_as_ints(f_polys[i]) for i in range(len(cells))] for f_polys in polys]
-    jump_ints: dict = {}  # id of a jump polynomial -> its integer form
-    total = Q(0)
+                    f_polys[j] = _add(f_polys[i], _jump_across(f_jumps, key), side)
+    total = 0
     for i, cell in enumerate(cells):
-        mine = [f_ints[i] for f_ints in cell_ints]
+        mine = [f_polys[i] for f_polys in polys]
         for key, points, sign in _facets(cell):
             other = [j for j in neighbours[key] if j != i]
             if not other:
@@ -435,15 +436,13 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
             else:
                 # prod(mine) - prod(theirs) = sum over the factors f that
                 # jump of theirs_1 ... theirs_(f-1) (mine_f - theirs_f) mine_(f+1) ...
-                theirs = [f_ints[other[0]] for f_ints in cell_ints]
+                theirs = [f_polys[other[0]] for f_polys in polys]
                 side = _sign(_line_value(_facet_line(key), _centroid(cell)))
                 terms = []
                 for f, f_jumps in enumerate(jumps):
                     jump = _jump_across(f_jumps, key)
-                    if jump:
-                        if id(jump) not in jump_ints:
-                            jump_ints[id(jump)] = _as_ints(jump)
-                        terms.append([*theirs[:f], jump_ints[id(jump)], *mine[f + 1:]])
+                    if jump[0]:
+                        terms.append([*theirs[:f], jump, *mine[f + 1:]])
             for term in terms:
                 if all(ints for ints, _ in term):
                     total += side * sign * _cone_integral(term, points)

@@ -362,8 +362,6 @@ def build_root_system(spec: GroupSpec | str) -> RootSystem:
     """Construct (and cache) the root system for a supported type."""
     if isinstance(spec, str):
         spec = GroupSpec.parse(spec)
-    if (spec.series, spec.rank) not in _SUPPORTED:
-        raise UnsupportedTypeError(f"unsupported group type {spec.name}")
     return _cached_root_system(spec.series, spec.rank)
 
 

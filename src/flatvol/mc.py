@@ -61,9 +61,6 @@ class ClassHistogram:
     seed: int
     edges: np.ndarray | None = None
 
-    def density(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
 
 def _check_group(rs: RootSystem) -> None:
     if rs.spec.name not in ("A1", "A2"):

@@ -75,7 +75,7 @@ from .liecore import (
     star,
     volume_G,
 )
-from .poly import Poly, poly_eval, poly_scale, poly_subs_affine
+from .poly import Poly, poly_eval, poly_subs_affine
 
 __all__ = [
     "Surface",
@@ -489,34 +489,36 @@ def _column_moments(points: list, coefs: list[int], exponents) -> dict[tuple[int
     return out
 
 
-def _affine_sum(groups, spline, scale: int) -> Poly:
+def _affine_sum(groups, spline, scale: int) -> tuple[dict, int]:
     """sum over groups (form, L, cs, coefs) of coef * p((c + scale L nu) / scale)
     as a polynomial in nu, for integer vectors c and coefs, p the chamber
     polynomial of integer form `form` (`PiecewisePolynomial.integer_form`)
-    over the spline's degree-d monomials.
+    over the spline's degree-d monomials: its nonzero integer numerators
+    and one denominator, the lcm of the forms' denominators times scale^d.
 
     With y = L nu, sum coef p(c / D + y) = sum_k y^k sum_m p_m binom(m, k)
     M_{m-k} / D^{d - |k|}, M_b = sum coef c^b the integer moments of the
-    group (`_column_moments`); the result is then composed with nu -> L nu
-    (skipped for the identity)."""
+    group (`_column_moments`).  Groups sharing an L are summed first, then
+    composed with nu -> L nu once (skipped for the identity)."""
     below = {m: list(product(*(range(e + 1) for e in m))) for m in spline.monomials}
     exponents = set().union(*below.values())
-    out: dict = {}
-    for (numerators, den), L, cs, coefs in groups:
+    den = math.lcm(*(form_den for (_, form_den), *_ in groups))
+    by_map: dict = {}
+    for (numerators, form_den), L, cs, coefs in groups:
         moments = _column_moments(cs, coefs, exponents)
-        shifted: dict = {}
+        shifted = by_map.setdefault(L, {})
         for m, pm in zip(spline.monomials, numerators):
             for k in below[m] if pm else ():
-                weight = math.prod(map(math.comb, m, k)) * scale ** sum(k)
+                weight = math.prod(map(math.comb, m, k)) * scale ** sum(k) * (den // form_den)
                 shifted[k] = shifted.get(k, 0) + pm * weight * moments[tuple(map(sub, m, k))]
-        if any(x != (i == j) for i, row in enumerate(L) for j, x in enumerate(row)):
-            units = [tuple(int(i == j) for j in range(len(L))) for i in range(len(L))]
+    out: dict = {}
+    for L, shifted in by_map.items():
+        units = tuple(tuple(int(i == j) for j in range(len(L))) for i in range(len(L)))
+        if L != units:
             shifted = poly_subs_affine(shifted, [dict(zip(units, row)) for row in L])
-        total = den * scale**spline.degree
         for k, v in shifted.items():
-            if v:
-                out[k] = out.get(k, 0) + Q(v, total)
-    return {k: v for k, v in out.items() if v}
+            out[k] = out.get(k, 0) + int(v)
+    return {k: v for k, v in out.items() if v}, den * scale**spline.degree
 
 
 class PantsVolumePoly:
@@ -580,10 +582,11 @@ class PantsVolumePoly:
         order, starts, forms = _chamber_groups(self.spline, args, scale)
         offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
         coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
-        unit = np.eye(rank, dtype=np.int64).tolist()
+        unit = tuple(map(tuple, np.eye(rank, dtype=np.int64).tolist()))
         groups = [(form, unit, offsets[lo:hi], coefs[lo:hi])
                   for form, lo, hi in zip(forms, bounds, bounds[1:])]
-        return poly_scale(Q(self.prefactor), _affine_sum(groups, self.spline, scale))
+        numerators, den = _affine_sum(groups, self.spline, scale)
+        return {k: Q(self.prefactor * v, den) for k, v in numerators.items()}
 
     def walls(self) -> list[tuple[int, ...]]:
         """The lines a.mu3 + k = 0 (a, k integers, root coordinates) that

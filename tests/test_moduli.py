@@ -739,6 +739,11 @@ def test_glue_two_pants_exact_rational(name, marks):
     assert g.value == k.value
 
 
+# exact (rational, cells) of the rank-2 one-holed tori below
+ONE_HANDLE_RANK2 = {"B2": (Q(143, 32000), 93), "G2": (Q(59587, 4915200000), 573),
+                    "A2": (Q(33, 800), 28)}
+
+
 @pytest.mark.parametrize("name, mark, rel_tol", [
     ("B2", "1/4,1/5", 1e-9),
     ("G2", "1/8,1/5", 1e-9),
@@ -751,6 +756,7 @@ def test_glue_one_handle_rank2_matches_witten(name, mark, rel_tol):
     w = witten_volume(rs, Surface(1, 1), mk, weight_count=20000)
     assert abs(g.value - w.value) <= rel_tol * abs(w.value)
     assert g.exact["normalization"] == "1" and g.value == float(g.exact["rational"])
+    assert (g.exact["rational"], g.parameters["cells"]) == ONE_HANDLE_RANK2[name]
 
 
 def test_glue_one_handle_singular_argument_maps():
