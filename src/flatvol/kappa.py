@@ -2,7 +2,7 @@
 
 kappa(xi) is the density at xi of the pushforward of Lebesgue measure on
 R_+^n under x -> sum_i x_i v_i, taken relative to the inner-product
-Lebesgue measure on t*.  Two independent evaluation routes are provided:
+Lebesgue measure on t*.  Three independent exact evaluators are provided:
 
 * `kappa_point` computes the exact (n-rank)-volume of the fiber polytope
   {x >= 0 : sum x_i v_i = xi}: its vertices are the basic feasible
@@ -11,11 +11,16 @@ Lebesgue measure on t*.  Two independent evaluation routes are provided:
 * `kappa_build` returns a chamber-complex spline whose polynomials are
   built in closed form by Lawrence's vertex formula (J. Lawrence,
   "Polytope volume computation", Math. Comp. 57, 1991; one term per
-  feasible basis of the vectors) and each checked once against
-  `kappa_point` at the chamber's sample point.  The vertex table is kept
-  in Python ints (feasibility rows of each basis inverse, and each term
-  as integer numerators over one table denominator), so a chamber's
-  polynomial is an integer sum divided once.
+  feasible basis of the vectors).  The vertex table is kept in Python
+  ints (feasibility rows of each basis inverse, and each term as integer
+  numerators over one table denominator), so a chamber's polynomial is
+  an integer sum divided once;
+* `VectorConfig.truncated_power` evaluates the truncated-power
+  recurrence (|S| - r) T_S(x) = sum_{b in B} t_b T_{S-b}(x) over
+  sub-multisets S, B a basis in S and x = sum t_b b, off the walls.  It
+  reads the vectors only, never the vertex table, and checks each new
+  chamber once at its sample point, both when it is built and when it
+  is loaded from a cache.
 
 Chamber polynomials are stored relative to coordinate Lebesgue measure in
 the simple-root basis; the single conversion factor to inner-product
@@ -74,9 +79,9 @@ class OnWallError(ValueError):
 
 
 class DegenerateArrangementError(RuntimeError):
-    """A built chamber polynomial disagrees with the fiber-polytope volume
-    at its sample point (an internal bug), or a wall of the configuration
-    contains the nudge direction."""
+    """A built chamber polynomial disagrees with the truncated-power
+    recurrence at its sample point (an internal bug), or a wall of the
+    configuration contains the nudge direction."""
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +276,107 @@ class VectorConfig:
         coords = [y for y, _ in vertices]
         return self._jacobian * _polytope_volume(coords, facets, self.degree)
 
+    @cached_property
+    def power_program(self) -> tuple[list[tuple[int, tuple | None]], list[list[list[int]]],
+                                     list[int], int, int]:
+        """The truncated-power recurrence unrolled once for this
+        configuration: (nodes, rows, leaf values, L, E), read from
+        `vectors` alone.
+
+        A sub-multiset S is a count tuple over the distinct vectors.  A
+        table keyed by the support of S holds its pivot basis B
+        (`pivot_columns`), or None when the support does not span, and
+        each distinct basis is inverted once (`scaled_inverse`).  With
+        x = sum_{b in B} t_b b, (|S| - r) T_S(x) = sum_b t_b T_{S-b}(x)
+        off the walls, and a child S - b that does not span has T = 0
+        there, so it is dropped.  A node is (basis index, children) for
+        |S| > r, children the pairs (position in B, child node), and
+        (basis index, None) for a basis S, with T_S = 1/|det B| on the
+        open cone of B and 0 off it.  Nodes are listed children first,
+        the whole configuration last, so one pass in order evaluates the
+        recurrence with one value per count tuple.
+
+        Everything is kept in ints at one scale: rows[k] is E B_k^-1 for E
+        the lcm of the inverses' denominators, so at a point x = X / D
+        (X in ints) t = rows . X / (E D), and the leaf value of B is
+        L / |det B| for L the common denominator of the 1 / |det B|.  A
+        node with |S| = r + k then carries L k! (E D)^k T_S, an int.
+        """
+        unique = list(dict.fromkeys(self.vectors))
+        scale = common_denominator(chain.from_iterable(unique))
+        distinct = [tuple(scaled(v, scale)) for v in unique]
+        bases: dict[tuple[int, ...], int] = {}
+        inverses: list[tuple[tuple[int, ...], list[list[int]], int, Q]] = []
+        pivots: dict[tuple[int, ...], int | None] = {}
+
+        def basis_of(support: tuple[int, ...]) -> int | None:
+            if support not in pivots:
+                piv = pivot_columns(list(zip(*(distinct[j] for j in support))))
+                key = None
+                if len(piv) == self.rank:
+                    basis = tuple(support[p] for p in piv)
+                    key = bases.get(basis)
+                    if key is None:
+                        key = bases[basis] = len(inverses)
+                        columns = mat_t([distinct[j] for j in basis])
+                        inverses.append((basis, *scaled_inverse(columns)))
+                pivots[support] = key
+            return pivots[support]
+
+        nodes: list[tuple[int, tuple | None]] = []
+        index: dict[tuple[int, ...], int | None] = {}
+
+        def visit(counts: tuple[int, ...]) -> int | None:
+            if counts not in index:
+                key = basis_of(tuple(j for j, c in enumerate(counts) if c))
+                node = None
+                if key is not None:
+                    children = None
+                    if sum(counts) > self.rank:
+                        children = tuple(
+                            (pos, child) for pos, j in enumerate(inverses[key][0])
+                            if (child := visit(tuple(c - (i == j) for i, c in enumerate(counts))))
+                            is not None
+                        )
+                    nodes.append((key, children))
+                    node = len(nodes) - 1
+                index[counts] = node
+            return index[counts]
+
+        visit(tuple(map(self.vectors.count, unique)))
+        # the vectors were scaled by s: B^-1 = s (s B)^-1 and 1/|det B| = s^r / |det s B|
+        common = math.lcm(*(e for _, _, e, _ in inverses))
+        rows = [[[common // e * scale * c for c in row] for row in inv]
+                for _, inv, e, _ in inverses]
+        leaf = [scale**self.rank / abs(d) for *_, d in inverses]
+        den = common_denominator(leaf)
+        return nodes, rows, scaled(leaf, den), den, common
+
+    def truncated_power(self, xi: Vec) -> Q:
+        """Pushforward density at xi, relative to coordinate Lebesgue, by
+        the truncated-power recurrence (`power_program`): C. de Boor,
+        K. Hollig and S. Riemenschneider, *Box Splines* (1993), and
+        C. De Concini and C. Procesi, *Topics in Hyperplane Arrangements,
+        Polytopes and Box-Splines* (2010), ch. 7.  It equals `density`
+        off the walls and is undefined on them: a point on a wall raises
+        OnWallError.
+        """
+        if self.on_wall(xi):
+            raise OnWallError(f"the truncated-power recurrence is undefined on a wall: {xi}")
+        nodes, rows, leaf, leaf_den, common = self.power_program
+        den = common_denominator(xi)
+        x = scaled(xi, den)
+        taus = [[sum(map(mul, row, x)) for row in inv] for inv in rows]
+        values: list[int] = []
+        for key, children in nodes:
+            tau = taus[key]
+            if children is None:
+                values.append(leaf[key] if all(t > 0 for t in tau) else 0)
+            else:
+                values.append(sum(tau[pos] * values[child] for pos, child in children))
+        return Q(values[-1],
+                 leaf_den * math.factorial(self.degree) * (common * den) ** self.degree)
+
     def on_wall(self, xi: Vec) -> bool:
         return 0 in self.sign_vector(xi)
 
@@ -361,9 +467,9 @@ class PiecewisePolynomial:
     Chambers are materialized on first query.  The polynomial is the sum
     of Lawrence's vertex terms w_s y_s(xi)^d over the bases s feasible
     in the chamber (`VectorConfig.vertex_table`), checked once, exactly,
-    against the fiber-polytope density at the query point.  Materialized
-    chambers are kept for the lifetime of the object and can be
-    serialized to JSON.
+    against the truncated-power recurrence (`VectorConfig.truncated_power`)
+    at the query point.  Materialized chambers are kept for the lifetime
+    of the object and can be serialized to JSON.
     """
 
     def __init__(self, config: VectorConfig, label: str):
@@ -436,7 +542,7 @@ class PiecewisePolynomial:
         chamber = Chamber(signs=signs, sample_point=xi, polynomial=self._vertex_sum(xi))
         if not self._passes_check(chamber):
             raise DegenerateArrangementError(
-                f"vertex formula disagrees with the fiber volume in chamber {signs}"
+                f"vertex formula disagrees with the truncated power in chamber {signs}"
             )
         self.chambers[signs] = chamber
         return chamber
@@ -460,12 +566,15 @@ class PiecewisePolynomial:
         return {m: Q(c, den) for m, c in acc.items()}
 
     def _passes_check(self, chamber: Chamber) -> bool:
-        """One exact check of a chamber against the fiber-polytope density."""
+        """One exact check of a chamber against the truncated-power
+        recurrence (`VectorConfig.truncated_power`) at its sample point,
+        which must lie off every wall, on the chamber's side of each."""
         xi = chamber.sample_point
         return (
             len(xi) == self.rank
             and self.config.sign_vector(xi) == chamber.signs
-            and poly_eval(chamber.polynomial, xi) == self.config.density(xi)
+            and 0 not in chamber.signs
+            and poly_eval(chamber.polynomial, xi) == self.config.truncated_power(xi)
         )
 
     def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> tuple[Vec, tuple[int, ...]]:
@@ -536,8 +645,10 @@ class PiecewisePolynomial:
         """Adopt chambers from a serialized dump (cache restore).
 
         Chambers already in memory are kept; each other one must pass the
-        one-point check.  A malformed dump or a failed check raises
-        ValueError and adopts nothing.
+        one-point check: its sample point lies off every wall, on the
+        side of each that its signs give, and there its polynomial equals
+        the truncated-power recurrence.  A malformed dump or a failed
+        check raises ValueError and adopts nothing.
         """
         if not isinstance(data, dict):
             raise ValueError("chamber dump is not a JSON object")

@@ -394,12 +394,18 @@ def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
              common * scale**spline.degree)
 
 
+MOMENT_ROWS = 4096  # rows per block of `_moments`, whose peak memory is one block's terms
+
+
 def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[list[int]]:
     """M[g][e] = sum of coefs[i] * points[i]^exponents[e] over the rows i of
     group g (from starts[g] to the next start, none empty), in Python ints,
     for all groups at once: per-coordinate power tables, the monomial
     matrix gathered from them and weighted by the coefficients, and
-    `np.add.reduceat` over the starts.
+    `np.add.reduceat` over the starts.  The rows are taken in blocks of
+    MOMENT_ROWS, so only one block's monomial matrix is held at a time,
+    and each block's group sums are added into the groups' rows: a group
+    that straddles blocks gets a partial sum from each.
 
     B = max(1, max|x|)^t sum|coef| (t the largest degree) bounds every
     entry.  The pass runs modulo 2^64 in uint64, whose arithmetic wraps,
@@ -415,6 +421,17 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     while _crt_basis(k)[1] <= 2 * bound:
         k += 1
     primes, product, weights = _crt_basis(k)
+    # (first row, end row, group starts in the block, group of its first row)
+    blocks = [(0, len(points), starts, 0)]
+    if len(points) > MOMENT_ROWS:
+        blocks = []
+        for lo in range(0, len(points), MOMENT_ROWS):
+            hi = min(lo + MOMENT_ROWS, len(points))
+            a, b = np.searchsorted(starts, (lo, hi))
+            local = starts[a:b] - lo
+            if a == len(starts) or starts[a] != lo:  # the block opens inside group a - 1
+                local, a = np.concatenate(([0], local)), a - 1
+            blocks.append((lo, hi, local, a))
     tables = []
     for p in (0, *primes):
         if p:
@@ -430,15 +447,24 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
                 a -= q
             return a
 
-        terms = np.empty((len(x), len(exponents)), dtype=x.dtype)
-        terms[:] = c[:, None]
-        for i, column in enumerate(exponents.T):  # one coordinate's powers at a time
-            power = np.ones((len(x), top + 1), dtype=x.dtype)
-            for e in range(top):
-                power[:, e + 1] = mod(power[:, e] * x[:, i])
-            terms *= power[:, column]
-            mod(terms)
-        tables.append(mod(np.add.reduceat(terms, starts, axis=0)))
+        table = np.zeros((len(starts), len(exponents)), x.dtype) if len(blocks) > 1 else None
+        for lo, hi, local, first in blocks:
+            terms = np.empty((hi - lo, len(exponents)), dtype=x.dtype)
+            terms[:] = c[lo:hi, None]
+            for i, column in enumerate(exponents.T):  # one coordinate's powers at a time
+                power = np.ones((hi - lo, top + 1), dtype=x.dtype)
+                for e in range(top):
+                    power[:, e + 1] = mod(power[:, e] * x[lo:hi, i])
+                terms *= power[:, column]
+                mod(terms)
+            sums = mod(np.add.reduceat(terms, local, axis=0))
+            if table is None:
+                table = sums
+            else:
+                rows = table[first:first + len(sums)]
+                rows += sums
+                mod(rows)
+        tables.append(table)
     if not primes:  # |M| <= B < 2^63: the signed reading of the pass modulo 2^64
         return tables[0].view(np.int64).tolist()
     moments = sum(t.astype(object) * w for t, w in zip(tables, weights)) % product

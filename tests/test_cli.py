@@ -495,19 +495,53 @@ def test_unusable_spline_cache_dir_is_skipped(tmp_path):
 
 
 def test_edited_spline_cache_is_ignored(tmp_path):
-    args = ("volume", "A1", "1/2", "1/2", "1/2")
-    plain = run(*args, env={"FLATVOL_CACHE": ""})
+    """A cached chamber with one coefficient changed fails the one-point
+    check: the cache is ignored with a warning and rewritten as a fresh run
+    writes it, for a degree-0 spline and for one of positive degree."""
+    for group, marks in [("A1", ("1/2", "1/2", "1/2")), ("B2", ("1/4,1/5", "1/3,1/7", "2/7,1/6"))]:
+        args = ("volume", group, *marks)
+        plain = run(*args, env={"FLATVOL_CACHE": ""})
+        env = {"FLATVOL_CACHE": str(tmp_path / group)}
+        assert run(*args, env=env).returncode == 0
+        cache_file = tmp_path / group / f"kappa_{group}.json"
+        fresh = cache_file.read_bytes()
+        data = json.loads(fresh)
+        poly = data["chambers"][0]["polynomial"]
+        key = sorted(poly)[0]
+        poly[key] = str(Fraction(poly[key]) + 4)
+        cache_file.write_text(json.dumps(data))
+        r = run(*args, env=env)
+        assert r.returncode == 0
+        assert r.stdout == plain.stdout
+        assert "warning" in r.stderr and "one-point check" in r.stderr
+        assert cache_file.read_bytes() == fresh
+        if group == "A1":
+            assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 1.0
+
+
+def test_cached_chamber_on_a_wall_is_refused(tmp_path):
+    """A cached chamber whose sample point lies on a wall, with the zero
+    sign of that wall, is refused although its polynomial gives the
+    kappa value there; the file is rewritten."""
+    from flatvol.kappa import _root_config
+
+    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
     env = {"FLATVOL_CACHE": str(tmp_path)}
-    assert run(*args, env=env).returncode == 0
-    cache_file = tmp_path / "kappa_A1.json"
-    data = json.loads(cache_file.read_text())
-    data["chambers"][0]["polynomial"] = {"0": "5"}
+    plain = run(*args, env=env)
+    assert plain.returncode == 0
+    cache_file = tmp_path / "kappa_A2.json"
+    fresh = cache_file.read_bytes()
+    data = json.loads(fresh)
+    on_wall = (Fraction(1), Fraction(1))  # alpha1 + alpha2, where both chambers give 1
+    signs = _root_config(build_root_system("A2")).sign_vector(on_wall)
+    assert 0 in signs
+    data["chambers"].append({"signs": list(signs), "sample_point": ["1", "1"],
+                             "polynomial": data["chambers"][0]["polynomial"]})
     cache_file.write_text(json.dumps(data))
     r = run(*args, env=env)
-    assert r.returncode == 0
-    assert r.stdout == plain.stdout
-    assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 1.0
-    assert "warning" in r.stderr
+    assert r.returncode == 0 and r.stdout == plain.stdout
+    assert r.stderr.startswith("warning") and "one-point check" in r.stderr
+    assert cache_file.read_bytes() == fresh
 
 
 def test_spline_cache_in_sync_within_one_process(tmp_path, monkeypatch, capsys):

@@ -18,7 +18,9 @@ from flatvol import (
     symmetric_extension,
     vec,
 )
-from flatvol.kappa import DegenerateArrangementError, VectorConfig, PiecewisePolynomial
+from flatvol.kappa import (
+    DegenerateArrangementError, PiecewisePolynomial, VectorConfig, _root_config,
+)
 from flatvol.liecore import _SUPPORTED
 from flatvol.poly import poly_add, poly_const, poly_eval, poly_mul, poly_subs_affine
 from flatvol.exact import det, inverse, mat_t, nullspace, vdot
@@ -140,6 +142,66 @@ def test_spline_slow_types_smoke():
                 continue
             assert spline.value_exact(xi) == kappa_point(rs, xi).rational
             done += 1
+
+
+@pytest.mark.parametrize(
+    "name,multiplicity",
+    [(g, m) for g in ("A1", "A2", "B2", "C2", "G2", "A3") for m in (1, 2, 3)]
+    + [("C3", 1), ("A4", 1), ("D4", 1)],
+)
+def test_truncated_power_equals_fiber_volume(name, multiplicity):
+    """The truncated-power recurrence equals the fiber-polytope volume
+    exactly at seeded points off every wall, inside the support cone and
+    outside it (a negative coordinate, or for A1 a negative point).  A
+    fiber volume of A3 x3 takes seconds at a generic interior point, so
+    that case has one interior point near the alpha_3 ray instead."""
+    rs = build_root_system(name)
+    cfg = _root_config(rs, multiplicity)
+    rng = random.Random(f"truncated-power-{name}-{multiplicity}")
+    points = []
+    while len(points) < (0 if (name, multiplicity) == ("A3", 3) else 3):
+        xi = vec([Q(rng.randint(1, 12), rng.randint(1, 7)) for _ in range(rs.rank)])
+        if not cfg.on_wall(xi):
+            points.append(xi)
+    if (name, multiplicity) == ("A3", 3):
+        points.append(vec([Q(1, 40), Q(1, 60), 1]))
+    while len(points) < 5:
+        xi = vec([-Q(rng.randint(1, 12), rng.randint(1, 7))]
+                 + [Q(rng.randint(-12, 12), rng.randint(1, 7)) for _ in range(rs.rank - 1)])
+        if not cfg.on_wall(xi):
+            points.append(xi)
+    for xi in points:
+        assert cfg.truncated_power(xi) == cfg.density(xi), (name, multiplicity, xi)
+    assert cfg.truncated_power(points[0]) > 0
+    nodes = cfg.power_program[0]
+    if name == "A1" and multiplicity == 1:  # degree 0: one basis, value 1/|det| = 1
+        assert nodes == [(0, None)] and cfg.truncated_power(points[0]) == 1
+    if (name, multiplicity) == ("A2", 2):  # the recursion drops a child that does not span
+        assert any(kids is not None and len(kids) < cfg.rank for _, kids in nodes)
+
+
+def test_truncated_power_refuses_wall_points(a1, a2):
+    with pytest.raises(OnWallError):
+        _root_config(a2).truncated_power(vec([3, 3]))
+    with pytest.raises(OnWallError):
+        _root_config(a1, 2).truncated_power(vec([0]))
+
+
+def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
+    """A vertex sum with one coefficient shifted fails the one-point check."""
+    vertex_sum = PiecewisePolynomial._vertex_sum
+
+    def shifted(self, xi):
+        poly = vertex_sum(self, xi)
+        m = next(iter(poly))
+        return {**poly, m: poly[m] + Q(1, 7)}
+
+    monkeypatch.setattr(PiecewisePolynomial, "_vertex_sum", shifted)
+    rs = build_root_system("A2")
+    spline = PiecewisePolynomial(_root_config(rs), label="A2:kappa^1")
+    with pytest.raises(DegenerateArrangementError):
+        spline.value_exact(vec([2, 1]))
+    assert not spline.chambers
 
 
 def test_homogeneity_exact(a2, b2, g2):

@@ -32,6 +32,7 @@ from flatvol import (
 )
 from flatvol.exact import lattice_points_in_ball, vadd, vscale
 from flatvol.kappa import kappa_build
+from flatvol import moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments
 from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
@@ -204,12 +205,14 @@ def python_moments(points, coefs, starts, exponents):
     (30, 0, np.int64), (62, 0, np.int64), (63, 0, np.int64), (63, 1, np.int64),
     (160, 0, np.int64), (30, 0, object), (400, 0, object),
 ])
-def test_moments_match_python_ints(bits, step, dtype):
+def test_moments_match_python_ints(bits, step, dtype, monkeypatch):
     """`_moments` equals the moments summed in Python ints on seeded points
     with negative entries.  Its bound B = max|x|^t sum|coef| lies below
     2^bits (step 0) or just above it (step 1): one pass modulo 2^64 when
     B < 2^63, residues modulo primes and the CRT at and above; object
-    arrays of Python ints enter alike."""
+    arrays of Python ints enter alike.  Each case runs in one block and
+    in blocks of 7 rows, in which groups straddle blocks, a block opens
+    at a group start, and the one-group case spans six blocks."""
     rng = random.Random(bits + step)
     n, rank, top = 40, 3, 4
     exponents = [m for m in itertools.product(range(top + 1), repeat=rank) if sum(m) <= top]
@@ -223,14 +226,17 @@ def test_moments_match_python_ints(bits, step, dtype):
     assert (x**top * total < 2**63) == (bits <= 63 and not step)
     points = [[rng.randint(-x, x) for _ in range(rank)] for _ in range(n)]
     points[0][0] = -x
-    starts = [0, *sorted(rng.sample(range(1, n), 6))]
+    starts = sorted({0, 14, *rng.sample(range(1, n), 6)})  # a 7-row block opens at row 14
     # seeded rows in seven groups, then one group whose largest moment is
     # its bound: every row at -x with coefficient 3
-    for points, coefs, starts in ((points, coefs, starts), ([[-x] * rank] * n, [3] * n, [0])):
-        got = _moments(np.array(points, dtype=dtype), np.array(coefs, dtype=dtype),
-                       np.array(starts), np.array(exponents))
-        assert got == python_moments(points, coefs, starts, exponents)
-        assert all(type(v) is int for row in got for v in row)
+    for rows in (moduli.MOMENT_ROWS, 7):
+        monkeypatch.setattr(moduli, "MOMENT_ROWS", rows)
+        for points, coefs, starts in ((points, coefs, starts),
+                                      ([[-x] * rank] * n, [3] * n, [0])):
+            got = _moments(np.array(points, dtype=dtype), np.array(coefs, dtype=dtype),
+                           np.array(starts), np.array(exponents))
+            assert got == python_moments(points, coefs, starts, exponents)
+            assert all(type(v) is int for row in got for v in row)
 
 
 @pytest.mark.parametrize("ts, built", [
