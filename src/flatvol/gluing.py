@@ -13,8 +13,10 @@ cells and integrates the product of the factors over them exactly.
 Points and lines are exact and in Python ints: a point of the alcove in
 root coordinates is a tuple (z_1, ..., z_r, den) with den > 0 standing for
 z / den, and a line a.z + k = 0 is the primitive integer tuple
-(a_1, ..., a_r, k) whose first nonzero a_i is positive.  A polynomial is an
-integer form ({exponents: numerator}, denominator), as `moduli._affine_sum`
+(a_1, ..., a_r, k) whose first nonzero a_i is positive; each argument's
+lines are derived once.  Chambers are read as stored (`kappa.Chamber`,
+integer numerators over one denominator), and a polynomial is an integer
+form ({exponents: numerator}, denominator), as `moduli._affine_sum`
 returns it: no coefficient becomes a Fraction before the cone integrals.
 """
 
@@ -99,10 +101,12 @@ class AlcoveFactor:
 
     @cached_property
     def _alcove_args(self) -> list:
-        """(c, L, coef, walls) for the arguments whose support meets the
-        open alcove, walls[j] = (D L^T u_j, u_j.c) the line of wall u_j,
-        read off the extended argument.  At degree 0 kappa jumps on a wall,
-        so an argument that stays on a wall for every nu raises OnWallError."""
+        """(c, L, coef, walls, lines) for the arguments whose support meets
+        the open alcove, walls[j] = (D L^T u_j, u_j.c) the line of wall u_j,
+        read off the extended argument, and lines the set of those that
+        vary with nu, primitive (walls share one when L is singular).  At
+        degree 0 kappa jumps on a wall, so an argument that stays on a wall
+        for every nu raises OnWallError."""
         rank, scale = self.rs.rank, self.scale
         corners = _alcove_corners(self.rs)
         out = []
@@ -116,7 +120,7 @@ class AlcoveFactor:
             if not self.spline.degree and any(not k and not any(a) for a, k in walls):
                 raise OnWallError(
                     f"a kappa argument lies on a wall for every nu (lattice term {c})")
-            out.append((c, L, coef, walls))
+            out.append((c, L, coef, walls, {_primitive_line(a, k) for a, k in walls if any(a)}))
         return out
 
     @cached_property
@@ -126,9 +130,8 @@ class AlcoveFactor:
         primitive integer (a, k) of a.nu + k = 0, first nonzero a > 0."""
         corners = _alcove_corners(self.rs)
         out: dict = {}
-        for i, (*_, walls) in enumerate(self._alcove_args):
-            # several walls of one argument share a line when L is singular
-            for line in {_primitive_line(a, k) for a, k in walls if any(a)}:
+        for i, (*_, arg_lines) in enumerate(self._alcove_args):
+            for line in arg_lines:
                 values = [_line_value(line, v) for v in corners]
                 if min(values) < 0 < max(values):
                     out.setdefault(line, []).append(i)
@@ -138,7 +141,7 @@ class AlcoveFactor:
     def direction(self) -> tuple[int, ...]:
         """A direction off every line: the cell of a point on a line is
         read just beside it, on this side."""
-        big = 1 + max((abs(a[0]) for *_, walls in self._alcove_args for a, _ in walls),
+        big = 1 + max((abs(a[0]) for *_, walls, _ in self._alcove_args for a, _ in walls),
                       default=0)
         return (1, big)[: self.rs.rank]
 
@@ -158,11 +161,11 @@ class AlcoveFactor:
         chamber must be built (`enumerate_support_chambers`); signs naming
         no chamber are outside the support cone."""
         groups: dict = {}
-        for (c, L, _, _), signs, coef in terms:
-            form = self.spline.integer_form(signs)
-            if form is None or not coef:
+        for (c, L, *_), signs, coef in terms:
+            chamber = self.spline.chambers.get(signs)
+            if chamber is None or not coef:
                 continue
-            group = groups.setdefault((signs, L), (form, L, [], []))
+            group = groups.setdefault((signs, L), (chamber, L, [], []))
             group[2].append(c)
             group[3].append(self.prefactor * coef)
         return _affine_sum(groups.values(), self.spline, self.scale)
@@ -189,8 +192,7 @@ class AlcoveFactor:
         args = self._alcove_args
         out = {}
         for line, on_line in self.lines.items():
-            others = {_primitive_line(a, k) for i in on_line
-                      for a, k in args[i][3] if any(a)} - {line}
+            others = set().union(*(args[i][4] for i in on_line)) - {line}
             cuts, points = _segment_points(corners, line, others)
             jumps = []
             for point in points:
@@ -319,9 +321,8 @@ def _facet_line(key) -> tuple[int, ...]:
     return _primitive_line(a, k)
 
 
-def _jump_across(jumps: dict, key) -> tuple[dict, int]:
-    """A factor's jump across a facet as an integer form, ({}, 1) where none."""
-    line = _facet_line(key)
+def _jump_across(jumps: dict, key, line) -> tuple[dict, int]:
+    """A factor's jump across a facet on `line`, an integer form; ({}, 1) where none."""
     if line not in jumps:
         return {}, 1
     cuts, polys = jumps[line]
@@ -413,6 +414,7 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     for i, cell in enumerate(cells):
         for key, _, _ in _facets(cell):
             neighbours.setdefault(key, []).append(i)
+    facet_lines = {key: _facet_line(key) for key in neighbours}
     polys = [{0: f.cell_polynomial(_centroid(cells[0]))} for f in factors]
     order = [0]
     for i in order:
@@ -421,9 +423,10 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
                 if j in polys[0]:
                     continue
                 order.append(j)
-                side = _sign(_line_value(_facet_line(key), _centroid(cells[j])))
+                line = facet_lines[key]
+                side = _sign(_line_value(line, _centroid(cells[j])))
                 for f_jumps, f_polys in zip(jumps, polys):
-                    f_polys[j] = _add(f_polys[i], _jump_across(f_jumps, key), side)
+                    f_polys[j] = _add(f_polys[i], _jump_across(f_jumps, key, line), side)
     total = 0
     for i, cell in enumerate(cells):
         mine = [f_polys[i] for f_polys in polys]
@@ -437,10 +440,11 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
                 # prod(mine) - prod(theirs) = sum over the factors f that
                 # jump of theirs_1 ... theirs_(f-1) (mine_f - theirs_f) mine_(f+1) ...
                 theirs = [f_polys[other[0]] for f_polys in polys]
-                side = _sign(_line_value(_facet_line(key), _centroid(cell)))
+                line = facet_lines[key]
+                side = _sign(_line_value(line, _centroid(cell)))
                 terms = []
                 for f, f_jumps in enumerate(jumps):
-                    jump = _jump_across(f_jumps, key)
+                    jump = _jump_across(f_jumps, key, line)
                     if jump[0]:
                         terms.append([*theirs[:f], jump, *mine[f + 1:]])
             for term in terms:

@@ -13,8 +13,8 @@ Lebesgue measure on t*.  Three independent exact evaluators are provided:
   "Polytope volume computation", Math. Comp. 57, 1991; one term per
   feasible basis of the vectors).  The vertex table is kept in Python
   ints (feasibility rows of each basis inverse, and each term as integer
-  numerators over one table denominator), so a chamber's polynomial is
-  an integer sum divided once;
+  numerators over one table denominator); each chamber is stored once, as
+  that integer sum over the denominator, reduced, and is evaluated in ints;
 * `VectorConfig.truncated_power` evaluates the truncated-power
   recurrence (|S| - r) T_S(x) = sum_{b in B} t_b T_{S-b}(x) over
   sub-multisets S, B a basis in S and x = sum t_b b, off the walls.  It
@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations, count
-from operator import mul, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -69,9 +69,6 @@ __all__ = [
     "pullback_operator",
     "apply_operator",
 ]
-
-
-IntPoly = dict[tuple[int, ...], int]  # integer numerators over a known denominator
 
 
 class OnWallError(ValueError):
@@ -188,7 +185,18 @@ class VectorConfig:
         return sorted(walls)
 
     @cached_property
-    def vertex_table(self) -> tuple[list[tuple[list[list[int]], IntPoly]], int]:
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        """The exponents of degree `degree` in `rank` variables, in the order
+        in which successive products by x_1 + ... + x_r first meet them."""
+        keys = ((0,) * self.rank,)
+        for _ in range(self.degree):
+            keys = tuple(dict.fromkeys(
+                tuple(e + (j == i) for j, e in enumerate(m)) for m in keys for i in range(self.rank)
+            ))
+        return keys
+
+    @cached_property
+    def vertex_table(self) -> tuple[list[tuple[list[list[int]], list[int]]], int]:
         """Lawrence's vertex terms in ints: (entries, T), one entry
         (M_s, N_s) per basis s, with M_s = e_s A_s^-1 for an integer
         e_s > 0 and N_s = T w_s y_s^d, both in ints.
@@ -207,9 +215,8 @@ class VectorConfig:
         g_j = G_j / (L e_s S) with G_j = e_s S C_j - C_s . (M_s S v_j).
         The multinomial theorem gives w_s y_s^d the coefficient
         (d! / m!) a^m F_s at x^m, F_s = S^d / (d! |det A_s| prod_j (-G_j)),
-        and T is the lcm of the denominators of the F_s.  N_s is keyed in
-        the order in which d successive products by y_s first meet the
-        monomials.
+        and T is the lcm of the denominators of the F_s.  N_s is a list over
+        `monomials`.
         """
         scale = common_denominator(chain.from_iterable(self.vectors))
         ints = [scaled(v, scale) for v in self.vectors]
@@ -238,14 +245,10 @@ class VectorConfig:
                 break
         fs = [f for *_, f in weighted]
         den = common_denominator(fs)
-        entries = []
-        for (rows, a, _), mult in zip(weighted, scaled(fs, den)):
-            support = tuple(col for col, ac in enumerate(a) if ac)
-            entries.append((rows, {
-                m: mult * (fact // math.prod(map(math.factorial, m)))
-                * math.prod(ac**e for ac, e in zip(a, m) if e)
-                for m in _power_monomials(support, self.rank, self.degree)
-            }))
+        multinomials = [fact // math.prod(map(math.factorial, m)) for m in self.monomials]
+        entries = [(rows, [mult * b * math.prod(map(pow, a, m))
+                           for b, m in zip(multinomials, self.monomials)])
+                   for (rows, a, _), mult in zip(weighted, scaled(fs, den))]
         return entries, den
 
     def density(self, xi: Vec) -> Q:
@@ -387,18 +390,6 @@ class VectorConfig:
         return tuple((d > 0) - (d < 0) for d in dots)
 
 
-@lru_cache(maxsize=None)
-def _power_monomials(support: tuple[int, ...], rank: int, degree: int) -> tuple[tuple, ...]:
-    """The exponents of (sum of y_i x_i over i in support)^degree, in the
-    order in which successive products by that form first meet them."""
-    keys = ((0,) * rank,)
-    for _ in range(degree):
-        keys = tuple(dict.fromkeys(
-            tuple(e + (j == i) for j, e in enumerate(m)) for m in keys for i in support
-        ))
-    return keys
-
-
 def _primitive(v: Vec) -> tuple[int, ...]:
     """The primitive integer vector on the ray of v, leading entry positive."""
     ints = scaled(v, common_denominator(v))
@@ -454,11 +445,29 @@ def kappa_point(rs: RootSystem, xi: Vec, multiplicity: int = 1) -> KappaValue:
 
 @dataclass
 class Chamber:
-    """One full-dimensional cone of the wall arrangement with its polynomial."""
+    """One full-dimensional cone of the wall arrangement with its polynomial,
+    stored once: integer numerators over `monomials` (the spline's) and one
+    denominator den > 0, reduced so that gcd(den, *numerators) == 1."""
 
     signs: tuple[int, ...]
     sample_point: Vec
-    polynomial: Poly
+    numerators: list[int]
+    den: int
+    monomials: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def polynomial(self) -> Poly:
+        """The polynomial as {exponents: Fraction}, its nonzero terms in
+        `monomials` order: made on first read and kept."""
+        return {m: Q(c, self.den) for m, c in zip(self.monomials, self.numerators) if c}
+
+    def value(self, xi: Vec) -> Q:
+        """The polynomial at xi, in ints: homogeneous of degree d, it is
+        sum_m n_m X^m / (den D^d) at xi = X / D."""
+        x = scaled(xi, scale := common_denominator(xi))
+        total = sum(c * math.prod(map(pow, x, m))
+                    for c, m in zip(self.numerators, self.monomials) if c)
+        return Q(total, self.den * scale ** sum(self.monomials[0]))
 
 
 class PiecewisePolynomial:
@@ -466,10 +475,11 @@ class PiecewisePolynomial:
 
     Chambers are materialized on first query.  The polynomial is the sum
     of Lawrence's vertex terms w_s y_s(xi)^d over the bases s feasible
-    in the chamber (`VectorConfig.vertex_table`), checked once, exactly,
-    against the truncated-power recurrence (`VectorConfig.truncated_power`)
-    at the query point.  Materialized chambers are kept for the lifetime
-    of the object and can be serialized to JSON.
+    in the chamber (`VectorConfig.vertex_table`), kept as that integer sum
+    over one denominator (`Chamber`) and checked once, exactly, against the
+    truncated-power recurrence (`VectorConfig.truncated_power`) at the
+    query point.  Materialized chambers are kept for the lifetime of the
+    object, keyed by their wall signs, and can be serialized to JSON.
     """
 
     def __init__(self, config: VectorConfig, label: str):
@@ -479,9 +489,8 @@ class PiecewisePolynomial:
         self.degree = config.degree
         self.det_gram = config.det_gram
         self.chambers: dict[tuple[int, ...], Chamber] = {}
-        self.monomials = _power_monomials(tuple(range(self.rank)), self.rank, self.degree)
+        self.monomials = config.monomials
         self.exponents = np.array(self.monomials, dtype=np.int64)
-        self._integer_forms: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -493,53 +502,25 @@ class PiecewisePolynomial:
         """
         if self.config.orthant_support and any(c < 0 for c in xi):
             return Q(0)
-        return poly_eval(self.chamber_polynomial_at(xi), xi)
+        return self.chamber_at(xi).value(xi)
 
     def value(self, xi: Vec) -> float:
         return float(self.value_exact(xi)) / math.sqrt(float(self.det_gram))
 
-    def chamber_polynomial_at(self, xi: Vec) -> Poly:
-        """Polynomial of the chamber whose interior contains xi.
-
-        On a wall it is the polynomial of the chamber that the nudge
-        direction points to, which by continuity gives the value at xi
-        when the degree is positive; degree-0 walls raise OnWallError.
-        """
+    def chamber_at(self, xi: Vec) -> Chamber:
+        """The chamber whose interior contains xi, built there if new.  On a
+        wall it is the one the nudge direction points to, built at the
+        nudged point: its polynomial gives the value at xi by continuity
+        when the degree is positive; degree-0 walls raise OnWallError."""
         signs = self.config.sign_vector(xi)
         if 0 in signs:
             if self.degree == 0:
                 raise OnWallError(f"on-wall evaluation at {xi} for a degree-0 spline")
-            return self._chamber_at(*self._nudge_off_walls(xi, signs)).polynomial
-        return self._chamber_at(xi, signs).polynomial
-
-    def on_wall(self, xi: Vec) -> bool:
-        return self.config.on_wall(xi)
-
-    def integer_form(self, signs: tuple[int, ...], point=None) -> tuple[list[int], int] | None:
-        """The chamber with these wall signs (each +1 or -1) as integer
-        numerators over `monomials` and one denominator, made once.  A new
-        chamber is built at point() by `chamber_polynomial_at`, or None
-        is returned when no point is given."""
-        form = self._integer_forms.get(signs)
-        if form is None and (signs in self.chambers or point is not None):
-            if signs not in self.chambers:
-                self.chamber_polynomial_at(point())
-            poly = self.chambers[signs].polynomial
-            den = common_denominator(poly.values())
-            form = (scaled((poly.get(m, 0) for m in self.monomials), den), den)
-            self._integer_forms[signs] = form
-        return form
-
-    # -- materialization ----------------------------------------------------
-
-    def _chamber_at(self, xi: Vec, signs: tuple[int, ...] | None = None) -> Chamber:
-        if signs is None:
-            signs = self.config.sign_vector(xi)
-        assert 0 not in signs
+            xi, signs = self._nudge_off_walls(xi, signs)
         hit = self.chambers.get(signs)
         if hit is not None:
             return hit
-        chamber = Chamber(signs=signs, sample_point=xi, polynomial=self._vertex_sum(xi))
+        chamber = Chamber(signs, xi, *self._vertex_sum(xi), self.monomials)
         if not self._passes_check(chamber):
             raise DegenerateArrangementError(
                 f"vertex formula disagrees with the truncated power in chamber {signs}"
@@ -547,23 +528,28 @@ class PiecewisePolynomial:
         self.chambers[signs] = chamber
         return chamber
 
-    def _vertex_sum(self, xi: Vec) -> Poly:
-        """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi:
-        the integer numerators of `VectorConfig.vertex_table` are added,
-        dropping a monomial whose sum reaches zero, and divided once by the
-        table denominator."""
+    def chamber_polynomial_at(self, xi: Vec) -> Poly:
+        """Polynomial of `chamber_at(xi)`, as {exponents: Fraction}."""
+        return self.chamber_at(xi).polynomial
+
+    def on_wall(self, xi: Vec) -> bool:
+        return self.config.on_wall(xi)
+
+    # -- materialization ----------------------------------------------------
+
+    def _vertex_sum(self, xi: Vec) -> tuple[list[int], int]:
+        """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi,
+        as integer numerators over `monomials` and one denominator: the
+        term lists of `VectorConfig.vertex_table` are added, and the sum
+        and the table denominator are divided by their gcd."""
         entries, den = self.config.vertex_table
         x = scaled(xi, common_denominator(xi))
-        acc: IntPoly = {}
+        acc = [0] * len(self.monomials)
         for rows, term in entries:
             if all(sum(map(mul, row, x)) > 0 for row in rows):
-                for m, c in term.items():
-                    nc = acc.get(m, 0) + c
-                    if nc:
-                        acc[m] = nc
-                    else:
-                        del acc[m]
-        return {m: Q(c, den) for m, c in acc.items()}
+                acc = list(map(add, acc, term))
+        g = math.gcd(den, *acc)
+        return [c // g for c in acc], den // g
 
     def _passes_check(self, chamber: Chamber) -> bool:
         """One exact check of a chamber against the truncated-power
@@ -574,7 +560,7 @@ class PiecewisePolynomial:
             len(xi) == self.rank
             and self.config.sign_vector(xi) == chamber.signs
             and 0 not in chamber.signs
-            and poly_eval(chamber.polynomial, xi) == self.config.truncated_power(xi)
+            and chamber.value(xi) == self.config.truncated_power(xi)
         )
 
     def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> tuple[Vec, tuple[int, ...]]:
@@ -609,7 +595,7 @@ class PiecewisePolynomial:
         for a, b in zip(rays, rays[1:]):
             mid = vec([a[0] + b[0], a[1] + b[1]])
             if self.config.sign_vector(mid).count(0) == 0:
-                self._chamber_at(mid)
+                self.chamber_at(mid)
         return list(self.chambers.values())
 
     # -- serialization --------------------------------------------------------
@@ -626,7 +612,8 @@ class PiecewisePolynomial:
                     "signs": list(ch.signs),
                     "sample_point": [str(c) for c in ch.sample_point],
                     "polynomial": {
-                        ",".join(map(str, m)): str(c) for m, c in ch.polynomial.items()
+                        ",".join(map(str, m)): str(Q(c, ch.den))
+                        for m, c in zip(self.monomials, ch.numerators) if c
                     },
                 }
                 for ch in self.chambers.values()
@@ -647,8 +634,9 @@ class PiecewisePolynomial:
         Chambers already in memory are kept; each other one must pass the
         one-point check: its sample point lies off every wall, on the
         side of each that its signs give, and there its polynomial equals
-        the truncated-power recurrence.  A malformed dump or a failed
-        check raises ValueError and adopts nothing.
+        the truncated-power recurrence.  A malformed dump, a polynomial
+        key that is not a degree-d exponent tuple in rank variables, or a
+        failed check raises ValueError and adopts nothing.
         """
         if not isinstance(data, dict):
             raise ValueError("chamber dump is not a JSON object")
@@ -664,9 +652,13 @@ class PiecewisePolynomial:
                     tuple(int(e) for e in key.split(",")): Fraction(val)
                     for key, val in ch["polynomial"].items()
                 }
-                adopted.append(
-                    Chamber(signs=signs, sample_point=vec(ch["sample_point"]), polynomial=poly)
-                )
+                den = common_denominator(poly.values())
+                numerators = scaled((poly.pop(m, 0) for m in self.monomials), den)
+                if poly:  # keys left over are not among the monomials
+                    raise ValueError(f"chamber {signs}: {next(iter(poly))} is not an exponent "
+                                     f"tuple of degree {self.degree} in {self.rank} variables")
+                adopted.append(Chamber(signs, vec(ch["sample_point"]), numerators, den,
+                                       self.monomials))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed chamber dump: {exc!r}") from exc
         for chamber in adopted:

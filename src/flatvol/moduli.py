@@ -333,9 +333,9 @@ def _kappa_arguments(rs: RootSystem, config, mus: list[Vec], lattice):
 
 def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray, list]:
     """The rows of `_kappa_arguments` (args at scale D) grouped by chamber:
-    (order, starts, forms), order a stable sort of the rows by chamber,
-    group g its rows order[starts[g]:starts[g + 1]] and forms[g] its
-    chamber's integer form (`PiecewisePolynomial.integer_form`).
+    (order, starts, chambers), order a stable sort of the rows by chamber,
+    group g its rows order[starts[g]:starts[g + 1]] and chambers[g] its
+    `kappa.Chamber` (integer numerators over `monomials`, one denominator).
 
     A row's wall sides are packed into one int64 code (bit i: positive side
     of wall i; on the wall, the side the nudge direction points to, whose
@@ -368,14 +368,14 @@ def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, n
     stop = len(code)
     if walled and not spline.degree:
         stop = int(np.flatnonzero(on_wall.any(axis=1))[0])
-    forms = [None] * len(starts)
+    chambers = [None] * len(starts)
     for row, g in sorted(zip(first.tolist(), range(len(starts)))):
         if row >= stop:
             break
-        forms[g] = spline.integer_form(signs[g], lambda: point(row))
+        chambers[g] = spline.chambers.get(signs[g]) or spline.chamber_at(point(row))
     if stop < len(code):
-        spline.chamber_polynomial_at(point(stop))  # raises OnWallError
-    return order, starts, forms
+        spline.chamber_at(point(stop))  # raises OnWallError
+    return order, starts, chambers
 
 
 def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
@@ -383,14 +383,15 @@ def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
     the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1,
     in one pass over the integer arrays of `_kappa_arguments`, scaled by D
     and grouped by chamber (`_chamber_groups`).  Chamber polynomials are
-    homogeneous of degree d, so with (c_g, e_g) a group's integer form and
-    M_g its moments (`_moments`) the sum is sum_g c_g . M_g / (e_g D^d).
+    homogeneous of degree d, so with c_g / e_g a group's chamber and M_g its
+    moments (`_moments`) the sum is sum_g c_g . M_g / (e_g D^d).
     """
     args, coefs, scale = _kappa_arguments(rs, spline.config, mus, lattice)
-    order, starts, forms = _chamber_groups(spline, args, scale)
+    order, starts, chambers = _chamber_groups(spline, args, scale)
     moments = _moments(args[order, :spline.rank], coefs[order], starts, spline.exponents)
-    common = math.lcm(*(den for _, den in forms))
-    return Q(sum(sum(map(mul, m, c)) * (common // den) for m, (c, den) in zip(moments, forms)),
+    common = math.lcm(*(ch.den for ch in chambers))
+    return Q(sum(sum(map(mul, m, ch.numerators)) * (common // ch.den)
+                 for m, ch in zip(moments, chambers)),
              common * scale**spline.degree)
 
 
@@ -516,11 +517,11 @@ def _column_moments(points: list, coefs: list[int], exponents) -> dict[tuple[int
 
 
 def _affine_sum(groups, spline, scale: int) -> tuple[dict, int]:
-    """sum over groups (form, L, cs, coefs) of coef * p((c + scale L nu) / scale)
-    as a polynomial in nu, for integer vectors c and coefs, p the chamber
-    polynomial of integer form `form` (`PiecewisePolynomial.integer_form`)
-    over the spline's degree-d monomials: its nonzero integer numerators
-    and one denominator, the lcm of the forms' denominators times scale^d.
+    """sum over groups (chamber, L, cs, coefs) of coef * p((c + scale L nu) / scale)
+    as a polynomial in nu, for integer vectors c and coefs, p the chamber's
+    polynomial (`kappa.Chamber`: integer numerators over the spline's
+    degree-d monomials and one denominator): its nonzero integer numerators
+    and one denominator, the lcm of the chambers' denominators times scale^d.
 
     With y = L nu, sum coef p(c / D + y) = sum_k y^k sum_m p_m binom(m, k)
     M_{m-k} / D^{d - |k|}, M_b = sum coef c^b the integer moments of the
@@ -528,14 +529,14 @@ def _affine_sum(groups, spline, scale: int) -> tuple[dict, int]:
     composed with nu -> L nu once (skipped for the identity)."""
     below = {m: list(product(*(range(e + 1) for e in m))) for m in spline.monomials}
     exponents = set().union(*below.values())
-    den = math.lcm(*(form_den for (_, form_den), *_ in groups))
+    den = math.lcm(*(chamber.den for chamber, *_ in groups))
     by_map: dict = {}
-    for (numerators, form_den), L, cs, coefs in groups:
+    for chamber, L, cs, coefs in groups:
         moments = _column_moments(cs, coefs, exponents)
         shifted = by_map.setdefault(L, {})
-        for m, pm in zip(spline.monomials, numerators):
+        for m, pm in zip(spline.monomials, chamber.numerators):
             for k in below[m] if pm else ():
-                weight = math.prod(map(math.comb, m, k)) * scale ** sum(k) * (den // form_den)
+                weight = math.prod(map(math.comb, m, k)) * scale ** sum(k) * (den // chamber.den)
                 shifted[k] = shifted.get(k, 0) + pm * weight * moments[tuple(map(sub, m, k))]
     out: dict = {}
     for L, shifted in by_map.items():
@@ -605,12 +606,12 @@ class PantsVolumePoly:
         args, coefs, scale = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
         if (args[:, rank:] == 0).any():
             raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
-        order, starts, forms = _chamber_groups(self.spline, args, scale)
+        order, starts, chambers = _chamber_groups(self.spline, args, scale)
         offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
         coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
         unit = tuple(map(tuple, np.eye(rank, dtype=np.int64).tolist()))
-        groups = [(form, unit, offsets[lo:hi], coefs[lo:hi])
-                  for form, lo, hi in zip(forms, bounds, bounds[1:])]
+        groups = [(chamber, unit, offsets[lo:hi], coefs[lo:hi])
+                  for chamber, lo, hi in zip(chambers, bounds, bounds[1:])]
         numerators, den = _affine_sum(groups, self.spline, scale)
         return {k: Q(self.prefactor * v, den) for k, v in numerators.items()}
 

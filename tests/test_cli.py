@@ -12,6 +12,7 @@ import pytest
 
 from flatvol import (
     build_root_system,
+    kappa_build,
     pants_volume_kappa,
     product_class_histogram,
     sphere_volume_kappa,
@@ -19,6 +20,7 @@ from flatvol import (
 from flatvol.cli import _parse_sym_poly, parse_marking
 from flatvol.kappa import OnWallError
 from flatvol.mc import shape_compare
+from flatvol.poly import poly_eval
 
 
 def run(*args, env=None):
@@ -50,6 +52,22 @@ def test_bench_trace_targets_resolve():
         else:
             target = getattr(owner, attr, None)
         assert callable(target), f"{modname}: {attr} does not resolve"
+
+
+def test_bench_chamber_contract():
+    """What the bench's cold checker reads of a chamber: `polynomial` is a
+    {exponent tuple: Fraction} dict, the same object on every read (the
+    checker's own test shifts a coefficient of it in place), equal to the
+    stored numerators over the stored denominator, and its `poly_eval` at
+    the sample point is `value_exact` there."""
+    spline = kappa_build(build_root_system("B2"), 2)
+    for ch in spline.enumerate_support_chambers():
+        poly = ch.polynomial
+        assert poly is ch.polynomial
+        assert all(type(m) is tuple and type(c) is Fraction for m, c in poly.items())
+        assert poly == {m: Fraction(c, ch.den)
+                        for m, c in zip(spline.monomials, ch.numerators) if c}
+        assert poly_eval(poly, ch.sample_point) == spline.value_exact(ch.sample_point)
 
 
 def test_roots_dump():

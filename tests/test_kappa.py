@@ -188,13 +188,13 @@ def test_truncated_power_refuses_wall_points(a1, a2):
 
 
 def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
-    """A vertex sum with one coefficient shifted fails the one-point check."""
+    """A vertex sum with one numerator of its integer form shifted fails
+    the one-point check."""
     vertex_sum = PiecewisePolynomial._vertex_sum
 
     def shifted(self, xi):
-        poly = vertex_sum(self, xi)
-        m = next(iter(poly))
-        return {**poly, m: poly[m] + Q(1, 7)}
+        numerators, den = vertex_sum(self, xi)
+        return [numerators[0] + 1, *numerators[1:]], den
 
     monkeypatch.setattr(PiecewisePolynomial, "_vertex_sum", shifted)
     rs = build_root_system("A2")
@@ -397,17 +397,51 @@ def test_product_configuration_factorizes():
     assert abs(total - 4.0) < 1e-6
 
 
-def test_serialization_roundtrip(a2, tmp_path):
+@pytest.mark.parametrize(
+    "name,multiplicity",
+    [("A2", 1), ("B2", 1), ("C2", 1), ("G2", 1), ("A3", 1), ("A2", 2), ("B2", 2)],
+    ids=["A2", "B2", "C2", "G2", "A3", "A2x2", "B2x2"],
+)
+def test_serialization_roundtrip(name, multiplicity, tmp_path):
+    """A dump loaded into a fresh spline dumps to the same bytes, each
+    loaded chamber has the built chamber's reduced integer form, and the
+    two splines agree at a point."""
+    rs = build_root_system(name)
+    spline = kappa_build(rs, multiplicity)
+    if rs.rank == 2:
+        spline.enumerate_support_chambers()
+    else:
+        for p in [(1, 2, 3), (3, 2, 1), (2, 3, 2), (1, 1, 3), (4, 1, 2), (5, 3, 1)]:
+            spline.value_exact(vec(p))
+    assert len(spline.chambers) > 1
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    spline.dump_json(str(first))
+    fresh = PiecewisePolynomial(spline.config, label=spline.label)
+    fresh.load_chambers_json(json.loads(first.read_text()))
+    fresh.dump_json(str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert list(fresh.chambers) == list(spline.chambers)
+    for signs, ch in spline.chambers.items():
+        assert math.gcd(ch.den, *ch.numerators) == 1
+        loaded = fresh.chambers[signs]
+        assert (loaded.numerators, loaded.den) == (ch.numerators, ch.den)
+    xi = next(ch.sample_point for ch in spline.chambers.values())
+    assert fresh.value_exact(xi) == spline.value_exact(xi)
+
+
+@pytest.mark.parametrize("key", ["5,5", "0,0,0", "1", "-1,2"])
+def test_cache_refuses_a_key_off_the_monomials(a2, key):
+    """A polynomial key that is not an exponent tuple of degree d in rank
+    variables is refused, even with a zero coefficient, and nothing is
+    adopted."""
     spline = kappa_build(a2)
     spline.enumerate_support_chambers()
-    path = tmp_path / "a2.json"
-    spline.dump_json(str(path))
-    data = json.loads(path.read_text())
+    data = spline.to_json_dict()
+    data["chambers"][0]["polynomial"][key] = "0"
     fresh = PiecewisePolynomial(spline.config, label=spline.label)
-    fresh.load_chambers_json(data)
-    assert set(fresh.chambers) == set(spline.chambers)
-    xi = vec([Q(5, 3), Q(1, 2)])
-    assert fresh.value_exact(xi) == spline.value_exact(xi)
+    with pytest.raises(ValueError, match="exponent tuple"):
+        fresh.load_chambers_json(data)
+    assert not fresh.chambers
 
 
 # -- symmetric polynomials and the operator calculus -------------------------
