@@ -1,7 +1,7 @@
 """flatvol: volumes of moduli spaces of flat connections on surfaces.
 
-Exact root-system arithmetic, the truncated-power kappa by two
-independent algorithms, Weyl characters, lattice kappa-sum / toric /
+Exact root-system arithmetic, the truncated-power kappa by three
+independent exact evaluators, Weyl characters, lattice kappa-sum / toric /
 character-series volume formulas that cross-validate each other, a
 Monte-Carlo holonomy oracle, and a reproducible CLI.
 """

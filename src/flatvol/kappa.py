@@ -49,10 +49,9 @@ from .poly import (
     Poly,
     poly_add,
     poly_const,
-    poly_directional_derivative,
     poly_eval,
     poly_mul,
-    poly_scale,
+    poly_subs_affine,
 )
 
 __all__ = [
@@ -634,9 +633,11 @@ class PiecewisePolynomial:
         Chambers already in memory are kept; each other one must pass the
         one-point check: its sample point lies off every wall, on the
         side of each that its signs give, and there its polynomial equals
-        the truncated-power recurrence.  A malformed dump, a polynomial
-        key that is not a degree-d exponent tuple in rank variables, or a
-        failed check raises ValueError and adopts nothing.
+        the truncated-power recurrence.  A malformed dump (a number that
+        is not a finite rational, such as "1/0" or JSON Infinity, among
+        others), a polynomial key that is not a degree-d exponent tuple in
+        rank variables, or a failed check raises ValueError and adopts
+        nothing.
         """
         if not isinstance(data, dict):
             raise ValueError("chamber dump is not a JSON object")
@@ -659,7 +660,7 @@ class PiecewisePolynomial:
                                      f"tuple of degree {self.degree} in {self.rank} variables")
                 adopted.append(Chamber(signs, vec(ch["sample_point"]), numerators, den,
                                        self.monomials))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed chamber dump: {exc!r}") from exc
         for chamber in adopted:
             if not self._passes_check(chamber):
@@ -707,32 +708,31 @@ class SymmetricPoly:
         m = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls({m: Q(1)}, nvars)
 
+    def substitute(self, elementary: list[Poly]) -> Poly:
+        """The polynomial with each e_l replaced by elementary[l - 1]
+        (`elementary_symmetric`)."""
+        return poly_subs_affine(self.terms, elementary)
+
     def expand_monomials(self, nvars: int) -> Poly:
         """Expand into x-monomials, in `nvars` variables (>= self.nvars)."""
-        out: Poly = poly_const(Q(0), nvars)
-        for m, c in self.terms.items():
-            out = poly_add(out, poly_scale(c, _expand_e_monomial(m, nvars)))
-        return out
+        units = [{tuple(int(i == j) for j in range(nvars)): Q(1)} for i in range(nvars)]
+        return self.substitute(elementary_symmetric(units, nvars))
 
 
 def as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _expand_e_monomial(emono: tuple[int, ...], nvars: int) -> Poly:
-    term = poly_const(Q(1), nvars)
-    for i, e in enumerate(emono):
-        for _ in range(e):
-            term = _poly_mul_elementary(term, i + 1, nvars)
-    return term
-
-
-def _poly_mul_elementary(p: Poly, index: int, nvars: int) -> Poly:
-    e_poly: Poly = {}
-    for subset in combinations(range(nvars), index):
-        m = tuple(1 if i in subset else 0 for i in range(nvars))
-        e_poly[m] = Q(1)
-    return poly_mul(p, e_poly)
+def elementary_symmetric(forms: list[Poly], nvars: int) -> list[Poly]:
+    """[E_1, ..., E_n]: E_l the l-th elementary symmetric polynomial of the
+    n polynomials `forms` in `nvars` variables, read off prod_f (1 + t f)
+    one factor at a time (E_l <- E_l + f E_{l-1}, l descending, E_0 = 1)."""
+    out = [poly_const(Q(1), nvars)]
+    for f in forms:
+        out.append({})
+        for l in range(len(out) - 1, 0, -1):
+            out[l] = poly_add(out[l], poly_mul(f, out[l - 1]))
+    return out[1:]
 
 
 def symmetric_extension(p: SymmetricPoly, nvars: int) -> SymmetricPoly:
@@ -745,42 +745,45 @@ def symmetric_extension(p: SymmetricPoly, nvars: int) -> SymmetricPoly:
 
 @dataclass(frozen=True)
 class DiffOperator:
-    """Constant-coefficient operator: polynomial in root-directional derivatives.
+    """Constant-coefficient operator: a polynomial in the coordinate
+    derivatives d_1, ..., d_r (r the rank).
 
-    Each term is (coefficient, exponent tuple over the ordered positive
-    roots); the variable x_i acts as the directional derivative along the
-    i-th positive root under the inner-product identification.
+    Each term is (coefficient, exponent tuple e over d_1, ..., d_r), and
+    d^e takes x^m to prod_j m_j! / (m_j - e_j)! x^(m - e), or to 0 when
+    some e_j > m_j.
     """
 
     terms: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    directions: tuple[Vec, ...]
 
     def apply_poly(self, p: Poly) -> Poly:
         out: Poly = {}
         for coeff, expo in self.terms:
-            q = p
-            for direction, e in zip(self.directions, expo):
-                for _ in range(e):
-                    q = poly_directional_derivative(q, direction)
-                    if not q:
-                        break
-            out = poly_add(out, poly_scale(coeff, q))
-        return out
+            for m, c in p.items():
+                falling = math.prod(map(math.perm, m, expo))  # 0 when some e_j > m_j
+                if falling:
+                    key = tuple(map(sub, m, expo))
+                    out[key] = out.get(key, 0) + coeff * c * falling
+        return {m: c for m, c in out.items() if c}
 
 
 def pullback_operator(rs: RootSystem, p: SymmetricPoly) -> DiffOperator:
-    """Operator obtained by substituting root-directional derivatives.
+    """The operator p(d_a1, ..., d_an), d_a the derivative along the
+    positive root a (canonical height-then-lex order), in the coordinate
+    derivatives.
 
-    p must be symmetric in n = |R+| variables; x_i becomes the derivative
-    along the i-th positive root (canonical height-then-lex order).
+    p must be symmetric in n = |R+| variables.  d_a is the linear form
+    sum_j a_j d_j, and each e_l of p becomes the l-th elementary symmetric
+    polynomial of those n forms (`elementary_symmetric`), a polynomial in
+    r = rank variables.
     """
     if p.nvars != rs.n_positive:
         raise ValueError(
             f"expected a symmetric polynomial in {rs.n_positive} variables"
         )
-    expanded = p.expand_monomials(rs.n_positive)
-    terms = tuple((c, m) for m, c in sorted(expanded.items()))
-    return DiffOperator(terms=terms, directions=tuple(rs.positive_roots))
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    forms = [{u: c for u, c in zip(units, a) if c} for a in rs.positive_roots]
+    op = p.substitute(elementary_symmetric(forms, rs.rank))
+    return DiffOperator(terms=tuple((c, m) for m, c in sorted(op.items())))
 
 
 def apply_operator(op: DiffOperator, f: PiecewisePolynomial, mu: Vec) -> float:

@@ -499,9 +499,9 @@ def _column_moments(points: list, coefs: list[int], exponents) -> dict[tuple[int
     """{b: sum of coef * x^b over int points x} for the exponent tuples b, in
     Python ints, one column at a time.  A gluing group has too few rows to
     repay numpy's fixed cost per call, which `_moments` spends on the
-    kappa-sum's.  A cell polynomial needs every exponent up to the degree,
-    and `_moments` holds the whole monomial matrix of them at once: taken
-    that way, a cold A4 `chern` peaked at 508 MB against 97 MB."""
+    kappa-sum's: on the groups of the A1, A2 and G2 `glue` runs (1 to 8
+    rows each) one `_moments` call took a median 16, 24 and 34 us, this
+    loop 0.8, 5 and 26 us (2-core x86-64 VM, Python 3.11)."""
     columns = list(zip(*points))
     powers: dict[tuple[int, int], list[int]] = {}
     out = {}
@@ -635,18 +635,23 @@ def mixed_characteristic_number(
 
     p is symmetric in k = moduli_dimension variables; it is extended to
     n = |R+| variables, pulled back to a constant-coefficient operator in
-    root-directional derivatives, and applied to the volume polynomial on
-    the cell of mu3.
+    the r = rank coordinate derivatives (each e_l becomes the l-th
+    elementary symmetric polynomial of the root-directional derivatives,
+    `pullback_operator`), and applied to the volume polynomial on the cell
+    of mu3.  An e-monomial of weighted degree sum_l l m_l above that
+    polynomial's degree acts as zero, so it is dropped first.
     """
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):
         raise ValueError(
             f"polynomial uses e_l with l > complex dimension k={k}"
         )
-    extended = symmetric_extension(p, rs.n_positive)
-    op = pullback_operator(rs, extended)
     vol = pants_volume_poly(rs, mu1, mu2)
     cell_poly = vol.polynomial_at(mu3)
+    degree = max(map(sum, cell_poly), default=-1)
+    kept = {m: c for m, c in p.terms.items()
+            if sum(l * e for l, e in enumerate(m, start=1)) <= degree}
+    op = pullback_operator(rs, symmetric_extension(SymmetricPoly(kept, p.nvars), rs.n_positive))
     rational = poly_eval(op.apply_poly(cell_poly), mu3)
     return float(rational) / math.sqrt(float(vol.norm_denominator))
 
@@ -875,6 +880,14 @@ def witten_volume(
     if residual > 0.05 * abs(total) + 1e-12:
         raise ConvergenceError(
             f"series extrapolation residual {residual} too large for total {total}"
+        )
+    # nor may the largest epsilon damp even the lowest weight below the
+    # cutoff guard's 1e-3: every partial sum is then about 0, and so are the
+    # total and the residual, which passes the test above
+    if eps_schedule and (lowest := math.exp(-max(eps_schedule) * float(qnorm.min()))) < 1e-3:
+        raise ConvergenceError(
+            f"the largest epsilon damps even the lowest weight to {lowest:.3g}; "
+            "lower the largest epsilon"
         )
     params["surface"] = {"genus": h, "boundary": b}
     return VolumeReport(

@@ -59,22 +59,6 @@ def poly_eval(p: Poly, point: Vec) -> Q:
     return total
 
 
-def poly_directional_derivative(p: Poly, direction: Vec) -> Poly:
-    """d/ds p(x + s*direction) at s = 0."""
-    out: Poly = {}
-    for m, c in p.items():
-        for j, e in enumerate(m):
-            if e == 0 or direction[j] == 0:
-                continue
-            dm = tuple(ei - 1 if i == j else ei for i, ei in enumerate(m))
-            nc = out.get(dm, Q(0)) + c * e * direction[j]
-            if nc == 0:
-                out.pop(dm, None)
-            else:
-                out[dm] = nc
-    return out
-
-
 def poly_shift(p: Poly, offset: Vec) -> Poly:
     """Compose with the translation x -> offset + x."""
     nvars = len(offset)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,9 @@ from flatvol.mc import shape_compare
 from flatvol.poly import poly_eval
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=300):
+    """The CLI in a fresh process; a command still running after `timeout`
+    seconds fails its test by TimeoutExpired instead of stalling the suite."""
     e = dict(os.environ)
     if env:
         e.update(env)
@@ -32,6 +35,7 @@ def run(*args, env=None):
         capture_output=True,
         text=True,
         env=e,
+        timeout=timeout,
     )
 
 
@@ -224,7 +228,7 @@ def test_chern_identity_and_fd():
 
 # sha256 of the `chern` stdout and of the spline cache file it writes to a
 # fresh FLATVOL_CACHE, beyond A2 and degree 1: cell polynomials of degree 2,
-# 4 and 3 under operators of degree 2, 4 and 3
+# 4, 3 and 6 under operators of degree 2, 4, 3 and 6 (C3 at top degree)
 CHERN_DIGESTS = [
     (("B2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1^2"),
      "10655d3c9a49923d774dcea1e170c083f7a2155b93ce8d4176cac661ec3d92fe",
@@ -235,16 +239,34 @@ CHERN_DIGESTS = [
     (("A3", "1/5,1/7,1/9", "1/6,1/8,1/7", "1/9,1/5,1/8", "--poly", "e1^3-e3"),
      "4b259f1c89e38031065f49970ef4218b83e14a71ac304cc468ecf0fd2cb0e829",
      "5980d12ffdfc3b2531093ea1081b996d28491dd571b758169c59dc96ef2857c8"),
+    (("C3", "1/9,1/11,1/13", "1/10,1/12,1/14", "1/8,1/13,1/11", "--poly", "e1^6"),
+     "c0d850f0b43996b06f225a9ffeb42a372635e8b416a24d6584c3b027e0b721f9",
+     "d57d4d49025c9575ec337165c16cbaef6631ce5005b0eba681b51c5798b3da90"),
+    (("C3", "1/9,1/11,1/13", "1/10,1/12,1/14", "1/8,1/13,1/11", "--poly", "e1^4*e2-e3^2+2*e6"),
+     "2d39fcf998e6d2b751e0c309f6b99c483dd9b9361298ab7f2db0124f081a1c0e",
+     "d57d4d49025c9575ec337165c16cbaef6631ce5005b0eba681b51c5798b3da90"),
 ]
 
 
-@pytest.mark.parametrize("args, stdout_digest, cache_digest", CHERN_DIGESTS, ids=["B2", "G2", "A3"])
+@pytest.mark.parametrize("args, stdout_digest, cache_digest", CHERN_DIGESTS,
+                         ids=["B2", "G2", "A3", "C3-e1^6", "C3-mixed"])
 def test_chern_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
     r = run("chern", *args, env={"FLATVOL_CACHE": str(tmp_path)})
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == stdout_digest
     cache = (tmp_path / f"kappa_{args[0]}.json").read_bytes()
     assert hashlib.sha256(cache).hexdigest() == cache_digest
+
+
+def test_chern_huge_power_acts_as_zero():
+    """An e-monomial of weighted degree above the cell polynomial's acts as
+    zero and is dropped before the pullback, which would not end on it."""
+    marks = ("A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
+    huge = run("chern", *marks, "--poly", "e1^999999999999", timeout=30)
+    assert huge.returncode == 0, huge.stderr
+    assert json.loads(huge.stdout)["value"] == 0.0
+    mixed = run("chern", *marks, "--poly", "1-e1^999999999999", timeout=30)
+    assert json.loads(mixed.stdout)["value"] == json.loads(run("chern", *marks, "--poly", "1").stdout)["value"]
 
 
 def test_chern_dimension_error():
@@ -408,6 +430,21 @@ def test_convergence_failure_exit_code():
     assert "convergence" in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("A1", "1/2", "1/2", "1/2", "--eps0", "3000"),
+    ("A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--eps0", "200"),
+    ("G2", "1/9,1/11", "1/10,1/12", "1/8,1/13", "--eps0", "50"),
+], ids=["A1", "A2", "G2"])
+def test_large_eps0_fails_convergence(args):
+    # when the largest epsilon damps even the lowest weight, every partial
+    # sum and the residual are about 0: A2 printed 3.6e-23 with exit 0,
+    # against the kappa-sum's 0.130
+    r = run("volume", *args[:4], "--method", "witten", *args[4:])
+    assert r.returncode == 4
+    assert "lowest weight" in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("weights", ["3", "7"])
 def test_tiny_weight_list_fails_convergence(weights):
     # with so few weights the extrapolation residual exceeds 5% of the
@@ -535,6 +572,30 @@ def test_edited_spline_cache_is_ignored(tmp_path):
         assert cache_file.read_bytes() == fresh
         if group == "A1":
             assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("polynomial", "1/0"), ("polynomial", math.inf), ("sample_point", "3/0"),
+], ids=["polynomial-zero-denominator", "polynomial-infinity", "sample-point-zero-denominator"])
+def test_damaged_spline_cache_is_ignored(tmp_path, field, value):
+    """A cached number that is not a finite rational makes the dump
+    malformed: the cache is ignored with a warning and rewritten, instead of
+    crashing this run and every later one."""
+    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
+    plain = run(*args, env={"FLATVOL_CACHE": ""})
+    env = {"FLATVOL_CACHE": str(tmp_path)}
+    assert run(*args, env=env).returncode == 0
+    cache_file = tmp_path / "kappa_A2.json"
+    fresh = cache_file.read_bytes()
+    data = json.loads(fresh)
+    target = data["chambers"][0][field]
+    target[sorted(target)[0] if field == "polynomial" else 0] = value
+    cache_file.write_text(json.dumps(data))
+    r = run(*args, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == plain.stdout
+    assert "warning" in r.stderr and "malformed chamber dump" in r.stderr
+    assert cache_file.read_bytes() == fresh
 
 
 def test_cached_chamber_on_a_wall_is_refused(tmp_path):

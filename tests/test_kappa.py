@@ -471,6 +471,39 @@ def test_symmetric_extension_examples():
     assert expanded == expect
 
 
+def test_pullback_operator_a2_by_hand(a2):
+    """The A2 roots a1, a2, a1 + a2 pull back to d1, d2 and d1 + d2, so each
+    e_l becomes their l-th elementary symmetric polynomial."""
+    def op(index):
+        return {m: c for c, m in pullback_operator(a2, SymmetricPoly.elementary(index, 3)).terms}
+
+    assert op(1) == {(1, 0): 2, (0, 1): 2}
+    assert op(2) == {(2, 0): 1, (1, 1): 3, (0, 2): 1}
+    assert op(3) == {(2, 1): 1, (1, 2): 1}
+
+
+@pytest.mark.parametrize("group", ["A2", "B2", "G2", "A3"])
+def test_pullback_operator_equals_root_monomial_route(group):
+    """The operator in the rank coordinate derivatives equals, coefficient by
+    coefficient, p expanded into monomials in the n root derivatives with
+    each root a then replaced by the linear form sum_j a_j d_j."""
+    rs = build_root_system(group)
+    n, r = rs.n_positive, rs.rank
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    roots = [{u: c for u, c in zip(units, a) if c} for a in rs.positive_roots]
+    rng = random.Random(23)
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            expo = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                expo[rng.randrange(3)] += 1  # e_1, e_2, e_3
+            terms[tuple(expo)] = Q(rng.randint(-9, 9), rng.randint(1, 5))
+        p = SymmetricPoly(terms, n)
+        op = {m: c for c, m in pullback_operator(rs, p).terms}
+        assert op == poly_subs_affine(p.expand_monomials(n), roots)
+
+
 def test_pullback_operator_identity_and_direction(a1, a2):
     one = symmetric_extension(SymmetricPoly.constant(Q(1)), a2.n_positive)
     op = pullback_operator(a2, one)
