@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 usage error, 3 wall/regularity error,
 4 convergence failure.  Set FLATVOL_CACHE to a directory to cache the
 serialized kappa chamber splines across runs; a damaged cache file is
 ignored with a warning and rewritten, and a cache that cannot be written
-is skipped with a warning.  Markings outside the closed alcove are usage
-errors.
+is skipped with a warning.  Markings outside the closed alcove and an
+--out path that cannot be written are usage errors.
 """
 
 from __future__ import annotations
@@ -87,10 +87,14 @@ def _float_str(x: float) -> str:
 
 
 def _write(text: str, out_path: str | None) -> None:
-    """Write text and a newline to the file out_path, or to stdout."""
+    """Write text and a newline to the file out_path, or to stdout; a path
+    that cannot be written is a usage error."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text + "\n")
 

@@ -6,8 +6,8 @@ the one Weyl fold of the lattice sum (`moduli._weyl_fold`), are affine in
 nu and come extended by their wall dot products, so each wall of an
 argument is read off as a line in the alcove.  `AlcoveFactor` finds the
 lines across which the factor's polynomial jumps and the jumps
-themselves; `alcove_integral` cuts the alcove by those lines into convex
-cells and integrates the product of the factors over them exactly.
+themselves; `alcove_integral` walks the alcove's edges and those lines
+and integrates the product of the factors exactly, facet by facet.
 `moduli.glue_volume` imports this module on first use.
 
 Points and lines are exact and in Python ints: a point of the alcove in
@@ -23,7 +23,7 @@ returns it: no coefficient becomes a Fraction before the cone integrals.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from operator import mul
 
@@ -35,10 +35,6 @@ from .liecore import RootSystem
 from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _weyl_fold
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
-
-
-def _sign(v: int) -> int:
-    return 1 if v > 0 else -1
 
 
 class AlcoveFactor:
@@ -137,13 +133,14 @@ class AlcoveFactor:
                     out.setdefault(line, []).append(i)
         return out
 
-    @cached_property
-    def direction(self) -> tuple[int, ...]:
-        """A direction off every line: the cell of a point on a line is
-        read just beside it, on this side."""
-        big = 1 + max((abs(a[0]) for *_, walls, _ in self._alcove_args for a, _ in walls),
-                      default=0)
-        return (1, big)[: self.rs.rank]
+    def beside(self, along, across) -> tuple[int, ...]:
+        """The direction M along + across, M = 1 + max |a.across| over the
+        arguments' wall normals a (integer vectors): a point is read beside
+        it along `along`, and on the `across` side of the walls parallel
+        to `along`."""
+        big = 1 + max((abs(sum(map(mul, a, across)))
+                       for *_, walls, _ in self._alcove_args for a, _ in walls), default=0)
+        return tuple(big * x + y for x, y in zip(along, across))
 
     def _signs(self, walls, point, direction) -> tuple[int, ...]:
         """Chamber signs of an argument at point + eps * direction (eps -> 0+);
@@ -152,7 +149,7 @@ class AlcoveFactor:
         out = []
         for (a, k), nudge in zip(walls, self.spline.config.nudge_signs):
             v = sum(map(mul, a, z)) + k * den or sum(map(mul, a, direction))
-            out.append(_sign(v) if v else nudge)
+            out.append((1 if v > 0 else -1) if v else nudge)
         return tuple(out)
 
     def _polynomial(self, terms) -> tuple[dict, int]:
@@ -170,12 +167,11 @@ class AlcoveFactor:
             group[3].append(self.prefactor * coef)
         return _affine_sum(groups.values(), self.spline, self.scale)
 
-    def cell_polynomial(self, point) -> tuple[dict, int]:
-        """Integer form of the cell's polynomial at a homogeneous point
-        (z, den), read beside it along `direction` when it lies on a line."""
+    def cell_polynomial(self, point, direction) -> tuple[dict, int]:
+        """Integer form of the polynomial at a homogeneous point (z, den),
+        read beside it along `direction` where it lies on a line."""
         return self._polynomial(
-            (arg, self._signs(arg[3], point, self.direction), arg[2])
-            for arg in self._alcove_args
+            (arg, self._signs(arg[3], point, direction), arg[2]) for arg in self._alcove_args
         )
 
     def jumps(self) -> dict:
@@ -242,40 +238,6 @@ def _cross(u, v) -> tuple[int, int, int]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _split(cell: list, line) -> tuple[list, list]:
-    """The parts of a convex cell (vertices in order; an interval [lo, hi]
-    for rank 1) on the negative and positive side of a line through it."""
-    values = [_line_value(line, v) for v in cell]
-    neg, pos = [], []
-    for i, (p, fp) in enumerate(zip(cell, values)):
-        q, fq = cell[i - len(cell) + 1], values[i - len(cell) + 1]
-        if fp <= 0:
-            neg.append(p)
-        if fp >= 0:
-            pos.append(p)
-        if fp * fq < 0:
-            cut = _point([fq * x - fp * y for x, y in zip(p[:-1], q[:-1])],
-                         fq * p[-1] - fp * q[-1])
-            neg.append(cut)
-            pos.append(cut)
-    return list(dict.fromkeys(neg)), list(dict.fromkeys(pos))
-
-
-def _arrangement(corners: list, lines: list) -> list[list]:
-    """The cells into which the lines cut the alcove."""
-    cells = [corners]
-    for line in lines:
-        nxt = []
-        for cell in cells:
-            values = [_line_value(line, v) for v in cell]
-            if min(values) < 0 < max(values):
-                nxt.extend(_split(cell, line))
-            else:
-                nxt.append(cell)
-        cells = nxt
-    return cells
-
-
 def _centroid(points: list) -> tuple[int, ...]:
     den = math.lcm(*(p[-1] for p in points))
     sums = [sum(p[i] * (den // p[-1]) for p in points) for i in range(len(points[0]) - 1)]
@@ -287,49 +249,72 @@ def _position(line, p) -> Q:
     return Q(line[1] * p[0] - line[0] * p[1], p[2])
 
 
+def _ends(corners: list, line) -> list:
+    """Where a line through the open alcove meets its boundary, in order
+    along the line (rank 1: the point itself)."""
+    if len(line) == 2:
+        return [_point([-line[1]], line[0])]
+    ends = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        fp, fq = _line_value(line, p), _line_value(line, q)
+        if not fp:
+            ends.append(p)
+        elif fp * fq < 0:
+            ends.append(_point([fq * x - fp * y for x, y in zip(p[:-1], q[:-1])],
+                               fq * p[-1] - fp * q[-1]))
+    return sorted(ends, key=lambda p: _position(line, p))
+
+
+def _stops(line, ends, lines) -> list:
+    """(point, the lines through it) for the points of a rank-2 wall where
+    other lines meet it after its first end, and its second end, in order."""
+    first, last = (_position(line, p) for p in ends)
+    found: dict = {ends[1]: []}
+    for other in lines:
+        x, y, den = _cross(line, other)
+        if den and first < _position(line, p := _point([x, y], den)) <= last:
+            found.setdefault(p, []).append(other)
+    return sorted(found.items(), key=lambda item: _position(line, item[0]))
+
+
 def _segment_points(corners: list, line, others) -> tuple[list, list]:
     """The positions along the line of its ends in the alcove and of its
     crossings with the other lines inside, in order, and one point
     between each consecutive two (rank 1: no positions, the point)."""
-    ends = [p for p in _split(corners, line)[0] if not _line_value(line, p)]
+    ends = _ends(corners, line)
     if len(ends) == 1:
         return [], ends
-    span = sorted(_position(line, p) for p in ends)
-    cuts = set(ends)
-    for other in others:
-        x, y, den = _cross(line, other)
-        if den and span[0] < _position(line, (x, y, den)) < span[1]:
-            cuts.add(_point([x, y], den))
-    ordered = sorted(cuts, key=lambda p: _position(line, p))
-    return ([_position(line, p) for p in ordered],
-            [_centroid([p, q]) for p, q in zip(ordered, ordered[1:])])
+    points = [ends[0], *(p for p, _ in _stops(line, ends, others))]
+    return ([_position(line, p) for p in points],
+            [_centroid(pq) for pq in zip(points, points[1:])])
 
 
-def _facets(cell: list) -> list:
-    """(key, points, sign) per facet of a cell: its edges in order, or for
-    rank 1 its two ends, the lower one counted negatively."""
-    if len(cell[0]) == 2:
-        return [((cell[1],), (cell[1],), 1), ((cell[0],), (cell[0],), -1)]
-    return [(frozenset(pq), pq, 1) for pq in zip(cell, cell[1:] + cell[:1])]
-
-
-def _facet_line(key) -> tuple[int, ...]:
-    if len(key) == 1:
-        (x, den), = key
-        return _primitive_line((den,), -x)
-    *a, k = _cross(*key)
-    return _primitive_line(a, k)
-
-
-def _jump_across(jumps: dict, key, line) -> tuple[dict, int]:
-    """A factor's jump across a facet on `line`, an integer form; ({}, 1) where none."""
+def _jump(jumps: dict, line, point, ahead: bool) -> tuple[dict, int]:
+    """A factor's jump across `line`, an integer form ({}, 1 where none),
+    on its piece that leaves `point` forward along the line, or backward."""
     if line not in jumps:
         return {}, 1
     cuts, polys = jumps[line]
     if not cuts:
         return polys[0]
-    lo = min(_position(line, p) for p in key)
-    return polys[bisect_right(cuts, lo) - 1]
+    return polys[(bisect_right if ahead else bisect_left)(cuts, _position(line, point)) - 1]
+
+
+def _crossing(wall, point, through, jumps, lefts, starts=None) -> list:
+    """The factors' polynomials on a wall's positive side past `point`: a
+    line through it adds its jump on its piece on that side, signed as the
+    wall crosses it.  The lines are crossed clockwise from the incoming
+    side; one that starts there, on the boundary, keeps in `starts` the
+    polynomials on its positive side."""
+    a0, a1 = wall[:2]
+    for line in sorted(through, key=lambda x: Q(a0 * x[0] + a1 * x[1], a0 * x[1] - a1 * x[0])):
+        ahead = a0 * line[1] - a1 * line[0] > 0  # its piece on that side lies ahead
+        if ahead and starts is not None:
+            starts[line] = lefts
+        crossed = [_jump(f_jumps, line, point, ahead) for f_jumps in jumps]
+        lefts = [_add(left, jump, -1 if ahead else 1) if jump[0] else left
+                 for left, jump in zip(lefts, crossed)]
+    return lefts
 
 
 def _add(a: tuple[dict, int], b: tuple[dict, int], sign: int) -> tuple[dict, int]:
@@ -395,59 +380,64 @@ def _cone_integral(factors: list[tuple[dict, int]], points: tuple) -> Q:
     return Q(volume * total, fact[top + rank] * den ** (top + rank) * dens)
 
 
+def _facet_integral(lefts: list, jumps: list, points: tuple) -> Q:
+    """The cone integral (`_cone_integral`) over a facet of prod(lefts) -
+    prod(rights), rights = lefts - jumps: the sum over the factors f that
+    jump of rights_1 ... rights_(f-1) jump_f lefts_(f+1) ..."""
+    total, rights = 0, []
+    for f, (left, jump) in enumerate(zip(lefts, jumps)):
+        term = [*rights, jump, *lefts[f + 1:]]
+        if all(ints for ints, _ in term):
+            total += _cone_integral(term, points)
+        rights.append(_add(left, jump, -1) if jump[0] else left)
+    return total
+
+
 def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int]:
     """Integral over the alcove, in root coordinates, of the product of
-    the factors' rational parts, and the number of cells it took.
+    the factors' rational parts, and the number of cells it is cut into.
 
-    The alcove is cut by the lines across which some factor changes.  On
-    each cell every factor is one polynomial: read at the centroid of the
-    first cell, and from cell to neighbouring cell changed by the factor's
-    jump across their common facet.  By the divergence theorem the
-    integral is a sum over facets of cones from the origin, and an inner
-    facet carries the difference of the products on its two sides, so
-    facets that no factor jumps across drop out; the polynomials stay integer forms.
+    By the divergence theorem the integral is the sum over facets [p, q]
+    of the cone integrals of prod(left) - prod(right).  The walk takes
+    each alcove edge counterclockwise (right is 0) from the polynomials
+    read at corner 0 beside edge 0, then each line from its first end to
+    its second, positive side left (right is left minus its jump), and
+    `_crossing` carries the polynomials along.  Rank 1 is the same walk
+    along [lo, hi], with point facets.  Euler's formula counts the cells:
+    1 + L + the sum of k - 1 over the inner points where k of L lines meet.
     """
     kappa_build(rs, 1).enumerate_support_chambers()
     jumps = [f.jumps() for f in factors]
-    cells = _arrangement(_alcove_corners(rs), sorted(set().union(*jumps)))
-    neighbours: dict = {}
-    for i, cell in enumerate(cells):
-        for key, _, _ in _facets(cell):
-            neighbours.setdefault(key, []).append(i)
-    facet_lines = {key: _facet_line(key) for key in neighbours}
-    polys = [{0: f.cell_polynomial(_centroid(cells[0]))} for f in factors]
-    order = [0]
-    for i in order:
-        for key, _, _ in _facets(cells[i]):
-            for j in neighbours[key]:
-                if j in polys[0]:
-                    continue
-                order.append(j)
-                line = facet_lines[key]
-                side = _sign(_line_value(line, _centroid(cells[j])))
-                for f_jumps, f_polys in zip(jumps, polys):
-                    f_polys[j] = _add(f_polys[i], _jump_across(f_jumps, key, line), side)
+    lines = sorted(set().union(*jumps))
+    corners = _alcove_corners(rs)
+    start, end = corners[:2]
+    if rs.rank == 1:
+        lefts = [f.cell_polynomial(start, f.beside((1,), (0,))) for f in factors]
+        total = -_facet_integral(lefts, lefts, (start,))  # the side above counts negatively
+        for line in sorted(lines, key=lambda line: Q(-line[1], line[0])):
+            own = [_jump(f_jumps, line, None, True) for f_jumps in jumps]
+            lefts = [_add(left, jump, 1) for left, jump in zip(lefts, own)]
+            total -= _facet_integral(lefts, own, _ends(corners, line))
+        return total + _facet_integral(lefts, lefts, (end,)), 1 + len(lines)
+    edge = _cross(start, end)
+    lefts = [f.cell_polynomial(start, f.beside((edge[1], -edge[0]), edge[:2])) for f in factors]
+    starts: dict = {}
     total = 0
-    for i, cell in enumerate(cells):
-        mine = [f_polys[i] for f_polys in polys]
-        for key, points, sign in _facets(cell):
-            other = [j for j in neighbours[key] if j != i]
-            if not other:
-                side, terms = 1, [mine]
-            elif other[0] < i:
-                continue  # counted from the other side
-            else:
-                # prod(mine) - prod(theirs) = sum over the factors f that
-                # jump of theirs_1 ... theirs_(f-1) (mine_f - theirs_f) mine_(f+1) ...
-                theirs = [f_polys[other[0]] for f_polys in polys]
-                line = facet_lines[key]
-                side = _sign(_line_value(line, _centroid(cell)))
-                terms = []
-                for f, f_jumps in enumerate(jumps):
-                    jump = _jump_across(f_jumps, key, line)
-                    if jump[0]:
-                        terms.append([*theirs[:f], jump, *mine[f + 1:]])
-            for term in terms:
-                if all(ints for ints, _ in term):
-                    total += side * sign * _cone_integral(term, points)
-    return total, len(cells)
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        wall = _cross(p, q)  # positive inside
+        for point, through in _stops(wall, (p, q), lines):
+            total += _facet_integral(lefts, lefts, (p, point))
+            lefts = _crossing(wall, point, through, jumps, lefts, starts)
+            p = point
+    inner = 0
+    for line in lines:
+        p, last = _ends(corners, line)
+        lefts = starts[line]
+        for point, through in _stops(line, (p, last), lines):
+            total += _facet_integral(lefts, [_jump(f_jumps, line, p, True) for f_jumps in jumps],
+                                     (p, point))
+            if point != last:
+                lefts = _crossing(line, point, through, jumps, lefts)
+                inner += len(through) * (line < min(through))
+            p = point
+    return total, 1 + len(lines) + inner

@@ -22,9 +22,9 @@ Four routes are provided, each independent of the ones it checks:
 * the character series (Witten series), heat-kernel regularized when the
   dimension exponent makes it only conditionally convergent; and
 * the exact gluing integral over the alcove for the (1,1) and (0,4)
-  surfaces (`glue_volume`, cut into cells by `gluing.py`), whose pants
-  factors are the same lattice sum with a marking varying over the
-  alcove (`gluing.AlcoveFactor`, built on the same fold).
+  surfaces (`glue_volume`, integrated facet by facet by `gluing.py`),
+  whose pants factors are the same lattice sum with a marking varying
+  over the alcove (`gluing.AlcoveFactor`, built on the same fold).
 
 Conventions (stamped into every report): alcove pairing e^{2 pi i <.,.>},
 kappa relative to inner-product Lebesgue measure, covol = covolume of the
@@ -933,9 +933,11 @@ def glue_volume(rs: RootSystem, surface: Surface, marking: Marking) -> VolumeRep
     gives t modulo the weight lattice mass one; in root coordinates it is
     sqrt(det Gram * det coroot Gram) times Lebesgue, the inverse of the
     pants normalization.  The integrand is piecewise polynomial and is
-    integrated exactly (`gluing.alcove_integral`), so the value is a rational
-    times the stamped normalization: 1 for (1,1) and that of the
-    four-marked kappa-sum for (0,4).
+    integrated exactly by a walk along the alcove's edges and the lines
+    across which it jumps (`gluing.alcove_integral`), so the value is a
+    rational times the stamped normalization: 1 for (1,1) and that of the
+    four-marked kappa-sum for (0,4).  `cells` counts the pieces those
+    lines cut the alcove into.
     """
     h, b = surface.genus, surface.boundary
     if len(marking) != b:

@@ -504,6 +504,24 @@ def test_usage_errors(args):
         assert "error: rational '1/0' has a zero denominator" in r.stderr
 
 
+@pytest.mark.parametrize("args, target", [
+    (("volume", "A1", "1/2", "1/2", "1/2"), "missing/x.json"),
+    (("oracle", "A1", "1/2", "1/2", "--samples", "100"), "missing/o.csv"),
+    (("scan", "A1", "1/2", "1/2", "--along", "0:1", "--steps", "2"), "."),
+    (("roots", "A2"), "."),
+], ids=["volume-missing-dir", "oracle-missing-dir", "scan-directory", "roots-directory"])
+def test_unwritable_out_is_usage_error(tmp_path, args, target):
+    """An --out path that cannot be written exits 2 with one error line,
+    not a traceback."""
+    path = tmp_path / target
+    r = run(*args, "--out", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    reason = "Is a directory" if target == "." else "No such file or directory"
+    assert f"error: cannot write {path}: {reason}\n" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_gluing_module_loads_on_first_glue():
     """The gluing module stays out of a process until a glue run needs it."""
     code = "\n".join([

@@ -16,6 +16,7 @@ from flatvol import (
     Surface,
     SymmetricPoly,
     UnsupportedDecompositionError,
+    alcove_membership,
     build_root_system,
     conjugacy_volume,
     glue_volume,
@@ -725,17 +726,23 @@ def test_glue_two_pants_rank2_matches_four_marked_kappa(name):
     assert abs(g.value - k.value) <= 1e-12 * k.value
 
 
-@pytest.mark.parametrize("name, marks", [
-    ("A1", ["2/5", "1/2", "3/5", "1/3"]),
-    ("A1", ["1/2", "1/2", "1/2", "1/2"]),
-    ("A2", ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"]),
-    ("B2", ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"]),
-    ("C2", ["1/8,1/5", "1/9,1/7", "1/7,1/6", "1/10,1/4"]),
-    ("G2", ["1/4,1/5", "1/5,1/4", "1/6,1/4", "1/4,1/6"]),
-])
-def test_glue_two_pants_exact_rational(name, marks):
+# (group, markings, cells of the jump-line arrangement) of four-marked spheres
+TWO_PANTS = [
+    ("A1", ["2/5", "1/2", "3/5", "1/3"], 5),
+    ("A1", ["1/2", "1/2", "1/2", "1/2"], 1),
+    ("A2", ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"], 141),
+    ("B2", ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4"], 518),
+    ("C2", ["1/8,1/5", "1/9,1/7", "1/7,1/6", "1/10,1/4"], 573),
+    ("G2", ["1/4,1/5", "1/5,1/4", "1/6,1/4", "1/4,1/6"], 1373),
+]
+
+
+@pytest.mark.parametrize("name, marks, cells", TWO_PANTS,
+                         ids=[f"{name}-marks{i}" for i, (name, *_) in enumerate(TWO_PANTS)])
+def test_glue_two_pants_exact_rational(name, marks, cells):
     """Gluing two pants along a circle gives the four-marked kappa-sum
-    exactly: the same rational with the same normalization."""
+    exactly: the same rational with the same normalization.  The cell
+    count of the jump-line arrangement is pinned."""
     rs = build_root_system(name)
     mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
     g = glue_volume(rs, Surface(0, 4), Marking.of(rs, mus))
@@ -743,6 +750,39 @@ def test_glue_two_pants_exact_rational(name, marks):
     assert g.exact == k.exact
     assert k.exact["rational"] > 0
     assert g.value == k.value
+    assert g.parameters["cells"] == cells
+
+
+def _boundary_marking(rs, rng):
+    """A marking of the closed alcove with denominators 4-8, now and then
+    with a coordinate on the boundary."""
+    while True:
+        coords = [Q(rng.randint(1, d // 3), d) for d in (rng.randint(4, 8) for _ in range(rs.rank))]
+        if rng.random() < 0.15:
+            coords[rng.randrange(rs.rank)] = Q(0)
+        mu = rs.from_weight_coords(vec(coords))
+        if alcove_membership(rs, mu)[0] != "outside":
+            return mu
+
+
+def test_glue_two_pants_random_markings_exact():
+    """On seeded four-marked spheres, boundary coordinates included, the
+    gluing integral equals the kappa-sum exactly, or both fail alike."""
+    rng = random.Random(1)
+    nonzero = 0
+    for i in range(24):
+        rs = build_root_system(["A1", "A2", "B2", "C2"][i % 4])
+        mus = [_boundary_marking(rs, rng) for _ in range(4)]
+        out = []
+        for route in (lambda: glue_volume(rs, Surface(0, 4), Marking.of(rs, mus)),
+                      lambda: sphere_volume_kappa(rs, mus)):
+            try:
+                out.append(route().exact)
+            except ValueError as exc:
+                out.append(type(exc))
+        assert out[0] == out[1], (rs.spec.name, mus)
+        nonzero += isinstance(out[0], dict) and out[0]["rational"] != 0
+    assert nonzero >= 5
 
 
 # exact (rational, cells) of the rank-2 one-holed tori below
@@ -763,6 +803,16 @@ def test_glue_one_handle_rank2_matches_witten(name, mark, rel_tol):
     assert abs(g.value - w.value) <= rel_tol * abs(w.value)
     assert g.exact["normalization"] == "1" and g.value == float(g.exact["rational"])
     assert (g.exact["rational"], g.parameters["cells"]) == ONE_HANDLE_RANK2[name]
+
+
+@pytest.mark.parametrize("name, mark", [
+    ("A2", "1/2,0"), ("B2", "0,1/3"), ("C2", "1/2,0"), ("G2", "0,1/2")])
+def test_glue_one_handle_rank2_boundary_marking(name, mark):
+    """A marking on a wall of the alcove gives a one-holed torus of volume
+    0, with no line across which the pants volume jumps: one cell."""
+    rs = build_root_system(name)
+    g = glue_volume(rs, Surface(1, 1), Marking.of(rs, [rs.from_weight_coords(vec(mark.split(",")))]))
+    assert (g.exact["rational"], g.parameters["cells"]) == (0, 1)
 
 
 def test_glue_one_handle_singular_argument_maps():
