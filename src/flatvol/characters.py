@@ -90,13 +90,12 @@ def character_table(rs: RootSystem, lam_rho: np.ndarray, mu: Vec) -> np.ndarray:
     den = 0.0 + 0.0j
     rho_f = np.array([float(c) for c in rs.rho])
     grho = gram @ rho_f
-    weyl = rs.weyl_elements()
-    for w in weyl:
-        wm = np.array(w.matrix, dtype=float)
+    mats, signs, _ = rs.weyl_array
+    for wm, sign in zip(mats.astype(float), signs.tolist()):
         wl, wr = lam_rho @ wm.T, wm @ rho_f
-        num += w.sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
-        den += w.sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
-    if abs(den) < 1e-12 * len(weyl):
+        num += sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
+        den += sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
+    if abs(den) < 1e-12 * len(mats):
         raise OnWallError("marking is not regular; character table undefined")
     return num / den
 

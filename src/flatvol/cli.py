@@ -10,15 +10,18 @@ Exit codes: 0 success, 2 usage error, 3 wall/regularity error,
 serialized kappa chamber splines across runs; a damaged cache file is
 ignored with a warning and rewritten, and a cache that cannot be written
 is skipped with a warning.  Markings outside the closed alcove and an
---out path that cannot be written are usage errors.
+--out path that cannot be written are usage errors; a directory --out, or
+one in a missing directory, is refused before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
+import stat
 import sys
 from bisect import bisect_left
 from contextlib import suppress
@@ -97,6 +100,20 @@ def _write(text: str, out_path: str | None) -> None:
             raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text + "\n")
+
+
+def _check_out(out_path: str) -> None:
+    """Refuse, before any work, an --out path that `_write` could not open
+    because it is a directory or its directory is missing or not one, with
+    the reason open() would give.  Creates no file; `_write` still maps
+    what fails only at write time."""
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out_path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _print_json(obj, out_path: str | None) -> None:
@@ -490,6 +507,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_out(args.out)
+            if args.func is cmd_oracle:
+                _check_out(args.out + ".json")  # its sidecar
         rs = build_root_system(args.group)
         if args.func is cmd_roots:  # builds no spline: no cache to read or save
             cmd_roots(rs, args)

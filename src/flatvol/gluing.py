@@ -32,7 +32,7 @@ import numpy as np
 from .exact import Q, common_denominator, det, scaled, vsub
 from .kappa import OnWallError, kappa_build
 from .liecore import RootSystem
-from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _weyl_fold
+from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _signed_center, _weyl_fold
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
 
@@ -60,7 +60,7 @@ class AlcoveFactor:
         self.rs = rs
         self.slots = slots
         self.spline = kappa_build(rs, 1)
-        self.prefactor = (-1) ** rs.n_positive * rs.center_order
+        self.prefactor = _signed_center(rs)
         self.scale = common_denominator(c for s in slots if not isinstance(s, str) for c in s)
         # nonzero terms have |slot_b + l| <= sum of the other slot norms
         self.lattice = _lattice_ball(rs, slots)[0]

@@ -152,7 +152,11 @@ class RootSystem:
     """Root and weight data of one supported simple type.
 
     Single source of truth for inner products, lattices and the alcove.
-    Immutable after construction; safe to share across threads.
+    The roots, the Weyl group with its lengths, the weights, the lattice
+    bases and the alcove are fixed at construction.  Caches grow on use:
+    the lattice table of `coroot_ball`, `weyl_array` on its first read, and
+    the entries that `kappa` and `gluing` keep in the instance's __dict__
+    (`_kappa_configs`, `_kappa_splines`, `_affine_matrices`).
     """
 
     def __init__(self, spec: GroupSpec):
@@ -174,21 +178,39 @@ class RootSystem:
             tuple(Q(1 if i == j else 0) for j in range(self.rank))
             for i in range(self.rank)
         )
-        # the simple reflections s_i(v) = v - <v, alpha_i^vee> alpha_i, in ints
-        self._reflections = tuple(
-            tuple(
-                tuple(int(k == j) - (cartan_rows[i][j] if k == i else 0)
-                      for j in range(self.rank))
-                for k in range(self.rank)
-            )
-            for i in range(self.rank)
+        # One breadth-first closure of the simple reflections, in ints.  An
+        # element's level is its word length, which is its inversion count,
+        # and the matrices' columns, the Weyl images of the simple roots, are
+        # all the roots (J. E. Humphreys, Reflection Groups and Coxeter
+        # Groups, 1990, 1.5-1.7).  s_i(v) = v - <v, alpha_i^vee> alpha_i
+        # changes only coordinate i, so s_i m changes only row i of m.
+        eye = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+        levels = {eye: 0}
+        frontier = [eye]
+        while frontier:
+            new = []
+            for m in frontier:
+                cols = tuple(zip(*m))
+                for i, crow in enumerate(cartan_rows):
+                    row = tuple(x - sum(map(mul, crow, col)) for x, col in zip(m[i], cols))
+                    img = m[:i] + (row,) + m[i + 1:]
+                    if img not in levels:
+                        levels[img] = levels[m] + 1
+                        new.append(img)
+            frontier = new
+        # elements sort by (length, matrix), so the longest comes last
+        self._weyl_elements: tuple[WeylElement, ...] = tuple(
+            WeylElement(matrix=m, length=n) for n, m in sorted((n, m) for m, n in levels.items())
         )
-        self.positive_roots: tuple[Vec, ...] = self._generate_positive_roots()
+        self.w0: WeylElement = self._weyl_elements[-1]
+        roots = {col for m in levels for col in zip(*m)}
+        # sorted by (height, coordinates): the highest root comes last
+        self.positive_roots: tuple[Vec, ...] = tuple(
+            vec(r) for _, r in sorted((sum(r), r) for r in roots if min(r) >= 0)
+        )
         self.n_positive = len(self.positive_roots)
         self.dim_g = self.rank + 2 * self.n_positive
-        self.highest_root: Vec = max(
-            self.positive_roots, key=lambda r: (sum(r), r)
-        )
+        self.highest_root: Vec = self.positive_roots[-1]
         # Fundamental weights: the columns of C^-1, solving C x = e_i.
         self.fundamental_weights: tuple[Vec, ...] = mat_t(inverse(self.cartan_matrix))
         self.rho: Vec = vec(
@@ -213,8 +235,6 @@ class RootSystem:
             vertices=(vzero(self.rank),)
             + tuple(self._alcove_vertex(u) for u in inverse(self.gram))
         )
-        self._weyl: tuple[WeylElement, ...] | None = None
-        self._w0: WeylElement | None = None
         self._lattice_table = (-1, np.zeros((0, self.rank), dtype=np.int64), np.zeros(0))
 
     # -- inner products and pairings -------------------------------------
@@ -263,23 +283,6 @@ class RootSystem:
 
     # -- roots -------------------------------------------------------------
 
-    def _generate_positive_roots(self) -> tuple[Vec, ...]:
-        """The reflection orbit of the simple roots, in ints, cut to the
-        nonnegative vectors and sorted by (height, coordinates)."""
-        roots = {tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)}
-        frontier = set(roots)
-        while frontier:
-            new = set()
-            for r in frontier:
-                for refl in self._reflections:
-                    img = tuple(sum(map(mul, row, r)) for row in refl)
-                    if img not in roots:
-                        new.add(img)
-            roots |= new
-            frontier = new
-        positive = sorted((sum(r), r) for r in roots if min(r) >= 0)
-        return tuple(vec(r) for _, r in positive)
-
     def _alcove_vertex(self, u: Vec) -> Vec:
         h = self.ip(self.highest_root, u)
         return vscale(1 / h, u)
@@ -302,33 +305,7 @@ class RootSystem:
     # -- Weyl group ----------------------------------------------------------
 
     def weyl_elements(self) -> tuple[WeylElement, ...]:
-        if self._weyl is None:
-            self._generate_weyl()
-        return self._weyl
-
-    def _generate_weyl(self) -> None:
-        """Close the simple reflections under products, in ints.  The length
-        of an element is its number of inversions: positive roots it maps to
-        negative ones.  Elements sort by (length, matrix)."""
-        eye = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
-        seen = {eye}
-        frontier = [eye]
-        while frontier:
-            new = []
-            for m in frontier:
-                cols = tuple(zip(*m))
-                for refl in self._reflections:
-                    img = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in refl)
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        roots = [tuple(map(int, r)) for r in self.positive_roots]
-        ranked = sorted(
-            (sum(1 for r in roots if all(sum(map(mul, row, r)) <= 0 for row in m)), m)
-            for m in seen
-        )
-        self._weyl = tuple(WeylElement(matrix=m, length=n) for n, m in ranked)
+        return self._weyl_elements
 
     @cached_property
     def weyl_array(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -337,12 +314,6 @@ class RootSystem:
         mats = np.array([w.matrix for w in self.weyl_elements()], dtype=np.int64)
         signs = np.array([w.sign for w in self.weyl_elements()], dtype=np.int64)
         return mats, signs, int(np.abs(mats).sum(axis=2).max())
-
-    @property
-    def w0(self) -> WeylElement:
-        if self._w0 is None:
-            self._w0 = max(self.weyl_elements(), key=lambda w: w.length)
-        return self._w0
 
     def dominant_representative(self, v: Vec) -> tuple[Vec, WeylElement]:
         """The dominant Weyl image of v together with one element achieving it."""

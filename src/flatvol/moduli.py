@@ -187,6 +187,31 @@ class SignedToricTerm:
     rational: Fraction
 
 
+def _signed_center(rs: RootSystem) -> int:
+    """(-1)^{|R+|} #Z, the factor of every kappa lattice sum."""
+    return (-1) ** rs.n_positive * rs.center_order
+
+
+def _normalized(rs: RootSystem, rational: Q) -> float:
+    """The value of an exact rational part of a volume:
+    rational / sqrt(det coroot Gram * det Gram)."""
+    return float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
+
+
+def _exact_report(rs: RootSystem, method: str, rational: Q, parameters: dict,
+                  normalize: bool = True) -> VolumeReport:
+    """A report whose value is the exact rational times the stamped
+    normalization: that of `_normalized`, or 1."""
+    norm = f"1/sqrt({rs.det_coroot_gram * rs.det_gram})" if normalize else "1"
+    return VolumeReport(
+        value=_normalized(rs, rational) if normalize else float(rational),
+        method=method,
+        parameters=parameters,
+        stamp=convention_stamp(rs),
+        exact={"rational": rational, "normalization": norm},
+    )
+
+
 def convention_stamp(rs: RootSystem, **extra) -> dict:
     stamp = {
         "group": rs.spec.name,
@@ -256,24 +281,13 @@ def sphere_volume_kappa(
     spline = kappa_build(rs, multiplicity)
     lattice, radius_sq = _lattice_ball(rs, mus, radius_sq)
 
-    total = _kappa_sum(spline, rs, mus, lattice)
-    rational = (-1) ** rs.n_positive * rs.center_order * total
-    norm = rs.det_coroot_gram * rs.det_gram
-    return VolumeReport(
-        value=float(rational) / math.sqrt(float(norm)),
-        method="kappa-sum",
-        parameters={
-            "markings": [[str(c) for c in m] for m in mus],
-            "lattice_radius_sq": radius_sq,
-            "lattice_points": len(lattice),
-            "multiplicity": multiplicity,
-        },
-        stamp=convention_stamp(rs),
-        exact={
-            "rational": rational,
-            "normalization": f"1/sqrt({norm})",
-        },
-    )
+    rational = _signed_center(rs) * _kappa_sum(spline, rs, mus, lattice)
+    return _exact_report(rs, "kappa-sum", rational, {
+        "markings": [[str(c) for c in m] for m in mus],
+        "lattice_radius_sq": radius_sq,
+        "lattice_points": len(lattice),
+        "multiplicity": multiplicity,
+    })
 
 
 def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
@@ -564,13 +578,8 @@ class PantsVolumePoly:
     def __init__(self, rs: RootSystem, mu1: Vec, mu2: Vec):
         self.rs, self.mu1, self.mu2 = rs, mu1, mu2
         self.spline = kappa_build(rs, 1)
-        self.prefactor = (-1) ** rs.n_positive * rs.center_order
+        self.prefactor = _signed_center(rs)
         self.lattice = _lattice_ball(rs, [mu1, mu2, NU])[0]
-
-    # normalization shared with the kappa-sum reports
-    @property
-    def norm_denominator(self) -> Q:
-        return self.rs.det_coroot_gram * self.rs.det_gram
 
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, same units as pants_volume_kappa.exact."""
@@ -578,7 +587,7 @@ class PantsVolumePoly:
         return self.prefactor * _kappa_sum(self.spline, self.rs, mus, self.lattice)
 
     def value(self, mu3: Vec) -> float:
-        return float(self.value_exact(mu3)) / math.sqrt(float(self.norm_denominator))
+        return _normalized(self.rs, self.value_exact(mu3))
 
     def on_wall(self, mu3: Vec) -> bool:
         """True when some kappa argument sits on a wall that matters: a
@@ -652,8 +661,7 @@ def mixed_characteristic_number(
     kept = {m: c for m, c in p.terms.items()
             if sum(l * e for l, e in enumerate(m, start=1)) <= degree}
     op = pullback_operator(rs, symmetric_extension(SymmetricPoly(kept, p.nvars), rs.n_positive))
-    rational = poly_eval(op.apply_poly(cell_poly), mu3)
-    return float(rational) / math.sqrt(float(vol.norm_denominator))
+    return _normalized(rs, poly_eval(op.apply_poly(cell_poly), mu3))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +694,6 @@ def toric_decomposition(
 
     terms: list[SignedToricTerm] = []
     total = Q(0)
-    norm = math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
     for aff in enumerate_waff_positive(rs, requested):
         wtau = aff.act(tau)
         if rs.norm_sq(wtau) > bound_sq:
@@ -705,27 +712,16 @@ def toric_decomposition(
                     SignedToricTerm(
                         sign=sign,
                         shift=shift,
-                        value=float(rational) / norm,
+                        value=_normalized(rs, rational),
                         rational=rational,
                     )
                 )
-    truncation_warning = radius_sq is not None and radius_sq < provable
-    report = VolumeReport(
-        value=float(total) / norm,
-        method="toric-decomposition",
-        parameters={
-            "radius_sq": requested,
-            "provable_radius_sq": provable,
-            "truncation_warning": truncation_warning,
-            "terms": len(terms),
-        },
-        stamp=convention_stamp(rs),
-        exact={
-            "rational": total,
-            "normalization": f"1/sqrt({rs.det_coroot_gram * rs.det_gram})",
-        },
-    )
-    return terms, report
+    return terms, _exact_report(rs, "toric-decomposition", total, {
+        "radius_sq": requested,
+        "provable_radius_sq": provable,
+        "truncation_warning": radius_sq is not None and radius_sq < provable,
+        "terms": len(terms),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +833,8 @@ def witten_volume(
     if eps_schedule is None and p <= 1:
         eps_schedule = default_eps_schedule(float(qnorm.max()))
 
+    # the nodes xs, their partial sums, and the value the extrapolation to
+    # 0 is compared against for the residual
     if eps_schedule:
         xs = list(eps_schedule)
         # the damping must have killed the truncation boundary, otherwise
@@ -848,33 +846,21 @@ def witten_volume(
                 "Casimir cutoff or the smallest epsilon"
             )
         partials = [float(np.add.reduce(series * np.exp(-e * qnorm))) for e in xs]
-        extrapolated = _neville(xs, partials, 0.0)
-        shorter = _neville(xs[:-1], partials[:-1], 0.0) if len(xs) > 2 else partials[-1]
-        residual = abs(extrapolated - shorter)
-        params = {
-            "casimir_cutoff": str(casimir_cutoff),
-            "weights": len(weights),
-            "eps_schedule": xs,
-            "extrapolation_residual": residual,
-        }
-        total = extrapolated
+        reference = _neville(xs[:-1], partials[:-1], 0.0) if len(xs) > 2 else partials[-1]
+        params = {"eps_schedule": xs}
     else:
         counts = sorted(
             {c for c in (len(weights), len(weights) // 2, len(weights) // 4) if c > 0},
             reverse=True,
         )
-        partials = [float(np.add.reduce(series[:c])) for c in counts]
         xs = [1.0 / c for c in counts]
-        extrapolated = _neville(xs, partials, 0.0) if len(counts) > 1 else partials[0]
-        residual = abs(extrapolated - partials[0])
-        params = {
-            "casimir_cutoff": str(casimir_cutoff),
-            "weights": len(weights),
-            "eps_schedule": None,
-            "tail_extrapolation": "richardson-in-1/N",
-            "extrapolation_residual": residual,
-        }
-        total = extrapolated
+        partials = [float(np.add.reduce(series[:c])) for c in counts]
+        reference = partials[0]  # the full sum
+        params = {"eps_schedule": None, "tail_extrapolation": "richardson-in-1/N"}
+    total = _neville(xs, partials, 0.0)  # with one node, partials[0]
+    residual = abs(total - reference)
+    params.update(casimir_cutoff=str(casimir_cutoff), weights=len(weights),
+                  extrapolation_residual=residual, surface={"genus": h, "boundary": b})
 
     value = prefactor * total
     if residual > 0.05 * abs(total) + 1e-12:
@@ -889,7 +875,6 @@ def witten_volume(
             f"the largest epsilon damps even the lowest weight to {lowest:.3g}; "
             "lower the largest epsilon"
         )
-    params["surface"] = {"genus": h, "boundary": b}
     return VolumeReport(
         value=value,
         method="witten-series",
@@ -956,14 +941,7 @@ def glue_volume(rs: RootSystem, surface: Surface, marking: Marking) -> VolumeRep
     from .gluing import AlcoveFactor, alcove_integral  # loaded on first use
 
     integral, cells = alcove_integral(rs, [AlcoveFactor(rs, s) for s in slots])
-    rational = kfac * integral
-    norm = rs.det_coroot_gram * rs.det_gram
-    two = len(slots) == 2
-    return VolumeReport(
-        value=float(rational) / math.sqrt(float(norm)) if two else float(rational),
-        method="gluing-integral",
-        parameters={"integration": "exact-cells", "cells": cells,
-                    "surface": {"genus": h, "boundary": b}},
-        stamp=convention_stamp(rs),
-        exact={"rational": rational, "normalization": f"1/sqrt({norm})" if two else "1"},
-    )
+    return _exact_report(rs, "gluing-integral", kfac * integral,
+                         {"integration": "exact-cells", "cells": cells,
+                          "surface": {"genus": h, "boundary": b}},
+                         normalize=len(slots) == 2)

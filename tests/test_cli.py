@@ -84,6 +84,30 @@ def test_roots_dump():
     assert "stamp" in d
 
 
+# sha256 of the `roots` stdout, which holds the root order, the highest
+# root, the alcove vertices and the Weyl order
+ROOTS_DIGESTS = {
+    "A1": "e1d81986f68e9612515cd149b74d42421f8ee7fa7a49f28cc4d981b4a128559c",
+    "A2": "839b0617ba8fa3ecf4d1380890f5e171bd2c0b39a73adf2fa726e0eb64b6d82c",
+    "A3": "4bcd1e441ceefaaeed916919c2f1c3ce63a8c18b5f3fe63fc65a56e9226d58fe",
+    "A4": "c97450521028b12a5612739a6ebbb02e530d26dca790235d7af6725b5dbf7f6d",
+    "B2": "975503947d2895042a9251097fd396f9fd6932cc1ab22482a50649ffc5d49654",
+    "C2": "e599fdf114323058a2cfd23e869f03830cd3fdd99914c9e58051c4ffaf303e77",
+    "C3": "701c13166666e768813d176e76cd742676caa5abc1c723e23609b6abc3e6efe5",
+    "D4": "70d9ddec0d5c54132e982457817c17f75ad77a8f893da0bcf38466fb73532a66",
+    "G2": "43c2bb8ae720776ce0813b05954f9d2670f14a8c019da86fcdc413ef7e9ffee8",
+}
+
+
+@pytest.mark.parametrize("group", sorted(ROOTS_DIGESTS))
+def test_roots_bytes_pinned(group, capsys):
+    from flatvol.cli import main
+
+    assert main(["roots", group]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_DIGESTS[group]
+
+
 def test_roots_usage_error():
     assert run("roots", "Z9").returncode == 2
     assert run("nonsense").returncode == 2
@@ -520,6 +544,39 @@ def test_unwritable_out_is_usage_error(tmp_path, args, target):
     reason = "Is a directory" if target == "." else "No such file or directory"
     assert f"error: cannot write {path}: {reason}\n" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+ORACLE = ("oracle", "A1", "13/40", "19/40", "--samples", "1000000")
+VOLUME = ("volume", "A1", "1/2", "1/2", "1/2")
+
+
+@pytest.mark.parametrize("args, target", [
+    (ORACLE, "missing/o.csv"), (ORACLE, "."), (ORACLE, "o.csv"),
+    (VOLUME, "missing/v.json"), (VOLUME, "."),
+], ids=["oracle-missing-dir", "oracle-directory", "oracle-sidecar-directory",
+        "volume-missing-dir", "volume-directory"])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys, args, target):
+    """An --out path that is a directory, or whose directory is missing,
+    exits 2 before any volume or histogram is computed and before the
+    spline cache is read; so does oracle's PATH.json sidecar when it is a
+    directory.  The check creates no file."""
+    from flatvol import cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "product_class_histogram", never)
+    monkeypatch.setattr(cli, "pants_volume_kappa", never)
+    monkeypatch.setenv("FLATVOL_CACHE", str(tmp_path / "cache"))
+    path = bad = tmp_path / target
+    if target == "o.csv":  # the CSV could be written, its sidecar not
+        bad = tmp_path / "o.csv.json"
+        bad.mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([*args, "--out", str(path)]) == 2
+    reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: {reason}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_gluing_module_loads_on_first_glue():

@@ -20,7 +20,8 @@ from flatvol import (
     weyl_group,
 )
 from flatvol.exact import (
-    _int_form, det, identity, lattice_points_in_ball, matmul, matvec, solve, vec,
+    _int_form, det, identity, lattice_points_in_ball, matmul, matvec, solve, vec, vscale,
+    vsub,
 )
 from flatvol.liecore import RootSystem, alcove_barycenter
 
@@ -84,6 +85,34 @@ def test_integer_weyl_group(name):
     assert all(type(x) is int for w in weyl for row in w.matrix for x in row)
     assert all(w.sign == det(w.matrix) for w in weyl)
     assert all(type(x) is Q for w in weyl for x in w.act(rs.rho))
+
+
+def reference_positive_roots(rs):
+    """The positive roots generated in Fractions: the orbit of the simple
+    roots under the reflections r -> r - <r, a^vee> a in the simple roots
+    a, cut to the nonnegative vectors, sorted by (height, coordinates)."""
+    roots = set(rs.simple_roots)
+    frontier = set(roots)
+    while frontier:
+        frontier = {vsub(r, vscale(rs.pair_coroot(r, a), a))
+                    for r in frontier for a in rs.simple_roots} - roots
+        roots |= frontier
+    return sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTED))
+def test_positive_roots_are_the_reflection_orbit(name):
+    """The positive roots, read off the columns of the Weyl matrices, are
+    the reflection orbit of the simple roots in content and order; the
+    highest root is the last of them and w0 the one longest element."""
+    rs = RootSystem(GroupSpec.parse(name))
+    expect = reference_positive_roots(rs)
+    assert list(rs.positive_roots) == expect
+    assert all(type(c) is Q for r in rs.positive_roots for c in r)
+    assert rs.highest_root == expect[-1]
+    longest = max(w.length for w in rs.weyl_elements())
+    assert [w for w in rs.weyl_elements() if w.length == longest] == [rs.w0]
+    assert rs.w0.length == len(expect)
 
 
 # sha256 of each FLATVOL_CACHE file written by the command, from a fresh cache
