@@ -13,9 +13,9 @@ Four routes are provided, each independent of the ones it checks:
   broadcast (`_weyl_fold`), each argument's chamber is found by its wall
   signs, and the chamber polynomials' moments are taken for every
   chamber at once, modulo 2^64, exact when a bound allows, and otherwise
-  also from residues modulo primes (`_moments`).  The pants volume's
-  cell polynomial in its third marking (`PantsVolumePoly.polynomial_at`)
-  reads the same arrays and chamber groups;
+  also from residues modulo primes (`_moments`).  A characteristic
+  number is the same pass with an operator applied to each chamber
+  polynomial (`mixed_characteristic_number`);
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value computed by the independent fiber-polytope
   route;
@@ -59,6 +59,7 @@ from .exact import (
     Q, Vec, _int_form, common_denominator, int_quadratic, scaled, vadd, vsub, vzero,
 )
 from .kappa import (
+    DiffOperator,
     OnWallError,
     SymmetricPoly,
     kappa_build,
@@ -75,7 +76,7 @@ from .liecore import (
     star,
     volume_G,
 )
-from .poly import Poly, poly_eval, poly_subs_affine
+from .poly import Poly, poly_subs_affine
 
 __all__ = [
     "Surface",
@@ -345,7 +346,8 @@ def _kappa_arguments(rs: RootSystem, config, mus: list[Vec], lattice):
     return args @ config.extension.T, coefs, scale
 
 
-def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _chamber_groups(spline, args: np.ndarray, scale: int,
+                    smooth_at: Vec | None = None) -> tuple[np.ndarray, np.ndarray, list]:
     """The rows of `_kappa_arguments` (args at scale D) grouped by chamber:
     (order, starts, chambers), order a stable sort of the rows by chamber,
     group g its rows order[starts[g]:starts[g + 1]] and chambers[g] its
@@ -358,7 +360,8 @@ def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, n
     argument the term order meets in each chamber, the groups' chambers
     are looked up by sign and built there if new, so in term order.  At
     degree 0 the first on-wall row raises OnWallError, after the chambers
-    met before it.
+    met before it.  With smooth_at, the last marking, the sum is read as one
+    polynomial near it (or its derivatives): any on-wall row raises first.
     """
     config, rank = spline.config, spline.rank
     dots = args[:, rank:]
@@ -366,6 +369,8 @@ def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, n
     side = dots > 0
     on_wall = dots == 0
     walled = on_wall.any()
+    if walled and smooth_at is not None:
+        raise OnWallError(f"{smooth_at} lies on a cell wall of the volume function")
     if walled:
         side |= on_wall & (np.array(config.nudge_signs) > 0)
     code = side @ config.wall_bits
@@ -392,21 +397,35 @@ def _chamber_groups(spline, args: np.ndarray, scale: int) -> tuple[np.ndarray, n
     return order, starts, chambers
 
 
-def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice) -> Q:
+def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice, op=None) -> Q:
     """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
     the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1,
     in one pass over the integer arrays of `_kappa_arguments`, scaled by D
     and grouped by chamber (`_chamber_groups`).  Chamber polynomials are
     homogeneous of degree d, so with c_g / e_g a group's chamber and M_g its
     moments (`_moments`) the sum is sum_g c_g . M_g / (e_g D^d).
+
+    With a constant-coefficient operator op (`kappa.DiffOperator`) it is
+    the sum of (op p_g)(x), op applied to the sum as a function of mu_b (no
+    Weyl element acts on mu_b), off the walls.  op p_g has terms of degree
+    |m| <= d, each scaled by D^(d - |m|) and by the lcm L of op's
+    denominators, so the sum stays in integers over e_g L D^d.
     """
     args, coefs, scale = _kappa_arguments(rs, spline.config, mus, lattice)
-    order, starts, chambers = _chamber_groups(spline, args, scale)
-    moments = _moments(args[order, :spline.rank], coefs[order], starts, spline.exponents)
+    order, starts, chambers = _chamber_groups(spline, args, scale, None if op is None else mus[-1])
+    exponents, rows, lcm = spline.exponents, [ch.numerators for ch in chambers], 1
+    if op is not None:
+        lcm = math.lcm(*(c.denominator for c, _ in op.terms))
+        op = DiffOperator(tuple((int(c * lcm), e) for c, e in op.terms))  # L op, in ints
+        polys = [op.apply_poly(dict(zip(spline.monomials, ch.numerators))) for ch in chambers]
+        keys = sorted(set().union(*polys))
+        rows = [[q.get(m, 0) * scale ** (spline.degree - sum(m)) for m in keys] for q in polys]
+        exponents = np.array(keys, dtype=np.int64).reshape(-1, spline.rank)
+    moments = _moments(args[order, :spline.rank], coefs[order], starts, exponents)
     common = math.lcm(*(ch.den for ch in chambers))
-    return Q(sum(sum(map(mul, m, ch.numerators)) * (common // ch.den)
-                 for m, ch in zip(moments, chambers)),
-             common * scale**spline.degree)
+    return Q(sum(sum(map(mul, m, row)) * (common // ch.den)
+                 for m, row, ch in zip(moments, rows, chambers)),
+             common * lcm * scale**spline.degree)
 
 
 MOMENT_ROWS = 4096  # rows per block of `_moments`, whose peak memory is one block's terms
@@ -430,7 +449,7 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     by the Chinese remainder theorem (J. von zur Gathen and J. Gerhard,
     Modern Computer Algebra, ch. 5).  Python ints enter as x % p.
     """
-    top = int(exponents.sum(axis=1).max())
+    top = int(exponents.sum(axis=1).max(initial=0))
     bound = max(1, int(np.abs(points).max(initial=0))) ** top * int(np.abs(coefs).sum())
     k = 0
     while _crt_basis(k)[1] <= 2 * bound:
@@ -565,12 +584,12 @@ def _affine_sum(groups, spline, scale: int) -> tuple[dict, int]:
 class PantsVolumePoly:
     """The pants volume as a function of the third marking mu3.
 
-    Piecewise polynomial over the alcove.  Values, wall tests and cell
-    polynomials all read the fixed-marking argument arrays
-    (`_kappa_arguments`) over one lattice ball, that of the slots
-    [mu1, mu2, NU], which covers every mu3 of the alcove; the cell
-    polynomial takes the chamber groups of `_kappa_sum`
-    (`_chamber_groups`) and shifts each group's chamber polynomial to mu3
+    Piecewise polynomial over the alcove.  Values, wall tests, cell
+    polynomials and characteristic numbers (`mixed_characteristic_number`)
+    all read the fixed-marking argument arrays (`_kappa_arguments`) over
+    one lattice ball, that of the slots [mu1, mu2, NU], which covers every
+    mu3 of the alcove, and their chamber groups (`_chamber_groups`); the
+    cell polynomial shifts each group's chamber polynomial to mu3
     (`_affine_sum`).  Values are exact and agree with `pants_volume_kappa`
     (same normalization fields).
     """
@@ -613,9 +632,7 @@ class PantsVolumePoly:
         grouped and built as `_kappa_sum` does."""
         rank, mus = self.rs.rank, [self.mu1, self.mu2, mu3]
         args, coefs, scale = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
-        if (args[:, rank:] == 0).any():
-            raise OnWallError(f"{mu3} lies on a cell wall of the volume function")
-        order, starts, chambers = _chamber_groups(self.spline, args, scale)
+        order, starts, chambers = _chamber_groups(self.spline, args, scale, mu3)
         offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
         coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
         unit = tuple(map(tuple, np.eye(rank, dtype=np.int64).tolist()))
@@ -646,9 +663,11 @@ def mixed_characteristic_number(
     n = |R+| variables, pulled back to a constant-coefficient operator in
     the r = rank coordinate derivatives (each e_l becomes the l-th
     elementary symmetric polynomial of the root-directional derivatives,
-    `pullback_operator`), and applied to the volume polynomial on the cell
-    of mu3.  An e-monomial of weighted degree sum_l l m_l above that
-    polynomial's degree acts as zero, so it is dropped first.
+    `pullback_operator`), and applied to each chamber polynomial of the
+    pants kappa-sum (`_kappa_sum`).  An e-monomial of weighted degree
+    sum_l l m_l above the chamber degree |R+| - rank acts as zero, so it is
+    dropped first.  On a cell wall it raises OnWallError, before any
+    chamber is built.
     """
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):
@@ -656,12 +675,11 @@ def mixed_characteristic_number(
             f"polynomial uses e_l with l > complex dimension k={k}"
         )
     vol = pants_volume_poly(rs, mu1, mu2)
-    cell_poly = vol.polynomial_at(mu3)
-    degree = max(map(sum, cell_poly), default=-1)
     kept = {m: c for m, c in p.terms.items()
-            if sum(l * e for l, e in enumerate(m, start=1)) <= degree}
+            if sum(l * e for l, e in enumerate(m, start=1)) <= vol.spline.degree}
     op = pullback_operator(rs, symmetric_extension(SymmetricPoly(kept, p.nvars), rs.n_positive))
-    return _normalized(rs, poly_eval(op.apply_poly(cell_poly), mu3))
+    return _normalized(rs, vol.prefactor * _kappa_sum(vol.spline, rs, [mu1, mu2, mu3],
+                                                      vol.lattice, op))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ to nonzero Fractions.  Zero polynomials are empty dicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .exact import Q, Vec
 
@@ -60,31 +59,11 @@ def poly_eval(p: Poly, point: Vec) -> Q:
 
 
 def poly_shift(p: Poly, offset: Vec) -> Poly:
-    """Compose with the translation x -> offset + x."""
+    """Compose with the translation x -> offset + x (`poly_subs_affine`)."""
     nvars = len(offset)
-    out: Poly = {}
-    # cache of (axis, exponent) -> expansion of (offset_j + x_j)^e
-    cache: dict[tuple[int, int], Poly] = {}
-
-    def axis_pow(j: int, e: int) -> Poly:
-        key = (j, e)
-        if key not in cache:
-            base: Poly = {}
-            for k in range(e + 1):
-                mono = tuple(k if i == j else 0 for i in range(nvars))
-                coeff = Q(comb(e, k)) * offset[j] ** (e - k)
-                if coeff != 0:
-                    base[mono] = coeff
-            cache[key] = base
-        return cache[key]
-
-    for m, c in p.items():
-        term = poly_const(c, nvars)
-        for j, e in enumerate(m):
-            if e:
-                term = poly_mul(term, axis_pow(j, e))
-        out = poly_add(out, term)
-    return out
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    return poly_subs_affine(p, [poly_add({u: Q(1)}, poly_const(c, nvars))
+                                for u, c in zip(units, offset)])
 
 
 def poly_subs_affine(p: Poly, forms: list[Poly]) -> Poly:

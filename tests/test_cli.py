@@ -251,8 +251,9 @@ def test_chern_identity_and_fd():
 
 
 # sha256 of the `chern` stdout and of the spline cache file it writes to a
-# fresh FLATVOL_CACHE, beyond A2 and degree 1: cell polynomials of degree 2,
-# 4, 3 and 6 under operators of degree 2, 4, 3 and 6 (C3 at top degree)
+# fresh FLATVOL_CACHE, beyond A2 and degree 1: chamber polynomials of degree
+# 2, 4, 3 and 6 under operators of degree 2, 4, 3 and 6 (C3 at top degree),
+# and A4's of degree 6 under e1 (the markings of BENCH_21.json)
 CHERN_DIGESTS = [
     (("B2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1^2"),
      "10655d3c9a49923d774dcea1e170c083f7a2155b93ce8d4176cac661ec3d92fe",
@@ -269,11 +270,14 @@ CHERN_DIGESTS = [
     (("C3", "1/9,1/11,1/13", "1/10,1/12,1/14", "1/8,1/13,1/11", "--poly", "e1^4*e2-e3^2+2*e6"),
      "2d39fcf998e6d2b751e0c309f6b99c483dd9b9361298ab7f2db0124f081a1c0e",
      "d57d4d49025c9575ec337165c16cbaef6631ce5005b0eba681b51c5798b3da90"),
+    (("A4", "1/9,1/11,1/13,1/10", "1/10,1/12,1/14,1/9", "1/8,1/13,1/11,1/12", "--poly", "e1"),
+     "79852da930e9c646326fb9c96e2d6f238f3d6da26f9a78b5ee57208d490f5716",
+     "9909d3630e199cbcba4f921894c87bc503915e91764bf24bcc56ec336fb4c017"),
 ]
 
 
 @pytest.mark.parametrize("args, stdout_digest, cache_digest", CHERN_DIGESTS,
-                         ids=["B2", "G2", "A3", "C3-e1^6", "C3-mixed"])
+                         ids=["B2", "G2", "A3", "C3-e1^6", "C3-mixed", "A4"])
 def test_chern_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
     r = run("chern", *args, env={"FLATVOL_CACHE": str(tmp_path)})
     assert r.returncode == 0, r.stderr
@@ -283,8 +287,9 @@ def test_chern_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
 
 
 def test_chern_huge_power_acts_as_zero():
-    """An e-monomial of weighted degree above the cell polynomial's acts as
-    zero and is dropped before the pullback, which would not end on it."""
+    """An e-monomial of weighted degree above the chamber degree
+    |R+| - rank, which bounds the volume polynomial's, acts as zero and is
+    dropped before the pullback, which would not end on it."""
     marks = ("A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
     huge = run("chern", *marks, "--poly", "e1^999999999999", timeout=30)
     assert huge.returncode == 0, huge.stderr

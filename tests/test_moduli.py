@@ -32,7 +32,7 @@ from flatvol import (
     witten_volume,
 )
 from flatvol.exact import lattice_points_in_ball, vadd, vscale
-from flatvol.kappa import kappa_build
+from flatvol.kappa import kappa_build, pullback_operator, symmetric_extension
 from flatvol import moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments
 from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
@@ -320,14 +320,19 @@ def test_pants_poly_matches_term_by_term_reference(name, marks, thirds, walls):
 
 def test_pants_poly_on_wall_builds_nothing():
     """An on-wall third marking raises OnWallError before any chamber is
-    built, so a spline cache written after it is unchanged."""
-    rs = RootSystem(GroupSpec.parse("A2"))
-    m1, m2, m3 = (rs.from_weight_coords(vec(m.split(",")))
-                  for m in ("1/2,1/2", "1/4,1/5", "1/5,1/4"))
-    vol = pants_volume_poly(rs, m1, m2)
-    with pytest.raises(OnWallError):
-        vol.polynomial_at(m3)
-    assert not vol.spline.chambers
+    built, so a spline cache written after it is unchanged: for the cell
+    polynomial and for a characteristic number, each on a fresh root
+    system."""
+    e1 = SymmetricPoly.elementary(1, 1)
+    for route in (lambda vol, *mus: vol.polynomial_at(mus[2]),
+                  lambda vol, *mus: mixed_characteristic_number(vol.rs, *mus, e1)):
+        rs = RootSystem(GroupSpec.parse("A2"))
+        m1, m2, m3 = (rs.from_weight_coords(vec(m.split(",")))
+                      for m in ("1/2,1/2", "1/4,1/5", "1/5,1/4"))
+        vol = pants_volume_poly(rs, m1, m2)
+        with pytest.raises(OnWallError):
+            route(vol, m1, m2, m3)
+        assert not vol.spline.chambers
 
 
 @pytest.mark.parametrize("name", ["B2", "G2"])
@@ -449,7 +454,7 @@ def test_pants_poly_matches_kappa_sum(a2, b2, g2):
         m1, m2 = rational_alcove_point(rs, rng), rational_alcove_point(rs, rng)
         rows.append((rs, m1, m2, [rational_alcove_point(rs, rng, denom=denom)
                                   for _ in range(count)]))
-    # rank 3, where `chern` reads the cell polynomial too
+    # rank 3, at the A3 markings of the pinned `chern` bytes (test_cli.py)
     a3 = build_root_system("A3")
     rows.append((a3, *(a3.from_weight_coords(vec(m.split(",")))
                        for m in ("1/5,1/7,1/9", "1/6,1/8,1/7")),
@@ -579,7 +584,49 @@ def test_mixed_characteristic_number_identity(a2):
     m1, m2, m3 = rational_triple(a2, rng)
     one = SymmetricPoly.constant(Q(1))
     vol = pants_volume_kappa(a2, m1, m2, m3)
-    assert abs(mixed_characteristic_number(a2, m1, m2, m3, one) - vol.value) < 1e-14
+    assert mixed_characteristic_number(a2, m1, m2, m3, one) == vol.value
+
+
+def _e_monomial(rng, k: int, weight: int) -> tuple[int, ...]:
+    """A random e-monomial in k variables of weighted degree sum_l l m_l = weight."""
+    expo = [0] * k
+    while weight:
+        l = rng.randint(1, min(k, weight))
+        expo[l - 1] += 1
+        weight -= l
+    return tuple(expo)
+
+
+@pytest.mark.parametrize("name, marks", [
+    ("A2", ("1/4,1/5", "1/3,1/7", "1/10,1/10")),
+    ("B2", ("1/4,1/5", "1/3,1/7", "2/7,1/6")),
+    ("G2", ("1/9,1/11", "1/10,1/12", "1/8,1/13")),
+    ("A3", ("1/5,1/7,1/9", "1/6,1/8,1/7", "1/9,1/5,1/8")),
+], ids=["A2", "B2", "G2", "A3"])
+def test_mixed_characteristic_number_equals_cell_polynomial_route(monkeypatch, name, marks):
+    """The characteristic number's rational (the kappa-sum with the
+    operator applied to each chamber polynomial) equals exactly the
+    operator applied to the cell polynomial (`polynomial_at`) and evaluated
+    at mu3.  Each seeded polynomial holds the constant 1, two e-monomials of
+    weighted degree at most d = |R+| - rank and one above d, which the
+    characteristic number drops and the reference applies."""
+    rs = build_root_system(name)
+    m1, m2, m3 = (rs.from_weight_coords(vec(m.split(","))) for m in marks)
+    k = d = moduli_dimension(rs, Surface(0, 3))
+    assert d == rs.n_positive - rs.rank
+    cell = pants_volume_poly(rs, m1, m2).polynomial_at(m3)
+    monkeypatch.setattr(moduli, "_normalized", lambda rs, rational: rational)
+    rng = random.Random(8)
+    values = []
+    for _ in range(4):
+        terms = {(0,) * k: Q(1)}
+        for weight in (rng.randint(1, d), rng.randint(1, d), rng.randint(d + 1, d + 2)):
+            terms[_e_monomial(rng, k, weight)] = Q(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        p = SymmetricPoly(terms, k)
+        op = pullback_operator(rs, symmetric_extension(p, rs.n_positive))
+        values.append(poly_eval(op.apply_poly(cell), m3))
+        assert mixed_characteristic_number(rs, m1, m2, m3, p) == values[-1]
+    assert len(set(values)) > 1
 
 
 def test_mixed_characteristic_number_fd(a2):
