@@ -28,7 +28,7 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 
-from .exact import Q, Vec, vadd, vec, vscale, vsub
+from .exact import Q, Vec, common_denominator, scaled, vec
 from .kappa import OnWallError, SymmetricPoly, kappa_build
 from .liecore import RootSystem, alcove_membership, build_root_system, covolume_T, volume_G
 from .mc import product_class_histogram, shape_compare
@@ -37,12 +37,14 @@ from .moduli import (
     ConvergenceError,
     Marking,
     Surface,
+    _normalized,
     convention_stamp,
     glue_volume,
     mixed_characteristic_number,
     moduli_dimension,
     pants_volume_kappa,
     pants_volume_poly,
+    pants_volumes_exact,
     toric_decomposition,
     witten_volume,
 )
@@ -66,6 +68,12 @@ def parse_rational(text: str) -> Fraction:
 def parse_marking(rs: RootSystem, text: str) -> Vec:
     """Parse exact fundamental-weight coordinates of a point of the closed
     alcove, echoing no floats."""
+    return parse_weight_coords(rs, text)[1]
+
+
+def parse_weight_coords(rs: RootSystem, text: str) -> tuple[Vec, Vec]:
+    """The fundamental-weight coordinates a marking spells and its point,
+    which must lie in the closed alcove."""
     parts = text.split(",")
     if rs.rank == 1 and len(parts) == 1:
         coords = [parse_rational(parts[0])]
@@ -75,10 +83,11 @@ def parse_marking(rs: RootSystem, text: str) -> Vec:
         raise UsageError(
             f"marking {text!r} needs {rs.rank} comma-separated rationals"
         )
-    mu = rs.from_weight_coords(vec(coords))
+    coords = vec(coords)
+    mu = rs.from_weight_coords(coords)
     if alcove_membership(rs, mu)[0] == "outside":
         raise UsageError(f"marking {text!r} lies outside the closed alcove")
-    return mu
+    return coords, mu
 
 
 def marking_echo(rs: RootSystem, mu: Vec) -> str:
@@ -247,29 +256,37 @@ def cmd_volume(rs: RootSystem, args) -> None:
     _print_json(out, args.out)
 
 
+def _line_points(a: Vec, b: Vec, n: int) -> list[Vec]:
+    """The n + 1 points a + (j / n)(b - a), j = 0..n (a alone when n = 0),
+    exactly: in ints over the common denominator of a and b times n, one
+    Fraction per coordinate."""
+    d, m = common_denominator(a + b), max(n, 1)
+    ends = list(zip(scaled(a, d), scaled(b, d)))
+    return [tuple(Q(x * m + j * (y - x), d * m) for x, y in ends) for j in range(n + 1)]
+
+
 def cmd_scan(rs: RootSystem, args) -> None:
+    """The pants volume at n + 1 evenly spaced third markings of a line, in
+    one kappa-sum pass over all of them (`moduli.pants_volumes_exact`),
+    whose chambers are built as row-by-row volumes would build them.  A
+    row's label interpolates the endpoints' parsed weight coordinates,
+    which is exact and equals the echo of its marking."""
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     start_txt, _, end_txt = args.along.partition(":")
     if not end_txt:
         raise UsageError("--along needs the form START:END in weight coordinates")
-    start, end = parse_marking(rs, start_txt), parse_marking(rs, end_txt)
+    (start_w, start), (end_w, end) = (parse_weight_coords(rs, t) for t in (start_txt, end_txt))
     n = args.steps
     if n < 0:
         raise UsageError("--steps must be nonnegative")
-    samples = []
-    for j in range(n + 1):
-        lam = Q(j, n) if n else Q(0)
-        samples.append(vadd(start, vscale(lam, vsub(end, start))))
-
-    def row_for(mu3: Vec) -> list[str]:
-        try:
-            rep = pants_volume_kappa(rs, m1, m2, mu3)
-        except OnWallError:
-            return [marking_echo(rs, mu3), "wall", "kappa-sum", "wall"]
-        return [marking_echo(rs, mu3), _float_str(rep.value), "kappa-sum",
-                str(rep.exact["rational"])]
-
-    rows = [row_for(s) for s in samples]
+    rationals = pants_volumes_exact(rs, m1, m2, _line_points(start, end, n))
+    rows = []
+    for coords, rational in zip(_line_points(start_w, end_w, n), rationals):
+        label = ",".join(map(str, coords))
+        if rational is None:
+            rows.append([label, "wall", "kappa-sum", "wall"])
+        else:
+            rows.append([label, _float_str(_normalized(rs, rational)), "kappa-sum", str(rational)])
     header = ["mu3_weight_coords", "value", "method", "exact_rational"]
     _write_csv(rows, header, args.out, stamp=convention_stamp(rs))
 
@@ -439,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volumes of moduli of flat connections on surfaces.",
     )
     ap.add_argument("--threads", type=int, default=1,
-                    help="ignored: scans run their rows in order, in one thread")
+                    help="ignored: a scan computes all its rows in one pass, in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="dump root-system data as JSON")

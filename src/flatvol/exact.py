@@ -240,9 +240,9 @@ def nullspace(a: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
     return basis
 
 
-def int_quadratic(igram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    """x^T igram x for an integer form and an int vector."""
-    return sum(c * sum(map(operator.mul, row, x)) for c, row in zip(x, igram))
+def int_bilinear(igram: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
+    """x^T igram y for an integer form and int vectors."""
+    return sum(c * sum(map(operator.mul, row, y)) for c, row in zip(x, igram))
 
 
 def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
@@ -259,7 +259,7 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
     igram, scale = _int_form(gram)
     limit = math.floor(radius_sq * scale)
     return [n for n in itertools.product(*(range(-b, b + 1) for b in bounds))
-            if int_quadratic(igram, n) <= limit]
+            if int_bilinear(igram, n, n) <= limit]
 
 
 @lru_cache(maxsize=64)

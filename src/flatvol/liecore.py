@@ -32,7 +32,7 @@ from .exact import (
     as_q,
     common_denominator,
     det,
-    int_quadratic,
+    int_bilinear,
     inverse,
     lattice_points_in_ball,
     mat,
@@ -40,7 +40,6 @@ from .exact import (
     matvec,
     scaled,
     vadd,
-    vdot,
     vec,
     vscale,
     vzero,
@@ -174,6 +173,10 @@ class RootSystem:
             for i in range(self.rank)
         )
         self.det_gram: Q = det(self.gram)
+        # (gram scaled to ints by its common denominator g, g), kept here
+        # because hashing the Fraction gram for a cache lookup costs more
+        # than the integer products it serves
+        self.int_gram: tuple[IntMat, int] = _int_form(self.gram)
         self.simple_roots: tuple[Vec, ...] = tuple(
             tuple(Q(1 if i == j else 0) for j in range(self.rank))
             for i in range(self.rank)
@@ -240,15 +243,21 @@ class RootSystem:
     # -- inner products and pairings -------------------------------------
 
     def ip(self, u: Vec, v: Vec) -> Q:
-        """Invariant inner product, exact."""
-        return vdot(u, matvec(self.gram, v))
+        """Invariant inner product, exact: u and v scaled to ints by their
+        common denominators, paired with the integer-scaled gram
+        (`exact.int_bilinear`), and one Fraction, as in `norm_sq`."""
+        du, dv = common_denominator(u), common_denominator(v)
+        igram, scale = self.int_gram
+        return Q(int_bilinear(igram, scaled(u, du), scaled(v, dv)), scale * du * dv)
 
     def norm_sq(self, u: Vec) -> Q:
         """ip(u, u): u scaled to ints by its common denominator, paired with
-        the integer-scaled gram (`exact.int_quadratic`), and one Fraction."""
+        itself by the integer-scaled gram (`exact.int_bilinear`), and one
+        Fraction."""
         den = common_denominator(u)
-        igram, scale = _int_form(self.gram)
-        return Q(int_quadratic(igram, scaled(u, den)), scale * den * den)
+        igram, scale = self.int_gram
+        x = scaled(u, den)
+        return Q(int_bilinear(igram, x, x), scale * den * den)
 
     def coroot(self, root: Vec) -> Vec:
         return vscale(2 / self.norm_sq(root), root)
@@ -289,12 +298,12 @@ class RootSystem:
 
     def coroot_ball(self, limit: int) -> np.ndarray:
         """The coroot-lattice vectors l with g |l|^2 <= limit (g the scale of
-        `exact._int_form(gram)`) as int64 rows in root coordinates, in the
+        `int_gram`) as int64 rows in root coordinates, in the
         order of `lattice_points_in_ball`, read off one table whose radius
         doubles as needed: filtering a larger ball keeps that (lex) order."""
         top, vectors, norms = self._lattice_table
         if limit > top:
-            igram, g = _int_form(self.gram)
+            igram, g = self.int_gram
             top = max(limit, 2 * top)
             coeffs = lattice_points_in_ball(self.coroot_gram, Q(top, g))
             vectors = np.array(coeffs, dtype=np.int64) @ np.array(self.coroot_basis, dtype=np.int64)

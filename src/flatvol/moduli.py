@@ -8,7 +8,8 @@ Four routes are provided, each independent of the ones it checks:
   truncated provably (the alternating double sum is supported in
   conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
   is one exact pass over whole integer arrays, scaled by the common
-  denominator of the markings: the lattice ball and the Weyl matrices
+  denominator of the markings, and so are the sums at many last markings
+  mu_b at once (`pants_volumes_exact`, the rows of a scan): the lattice ball and the Weyl matrices
   are cached tables of the root system, the Weyl-image sums are
   broadcast (`_weyl_fold`), each argument's chamber is found by its wall
   signs, and the chamber polynomials' moments are taken for every
@@ -56,7 +57,7 @@ from .characters import (
     singular_order,
 )
 from .exact import (
-    Q, Vec, _int_form, common_denominator, int_quadratic, scaled, vadd, vsub, vzero,
+    Q, Vec, common_denominator, int_bilinear, scaled, vadd, vsub, vzero,
 )
 from .kappa import (
     DiffOperator,
@@ -87,6 +88,7 @@ __all__ = [
     "UnsupportedDecompositionError",
     "moduli_dimension",
     "pants_volume_kappa",
+    "pants_volumes_exact",
     "sphere_volume_kappa",
     "PantsVolumePoly",
     "pants_volume_poly",
@@ -193,17 +195,26 @@ def _signed_center(rs: RootSystem) -> int:
     return (-1) ** rs.n_positive * rs.center_order
 
 
+def _normalization(rs: RootSystem) -> tuple[float, str]:
+    """sqrt(det coroot Gram * det Gram) as a float, and its stamp; made once
+    and kept on the root system, as `kappa_build` keeps its splines."""
+    if "_normalization" not in rs.__dict__:
+        dets = rs.det_coroot_gram * rs.det_gram
+        rs.__dict__["_normalization"] = math.sqrt(float(dets)), f"1/sqrt({dets})"
+    return rs.__dict__["_normalization"]
+
+
 def _normalized(rs: RootSystem, rational: Q) -> float:
     """The value of an exact rational part of a volume:
     rational / sqrt(det coroot Gram * det Gram)."""
-    return float(rational) / math.sqrt(float(rs.det_coroot_gram * rs.det_gram))
+    return float(rational) / _normalization(rs)[0]
 
 
 def _exact_report(rs: RootSystem, method: str, rational: Q, parameters: dict,
                   normalize: bool = True) -> VolumeReport:
     """A report whose value is the exact rational times the stamped
     normalization: that of `_normalized`, or 1."""
-    norm = f"1/sqrt({rs.det_coroot_gram * rs.det_gram})" if normalize else "1"
+    norm = _normalization(rs)[1] if normalize else "1"
     return VolumeReport(
         value=_normalized(rs, rational) if normalize else float(rational),
         method=method,
@@ -248,11 +259,12 @@ def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> t
     D the common denominator of the points and g that of the Gram matrix."""
     points = [max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(s, str) else s for s in slots]
     scale = common_denominator(chain.from_iterable(points))
-    igram, g = _int_form(rs.gram)
-    norms = [int_quadratic(igram, scaled(m, scale)) for m in points]
+    igram, g = rs.int_gram
+    norms = [int_bilinear(igram, x, x) for x in (scaled(m, scale) for m in points)]
     unit = g * scale * scale
-    if radius_sq is None:
-        radius_sq = Q((len(slots) - 1) * sum(norms[:-1]), unit)
+    if radius_sq is None:  # both in units of 1 / unit, so one Fraction each
+        bound = (len(slots) - 1) * sum(norms[:-1])
+        return Q(bound, unit), Q(2 * norms[-1] + 2 * bound, unit)
     return radius_sq, Q(2 * norms[-1], unit) + 2 * radius_sq
 
 
@@ -260,8 +272,24 @@ def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tu
     """The lattice vectors of the ball of `_support_radii`, as int64 rows in
     root coordinates (`RootSystem.coroot_ball`), and r."""
     radius_sq, provable = _support_radii(rs, slots, radius_sq)
-    limit = _int_form(rs.gram)[1] * provable.numerator // provable.denominator  # floor(g R)
+    limit = rs.int_gram[1] * provable.numerator // provable.denominator  # floor(g R)
     return rs.coroot_ball(limit), radius_sq
+
+
+def _lattice_balls(rs: RootSystem, fixed: list, lasts: list[Vec]) -> list[np.ndarray]:
+    """The balls of `_lattice_ball` for the slots fixed + [m], m in lasts: r
+    is that of the fixed slots, and each R = 2 |m|^2 + 2 r.  With m = X / D
+    and g r = a / c, floor(g R) = (2 X.igram X c + 2 a D^2) // (D^2 c), in
+    ints."""
+    radius_sq, _ = _support_radii(rs, [*fixed, lasts[0]])
+    igram, g = rs.int_gram
+    a, c = g * radius_sq.numerator, radius_sq.denominator
+    limits = []
+    for m in lasts:
+        d = common_denominator(m)
+        x = scaled(m, d)
+        limits.append(2 * (int_bilinear(igram, x, x) * c + a * d * d) // (d * d * c))
+    return [rs.coroot_ball(limit) for limit in limits]
 
 
 def sphere_volume_kappa(
@@ -309,123 +337,180 @@ def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
     return sums, coefs
 
 
-def _kappa_arguments(rs: RootSystem, config, mus: list[Vec], lattice):
-    """The kappa arguments of the lattice sum over l in lattice (int
-    vectors in root coordinates) and Weyl tuples (w_1..w_k), b = k + 1, as
-    whole integer arrays (args, coefs), and their scale D.
+def _kappa_arguments(rs: RootSystem, config, fixed: list[Vec], lasts: list[Vec], lattices):
+    """The kappa arguments of the lattice sums j, one for each last
+    marking lasts[j], over l in lattices[j] (int vectors in root
+    coordinates) and Weyl tuples (w_1..w_k) acting on the fixed markings,
+    b = k + 1, as whole integer arrays (args, coefs), the sums' scales D_j
+    and the sum of each row (owner; None for one sum).
 
-    Row r of args is x = D (w_1 mu_1 + ... + w_k mu_k + mu_b + l), D the
-    common denominator of the markings, then its wall dot products
-    (`VectorConfig.extension`); coefs[r] = +-1 is the tuple's sign.  With
-    the tails T = D (mu_b + l) and the Weyl-image sums P (`_weyl_fold`),
-    T[:, None] + P[None] is in the order (l, w_1, ..., w_k) of the
-    term-by-term sum.  Rows with a negative coordinate, outside the
-    support cone, are dropped before the rest are extended.
+    A row of sum j is x = D_j (w_1 mu_1 + ... + w_k mu_k + lasts[j] + l),
+    D_j the common denominator of its markings, then its wall dot products
+    (`VectorConfig.extension`); coefs = +-1 is the tuple's sign.  The
+    Weyl-image sums P (`_weyl_fold`) are made once, at the scale D_0 of the
+    fixed markings, which divides every D_j (for one sum, at its D_j);
+    with the tails T = D_j (lasts[j] + l), T[:, None] + (D_j / D_0) P[None]
+    is in the order (l, w_1, ..., w_k) of the term-by-term sum, and the
+    sums follow each other in order.  Rows with a negative coordinate,
+    outside the support cone, are dropped before the rest are extended.
 
-    The arrays are int64 when a bound on every entry is below 2^62; for
-    huge denominators the same statements run on object arrays of ints.
+    The arrays are int64 when a bound on every entry of every sum is below
+    2^62; for huge denominators the same statements run on object arrays
+    of ints.
     """
     rank = config.rank
-    scale = common_denominator(chain.from_iterable(mus))
-    *imaged, last = (scaled(m, scale) for m in mus)
-    lattice = np.asarray(lattice, dtype=np.int64).reshape(-1, rank)
+    base = common_denominator(chain.from_iterable(fixed))
+    scales = [math.lcm(base, common_denominator(m)) for m in lasts]
+    if len(lasts) == 1:  # one sum: its fold is made at its own scale
+        base = scales[0]
+    imaged = [scaled(m, base) for m in fixed]
+    ends = [scaled(m, scale) for m, scale in zip(lasts, scales)]
+    lattices = [np.asarray(lat, dtype=np.int64).reshape(-1, rank) for lat in lattices]
     # |w m| <= weyl_norm max|m|, |u.x| <= |u|_1 max|x|; scale enters an
     # array even when every lattice vector is zero
-    coordinate_max = (scale * max(1, int(np.abs(lattice).max(initial=0))) + max(map(abs, last))
-                      + rs.weyl_array[2] * sum(max(map(abs, m)) for m in imaged))
+    fold_max = rs.weyl_array[2] * sum(max(map(abs, m)) for m in imaged)
+    coordinate_max = max(scale * max(1, int(np.abs(lat).max(initial=0))) + max(map(abs, end))
+                         + scale // base * fold_max
+                         for scale, lat, end in zip(scales, lattices, ends))
     bound = coordinate_max * max(1, *(sum(map(abs, u)) for u in config.walls))
     dtype = np.int64 if bound < 2**62 else object
 
-    tails = scale * lattice.astype(dtype) + np.array(last, dtype=dtype)
     folds, coefs = _weyl_fold(rs, np.array(imaged, dtype=dtype))
-    args = (tails[:, None] + folds[None]).reshape(-1, rank)
-    coefs = np.tile(coefs, len(lattice)).astype(dtype, copy=False)
+    if len(lasts) == 1:
+        (lattice,), owner = lattices, None
+        tails = base * lattice.astype(dtype) + np.array(ends[0], dtype=dtype)
+        args = (tails[:, None] + folds[None]).reshape(-1, rank)
+    else:  # per lattice vector: its sum's scale, fold factor and last marking
+        sums = np.repeat(np.arange(len(lasts)), [len(lat) for lat in lattices])
+        scale, ratio, end = (np.array(a, dtype=dtype)[sums] for a in
+                             (scales, [s // base for s in scales], ends))
+        tails = scale[:, None] * np.concatenate(lattices).astype(dtype) + end
+        args = (tails[:, None] + ratio[:, None, None] * folds[None]).reshape(-1, rank)
+        owner = np.repeat(sums, len(folds))
+    coefs = np.tile(coefs, len(args) // len(coefs)).astype(dtype, copy=False)
     if config.orthant_support:
         inside = (args >= 0).all(axis=1)
         args, coefs = args[inside], coefs[inside]
-    return args @ config.extension.T, coefs, scale
+        if owner is not None:
+            owner = owner[inside]
+    return args @ config.extension.T, coefs, scales, owner
 
 
-def _chamber_groups(spline, args: np.ndarray, scale: int,
-                    smooth_at: Vec | None = None) -> tuple[np.ndarray, np.ndarray, list]:
-    """The rows of `_kappa_arguments` (args at scale D) grouped by chamber:
-    (order, starts, chambers), order a stable sort of the rows by chamber,
+def _chamber_groups(spline, args: np.ndarray, scales: list[int], owner=None,
+                    smooth_at: list[Vec] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, list, dict]:
+    """The rows of `_kappa_arguments` (args; those of sum j at scale D_j,
+    owner[i] the sum of row i) grouped by sum and chamber: (order, starts,
+    chambers, walls), order a stable sort of the rows by (sum, chamber),
     group g its rows order[starts[g]:starts[g + 1]] and chambers[g] its
     `kappa.Chamber` (integer numerators over `monomials`, one denominator).
 
     A row's wall sides are packed into one int64 code (bit i: positive side
     of wall i; on the wall, the side the nudge direction points to, whose
-    chamber polynomial gives the value by continuity).  A stable sort by
-    code groups the rows; in the order of their first rows, the first
-    argument the term order meets in each chamber, the groups' chambers
-    are looked up by sign and built there if new, so in term order.  At
-    degree 0 the first on-wall row raises OnWallError, after the chambers
-    met before it.  With smooth_at, the last marking, the sum is read as one
-    polynomial near it (or its derivatives): any on-wall row raises first.
+    chamber polynomial gives the value by continuity), with its sum's index
+    above the wall bits when there are several sums.  A stable sort by code
+    groups the rows; in the order of their first rows, the first argument
+    the term order meets in each chamber of each sum, the groups' chambers
+    are looked up by sign and built there if new, so sum after sum in term
+    order, as one call per sum builds them.  At degree 0 a sum's first
+    on-wall row stops it: the chambers it met before are built, its later
+    groups are left None and walls[j] is that row's point, at which
+    `PiecewisePolynomial.chamber_at` raises OnWallError.  With smooth_at,
+    the sums' last markings, each sum is read as one polynomial near its
+    marking (or its derivatives): any on-wall row raises first.
     """
     config, rank = spline.config, spline.rank
     dots = args[:, rank:]
-    assert dots.shape[1] <= 62, "the side of every wall must fit in one int64"
+    shift = dots.shape[1]
+    assert shift + (len(scales) - 1).bit_length() <= 62, "each code must fit in one int64"
     side = dots > 0
     on_wall = dots == 0
-    walled = on_wall.any()
-    if walled and smooth_at is not None:
-        raise OnWallError(f"{smooth_at} lies on a cell wall of the volume function")
-    if walled:
+    # rows of a sum from its stop on are not evaluated: at degree 0, its
+    # first row on a wall
+    stops: dict[int, int] = {}
+    if on_wall.any():
+        hits = np.flatnonzero(on_wall.any(axis=1))
+        sums = [0] * len(hits) if owner is None else owner[hits].tolist()
+        if smooth_at is not None:
+            raise OnWallError(f"{smooth_at[sums[0]]} lies on a cell wall of the volume function")
         side |= on_wall & (np.array(config.nudge_signs) > 0)
+        if not spline.degree:
+            for row, j in zip(hits.tolist(), sums):
+                stops.setdefault(j, row)
     code = side @ config.wall_bits
+    if owner is not None:
+        code += owner << shift
     order = np.argsort(code, kind="stable")
     ordered = code[order]  # a group starts at row 0 and at each new code
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))[:len(code)])
     first = order[starts]  # each group's first row, since the sort is stable
     signs = list(map(tuple, np.where(side[first], 1, -1).tolist()))
+    group_sums = [0] * len(starts) if owner is None else owner[first].tolist()
 
-    def point(row: int) -> Vec:
-        return tuple(Q(c, scale) for c in args[row, :rank].tolist())
+    def point(row: int, j: int) -> Vec:
+        return tuple(Q(c, scales[j]) for c in args[row, :rank].tolist())
 
-    # rows from stop on are not evaluated: at degree 0, the first on a wall
-    stop = len(code)
-    if walled and not spline.degree:
-        stop = int(np.flatnonzero(on_wall.any(axis=1))[0])
     chambers = [None] * len(starts)
     for row, g in sorted(zip(first.tolist(), range(len(starts)))):
-        if row >= stop:
-            break
-        chambers[g] = spline.chambers.get(signs[g]) or spline.chamber_at(point(row))
-    if stop < len(code):
-        spline.chamber_at(point(stop))  # raises OnWallError
-    return order, starts, chambers
+        j = group_sums[g]
+        if j not in stops or row < stops[j]:
+            chambers[g] = spline.chambers.get(signs[g]) or spline.chamber_at(point(row, j))
+    return order, starts, chambers, {j: point(row, j) for j, row in stops.items()}
 
 
-def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice, op=None) -> Q:
-    """sum over l in lattice and Weyl tuples (w_1..w_k) of the product of
-    the signs times kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), b = k + 1,
-    in one pass over the integer arrays of `_kappa_arguments`, scaled by D
-    and grouped by chamber (`_chamber_groups`).  Chamber polynomials are
-    homogeneous of degree d, so with c_g / e_g a group's chamber and M_g its
-    moments (`_moments`) the sum is sum_g c_g . M_g / (e_g D^d).
+def _kappa_sums(spline, rs: RootSystem, fixed: list[Vec], lasts: list[Vec], lattices,
+                op=None) -> tuple[list[Q | None], dict]:
+    """For each last marking mu_b = lasts[j], the sum over l in
+    lattices[j] and Weyl tuples (w_1..w_k) of the product of the signs times
+    kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), mu_1..mu_k the fixed
+    markings, b = k + 1: the kappa-sum engine.  All sums are one pass over
+    the integer arrays of `_kappa_arguments`, sum j scaled by its D_j,
+    grouped by sum and chamber (`_chamber_groups`), with one `_moments`
+    call.  Chamber polynomials are homogeneous of degree d, so with c_g /
+    e_g a group's chamber and M_g its moments sum j is
+    sum_g c_g . M_g / (e_g D_j^d) over its groups g.
 
     With a constant-coefficient operator op (`kappa.DiffOperator`) it is
     the sum of (op p_g)(x), op applied to the sum as a function of mu_b (no
     Weyl element acts on mu_b), off the walls.  op p_g has terms of degree
-    |m| <= d, each scaled by D^(d - |m|) and by the lcm L of op's
-    denominators, so the sum stays in integers over e_g L D^d.
+    |m| <= d, each scaled by D_j^(d - |m|) and by the lcm L of op's
+    denominators, so the sum stays in integers over e_g L D_j^d.
+
+    Returns the sums and the degree-0 walls of `_chamber_groups`; a sum
+    that meets such a wall is None.
     """
-    args, coefs, scale = _kappa_arguments(rs, spline.config, mus, lattice)
-    order, starts, chambers = _chamber_groups(spline, args, scale, None if op is None else mus[-1])
-    exponents, rows, lcm = spline.exponents, [ch.numerators for ch in chambers], 1
+    args, coefs, scales, owner = _kappa_arguments(rs, spline.config, fixed, lasts, lattices)
+    order, starts, chambers, walls = _chamber_groups(spline, args, scales, owner,
+                                                     None if op is None else lasts)
+    group_sums = [0] * len(starts) if owner is None else owner[order[starts]].tolist()
+    degree, exponents, lcm = spline.degree, spline.exponents, 1
+    rows = [ch and ch.numerators for ch in chambers]
     if op is not None:
         lcm = math.lcm(*(c.denominator for c, _ in op.terms))
         op = DiffOperator(tuple((int(c * lcm), e) for c, e in op.terms))  # L op, in ints
-        polys = [op.apply_poly(dict(zip(spline.monomials, ch.numerators))) for ch in chambers]
-        keys = sorted(set().union(*polys))
-        rows = [[q.get(m, 0) * scale ** (spline.degree - sum(m)) for m in keys] for q in polys]
+        polys = {ch.signs: op.apply_poly(dict(zip(spline.monomials, ch.numerators)))
+                 for ch in chambers}
+        keys = sorted(set().union(*polys.values()))
+        rows = [[polys[ch.signs].get(m, 0) * scales[j] ** (degree - sum(m)) for m in keys]
+                for ch, j in zip(chambers, group_sums)]
         exponents = np.array(keys, dtype=np.int64).reshape(-1, spline.rank)
     moments = _moments(args[order, :spline.rank], coefs[order], starts, exponents)
-    common = math.lcm(*(ch.den for ch in chambers))
-    return Q(sum(sum(map(mul, m, row)) * (common // ch.den)
-                 for m, row, ch in zip(moments, rows, chambers)),
-             common * lcm * scale**spline.degree)
+    common = math.lcm(*(ch.den for ch in chambers if ch is not None))
+    totals = [0] * len(lasts)
+    for m, row, ch, j in zip(moments, rows, chambers, group_sums):
+        if ch is not None:
+            totals[j] += sum(map(mul, m, row)) * (common // ch.den)
+    return [None if j in walls else Q(total, common * lcm * scale**degree)
+            for j, (total, scale) in enumerate(zip(totals, scales))], walls
+
+
+def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice, op=None) -> Q:
+    """The one sum of `_kappa_sums` whose markings are mus, over lattice; at
+    a degree-0 wall, OnWallError after the chambers met before it."""
+    (value,), walls = _kappa_sums(spline, rs, mus[:-1], mus[-1:], [lattice], op)
+    if walls:
+        spline.chamber_at(walls[0])  # raises OnWallError
+    return value
 
 
 MOMENT_ROWS = 4096  # rows per block of `_moments`, whose peak memory is one block's terms
@@ -441,19 +526,27 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     and each block's group sums are added into the groups' rows: a group
     that straddles blocks gets a partial sum from each.
 
-    B = max(1, max|x|)^t sum|coef| (t the largest degree) bounds every
-    entry.  The pass runs modulo 2^64 in uint64, whose arithmetic wraps,
-    exact alone when B < 2^63; otherwise also modulo the fewest primes
-    below 2^31 (a product of two residues fits int64) that bring the
-    moduli's product P above 2B, and the entries are rebuilt in (-P/2, P/2]
-    by the Chinese remainder theorem (J. von zur Gathen and J. Gerhard,
-    Modern Computer Algebra, ch. 5).  Python ints enter as x % p.
+    B = max over groups g of max(1, max|x|_g)^t sum_g|coef| (t the largest
+    degree, max|x|_g and sum_g over the group's rows) bounds every entry.
+    The same bound over all rows at once grows with the number of groups,
+    which a batch of sums (`_kappa_sums`) multiplies; it is never below B
+    and cheaper to take, so B is read only when the primes that bound needs
+    are more than max(1, max|x|)^t would need.  The pass runs modulo 2^64
+    in uint64, whose arithmetic wraps, exact alone when B < 2^63;
+    otherwise also modulo the fewest primes below 2^31 (a product of two
+    residues fits int64) that bring the moduli's product P above 2B, and
+    the entries are rebuilt in (-P/2, P/2] by the Chinese remainder
+    theorem (J. von zur Gathen and J. Gerhard, Modern Computer Algebra,
+    ch. 5).  Python ints enter as x % p.
     """
     top = int(exponents.sum(axis=1).max(initial=0))
-    bound = max(1, int(np.abs(points).max(initial=0))) ** top * int(np.abs(coefs).sum())
-    k = 0
-    while _crt_basis(k)[1] <= 2 * bound:
-        k += 1
+    sizes, weights = np.abs(points), np.abs(coefs)
+    power = max(1, int(sizes.max(initial=0))) ** top
+    k = _crt_size(power * int(weights.sum()))
+    if k > _crt_size(power):  # B, at least max|x|^t, may need fewer primes
+        sizes = np.maximum.reduceat(sizes, starts, axis=0).max(axis=1).tolist()
+        k = _crt_size(max(max(1, int(x)) ** top * int(w)
+                          for x, w in zip(sizes, np.add.reduceat(weights, starts).tolist())))
     primes, product, weights = _crt_basis(k)
     # (first row, end row, group starts in the block, group of its first row)
     blocks = [(0, len(points), starts, 0)]
@@ -505,6 +598,15 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     return np.where(moments > product // 2, moments - product, moments).tolist()
 
 
+def _crt_size(bound: int) -> int:
+    """The fewest primes of `_crt_basis` whose product with 2^64 exceeds
+    2 bound."""
+    k = 0
+    while _crt_basis(k)[1] <= 2 * bound:
+        k += 1
+    return k
+
+
 @lru_cache(maxsize=None)
 def _crt_basis(k: int) -> tuple[list[int], int, list[int]]:
     """The k largest primes below 2^31, the product P of them and 2^64, and
@@ -521,6 +623,18 @@ def pants_volume_kappa(
 ) -> VolumeReport:
     """Three-holed-sphere volume by the exact kappa-sum (chamber spline route)."""
     return sphere_volume_kappa(rs, [mu1, mu2, mu3], radius_sq=radius_sq)
+
+
+def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> list[Q | None]:
+    """The exact rational parts of `pants_volume_kappa` at the third
+    markings mu3s, each over its own lattice ball, in one kappa-sum pass
+    over all of them (`_kappa_sums`).  A marking at which a kappa argument
+    of the degree-0 (A1) spline lies on a wall, where `pants_volume_kappa`
+    raises OnWallError, gives None; the chambers are built as calls in the
+    order of mu3s build them."""
+    lattices = _lattice_balls(rs, [mu1, mu2], mu3s)
+    values, _ = _kappa_sums(kappa_build(rs, 1), rs, [mu1, mu2], mu3s, lattices)
+    return [None if v is None else _signed_center(rs) * v for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +732,8 @@ class PantsVolumePoly:
         identically, so wall coincidences there do not make mu3
         non-regular.
         """
-        mus = [self.mu1, self.mu2, mu3]
-        args, _, _ = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
+        args = _kappa_arguments(self.rs, self.spline.config, [self.mu1, self.mu2], [mu3],
+                                [self.lattice])[0]
         return bool((args[:, self.rs.rank:] == 0).any())
 
     def polynomial_at(self, mu3: Vec) -> Poly:
@@ -630,9 +744,10 @@ class PantsVolumePoly:
         Each argument is x = c + D mu3 at the scale D of the markings, so
         near mu3 the sum is that of coef * p((c + D nu) / D), the chambers
         grouped and built as `_kappa_sum` does."""
-        rank, mus = self.rs.rank, [self.mu1, self.mu2, mu3]
-        args, coefs, scale = _kappa_arguments(self.rs, self.spline.config, mus, self.lattice)
-        order, starts, chambers = _chamber_groups(self.spline, args, scale, mu3)
+        rank = self.rs.rank
+        args, coefs, (scale,), _ = _kappa_arguments(self.rs, self.spline.config,
+                                                    [self.mu1, self.mu2], [mu3], [self.lattice])
+        order, starts, chambers, _ = _chamber_groups(self.spline, args, [scale], None, [mu3])
         offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
         coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
         unit = tuple(map(tuple, np.eye(rank, dtype=np.int64).tolist()))
@@ -765,10 +880,7 @@ def conjugacy_volume(rs: RootSystem, mu: Vec) -> float:
     if kind != "interior":
         raise ValueError(f"conjugacy volume needs a regular (interior) point, got {kind}")
     vol_t = (2 * math.pi) ** rs.rank * covolume_T(rs)
-    s = 1.0
-    for a in rs.positive_roots:
-        s *= (2.0 * math.sin(math.pi * float(rs.ip(a, mu)))) ** 2
-    return volume_G(rs) / vol_t * s
+    return volume_G(rs) / vol_t * _sine_product(rs, mu) ** 2
 
 
 def witten_volume(

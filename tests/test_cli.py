@@ -229,8 +229,10 @@ def test_scan_byte_identical_and_threads():
 
 
 def test_scan_cache_bytes_independent_of_threads(tmp_path):
-    # rows run in order, so the row that first reaches a chamber, and with
-    # it the chamber's sample point in a fresh cache, is fixed
+    # the scan builds its chambers as the rows would in order, so the row
+    # that first reaches a chamber, and with it the chamber's sample point
+    # in a fresh cache, is fixed: the file is the one that `volume` on each
+    # row in turn writes
     dumps = []
     for threads in ("1", "2"):
         cache = tmp_path / threads
@@ -238,7 +240,15 @@ def test_scan_cache_bytes_independent_of_threads(tmp_path):
                 "--along", "0,0:1/2,0", "--steps", "10", env={"FLATVOL_CACHE": str(cache)})
         assert r.returncode == 0, r.stderr
         dumps.append((cache / "kappa_B2.json").read_bytes())
-    assert dumps[0] == dumps[1]
+    cache = tmp_path / "rows"
+    rows = [["volume", "B2", "1/4,1/4", "1/4,1/4", f"{Fraction(j, 20)},0"] for j in range(11)]
+    script = ("import sys; from flatvol.cli import main\n"
+              f"sys.exit(max(main(argv) for argv in {rows!r}))")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env={**os.environ, "FLATVOL_CACHE": str(cache)}, timeout=300)
+    assert r.returncode == 0, r.stderr
+    dumps.append((cache / "kappa_B2.json").read_bytes())
+    assert dumps[0] == dumps[1] == dumps[2]
 
 
 def test_chern_identity_and_fd():

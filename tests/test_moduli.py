@@ -178,6 +178,66 @@ def test_kappa_sum_builds_chambers_in_term_order(name, marks):
     assert built[0] == built[1]
 
 
+# (group, mu1, mu2, the third markings of one batched pass): A1 rows on a
+# wall of the degree-0 spline, rows of different denominators (so
+# different scales D_j), a row that needs object arrays beside small ones,
+# prime denominators whose moments overflow int64, and rank 3
+BATCHES = [
+    ("A1", "1/2", "1/2", [str(Q(j, 8)) for j in range(9)]),
+    ("A1", "1/2", "1/4", ["0", "1/4", "1/3", "1/2", "3/4", "1"]),
+    ("A2", "1/4,1/5", "1/3,1/7", ["2/7,1/6", "1/5,1/9", "1/11,1/3", "1/4,1/4", "0,1/2"]),
+    ("B2", "1/4,1/4", "1/4,1/4", ["0,0", "1/10,0", "1/4,0", "1/2,0"]),
+    ("A2", *HUGE_DENOMINATORS[1][1][:2], [HUGE_DENOMINATORS[1][1][2], "1/5,1/5"]),
+    ("G2", *PRIME_G2[1][:2], [PRIME_G2[1][2], "1/7,1/9", "1/8,1/13"]),
+    ("A3", *A3_TRIPLE[1][:2], [A3_TRIPLE[1][2], "1/9,1/8,1/7"]),
+]
+
+
+def batch_markings(rs, m1, m2, lasts):
+    return [rs.from_weight_coords(vec(m.split(","))) for m in (m1, m2, *lasts)]
+
+
+@pytest.mark.parametrize("name, m1, m2, lasts", BATCHES)
+def test_batched_sums_match_term_by_term_reference(name, m1, m2, lasts):
+    """Each sum of one batched pass over several third markings equals the
+    term-by-term sum of its own; a degree-0 wall gives None for its row
+    alone, where the term-by-term sum raises."""
+    rs = build_root_system(name)
+    mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
+    expect = []
+    for mu3 in mu3s:
+        try:
+            expect.append(reference_kappa_sum(rs, [mu1, mu2, mu3])[0])
+        except OnWallError:
+            expect.append(None)
+    assert moduli.pants_volumes_exact(rs, mu1, mu2, mu3s) == expect
+    for mu3, ball in zip(mu3s, moduli._lattice_balls(rs, [mu1, mu2], mu3s)):
+        assert np.array_equal(ball, _lattice_ball(rs, [mu1, mu2, mu3])[0])
+    if name == "A1" and m2 == "1/2":
+        assert expect[0] is expect[-1] is None and None not in expect[1:-1]
+
+
+@pytest.mark.parametrize("name, m1, m2, lasts", BATCHES)
+def test_batched_sums_build_chambers_as_the_row_loop(name, m1, m2, lasts):
+    """On a fresh root system one batched pass builds the same chambers,
+    at the same sample points and in the same order, as the term-by-term
+    sum of each row in turn, so a scan writes the spline cache that
+    row-by-row volumes write."""
+    built = []
+    for batched in (True, False):
+        rs = RootSystem(GroupSpec.parse(name))
+        mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
+        if batched:
+            moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
+        for mu3 in mu3s if not batched else ():
+            try:
+                reference_kappa_sum(rs, [mu1, mu2, mu3])
+            except OnWallError:
+                pass
+        built.append([(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()])
+    assert built[0] == built[1]
+
+
 @pytest.mark.parametrize("name, marks, dtype", [
     *((name, marks, object) for name, marks, _ in HUGE_DENOMINATORS),
     (*A3_TRIPLE[:2], np.int64),
@@ -188,7 +248,8 @@ def test_kappa_arguments_dtype(name, marks, dtype):
     rs = build_root_system(name)
     mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
     lattice, _ = _lattice_ball(rs, mus)
-    args, coefs, _ = _kappa_arguments(rs, kappa_build(rs).config, mus, lattice)
+    args, coefs, _, _ = _kappa_arguments(rs, kappa_build(rs).config, mus[:-1], mus[-1:],
+                                         [lattice])
     assert args.dtype == coefs.dtype == dtype
     assert all(type(x) is int for x in args[0].tolist())
 
@@ -208,12 +269,14 @@ def python_moments(points, coefs, starts, exponents):
 ])
 def test_moments_match_python_ints(bits, step, dtype, monkeypatch):
     """`_moments` equals the moments summed in Python ints on seeded points
-    with negative entries.  Its bound B = max|x|^t sum|coef| lies below
-    2^bits (step 0) or just above it (step 1): one pass modulo 2^64 when
-    B < 2^63, residues modulo primes and the CRT at and above; object
+    with negative entries.  The bound max|x|^t sum|coef| over all rows lies
+    below 2^bits (step 0) or just above it (step 1): one pass modulo 2^64
+    when B < 2^63, residues modulo primes and the CRT at and above; object
     arrays of Python ints enter alike.  Each case runs in one block and
     in blocks of 7 rows, in which groups straddle blocks, a block opens
-    at a group start, and the one-group case spans six blocks."""
+    at a group start, and the one-group case spans six blocks.  A last
+    case has that bound over all rows at or above 2^63 and every group's
+    below it: B is the largest bound of a group, so no prime is used."""
     rng = random.Random(bits + step)
     n, rank, top = 40, 3, 4
     exponents = [m for m in itertools.product(range(top + 1), repeat=rank) if sum(m) <= top]
@@ -228,16 +291,32 @@ def test_moments_match_python_ints(bits, step, dtype, monkeypatch):
     points = [[rng.randint(-x, x) for _ in range(rank)] for _ in range(n)]
     points[0][0] = -x
     starts = sorted({0, 14, *rng.sample(range(1, n), 6)})  # a 7-row block opens at row 14
+    # coefficients +-1 and entries up to y, y^t times the largest group's
+    # size below 2^63 and y^t n not
+    sizes = np.diff([*starts, n])
+    y = math.isqrt(math.isqrt((2**63 - 1) // int(sizes.max())))
+    while (y + 1) ** top * int(sizes.max()) < 2**63:
+        y += 1
+    assert y**top * n >= 2**63
+    spread = [[rng.randint(-y, y) for _ in range(rank)] for _ in range(n)]
+    spread[0][0] = -y
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    primes = []
+    crt_basis = moduli._crt_basis
+    monkeypatch.setattr(moduli, "_crt_basis", lambda k: primes.append(k) or crt_basis(k))
     # seeded rows in seven groups, then one group whose largest moment is
     # its bound: every row at -x with coefficient 3
     for rows in (moduli.MOMENT_ROWS, 7):
         monkeypatch.setattr(moduli, "MOMENT_ROWS", rows)
         for points, coefs, starts in ((points, coefs, starts),
-                                      ([[-x] * rank] * n, [3] * n, [0])):
+                                      ([[-x] * rank] * n, [3] * n, [0]),
+                                      (spread, signs, starts)):
+            primes.clear()
             got = _moments(np.array(points, dtype=dtype), np.array(coefs, dtype=dtype),
                            np.array(starts), np.array(exponents))
             assert got == python_moments(points, coefs, starts, exponents)
             assert all(type(v) is int for row in got for v in row)
+        assert primes[-1] == 0  # the last case's basis: the pass modulo 2^64 alone
 
 
 @pytest.mark.parametrize("ts, built", [
