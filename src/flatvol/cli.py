@@ -267,7 +267,7 @@ def _line_points(a: Vec, b: Vec, n: int) -> list[Vec]:
 
 def cmd_scan(rs: RootSystem, args) -> None:
     """The pants volume at n + 1 evenly spaced third markings of a line, in
-    one kappa-sum pass over all of them (`moduli.pants_volumes_exact`),
+    kappa-sum passes over consecutive rows (`moduli.pants_volumes_exact`),
     whose chambers are built as row-by-row volumes would build them.  A
     row's label interpolates the endpoints' parsed weight coordinates,
     which is exact and equals the echo of its marking."""
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volumes of moduli of flat connections on surfaces.",
     )
     ap.add_argument("--threads", type=int, default=1,
-                    help="ignored: a scan computes all its rows in one pass, in one thread")
+                    help="ignored: a scan computes its rows in batched passes, in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="dump root-system data as JSON")

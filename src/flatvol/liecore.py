@@ -230,6 +230,10 @@ class RootSystem:
             tuple(self.ip(a, b) for b in self.coroot_basis) for a in self.coroot_basis
         )
         self.det_coroot_gram: Q = det(self.coroot_gram)
+        # sqrt(det coroot Gram * det Gram), which divides the exact rational
+        # part of a volume, as a float and as its stamp
+        dets = self.det_coroot_gram * self.det_gram
+        self.volume_normalization: tuple[float, str] = math.sqrt(float(dets)), f"1/sqrt({dets})"
         self._coroot_basis_inv: Mat = inverse(mat_t(self.coroot_basis))
         self.center_order: int = int(det(self.cartan_matrix))
         # the gram matrix is symmetric, so the rows of its inverse are

@@ -9,8 +9,9 @@ Four routes are provided, each independent of the ones it checks:
   conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
   is one exact pass over whole integer arrays, scaled by the common
   denominator of the markings, and so are the sums at many last markings
-  mu_b at once (`pants_volumes_exact`, the rows of a scan): the lattice ball and the Weyl matrices
-  are cached tables of the root system, the Weyl-image sums are
+  mu_b at once (`pants_volumes_exact`, the rows of a scan, in passes of
+  at most MOMENT_ROWS argument rows): the lattice ball and the Weyl
+  matrices are cached tables of the root system, the Weyl-image sums are
   broadcast (`_weyl_fold`), each argument's chamber is found by its wall
   signs, and the chamber polynomials' moments are taken for every
   chamber at once, modulo 2^64, exact when a bound allows, and otherwise
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, islice, product, repeat
+from itertools import accumulate, chain, count, islice, product, repeat
 from operator import mul, sub
 
 import numpy as np
@@ -195,26 +196,17 @@ def _signed_center(rs: RootSystem) -> int:
     return (-1) ** rs.n_positive * rs.center_order
 
 
-def _normalization(rs: RootSystem) -> tuple[float, str]:
-    """sqrt(det coroot Gram * det Gram) as a float, and its stamp; made once
-    and kept on the root system, as `kappa_build` keeps its splines."""
-    if "_normalization" not in rs.__dict__:
-        dets = rs.det_coroot_gram * rs.det_gram
-        rs.__dict__["_normalization"] = math.sqrt(float(dets)), f"1/sqrt({dets})"
-    return rs.__dict__["_normalization"]
-
-
 def _normalized(rs: RootSystem, rational: Q) -> float:
     """The value of an exact rational part of a volume:
     rational / sqrt(det coroot Gram * det Gram)."""
-    return float(rational) / _normalization(rs)[0]
+    return float(rational) / rs.volume_normalization[0]
 
 
 def _exact_report(rs: RootSystem, method: str, rational: Q, parameters: dict,
                   normalize: bool = True) -> VolumeReport:
     """A report whose value is the exact rational times the stamped
     normalization: that of `_normalized`, or 1."""
-    norm = _normalization(rs)[1] if normalize else "1"
+    norm = rs.volume_normalization[1] if normalize else "1"
     return VolumeReport(
         value=_normalized(rs, rational) if normalize else float(rational),
         method=method,
@@ -276,22 +268,6 @@ def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tu
     return rs.coroot_ball(limit), radius_sq
 
 
-def _lattice_balls(rs: RootSystem, fixed: list, lasts: list[Vec]) -> list[np.ndarray]:
-    """The balls of `_lattice_ball` for the slots fixed + [m], m in lasts: r
-    is that of the fixed slots, and each R = 2 |m|^2 + 2 r.  With m = X / D
-    and g r = a / c, floor(g R) = (2 X.igram X c + 2 a D^2) // (D^2 c), in
-    ints."""
-    radius_sq, _ = _support_radii(rs, [*fixed, lasts[0]])
-    igram, g = rs.int_gram
-    a, c = g * radius_sq.numerator, radius_sq.denominator
-    limits = []
-    for m in lasts:
-        d = common_denominator(m)
-        x = scaled(m, d)
-        limits.append(2 * (int_bilinear(igram, x, x) * c + a * d * d) // (d * d * c))
-    return [rs.coroot_ball(limit) for limit in limits]
-
-
 def sphere_volume_kappa(
     rs: RootSystem, mus: list[Vec], radius_sq: Q | None = None
 ) -> VolumeReport:
@@ -342,17 +318,17 @@ def _kappa_arguments(rs: RootSystem, config, fixed: list[Vec], lasts: list[Vec],
     marking lasts[j], over l in lattices[j] (int vectors in root
     coordinates) and Weyl tuples (w_1..w_k) acting on the fixed markings,
     b = k + 1, as whole integer arrays (args, coefs), the sums' scales D_j
-    and the sum of each row (owner; None for one sum).
+    and their row bounds: the rows of sum j are bounds[j]:bounds[j + 1].
 
     A row of sum j is x = D_j (w_1 mu_1 + ... + w_k mu_k + lasts[j] + l),
     D_j the common denominator of its markings, then its wall dot products
     (`VectorConfig.extension`); coefs = +-1 is the tuple's sign.  The
     Weyl-image sums P (`_weyl_fold`) are made once, at the scale D_0 of the
-    fixed markings, which divides every D_j (for one sum, at its D_j);
-    with the tails T = D_j (lasts[j] + l), T[:, None] + (D_j / D_0) P[None]
-    is in the order (l, w_1, ..., w_k) of the term-by-term sum, and the
-    sums follow each other in order.  Rows with a negative coordinate,
-    outside the support cone, are dropped before the rest are extended.
+    fixed markings, which divides every D_j; with the tails
+    T = D_j (lasts[j] + l), T[:, None] + (D_j / D_0) P[None] is in the
+    order (l, w_1, ..., w_k) of the term-by-term sum, and the sums follow
+    each other in order.  Rows with a negative coordinate, outside the
+    support cone, are dropped before the rest are extended.
 
     The arrays are int64 when a bound on every entry of every sum is below
     2^62; for huge denominators the same statements run on object arrays
@@ -361,8 +337,6 @@ def _kappa_arguments(rs: RootSystem, config, fixed: list[Vec], lasts: list[Vec],
     rank = config.rank
     base = common_denominator(chain.from_iterable(fixed))
     scales = [math.lcm(base, common_denominator(m)) for m in lasts]
-    if len(lasts) == 1:  # one sum: its fold is made at its own scale
-        base = scales[0]
     imaged = [scaled(m, base) for m in fixed]
     ends = [scaled(m, scale) for m, scale in zip(lasts, scales)]
     lattices = [np.asarray(lat, dtype=np.int64).reshape(-1, rank) for lat in lattices]
@@ -376,46 +350,41 @@ def _kappa_arguments(rs: RootSystem, config, fixed: list[Vec], lasts: list[Vec],
     dtype = np.int64 if bound < 2**62 else object
 
     folds, coefs = _weyl_fold(rs, np.array(imaged, dtype=dtype))
-    if len(lasts) == 1:
-        (lattice,), owner = lattices, None
-        tails = base * lattice.astype(dtype) + np.array(ends[0], dtype=dtype)
-        args = (tails[:, None] + folds[None]).reshape(-1, rank)
-    else:  # per lattice vector: its sum's scale, fold factor and last marking
-        sums = np.repeat(np.arange(len(lasts)), [len(lat) for lat in lattices])
-        scale, ratio, end = (np.array(a, dtype=dtype)[sums] for a in
-                             (scales, [s // base for s in scales], ends))
-        tails = scale[:, None] * np.concatenate(lattices).astype(dtype) + end
-        args = (tails[:, None] + ratio[:, None, None] * folds[None]).reshape(-1, rank)
-        owner = np.repeat(sums, len(folds))
+    args = np.concatenate([
+        ((scale * lat.astype(dtype, copy=False) + np.array(end, dtype=dtype))[:, None]
+         + scale // base * folds[None]).reshape(-1, rank)
+        for scale, lat, end in zip(scales, lattices, ends)])
+    bounds = [0, *accumulate(len(lat) * len(folds) for lat in lattices)]
     coefs = np.tile(coefs, len(args) // len(coefs)).astype(dtype, copy=False)
     if config.orthant_support:
         inside = (args >= 0).all(axis=1)
         args, coefs = args[inside], coefs[inside]
-        if owner is not None:
-            owner = owner[inside]
-    return args @ config.extension.T, coefs, scales, owner
+        bounds = [0, *(int(np.count_nonzero(inside[:end])) for end in bounds[1:])]
+    return args @ config.extension.T, coefs, scales, bounds
 
 
-def _chamber_groups(spline, args: np.ndarray, scales: list[int], owner=None,
+def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[int],
                     smooth_at: list[Vec] | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, list, dict]:
-    """The rows of `_kappa_arguments` (args; those of sum j at scale D_j,
-    owner[i] the sum of row i) grouped by sum and chamber: (order, starts,
-    chambers, walls), order a stable sort of the rows by (sum, chamber),
-    group g its rows order[starts[g]:starts[g + 1]] and chambers[g] its
-    `kappa.Chamber` (integer numerators over `monomials`, one denominator).
+                    ) -> tuple[np.ndarray, np.ndarray, list, list[int], dict]:
+    """The rows of `_kappa_arguments` (args; those of sum j, at scale D_j,
+    are bounds[j]:bounds[j + 1]) grouped by sum and chamber: (order, starts,
+    chambers, group_sums, walls), order a stable sort of the rows by (sum,
+    chamber), group g its rows order[starts[g]:starts[g + 1]], chambers[g]
+    its `kappa.Chamber` (integer numerators over `monomials`, one
+    denominator) and group_sums[g] its sum.
 
     A row's wall sides are packed into one int64 code (bit i: positive side
     of wall i; on the wall, the side the nudge direction points to, whose
     chamber polynomial gives the value by continuity), with its sum's index
-    above the wall bits when there are several sums.  A stable sort by code
-    groups the rows; in the order of their first rows, the first argument
-    the term order meets in each chamber of each sum, the groups' chambers
-    are looked up by sign and built there if new, so sum after sum in term
-    order, as one call per sum builds them.  At degree 0 a sum's first
-    on-wall row stops it: the chambers it met before are built, its later
-    groups are left None and walls[j] is that row's point, at which
-    `PiecewisePolynomial.chamber_at` raises OnWallError.  With smooth_at,
+    above the wall bits (added to the rows of sums 1, 2, ..., so one sum
+    adds nothing).  A stable sort by code groups the rows; in the order of
+    their first rows, the first argument the term order meets in each
+    chamber of each sum, the groups' chambers are looked up by sign and
+    built there if new, so sum after sum in term order, as one call per sum
+    builds them.  At degree 0 a sum's first on-wall row stops it: the
+    chambers it met before are built, its later groups are left None and
+    walls[j] is that row's point, at which `PiecewisePolynomial.chamber_at`
+    raises OnWallError.  With smooth_at,
     the sums' last markings, each sum is read as one polynomial near its
     marking (or its derivatives): any on-wall row raises first.
     """
@@ -430,7 +399,7 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], owner=None,
     stops: dict[int, int] = {}
     if on_wall.any():
         hits = np.flatnonzero(on_wall.any(axis=1))
-        sums = [0] * len(hits) if owner is None else owner[hits].tolist()
+        sums = (np.searchsorted(bounds, hits, "right") - 1).tolist()
         if smooth_at is not None:
             raise OnWallError(f"{smooth_at[sums[0]]} lies on a cell wall of the volume function")
         side |= on_wall & (np.array(config.nudge_signs) > 0)
@@ -438,14 +407,14 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], owner=None,
             for row, j in zip(hits.tolist(), sums):
                 stops.setdefault(j, row)
     code = side @ config.wall_bits
-    if owner is not None:
-        code += owner << shift
+    for j in range(1, len(scales)):
+        code[bounds[j]:bounds[j + 1]] += j << shift
     order = np.argsort(code, kind="stable")
     ordered = code[order]  # a group starts at row 0 and at each new code
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))[:len(code)])
     first = order[starts]  # each group's first row, since the sort is stable
     signs = list(map(tuple, np.where(side[first], 1, -1).tolist()))
-    group_sums = [0] * len(starts) if owner is None else owner[first].tolist()
+    group_sums = (ordered[starts] >> shift).tolist()
 
     def point(row: int, j: int) -> Vec:
         return tuple(Q(c, scales[j]) for c in args[row, :rank].tolist())
@@ -455,7 +424,7 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], owner=None,
         j = group_sums[g]
         if j not in stops or row < stops[j]:
             chambers[g] = spline.chambers.get(signs[g]) or spline.chamber_at(point(row, j))
-    return order, starts, chambers, {j: point(row, j) for j, row in stops.items()}
+    return order, starts, chambers, group_sums, {j: point(row, j) for j, row in stops.items()}
 
 
 def _kappa_sums(spline, rs: RootSystem, fixed: list[Vec], lasts: list[Vec], lattices,
@@ -479,10 +448,9 @@ def _kappa_sums(spline, rs: RootSystem, fixed: list[Vec], lasts: list[Vec], latt
     Returns the sums and the degree-0 walls of `_chamber_groups`; a sum
     that meets such a wall is None.
     """
-    args, coefs, scales, owner = _kappa_arguments(rs, spline.config, fixed, lasts, lattices)
-    order, starts, chambers, walls = _chamber_groups(spline, args, scales, owner,
-                                                     None if op is None else lasts)
-    group_sums = [0] * len(starts) if owner is None else owner[order[starts]].tolist()
+    args, coefs, scales, bounds = _kappa_arguments(rs, spline.config, fixed, lasts, lattices)
+    order, starts, chambers, group_sums, walls = _chamber_groups(
+        spline, args, scales, bounds, None if op is None else lasts)
     degree, exponents, lcm = spline.degree, spline.exponents, 1
     rows = [ch and ch.numerators for ch in chambers]
     if op is not None:
@@ -527,26 +495,23 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     that straddles blocks gets a partial sum from each.
 
     B = max over groups g of max(1, max|x|_g)^t sum_g|coef| (t the largest
-    degree, max|x|_g and sum_g over the group's rows) bounds every entry.
-    The same bound over all rows at once grows with the number of groups,
-    which a batch of sums (`_kappa_sums`) multiplies; it is never below B
-    and cheaper to take, so B is read only when the primes that bound needs
-    are more than max(1, max|x|)^t would need.  The pass runs modulo 2^64
-    in uint64, whose arithmetic wraps, exact alone when B < 2^63;
-    otherwise also modulo the fewest primes below 2^31 (a product of two
-    residues fits int64) that bring the moduli's product P above 2B, and
-    the entries are rebuilt in (-P/2, P/2] by the Chinese remainder
-    theorem (J. von zur Gathen and J. Gerhard, Modern Computer Algebra,
-    ch. 5).  Python ints enter as x % p.
+    degree, max|x|_g and sum_g over the group's rows) bounds every entry;
+    taken per group, it does not grow with the number of sums in a batch
+    (`_kappa_sums`).  The pass runs modulo 2^64 in uint64, whose arithmetic
+    wraps, exact alone when B < 2^63; otherwise also modulo the fewest
+    primes below 2^31 (a product of two residues fits int64) that bring the
+    moduli's product P above 2B, and the entries are rebuilt in
+    (-P/2, P/2] by the Chinese remainder theorem (J. von zur Gathen and
+    J. Gerhard, Modern Computer Algebra, ch. 5).  Python ints enter as
+    x % p.
     """
     top = int(exponents.sum(axis=1).max(initial=0))
-    sizes, weights = np.abs(points), np.abs(coefs)
-    power = max(1, int(sizes.max(initial=0))) ** top
-    k = _crt_size(power * int(weights.sum()))
-    if k > _crt_size(power):  # B, at least max|x|^t, may need fewer primes
-        sizes = np.maximum.reduceat(sizes, starts, axis=0).max(axis=1).tolist()
-        k = _crt_size(max(max(1, int(x)) ** top * int(w)
-                          for x, w in zip(sizes, np.add.reduceat(weights, starts).tolist())))
+    sizes = np.maximum.reduceat(np.abs(points), starts, axis=0).max(axis=1).tolist()
+    weights = np.add.reduceat(np.abs(coefs), starts).tolist()
+    bound = max((max(1, int(x)) ** top * int(w) for x, w in zip(sizes, weights)), default=0)
+    k = 0
+    while _crt_basis(k)[1] <= 2 * bound:
+        k += 1
     primes, product, weights = _crt_basis(k)
     # (first row, end row, group starts in the block, group of its first row)
     blocks = [(0, len(points), starts, 0)]
@@ -598,15 +563,6 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     return np.where(moments > product // 2, moments - product, moments).tolist()
 
 
-def _crt_size(bound: int) -> int:
-    """The fewest primes of `_crt_basis` whose product with 2^64 exceeds
-    2 bound."""
-    k = 0
-    while _crt_basis(k)[1] <= 2 * bound:
-        k += 1
-    return k
-
-
 @lru_cache(maxsize=None)
 def _crt_basis(k: int) -> tuple[list[int], int, list[int]]:
     """The k largest primes below 2^31, the product P of them and 2^64, and
@@ -627,13 +583,30 @@ def pants_volume_kappa(
 
 def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> list[Q | None]:
     """The exact rational parts of `pants_volume_kappa` at the third
-    markings mu3s, each over its own lattice ball, in one kappa-sum pass
-    over all of them (`_kappa_sums`).  A marking at which a kappa argument
+    markings mu3s, each over its own lattice ball, in batched kappa-sum
+    passes (`_kappa_sums`).  A marking at which a kappa argument
     of the degree-0 (A1) spline lies on a wall, where `pants_volume_kappa`
     raises OnWallError, gives None; the chambers are built as calls in the
-    order of mu3s build them."""
-    lattices = _lattice_balls(rs, [mu1, mu2], mu3s)
-    values, _ = _kappa_sums(kappa_build(rs, 1), rs, [mu1, mu2], mu3s, lattices)
+    order of mu3s build them.
+
+    The markings are taken in consecutive slices, each a pass whose
+    argument rows (lattice points times Weyl tuples) stay within
+    MOMENT_ROWS or are those of one marking, so a pass holds no more than
+    one `_moments` block or one call's arrays however many markings there
+    are; slices in order keep the chambers' build order."""
+    spline, tuples = kappa_build(rs, 1), len(rs.weyl_array[0]) ** 2
+    lattices = [_lattice_ball(rs, [mu1, mu2, m])[0] for m in mu3s]
+    slices, rows = [], math.inf
+    for j, lattice in enumerate(lattices):
+        if rows + len(lattice) * tuples > MOMENT_ROWS:
+            slices.append([])
+            rows = 0
+        slices[-1].append(j)
+        rows += len(lattice) * tuples
+    values = []
+    for js in slices:
+        values += _kappa_sums(spline, rs, [mu1, mu2], [mu3s[j] for j in js],
+                              [lattices[j] for j in js])[0]
     return [None if v is None else _signed_center(rs) * v for v in values]
 
 
@@ -745,9 +718,9 @@ class PantsVolumePoly:
         near mu3 the sum is that of coef * p((c + D nu) / D), the chambers
         grouped and built as `_kappa_sum` does."""
         rank = self.rs.rank
-        args, coefs, (scale,), _ = _kappa_arguments(self.rs, self.spline.config,
-                                                    [self.mu1, self.mu2], [mu3], [self.lattice])
-        order, starts, chambers, _ = _chamber_groups(self.spline, args, [scale], None, [mu3])
+        args, coefs, (scale,), rows = _kappa_arguments(self.rs, self.spline.config,
+                                                       [self.mu1, self.mu2], [mu3], [self.lattice])
+        order, starts, chambers, _, _ = _chamber_groups(self.spline, args, [scale], rows, [mu3])
         offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
         coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
         unit = tuple(map(tuple, np.eye(rank, dtype=np.int64).tolist()))

@@ -211,8 +211,6 @@ def test_batched_sums_match_term_by_term_reference(name, m1, m2, lasts):
         except OnWallError:
             expect.append(None)
     assert moduli.pants_volumes_exact(rs, mu1, mu2, mu3s) == expect
-    for mu3, ball in zip(mu3s, moduli._lattice_balls(rs, [mu1, mu2], mu3s)):
-        assert np.array_equal(ball, _lattice_ball(rs, [mu1, mu2, mu3])[0])
     if name == "A1" and m2 == "1/2":
         assert expect[0] is expect[-1] is None and None not in expect[1:-1]
 
@@ -236,6 +234,43 @@ def test_batched_sums_build_chambers_as_the_row_loop(name, m1, m2, lasts):
                 pass
         built.append([(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()])
     assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("name, m1, m2, lasts", [BATCHES[0], BATCHES[2], BATCHES[5]])
+@pytest.mark.parametrize("per_pass", [1, 2])
+def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, monkeypatch):
+    """`pants_volumes_exact` takes its markings in consecutive passes of
+    at most MOMENT_ROWS argument rows, or of one marking whose rows alone
+    exceed it, each as large as the bound allows: below the smallest
+    marking's rows every pass is one marking, at twice the largest every
+    pass but the last holds two or more.  The values and the chambers
+    built, in order, are those of one pass over all the markings."""
+    rs = RootSystem(GroupSpec.parse(name))
+    mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
+    tuples = len(rs.weyl_array[0]) ** 2
+    rows = [len(_lattice_ball(rs, [mu1, mu2, mu3])[0]) * tuples for mu3 in mu3s]
+    one_pass = moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
+    built = [(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()]
+
+    cap = min(rows) - 1 if per_pass == 1 else 2 * max(rows)
+    monkeypatch.setattr(moduli, "MOMENT_ROWS", cap)
+    passes = []
+    engine = moduli._kappa_sums
+    monkeypatch.setattr(moduli, "_kappa_sums", lambda spline, rs, fixed, lasts, lattices:
+                        passes.append(len(lasts)) or engine(spline, rs, fixed, lasts, lattices))
+    rs = RootSystem(GroupSpec.parse(name))
+    mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
+    assert moduli.pants_volumes_exact(rs, mu1, mu2, mu3s) == one_pass
+    assert [(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()] == built
+    assert sum(passes) == len(mu3s)
+    ends = list(itertools.accumulate(passes))
+    for lo, hi in zip([0, *ends], ends):
+        assert hi - lo == 1 or sum(rows[lo:hi]) <= cap
+        assert hi == len(mu3s) or sum(rows[lo:hi + 1]) > cap
+    if per_pass == 1:
+        assert passes == [1] * len(mu3s)
+    else:
+        assert min(passes[:-1], default=2) >= 2 and len(passes) < len(mu3s)
 
 
 @pytest.mark.parametrize("name, marks, dtype", [
