@@ -25,7 +25,6 @@ from .kappa import (
     kappa_build,
     kappa_point,
     pullback_operator,
-    symmetric_extension,
 )
 from .liecore import (
     AffineWeylElement,

@@ -34,6 +34,7 @@ from .liecore import RootSystem, alcove_membership, build_root_system, covolume_
 from .mc import product_class_histogram, shape_compare
 from .moduli import (
     EPS_NODES,
+    NU,
     ConvergenceError,
     Marking,
     Surface,
@@ -43,7 +44,6 @@ from .moduli import (
     mixed_characteristic_number,
     moduli_dimension,
     pants_volume_kappa,
-    pants_volume_poly,
     pants_volumes_exact,
     toric_decomposition,
     witten_volume,
@@ -277,8 +277,6 @@ def cmd_scan(rs: RootSystem, args) -> None:
         raise UsageError("--along needs the form START:END in weight coordinates")
     (start_w, start), (end_w, end) = (parse_weight_coords(rs, t) for t in (start_txt, end_txt))
     n = args.steps
-    if n < 0:
-        raise UsageError("--steps must be nonnegative")
     rationals = pants_volumes_exact(rs, m1, m2, _line_points(start, end, n))
     rows = []
     for coords, rational in zip(_line_points(start_w, end_w, n), rationals):
@@ -351,10 +349,12 @@ def cmd_oracle(rs: RootSystem, args) -> None:
     )
     if rs.spec.name == "A1":
         # the A1 volume is constant between the points where a kappa
-        # argument meets its wall: one kappa-sum per cell, at its first
-        # grid point, and 0.0 on a breakpoint
-        pants = pants_volume_poly(rs, m1, m2)
-        breaks = sorted(rs.to_weight_coords((Q(-k, a),))[0] for a, k in pants.walls())
+        # argument of the gluing factor meets its wall: one kappa-sum per
+        # cell, at its first grid point, and 0.0 on a breakpoint
+        from .gluing import AlcoveFactor  # loaded on first use
+
+        lines = AlcoveFactor(rs, [m1, m2, NU]).lines
+        breaks = sorted(rs.to_weight_coords((Q(-k, a),))[0] for a, k in lines)
         cell_values: dict[int, float] = {}
 
         def vol(t: float) -> float:
@@ -365,7 +365,8 @@ def cmd_oracle(rs: RootSystem, args) -> None:
             if cell < len(breaks) and breaks[cell] == tq:
                 return 0.0
             if cell not in cell_values:
-                cell_values[cell] = pants.value(rs.from_weight_coords((tq,)))
+                mu3 = rs.from_weight_coords((tq,))
+                cell_values[cell] = pants_volume_kappa(rs, m1, m2, mu3).value
             return cell_values[cell]
 
         try:
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu1")
     p.add_argument("mu2")
     p.add_argument("--along", required=True, help="START:END in weight coordinates")
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--steps", type=_nonnegative_int, default=16)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 

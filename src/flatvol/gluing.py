@@ -8,7 +8,8 @@ argument is read off as a line in the alcove.  `AlcoveFactor` finds the
 lines across which the factor's polynomial jumps and the jumps
 themselves; `alcove_integral` walks the alcove's edges and those lines
 and integrates the product of the factors exactly, facet by facet.
-`moduli.glue_volume` imports this module on first use.
+`moduli.glue_volume` and the A1 `oracle` (`cli.cmd_oracle`, for the
+lines) import this module on first use.
 
 Points and lines are exact and in Python ints: a point of the alcove in
 root coordinates is a tuple (z_1, ..., z_r, den) with den > 0 standing for
@@ -29,7 +30,7 @@ from operator import mul
 
 import numpy as np
 
-from .exact import Q, common_denominator, det, scaled, vsub
+from .exact import Q, common_denominator, scaled
 from .kappa import OnWallError, kappa_build
 from .liecore import RootSystem
 from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _signed_center, _weyl_fold
@@ -39,8 +40,9 @@ __all__ = ["AlcoveFactor", "alcove_integral"]
 
 class AlcoveFactor:
     """A pants factor over the alcove, each marking slot a fixed point, NU
-    or STAR_NU (root coordinates): its rational part as a function of nu,
-    its lines, its jumps across them and its polynomial on a cell.
+    or STAR_NU (root coordinates), the last one NU or STAR_NU: its rational
+    part as a function of nu, its lines, its jumps across them and its
+    polynomial on a cell.
 
     Every kappa argument of the lattice sum is then affine in nu:
     x(nu) = (c + D L nu) / D, with D the common denominator of the fixed
@@ -50,8 +52,8 @@ class AlcoveFactor:
     `_weyl_fold`, c's the fold `moduli._kappa_arguments` makes, and their
     coefficients multiply.  Both are extended by the wall normals u, so
     each wall of an argument is read off as the line (D L^T u).nu + u.c = 0.
-    The last slot is not imaged by the Weyl group, so putting a varying
-    slot last keeps the number of distinct L small.  Where every argument
+    The last slot is not imaged by the Weyl group, so a varying last slot
+    keeps the number of distinct L small.  Where every argument
     stays in one chamber the volume is the polynomial sum coef *
     p_chamber(x(nu)).
     """
@@ -75,22 +77,20 @@ class AlcoveFactor:
         extension = self.spline.config.extension
         *imaged, last = self.slots
         # the L part depends only on which slots vary: made once per root system
-        pattern = (*(s for s in imaged if isinstance(s, str)), isinstance(last, str) and last)
+        pattern = (*(s for s in imaged if isinstance(s, str)), last)
         ls = rs.__dict__.setdefault("_affine_matrices", {}).get(pattern)
         if ls is None:
             columns = {NU: np.eye(rank, dtype=np.int64),
                        STAR_NU: -np.array(rs.w0.matrix, dtype=np.int64)}
             varying, coefs = _weyl_fold(rs, [columns[s] for s in pattern[:-1]], rank)
-            if pattern[-1]:  # the last slot joins every term as it is
-                varying = varying + columns[last].T.reshape(-1)
+            varying = varying + columns[last].T.reshape(-1)  # the last slot joins every term
             # the fold gives L column after column; (its rows, extended, coef)
             ls = rs._affine_matrices[pattern] = [(tuple(map(tuple, L)), coef) for L, coef in zip(
                 (extension @ varying.reshape(-1, rank, rank).transpose(0, 2, 1)).tolist(),
                 coefs.tolist())]
         fixed, fixed_coefs = _weyl_fold(rs, np.array(
             [scaled(s, scale) for s in imaged if not isinstance(s, str)], dtype=object))
-        tail = (0,) * rank if isinstance(last, str) else scaled(last, scale)
-        tails = scale * self.lattice.astype(object) + tail
+        tails = scale * self.lattice.astype(object)
         cs = ((tails[:, None] + fixed[None]).reshape(-1, rank) @ extension.T).tolist()
         return [(tuple(c), L, cf * cv)
                 for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)) for L, cv in ls]
@@ -212,12 +212,9 @@ def _point(coords: list[int], den: int) -> tuple[int, ...]:
 
 
 def _alcove_corners(rs: RootSystem) -> list[tuple[int, ...]]:
-    """The alcove's vertices as homogeneous points, counterclockwise for
-    rank 2."""
-    verts = list(rs.alcove.vertices)
-    if rs.rank == 2 and det([vsub(v, verts[0]) for v in verts[1:]]) < 0:
-        verts.reverse()
-    return [_point(scaled(v, d), d) for v in verts for d in [common_denominator(v)]]
+    """The alcove's vertices as homogeneous points, in the order of
+    `Alcove.vertices`, which is counterclockwise for every rank-2 group."""
+    return [_point(scaled(v, d), d) for v in rs.alcove.vertices for d in [common_denominator(v)]]
 
 
 def _primitive_line(a, k: int) -> tuple[int, ...]:

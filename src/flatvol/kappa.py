@@ -63,7 +63,6 @@ __all__ = [
     "kappa_point",
     "kappa_build",
     "SymmetricPoly",
-    "symmetric_extension",
     "DiffOperator",
     "pullback_operator",
     "apply_operator",
@@ -136,12 +135,16 @@ def _polytope_volume(verts: list[Vec], facets: list[frozenset[int]], dim: int) -
 
 
 class VectorConfig:
-    """A finite spanning multiset of vectors in coordinate space.
+    """A finite spanning multiset of nonnegative vectors in coordinate
+    space (positive roots in simple-root coordinates; a negative coordinate
+    raises ValueError).
 
     Precomputes the data needed to evaluate the pushforward density of
     the orthant measure: the free columns that coordinatize each fiber,
     the change-of-variables factor, and the wall hyperplanes (spans of
-    corank-one subsets) by their primitive integer normals.
+    corank-one subsets) by their primitive integer normals.  Nonnegative
+    vectors push the orthant into the orthant, so every evaluator reads a
+    point with a negative coordinate as density 0 without any computation.
     """
 
     def __init__(self, vectors: list[Vec], det_gram: Q):
@@ -150,9 +153,8 @@ class VectorConfig:
         self.n = len(self.vectors)
         self.det_gram = det_gram
         self.degree = self.n - self.rank
-        # nonnegative vectors push the orthant into the orthant: a point
-        # with a negative coordinate has density 0, without any computation
-        self.orthant_support = all(c >= 0 for v in self.vectors for c in v)
+        if any(c < 0 for v in self.vectors for c in v):
+            raise ValueError("the vectors must have no negative coordinate")
         # the fiber over xi is coordinatized by x_F, F the non-pivot columns
         # of the row-reduced configuration; x_P then follows, P the pivots,
         # and the Jacobian of x -> (sum_i x_i v_i, x_F) is 1/|det A_P|
@@ -259,7 +261,7 @@ class VectorConfig:
         solution of A_B x_B = xi, kept when x_B >= 0 (several bases may
         give one vertex).  Vertex x lies on facet i when x_i = 0.
         """
-        if self.orthant_support and any(c < 0 for c in xi):
+        if any(c < 0 for c in xi):
             return Q(0)
         found: dict[Vec, list[Q]] = {}
         for basis in combinations(range(self.n), self.rank):
@@ -499,7 +501,7 @@ class PiecewisePolynomial:
         On-wall points of positive-degree configurations are evaluated by
         closure continuity; degree-0 walls raise OnWallError.
         """
-        if self.config.orthant_support and any(c < 0 for c in xi):
+        if any(c < 0 for c in xi):
             return Q(0)
         return self.chamber_at(xi).value(xi)
 
@@ -735,14 +737,6 @@ def elementary_symmetric(forms: list[Poly], nvars: int) -> list[Poly]:
     return out[1:]
 
 
-def symmetric_extension(p: SymmetricPoly, nvars: int) -> SymmetricPoly:
-    """Reinterpret each e_l in `nvars` variables (k <= nvars)."""
-    if p.nvars > nvars:
-        raise ValueError("cannot extend to fewer variables")
-    terms = {m + (0,) * (nvars - p.nvars): c for m, c in p.terms.items()}
-    return SymmetricPoly(terms, nvars)
-
-
 @dataclass(frozen=True)
 class DiffOperator:
     """Constant-coefficient operator: a polynomial in the coordinate
@@ -771,14 +765,14 @@ def pullback_operator(rs: RootSystem, p: SymmetricPoly) -> DiffOperator:
     positive root a (canonical height-then-lex order), in the coordinate
     derivatives.
 
-    p must be symmetric in n = |R+| variables.  d_a is the linear form
-    sum_j a_j d_j, and each e_l of p becomes the l-th elementary symmetric
-    polynomial of those n forms (`elementary_symmetric`), a polynomial in
-    r = rank variables.
+    p is read in its own k <= n = |R+| variables: its e_l, l <= k, mean
+    the same in n.  d_a is the linear form sum_j a_j d_j, and each e_l of p
+    becomes the l-th elementary symmetric polynomial of those n forms
+    (`elementary_symmetric`), a polynomial in r = rank variables.
     """
-    if p.nvars != rs.n_positive:
+    if p.nvars > rs.n_positive:
         raise ValueError(
-            f"expected a symmetric polynomial in {rs.n_positive} variables"
+            f"expected a symmetric polynomial in at most {rs.n_positive} variables"
         )
     units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     forms = [{u: c for u, c in zip(units, a) if c} for a in rs.positive_roots]

@@ -67,7 +67,6 @@ from .kappa import (
     kappa_build,
     kappa_point,
     pullback_operator,
-    symmetric_extension,
 )
 from .liecore import (
     RootSystem,
@@ -244,11 +243,15 @@ NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[Q, Q]:
     """(r, R) for the lattice sum over the slots mu_1 .. mu_b: nonzero terms
     have |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
-    (sum_{j<b} |mu_j|)^2 (or r = radius_sq when given), so the ball
-    |l|^2 <= R = 2 |mu_b|^2 + 2 r provably covers them; the extra terms
-    cancel exactly in the signed sum.  A varying slot counts with its
-    largest norm, at an alcove vertex.  The norms are g D^2 |mu|^2 in ints,
-    D the common denominator of the points and g that of the Gram matrix."""
+    (sum_{j<b} |mu_j|)^2, so the ball |l|^2 <= R = 2 |mu_b|^2 + 2 r
+    provably covers them; the extra terms cancel exactly in the signed sum.
+    Given radius_sq, r is that and only the last slot is read, so sums that
+    share mu_1 .. mu_{b-1} take r once (`pants_volumes_exact`).  A varying
+    slot counts with its largest norm, at an alcove vertex.  The norms are
+    g D^2 |mu|^2 in ints, D the common denominator of the points read and g
+    that of the Gram matrix."""
+    if radius_sq is not None:
+        slots = slots[-1:]
     points = [max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(s, str) else s for s in slots]
     scale = common_denominator(chain.from_iterable(points))
     igram, g = rs.int_gram
@@ -257,7 +260,8 @@ def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> t
     if radius_sq is None:  # both in units of 1 / unit, so one Fraction each
         bound = (len(slots) - 1) * sum(norms[:-1])
         return Q(bound, unit), Q(2 * norms[-1] + 2 * bound, unit)
-    return radius_sq, Q(2 * norms[-1], unit) + 2 * radius_sq
+    n, d = radius_sq.numerator, radius_sq.denominator  # R over unit * d, one Fraction
+    return radius_sq, Q(2 * norms[-1] * d + 2 * n * unit, unit * d)
 
 
 def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[np.ndarray, Q]:
@@ -356,10 +360,9 @@ def _kappa_arguments(rs: RootSystem, config, fixed: list[Vec], lasts: list[Vec],
         for scale, lat, end in zip(scales, lattices, ends)])
     bounds = [0, *accumulate(len(lat) * len(folds) for lat in lattices)]
     coefs = np.tile(coefs, len(args) // len(coefs)).astype(dtype, copy=False)
-    if config.orthant_support:
-        inside = (args >= 0).all(axis=1)
-        args, coefs = args[inside], coefs[inside]
-        bounds = [0, *(int(np.count_nonzero(inside[:end])) for end in bounds[1:])]
+    inside = (args >= 0).all(axis=1)
+    args, coefs = args[inside], coefs[inside]
+    bounds = [0, *(int(np.count_nonzero(inside[:end])) for end in bounds[1:])]
     return args @ config.extension.T, coefs, scales, bounds
 
 
@@ -584,7 +587,9 @@ def pants_volume_kappa(
 def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> list[Q | None]:
     """The exact rational parts of `pants_volume_kappa` at the third
     markings mu3s, each over its own lattice ball, in batched kappa-sum
-    passes (`_kappa_sums`).  A marking at which a kappa argument
+    passes (`_kappa_sums`).  The balls share the fixed pair's support
+    bound r (`_support_radii`), taken at the first row, so each later row
+    reads only its own marking's norm.  A marking at which a kappa argument
     of the degree-0 (A1) spline lies on a wall, where `pants_volume_kappa`
     raises OnWallError, gives None; the chambers are built as calls in the
     order of mu3s build them.
@@ -595,7 +600,10 @@ def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> 
     one `_moments` block or one call's arrays however many markings there
     are; slices in order keep the chambers' build order."""
     spline, tuples = kappa_build(rs, 1), len(rs.weyl_array[0]) ** 2
-    lattices = [_lattice_ball(rs, [mu1, mu2, m])[0] for m in mu3s]
+    lattices, radius_sq = [], None
+    for m in mu3s:  # the first row takes r, the later ones read it
+        lattice, radius_sq = _lattice_ball(rs, [mu1, mu2, m], radius_sq)
+        lattices.append(lattice)
     slices, rows = [], math.inf
     for j, lattice in enumerate(lattices):
         if rows + len(lattice) * tuples > MOMENT_ROWS:
@@ -729,14 +737,6 @@ class PantsVolumePoly:
         numerators, den = _affine_sum(groups, self.spline, scale)
         return {k: Q(self.prefactor * v, den) for k, v in numerators.items()}
 
-    def walls(self) -> list[tuple[int, ...]]:
-        """The lines a.mu3 + k = 0 (a, k integers, root coordinates) that
-        cross the open alcove and on which some kappa argument meets a
-        wall; for rank 1 these are the points where the volume may jump."""
-        from .gluing import AlcoveFactor
-
-        return list(AlcoveFactor(self.rs, [self.mu1, self.mu2, NU]).lines)
-
 
 def pants_volume_poly(rs: RootSystem, mu1: Vec, mu2: Vec) -> PantsVolumePoly:
     return PantsVolumePoly(rs, mu1, mu2)
@@ -747,10 +747,10 @@ def mixed_characteristic_number(
 ) -> float:
     """Apply the pulled-back symmetric polynomial to the volume function.
 
-    p is symmetric in k = moduli_dimension variables; it is extended to
-    n = |R+| variables, pulled back to a constant-coefficient operator in
-    the r = rank coordinate derivatives (each e_l becomes the l-th
-    elementary symmetric polynomial of the root-directional derivatives,
+    p is symmetric in k = moduli_dimension variables; it is pulled back
+    to a constant-coefficient operator in the r = rank coordinate
+    derivatives (each e_l, l <= k <= |R+|, becomes the l-th elementary
+    symmetric polynomial of the |R+| root-directional derivatives,
     `pullback_operator`), and applied to each chamber polynomial of the
     pants kappa-sum (`_kappa_sum`).  An e-monomial of weighted degree
     sum_l l m_l above the chamber degree |R+| - rank acts as zero, so it is
@@ -765,7 +765,7 @@ def mixed_characteristic_number(
     vol = pants_volume_poly(rs, mu1, mu2)
     kept = {m: c for m, c in p.terms.items()
             if sum(l * e for l, e in enumerate(m, start=1)) <= vol.spline.degree}
-    op = pullback_operator(rs, symmetric_extension(SymmetricPoly(kept, p.nvars), rs.n_positive))
+    op = pullback_operator(rs, SymmetricPoly(kept, p.nvars))
     return _normalized(rs, vol.prefactor * _kappa_sum(vol.spline, rs, [mu1, mu2, mu3],
                                                       vol.lattice, op))
 

@@ -251,6 +251,41 @@ def test_scan_cache_bytes_independent_of_threads(tmp_path):
     assert dumps[0] == dumps[1] == dumps[2]
 
 
+# sha256 of the stdout, and for a scan of the spline cache file it writes to
+# a fresh FLATVOL_CACHE, of outputs read through the pants-sum layer: scans
+# with A1 wall rows, in A2 and in A3, the three routes of `volume --method
+# all`, and a rank-2 one-holed torus `glue`
+PANTS_SUM_DIGESTS = [
+    (("scan", "A1", "1/2", "1/2", "--along", "0:1", "--steps", "8"),
+     "7380141c1225db09736ae20fb64cf20b307784404f79943e1e07e9849a9e68d8",
+     "ec0f93cd00775e730368cfcbde221f6e2f2e791d09c3ae0bfa7d3f2264217f02"),
+    (("scan", "A2", "1/4,1/5", "1/3,1/7", "--along", "1/7,1/9:1/2,1/3", "--steps", "12"),
+     "a0c40d2eee006019d0f3f75d64c87463f21bac0034af4c39db60b0ad9bb281f4",
+     "73e6e172790a42d8e01bc6f55ad1e82452c4abd4c28d5cd75f92a0f7db64ccc4"),
+    (("scan", "A3", "1/5,1/7,1/9", "1/6,1/8,1/7", "--along", "1/9,1/5,1/8:1/7,1/9,1/5",
+      "--steps", "4"),
+     "a795b5c2d4e806dd2dfdbc7a39577f3b2c9711d86842bf01d2bfa4ba5fcc4afd",
+     "5980d12ffdfc3b2531093ea1081b996d28491dd571b758169c59dc96ef2857c8"),
+    (("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "all", "--weights", "20000"),
+     "8fca633dddc7774e6c1a3211d54effcf3fb42e598a43f2742411da83aaa0cd33",
+     None),
+    (("glue", "B2", "--surface", "1,1", "1/4,1/5"),
+     "2318d749dfde596480539d0806256d1b8882995c0fec142f61a5db4aad4f7764",
+     None),
+]
+
+
+@pytest.mark.parametrize("args, stdout_digest, cache_digest", PANTS_SUM_DIGESTS,
+                         ids=["scan-A1-walls", "scan-A2", "scan-A3", "volume-all-A2", "glue-B2"])
+def test_pants_sum_outputs_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
+    r = run(*args, env={"FLATVOL_CACHE": str(tmp_path)})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == stdout_digest
+    if cache_digest is not None:
+        cache = (tmp_path / f"kappa_{args[1]}.json").read_bytes()
+        assert hashlib.sha256(cache).hexdigest() == cache_digest
+
+
 def test_chern_identity_and_fd():
     r = run("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1")
     d = json.loads(r.stdout)
@@ -392,6 +427,32 @@ def test_oracle_usage_error_names_option(option, value):
     assert f"argument {option}:" in r.stderr.splitlines()[-1]
 
 
+def oracle_cells(stdout):
+    """The (cell, count) rows of an `oracle A2` CSV."""
+    return [tuple(map(int, l.split(","))) for l in stdout.split("\n") if l[:1].isdigit()]
+
+
+def test_oracle_a2_histogram():
+    """The A2 histogram (cell i * bins + j for the class (i, j)): a central
+    marking puts every sample in the cell of the other one, whichever
+    factor it is; a generic pair's counts sum to the samples, repeat byte
+    for byte and leave empty every cell with i + j >= bins, since the
+    alcove is x + y <= 1."""
+    for marks in (("0,0", "1/5,1/7"), ("1/5,1/7", "0,0")):
+        r = run("oracle", "A2", *marks, "--samples", "2000", "--bins", "16", "--seed", "4")
+        assert r.returncode == 0, r.stderr
+        assert [(c, n) for c, n in oracle_cells(r.stdout) if n] == [(50, 2000)]
+    args = ("oracle", "A2", "1/4,1/5", "1/3,1/7", "--samples", "20000", "--bins", "16",
+            "--seed", "4")
+    a, b = run(*args), run(*args)
+    assert a.returncode == 0, a.stderr
+    assert a.stdout == b.stdout
+    cells = oracle_cells(a.stdout)
+    assert [c for c, _ in cells] == list(range(16 * 16))
+    assert sum(n for _, n in cells) == 20000
+    assert not any(n for c, n in cells if c // 16 + c % 16 >= 16)
+
+
 def test_oracle_rejects_rank_over_two():
     assert run("oracle", "B2", "1/4,1/4", "1/4,1/4").returncode == 2
 
@@ -529,16 +590,19 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("oracle", "A1", "1/3", "1/0"),
     ("scan", "A2", "1/4,1/5", "1/3,1/7", "--along", "1/0,1/5:1/3,1/3"),
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1/0*e1"),
+    ("scan", "A1", "1/2", "1/2", "--along", "0:1", "--steps", "-1"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
         "glue-missing", "bins-zero", "samples-zero", "seed-negative", "glue-nodes", "poly-2e1",
         "poly-1e1", "poly-times-minus", "poly-negative-power", "weights-zero", "weights-negative",
         "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove",
         "volume-zero-denominator", "glue-zero-denominator", "oracle-zero-denominator",
-        "scan-zero-denominator", "chern-zero-denominator"])
+        "scan-zero-denominator", "chern-zero-denominator", "steps-negative"])
 def test_usage_errors(args):
     r = run(*args)
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
+    if "--steps" in args:
+        assert "argument --steps:" in r.stderr.splitlines()[-1]
     if any("1/0" in a for a in args):
         assert "error: rational '1/0' has a zero denominator" in r.stderr
 

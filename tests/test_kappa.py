@@ -15,7 +15,6 @@ from flatvol import (
     kappa_build,
     kappa_point,
     pullback_operator,
-    symmetric_extension,
     vec,
 )
 from flatvol.kappa import (
@@ -246,6 +245,13 @@ def test_nudge_direction_crosses_every_wall():
         VectorConfig([vec([1, 0]), vec([0, 1]), vec([4, 1])], det_gram=Q(1))
 
 
+def test_vector_config_refuses_a_negative_coordinate():
+    """Every evaluator reads a point with a negative coordinate as outside
+    the support, which holds only when the vectors have none."""
+    with pytest.raises(ValueError, match="negative coordinate"):
+        VectorConfig([vec([1, 0]), vec([0, 1]), vec([1, -1])], det_gram=Q(1))
+
+
 def test_chamber_polynomial_on_a_wall(a1, a2):
     """On a wall, positive degree reads the chamber the nudge direction
     points to, whose polynomial gives the value there; degree 0 raises."""
@@ -448,18 +454,16 @@ def test_cache_refuses_a_key_off_the_monomials(a2, key):
 
 
 def test_symmetric_extension_examples():
-    one = SymmetricPoly.constant(Q(1))
-    assert symmetric_extension(one, 3).terms == {(0, 0, 0): Q(1)}
+    """A polynomial in k variables reads each e_l in more variables as it is."""
     e1 = SymmetricPoly.elementary(1, 1)
-    ext = symmetric_extension(e1, 3)
-    assert ext.expand_monomials(3) == {
+    assert e1.expand_monomials(3) == {
         (1, 0, 0): Q(1),
         (0, 1, 0): Q(1),
         (0, 0, 1): Q(1),
     }
     # e1^2 in two variables extends to (x1+x2+x3)^2
     e1sq = SymmetricPoly({(2, 0): Q(1)}, 2)
-    expanded = symmetric_extension(e1sq, 3).expand_monomials(3)
+    expanded = e1sq.expand_monomials(3)
     expect = {}
     for i in range(3):
         mono = tuple(2 if j == i else 0 for j in range(3))
@@ -505,13 +509,13 @@ def test_pullback_operator_equals_root_monomial_route(group):
 
 
 def test_pullback_operator_identity_and_direction(a1, a2):
-    one = symmetric_extension(SymmetricPoly.constant(Q(1)), a2.n_positive)
+    one = SymmetricPoly.constant(Q(1))
     op = pullback_operator(a2, one)
     spline = kappa_build(a2)
     xi = vec([Q(5, 2), Q(1)])
     assert apply_operator(op, spline, xi) == spline.value(xi)
     # A1: p = x1 acts as the derivative along alpha
-    p = symmetric_extension(SymmetricPoly.elementary(1, 1), a1.n_positive)
+    p = SymmetricPoly.elementary(1, 1)
     op1 = pullback_operator(a1, p)
     sp1 = kappa_build(a1)
     # derivative of the constant chamber polynomial vanishes off walls
@@ -521,7 +525,7 @@ def test_pullback_operator_identity_and_direction(a1, a2):
 def test_apply_operator_finite_difference(a2):
     """First-order operator equals a central finite difference."""
     spline = kappa_build(a2)
-    p = symmetric_extension(SymmetricPoly.elementary(1, 1), a2.n_positive)
+    p = SymmetricPoly.elementary(1, 1)
     op = pullback_operator(a2, p)
     rng = random.Random(21)
     checked = 0
@@ -555,7 +559,7 @@ def test_second_derivative_of_linear_piece_vanishes(a2):
 
 def test_apply_operator_on_wall_raises(a2):
     spline = kappa_build(a2)
-    p = symmetric_extension(SymmetricPoly.constant(Q(1)), a2.n_positive)
+    p = SymmetricPoly.constant(Q(1))
     op = pullback_operator(a2, p)
     with pytest.raises(OnWallError):
         apply_operator(op, spline, vec([2, 2]))

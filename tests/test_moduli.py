@@ -31,12 +31,13 @@ from flatvol import (
     volume_G,
     witten_volume,
 )
-from flatvol.exact import lattice_points_in_ball, vadd, vscale
-from flatvol.kappa import kappa_build, pullback_operator, symmetric_extension
-from flatvol import moduli
+from flatvol.exact import det, lattice_points_in_ball, vadd, vscale, vsub
+from flatvol.kappa import kappa_build, pullback_operator
+from flatvol import gluing, moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments
 from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
+from flatvol.liecore import _SUPPORTED
 
 from conftest import rational_alcove_point, rational_triple
 
@@ -234,6 +235,23 @@ def test_batched_sums_build_chambers_as_the_row_loop(name, m1, m2, lasts):
                 pass
         built.append([(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()])
     assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("name, m1, m2, lasts", BATCHES)
+def test_batched_sums_read_each_rows_own_ball(name, m1, m2, lasts, monkeypatch):
+    """The rows of a batch take the fixed pair's support bound once, and
+    each row's lattice ball is still the one `_lattice_ball` gives its own
+    three markings."""
+    rs = build_root_system(name)
+    mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
+    balls = []
+    engine = moduli._kappa_sums
+    monkeypatch.setattr(moduli, "_kappa_sums", lambda spline, rs, fixed, lasts, lattices:
+                        balls.extend(lattices) or engine(spline, rs, fixed, lasts, lattices))
+    moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
+    assert len(balls) == len(mu3s)
+    for ball, mu3 in zip(balls, mu3s):
+        assert np.array_equal(ball, _lattice_ball(rs, [mu1, mu2, mu3])[0])
 
 
 @pytest.mark.parametrize("name, m1, m2, lasts", [BATCHES[0], BATCHES[2], BATCHES[5]])
@@ -737,7 +755,7 @@ def test_mixed_characteristic_number_equals_cell_polynomial_route(monkeypatch, n
         for weight in (rng.randint(1, d), rng.randint(1, d), rng.randint(d + 1, d + 2)):
             terms[_e_monomial(rng, k, weight)] = Q(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
         p = SymmetricPoly(terms, k)
-        op = pullback_operator(rs, symmetric_extension(p, rs.n_positive))
+        op = pullback_operator(rs, p)
         values.append(poly_eval(op.apply_poly(cell), m3))
         assert mixed_characteristic_number(rs, m1, m2, m3, p) == values[-1]
     assert len(set(values)) > 1
@@ -985,6 +1003,18 @@ def test_glue_one_handle_singular_argument_maps():
     rs = build_root_system("A2")
     mk = Marking.of(rs, [rs.from_weight_coords(vec(["1/3", "1/3"]))])
     assert glue_volume(rs, Surface(1, 1), mk).exact["rational"] == Q(1, 27)
+
+
+def test_rank2_alcove_corners_counterclockwise():
+    """The gluing walk takes the alcove's edges counterclockwise in the
+    order `Alcove.vertices` lists them, which every rank-2 alcove does."""
+    for series, rank in sorted(_SUPPORTED):
+        if rank == 2:
+            rs = build_root_system(f"{series}{rank}")
+            v0, v1, v2 = verts = rs.alcove.vertices
+            assert det([vsub(v1, v0), vsub(v2, v0)]) > 0, series
+            assert [tuple(Q(x, p[-1]) for x in p[:-1])
+                    for p in gluing._alcove_corners(rs)] == list(verts)
 
 
 def test_glue_whole_alcove_on_wall(a1):
