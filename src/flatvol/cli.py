@@ -31,7 +31,7 @@ from functools import cache
 from .exact import Q, Vec, common_denominator, scaled, vec
 from .kappa import OnWallError, SymmetricPoly, kappa_build
 from .liecore import RootSystem, alcove_membership, build_root_system, covolume_T, volume_G
-from .mc import product_class_histogram, shape_compare
+from .mc import MAX_CELLS, product_class_histogram, shape_compare
 from .moduli import (
     EPS_NODES,
     NU,
@@ -343,6 +343,8 @@ def cmd_chern(rs: RootSystem, args) -> None:
 
 
 def cmd_oracle(rs: RootSystem, args) -> None:
+    if args.bins**rs.rank > MAX_CELLS:  # bins cells for A1, bins^2 for A2
+        raise UsageError(f"--bins {args.bins} makes more than {MAX_CELLS} histogram cells")
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     hist = product_class_histogram(
         rs, m1, m2, bins=args.bins, n_samples=args.samples, seed=args.seed

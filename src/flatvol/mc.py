@@ -6,17 +6,19 @@ to vol(mu1, mu2, *s) times the class Jacobian prod_a 2 sin(pi<a, s>)
 (one net sine power per positive root, the same resolution as the
 character-series bookkeeping).  Everything is seed-deterministic.
 
-Both factors are sampled as Haar elements, so the oracle stays a
-simulation.  For SU(2) only the real trace of the product is needed, and it
-is read in real quaternion arithmetic.  A Haar element of SU(2) is a unit
+One Haar element w is drawn per sample, and the oracle stays a simulation.
+The map (g1, g2) -> (g1, g1^H g2) preserves Haar x Haar measure, and
+conjugating by g1 turns g1 d1 g1^H g2 d2 g2^H into d1 w d2 w^H, so the
+class of the product of the two uniform class elements has the law of the
+class of d1 w d2 w^H, w Haar (Mezzadri, Notices AMS 54, 2007, for the Haar
+draws).  For SU(2) only the real trace of the product is needed, and it is
+read in real quaternion arithmetic.  A Haar element of SU(2) is a unit
 quaternion q = (a, b, c, d), the matrix [[a+ib, c+id], [-c+id, a-ib]], drawn
-as a normalized standard normal 4-vector.  Conjugating by g1 reduces the
-product to w = g1^H g2, and for diagonal d1, d2
-tr(g1 d1 g1^H g2 d2 g2^H) = tr(d1 w d2 w^H) = S + (C - S) s,
+as a normalized standard normal 4-vector.  For diagonal d1, d2
+tr(d1 w d2 w^H) = S + (C - S) s,
 with S = Re(d1_0 d2_0 + d1_1 d2_1), C = Re(d1_0 d2_1 + d1_1 d2_0) and
-s = |w_01|^2, since |w_00|^2 = |w_11|^2 = 1 - s and |w_10|^2 = s.  The
-entry w_01 is a pair of real bilinear forms in the two unnormalized draws,
-so s needs neither the normalization nor a complex matrix.
+s = |w_01|^2 = (c^2 + d^2) / |q|^2, since |w_00|^2 = |w_11|^2 = 1 - s and
+|w_10|^2 = s: four normal draws per sample and no complex matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+MAX_CELLS = 1 << 20  # histogram cells: bins for A1, bins^2 for A2
 
 
 @dataclass
@@ -72,17 +75,6 @@ def _quaternion_draw(rng: np.random.Generator, n: int) -> np.ndarray:
     Haar-uniform unit quaternion, the SU(2) matrix [[a+ib, c+id],
     [-c+id, a-ib]]."""
     return rng.normal(size=(n, 4))
-
-
-def _a1_off_diagonal(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """s = |w_01|^2 for w = g1^H g2, g_i the SU(2) matrices of the
-    unnormalized quaternion draws q_i (n, 4)."""
-    a1, b1, c1, d1 = q1.T
-    a2, b2, c2, d2 = q2.T
-    re = a1 * c2 + b1 * d2 - c1 * a2 - d1 * b2
-    im = a1 * d2 - b1 * c2 + c1 * b2 - d1 * a2
-    norms = np.einsum("ni,ni->n", q1, q1) * np.einsum("ni,ni->n", q2, q2)
-    return (re * re + im * im) / norms
 
 
 def haar_sample(rs: RootSystem, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,42 +176,43 @@ def product_class_histogram(
     """Histogram of the class parameter of g1 d1 g1^H g2 d2 g2^H, d_i =
     exp(mu_i) and g_i Haar-uniform, so each factor is uniform on C_{mu_i}.
 
-    A1 draws the two quaternions of each sample pair as `haar_sample`
-    does, in the same order, and reads the real trace as S + (C - S) s,
-    s = |(g1^H g2)_01|^2 from two real bilinear forms (module docstring),
-    without forming a complex matrix.  A2 keeps the full product and its
-    eigenvalues: per chunk of 65536 pairs on a 2-core x86-64 VM the
-    products take about 0.12 s against 0.46 s for the Haar QR and 0.41 s
-    for `eigvals`, so fewer products would not pay.
+    Each sample is the class of d1 w d2 w^H for one Haar element w, which
+    has the same law (module docstring).  A1 draws one quaternion per
+    sample, as `haar_sample` does, and reads the real trace as
+    S + (C - S) s with s = (c^2 + d^2) / |q|^2, without forming a complex
+    matrix.  A2 draws one `haar_sample` per chunk and forms d1 (w d2 w^H)
+    by diagonal scalings around one batched product; the Haar QR and
+    `eigvals` take most of its time.  A histogram has bins cells for A1
+    and bins^2 for A2, at most MAX_CELLS.
     """
     _check_group(rs)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if bins < 1:
         raise ValueError("need at least one bin")
+    cells = bins**rs.rank
+    if cells > MAX_CELLS:
+        raise ValueError(f"{bins} bins make {cells} histogram cells, more than {MAX_CELLS}")
     rng = np.random.default_rng(seed)
-    d1 = class_representative(rs, mu1)
-    d2 = class_representative(rs, mu2)
+    e1 = np.diag(class_representative(rs, mu1))
+    e2 = np.diag(class_representative(rs, mu2))
     a1 = rs.spec.name == "A1"
-    cells = bins if a1 else bins * bins
     counts = np.zeros(cells, dtype=np.int64)
     if a1:
-        coef = np.real(np.outer(np.diag(d1), np.diag(d2)))  # Re(d1_j d2_k)
+        coef = np.real(np.outer(e1, e2))  # Re(d1_j d2_k)
         same, cross = coef[0, 0] + coef[1, 1], coef[0, 1] + coef[1, 0]
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         if a1:
-            q1 = _quaternion_draw(rng, m)
-            q2 = _quaternion_draw(rng, m)
-            tr = same + (cross - same) * _a1_off_diagonal(q1, q2)
+            q = _quaternion_draw(rng, m)
+            cd = q[:, 2:]
+            s = np.einsum("ni,ni->n", cd, cd) / np.einsum("ni,ni->n", q, q)
+            tr = same + (cross - same) * s
             idx = _bin_index(_a1_parameter(tr), bins)
         else:
-            g1 = haar_sample(rs, m, rng)
-            g2 = haar_sample(rs, m, rng)
-            u = (g1 @ d1 @ np.conj(np.swapaxes(g1, 1, 2))) @ (
-                g2 @ d2 @ np.conj(np.swapaxes(g2, 1, 2))
-            )
+            w = haar_sample(rs, m, rng)
+            u = e1[:, None] * ((w * e2) @ np.conj(np.swapaxes(w, 1, 2)))
             params = class_parameter_batch(rs, u)
             idx = _bin_index(params[:, 0], bins) * bins + _bin_index(params[:, 1], bins)
         counts += np.bincount(idx, minlength=cells)

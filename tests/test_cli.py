@@ -407,24 +407,40 @@ def test_oracle_degenerate_factor_single_bin():
     assert occupied[0].split(",")[0] == "25"
 
 
-ORACLE_ROUTES_DIGEST = "c74c135bb0b1222da3f18fc6ba50127f2cf72c3debd3cf2b733f696ab0a18822"
+# sha256 of the `oracle` stdout (CSV and sidecar) of the A1 routes-job run
+# (10^6 samples, 256 bins) and of an A2 run, one Haar draw per sample
+ORACLE_DIGESTS = {
+    ("A1", "13/40", "19/40", "--samples", "1000000", "--seed", "5"):
+        "88d4d4f9996434732e506d1108a673bf3e91b726d7077d21d02529f5bca5fdf1",
+    ("A2", "1/4,1/5", "1/3,1/7", "--samples", "20000", "--bins", "16", "--seed", "4"):
+        "5af37107c0206c657ca13b72c341022034359904fefd498885f7e9ee3422664c",
+}
 
 
 def test_oracle_bytes_pinned():
-    """The routes-job oracle run (10^6 samples, 256 bins): CSV and sidecar
-    on stdout keep the bytes of the complex-matrix implementation."""
-    r = run("oracle", "A1", "13/40", "19/40", "--samples", "1000000", "--seed", "5",
-            env={"FLATVOL_CACHE": ""})
-    assert r.returncode == 0, r.stderr
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == ORACLE_ROUTES_DIGEST
+    """A sampler change that moves any A1 or A2 count shows here."""
+    for args, digest in ORACLE_DIGESTS.items():
+        r = run("oracle", *args, env={"FLATVOL_CACHE": ""})
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, args
 
 
-@pytest.mark.parametrize("option, value", [("--samples", "0"), ("--seed", "-1"),
-                                           ("--bins", "0")])
-def test_oracle_usage_error_names_option(option, value):
-    r = run("oracle", "A1", "1/3", "1/4", f"{option}={value}")
+@pytest.mark.parametrize("group, marks, option, value", [
+    ("A1", ("1/3", "1/4"), "--samples", "0"),
+    ("A1", ("1/3", "1/4"), "--seed", "-1"),
+    ("A1", ("1/3", "1/4"), "--bins", "0"),
+    # above the histogram's 2^20 cells: bins for A1, bins^2 for A2
+    ("A1", ("1/3", "1/4"), "--bins", "1048577"),
+    ("A2", ("1/4,1/5", "1/3,1/7"), "--bins", "1025"),
+], ids=["--samples-0", "--seed--1", "--bins-0", "bins-cells-A1", "bins-cells-A2"])
+def test_oracle_usage_error_names_option(group, marks, option, value):
+    r = run("oracle", group, *marks, f"{option}={value}")
     assert r.returncode == 2
-    assert f"argument {option}:" in r.stderr.splitlines()[-1]
+    if int(value) > 0:  # refused by cmd_oracle before the histogram
+        assert r.stderr.splitlines()[0] == (
+            f"error: {option} {value} makes more than 1048576 histogram cells")
+    else:
+        assert f"argument {option}:" in r.stderr.splitlines()[-1]
 
 
 def oracle_cells(stdout):
@@ -570,6 +586,9 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("oracle", "A1", "1/3", "1/4", "--bins", "0"),
     ("oracle", "A1", "1/3", "1/4", "--samples", "0"),
     ("oracle", "A1", "1/3", "1/4", "--seed=-1"),
+    # bins (A1) and bins^2 (A2) int64 cells were allocated unchecked
+    ("oracle", "A1", "1/3", "1/4", "--bins", "1048577"),
+    ("oracle", "A2", "1/4,1/5", "1/3,1/7", "--bins", "100000"),
     # the gluing integral is exact: no quadrature nodes
     ("glue", "A1", "--surface", "0,4", "1/3", "1/4", "1/5", "1/6", "--nodes", "512"),
     # Fraction reads exponent notation, and a sign inside a term was split off
@@ -592,7 +611,8 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1/0*e1"),
     ("scan", "A1", "1/2", "1/2", "--along", "0:1", "--steps", "-1"),
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
-        "glue-missing", "bins-zero", "samples-zero", "seed-negative", "glue-nodes", "poly-2e1",
+        "glue-missing", "bins-zero", "samples-zero", "seed-negative", "bins-cells-A1",
+        "bins-cells-A2", "glue-nodes", "poly-2e1",
         "poly-1e1", "poly-times-minus", "poly-negative-power", "weights-zero", "weights-negative",
         "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove",
         "volume-zero-denominator", "glue-zero-denominator", "oracle-zero-denominator",

@@ -14,7 +14,7 @@ from flatvol import (
 )
 from flatvol.mc import (
     _CHUNK,
-    _a1_off_diagonal,
+    MAX_CELLS,
     _quaternion_draw,
     class_parameter_batch,
     class_representative,
@@ -170,6 +170,18 @@ def test_histogram_rejects_no_bins(a1):
                                 bins=0, n_samples=10, seed=0)
 
 
+@pytest.mark.parametrize("group, bins", [("A1", MAX_CELLS), ("A2", 1 << 10)])
+def test_histogram_cells_capped(group, bins):
+    """A histogram of MAX_CELLS cells (bins for A1, bins^2 for A2) is
+    drawn; one bin more is refused before any allocation."""
+    rs = build_root_system(group)
+    zero = rs.from_weight_coords(vec([Q(0)] * rs.rank))
+    h = product_class_histogram(rs, zero, zero, bins=bins, n_samples=10, seed=0)
+    assert h.counts.size == MAX_CELLS and h.counts.sum() == 10
+    with pytest.raises(ValueError, match="bins"):
+        product_class_histogram(rs, zero, zero, bins=bins + 1, n_samples=10, seed=0)
+
+
 def test_conjugation_invariance_exact(a1, a2):
     """Conjugating a sample by a common element fixes the class parameter."""
     for rs in (a1, a2):
@@ -197,9 +209,25 @@ def test_product_unitarity_defect(a1):
     assert defect < 1e-10
 
 
-def _five_product_parameters(rs, mu1, mu2, n_samples, seed):
-    """Class parameters of the full products g1 d1 g1^H g2 d2 g2^H, drawn
-    chunk by chunk in the order of `product_class_histogram`."""
+def _same_draw_parameters(rs, mu1, mu2, n_samples, seed):
+    """Class parameters of the explicit complex products d1 @ w @ d2 @ w^H,
+    w from `haar_sample`, drawn chunk by chunk in the order of
+    `product_class_histogram`: the products g1 d1 g1^H g2 d2 g2^H at
+    g1 = 1, g2 = w."""
+    rng = np.random.default_rng(seed)
+    d1 = class_representative(rs, mu1)
+    d2 = class_representative(rs, mu2)
+    params = []
+    for done in range(0, n_samples, _CHUNK):
+        m = min(_CHUNK, n_samples - done)
+        w = haar_sample(rs, m, rng)
+        params.append(class_parameter_batch(rs, d1 @ w @ d2 @ np.conj(np.swapaxes(w, 1, 2))))
+    return np.concatenate(params)
+
+
+def _two_factor_parameters(rs, mu1, mu2, n_samples, seed):
+    """Class parameters of g1 d1 g1^H g2 d2 g2^H from two independent
+    `haar_sample` draws per chunk: the oracle's product as defined."""
     rng = np.random.default_rng(seed)
     d1 = class_representative(rs, mu1)
     d2 = class_representative(rs, mu2)
@@ -211,8 +239,15 @@ def _five_product_parameters(rs, mu1, mu2, n_samples, seed):
         u = (g1 @ d1 @ np.conj(np.swapaxes(g1, 1, 2))) @ (
             g2 @ d2 @ np.conj(np.swapaxes(g2, 1, 2))
         )
-        params.append(class_parameter_batch(rs, u)[:, 0])
+        params.append(class_parameter_batch(rs, u))
     return np.concatenate(params)
+
+
+def _binned(params, bins):
+    """Counts of `params` (n, rank) in the histogram's cells."""
+    idx = np.minimum((params * bins).astype(int), bins - 1)
+    shape = (bins,) * idx.shape[1]
+    return np.bincount(np.ravel_multi_index(tuple(idx.T), shape), minlength=math.prod(shape))
 
 
 @pytest.mark.parametrize(
@@ -221,30 +256,80 @@ def _five_product_parameters(rs, mu1, mu2, n_samples, seed):
      ("13/40", "19/40")],
 )
 def test_histogram_matches_five_product_reference(a1, t1, t2):
-    # the quaternion trace S + (C - S) |w_01|^2, w = g1^H g2, bins every
-    # sample as the full product does; 70 001 samples end in a partial
-    # chunk
+    # the quaternion trace S + (C - S) s, s = (c^2 + d^2) / |q|^2, bins
+    # every sample as the complex product d1 w d2 w^H of the same draw
+    # does; 70 001 samples end in a partial chunk
     n = 70001
     for seed in (0, 17, 2024):
-        t = _five_product_parameters(a1, t_mu(a1, t1), t_mu(a1, t2), n, seed)
+        params = _same_draw_parameters(a1, t_mu(a1, t1), t_mu(a1, t2), n, seed)
         for bins in (1, 64, 400):
             h = product_class_histogram(a1, t_mu(a1, t1), t_mu(a1, t2),
                                         bins=bins, n_samples=n, seed=seed)
-            expect = np.zeros(bins, dtype=np.int64)
-            np.add.at(expect, np.minimum((t * bins).astype(int), bins - 1), 1)
-            assert np.array_equal(h.counts, expect), (t1, t2, seed, bins)
+            assert np.array_equal(h.counts, _binned(params, bins)), (t1, t2, seed, bins)
+
+
+@pytest.mark.parametrize("w1, w2", [("1/4,1/5", "1/3,1/7"), ("1/2,1/6", "2/9,3/8")])
+def test_a2_histogram_matches_same_draw_reference(a2, w1, w2):
+    """The A2 histogram's d1 (w d2 w^H), formed by diagonal scalings,
+    bins every sample as the explicit product d1 @ w @ d2 @ w^H of the
+    same Haar draw does."""
+    mu1, mu2 = (a2.from_weight_coords(vec([Q(x) for x in w.split(",")])) for w in (w1, w2))
+    n = 70001
+    for seed in (0, 17, 2024):
+        params = _same_draw_parameters(a2, mu1, mu2, n, seed)
+        h = product_class_histogram(a2, mu1, mu2, bins=16, n_samples=n, seed=seed)
+        assert np.array_equal(h.counts, _binned(params, 16)), (w1, w2, seed)
 
 
 def test_quaternion_off_diagonal_matches_haar_matrices(a1):
-    """The real bilinear |w_01|^2 of two quaternion draws equals the one
-    read from `haar_sample`'s matrices of the same draws."""
+    """s = (c^2 + d^2) / |q|^2 of one unnormalized quaternion draw equals
+    |w_01|^2 of `haar_sample`'s matrix of the same draw."""
     n = 50000
-    rng = np.random.default_rng(12)
-    q1, q2 = _quaternion_draw(rng, n), _quaternion_draw(rng, n)
-    rng = np.random.default_rng(12)
-    g1, g2 = haar_sample(a1, n, rng), haar_sample(a1, n, rng)
-    w = np.einsum("nji,njk->nik", np.conj(g1), g2)
-    assert np.abs(_a1_off_diagonal(q1, q2) - np.abs(w[:, 0, 1]) ** 2).max() < 1e-14
+    q = _quaternion_draw(np.random.default_rng(12), n)
+    w = haar_sample(a1, n, np.random.default_rng(12))
+    s = (q[:, 2] ** 2 + q[:, 3] ** 2) / (q**2).sum(axis=1)
+    assert np.abs(s - np.abs(w[:, 0, 1]) ** 2).max() < 1e-14
+
+
+def _ks_two_sample_bound(n, alpha=1e-6):
+    """Threshold for the sup-distance of two empirical CDFs of n samples
+    each from one law: |F_n - G_n| <= |F_n - F| + |G_n - F|, and the
+    Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant puts
+    each term above eps / 2 with probability at most 2 exp(-n eps^2 / 2),
+    so the distance exceeds sqrt(ln(4 / alpha)) * sqrt(2 / n) with
+    probability at most alpha.  Binning only lowers the distance."""
+    return math.sqrt(math.log(4 / alpha)) * math.sqrt(2 / n)
+
+
+def _cdf_distance(c1, c2):
+    return float(np.abs(np.cumsum(c1) / c1.sum() - np.cumsum(c2) / c2.sum()).max())
+
+
+@pytest.mark.parametrize("t1, t2", [("1/2", "2/5"), ("1/5", "7/10"), ("13/40", "19/40")])
+def test_one_draw_histogram_has_the_two_factor_law_a1(a1, t1, t2):
+    """The one-draw histogram and the two-factor product drawn with
+    another seed agree within the two-sample KS bound at alpha = 1e-6."""
+    n, bins = 200000, 1024
+    mu1, mu2 = t_mu(a1, t1), t_mu(a1, t2)
+    h = product_class_histogram(a1, mu1, mu2, bins=bins, n_samples=n, seed=40)
+    ref = _binned(_two_factor_parameters(a1, mu1, mu2, n, seed=41), bins)
+    assert _cdf_distance(h.counts, ref) < _ks_two_sample_bound(n)
+
+
+def test_one_draw_histogram_has_the_two_factor_law_a2(a2):
+    """Both weight-coordinate marginals of the one-draw A2 histogram agree
+    with those of the two-factor product drawn with another seed within
+    the two-sample KS bound at alpha = 1e-6."""
+    n, bins = 200000, 1024
+    mu1 = a2.from_weight_coords(vec([Q(1, 4), Q(1, 5)]))
+    mu2 = a2.from_weight_coords(vec([Q(1, 3), Q(1, 7)]))
+    h = product_class_histogram(a2, mu1, mu2, bins=bins, n_samples=n, seed=42)
+    ref = _binned(_two_factor_parameters(a2, mu1, mu2, n, seed=43), bins)
+    grid, ref_grid = h.counts.reshape(bins, bins), ref.reshape(bins, bins)
+    for axis in (0, 1):
+        assert _cdf_distance(grid.sum(axis=axis), ref_grid.sum(axis=axis)) < (
+            _ks_two_sample_bound(n)
+        ), axis
 
 
 @pytest.mark.parametrize("t1, t2, bins", [
