@@ -34,6 +34,7 @@ from .liecore import RootSystem, alcove_membership, build_root_system, covolume_
 from .mc import MAX_CELLS, product_class_histogram, shape_compare
 from .moduli import (
     EPS_NODES,
+    MAX_WEIGHTS,
     NU,
     ConvergenceError,
     Marking,
@@ -237,6 +238,8 @@ def _volume_reports(rs, m1, m2, m3, method, args):
 
 
 def cmd_volume(rs: RootSystem, args) -> None:
+    if (args.weights or 0) > MAX_WEIGHTS:
+        raise UsageError(f"--weights {args.weights} is above the cap of {MAX_WEIGHTS} weights")
     m1, m2, m3 = (parse_marking(rs, t) for t in (args.mu1, args.mu2, args.mu3))
     reports = _volume_reports(rs, m1, m2, m3, args.method, args)
     out = {

@@ -382,14 +382,13 @@ def enumerate_waff_positive(rs: RootSystem, radius_sq: Q | int) -> list[AffineWe
     """Affine Weyl elements mapping the alcove into the dominant chamber.
 
     One representative per left coset W\\Waff, labelled by the coroot
-    lattice; keeps those whose lattice label has squared norm <= radius_sq.
+    lattice; keeps those whose lattice label has squared norm <= radius_sq,
+    read off the lattice table (`RootSystem.coroot_ball`).
     """
-    radius_sq = as_q(radius_sq)
-    out = []
-    bary = alcove_barycenter(rs)
-    for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
-        out.append(_positive_rep_for_translation(rs, rs.coroot_vector(coeffs), bary))
-    return out
+    radius_sq, bary = as_q(radius_sq), alcove_barycenter(rs)
+    limit = rs.int_gram[1] * radius_sq.numerator // radius_sq.denominator  # floor(g R)
+    return [_positive_rep_for_translation(rs, vec(m), bary)
+            for m in rs.coroot_ball(limit).tolist()]
 
 
 def alcove_barycenter(rs: RootSystem) -> Vec:

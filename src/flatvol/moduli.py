@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, count, islice, product, repeat
 from operator import mul, sub
 
@@ -679,26 +679,27 @@ def _affine_sum(groups, spline, scale: int) -> tuple[dict, int]:
 class PantsVolumePoly:
     """The pants volume as a function of the third marking mu3.
 
-    Piecewise polynomial over the alcove.  Values, wall tests, cell
-    polynomials and characteristic numbers (`mixed_characteristic_number`)
-    all read the fixed-marking argument arrays (`_kappa_arguments`) over
-    one lattice ball, that of the slots [mu1, mu2, NU], which covers every
-    mu3 of the alcove, and their chamber groups (`_chamber_groups`); the
-    cell polynomial shifts each group's chamber polynomial to mu3
-    (`_affine_sum`).  Values are exact and agree with `pants_volume_kappa`
-    (same normalization fields).
+    Piecewise polynomial over the alcove.  A value at one mu3 is
+    `pants_volume_kappa`'s rational, over mu3's own lattice ball.  Wall
+    tests and cell polynomials, which read a neighbourhood of mu3, take
+    the fixed-marking argument arrays (`_kappa_arguments`) over the ball
+    of the slots [mu1, mu2, NU], which covers every mu3 of the alcove and
+    is built on first use, and their chamber groups (`_chamber_groups`);
+    the cell polynomial shifts each group's chamber polynomial to mu3
+    (`_affine_sum`).
     """
 
     def __init__(self, rs: RootSystem, mu1: Vec, mu2: Vec):
         self.rs, self.mu1, self.mu2 = rs, mu1, mu2
         self.spline = kappa_build(rs, 1)
-        self.prefactor = _signed_center(rs)
-        self.lattice = _lattice_ball(rs, [mu1, mu2, NU])[0]
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        return _lattice_ball(self.rs, [self.mu1, self.mu2, NU])[0]
 
     def value_exact(self, mu3: Vec) -> Q:
-        """Exact rational part, same units as pants_volume_kappa.exact."""
-        mus = [self.mu1, self.mu2, mu3]
-        return self.prefactor * _kappa_sum(self.spline, self.rs, mus, self.lattice)
+        """Exact rational part, that of pants_volume_kappa."""
+        return pants_volume_kappa(self.rs, self.mu1, self.mu2, mu3).exact["rational"]
 
     def value(self, mu3: Vec) -> float:
         return _normalized(self.rs, self.value_exact(mu3))
@@ -735,7 +736,7 @@ class PantsVolumePoly:
         groups = [(chamber, unit, offsets[lo:hi], coefs[lo:hi])
                   for chamber, lo, hi in zip(chambers, bounds, bounds[1:])]
         numerators, den = _affine_sum(groups, self.spline, scale)
-        return {k: Q(self.prefactor * v, den) for k, v in numerators.items()}
+        return {k: Q(_signed_center(self.rs) * v, den) for k, v in numerators.items()}
 
 
 def pants_volume_poly(rs: RootSystem, mu1: Vec, mu2: Vec) -> PantsVolumePoly:
@@ -751,23 +752,21 @@ def mixed_characteristic_number(
     to a constant-coefficient operator in the r = rank coordinate
     derivatives (each e_l, l <= k <= |R+|, becomes the l-th elementary
     symmetric polynomial of the |R+| root-directional derivatives,
-    `pullback_operator`), and applied to each chamber polynomial of the
-    pants kappa-sum (`_kappa_sum`).  An e-monomial of weighted degree
-    sum_l l m_l above the chamber degree |R+| - rank acts as zero, so it is
-    dropped first.  On a cell wall it raises OnWallError, before any
-    chamber is built.
+    `pullback_operator`), and applied to each chamber polynomial of
+    `pants_volume_kappa`'s sum over mu3's own lattice ball (`_kappa_sum`).
+    An e-monomial of weighted degree sum_l l m_l above the chamber degree
+    |R+| - rank acts as zero, so it is dropped first.  On a cell wall it
+    raises OnWallError, before any chamber is built.
     """
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):
-        raise ValueError(
-            f"polynomial uses e_l with l > complex dimension k={k}"
-        )
-    vol = pants_volume_poly(rs, mu1, mu2)
+        raise ValueError(f"polynomial uses e_l with l > complex dimension k={k}")
+    spline, mus = kappa_build(rs, 1), [mu1, mu2, mu3]
     kept = {m: c for m, c in p.terms.items()
-            if sum(l * e for l, e in enumerate(m, start=1)) <= vol.spline.degree}
+            if sum(l * e for l, e in enumerate(m, start=1)) <= spline.degree}
     op = pullback_operator(rs, SymmetricPoly(kept, p.nvars))
-    return _normalized(rs, vol.prefactor * _kappa_sum(vol.spline, rs, [mu1, mu2, mu3],
-                                                      vol.lattice, op))
+    lattice = _lattice_ball(rs, mus)[0]
+    return _normalized(rs, _signed_center(rs) * _kappa_sum(spline, rs, mus, lattice, op))
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +873,7 @@ def witten_volume(
     A given eps_schedule needs at least two distinct positive, finite
     epsilons: with one node the extrapolation would be its own residual.
     A marking point that is not regular (on an alcove wall) raises
-    OnWallError.
+    OnWallError.  weight_count is at most MAX_WEIGHTS.
     """
     h, b = surface.genus, surface.boundary
     if 2 * h + b < 3:
@@ -888,6 +887,8 @@ def witten_volume(
             f"epsilon schedule {list(eps_schedule)} needs at least two distinct "
             "positive, finite nodes"
         )
+    if (weight_count or 0) > MAX_WEIGHTS:  # checked before the weight box is allocated
+        raise ValueError(f"weight count {weight_count} is above {MAX_WEIGHTS}")
     p = surface.euler_weight
     if casimir_cutoff is None:
         casimir_cutoff = casimir_cutoff_for_count(rs, weight_count or 2000)
@@ -978,15 +979,12 @@ def witten_volume(
             f"the largest epsilon damps even the lowest weight to {lowest:.3g}; "
             "lower the largest epsilon"
         )
-    return VolumeReport(
-        value=value,
-        method="witten-series",
-        parameters=params,
-        stamp=convention_stamp(rs),
-    )
+    return VolumeReport(value=value, method="witten-series", parameters=params,
+                        stamp=convention_stamp(rs))
 
 
 EPS_NODES = 4  # epsilons in a heat-kernel schedule
+MAX_WEIGHTS = 100_000  # the cutoff search boxes up to 51x as many weights (D4: 187 MB peak)
 
 
 def _neville(xs, ys, x):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -56,6 +57,48 @@ def test_bench_trace_targets_resolve():
         else:
             target = getattr(owner, attr, None)
         assert callable(target), f"{modname}: {attr} does not resolve"
+
+
+# sha256 of the job lists that `bench/workloads.py` generates for a 15 s
+# run (`rounds_for`), all seeds of a workload in one JSON document.  Jobs
+# are chosen by the program's own wall tests, cell polynomials and values
+# (the routes' `volume-A2` and `chern-A2` triples), so a program change that
+# moves the benchmark's inputs fails here instead of skewing a comparison.
+BENCH_JOB_DIGESTS = {
+    "routes": (range(1, 21),
+               "4f28c6e79958e180a918243f6d474264482c9350a1f697e259358cdcd19d1652"),
+    "triples": ((1, 2),
+                "d0b509367a517fe0beceaca895c06bd5e37734ab2e3142c79ede503a748aef9f"),
+    "scan": ((1, 2),
+             "b660adbf9004433dba6e16b45459eb5b50299e09f99550ce49260a0652a3b853"),
+    "cold": ((1, 2),
+             "62ef1c0b28bcb0d1e738f0d657d6a3ae9581695f6d9fc34fa2800a78b073f437"),
+}
+
+
+def bench_job_digest(workload: str, seeds) -> str:
+    """The digest of BENCH_JOB_DIGESTS, from the bench's own generator,
+    which is imported, not changed."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))  # for its `import checks`
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(bench))
+    fv = importlib.import_module("flatvol")
+    importlib.import_module("flatvol.cli")
+    rounds = workloads.rounds_for(workload, 15)
+    jobs = [workloads.WORKLOADS[workload]().generate(fv, random.Random(seed), rounds)
+            for seed in seeds]
+    return hashlib.sha256(json.dumps(jobs, default=str, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", BENCH_JOB_DIGESTS)
+def test_bench_jobs_pinned(workload):
+    seeds, digest = BENCH_JOB_DIGESTS[workload]
+    assert bench_job_digest(workload, seeds) == digest
 
 
 def test_bench_chamber_contract():
@@ -295,6 +338,24 @@ def test_chern_identity_and_fd():
     assert r.returncode == 0
 
 
+def test_chern_where_only_cancelling_terms_meet_a_wall():
+    """The volume is linear near this third marking, but kappa arguments of
+    lattice vectors outside its own ball, whose terms cancel identically
+    there, lie on walls.  chern sums over the own ball, so it exits 0 with
+    the exact central difference of the kappa-sum volume along the
+    positive roots."""
+    marks = ("7/20,1/4", "1/4,1/5", "1/5,13/20")
+    r = run("chern", "A2", *marks, "--poly", "e1")
+    assert r.returncode == 0, r.stderr
+    rs = build_root_system("A2")
+    m1, m2, m3 = (parse_marking(rs, t) for t in marks)
+    h = Fraction(1, 1000)
+    steps = [(s, tuple(x + s * h * y for x, y in zip(m3, a)))
+             for a in rs.positive_roots for s in (1, -1)]
+    difference = sum(s * pants_volume_kappa(rs, m1, m2, m).exact["rational"]
+                     for s, m in steps) / (2 * h)
+    assert json.loads(r.stdout)["value"] == float(difference) / rs.volume_normalization[0] == -2.0
+
 # sha256 of the `chern` stdout and of the spline cache file it writes to a
 # fresh FLATVOL_CACHE, beyond A2 and degree 1: chamber polynomials of degree
 # 2, 4, 3 and 6 under operators of degree 2, 4, 3 and 6 (C3 at top degree),
@@ -302,7 +363,7 @@ def test_chern_identity_and_fd():
 CHERN_DIGESTS = [
     (("B2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "e1^2"),
      "10655d3c9a49923d774dcea1e170c083f7a2155b93ce8d4176cac661ec3d92fe",
-     "fe076a90191e67def7dcfdcf70181e509e7f2445e9c17bc00e8ca5c0594cdd83"),
+     "1574e5875ec03281ffb8b4761e114cf38497458d3e4007850b135e09dd4817e7"),
     (("G2", "1/9,1/11", "1/10,1/12", "1/8,1/13", "--poly", "e1^4+e2*e1-3*e4"),
      "d82ec15d97e4901b1aa034dce8ffa69562069afc1cef624c6242b571a34d537c",
      "d14f6ae667bdb9132baf345a46e908f09666fd32be5a3f21b8c67abcb6761489"),
@@ -599,6 +660,9 @@ def test_tiny_weight_list_fails_convergence(weights):
     # an empty weight list, and islice's own message for a negative count
     ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--weights", "0"),
     ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten", "--weights", "-5"),
+    # a huge count made the cutoff search allocate ever larger weight boxes
+    ("volume", "D4", "1/9,1/11,1/13,1/10", "1/10,1/12,1/14,1/9", "1/8,1/13,1/11,1/12",
+     "--method", "all", "--weights", "100001"),
     # markings outside the closed alcove printed a negative and a zero value
     ("volume", "A1", "3/2", "1/2", "1/2"),
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2,1", "--poly", "1"),
@@ -614,6 +678,7 @@ def test_tiny_weight_list_fails_convergence(weights):
         "glue-missing", "bins-zero", "samples-zero", "seed-negative", "bins-cells-A1",
         "bins-cells-A2", "glue-nodes", "poly-2e1",
         "poly-1e1", "poly-times-minus", "poly-negative-power", "weights-zero", "weights-negative",
+        "weights-above-cap",
         "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove",
         "volume-zero-denominator", "glue-zero-denominator", "oracle-zero-denominator",
         "scan-zero-denominator", "chern-zero-denominator", "steps-negative"])
@@ -625,6 +690,8 @@ def test_usage_errors(args):
         assert "argument --steps:" in r.stderr.splitlines()[-1]
     if any("1/0" in a for a in args):
         assert "error: rational '1/0' has a zero denominator" in r.stderr
+    if "100001" in args:
+        assert "error: --weights 100001 is above the cap of 100000 weights" in r.stderr
 
 
 @pytest.mark.parametrize("args, target", [

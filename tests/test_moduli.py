@@ -761,6 +761,59 @@ def test_mixed_characteristic_number_equals_cell_polynomial_route(monkeypatch, n
     assert len(set(values)) > 1
 
 
+def _alcove_ball_rationals(rs, m1, m2, m3, p):
+    """The characteristic number's and the value's rationals as sums over
+    the lattice ball of the slots [mu1, mu2, NU], which covers every mu3
+    of the alcove (`PantsVolumePoly.lattice`); the number is None when a
+    kappa argument of that ball lies on a wall at m3."""
+    vol = pants_volume_poly(rs, m1, m2)
+    center, mus = (-1) ** rs.n_positive * rs.center_order, [m1, m2, m3]
+    value = center * moduli._kappa_sum(vol.spline, rs, mus, vol.lattice)
+    if vol.on_wall(m3):
+        return None, value
+    op = pullback_operator(rs, p)
+    return center * moduli._kappa_sum(vol.spline, rs, mus, vol.lattice, op), value
+
+
+# seeded triples per group, of denominator 40 (many kappa arguments on
+# walls) and with a prime denominator per marking (few), and the A4
+# markings of BENCH_21.json, whose alcove ball has 123 567 argument rows
+# against 9 603
+BALL_CASES = [("A2", 16), ("B2", 12), ("G2", 12), ("A3", 6), ("C3", 4)]
+PRIMES = (37, 41, 43, 47, 53, 59, 61)
+A4_MARKS = ("1/9,1/11,1/13,1/10", "1/10,1/12,1/14,1/9", "1/8,1/13,1/11,1/12")
+
+
+@pytest.mark.parametrize("name, count", [*BALL_CASES, ("A4", 0)],
+                         ids=[*(n for n, _ in BALL_CASES), "A4"])
+def test_point_values_match_the_alcove_ball(monkeypatch, name, count):
+    """`mixed_characteristic_number` and `PantsVolumePoly.value_exact` sum
+    over mu3's own lattice ball, a subset of the alcove ball of the slots
+    [mu1, mu2, NU]; the terms outside it cancel identically near mu3, so
+    both rationals equal the alcove ball's: the value everywhere, walls
+    included, and the number wherever the alcove ball meets no wall.  Each
+    case applies e1 plus seeded e-monomials of weighted degree at most
+    |R+| - rank."""
+    rs = build_root_system(name)
+    monkeypatch.setattr(moduli, "_normalized", lambda rs, rational: rational)
+    rng = random.Random(30)
+    k = moduli_dimension(rs, Surface(0, 3))
+    triples = [tuple(rational_alcove_point(rs, rng, d)
+                     for d in (rng.sample(PRIMES, 3) if j % 2 else (40,) * 3))
+               for j in range(count)] or [
+        tuple(rs.from_weight_coords(vec(m.split(","))) for m in A4_MARKS)]
+    numbers = 0
+    for m1, m2, m3 in triples:
+        terms = {_e_monomial(rng, k, rng.randint(1, k)): Q(rng.randint(1, 3)) for _ in range(2)}
+        p = SymmetricPoly({**terms, (1,) + (0,) * (k - 1): Q(1)}, k)
+        number, value = _alcove_ball_rationals(rs, m1, m2, m3, p)
+        assert pants_volume_poly(rs, m1, m2).value_exact(m3) == value
+        if number is not None:
+            assert mixed_characteristic_number(rs, m1, m2, m3, p) == number
+            numbers += 1
+    assert numbers >= max(1, count // 2)
+
+
 def test_mixed_characteristic_number_fd(a2):
     rng = random.Random(13)
     e1 = SymmetricPoly.elementary(1, 1)
@@ -866,6 +919,16 @@ def test_witten_rejects_degenerate_eps_schedule(a1, schedule):
     mus = [t_mu(a1, "2/5"), t_mu(a1, "9/20"), t_mu(a1, "3/5")]
     with pytest.raises(ValueError, match="epsilon schedule"):
         witten_volume(a1, Surface(0, 3), Marking.of(a1, mus), eps_schedule=schedule)
+
+
+def test_witten_caps_the_weight_count(monkeypatch):
+    """A count above MAX_WEIGHTS is refused before the cutoff search, which
+    allocates a box of up to 51 times as many weight vectors (D4)."""
+    d4 = build_root_system("D4")
+    monkeypatch.setattr(moduli, "casimir_cutoff_for_count", None)  # never reached
+    mus = [d4.from_weight_coords(vec([Q(1, 9)] * 4))] * 3
+    with pytest.raises(ValueError, match=f"weight count {10**9} is above {moduli.MAX_WEIGHTS}"):
+        witten_volume(d4, Surface(0, 3), Marking.of(d4, mus), weight_count=10**9)
 
 
 # -- gluing ----------------------------------------------------------------------
