@@ -21,7 +21,6 @@ from .kappa import (
     OnWallError,
     PiecewisePolynomial,
     SymmetricPoly,
-    apply_operator,
     kappa_build,
     kappa_point,
     pullback_operator,
@@ -34,20 +33,16 @@ from .liecore import (
     UnsupportedTypeError,
     WeylElement,
     alcove_membership,
-    alcove_representative,
     build_root_system,
     covolume_T,
     enumerate_waff_positive,
     star,
     volume_G,
-    weyl_group,
 )
 from .mc import (
     ClassHistogram,
-    ClassSample,
     haar_sample,
     product_class_histogram,
-    sample_class,
     shape_compare,
 )
 from .moduli import (

@@ -151,7 +151,13 @@ def enumerate_dominant(rs: RootSystem, casimir_cutoff) -> list[DominantWeight]:
 
 def casimir_cutoff_for_count(rs: RootSystem, count: int) -> Fraction:
     """Smallest convenient cutoff whose weight list has >= count entries."""
+    return _cutoff_and_weights(rs, count)[0]
+
+
+def _cutoff_and_weights(rs: RootSystem, count: int) -> tuple[Fraction, np.ndarray]:
+    """`casimir_cutoff_for_count`'s cutoff and the weight coordinates of
+    `_shifted_norms` at it, from the last box of the doubling search."""
     cutoff = rs.ip(rs.rho, rs.rho) * 4
-    while len(_shifted_norms(rs, cutoff)[0]) < count:
+    while len((box := _shifted_norms(rs, cutoff))[0]) < count:
         cutoff *= 2
-    return cutoff
+    return cutoff, box[1]

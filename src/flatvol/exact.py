@@ -72,17 +72,8 @@ def matvec(m: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in m)
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
-
-
 def mat_t(a: Mat) -> Mat:
     return tuple(zip(*a))
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Q(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

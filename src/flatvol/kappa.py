@@ -49,7 +49,6 @@ from .poly import (
     Poly,
     poly_add,
     poly_const,
-    poly_eval,
     poly_mul,
     poly_subs_affine,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SymmetricPoly",
     "DiffOperator",
     "pullback_operator",
-    "apply_operator",
 ]
 
 
@@ -697,11 +695,11 @@ class SymmetricPoly:
 
     def __init__(self, terms: dict[tuple[int, ...], Q], nvars: int):
         self.nvars = nvars
-        self.terms = {m: as_fraction(c) for m, c in terms.items() if c != 0}
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
 
     @classmethod
     def constant(cls, c: Q, nvars: int = 0) -> "SymmetricPoly":
-        return cls({(): as_fraction(c)} if c != 0 else {}, nvars)
+        return cls({(): Fraction(c)} if c != 0 else {}, nvars)
 
     @classmethod
     def elementary(cls, index: int, nvars: int) -> "SymmetricPoly":
@@ -719,10 +717,6 @@ class SymmetricPoly:
         """Expand into x-monomials, in `nvars` variables (>= self.nvars)."""
         units = [{tuple(int(i == j) for j in range(nvars)): Q(1)} for i in range(nvars)]
         return self.substitute(elementary_symmetric(units, nvars))
-
-
-def as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def elementary_symmetric(forms: list[Poly], nvars: int) -> list[Poly]:
@@ -768,26 +762,18 @@ def pullback_operator(rs: RootSystem, p: SymmetricPoly) -> DiffOperator:
     p is read in its own k <= n = |R+| variables: its e_l, l <= k, mean
     the same in n.  d_a is the linear form sum_j a_j d_j, and each e_l of p
     becomes the l-th elementary symmetric polynomial of those n forms
-    (`elementary_symmetric`), a polynomial in r = rank variables.
+    (`elementary_symmetric`), a polynomial in r = rank variables.  The
+    operator is kept on the root system, keyed by p's variables and terms.
     """
     if p.nvars > rs.n_positive:
         raise ValueError(
             f"expected a symmetric polynomial in at most {rs.n_positive} variables"
         )
-    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-    forms = [{u: c for u, c in zip(units, a) if c} for a in rs.positive_roots]
-    op = p.substitute(elementary_symmetric(forms, rs.rank))
-    return DiffOperator(terms=tuple((c, m) for m, c in sorted(op.items())))
-
-
-def apply_operator(op: DiffOperator, f: PiecewisePolynomial, mu: Vec) -> float:
-    """Evaluate op applied chamber-wise to f at an interior point mu."""
-    rational = apply_operator_exact(op, f, mu)
-    return float(rational) / math.sqrt(float(f.det_gram))
-
-
-def apply_operator_exact(op: DiffOperator, f: PiecewisePolynomial, mu: Vec) -> Q:
-    if f.on_wall(mu):
-        raise OnWallError(f"{mu} lies on a chamber wall; operator value undefined")
-    poly = f.chamber_polynomial_at(mu)
-    return poly_eval(op.apply_poly(poly), mu)
+    key = (p.nvars, tuple(sorted(p.terms.items())))
+    cache = rs.__dict__.setdefault("_pullback_operators", {})
+    if key not in cache:
+        units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+        forms = [{u: c for u, c in zip(units, a) if c} for a in rs.positive_roots]
+        op = p.substitute(elementary_symmetric(forms, rs.rank))
+        cache[key] = DiffOperator(terms=tuple((c, m) for m, c in sorted(op.items())))
+    return cache[key]

@@ -55,11 +55,9 @@ __all__ = [
     "RootSystem",
     "UnsupportedTypeError",
     "build_root_system",
-    "weyl_group",
     "star",
     "alcove_membership",
     "enumerate_waff_positive",
-    "alcove_representative",
     "covolume_T",
     "volume_G",
 ]
@@ -234,7 +232,6 @@ class RootSystem:
         # part of a volume, as a float and as its stamp
         dets = self.det_coroot_gram * self.det_gram
         self.volume_normalization: tuple[float, str] = math.sqrt(float(dets)), f"1/sqrt({dets})"
-        self._coroot_basis_inv: Mat = inverse(mat_t(self.coroot_basis))
         self.center_order: int = int(det(self.cartan_matrix))
         # the gram matrix is symmetric, so the rows of its inverse are
         # the dual basis of the simple roots
@@ -263,9 +260,6 @@ class RootSystem:
         x = scaled(u, den)
         return Q(int_bilinear(igram, x, x), scale * den * den)
 
-    def coroot(self, root: Vec) -> Vec:
-        return vscale(2 / self.norm_sq(root), root)
-
     def pair_coroot(self, mu: Vec, root: Vec) -> Q:
         """<mu, root^vee> = 2 <mu, root> / <root, root>."""
         return 2 * self.ip(mu, root) / self.norm_sq(root)
@@ -279,20 +273,9 @@ class RootSystem:
             out = vadd(out, vscale(c, w))
         return out
 
-    def coroot_vector(self, coeffs: Vec) -> Vec:
-        """The coroot-lattice vector with the given coroot-basis coefficients."""
-        out = vzero(self.rank)
-        for c, b in zip(coeffs, self.coroot_basis):
-            out = vadd(out, vscale(c, b))
-        return out
-
     def to_weight_coords(self, v: Vec) -> Vec:
         """Coordinates of v in the fundamental-weight basis."""
         return tuple(self.pair_coroot(v, a) for a in self.simple_roots)
-
-    def lattice_coords(self, v: Vec) -> Vec:
-        """Coordinates of v in the coroot basis."""
-        return matvec(self._coroot_basis_inv, v)
 
     # -- roots -------------------------------------------------------------
 
@@ -349,10 +332,6 @@ def build_root_system(spec: GroupSpec | str) -> RootSystem:
     return _cached_root_system(spec.series, spec.rank)
 
 
-def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    return rs.weyl_elements()
-
-
 def star(rs: RootSystem, mu: Vec) -> Vec:
     """The involution *mu = -w0.mu; maps the alcove to itself."""
     return vscale(Q(-1), rs.w0.act(mu))
@@ -403,25 +382,6 @@ def _positive_rep_for_translation(rs: RootSystem, m: Vec, bary: Vec) -> AffineWe
     p0 = vadd(bary, m)
     _, u = rs.dominant_representative(p0)
     return AffineWeylElement(translation=u.act(m), linear=u, sign=u.sign)
-
-
-def alcove_representative(rs: RootSystem, v: Vec) -> Vec:
-    """The unique point of the closed alcove in the affine Weyl orbit of v.
-
-    Alternates dominant reduction with reflection in the affine wall
-    <alpha_0, x> = 1 until the point lies in the alcove; terminates because
-    each affine reflection strictly decreases the distance to the alcove.
-    """
-    x = v
-    for _ in range(10000):
-        x, _ = rs.dominant_representative(x)
-        h = rs.ip(rs.highest_root, x)
-        if h <= 1:
-            return x
-        # reflect in the affine hyperplane <alpha_0, x> = 1
-        coroot = rs.coroot(rs.highest_root)
-        x = vadd(x, vscale(1 - h, coroot))
-    raise RuntimeError("alcove reduction failed to terminate")  # pragma: no cover
 
 
 def covolume_T(rs: RootSystem) -> float:

@@ -28,29 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Q, Vec, vec
-from .liecore import RootSystem, alcove_membership
+from .exact import Vec
+from .liecore import RootSystem
 
 __all__ = [
-    "ClassSample",
     "ClassHistogram",
-    "sample_class",
     "product_class_histogram",
     "shape_compare",
     "haar_sample",
     "class_representative",
-    "class_parameter",
     "class_parameter_batch",
 ]
 
 _CHUNK = 1 << 16
 MAX_CELLS = 1 << 20  # histogram cells: bins for A1, bins^2 for A2
-
-
-@dataclass
-class ClassSample:
-    matrix: np.ndarray
-    parameter: Vec
 
 
 @dataclass
@@ -110,18 +101,6 @@ def class_representative(rs: RootSystem, mu: Vec) -> np.ndarray:
     return np.diag(np.exp(2j * math.pi * v))
 
 
-def class_parameter(rs: RootSystem, u: np.ndarray) -> Vec:
-    """Alcove point of a single special unitary matrix, exact projection."""
-    params = class_parameter_batch(rs, u[None, :, :])
-    if rs.spec.name == "A1":
-        return vec([Q(params[0, 0]).limit_denominator(10**12) / 2])
-    x, y = params[0]
-    approx = rs.from_weight_coords(
-        vec([Q(x).limit_denominator(10**12), Q(y).limit_denominator(10**12)])
-    )
-    return approx
-
-
 def class_parameter_batch(rs: RootSystem, u: np.ndarray) -> np.ndarray:
     """Alcove coordinates for a batch: t for A1, (x, y) weight coords for A2."""
     if rs.spec.name == "A1":
@@ -149,20 +128,6 @@ def _a1_parameter(tr: np.ndarray) -> np.ndarray:
 
 def _bin_index(params: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum((params * bins).astype(int), bins - 1)
-
-
-def sample_class(rs: RootSystem, mu: Vec, rng: np.random.Generator) -> ClassSample:
-    """One Haar-uniform element of the conjugacy class through exp(mu)."""
-    kind, _ = alcove_membership(rs, mu)
-    if kind == "outside":
-        raise ValueError("class label must lie in the closed alcove")
-    g = haar_sample(rs, 1, rng)[0]
-    d = class_representative(rs, mu)
-    u = g @ d @ g.conj().T
-    defect = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if defect > 1e-12:
-        u, _ = np.linalg.qr(u)  # pragma: no cover
-    return ClassSample(matrix=u, parameter=class_parameter(rs, u))
 
 
 def product_class_histogram(

@@ -52,8 +52,8 @@ from operator import mul, sub
 import numpy as np
 
 from .characters import (
+    _cutoff_and_weights,
     _shifted_norms,
-    casimir_cutoff_for_count,
     character_table,
     singular_order,
 )
@@ -404,7 +404,8 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
         hits = np.flatnonzero(on_wall.any(axis=1))
         sums = (np.searchsorted(bounds, hits, "right") - 1).tolist()
         if smooth_at is not None:
-            raise OnWallError(f"{smooth_at[sums[0]]} lies on a cell wall of the volume function")
+            raise OnWallError(f"{smooth_at[sums[0]]}: a kappa argument of its lattice ball "
+                              "lies on a wall of kappa")
         side |= on_wall & (np.array(config.nudge_signs) > 0)
         if not spline.degree:
             for row, j in zip(hits.tolist(), sums):
@@ -755,8 +756,10 @@ def mixed_characteristic_number(
     `pullback_operator`), and applied to each chamber polynomial of
     `pants_volume_kappa`'s sum over mu3's own lattice ball (`_kappa_sum`).
     An e-monomial of weighted degree sum_l l m_l above the chamber degree
-    |R+| - rank acts as zero, so it is dropped first.  On a cell wall it
-    raises OnWallError, before any chamber is built.
+    |R+| - rank acts as zero, so it is dropped first.  When a kappa
+    argument of mu3's own lattice ball lies on a wall of kappa it raises
+    OnWallError, before any chamber is built, even where the volume is one
+    polynomial near mu3.
     """
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):
@@ -890,10 +893,12 @@ def witten_volume(
     if (weight_count or 0) > MAX_WEIGHTS:  # checked before the weight box is allocated
         raise ValueError(f"weight count {weight_count} is above {MAX_WEIGHTS}")
     p = surface.euler_weight
-    if casimir_cutoff is None:
-        casimir_cutoff = casimir_cutoff_for_count(rs, weight_count or 2000)
     # the order of `enumerate_dominant`, without its DominantWeight objects
-    weights = _shifted_norms(rs, casimir_cutoff)[1][:weight_count]
+    if casimir_cutoff is None:
+        casimir_cutoff, weights = _cutoff_and_weights(rs, weight_count or 2000)
+    else:
+        weights = _shifted_norms(rs, casimir_cutoff)[1]
+    weights = weights[:weight_count]
     if not len(weights):
         raise ValueError("empty weight list; raise the cutoff")
 

@@ -28,12 +28,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_scale(c: Q, p: Poly) -> Poly:
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded rational alcove points with wall margins."""
+"""Shared helpers: seeded rational alcove points with wall margins, and
+coroot-lattice vectors from their coefficients."""
 
 from __future__ import annotations
 
@@ -24,6 +25,11 @@ def rational_alcove_point(rs, rng: random.Random, denom: int = 40, margin=Q(1, 2
 
 def rational_triple(rs, rng: random.Random, denom: int = 40, margin=Q(1, 20)):
     return tuple(rational_alcove_point(rs, rng, denom, margin) for _ in range(3))
+
+
+def coroot_vector(rs, coeffs):
+    """The coroot-lattice vector with the given coroot-basis coefficients."""
+    return tuple(sum(c * b[j] for c, b in zip(coeffs, rs.coroot_basis)) for j in range(rs.rank))
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,14 @@ from flatvol.mc import shape_compare
 from flatvol.poly import poly_eval
 
 
+@pytest.mark.parametrize("module", ["exact", "liecore", "poly", "kappa", "characters",
+                                    "moduli", "gluing", "mc", "cli"])
+def test_star_import_resolves(module):
+    """Every name in a module's `__all__` exists: a stale one fails the
+    star import with AttributeError."""
+    exec(f"from flatvol.{module} import *", {})
+
+
 def run(*args, env=None, timeout=300):
     """The CLI in a fresh process; a command still running after `timeout`
     seconds fails its test by TimeoutExpired instead of stalling the suite."""
@@ -343,7 +351,9 @@ def test_chern_where_only_cancelling_terms_meet_a_wall():
     lattice vectors outside its own ball, whose terms cancel identically
     there, lie on walls.  chern sums over the own ball, so it exits 0 with
     the exact central difference of the kappa-sum volume along the
-    positive roots."""
+    positive roots.  A kappa argument of the own ball on a wall makes chern
+    exit 3, even at a third marking (the second run) near which the volume
+    is one polynomial in every direction."""
     marks = ("7/20,1/4", "1/4,1/5", "1/5,13/20")
     r = run("chern", "A2", *marks, "--poly", "e1")
     assert r.returncode == 0, r.stderr
@@ -355,6 +365,10 @@ def test_chern_where_only_cancelling_terms_meet_a_wall():
     difference = sum(s * pants_volume_kappa(rs, m1, m2, m).exact["rational"]
                      for s, m in steps) / (2 * h)
     assert json.loads(r.stdout)["value"] == float(difference) / rs.volume_normalization[0] == -2.0
+    r = run("chern", "A2", "2/23,16/23", "11/23,7/23", "14/23,4/23", "--poly", "e1")
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == ("wall error: (Fraction(32, 69), Fraction(22, 69)): a kappa argument "
+                        "of its lattice ball lies on a wall of kappa\n")
 
 # sha256 of the `chern` stdout and of the spline cache file it writes to a
 # fresh FLATVOL_CACHE, beyond A2 and degree 1: chamber polynomials of degree

@@ -10,7 +10,6 @@ import pytest
 from flatvol import (
     OnWallError,
     SymmetricPoly,
-    apply_operator,
     build_root_system,
     kappa_build,
     kappa_point,
@@ -513,17 +512,19 @@ def test_pullback_operator_identity_and_direction(a1, a2):
     op = pullback_operator(a2, one)
     spline = kappa_build(a2)
     xi = vec([Q(5, 2), Q(1)])
-    assert apply_operator(op, spline, xi) == spline.value(xi)
+    assert poly_eval(op.apply_poly(spline.chamber_polynomial_at(xi)), xi) == spline.value_exact(xi)
     # A1: p = x1 acts as the derivative along alpha
     p = SymmetricPoly.elementary(1, 1)
     op1 = pullback_operator(a1, p)
     sp1 = kappa_build(a1)
     # derivative of the constant chamber polynomial vanishes off walls
-    assert apply_operator(op1, sp1, vec([Q(2, 3)])) == 0.0
+    xi = vec([Q(2, 3)])
+    assert poly_eval(op1.apply_poly(sp1.chamber_polynomial_at(xi)), xi) == 0
 
 
 def test_apply_operator_finite_difference(a2):
-    """First-order operator equals a central finite difference."""
+    """A first-order operator applied to a chamber polynomial equals the
+    central difference of the spline, exactly: the chambers are linear."""
     spline = kappa_build(a2)
     p = SymmetricPoly.elementary(1, 1)
     op = pullback_operator(a2, p)
@@ -534,8 +535,8 @@ def test_apply_operator_finite_difference(a2):
         xi = vec([Q(rng.randint(2, 40), 13), Q(rng.randint(2, 40), 13)])
         if spline.on_wall(xi):
             continue
-        val = apply_operator(op, spline, xi)
-        fd = 0.0
+        val = poly_eval(op.apply_poly(spline.chamber_polynomial_at(xi)), xi)
+        fd = Q(0)
         crossed = False
         for d in a2.positive_roots:
             up = vec([x + h * c for x, c in zip(xi, d)])
@@ -543,10 +544,10 @@ def test_apply_operator_finite_difference(a2):
             if spline.config.sign_vector(up) != spline.config.sign_vector(dn):
                 crossed = True
                 break
-            fd += (spline.value(up) - spline.value(dn)) / (2 * float(h))
+            fd += (spline.value_exact(up) - spline.value_exact(dn)) / (2 * h)
         if crossed:
             continue
-        assert abs(val - fd) < 1e-8
+        assert val == fd
         checked += 1
 
 
@@ -554,12 +555,14 @@ def test_second_derivative_of_linear_piece_vanishes(a2):
     spline = kappa_build(a2)
     p2 = SymmetricPoly({(2, 0, 0): Q(1)}, 3)  # e1^2 in three variables
     op = pullback_operator(a2, p2)
-    assert apply_operator(op, spline, vec([Q(7, 3), Q(1)])) == 0.0
+    xi = vec([Q(7, 3), Q(1)])
+    assert poly_eval(op.apply_poly(spline.chamber_polynomial_at(xi)), xi) == 0
 
 
-def test_apply_operator_on_wall_raises(a2):
-    spline = kappa_build(a2)
-    p = SymmetricPoly.constant(Q(1))
+def test_pullback_operator_is_kept_per_root_system(a2):
+    """Equal polynomials, in any term order, give the same operator object;
+    another polynomial gives another."""
+    p = SymmetricPoly({(2, 1): Q(1, 2), (1, 0): Q(3)}, 2)
     op = pullback_operator(a2, p)
-    with pytest.raises(OnWallError):
-        apply_operator(op, spline, vec([2, 2]))
+    assert pullback_operator(a2, SymmetricPoly(dict(reversed(p.terms.items())), 2)) is op
+    assert pullback_operator(a2, SymmetricPoly.elementary(1, 2)) != op

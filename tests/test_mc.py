@@ -8,7 +8,6 @@ from flatvol import (
     build_root_system,
     pants_volume_kappa,
     product_class_histogram,
-    sample_class,
     shape_compare,
     vec,
 )
@@ -43,26 +42,31 @@ def test_haar_moment_su3(a2):
     assert np.abs(dets - 1).max() < 1e-10
 
 
+def haar_conjugates(rs, mu, n, seed):
+    rep = class_representative(rs, mu)
+    g = haar_sample(rs, n, np.random.default_rng(seed))
+    return g @ rep @ np.conj(np.swapaxes(g, 1, 2))
+
+
 def test_sample_class_central(a1):
-    rng = np.random.default_rng(1)
-    s = sample_class(a1, t_mu(a1, 0), rng)
-    assert np.abs(s.matrix - np.eye(2)).max() < 1e-12
+    # arccos has a square-root singularity at trace 2, so t = 0 is read to 1e-8
+    conj = haar_conjugates(a1, t_mu(a1, 0), 16, 1)
+    assert np.abs(conj - np.eye(2)).max() < 1e-12
+    assert np.allclose(class_parameter_batch(a1, conj), 0.0, rtol=0, atol=1e-8)
 
 
 def test_sample_class_traceless(a1):
-    rng = np.random.default_rng(2)
-    for _ in range(16):
-        s = sample_class(a1, t_mu(a1, "1/2"), rng)
-        assert abs(np.trace(s.matrix)) < 1e-10
-        assert s.parameter == (Q(1, 4),)  # (t/2) alpha with t = 1/2
+    conj = haar_conjugates(a1, t_mu(a1, "1/2"), 16, 2)
+    assert np.abs(np.einsum("nii->n", conj)).max() < 1e-10
+    assert np.allclose(class_parameter_batch(a1, conj), 0.5, rtol=0, atol=1e-12)
 
 
 def test_parameter_recovery_degenerate(a1):
-    rng = np.random.default_rng(3)
+    """The batched class parameter of Haar conjugates of exp(mu) is t, with
+    <alpha, mu> = t."""
     for t in ("1/5", "2/7", "9/10"):
-        s = sample_class(a1, t_mu(a1, t), rng)
-        expect = float(Q(t)) / 2
-        assert abs(float(s.parameter[0]) - expect) < 1e-10
+        conj = haar_conjugates(a1, t_mu(a1, t), 16, 3)
+        assert np.allclose(class_parameter_batch(a1, conj), float(Q(t)), rtol=0, atol=1e-12)
 
 
 def test_su3_class_recovery(a2):

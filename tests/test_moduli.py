@@ -19,6 +19,7 @@ from flatvol import (
     alcove_membership,
     build_root_system,
     conjugacy_volume,
+    enumerate_dominant,
     glue_volume,
     mixed_characteristic_number,
     moduli_dimension,
@@ -31,15 +32,16 @@ from flatvol import (
     volume_G,
     witten_volume,
 )
+from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import det, lattice_points_in_ball, vadd, vscale, vsub
 from flatvol.kappa import kappa_build, pullback_operator
 from flatvol import gluing, moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments
-from flatvol.poly import poly_add, poly_eval, poly_scale, poly_shift, poly_subs_affine
+from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
 
-from conftest import rational_alcove_point, rational_triple
+from conftest import coroot_vector, rational_alcove_point, rational_triple
 
 
 def t_mu(rs, t):
@@ -96,7 +98,7 @@ def reference_kappa_sum(rs, mus):
     rows = [[(w.sign, w.act(m)) for w in rs.weyl_elements()] for m in mus[:-1]]
     total, on_wall = Q(0), 0
     for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
-        tail = vadd(mus[-1], rs.coroot_vector(coeffs))
+        tail = vadd(mus[-1], coroot_vector(rs, coeffs))
         for choice in itertools.product(*rows):
             arg, sign = tail, 1
             for s, img in choice:
@@ -407,8 +409,9 @@ def reference_pants_poly(vol, mu3):
     for s, c, arg in args:
         if min(arg) > 0:
             shifted = poly_shift(spline.chamber_polynomial_at(arg), c)
-            total = poly_add(total, poly_scale(Q(s), shifted))
-    return False, poly_scale(Q((-1) ** rs.n_positive * rs.center_order), total)
+            total = poly_add(total, {m: s * c for m, c in shifted.items()})
+    scale = (-1) ** rs.n_positive * rs.center_order
+    return False, {m: scale * c for m, c in total.items()}
 
 
 @pytest.mark.parametrize(
@@ -462,7 +465,8 @@ def test_pants_poly_on_wall_builds_nothing():
         m1, m2, m3 = (rs.from_weight_coords(vec(m.split(",")))
                       for m in ("1/2,1/2", "1/4,1/5", "1/5,1/4"))
         vol = pants_volume_poly(rs, m1, m2)
-        with pytest.raises(OnWallError):
+        message = f"{m3}: a kappa argument of its lattice ball lies on a wall of kappa"
+        with pytest.raises(OnWallError, match=re.escape(message)):
             route(vol, m1, m2, m3)
         assert not vol.spline.chambers
 
@@ -925,10 +929,28 @@ def test_witten_caps_the_weight_count(monkeypatch):
     """A count above MAX_WEIGHTS is refused before the cutoff search, which
     allocates a box of up to 51 times as many weight vectors (D4)."""
     d4 = build_root_system("D4")
-    monkeypatch.setattr(moduli, "casimir_cutoff_for_count", None)  # never reached
+    monkeypatch.setattr(moduli, "_cutoff_and_weights", None)  # never reached
     mus = [d4.from_weight_coords(vec([Q(1, 9)] * 4))] * 3
     with pytest.raises(ValueError, match=f"weight count {10**9} is above {moduli.MAX_WEIGHTS}"):
         witten_volume(d4, Surface(0, 3), Marking.of(d4, mus), weight_count=10**9)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_witten_weights_are_those_of_the_cutoff_search(name):
+    """With no cutoff given, the series reuses the weight box of the cutoff
+    search: its cutoff and weight count are those of
+    `casimir_cutoff_for_count` and `enumerate_dominant`, and its value is
+    that of the same cutoff given explicitly, bit for bit."""
+    rs = build_root_system(name)
+    rng = random.Random(5)
+    mk = Marking.of(rs, [rational_alcove_point(rs, rng) for _ in range(4)])
+    for count in (None, 300):
+        report = witten_volume(rs, Surface(0, 4), mk, weight_count=count)
+        cutoff = casimir_cutoff_for_count(rs, count or 2000)
+        assert report.parameters["casimir_cutoff"] == str(cutoff)
+        assert report.parameters["weights"] == len(enumerate_dominant(rs, cutoff)[:count])
+        given = witten_volume(rs, Surface(0, 4), mk, casimir_cutoff=cutoff, weight_count=count)
+        assert given.parameters == report.parameters and given.value == report.value
 
 
 # -- gluing ----------------------------------------------------------------------
