@@ -26,7 +26,6 @@ from .kappa import (
     pullback_operator,
 )
 from .liecore import (
-    AffineWeylElement,
     Alcove,
     GroupSpec,
     RootSystem,

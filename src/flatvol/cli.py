@@ -51,6 +51,9 @@ from .moduli import (
 )
 
 USAGE_ERROR, WALL_ERROR, CONVERGENCE_ERROR = 2, 3, 4
+# a scan holds every row's point and lattice ball before its first pass,
+# about 0.9 KB a row for A2, so the cap bounds that to about 90 MB
+MAX_STEPS = 100_000
 
 
 class UsageError(ValueError):
@@ -274,6 +277,8 @@ def cmd_scan(rs: RootSystem, args) -> None:
     whose chambers are built as row-by-row volumes would build them.  A
     row's label interpolates the endpoints' parsed weight coordinates,
     which is exact and equals the echo of its marking."""
+    if args.steps > MAX_STEPS:
+        raise UsageError(f"--steps {args.steps} is above the cap of {MAX_STEPS} steps")
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     start_txt, _, end_txt = args.along.partition(":")
     if not end_txt:

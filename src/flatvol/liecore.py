@@ -1,4 +1,4 @@
-"""Root systems, Weyl groups, affine Weyl elements, lattices and alcoves.
+"""Root systems, Weyl groups, lattices and alcoves.
 
 Every vector lives in the simple-root basis of t*, with exact rational
 coordinates; t is identified with t* through the invariant inner product,
@@ -11,7 +11,8 @@ Irrational scalars appear in exactly two places: the covolume of the
 coroot lattice (sqrt of a rational determinant) and the Riemannian volume
 of the group.  Everything else is a Fraction, except the integer objects:
 the Weyl group and the coroot basis are stored once, as integer matrices,
-and as int64 tables for the lattice sums.
+and as int64 tables for the lattice sums and the affine Weyl
+representatives of the toric route (`enumerate_waff_positive`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -50,7 +52,6 @@ IntMat = tuple[tuple[int, ...], ...]
 __all__ = [
     "GroupSpec",
     "WeylElement",
-    "AffineWeylElement",
     "Alcove",
     "RootSystem",
     "UnsupportedTypeError",
@@ -124,18 +125,6 @@ class WeylElement:
 
     def act(self, v: Vec) -> Vec:
         return matvec(self.matrix, v)
-
-
-@dataclass(frozen=True)
-class AffineWeylElement:
-    """x -> linear(x) + translation, with translation in the coroot lattice."""
-
-    translation: Vec
-    linear: WeylElement
-    sign: int
-
-    def act(self, v: Vec) -> Vec:
-        return vadd(self.linear.act(v), self.translation)
 
 
 @dataclass(frozen=True)
@@ -311,14 +300,6 @@ class RootSystem:
         signs = np.array([w.sign for w in self.weyl_elements()], dtype=np.int64)
         return mats, signs, int(np.abs(mats).sum(axis=2).max())
 
-    def dominant_representative(self, v: Vec) -> tuple[Vec, WeylElement]:
-        """The dominant Weyl image of v together with one element achieving it."""
-        for w in self.weyl_elements():
-            img = w.act(v)
-            if all(self.ip(img, a) >= 0 for a in self.simple_roots):
-                return img, w
-        raise RuntimeError("no dominant representative found")  # pragma: no cover
-
 
 @lru_cache(maxsize=None)
 def _cached_root_system(series: str, rank: int) -> RootSystem:
@@ -357,31 +338,28 @@ def alcove_membership(rs: RootSystem, mu: Vec) -> tuple[str, list[str]]:
     return ("boundary", tight) if tight else ("interior", [])
 
 
-def enumerate_waff_positive(rs: RootSystem, radius_sq: Q | int) -> list[AffineWeylElement]:
+def enumerate_waff_positive(rs: RootSystem, radius_sq: Q | int) -> tuple[np.ndarray, np.ndarray]:
     """Affine Weyl elements mapping the alcove into the dominant chamber.
 
-    One representative per left coset W\\Waff, labelled by the coroot
-    lattice; keeps those whose lattice label has squared norm <= radius_sq,
-    read off the lattice table (`RootSystem.coroot_ball`).
+    One representative x -> w_u x + t per left coset W\\Waff, labelled by a
+    coroot vector m with squared norm <= radius_sq: int64 arrays u (indices
+    into `weyl_elements`) and t (rows), one entry per row of
+    `RootSystem.coroot_ball`, in its order.  w_u is the one element taking
+    b + m, b the alcove barycenter, into the dominant chamber (b + m is
+    regular), found for every m in one broadcast over `weyl_array` with
+    dominance read off `int_gram`, and t = w_u m.
     """
-    radius_sq, bary = as_q(radius_sq), alcove_barycenter(rs)
-    limit = rs.int_gram[1] * radius_sq.numerator // radius_sq.denominator  # floor(g R)
-    return [_positive_rep_for_translation(rs, vec(m), bary)
-            for m in rs.coroot_ball(limit).tolist()]
-
-
-def alcove_barycenter(rs: RootSystem) -> Vec:
-    verts = rs.alcove.vertices
-    s = vzero(rs.rank)
-    for v in verts:
-        s = vadd(s, v)
-    return vscale(Q(1, len(verts)), s)
-
-
-def _positive_rep_for_translation(rs: RootSystem, m: Vec, bary: Vec) -> AffineWeylElement:
-    p0 = vadd(bary, m)
-    _, u = rs.dominant_representative(p0)
-    return AffineWeylElement(translation=u.act(m), linear=u, sign=u.sign)
+    radius_sq, verts = as_q(radius_sq), rs.alcove.vertices
+    igram, g = rs.int_gram
+    m = rs.coroot_ball(g * radius_sq.numerator // radius_sq.denominator)  # floor(g R)
+    mats = rs.weyl_array[0]
+    den = common_denominator(chain.from_iterable(verts))
+    # (r + 1) den (b + m) in ints, and <w x, alpha_i> >= 0 for every simple i
+    # as (igram w) x >= 0
+    x = sum(np.array(scaled(v, den), dtype=np.int64) for v in verts) + len(verts) * den * m
+    dominant = (x @ (np.array(igram, dtype=np.int64) @ mats).transpose(0, 2, 1) >= 0).all(axis=2)
+    u = dominant.argmax(axis=0)
+    return u, np.einsum("nij,nj->ni", mats[u], m)
 
 
 def covolume_T(rs: RootSystem) -> float:

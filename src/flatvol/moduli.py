@@ -58,7 +58,7 @@ from .characters import (
     singular_order,
 )
 from .exact import (
-    Q, Vec, common_denominator, int_bilinear, scaled, vadd, vsub, vzero,
+    Q, Vec, common_denominator, int_bilinear, scaled, vadd, vsub,
 )
 from .kappa import (
     DiffOperator,
@@ -787,8 +787,9 @@ def toric_decomposition(
     """Signed sum of toric reduced-space volumes over affine Weyl images.
 
     Terms are (-1)^{len(w w1 w2)} (#Z/Vol T) kappa(-shift) with
-    shift = -w1(*mu1) - w2(*mu2) + w(tau), w ranging over affine Weyl
-    representatives mapping the alcove into the dominant chamber.  Every
+    shift = -w1(*mu1) - w2(*mu2) + w(tau), w ranging over the affine Weyl
+    representatives x -> w_u x + t mapping the alcove into the dominant
+    chamber (`enumerate_waff_positive`), w1 and w2 over W, w1-major.  Every
     kappa value is computed by the fiber-polytope route, independently of
     the vertex-formula spline used in the kappa-sum.  Nonzero terms require
     |w(tau)| <= |mu1| + |mu2|, which the default radius provably covers.
@@ -797,33 +798,24 @@ def toric_decomposition(
     requested = provable if radius_sq is None else radius_sq
     weyl = rs.weyl_elements()
     smu1, smu2 = star(rs, mu1), star(rs, mu2)
-    images1 = [(w.sign, w.act(smu1)) for w in weyl]
-    images2 = [(w.sign, w.act(smu2)) for w in weyl]
-
+    pairs = [(w1.sign * w2.sign, vadd(w1.act(smu1), w2.act(smu2))) for w1 in weyl for w2 in weyl]
     terms: list[SignedToricTerm] = []
     total = Q(0)
-    for aff in enumerate_waff_positive(rs, requested):
-        wtau = aff.act(tau)
+    for u, t in zip(*(a.tolist() for a in enumerate_waff_positive(rs, requested))):
+        w = weyl[u]
+        wtau = vadd(w.act(tau), t)
         if rs.norm_sq(wtau) > bound_sq:
             continue
-        for s1, im1 in images1:
-            for s2, im2 in images2:
-                shift = vadd(vsub(vzero(rs.rank), vadd(im1, im2)), wtau)
-                arg = vsub(vzero(rs.rank), shift)
-                kv = kappa_point(rs, arg)
-                if kv.rational == 0:
-                    continue
-                sign = aff.sign * s1 * s2
-                rational = sign * rs.center_order * kv.rational
-                total += rational
-                terms.append(
-                    SignedToricTerm(
-                        sign=sign,
-                        shift=shift,
-                        value=_normalized(rs, rational),
-                        rational=rational,
-                    )
-                )
+        for s, pair in pairs:
+            arg = vsub(pair, wtau)
+            kv = kappa_point(rs, arg)
+            if kv.rational == 0:
+                continue
+            sign = w.sign * s
+            rational = sign * rs.center_order * kv.rational
+            total += rational
+            terms.append(SignedToricTerm(sign=sign, shift=vsub(wtau, pair),
+                                         value=_normalized(rs, rational), rational=rational))
     return terms, _exact_report(rs, "toric-decomposition", total, {
         "radius_sq": requested,
         "provable_radius_sq": provable,

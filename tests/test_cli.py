@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -19,7 +20,7 @@ from flatvol import (
     product_class_histogram,
     sphere_volume_kappa,
 )
-from flatvol.cli import _parse_sym_poly, parse_marking
+from flatvol.cli import MAX_STEPS, _parse_sym_poly, parse_marking
 from flatvol.kappa import OnWallError
 from flatvol.mc import shape_compare
 from flatvol.poly import poly_eval
@@ -65,6 +66,30 @@ def test_bench_trace_targets_resolve():
         else:
             target = getattr(owner, attr, None)
         assert callable(target), f"{modname}: {attr} does not resolve"
+
+
+def test_bench_flatvol_chains_resolve():
+    """Every fv.<name> or fv.<module>.<name> chain in the code of bench/*.py
+    resolves on the flatvol package once flatvol.cli is imported, as in a
+    bench run, so a deleted export fails here instead of in the bench."""
+    fv = importlib.import_module("flatvol")
+    importlib.import_module("flatvol.cli")
+    chains = set()
+    for path in (Path(__file__).resolve().parents[1] / "bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names, inner = [], node
+            while isinstance(inner, ast.Attribute):
+                names.append(inner.attr)
+                inner = inner.value
+            if names and isinstance(inner, ast.Name) and inner.id == "fv":
+                chains.add(tuple(reversed(names)))
+    assert {("star",), ("kappa_point",), ("exact", "lattice_points_in_ball"),
+            ("GroupSpec", "parse")} <= chains
+    for chain in sorted(chains):
+        obj = fv
+        for name in chain:
+            assert hasattr(obj, name), "fv." + ".".join(chain) + " does not resolve"
+            obj = getattr(obj, name)
 
 
 # sha256 of the job lists that `bench/workloads.py` generates for a 15 s
@@ -228,6 +253,16 @@ def test_volume_wall_exit_code_with_cancelling_terms():
     assert r.stdout == ""
     assert r.stderr == (
         "wall error: on-wall evaluation at (Fraction(0, 1),) for a degree-0 spline\n"
+    )
+
+
+def test_toric_wall_exit_code():
+    # the first on-wall toric term raises the fiber-polytope route's error
+    r = run("volume", "A1", "1/2", "1/4", "1/4", "--method", "toric")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == (
+        "wall error: kappa has a jump at (Fraction(0, 1),) (degree-0 configuration)\n"
     )
 
 
@@ -706,6 +741,17 @@ def test_usage_errors(args):
         assert "error: rational '1/0' has a zero denominator" in r.stderr
     if "100001" in args:
         assert "error: --weights 100001 is above the cap of 100000 weights" in r.stderr
+
+
+def test_scan_steps_above_cap_refused(tmp_path):
+    # refused before any marking is parsed or any row point is built
+    out = tmp_path / "scan.csv"
+    r = run("scan", "A2", "1/4,1/5", "1/3,1/7", "--along", "1/8,1/8:1/4,1/4",
+            "--steps", str(MAX_STEPS + 1), "--out", str(out))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"error: --steps {MAX_STEPS + 1} is above the cap of 100000 steps" in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, target", [

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from flatvol import (
@@ -19,9 +20,9 @@ from flatvol import (
     volume_G,
 )
 from flatvol.exact import (
-    _int_form, det, lattice_points_in_ball, mat_t, matvec, solve, vec, vdot, vscale, vsub,
+    _int_form, det, lattice_points_in_ball, mat_t, matvec, solve, vadd, vec, vdot, vscale, vsub,
 )
-from flatvol.liecore import RootSystem, alcove_barycenter
+from flatvol.liecore import RootSystem
 
 from conftest import coroot_vector
 
@@ -220,37 +221,72 @@ def test_alcove_membership(a1, a2):
     assert alcove_membership(a2, outside)[0] == "outside"
 
 
+def reference_waff_positive(rs, radius_sq):
+    """The affine Weyl representatives by the Fraction route, for each
+    coroot vector m of the ball in `lattice_points_in_ball` order: the
+    first element of `weyl_elements()` taking b + m (b the alcove
+    barycenter) into the dominant chamber, as its index u and t = w_u m."""
+    verts = rs.alcove.vertices
+    bary = vscale(Q(1, len(verts)), tuple(map(sum, zip(*verts))))
+    out = []
+    for coeffs in lattice_points_in_ball(rs.coroot_gram, Q(radius_sq)):
+        m = vec(coroot_vector(rs, coeffs))
+        p = vadd(bary, m)
+        for u, w in enumerate(rs.weyl_elements()):
+            if all(rs.ip(w.act(p), a) >= 0 for a in rs.simple_roots):
+                out.append((u, w.act(m)))
+                break
+    return out
+
+
+def waff_rows(rs, radius_sq):
+    """(w_u, t) for each representative of `enumerate_waff_positive`."""
+    u, t = enumerate_waff_positive(rs, radius_sq)
+    return [(rs.weyl_elements()[i], vec(row)) for i, row in zip(u.tolist(), t.tolist())]
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTED))
+def test_waff_positive_matches_fraction_reference(name):
+    rs = build_root_system(name)
+    radii = [-1, 0, Q(1, 3), 2] + ([] if name in ("A4", "D4") else [Q(37, 5)])
+    for radius_sq in radii:
+        u, t = enumerate_waff_positive(rs, radius_sq)
+        assert u.dtype == t.dtype == np.int64 and t.shape == (len(u), rs.rank)
+        got = [(i, tuple(row)) for i, row in zip(u.tolist(), t.tolist())]
+        assert got == reference_waff_positive(rs, radius_sq), radius_sq
+
+
 def test_enumerate_waff_positive_counts(a1, a2):
-    els = enumerate_waff_positive(a1, 0)
-    assert len(els) == 1 and els[0].linear.length == 0
-    els = enumerate_waff_positive(a1, 2)
-    assert len(els) == 3
-    # the coset W.w is labelled by the lattice vector linear^-1(translation)
-    labels = sorted(solve(e.linear.matrix, e.translation) for e in els)
+    rows = waff_rows(a1, 0)
+    assert len(rows) == 1 and rows[0][0].length == 0
+    rows = waff_rows(a1, 2)
+    assert len(rows) == 3
+    # the coset W.w is labelled by the lattice vector w_u^-1 t
+    labels = sorted(solve(w.matrix, t) for w, t in rows)
     assert labels == [(-1,), (0,), (1,)]
     # count equals the brute-force lattice-point count in the ball
     for rs, r2 in [(a1, Q(8)), (a2, Q(6))]:
-        els = enumerate_waff_positive(rs, r2)
+        u, t = enumerate_waff_positive(rs, r2)
         pts = lattice_points_in_ball(rs.coroot_gram, r2)
-        assert len(els) == len(pts)
+        assert len(u) == len(t) == len(pts)
 
 
 def test_waff_positive_elements_map_alcove_into_chamber(a2):
-    for aff in enumerate_waff_positive(a2, 8):
+    for w, t in waff_rows(a2, 8):
         for v in a2.alcove.vertices:
-            img = aff.act(v)
+            img = vadd(w.act(v), t)
             assert all(a2.ip(img, a) >= 0 for a in a2.simple_roots)
-        # sign equals det of the linear part, i.e. inversion-count parity
-        assert aff.sign == aff.linear.sign
+        # the sign is det w_u, i.e. inversion-count parity
+        assert w.sign == det(w.matrix)
 
 
 def test_waff_representatives_unique_per_coset(a2):
     seen = set()
-    for aff in enumerate_waff_positive(a2, 8):
-        label = solve(aff.linear.matrix, aff.translation)
+    for w, t in waff_rows(a2, 8):
+        label = solve(w.matrix, t)
         assert label not in seen
         seen.add(label)
-        coords = solve(mat_t(a2.coroot_basis), aff.translation)  # in the coroot basis
+        coords = solve(mat_t(a2.coroot_basis), t)  # in the coroot basis
         assert all(c.denominator == 1 for c in coords)
 
 
@@ -313,7 +349,8 @@ def test_weyl_integration_identity(name):
 
 
 def test_barycenter_interior(a2):
-    kind, _ = alcove_membership(a2, alcove_barycenter(a2))
+    verts = a2.alcove.vertices
+    kind, _ = alcove_membership(a2, vscale(Q(1, len(verts)), tuple(map(sum, zip(*verts)))))
     assert kind == "interior"
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -36,7 +38,7 @@ from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import det, lattice_points_in_ball, vadd, vscale, vsub
 from flatvol.kappa import kappa_build, pullback_operator
 from flatvol import gluing, moduli
-from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments
+from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radii
 from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
@@ -545,6 +547,39 @@ def test_toric_term_count_stable_and_signs(a1):
     assert not rep.parameters["truncation_warning"]
     small = toric_decomposition(a1, *mus, radius_sq=Q(0))
     assert small[1].parameters["truncation_warning"]
+
+
+def _toric_record(rs, mus, radius_sq=None):
+    """Everything `toric_decomposition` returns, as text: each term's sign,
+    shift, value and rational, and the report's parameters and rational;
+    or the message of the wall error it raises."""
+    try:
+        terms, rep = toric_decomposition(rs, *mus, radius_sq=radius_sq)
+    except OnWallError as exc:
+        return ["wall", str(exc)]
+    return [[[t.sign, [str(c) for c in t.shift], repr(t.value), str(t.rational)] for t in terms],
+            {k: str(v) for k, v in rep.parameters.items()}, str(rep.exact["rational"])]
+
+
+# sha256 of `_toric_record` for seeded triples, each at the provable radius
+# and at 4 R + 1: two interior ones (wall margin 1/20) and two of the closed
+# alcove (denominator 4, no margin, so some A1 ones raise the wall error),
+# but one interior triple alone for C3, whose terms take seconds
+TORIC_DIGEST = "f280de569b3709a3fd80f7fdbfef6ef9704d887af6aa6ccfc49866e68f675ec6"
+
+
+def test_toric_decomposition_pinned():
+    records = []
+    for seed, name in enumerate(["A1", "A2", "B2", "C2", "G2", "A3", "C3"]):
+        rs, rng = build_root_system(name), random.Random(100 + seed)
+        interior, closed = (1, 0) if name == "C3" else (2, 2)
+        triples = [rational_triple(rs, rng) for _ in range(interior)]
+        triples += [rational_triple(rs, rng, denom=4, margin=0) for _ in range(closed)]
+        for mus in triples:
+            records.append(_toric_record(rs, mus))
+            records.append(_toric_record(rs, mus, 4 * _support_radii(rs, list(mus))[1] + 1))
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == TORIC_DIGEST
 
 
 def test_nonnegativity_grid(a1, a2, b2):
