@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -112,6 +113,19 @@ def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterVal
     return CharacterValue(value=complex(table[0]), condition=condition)
 
 
+@cache
+def _weight_gram(rs: RootSystem) -> tuple[np.ndarray, int]:
+    """(G, g): g the common denominator of the fundamental-weight Gram
+    matrix, G that matrix times g, in ints (read-only)."""
+    gram_w = [
+        [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
+    ]
+    g = common_denominator(chain.from_iterable(gram_w))
+    gram = np.array([scaled(row, g) for row in gram_w])
+    gram.setflags(write=False)
+    return gram, g
+
+
 def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:
     """(g |lambda+rho|^2, coords) for the dominant weights lambda with
     |lambda+rho|^2 <= cutoff, as int64 arrays sorted by the norm, ties in
@@ -126,15 +140,11 @@ def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarr
     cutoff = Fraction(casimir_cutoff).limit_denominator(10**12) if isinstance(
         casimir_cutoff, float
     ) else Fraction(casimir_cutoff)
-    gram_w = [
-        [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
-    ]
-    g = common_denominator(chain.from_iterable(gram_w))
-    gram = [scaled(row, g) for row in gram_w]
+    gram, g = _weight_gram(rs)
     limit = math.floor(cutoff * g)
-    box = [math.isqrt(max(0, limit) // row[i]) for i, row in enumerate(gram)]
+    box = [math.isqrt(max(0, limit) // int(gram[i, i])) for i in range(rs.rank)]
     v = np.indices(box).reshape(rs.rank, -1).T + 1
-    q = ((v @ np.array(gram)) * v).sum(axis=1)
+    q = ((v @ gram) * v).sum(axis=1)
     v, q = v[q <= limit], q[q <= limit]
     order = np.argsort(q, kind="stable")
     return q[order], v[order] - 1
@@ -154,10 +164,36 @@ def casimir_cutoff_for_count(rs: RootSystem, count: int) -> Fraction:
     return _cutoff_and_weights(rs, count)[0]
 
 
+def _first_step(count: int, n0: int, rank: int) -> int:
+    """The doubling step at which the cutoff search builds its first box
+    after c0's: one below the first j with n0 2^(j rank/2) >= count."""
+    return max(1, math.ceil(2 * math.log2(count / n0) / rank) - 1)
+
+
 def _cutoff_and_weights(rs: RootSystem, count: int) -> tuple[Fraction, np.ndarray]:
     """`casimir_cutoff_for_count`'s cutoff and the weight coordinates of
-    `_shifted_norms` at it, from the last box of the doubling search."""
-    cutoff = rs.ip(rs.rho, rs.rho) * 4
-    while len((box := _shifted_norms(rs, cutoff))[0]) < count:
-        cutoff *= 2
-    return cutoff, box[1]
+    `_shifted_norms` at it.
+
+    The cutoff is the first of c0 2^j, c0 = 4 |rho|^2, whose weight list
+    has count entries.  The number of weights grows at least 2^(rank/2)-fold
+    per doubling (the volume of the region does, and the share of it lost
+    near the walls shrinks), so from the n0 weights at c0 the first j with
+    n0 2^(j rank/2) >= count bounds the search.  One box is built a step
+    below that bound and doubled until it holds count weights.  A box
+    filtered by the norm and stably sorted by it, in lexicographic order,
+    holds the list of every smaller cutoff as a prefix, so the first
+    cutoff of the search and its list are read off the box's sorted norms,
+    whatever step the box was built at.
+    """
+    c0 = rs.ip(rs.rho, rs.rho) * 4
+    norms, weights = _shifted_norms(rs, c0)
+    j = 0
+    if len(norms) < count:
+        j = _first_step(count, len(norms), rs.rank)
+        while len((box := _shifted_norms(rs, c0 * 2**j))[0]) < count:
+            j += 1
+        norms, weights = box
+    g = _weight_gram(rs)[1]
+    ends = np.searchsorted(norms, [math.floor(c0 * 2**i * g) for i in range(j + 1)], side="right")
+    i = int(np.searchsorted(ends, count))
+    return c0 * 2**i, weights[: ends[i]]

@@ -23,15 +23,17 @@ import os
 import re
 import stat
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from .exact import Q, Vec, common_denominator, scaled, vec
 from .kappa import OnWallError, SymmetricPoly, kappa_build
 from .liecore import RootSystem, alcove_membership, build_root_system, covolume_T, volume_G
-from .mc import MAX_CELLS, product_class_histogram, shape_compare
+from .mc import MAX_CELLS, model_grid, product_class_histogram, shape_compare
 from .moduli import (
     EPS_NODES,
     MAX_WEIGHTS,
@@ -350,6 +352,42 @@ def cmd_chern(rs: RootSystem, args) -> None:
     _print_json(out, args.out)
 
 
+def _a1_model_values(rs: RootSystem, m1: Vec, m2: Vec, bins: int) -> np.ndarray:
+    """vol(m1, m2, t) at the points t of `model_grid(bins)`, each read as
+    tq, the closest fraction of denominator at most 2^20.
+
+    The A1 volume is constant between the breakpoints, where a kappa
+    argument of the gluing factor meets its wall: one kappa-sum per cell,
+    at its first grid point, and 0.0 on a breakpoint and off (0, 1).  tq is
+    nondecreasing along the grid, so the grid indices at which it passes 0,
+    1 or a breakpoint are found by bisection, with O(log bins) fractions
+    per breakpoint, and the values are constant between them.
+    """
+    from .gluing import AlcoveFactor  # loaded on first use
+
+    lines = AlcoveFactor(rs, [m1, m2, NU]).lines
+    breaks = sorted(rs.to_weight_coords((Q(-k, a),))[0] for a, k in lines)
+    grid = model_grid(bins)
+
+    def tq(k: int) -> Fraction:
+        return Fraction(grid[k]).limit_denominator(1 << 20)
+
+    def vol(t: Fraction) -> float:
+        if not 0 < t < 1 or t in breaks:
+            return 0.0
+        return pants_volume_kappa(rs, m1, m2, rs.from_weight_coords((t,))).value
+
+    ks = range(len(grid))
+    cuts = {0, len(grid), bisect_right(ks, 0, key=tq), bisect_left(ks, 1, key=tq)}
+    for b in breaks:
+        cuts.update((bisect_left(ks, b, key=tq), bisect_right(ks, b, key=tq)))
+    edges = sorted(cuts)
+    values = np.empty(len(grid))
+    for lo, hi in zip(edges, edges[1:]):
+        values[lo:hi] = vol(tq(lo))
+    return values
+
+
 def cmd_oracle(rs: RootSystem, args) -> None:
     if args.bins**rs.rank > MAX_CELLS:  # bins cells for A1, bins^2 for A2
         raise UsageError(f"--bins {args.bins} makes more than {MAX_CELLS} histogram cells")
@@ -358,29 +396,8 @@ def cmd_oracle(rs: RootSystem, args) -> None:
         rs, m1, m2, bins=args.bins, n_samples=args.samples, seed=args.seed
     )
     if rs.spec.name == "A1":
-        # the A1 volume is constant between the points where a kappa
-        # argument of the gluing factor meets its wall: one kappa-sum per
-        # cell, at its first grid point, and 0.0 on a breakpoint
-        from .gluing import AlcoveFactor  # loaded on first use
-
-        lines = AlcoveFactor(rs, [m1, m2, NU]).lines
-        breaks = sorted(rs.to_weight_coords((Q(-k, a),))[0] for a, k in lines)
-        cell_values: dict[int, float] = {}
-
-        def vol(t: float) -> float:
-            tq = Fraction(t).limit_denominator(1 << 20)
-            if not 0 < tq < 1:
-                return 0.0
-            cell = bisect_left(breaks, tq)
-            if cell < len(breaks) and breaks[cell] == tq:
-                return 0.0
-            if cell not in cell_values:
-                mu3 = rs.from_weight_coords((tq,))
-                cell_values[cell] = pants_volume_kappa(rs, m1, m2, mu3).value
-            return cell_values[cell]
-
         try:
-            stat = shape_compare(hist, vol, rs)
+            stat = shape_compare(hist, _a1_model_values(rs, m1, m2, args.bins), rs)
         except ValueError:
             stat = None  # degenerate markings: volume vanishes a.e.
         rows = [

@@ -11,14 +11,17 @@ The map (g1, g2) -> (g1, g1^H g2) preserves Haar x Haar measure, and
 conjugating by g1 turns g1 d1 g1^H g2 d2 g2^H into d1 w d2 w^H, so the
 class of the product of the two uniform class elements has the law of the
 class of d1 w d2 w^H, w Haar (Mezzadri, Notices AMS 54, 2007, for the Haar
-draws).  For SU(2) only the real trace of the product is needed, and it is
-read in real quaternion arithmetic.  A Haar element of SU(2) is a unit
-quaternion q = (a, b, c, d), the matrix [[a+ib, c+id], [-c+id, a-ib]], drawn
-as a normalized standard normal 4-vector.  For diagonal d1, d2
+draws).  For SU(2) only the real trace of the product is needed.  For
+diagonal d1, d2 and w in SU(2), |w_00|^2 = |w_11|^2 = 1 - s and
+|w_10|^2 = s with s = |w_01|^2, so
 tr(d1 w d2 w^H) = S + (C - S) s,
-with S = Re(d1_0 d2_0 + d1_1 d2_1), C = Re(d1_0 d2_1 + d1_1 d2_0) and
-s = |w_01|^2 = (c^2 + d^2) / |q|^2, since |w_00|^2 = |w_11|^2 = 1 - s and
-|w_10|^2 = s: four normal draws per sample and no complex matrix.
+with S = Re(d1_0 d2_0 + d1_1 d2_1) and C = Re(d1_0 d2_1 + d1_1 d2_0).
+A Haar element of SU(2) is a unit quaternion q = (a, b, c, d), the matrix
+[[a+ib, c+id], [-c+id, a-ib]], uniform on S^3: a normalized standard
+normal 4-vector.  Then s = (c^2 + d^2) / |q|^2, and a^2 + b^2 and
+c^2 + d^2 are independent chi^2_2 (exponential) variables, so s has the
+Beta(1, 1) law: it is uniform on [0, 1].  The A1 oracle draws s as one
+uniform per sample and forms no quaternion or complex matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "ClassHistogram",
     "product_class_histogram",
     "shape_compare",
+    "model_grid",
     "haar_sample",
     "class_representative",
     "class_parameter_batch",
@@ -142,13 +146,13 @@ def product_class_histogram(
     exp(mu_i) and g_i Haar-uniform, so each factor is uniform on C_{mu_i}.
 
     Each sample is the class of d1 w d2 w^H for one Haar element w, which
-    has the same law (module docstring).  A1 draws one quaternion per
-    sample, as `haar_sample` does, and reads the real trace as
-    S + (C - S) s with s = (c^2 + d^2) / |q|^2, without forming a complex
-    matrix.  A2 draws one `haar_sample` per chunk and forms d1 (w d2 w^H)
-    by diagonal scalings around one batched product; the Haar QR and
-    `eigvals` take most of its time.  A histogram has bins cells for A1
-    and bins^2 for A2, at most MAX_CELLS.
+    has the same law (module docstring).  A1 draws s = |w_01|^2 directly,
+    one uniform per sample (s has the Beta(1, 1) law), and reads the real
+    trace as S + (C - S) s, without forming a complex matrix.  A2 draws one
+    `haar_sample` per chunk and forms d1 (w d2 w^H) by diagonal scalings
+    around one batched product; the Haar QR and `eigvals` take most of its
+    time.  A histogram has bins cells for A1 and bins^2 for A2, at most
+    MAX_CELLS.
     """
     _check_group(rs)
     if n_samples < 1:
@@ -170,10 +174,7 @@ def product_class_histogram(
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         if a1:
-            q = _quaternion_draw(rng, m)
-            cd = q[:, 2:]
-            s = np.einsum("ni,ni->n", cd, cd) / np.einsum("ni,ni->n", q, q)
-            tr = same + (cross - same) * s
+            tr = same + (cross - same) * rng.random(m)  # s = |w_01|^2
             idx = _bin_index(_a1_parameter(tr), bins)
         else:
             w = haar_sample(rs, m, rng)
@@ -192,21 +193,28 @@ def product_class_histogram(
     )
 
 
+def model_grid(bins: int) -> np.ndarray:
+    """The 4 bins + 1 points t of [0, 1] at which `shape_compare` reads the
+    model density."""
+    return np.linspace(0.0, 1.0, 4 * bins + 1)
+
+
 def shape_compare(hist: ClassHistogram, vol, rs: RootSystem) -> float:
     """Sup-distance between the empirical CDF and the model CDF.
 
     vol maps an alcove parameter t in [0, 1] (A1 convention <alpha,mu> = t)
-    to the moduli volume; the model density is vol(t) * 2 sin(pi t).
+    to the moduli volume, or is the array of its values at the points of
+    `model_grid(hist.bins)`; the model density is vol(t) * 2 sin(pi t).
     Only the rank-1 statistic is implemented; A2 histograms compare by
     total-variation over bins.
     """
     if hist.group != "A1":
         raise ValueError("KS-style comparison implemented for A1 histograms")
     bins = hist.bins
-    grid = np.linspace(0.0, 1.0, 4 * bins + 1)
-    dens = np.array(
-        [vol(t) * 2.0 * math.sin(math.pi * t) for t in grid]
-    )
+    grid = model_grid(bins)
+    values = vol if isinstance(vol, np.ndarray) else [vol(t) for t in grid]
+    sines = np.array([math.sin(math.pi * t) for t in grid.tolist()])
+    dens = np.asarray(values, dtype=float) * 2.0 * sines
     if not np.all(dens >= -1e-12):
         raise ValueError("volume function must be nonnegative")
     cdf_fine = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2)])

@@ -17,7 +17,14 @@ from flatvol import (
     vec,
     weyl_dimension,
 )
-from flatvol.characters import casimir_cutoff_for_count, singular_order
+from flatvol import characters
+from flatvol.characters import (
+    _cutoff_and_weights,
+    _shifted_norms,
+    casimir_cutoff_for_count,
+    singular_order,
+)
+from flatvol.moduli import MAX_WEIGHTS
 from flatvol.exact import vadd, vscale
 
 
@@ -191,6 +198,35 @@ def test_dominant_weights_match_exact_walk(name):
         cut = casimir_cutoff_for_count(rs, count)
         assert len(enumerate_dominant(rs, cut)) >= count
         assert cut == 4 * rs.ip(rs.rho, rs.rho) or len(enumerate_dominant(rs, cut / 2)) < count
+
+
+def doubling_cutoff_search(rs, count):
+    """The cutoff search box by box: 4 |rho|^2 doubled until the weight
+    list of `_shifted_norms` holds count entries, and that list."""
+    cutoff = rs.ip(rs.rho, rs.rho) * 4
+    while len((box := _shifted_norms(rs, cutoff))[0]) < count:
+        cutoff *= 2
+    return cutoff, box[1]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_cutoff_search_matches_doubling_loop(name, monkeypatch):
+    """The cutoff read off one box's sorted norms is the doubling loop's,
+    and the weights are its last box, element for element; also when the
+    first box is built steps above or below the loop's last one."""
+    rs = build_root_system(name)
+    for count in (1, 2000, 4000, 20000, MAX_WEIGHTS):
+        cutoff, weights = _cutoff_and_weights(rs, count)
+        ref_cutoff, ref_weights = doubling_cutoff_search(rs, count)
+        assert cutoff == ref_cutoff and type(cutoff) is type(ref_cutoff), count
+        assert weights.dtype == ref_weights.dtype and np.array_equal(weights, ref_weights), count
+    for count in (2000, 4000):
+        ref_cutoff, ref_weights = doubling_cutoff_search(rs, count)
+        last = int(math.log2(ref_cutoff / (4 * rs.ip(rs.rho, rs.rho))))
+        for step in (1, max(1, last - 1), last + 1, last + 2):
+            monkeypatch.setattr(characters, "_first_step", lambda *_: step)
+            cutoff, weights = _cutoff_and_weights(rs, count)
+            assert cutoff == ref_cutoff and np.array_equal(weights, ref_weights), (count, step)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])

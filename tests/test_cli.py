@@ -20,9 +20,9 @@ from flatvol import (
     product_class_histogram,
     sphere_volume_kappa,
 )
-from flatvol.cli import MAX_STEPS, _parse_sym_poly, parse_marking
+from flatvol.cli import MAX_STEPS, _a1_model_values, _parse_sym_poly, main, parse_marking
 from flatvol.kappa import OnWallError
-from flatvol.mc import shape_compare
+from flatvol.mc import MAX_CELLS, model_grid, shape_compare
 from flatvol.poly import poly_eval
 
 
@@ -508,6 +508,62 @@ def test_oracle_statistic_matches_per_point_kappa(t1, t2, walls_met):
     assert walls == walls_met
 
 
+def per_point_model_value(rs, m1, m2, t):
+    """The A1 oracle's model volume at one grid point, read alone: tq, the
+    closest fraction of denominator at most 2^20 to t, one kappa-sum at
+    tq, and 0.0 off (0, 1) and on a wall."""
+    tq = Fraction(t).limit_denominator(1 << 20)
+    if not 0 < tq < 1:
+        return 0.0
+    try:
+        return pants_volume_kappa(rs, m1, m2, rs.from_weight_coords((tq,))).value
+    except OnWallError:
+        return 0.0
+
+
+@pytest.mark.parametrize("bins", [1, 3, 64, 256, 400])
+@pytest.mark.parametrize("t1, t2", [("1/8", "3/8"), ("13/40", "19/40")])
+def test_oracle_statistic_bit_identical_to_per_point_model(t1, t2, bins, monkeypatch, capsys):
+    """The sidecar's statistic, from the model values read per cell, equals
+    the one from a kappa-sum at every grid point, with ==.  The walls 1/4,
+    1/2 of 1/8, 3/8 lie on every grid k / (4 bins); the walls 3/20, 4/5
+    of 13/40, 19/40 lie on it for 400 bins only."""
+    monkeypatch.delenv("FLATVOL_CACHE", raising=False)
+    assert main(["oracle", "A1", t1, t2, "--samples", "20000", "--seed", "5",
+                 "--bins", str(bins)]) == 0
+    out = capsys.readouterr().out
+    sidecar = json.loads(out[out.index("\n{"):])
+    rs = build_root_system("A1")
+    m1, m2 = parse_marking(rs, t1), parse_marking(rs, t2)
+    hist = product_class_histogram(rs, m1, m2, bins=bins, n_samples=20000, seed=5)
+    try:
+        ref = shape_compare(hist, lambda t: per_point_model_value(rs, m1, m2, t), rs)
+    except ValueError:  # 1 bin of 1/8, 3/8: every grid point is 0.0
+        ref = None
+    assert sidecar["ks_statistic_vs_kappa"] == ref
+
+
+@pytest.mark.parametrize("bins", [(1 << 18) + 1, MAX_CELLS])
+@pytest.mark.parametrize("t1, t2, walls", [
+    ("1/8", "3/8", (Fraction(1, 4), Fraction(1, 2))),
+    ("13/40", "19/40", (Fraction(3, 20), Fraction(4, 5))),
+])
+def test_oracle_model_values_near_walls_above_2_18_bins(t1, t2, walls, bins):
+    """Above 2^18 bins the grid k / (4 bins) is finer than the fractions of
+    denominator at most 2^20, and several points may read as one wall.
+    Around each wall and each end of the alcove, the values read per cell
+    equal those read point by point."""
+    rs = build_root_system("A1")
+    m1, m2 = parse_marking(rs, t1), parse_marking(rs, t2)
+    values = _a1_model_values(rs, m1, m2, bins)
+    grid = model_grid(bins)
+    n = len(grid) - 1
+    for b in (0, *walls, 1):
+        k0 = round(b * n)
+        for k in range(max(0, k0 - 40), min(n, k0 + 40) + 1):
+            assert values[k] == per_point_model_value(rs, m1, m2, grid[k]), (b, k)
+
+
 def test_oracle_degenerate_factor_single_bin():
     r = run("oracle", "A1", "1/2", "0", "--samples", "2000", "--seed", "3",
             "--bins", "50")
@@ -518,10 +574,11 @@ def test_oracle_degenerate_factor_single_bin():
 
 
 # sha256 of the `oracle` stdout (CSV and sidecar) of the A1 routes-job run
-# (10^6 samples, 256 bins) and of an A2 run, one Haar draw per sample
+# (10^6 samples, 256 bins; one uniform draw of |w_01|^2 per sample) and of
+# an A2 run (one Haar draw per sample)
 ORACLE_DIGESTS = {
     ("A1", "13/40", "19/40", "--samples", "1000000", "--seed", "5"):
-        "88d4d4f9996434732e506d1108a673bf3e91b726d7077d21d02529f5bca5fdf1",
+        "45d9e84026edb91f6e768864be54a9214bc9dce77e2c078fd7e3cc312a83ba1c",
     ("A2", "1/4,1/5", "1/3,1/7", "--samples", "20000", "--bins", "16", "--seed", "4"):
         "5af37107c0206c657ca13b72c341022034359904fefd498885f7e9ee3422664c",
 }

@@ -213,18 +213,34 @@ def test_product_unitarity_defect(a1):
     assert defect < 1e-10
 
 
+def _a1_unitaries(s, phase_rng):
+    """SU(2) matrices w with |w_01|^2 = s, the phases of w_00 and w_01
+    drawn from phase_rng."""
+    a, b = np.exp(2j * math.pi * phase_rng.random((2, len(s))))
+    w = np.empty((len(s), 2, 2), dtype=complex)
+    w[:, 0, 0], w[:, 0, 1] = np.sqrt(1 - s) * a, np.sqrt(s) * b
+    w[:, 1, 0], w[:, 1, 1] = -np.sqrt(s) * np.conj(b), np.sqrt(1 - s) * np.conj(a)
+    return w
+
+
 def _same_draw_parameters(rs, mu1, mu2, n_samples, seed):
     """Class parameters of the explicit complex products d1 @ w @ d2 @ w^H,
-    w from `haar_sample`, drawn chunk by chunk in the order of
-    `product_class_histogram`: the products g1 d1 g1^H g2 d2 g2^H at
-    g1 = 1, g2 = w."""
+    drawn chunk by chunk in the order of `product_class_histogram`: the
+    products g1 d1 g1^H g2 d2 g2^H at g1 = 1, g2 = w.  For A2, w is
+    `haar_sample`'s; for A1 it is a unitary with |w_01|^2 = s for the same
+    uniform draw of s, with phases from a second generator, since the
+    class depends on s only."""
     rng = np.random.default_rng(seed)
+    phase_rng = np.random.default_rng([seed, 1])
     d1 = class_representative(rs, mu1)
     d2 = class_representative(rs, mu2)
     params = []
     for done in range(0, n_samples, _CHUNK):
         m = min(_CHUNK, n_samples - done)
-        w = haar_sample(rs, m, rng)
+        if rs.spec.name == "A1":
+            w = _a1_unitaries(rng.random(m), phase_rng)
+        else:
+            w = haar_sample(rs, m, rng)
         params.append(class_parameter_batch(rs, d1 @ w @ d2 @ np.conj(np.swapaxes(w, 1, 2))))
     return np.concatenate(params)
 
@@ -260,9 +276,9 @@ def _binned(params, bins):
      ("13/40", "19/40")],
 )
 def test_histogram_matches_five_product_reference(a1, t1, t2):
-    # the quaternion trace S + (C - S) s, s = (c^2 + d^2) / |q|^2, bins
-    # every sample as the complex product d1 w d2 w^H of the same draw
-    # does; 70 001 samples end in a partial chunk
+    # the trace S + (C - S) s of one uniform s bins every sample as the
+    # complex product d1 w d2 w^H does, for a unitary w with |w_01|^2 = s
+    # and any phases; 70 001 samples end in a partial chunk
     n = 70001
     for seed in (0, 17, 2024):
         params = _same_draw_parameters(a1, t_mu(a1, t1), t_mu(a1, t2), n, seed)
@@ -287,7 +303,8 @@ def test_a2_histogram_matches_same_draw_reference(a2, w1, w2):
 
 def test_quaternion_off_diagonal_matches_haar_matrices(a1):
     """s = (c^2 + d^2) / |q|^2 of one unnormalized quaternion draw equals
-    |w_01|^2 of `haar_sample`'s matrix of the same draw."""
+    |w_01|^2 of `haar_sample`'s matrix of the same draw: the quaternion
+    layout that the Beta(1, 1) law of s is read from."""
     n = 50000
     q = _quaternion_draw(np.random.default_rng(12), n)
     w = haar_sample(a1, n, np.random.default_rng(12))
@@ -307,6 +324,21 @@ def _ks_two_sample_bound(n, alpha=1e-6):
 
 def _cdf_distance(c1, c2):
     return float(np.abs(np.cumsum(c1) / c1.sum() - np.cumsum(c2) / c2.sum()).max())
+
+
+def test_off_diagonal_draw_has_the_haar_law(a1):
+    """One uniform per sample, the A1 histogram's draw of s (pinned draw
+    for draw by test_histogram_matches_five_product_reference), and
+    |w_01|^2 of `haar_sample` agree within the two-sample KS bound at
+    alpha = 1e-6, the exact statistic of the two unbinned samples."""
+    n = 200000
+    s = np.sort(np.random.default_rng(50).random(n))
+    w = haar_sample(a1, n, np.random.default_rng(51))
+    ref = np.sort(np.abs(w[:, 0, 1]) ** 2)
+    points = np.concatenate([s, ref])
+    ks = np.abs(np.searchsorted(s, points, side="right")
+                - np.searchsorted(ref, points, side="right")).max() / n
+    assert ks < _ks_two_sample_bound(n)
 
 
 @pytest.mark.parametrize("t1, t2", [("1/2", "2/5"), ("1/5", "7/10"), ("13/40", "19/40")])
