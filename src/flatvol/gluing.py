@@ -31,7 +31,7 @@ from operator import mul
 import numpy as np
 
 from .exact import Q, common_denominator, scaled
-from .kappa import OnWallError, kappa_build
+from .kappa import OnWallError, _primitive, kappa_build
 from .liecore import RootSystem
 from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _signed_center, _weyl_fold
 
@@ -116,7 +116,7 @@ class AlcoveFactor:
             if not self.spline.degree and any(not k and not any(a) for a, k in walls):
                 raise OnWallError(
                     f"a kappa argument lies on a wall for every nu (lattice term {c})")
-            out.append((c, L, coef, walls, {_primitive_line(a, k) for a, k in walls if any(a)}))
+            out.append((c, L, coef, walls, {_primitive((*a, k)) for a, k in walls if any(a)}))
         return out
 
     @cached_property
@@ -215,13 +215,6 @@ def _alcove_corners(rs: RootSystem) -> list[tuple[int, ...]]:
     """The alcove's vertices as homogeneous points, in the order of
     `Alcove.vertices`, which is counterclockwise for every rank-2 group."""
     return [_point(scaled(v, d), d) for v in rs.alcove.vertices for d in [common_denominator(v)]]
-
-
-def _primitive_line(a, k: int) -> tuple[int, ...]:
-    g = math.gcd(*a, k)
-    if next(x for x in a if x) < 0:
-        g = -g
-    return (*(x // g for x in a), k // g)
 
 
 def _line_value(line, point) -> int:

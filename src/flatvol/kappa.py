@@ -133,9 +133,9 @@ def _polytope_volume(verts: list[Vec], facets: list[frozenset[int]], dim: int) -
 
 
 class VectorConfig:
-    """A finite spanning multiset of nonnegative vectors in coordinate
-    space (positive roots in simple-root coordinates; a negative coordinate
-    raises ValueError).
+    """A finite spanning multiset of nonnegative integer vectors, stored as
+    int tuples (positive roots in simple-root coordinates; a non-integral
+    vector or a negative coordinate raises ValueError).
 
     Precomputes the data needed to evaluate the pushforward density of
     the orthant measure: the free columns that coordinatize each fiber,
@@ -146,7 +146,9 @@ class VectorConfig:
     """
 
     def __init__(self, vectors: list[Vec], det_gram: Q):
-        self.vectors = [vec(v) for v in vectors]
+        if any(Q(c).denominator != 1 for v in vectors for c in v):
+            raise ValueError("the vectors must be integral")
+        self.vectors = [tuple(map(int, v)) for v in vectors]
         self.rank = len(self.vectors[0])
         self.n = len(self.vectors)
         self.det_gram = det_gram
@@ -159,7 +161,7 @@ class VectorConfig:
         pivots = pivot_columns([tuple(v[i] for v in self.vectors) for i in range(self.rank)])
         assert len(pivots) == self.rank, "configuration must span"
         self._free = tuple(j for j in range(self.n) if j not in pivots)
-        self._jacobian = 1 / abs(det(tuple(self.vectors[j] for j in pivots)))
+        self._jacobian = Q(1, abs(det(tuple(self.vectors[j] for j in pivots))))
         self.walls = self._wall_functionals()
         # the int64 matrix [I; walls]: x -> x and its wall dot products
         self.extension = np.vstack([np.eye(self.rank, dtype=np.int64),
@@ -177,10 +179,10 @@ class VectorConfig:
         walls: set[tuple[int, ...]] = set()
         distinct = sorted(set(self.vectors))
         for subset in combinations(distinct, self.rank - 1):
-            ns = nullspace([tuple(v) for v in subset], self.rank)
+            ns = nullspace(subset, self.rank)
             if len(ns) != 1:
                 continue
-            walls.add(_primitive(ns[0]))
+            walls.add(_primitive(scaled(ns[0], common_denominator(ns[0]))))
         return sorted(walls)
 
     @cached_property
@@ -209,25 +211,22 @@ class VectorConfig:
 
         s is feasible at xi when every row of M_s dots D xi positively, D
         a common denominator of xi.  With c_j = C_j / L (L the lcm of the
-        k + j) and S v_j in ints (S the lcm of the vectors' denominators),
-        y_s = a / (L e_s) with a = sum_i C_{s_i} (row i of M_s), and
-        g_j = G_j / (L e_s S) with G_j = e_s S C_j - C_s . (M_s S v_j).
-        The multinomial theorem gives w_s y_s^d the coefficient
-        (d! / m!) a^m F_s at x^m, F_s = S^d / (d! |det A_s| prod_j (-G_j)),
-        and T is the lcm of the denominators of the F_s.  N_s is a list over
-        `monomials`.
+        k + j) and the vectors v_j integral, y_s = a / (L e_s) with
+        a = sum_i C_{s_i} (row i of M_s), and g_j = G_j / (L e_s) with
+        G_j = e_s C_j - C_s . (M_s v_j).  The multinomial theorem gives
+        w_s y_s^d the coefficient (d! / m!) a^m F_s at x^m,
+        F_s = 1 / (d! |det A_s| prod_j (-G_j)), and T is the lcm of the
+        denominators of the F_s.  N_s is a list over `monomials`.
         """
-        scale = common_denominator(chain.from_iterable(self.vectors))
-        ints = [scaled(v, scale) for v in self.vectors]
         bases = []
         for sigma in combinations(range(self.n), self.rank):
             inv = scaled_inverse(mat_t(tuple(self.vectors[i] for i in sigma)))
             if inv is not None:
                 rows, e, d = inv
-                # M_s S v_j for the vectors off the basis
-                off = [(j, [sum(map(mul, row, ints[j])) for row in rows])
+                # M_s v_j for the vectors off the basis
+                off = [(j, [sum(map(mul, row, self.vectors[j])) for row in rows])
                        for j in range(self.n) if j not in sigma]
-                bases.append((sigma, rows, e * scale, abs(d), off))
+                bases.append((sigma, rows, e, abs(d), off))
         fact = math.factorial(self.degree)
         for k in count(2):
             lcm = math.lcm(*range(k, k + self.n))
@@ -239,7 +238,7 @@ class VectorConfig:
                 if costs == 0:
                     break
                 a = [sum(map(mul, cs, col)) for col in zip(*rows)]
-                weighted.append((rows, a, Q(scale**self.degree) / (fact * absdet * costs)))
+                weighted.append((rows, a, 1 / (fact * absdet * costs)))
             else:  # every reduced cost is nonzero
                 break
         fs = [f for *_, f in weighted]
@@ -298,15 +297,13 @@ class VectorConfig:
         the whole configuration last, so one pass in order evaluates the
         recurrence with one value per count tuple.
 
-        Everything is kept in ints at one scale: rows[k] is E B_k^-1 for E
-        the lcm of the inverses' denominators, so at a point x = X / D
-        (X in ints) t = rows . X / (E D), and the leaf value of B is
-        L / |det B| for L the common denominator of the 1 / |det B|.  A
-        node with |S| = r + k then carries L k! (E D)^k T_S, an int.
+        Everything is kept in ints: rows[k] is E B_k^-1 for E the lcm of
+        the inverses' denominators, so at a point x = X / D (X in ints)
+        t = rows . X / (E D), and the leaf value of B is L / |det B| for
+        L the lcm of the integers |det B|.  A node with |S| = r + k then
+        carries L k! (E D)^k T_S, an int.
         """
-        unique = list(dict.fromkeys(self.vectors))
-        scale = common_denominator(chain.from_iterable(unique))
-        distinct = [tuple(scaled(v, scale)) for v in unique]
+        distinct = list(dict.fromkeys(self.vectors))
         bases: dict[tuple[int, ...], int] = {}
         inverses: list[tuple[tuple[int, ...], list[list[int]], int, Q]] = []
         pivots: dict[tuple[int, ...], int | None] = {}
@@ -345,12 +342,10 @@ class VectorConfig:
                 index[counts] = node
             return index[counts]
 
-        visit(tuple(map(self.vectors.count, unique)))
-        # the vectors were scaled by s: B^-1 = s (s B)^-1 and 1/|det B| = s^r / |det s B|
+        visit(tuple(map(self.vectors.count, distinct)))
         common = math.lcm(*(e for _, _, e, _ in inverses))
-        rows = [[[common // e * scale * c for c in row] for row in inv]
-                for _, inv, e, _ in inverses]
-        leaf = [scale**self.rank / abs(d) for *_, d in inverses]
+        rows = [[[common // e * c for c in row] for row in inv] for _, inv, e, _ in inverses]
+        leaf = [1 / abs(d) for *_, d in inverses]
         den = common_denominator(leaf)
         return nodes, rows, scaled(leaf, den), den, common
 
@@ -389,13 +384,13 @@ class VectorConfig:
         return tuple((d > 0) - (d < 0) for d in dots)
 
 
-def _primitive(v: Vec) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of v, leading entry positive."""
-    ints = scaled(v, common_denominator(v))
-    g = math.gcd(*ints)
-    if next(x for x in ints if x != 0) < 0:
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of the nonzero int vector v,
+    first nonzero entry positive."""
+    g = math.gcd(*v)
+    if next(x for x in v if x) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def _root_config(rs: RootSystem, multiplicity: int = 1) -> VectorConfig:

@@ -16,12 +16,12 @@ diagonal d1, d2 and w in SU(2), |w_00|^2 = |w_11|^2 = 1 - s and
 |w_10|^2 = s with s = |w_01|^2, so
 tr(d1 w d2 w^H) = S + (C - S) s,
 with S = Re(d1_0 d2_0 + d1_1 d2_1) and C = Re(d1_0 d2_1 + d1_1 d2_0).
-A Haar element of SU(2) is a unit quaternion q = (a, b, c, d), the matrix
-[[a+ib, c+id], [-c+id, a-ib]], uniform on S^3: a normalized standard
-normal 4-vector.  Then s = (c^2 + d^2) / |q|^2, and a^2 + b^2 and
-c^2 + d^2 are independent chi^2_2 (exponential) variables, so s has the
-Beta(1, 1) law: it is uniform on [0, 1].  The A1 oracle draws s as one
-uniform per sample and forms no quaternion or complex matrix.
+The first row of a Haar w in SU(2) is uniform on the unit sphere of C^2
+(its law is invariant under w -> w h), as a normalized standard complex
+normal 2-vector is, whose squared moduli are independent exponentials:
+(|w_00|^2, |w_01|^2) has the flat Dirichlet law, so s has the Beta(1, 1)
+law, uniform on [0, 1].  The A1 oracle draws s as one uniform per sample
+and forms no complex matrix.
 """
 
 from __future__ import annotations
@@ -65,44 +65,23 @@ def _check_group(rs: RootSystem) -> None:
         raise ValueError("the holonomy oracle supports A1 and A2 only")
 
 
-def _quaternion_draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normal 4-vectors (a, b, c, d): normalized, each is a
-    Haar-uniform unit quaternion, the SU(2) matrix [[a+ib, c+id],
-    [-c+id, a-ib]]."""
-    return rng.normal(size=(n, 4))
-
-
 def haar_sample(rs: RootSystem, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-uniform special unitary matrices, batched (n, d, d)."""
+    """n Haar-uniform SU(d) matrices, d = rank + 1, batched (n, d, d)."""
     _check_group(rs)
-    if rs.spec.name == "A1":
-        q = _quaternion_draw(rng, n)
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        out = np.empty((n, 2, 2), dtype=complex)
-        out[:, 0, 0] = a + 1j * b
-        out[:, 0, 1] = c + 1j * d
-        out[:, 1, 0] = -c + 1j * d
-        out[:, 1, 1] = a - 1j * b
-        return out
-    z = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    d = rs.rank + 1
+    z = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     qmat, rmat = np.linalg.qr(z)
     diag = np.einsum("nii->ni", rmat)
     qmat = qmat * (diag / np.abs(diag))[:, None, :]
     dets = np.linalg.det(qmat)
-    qmat = qmat * (dets ** (-1.0 / 3.0))[:, None, None]
-    return qmat
+    return qmat * (dets ** (-1.0 / d))[:, None, None]
 
 
 def class_representative(rs: RootSystem, mu: Vec) -> np.ndarray:
-    """exp(mu) as a diagonal special unitary matrix (period-1 convention)."""
+    """exp(mu) as a diagonal special unitary matrix (period-1 convention);
+    alpha_i = e_i - e_(i+1), so mu's root coordinates c give c_i - c_(i-1)."""
     _check_group(rs)
-    if rs.spec.name == "A1":
-        t = float(rs.ip(rs.simple_roots[0], mu))
-        return np.diag([np.exp(1j * math.pi * t), np.exp(-1j * math.pi * t)])
-    c1, c2 = float(mu[0]), float(mu[1])
-    v = np.array([c1, c2 - c1, -c2])
-    return np.diag(np.exp(2j * math.pi * v))
+    return np.diag(np.exp(2j * math.pi * np.diff([0.0, *map(float, mu), 0.0])))
 
 
 def class_parameter_batch(rs: RootSystem, u: np.ndarray) -> np.ndarray:

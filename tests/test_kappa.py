@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -185,6 +186,49 @@ def test_truncated_power_refuses_wall_points(a1, a2):
         _root_config(a1, 2).truncated_power(vec([0]))
 
 
+# sha256 of the JSON of `vertex_table` (entries, denominator) and of
+# `power_program` (nodes, rows, leaf values, L, E), per (group, multiplicity):
+# both are pure ints, so any change of scale or of basis order shows
+CONFIG_TABLE_DIGESTS = {
+    ("A1", 1): ("c5a0c55e5955b72a6aec05eca113a500ef97eab1e8a6b1a7ad0361eb3bda2274",
+                "927ba5f2940796a582b8f7213d9cd37990277adace78fc144d9f1724b9e847d0"),
+    ("A2", 1): ("49ac2517988ee1b928c763bdac51788c77e67f8f13fedf118c526e0e60143f88",
+                "3ab22778b6ad612b873ed5ae189053f05c654ca63399782671a28ef8ed750cc9"),
+    ("A3", 1): ("228a88f6d9a100be94ac5b6d3de79d2d9fb3a792f3812139317fb06755eaf0f5",
+                "ad2fb8de800349c338b4ca0de39e9718ae6d0ae1138a65f2e83605fc719aaea7"),
+    ("A4", 1): ("ef128804576e82b91fde7203cfd910b4c252e7dc34909ff822a5fcfb55017001",
+                "65205448f7696f0cd4ad7698e98cd041a727fd15e54d06f6098aae3bbf101311"),
+    ("B2", 1): ("f2975c125f9c7b8157865886927f6409640f57fab7142ff16553dc911f14e040",
+                "ca0e886a175f3bbe9dc4b5f1af7d7c4a1b2209168405e5009ba9167b499a024e"),
+    ("C2", 1): ("2d216d2e3338345a98f6ce6f81e6f132935b54116e67a246e8268278d2c18178",
+                "53d301a12ef10d9709ca8467b582a22edf1af5eb32ca90ce233ec7e96826ecb0"),
+    ("C3", 1): ("f793657f6fef1a780eea458a5e1297eab7f8857f49eef4039fdd230d468807f1",
+                "627cf9ae46bcb3344b458dc371717d893426875014306f59ca63f76008b0138a"),
+    ("D4", 1): ("d7e9ec1342eab2c76b23a18c32950a007ec1153cbc007b1210416f66bde1746e",
+                "f73cd3ccf4efa641573ceaa80ac1bbc778402314bffb4787584ed077d45a8d8f"),
+    ("G2", 1): ("d6f484ca10406943e785e3c1e9bc7c50375b3a8bf94f8c7f50113d2b1119fb51",
+                "e00e5198bca63703e726aeaf5d505097865c9e0f3ae6cc2157ad8730e6a78bef"),
+    ("A1", 2): ("7a2779c9ffc8f0b3c79f37809e79cd58016e22e18d29e7de4ea6be1740af3b27",
+                "b949d30f1dee3cbe7d5713240347e5e141c1831d0b0b7dfda7f15e6e16d90d7a"),
+    ("A2", 2): ("063deb80fd9c0fd1973964d26cb47cdff26fba203cba1b2c8e5fb90e3b576325",
+                "425eddc86ca4d56f4c75820ac8efe2414b2027b60b82952eb9ff0ce65f342c12"),
+    ("B2", 2): ("954521c2bb7942edd9e3cb32376affd38e141d87fccf5ec4b945944062940bcd",
+                "ea5fcebd0d8185587528e13a298a97c8253cb18c5a678f142233991cb0a4c285"),
+    ("G2", 2): ("7727f2da09df961bf6fa1c5347585f84c64c71ab4ae412d296ee4f5aacdc6692",
+                "dd8d5a58aabbd02d531b2f8897a61d57e23760d1aad090e0a3cdb47d049aa15d"),
+    ("A2", 3): ("c78d4b395ba827119710dd7f898751be25d24a8b489258c24544f0effdb01e03",
+                "de1c14338f70d4c9bc641142c3c81495ef5d88cac98e6a8b378d4d3fa95dbc0e"),
+}
+
+
+@pytest.mark.parametrize("name, multiplicity", sorted(CONFIG_TABLE_DIGESTS))
+def test_config_tables_pinned(name, multiplicity):
+    cfg = _root_config(build_root_system(name), multiplicity)
+    digests = tuple(hashlib.sha256(json.dumps(table).encode()).hexdigest()
+                    for table in (cfg.vertex_table, cfg.power_program))
+    assert digests == CONFIG_TABLE_DIGESTS[name, multiplicity]
+
+
 def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
     """A vertex sum with one numerator of its integer form shifted fails
     the one-point check."""
@@ -249,6 +293,36 @@ def test_vector_config_refuses_a_negative_coordinate():
     the support, which holds only when the vectors have none."""
     with pytest.raises(ValueError, match="negative coordinate"):
         VectorConfig([vec([1, 0]), vec([0, 1]), vec([1, -1])], det_gram=Q(1))
+
+
+def test_vector_config_refuses_a_non_integral_vector():
+    """The vertex table and the truncated-power program are built in ints
+    from the vectors themselves."""
+    with pytest.raises(ValueError, match="integral"):
+        VectorConfig([vec([1, 0]), vec([0, 1]), vec([Q(1, 2), 1])], det_gram=Q(1))
+
+
+@pytest.mark.parametrize(
+    "name,multiplicity",
+    [(f"{s}{r}", 1) for s, r in sorted(_SUPPORTED)] + [("B2", 2), ("A2", 3)],
+)
+def test_values_stay_fractions(name, multiplicity):
+    """The three evaluators return Fractions, and so do the coefficients of
+    every built chamber, at dyadic points: a float leak there passes an
+    equality test, since 0.5 == Fraction(1, 2)."""
+    rs = build_root_system(name)
+    spline = kappa_build(rs, multiplicity)
+    cfg = spline.config
+    rng = random.Random(f"fractions-{name}-{multiplicity}")
+    points = []
+    while len(points) < 2:
+        xi = vec([Q(rng.randint(1, 16), 2 ** rng.randint(0, 3)) for _ in range(rs.rank)])
+        if not cfg.on_wall(xi):
+            points.append(xi)
+    for xi in points:
+        values = (cfg.density(xi), cfg.truncated_power(xi), spline.value_exact(xi))
+        assert all(type(v) is Q for v in values) and len(set(values)) == 1, (xi, values)
+    assert all(type(c) is Q for ch in spline.chambers.values() for c in ch.polynomial.values())
 
 
 def test_chamber_polynomial_on_a_wall(a1, a2):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -14,7 +16,6 @@ from flatvol import (
 from flatvol.mc import (
     _CHUNK,
     MAX_CELLS,
-    _quaternion_draw,
     class_parameter_batch,
     class_representative,
     haar_sample,
@@ -32,6 +33,8 @@ def test_haar_moment_su2(a1):
     assert abs(m - 1) < 0.01
     defect = np.abs(g @ np.conj(np.swapaxes(g, 1, 2)) - np.eye(2)).max()
     assert defect < 1e-12
+    dets = np.linalg.det(g)
+    assert np.abs(dets - 1).max() < 1e-10
 
 
 def test_haar_moment_su3(a2):
@@ -76,6 +79,47 @@ def test_su3_class_recovery(a2):
     conj = g @ rep @ np.conj(np.swapaxes(g, 1, 2))
     params = class_parameter_batch(a2, conj)
     assert np.allclose(params, [0.25, 1 / 3], atol=1e-9)
+
+
+def _per_group_class_representative(rs, mu):
+    """exp(mu) by a formula per group: the angle pi <alpha, mu> for A1,
+    the root coordinates (c1, c2 - c1, -c2) for A2."""
+    if rs.spec.name == "A1":
+        t = float(rs.ip(rs.simple_roots[0], mu))
+        return np.diag([np.exp(1j * math.pi * t), np.exp(-1j * math.pi * t)])
+    c1, c2 = float(mu[0]), float(mu[1])
+    return np.diag(np.exp(2j * math.pi * np.array([c1, c2 - c1, -c2])))
+
+
+# sha256 of the bytes of `class_representative` at the seeded markings of
+# test_class_representative_pinned, and of haar_sample(a2, 64, default_rng(5))
+CLASS_REPRESENTATIVE_DIGESTS = {
+    "A1": "80e238c0516cc1ad29ce503f08a9a380481b6f7bdc4700a0bc42ca40106643ed",
+    "A2": "1723ab3efcb43737b1969143ff6ab9148e3f05be4019327cd332edf32e552292",
+}
+HAAR_A2_DIGEST = "625503e8e6703469b579c21da06b208310001358038aa544b5c00d7bbe279b4f"
+
+
+@pytest.mark.parametrize("group", sorted(CLASS_REPRESENTATIVE_DIGESTS))
+def test_class_representative_pinned(group):
+    """class_representative equals the per-group formulas bit for bit at
+    seeded markings (weight coordinates k/60 in the closed alcove)."""
+    rs = build_root_system(group)
+    rng = random.Random(group)
+    reps = []
+    while len(reps) < 8:
+        w = [Q(rng.randint(0, 60), 60) for _ in range(rs.rank)]
+        if sum(w) <= 1:
+            mu = rs.from_weight_coords(vec(w))
+            reps.append(class_representative(rs, mu))
+            assert reps[-1].tobytes() == _per_group_class_representative(rs, mu).tobytes(), w
+    digest = hashlib.sha256(b"".join(r.tobytes() for r in reps)).hexdigest()
+    assert digest == CLASS_REPRESENTATIVE_DIGESTS[group]
+
+
+def test_haar_sample_pinned(a2):
+    g = haar_sample(a2, 64, np.random.default_rng(5))
+    assert hashlib.sha256(g.tobytes()).hexdigest() == HAAR_A2_DIGEST
 
 
 def test_histogram_degenerate_factor(a1):
@@ -299,17 +343,6 @@ def test_a2_histogram_matches_same_draw_reference(a2, w1, w2):
         params = _same_draw_parameters(a2, mu1, mu2, n, seed)
         h = product_class_histogram(a2, mu1, mu2, bins=16, n_samples=n, seed=seed)
         assert np.array_equal(h.counts, _binned(params, 16)), (w1, w2, seed)
-
-
-def test_quaternion_off_diagonal_matches_haar_matrices(a1):
-    """s = (c^2 + d^2) / |q|^2 of one unnormalized quaternion draw equals
-    |w_01|^2 of `haar_sample`'s matrix of the same draw: the quaternion
-    layout that the Beta(1, 1) law of s is read from."""
-    n = 50000
-    q = _quaternion_draw(np.random.default_rng(12), n)
-    w = haar_sample(a1, n, np.random.default_rng(12))
-    s = (q[:, 2] ** 2 + q[:, 3] ** 2) / (q**2).sum(axis=1)
-    assert np.abs(s - np.abs(w[:, 0, 1]) ** 2).max() < 1e-14
 
 
 def _ks_two_sample_bound(n, alpha=1e-6):
