@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import chain
 
 import numpy as np
 
-from .exact import Q, Vec, common_denominator, scaled, vadd, vec
+from .exact import Vec, _int_form, vadd, vec
 from .kappa import OnWallError
-from .liecore import RootSystem
+from .liecore import RootSystem, rho_product
 
 __all__ = [
     "DominantWeight",
@@ -57,12 +55,7 @@ class CharacterValue:
 def weyl_dimension(rs: RootSystem, lam: DominantWeight) -> int:
     """prod_{alpha>0} <lambda+rho, alpha> / <rho, alpha>, exact."""
     lam_rho = vadd(lam.vector(rs), rs.rho)
-    num = Q(1)
-    den = Q(1)
-    for a in rs.positive_roots:
-        num *= rs.ip(lam_rho, a)
-        den *= rs.ip(rs.rho, a)
-    d = num / den
+    d = math.prod(rs.ip(lam_rho, a) for a in rs.positive_roots) / rho_product(rs)
     if d.denominator != 1 or d <= 0:
         raise RuntimeError(f"non-integral Weyl dimension {d} for {lam}")
     return int(d)
@@ -113,17 +106,17 @@ def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterVal
     return CharacterValue(value=complex(table[0]), condition=condition)
 
 
-@cache
 def _weight_gram(rs: RootSystem) -> tuple[np.ndarray, int]:
     """(G, g): g the common denominator of the fundamental-weight Gram
-    matrix, G that matrix times g, in ints (read-only)."""
-    gram_w = [
-        [rs.ip(a, b) for b in rs.fundamental_weights] for a in rs.fundamental_weights
-    ]
-    g = common_denominator(chain.from_iterable(gram_w))
-    gram = np.array([scaled(row, g) for row in gram_w])
-    gram.setflags(write=False)
-    return gram, g
+    matrix, G that matrix times g, in ints (read-only); made once per root
+    system and kept on it."""
+    if "_weight_gram" not in rs.__dict__:
+        weights = rs.fundamental_weights
+        ints, g = _int_form(tuple(tuple(rs.ip(a, b) for b in weights) for a in weights))
+        gram = np.array(ints)
+        gram.setflags(write=False)
+        rs._weight_gram = gram, g
+    return rs._weight_gram
 
 
 def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +130,8 @@ def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarr
     enumerated in lexicographic order, holds every weight; it is filtered
     by the norm and stably sorted by it.
     """
-    cutoff = Fraction(casimir_cutoff).limit_denominator(10**12) if isinstance(
-        casimir_cutoff, float
-    ) else Fraction(casimir_cutoff)
     gram, g = _weight_gram(rs)
-    limit = math.floor(cutoff * g)
+    limit = math.floor(Fraction(casimir_cutoff) * g)
     box = [math.isqrt(max(0, limit) // int(gram[i, i])) for i in range(rs.rank)]
     v = np.indices(box).reshape(rs.rank, -1).T + 1
     q = ((v @ gram) * v).sum(axis=1)

@@ -246,7 +246,8 @@ def lattice_points_in_ball(gram: Mat, radius_sq: Q) -> list[tuple[int, ...]]:
     """
     if radius_sq < 0:
         return []
-    bounds = [math.isqrt(math.floor(radius_sq * g)) for g in _inverse_diagonal(gram)]
+    ginv = inverse(gram)
+    bounds = [math.isqrt(math.floor(radius_sq * ginv[i][i])) for i in range(len(gram))]
     igram, scale = _int_form(gram)
     limit = math.floor(radius_sq * scale)
     return [n for n in itertools.product(*(range(-b, b + 1) for b in bounds))
@@ -260,11 +261,3 @@ def _int_form(gram: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     and again."""
     scale = common_denominator(itertools.chain.from_iterable(gram))
     return tuple(tuple(scaled(row, scale)) for row in gram), scale
-
-
-@lru_cache(maxsize=64)
-def _inverse_diagonal(gram: Mat) -> Vec:
-    """Diagonal of gram^-1; callers pass the few lattice Gram matrices of
-    the supported root systems again and again."""
-    ginv = inverse(gram)
-    return tuple(ginv[i][i] for i in range(len(gram)))

@@ -68,11 +68,15 @@ class AlcoveFactor:
         self.lattice = _lattice_ball(rs, slots)[0]
 
     @cached_property
-    def args(self) -> list:
-        """Every argument (c, L, coef), extended: c has rank + walls entries
-        and L as many rows.  They come in the term order (l, w_1, ..., w_{b-1})
-        of the lattice sum with the Weyl elements of the fixed slots first;
-        equal arguments are not merged."""
+    def _alcove_args(self) -> list:
+        """(c, L, coef, walls, lines) for the arguments whose support meets
+        the open alcove, in the term order (l, w_1, ..., w_{b-1}) of the
+        lattice sum with the Weyl elements of the fixed slots first; equal
+        arguments are not merged.  walls[j] = (D L^T u_j, u_j.c) is the line
+        of wall u_j, read off the extended argument, and lines the set of
+        those that vary with nu, primitive (walls share one when L is
+        singular).  At degree 0 kappa jumps on a wall, so an argument that
+        stays on a wall for every nu raises OnWallError."""
         rs, rank, scale = self.rs, self.rs.rank, self.scale
         extension = self.spline.config.extension
         *imaged, last = self.slots
@@ -92,31 +96,22 @@ class AlcoveFactor:
             [scaled(s, scale) for s in imaged if not isinstance(s, str)], dtype=object))
         tails = scale * self.lattice.astype(object)
         cs = ((tails[:, None] + fixed[None]).reshape(-1, rank) @ extension.T).tolist()
-        return [(tuple(c), L, cf * cv)
-                for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)) for L, cv in ls]
-
-    @cached_property
-    def _alcove_args(self) -> list:
-        """(c, L, coef, walls, lines) for the arguments whose support meets
-        the open alcove, walls[j] = (D L^T u_j, u_j.c) the line of wall u_j,
-        read off the extended argument, and lines the set of those that
-        vary with nu, primitive (walls share one when L is singular).  At
-        degree 0 kappa jumps on a wall, so an argument that stays on a wall
-        for every nu raises OnWallError."""
-        rank, scale = self.rs.rank, self.scale
-        corners = _alcove_corners(self.rs)
+        corners = _alcove_corners(rs)
         out = []
-        for c, L, coef in self.args:
-            c, dots, L, normals = c[:rank], c[rank:], L[:rank], L[rank:]
-            xs = [[ci * v[-1] + scale * sum(map(mul, row, v[:-1])) for ci, row in zip(c, L)]
-                  for v in corners]
-            if any(max(col) <= 0 < -min(col) for col in zip(*xs)):
-                continue  # a coordinate negative on the open alcove
-            walls = [(tuple(scale * a for a in row), k) for row, k in zip(normals, dots)]
-            if not self.spline.degree and any(not k and not any(a) for a, k in walls):
-                raise OnWallError(
-                    f"a kappa argument lies on a wall for every nu (lattice term {c})")
-            out.append((c, L, coef, walls, {_primitive((*a, k)) for a, k in walls if any(a)}))
+        for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)):
+            c, dots = tuple(c[:rank]), c[rank:]
+            for L, cv in ls:
+                L, normals = L[:rank], L[rank:]
+                xs = [[ci * v[-1] + scale * sum(map(mul, row, v[:-1])) for ci, row in zip(c, L)]
+                      for v in corners]
+                if any(max(col) <= 0 < -min(col) for col in zip(*xs)):
+                    continue  # a coordinate negative on the open alcove
+                walls = [(tuple(scale * a for a in row), k) for row, k in zip(normals, dots)]
+                if not self.spline.degree and any(not k and not any(a) for a, k in walls):
+                    raise OnWallError(
+                        f"a kappa argument lies on a wall for every nu (lattice term {c})")
+                out.append((c, L, cf * cv, walls,
+                            {_primitive((*a, k)) for a, k in walls if any(a)}))
         return out
 
     @cached_property

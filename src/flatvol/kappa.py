@@ -393,14 +393,6 @@ def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def _root_config(rs: RootSystem, multiplicity: int = 1) -> VectorConfig:
-    key = ("_config", multiplicity)
-    cache = rs.__dict__.setdefault("_kappa_configs", {})
-    if key not in cache:
-        cache[key] = VectorConfig(list(rs.positive_roots) * multiplicity, det_gram=rs.det_gram)
-    return cache[key]
-
-
 @dataclass(frozen=True)
 class KappaValue:
     """Exact value of kappa at one point.
@@ -425,7 +417,7 @@ def kappa_point(rs: RootSystem, xi: Vec, multiplicity: int = 1) -> KappaValue:
     (the value is a genuine jump there); otherwise on-wall points return
     the closure-continuous value with the flag set.
     """
-    cfg = _root_config(rs, multiplicity)
+    cfg = kappa_build(rs, multiplicity).config
     on_wall = cfg.on_wall(xi)
     if on_wall and cfg.degree == 0:
         raise OnWallError(f"kappa has a jump at {xi} (degree-0 configuration)")
@@ -497,9 +489,6 @@ class PiecewisePolynomial:
         if any(c < 0 for c in xi):
             return Q(0)
         return self.chamber_at(xi).value(xi)
-
-    def value(self, xi: Vec) -> float:
-        return float(self.value_exact(xi)) / math.sqrt(float(self.det_gram))
 
     def chamber_at(self, xi: Vec) -> Chamber:
         """The chamber whose interior contains xi, built there if new.  On a
@@ -665,15 +654,15 @@ class PiecewisePolynomial:
 
 
 def kappa_build(rs: RootSystem, multiplicity: int = 1) -> PiecewisePolynomial:
-    """Chamber-complex spline for kappa of a supported root system."""
-    key = ("_spline", multiplicity)
+    """Chamber-complex spline for kappa of a supported root system, over
+    the positive roots each taken `multiplicity` times: made once per
+    (root system, multiplicity) and kept on the root system."""
     cache = rs.__dict__.setdefault("_kappa_splines", {})
-    if key not in cache:
-        cache[key] = PiecewisePolynomial(
-            _root_config(rs, multiplicity),
-            label=f"{rs.spec.name}:kappa^{multiplicity}",
-        )
-    return cache[key]
+    if multiplicity not in cache:
+        config = VectorConfig(list(rs.positive_roots) * multiplicity, det_gram=rs.det_gram)
+        cache[multiplicity] = PiecewisePolynomial(
+            config, label=f"{rs.spec.name}:kappa^{multiplicity}")
+    return cache[multiplicity]
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,9 @@ class RootSystem:
     The roots, the Weyl group with its lengths, the weights, the lattice
     bases and the alcove are fixed at construction.  Caches grow on use:
     the lattice table of `coroot_ball`, `weyl_array` on its first read, and
-    the entries that `kappa` and `gluing` keep in the instance's __dict__
-    (`_kappa_configs`, `_kappa_splines`, `_affine_matrices`).
+    the entries that `kappa`, `characters` and `gluing` keep in the
+    instance's __dict__ (`_kappa_splines`, `_pullback_operators`, the
+    weight Gram `_weight_gram`, `_affine_matrices`), so they go with it.
     """
 
     def __init__(self, spec: GroupSpec):

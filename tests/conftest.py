@@ -1,15 +1,24 @@
 """Shared helpers: seeded rational alcove points with wall margins, and
-coroot-lattice vectors from their coefficients."""
+coroot-lattice vectors from their coefficients.  Also puts the checkout's
+src on PYTHONPATH for the child processes that tests start."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from flatvol import build_root_system
 from flatvol.exact import vec
+
+# pyproject's `pythonpath` puts src on this process's path only; the child
+# Pythons that tests start (the CLI, `python -c` scripts) inherit the
+# environment, so the checkout's src goes on PYTHONPATH for them too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def rational_alcove_point(rs, rng: random.Random, denom: int = 40, margin=Q(1, 20)):

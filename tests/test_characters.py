@@ -1,8 +1,12 @@
+import gc
+import hashlib
 import itertools
+import json
 import math
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as Q
 
 import numpy as np
@@ -10,12 +14,18 @@ import pytest
 
 from flatvol import (
     DominantWeight,
+    GroupSpec,
+    Marking,
+    RootSystem,
+    Surface,
     build_root_system,
     character_eval,
     enumerate_dominant,
+    kappa_point,
     star,
     vec,
     weyl_dimension,
+    witten_volume,
 )
 from flatvol import characters
 from flatvol.characters import (
@@ -227,6 +237,48 @@ def test_cutoff_search_matches_doubling_loop(name, monkeypatch):
             monkeypatch.setattr(characters, "_first_step", lambda *_: step)
             cutoff, weights = _cutoff_and_weights(rs, count)
             assert cutoff == ref_cutoff and np.array_equal(weights, ref_weights), (count, step)
+
+
+# sha256 of the Weyl dimensions of the first 60 dominant weights and of
+# `_cutoff_and_weights` (cutoff, weight coordinates) at counts 1, 500, 4 000
+WEIGHT_TABLE_DIGESTS = {
+    "A1": "f6dd1a6386286fd9063dccf7579060afedfc87d36eac87058644d60cb826b944",
+    "A2": "5eb30d121c948f3c93af3d73b08944b8b855b9b8687a3550893872a39c6a3009",
+    "A3": "d695e8e3bef955be2d49a1f1ee1539bf1b7c6e202e70e25621bd67c1d9dc5f4f",
+    "A4": "94316ce9c1ddfaf564ff48db3c4ea1cd4091e11c20a7694ca421855062b3c607",
+    "B2": "d8f4bc1d68ae4f32f9648171bd4cd8c764835e25874204d2a0af4b5b3f93412c",
+    "C2": "c892e84643245d75e3ea20fcb5bbb4531653695e9ce5b72045591da185fb2a0d",
+    "C3": "f767f9b2fcca084b3a914b614b2b22b0a0ac80c087752912cb78c7f3dd15f84f",
+    "D4": "20ea606d7d1130d33fb716a751b4c7e42d9844687cc4c5697442bb4c11eebc7e",
+    "G2": "c6bfbe831fdd08cee1d9e831b925f7acc800e7674dd81ca7af90ab0736aebaa9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_TABLE_DIGESTS))
+def test_weight_tables_pinned(name):
+    rs = build_root_system(name)
+    weights = enumerate_dominant(rs, casimir_cutoff_for_count(rs, 60))[:60]
+    records = [[weyl_dimension(rs, lam) for lam in weights]]
+    for count in (1, 500, 4000):
+        cutoff, coords = _cutoff_and_weights(rs, count)
+        records.append([str(cutoff), coords.tolist()])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == WEIGHT_TABLE_DIGESTS[name]
+
+
+def test_root_system_tables_do_not_outlive_it():
+    """The weight and kappa tables are kept on the root system, not in a
+    module-level cache: a root system nothing refers to is collected."""
+    rs = RootSystem(GroupSpec("A", 2))
+    ref = weakref.ref(rs)
+    _shifted_norms(rs, 60)
+    mus = [rs.from_weight_coords(vec(m)) for m in ([Q(1, 4), Q(1, 5)], [Q(1, 3), Q(1, 7)],
+                                                    [Q(2, 7), Q(1, 6)])]
+    witten_volume(rs, Surface(0, 3), Marking.of(rs, mus), weight_count=500)
+    kappa_point(rs, vec([Q(1, 2), Q(1, 3)]))
+    del rs
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])

@@ -960,8 +960,6 @@ def test_cached_chamber_on_a_wall_is_refused(tmp_path):
     """A cached chamber whose sample point lies on a wall, with the zero
     sign of that wall, is refused although its polynomial gives the
     kappa value there; the file is rewritten."""
-    from flatvol.kappa import _root_config
-
     args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
     env = {"FLATVOL_CACHE": str(tmp_path)}
     plain = run(*args, env=env)
@@ -970,7 +968,7 @@ def test_cached_chamber_on_a_wall_is_refused(tmp_path):
     fresh = cache_file.read_bytes()
     data = json.loads(fresh)
     on_wall = (Fraction(1), Fraction(1))  # alpha1 + alpha2, where both chambers give 1
-    signs = _root_config(build_root_system("A2")).sign_vector(on_wall)
+    signs = kappa_build(build_root_system("A2")).config.sign_vector(on_wall)
     assert 0 in signs
     data["chambers"].append({"signs": list(signs), "sample_point": ["1", "1"],
                              "polynomial": data["chambers"][0]["polynomial"]})

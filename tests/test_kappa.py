@@ -17,9 +17,7 @@ from flatvol import (
     pullback_operator,
     vec,
 )
-from flatvol.kappa import (
-    DegenerateArrangementError, PiecewisePolynomial, VectorConfig, _root_config,
-)
+from flatvol.kappa import DegenerateArrangementError, PiecewisePolynomial, VectorConfig
 from flatvol.liecore import _SUPPORTED
 from flatvol.poly import poly_add, poly_const, poly_eval, poly_mul, poly_subs_affine
 from flatvol.exact import det, inverse, mat_t, nullspace, vdot
@@ -155,7 +153,7 @@ def test_truncated_power_equals_fiber_volume(name, multiplicity):
     fiber volume of A3 x3 takes seconds at a generic interior point, so
     that case has one interior point near the alpha_3 ray instead."""
     rs = build_root_system(name)
-    cfg = _root_config(rs, multiplicity)
+    cfg = kappa_build(rs, multiplicity).config
     rng = random.Random(f"truncated-power-{name}-{multiplicity}")
     points = []
     while len(points) < (0 if (name, multiplicity) == ("A3", 3) else 3):
@@ -181,9 +179,9 @@ def test_truncated_power_equals_fiber_volume(name, multiplicity):
 
 def test_truncated_power_refuses_wall_points(a1, a2):
     with pytest.raises(OnWallError):
-        _root_config(a2).truncated_power(vec([3, 3]))
+        kappa_build(a2).config.truncated_power(vec([3, 3]))
     with pytest.raises(OnWallError):
-        _root_config(a1, 2).truncated_power(vec([0]))
+        kappa_build(a1, 2).config.truncated_power(vec([0]))
 
 
 # sha256 of the JSON of `vertex_table` (entries, denominator) and of
@@ -223,10 +221,46 @@ CONFIG_TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("name, multiplicity", sorted(CONFIG_TABLE_DIGESTS))
 def test_config_tables_pinned(name, multiplicity):
-    cfg = _root_config(build_root_system(name), multiplicity)
+    cfg = kappa_build(build_root_system(name), multiplicity).config
     digests = tuple(hashlib.sha256(json.dumps(table).encode()).hexdigest()
                     for table in (cfg.vertex_table, cfg.power_program))
     assert digests == CONFIG_TABLE_DIGESTS[name, multiplicity]
+
+
+# sha256 of `kappa_point`'s (rational, on_wall), or the error's name, at
+# seeded points of small numerators and denominators: many lie on walls
+# and about a third have a negative coordinate
+KAPPA_POINT_DIGESTS = {
+    ("A1", 1): "8255643e099c03b773f4271e3d66368c39d05cd51f85f50ebbbad1ead47d9e87",
+    ("A1", 2): "20e268f4e305b81bd705fe97a4b099b04232ef7ae39f8e8edcfcaec8e23ceac5",
+    ("A1", 3): "e775607921e7eec692ed2bd75eb73011683168e8564919ff5f68706759ceba1b",
+    ("A2", 1): "e6565c28f99904ed8c57f95fb3f1e6b181fe17d1cfc623f26095d8e342dfaf3b",
+    ("A2", 2): "7098084f0416b36450d1b6d172594f38837d45ced50739dbfdc86a9ff0c2310b",
+    ("A2", 3): "26228fe0fb4d0228c8ca1d3b5e5b1c1253ec5e8475993b94ad4b5c1f4e79f945",
+    ("B2", 1): "e1b75c149dc20d877a6ca4ee13cef13b0d6408a901a32ba20ad8098a09637fe6",
+    ("B2", 2): "a5c502d90fbf11c1653000e3eb688b61085ff5fb8b568381b4638d0980bb4c52",
+    ("B2", 3): "763ab940dec48431f19464b2ddc87dfcb45b21f48b9e22c2b836ecbd2f39943e",
+    ("G2", 1): "62cef92a041e8084652710bbd2b24410001bb1ce45f1bf067cad7f4c553f1103",
+    ("G2", 2): "0a3ee7acd4a856d90266c70bffd0345373f47e61eec526b8f3c6e0bc8441be6b",
+    ("G2", 3): "3965b5e6a745a0de75123929f723fe041d311a40398a4da18110c17af308ef6d",
+}
+
+
+@pytest.mark.parametrize("name, multiplicity", sorted(KAPPA_POINT_DIGESTS))
+def test_kappa_point_pinned(name, multiplicity):
+    rs = build_root_system(name)
+    rng = random.Random(f"kappa-point-{name}-{multiplicity}")
+    records = []
+    for _ in range(16):
+        xi = vec([Q(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(rs.rank)])
+        try:
+            kv = kappa_point(rs, xi, multiplicity)
+            records.append([str(kv.rational), kv.on_wall])
+        except OnWallError as exc:
+            records.append(type(exc).__name__)
+    assert any(r == "OnWallError" or r[1] for r in records)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == KAPPA_POINT_DIGESTS[name, multiplicity]
 
 
 def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
@@ -240,7 +274,7 @@ def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
 
     monkeypatch.setattr(PiecewisePolynomial, "_vertex_sum", shifted)
     rs = build_root_system("A2")
-    spline = PiecewisePolynomial(_root_config(rs), label="A2:kappa^1")
+    spline = PiecewisePolynomial(kappa_build(rs).config, label="A2:kappa^1")
     with pytest.raises(DegenerateArrangementError):
         spline.value_exact(vec([2, 1]))
     assert not spline.chambers

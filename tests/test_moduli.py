@@ -1084,6 +1084,41 @@ def test_glue_two_pants_random_markings_exact():
     assert nonzero >= 5
 
 
+def _factor_record(rs, slots) -> list:
+    """An `AlcoveFactor`'s lines (with the indices of their arguments) and
+    jumps, in dict order: line, cuts, and each jump's integer form."""
+    factor = gluing.AlcoveFactor(rs, slots)
+    return [[[list(line), arguments] for line, arguments in factor.lines.items()],
+            [[list(line), [str(c) for c in cuts], [[list(ints.items()), den] for ints, den in polys]]
+             for line, (cuts, polys) in factor.jumps().items()]]
+
+
+# sha256 of the factor records and `glue_volume` reports of seeded markings
+# (denominator 12): the (1,1) factor [m0, *NU, NU], the (0,4) factors
+# [m0, m1, NU] (the A1 oracle's) and [m2, m3, *NU], and both reports
+GLUE_RECORD_DIGESTS = {
+    "A1": "e0c0fdd423934e6729f6a8697b0fba19092391d4bb9d7646e9678ca83f326587",
+    "A2": "2204021b01f8c9511edf1d7140ab5c5d41423f17e4c5fb7ab5691557540ef897",
+    "B2": "051eec63b8aa3b07d5e6e6f56ee8ceedb6217c25d1aaf61d5bc3cf631014735c",
+    "G2": "90fbb74ba6cb27c411c3b573937c7b4d6902c833c3b60435738d6c56a33c6103",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLUE_RECORD_DIGESTS))
+def test_glue_records_pinned(name):
+    rs = build_root_system(name)
+    kappa_build(rs).enumerate_support_chambers()  # jumps read every support chamber
+    rng = random.Random(f"glue-pin-{name}")
+    m = [rational_alcove_point(rs, rng, 12) for _ in range(4)]
+    records = [_factor_record(rs, slots) for slots in
+               ([m[0], moduli.STAR_NU, moduli.NU], [m[0], m[1], moduli.NU],
+                [m[2], m[3], moduli.STAR_NU])]
+    records += [glue_volume(rs, Surface(1, 1), Marking.of(rs, m[:1])).to_json_dict(),
+                glue_volume(rs, Surface(0, 4), Marking.of(rs, m)).to_json_dict()]
+    digest = hashlib.sha256(json.dumps(records, default=str).encode()).hexdigest()
+    assert digest == GLUE_RECORD_DIGESTS[name]
+
+
 # exact (rational, cells) of the rank-2 one-holed tori below
 ONE_HANDLE_RANK2 = {"B2": (Q(143, 32000), 93), "G2": (Q(59587, 4915200000), 573),
                     "A2": (Q(33, 800), 28)}
