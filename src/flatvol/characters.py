@@ -7,6 +7,15 @@ which is the period-1 convention in which the alcove constraint reads
 <alpha_0, mu> <= 1.  At a singular mu (the identity, central elements,
 alcove walls) both sums vanish; their ratio is then taken exactly as the
 limit along rho, as in the proof of Weyl's dimension formula.
+
+The phases are roots of unity, read from exact integers: lambda + rho is
+given by its integer fundamental-weight coordinates n, and with
+P[w, i] = D <w omega_i, mu> mod D over one denominator D the phase of a
+term is exp(2 pi i (sum_i n_i P[w, i] mod D) / D), the product over i of
+the entries T[w, i, n_i] of a power table
+T[w, i, m] = exp(2 pi i ((m P[w, i]) mod D) / D), m <= max n
+(`character_table`).  No weight needs its own exp, and every exp
+argument is reduced exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
-from .exact import Vec, _int_form, vadd, vec
+from .exact import Vec, _int_form, common_denominator, scaled, vadd, vec
 from .kappa import OnWallError
 from .liecore import RootSystem, rho_product
 
@@ -67,31 +78,73 @@ def singular_order(rs: RootSystem, mu: Vec) -> int:
     return sum(1 for a in rs.positive_roots if rs.ip(a, mu).denominator == 1)
 
 
-def character_table(rs: RootSystem, lam_rho: np.ndarray, mu: Vec) -> np.ndarray:
-    """chi_lambda(e^mu) for all rows of lam_rho (lambda + rho in simple-root
-    coordinates), by the Weyl-group sums in floating point.
+def character_table(rs: RootSystem, n: np.ndarray, mu: Vec) -> np.ndarray:
+    """chi_lambda(e^mu) for all rows of n, the ints n = lambda + rho in
+    fundamental-weight coordinates, by the Weyl-group sums.
+
+    The phase of a term is exp(2 pi i <w(lambda+rho), mu>), and
+    D <w(lambda+rho), mu> = sum_i n_i P[w, i] with P[w, i] = D <w omega_i, mu>
+    mod D exact ints (`_weyl_pairings`).  So each phase is the product over
+    i of T[w, i, n_i], from a power table T[w, i, m] = exp(2 pi i ((m P[w, i])
+    mod D) / D), m <= max n (only the n_i present, when there are fewer):
+    every exp argument is reduced exactly, in int64 when D max n < 2^63 and
+    in Python ints (an object array, whose `/` is correctly rounded) above.
+    The denominator's sum is the same sum at the row n = (1, ..., 1).
 
     At a singular mu both sums vanish to order k = singular_order(rs, mu)
     along rho, and their k-th derivatives there weight each term by
-    <w(lambda+rho), rho>^k and <w rho, rho>^k; the ratio of those is the
-    limit (at k = 0, the plain sums).  Raises OnWallError when the
-    denominator is too small to divide by in floating point.
+    <w(lambda+rho), rho>^k and <w rho, rho>^k, exact ints over one
+    denominator before the power; the ratio of those is the limit (at
+    k = 0, the plain sums).  Raises OnWallError when the denominator is too
+    small to divide by in floating point.
     """
     k = singular_order(rs, mu)
-    gram = np.array([[float(x) for x in row] for row in rs.gram])
-    gmu = gram @ np.array([float(c) for c in mu])
-    num = np.zeros(len(lam_rho), dtype=complex)
-    den = 0.0 + 0.0j
-    rho_f = np.array([float(c) for c in rs.rho])
-    grho = gram @ rho_f
-    mats, signs, _ = rs.weyl_array
-    for wm, sign in zip(mats.astype(float), signs.tolist()):
-        wl, wr = lam_rho @ wm.T, wm @ rho_f
-        num += sign * np.exp(2j * np.pi * (wl @ gmu)) * (wl @ grho) ** k
-        den += sign * np.exp(2j * np.pi * float(wr @ gmu)) * float(wr @ grho) ** k
-    if abs(den) < 1e-12 * len(mats):
+    signs = rs.weyl_array[1]
+    pairings, d = _weyl_pairings(rs, mu)
+    n = np.vstack([n, np.ones(rs.rank, dtype=n.dtype)])  # the last row, rho, is the denominator's
+    top = int(n.max())
+    if top < n.size:  # the table holds every power m <= max n
+        ms, cols = np.arange(top + 1), n.T
+    else:  # or, for a few large weights, only the powers present
+        ms, inverse = np.unique(n, return_inverse=True)
+        cols = inverse.reshape(n.shape).T
+    dtype = np.int64 if d * top < 2**63 else object
+    powers = (pairings % d).astype(dtype)[:, :, None] * ms.astype(dtype)
+    table = np.exp(2j * np.pi * (powers % d / d).astype(float))
+    table[:, 0] *= signs[:, None]  # each term's sign rides on its first factor
+    if k:
+        rho_pairings, rho_d = _weyl_pairings(rs, rs.rho)
+        rho_pairings = rho_pairings.astype(np.int64)
+    sums = np.zeros(len(n), dtype=complex)
+    for w, row in enumerate(table):
+        term = row[0, cols[0]]
+        for i in range(1, rs.rank):
+            term = term * row[i, cols[i]]
+        if k:
+            term = term * (n @ rho_pairings[w] / rho_d) ** k
+        sums += term
+    num, den = sums[:-1], sums[-1]
+    if abs(den) < 1e-12 * len(signs):
         raise OnWallError("marking is not regular; character table undefined")
     return num / den
+
+
+def _weyl_pairings(rs: RootSystem, mu: Vec) -> tuple[np.ndarray, int]:
+    """(A, D): A[w, i] = D <w omega_i, mu> as Python ints (an object array)
+    for the elements w of `rs.weyl_array` and the fundamental weights
+    omega_i, D the least denominator of them all.  The Weyl images of the
+    weights are int64 (the weights scaled by their common denominator);
+    mu, scaled by its own and paired with the int Gram, is in Python ints."""
+    igram, g = rs.int_gram
+    d_mu = common_denominator(mu)
+    gmu = np.array([sum(map(mul, row, scaled(mu, d_mu))) for row in igram], dtype=object)
+    d_w = common_denominator(chain.from_iterable(rs.fundamental_weights))
+    weights = np.array([scaled(w, d_w) for w in rs.fundamental_weights], dtype=np.int64)
+    images = rs.weyl_array[0] @ weights.T  # images[w, :, i] = d_w w omega_i
+    pairings = gmu @ images.astype(object)
+    d = g * d_w * d_mu
+    common = math.gcd(d, *pairings.ravel().tolist())
+    return pairings // common, d // common
 
 
 def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterValue:
@@ -100,8 +153,7 @@ def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterVal
     The condition is "limit-evaluation" exactly when mu is singular.  A
     regular mu so near a wall that the float guard of character_table
     trips raises OnWallError."""
-    lam_rho = vadd(lam.vector(rs), rs.rho)
-    table = character_table(rs, np.array([[float(c) for c in lam_rho]]), mu)
+    table = character_table(rs, np.array([lam.coords], dtype=np.int64) + 1, mu)
     condition = "limit-evaluation" if singular_order(rs, mu) else "regular-evaluation"
     return CharacterValue(value=complex(table[0]), condition=condition)
 

@@ -147,14 +147,20 @@ class AlcoveFactor:
             out.append((1 if v > 0 else -1) if v else nudge)
         return tuple(out)
 
+    @cached_property
+    def _chambers(self) -> dict:
+        """The spline's chambers by their signs, every support chamber built
+        (`enumerate_support_chambers`) on the first read."""
+        self.spline.enumerate_support_chambers()
+        return self.spline.chambers
+
     def _polynomial(self, terms) -> tuple[dict, int]:
         """prefactor * sum of coef * p_chamber(x(nu)) over (argument, signs,
-        coef) terms, as the integer form `_affine_sum` returns.  Every support
-        chamber must be built (`enumerate_support_chambers`); signs naming
-        no chamber are outside the support cone."""
+        coef) terms, as the integer form `_affine_sum` returns; signs naming
+        no support chamber are outside the support cone."""
         groups: dict = {}
         for (c, L, *_), signs, coef in terms:
-            chamber = self.spline.chambers.get(signs)
+            chamber = self._chambers.get(signs)
             if chamber is None or not coef:
                 continue
             group = groups.setdefault((signs, L), (chamber, L, [], []))
@@ -391,7 +397,6 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     along [lo, hi], with point facets.  Euler's formula counts the cells:
     1 + L + the sum of k - 1 over the inner points where k of L lines meet.
     """
-    kappa_build(rs, 1).enumerate_support_chambers()
     jumps = [f.jumps() for f in factors]
     lines = sorted(set().union(*jumps))
     corners = _alcove_corners(rs)

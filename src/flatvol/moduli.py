@@ -777,6 +777,23 @@ def mixed_characteristic_number(
 # ---------------------------------------------------------------------------
 
 
+def _signed_pairs(rs: RootSystem, smu1: Vec, smu2: Vec) -> list[tuple[int, Vec]]:
+    """(sign w1 sign w2, w1 smu1 + w2 smu2) for w1 and w2 in W, w1-major: the
+    two markings scaled to ints by their common denominator D, imaged by
+    the Weyl tensor and summed in one broadcast (int64 when |w x| <=
+    weyl_norm max|x| keeps every sum below 2^62, Python ints above), each
+    sum made Fractions over D once.  The kappa-sum's `_weyl_fold`, which
+    this route checks, is not used."""
+    mats, signs, weyl_norm = rs.weyl_array
+    d = common_denominator(chain(smu1, smu2))
+    ints = [scaled(smu1, d), scaled(smu2, d)]
+    dtype = np.int64 if weyl_norm * sum(max(map(abs, m)) for m in ints) < 2**62 else object
+    im1, im2 = (mats.astype(dtype) @ np.array(m, dtype=dtype) for m in ints)
+    sums = (im1[:, None] + im2[None]).reshape(-1, rs.rank)
+    return [(s, tuple(Q(x, d) for x in row))
+            for s, row in zip(np.outer(signs, signs).ravel().tolist(), sums.tolist())]
+
+
 def toric_decomposition(
     rs: RootSystem,
     mu1: Vec,
@@ -789,7 +806,9 @@ def toric_decomposition(
     Terms are (-1)^{len(w w1 w2)} (#Z/Vol T) kappa(-shift) with
     shift = -w1(*mu1) - w2(*mu2) + w(tau), w ranging over the affine Weyl
     representatives x -> w_u x + t mapping the alcove into the dominant
-    chamber (`enumerate_waff_positive`), w1 and w2 over W, w1-major.  Every
+    chamber (`enumerate_waff_positive`), w1 and w2 over W, w1-major.  The
+    |W|^2 signed pairs w1(*mu1) + w2(*mu2) are made once per call, by one
+    int broadcast over the Weyl tensor (`_signed_pairs`).  Every
     kappa value is computed by the fiber-polytope route, independently of
     the vertex-formula spline used in the kappa-sum.  Nonzero terms require
     |w(tau)| <= |mu1| + |mu2|, which the default radius provably covers.
@@ -797,8 +816,7 @@ def toric_decomposition(
     bound_sq, provable = _support_radii(rs, [mu1, mu2, tau])
     requested = provable if radius_sq is None else radius_sq
     weyl = rs.weyl_elements()
-    smu1, smu2 = star(rs, mu1), star(rs, mu2)
-    pairs = [(w1.sign * w2.sign, vadd(w1.act(smu1), w2.act(smu2))) for w1 in weyl for w2 in weyl]
+    pairs = _signed_pairs(rs, star(rs, mu1), star(rs, mu2))
     terms: list[SignedToricTerm] = []
     total = Q(0)
     for u, t in zip(*(a.tolist() for a in enumerate_waff_positive(rs, requested))):
@@ -917,7 +935,7 @@ def witten_volume(
     for mu in marking.points:
         if singular_order(rs, mu):
             raise OnWallError("marking is not regular; character table undefined")
-        char_product = char_product * character_table(rs, lam_rho, mu)
+        char_product = char_product * character_table(rs, weights + 1, mu)
     series = np.real(terms * char_product)
 
     if b >= 1:

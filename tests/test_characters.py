@@ -1,3 +1,4 @@
+import cmath
 import gc
 import hashlib
 import itertools
@@ -36,6 +37,8 @@ from flatvol.characters import (
 )
 from flatvol.moduli import MAX_WEIGHTS
 from flatvol.exact import vadd, vscale
+
+from conftest import rational_alcove_point
 
 
 def test_dimension_examples(a1, a2):
@@ -329,3 +332,105 @@ def test_weyl_orthogonality_quadrature(name):
             total = np.sum(wts * numerators[i] * np.conj(numerators[j]))
             expect = covol if i == j else 0.0
             assert abs(total - expect) < 1e-6, (name, i, j, total)
+
+
+def _reference_sums(rs, weights, mu) -> tuple[np.ndarray, complex]:
+    """The Weyl sums of chi_lambda(e^mu), (numerators per weight, denominator),
+    each phase taken exactly modulo 1 as a Fraction before `cmath.exp`; at a
+    singular mu each term is weighted by <w(lambda+rho), rho>^k,
+    k = singular_order(rs, mu)."""
+    k = singular_order(rs, mu)
+
+    def weyl_sum(v):
+        return sum(w.sign * cmath.exp(2j * math.pi * (rs.ip(w.act(v), mu) % 1))
+                   * float(rs.ip(w.act(v), rs.rho)) ** k for w in rs.weyl_elements())
+
+    return (np.array([weyl_sum(vadd(rs.from_weight_coords(vec(lam)), rs.rho))
+                      for lam in weights.tolist()]), weyl_sum(rs.rho))
+
+
+def _assert_table_matches_reference(rs, weights, mu, near_wall=False):
+    """`character_table` against `_reference_sums`, normwise to 1e-12.
+
+    Near a wall the denominator is about the distance to it, and any float
+    evaluation's rounding in the numerators, some ulps of their unit terms,
+    is divided by it; there the numerators, table * denominator, are
+    compared at the scale of their terms, |W| per weight."""
+    table = characters.character_table(rs, weights + 1, mu)
+    nums, den = _reference_sums(rs, weights, mu)
+    if near_wall:
+        error = np.linalg.norm(table * den - nums)
+        scale = len(rs.weyl_elements()) * math.sqrt(len(weights))
+    else:
+        error, scale = np.linalg.norm(table - nums / den), np.linalg.norm(nums / den)
+    assert error <= 1e-12 * scale, (rs.spec.name, mu, error, scale)
+
+
+def _spread_weights(rs, terms=1200):
+    """About terms / |W| weights, 40 at most, spread over the first 2 000 of
+    the series."""
+    count = min(40, terms // len(rs.weyl_elements()))
+    weights = _cutoff_and_weights(rs, 2000)[1][:2000]
+    return weights[:: len(weights) // count][:count]
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_TABLE_DIGESTS))
+def test_character_table_matches_exact_reduction(name):
+    """Seeded regular markings, and markings 1e-7 off a wall: a seeded point
+    of a facet (the alcove vertices but one) moved 1e-7 of the way to the
+    alcove's centroid."""
+    rs = build_root_system(name)
+    rng = random.Random(f"character-table-{name}")
+    weights = _spread_weights(rs)
+    verts = rs.alcove.vertices
+    centroid = [sum(c) / len(verts) for c in zip(*verts)]
+    for _ in range(3):
+        mu = rational_alcove_point(rs, rng, 97)
+        assert singular_order(rs, mu) == 0
+        _assert_table_matches_reference(rs, weights, mu)
+    for j in range(len(verts)):
+        coefs = [Q(rng.randint(1, 9)) for _ in range(len(verts) - 1)]
+        facet = [sum(c * v[i] for c, v in zip(coefs, verts[:j] + verts[j + 1:])) / sum(coefs)
+                 for i in range(rs.rank)]
+        mu = vec([f + Q(1, 10**7) * (c - f) for f, c in zip(facet, centroid)])
+        assert singular_order(rs, mu) == 0
+        _assert_table_matches_reference(rs, weights, mu, near_wall=True)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_TABLE_DIGESTS))
+def test_character_table_limit_matches_exact_reduction(name):
+    """At the alcove vertices and edge midpoints (singular, k >= 1) the
+    table is the limit along rho of the exactly reduced sums."""
+    rs = build_root_system(name)
+    weights = _spread_weights(rs, 600)
+    verts = rs.alcove.vertices
+    mids = [vec([(x + y) / 2 for x, y in zip(a, b)]) for a, b in itertools.combinations(verts, 2)
+            if rs.rank > 1]  # the A1 alcove's midpoint is regular
+    for mu in [*verts, *mids]:
+        assert singular_order(rs, mu) >= 1
+        _assert_table_matches_reference(rs, weights, mu)
+
+
+def test_character_table_huge_denominators(a2):
+    """A marking of denominator about 2^32, whose pairings stay int64 (the
+    fundamental character nearly vanishes there), and one of denominator
+    2^61 - 1, whose power table is made from Python ints."""
+    mu = a2.from_weight_coords(vec([Q(1431655775, 4294967311), Q(1, 3)]))
+    weights = _spread_weights(a2)
+    _assert_table_matches_reference(a2, weights, mu)
+    fundamental = characters.character_table(a2, np.array([[2, 1]]), mu)[0]
+    assert abs(fundamental - (-5.9123e-9 - 3.4135e-9j)) < 1e-13
+    p = 2**61 - 1
+    mu = a2.from_weight_coords(vec([Q(p // 3 - 5, p), Q(1, 3)]))
+    assert characters._weyl_pairings(a2, mu)[1] * (int(weights.max()) + 1) >= 2**63
+    _assert_table_matches_reference(a2, weights, mu)
+
+
+def test_character_eval_large_weight(a2, b2):
+    """A single weight far out in the series reads only the powers it has."""
+    for rs in (a2, b2):
+        mu = rs.from_weight_coords(vec([Q(1, 5), Q(2, 7)]))
+        lam = np.array([[10**6, 3]])
+        value = character_eval(rs, DominantWeight((10**6, 3)), mu).value
+        nums, den = _reference_sums(rs, lam, mu)
+        assert abs(value - nums[0] / den) <= 1e-12 * abs(nums[0] / den)

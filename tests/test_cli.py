@@ -353,7 +353,7 @@ PANTS_SUM_DIGESTS = [
      "a795b5c2d4e806dd2dfdbc7a39577f3b2c9711d86842bf01d2bfa4ba5fcc4afd",
      "5980d12ffdfc3b2531093ea1081b996d28491dd571b758169c59dc96ef2857c8"),
     (("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "all", "--weights", "20000"),
-     "8fca633dddc7774e6c1a3211d54effcf3fb42e598a43f2742411da83aaa0cd33",
+     "181e09053469111edc4510b9c461f7f82c1399cd1a49d8d3f25d82082c937328",
      None),
     (("glue", "B2", "--surface", "1,1", "1/4,1/5"),
      "2318d749dfde596480539d0806256d1b8882995c0fec142f61a5db4aad4f7764",

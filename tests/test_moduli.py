@@ -35,7 +35,7 @@ from flatvol import (
     witten_volume,
 )
 from flatvol.characters import casimir_cutoff_for_count
-from flatvol.exact import det, lattice_points_in_ball, vadd, vscale, vsub
+from flatvol.exact import common_denominator, det, lattice_points_in_ball, scaled, vadd, vscale, vsub
 from flatvol.kappa import kappa_build, pullback_operator
 from flatvol import gluing, moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radii
@@ -1117,6 +1117,33 @@ def test_glue_records_pinned(name):
                 glue_volume(rs, Surface(0, 4), Marking.of(rs, m)).to_json_dict()]
     digest = hashlib.sha256(json.dumps(records, default=str).encode()).hexdigest()
     assert digest == GLUE_RECORD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_alcove_factor_on_a_fresh_root_system(name):
+    """`jumps` and `cell_polynomial` build the support chambers they read:
+    on a fresh root system, whichever is called first, they equal those of
+    a factor whose chambers were all built beforehand."""
+    def factor(rs):
+        marks = [[Q(1, 4), Q(1, 5)], [Q(1, 3), Q(1, 7)]] if rs.rank == 2 else [[Q(1, 4)], [Q(1, 3)]]
+        return gluing.AlcoveFactor(rs, [*(rs.from_weight_coords(vec(m)) for m in marks), moduli.NU])
+
+    warm = build_root_system(name)
+    kappa_build(warm).enumerate_support_chambers()
+    corners = gluing._alcove_corners(warm)
+    middle = [sum(Q(c[i], c[-1]) for c in corners) / len(corners) for i in range(warm.rank)]
+    points = [*corners, gluing._point(scaled(middle, d := common_denominator(middle)), d)]
+    direction = (1,) * warm.rank
+
+    def cells(f):
+        return [f.cell_polynomial(p, f.beside(direction, direction)) for p in points]
+
+    expected_jumps, expected_cells = factor(warm).jumps(), cells(factor(warm))
+    assert expected_jumps and any(ints for ints, _ in expected_cells)
+    fresh = factor(RootSystem(GroupSpec.parse(name)))
+    assert (fresh.jumps(), cells(fresh)) == (expected_jumps, expected_cells)
+    fresh = factor(RootSystem(GroupSpec.parse(name)))
+    assert (cells(fresh), fresh.jumps()) == (expected_cells, expected_jumps)
 
 
 # exact (rational, cells) of the rank-2 one-holed tori below
