@@ -171,25 +171,49 @@ def _weight_gram(rs: RootSystem) -> tuple[np.ndarray, int]:
     return rs._weight_gram
 
 
-def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:
+def _box(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:
     """(g |lambda+rho|^2, coords) for the dominant weights lambda with
-    |lambda+rho|^2 <= cutoff, as int64 arrays sorted by the norm, ties in
-    lexicographic order of the fundamental-weight coordinates.
+    |lambda+rho|^2 <= cutoff, as int64 arrays in lexicographic order of
+    the fundamental-weight coordinates.
 
     g is the common denominator of the fundamental-weight Gram matrix G,
     so the norms are ints.  Every entry of G is positive, so v = lambda +
-    rho >= 1 has g |v|^2 >= G_ii v_i^2: the box v_i <= sqrt(limit / G_ii),
-    enumerated in lexicographic order, holds every weight; it is filtered
-    by the norm and stably sorted by it.
+    rho >= 1 has g |v|^2 >= G_ii v_i^2: the box v_i <= sqrt(limit / G_ii)
+    holds every weight.  Its norms sum_i G_ii v_i^2 + 2 sum_(i<j) G_ij v_i v_j
+    are made by broadcasting each coordinate's range over the box, and the
+    box is filtered by them.
     """
     gram, g = _weight_gram(rs)
     limit = math.floor(Fraction(casimir_cutoff) * g)
-    box = [math.isqrt(max(0, limit) // int(gram[i, i])) for i in range(rs.rank)]
-    v = np.indices(box).reshape(rs.rank, -1).T + 1
-    q = ((v @ gram) * v).sum(axis=1)
-    v, q = v[q <= limit], q[q <= limit]
-    order = np.argsort(q, kind="stable")
-    return q[order], v[order] - 1
+    rank = rs.rank
+    ranges = [np.arange(1, math.isqrt(max(0, limit) // int(gram[i, i])) + 1).reshape(
+        [-1 if k == i else 1 for k in range(rank)]) for i in range(rank)]
+    q = sum(int(gram[i, i]) * ranges[i] ** 2 for i in range(rank))
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            q = q + 2 * int(gram[i, j]) * ranges[i] * ranges[j]
+    inside = q <= limit
+    return q[inside], np.stack(np.nonzero(inside), axis=1)
+
+
+def _stable_order(q: np.ndarray) -> np.ndarray:
+    """argsort(q, kind="stable") for nonnegative int64 q: below 2^31, each
+    norm and its index are packed into one int64 key, whose plain sort is
+    several times faster than a stable argsort."""
+    if not len(q) or q.max() >= 2**31 or len(q) >= 2**32:
+        return np.argsort(q, kind="stable")
+    keys = (q << 32) | np.arange(len(q))
+    keys.sort()
+    return keys & 0xFFFFFFFF
+
+
+def _shifted_norms(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:
+    """(g |lambda+rho|^2, coords) for the dominant weights lambda with
+    |lambda+rho|^2 <= cutoff (`_box`), sorted by the norm, ties in
+    lexicographic order of the fundamental-weight coordinates."""
+    q, v = _box(rs, casimir_cutoff)
+    order = _stable_order(q)
+    return q[order], v[order]
 
 
 def enumerate_dominant(rs: RootSystem, casimir_cutoff) -> list[DominantWeight]:
@@ -222,20 +246,24 @@ def _cutoff_and_weights(rs: RootSystem, count: int) -> tuple[Fraction, np.ndarra
     near the walls shrinks), so from the n0 weights at c0 the first j with
     n0 2^(j rank/2) >= count bounds the search.  One box is built a step
     below that bound and doubled until it holds count weights.  A box
-    filtered by the norm and stably sorted by it, in lexicographic order,
-    holds the list of every smaller cutoff as a prefix, so the first
-    cutoff of the search and its list are read off the box's sorted norms,
-    whatever step the box was built at.
+    filtered by the norm holds the list of every smaller cutoff, so the
+    first cutoff of the search is read off its norms by counting, whatever
+    step the box was built at, and only that cutoff's rows are stably
+    sorted by the norm, in lexicographic order.
     """
     c0 = rs.ip(rs.rho, rs.rho) * 4
-    norms, weights = _shifted_norms(rs, c0)
+    norms, weights = _box(rs, c0)
     j = 0
     if len(norms) < count:
         j = _first_step(count, len(norms), rs.rank)
-        while len((box := _shifted_norms(rs, c0 * 2**j))[0]) < count:
+        while len((box := _box(rs, c0 * 2**j))[0]) < count:
             j += 1
         norms, weights = box
     g = _weight_gram(rs)[1]
-    ends = np.searchsorted(norms, [math.floor(c0 * 2**i * g) for i in range(j + 1)], side="right")
-    i = int(np.searchsorted(ends, count))
-    return c0 * 2**i, weights[: ends[i]]
+    for i in range(j + 1):  # the first cutoff with count weights: sort only its list
+        inside = norms <= math.floor(c0 * 2**i * g)
+        if i == j or np.count_nonzero(inside) >= count:
+            break
+    if i < j:
+        norms, weights = norms[inside], weights[inside]
+    return c0 * 2**i, weights[_stable_order(norms)]

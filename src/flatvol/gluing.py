@@ -11,6 +11,19 @@ and integrates the product of the factors exactly, facet by facet.
 `moduli.glue_volume` and the A1 `oracle` (`cli.cmd_oracle`, for the
 lines) import this module on first use.
 
+In rank 2 a glue builds one line arrangement (`_Arrangement`): every pair
+of the factors' lines is crossed once, in one integer array pass, and
+each line's crossings inside the alcove are sorted once along it.  The
+jumps' pieces and the walk both read it.  The walk integrates along
+lines (Lasserre's reduction): on a line P(t) = (u + t v) / w the cone
+from the origin over a facet [P(a), P(b)] has, for a part f_n of degree
+n, the integral det(u, v) / w^2 / (n + 2) times that of f_n(P(t)) from a
+to b.  So each polynomial is restricted to a line once, as per-degree
+polynomials in t (`_Line`), and carried along it by adding the
+restricted jumps of the lines it crosses; a run of facets on which the
+integrand does not change costs one product and one antiderivative at
+its two ends.  Rank 1 keeps point facets.
+
 Points and lines are exact and in Python ints: a point of the alcove in
 root coordinates is a tuple (z_1, ..., z_r, den) with den > 0 standing for
 z / den, and a line a.z + k = 0 is the primitive integer tuple
@@ -18,15 +31,16 @@ z / den, and a line a.z + k = 0 is the primitive integer tuple
 lines are derived once.  Chambers are read as stored (`kappa.Chamber`,
 integer numerators over one denominator), and a polynomial is an integer
 form ({exponents: numerator}, denominator), as `moduli._affine_sum`
-returns it: no coefficient becomes a Fraction before the cone integrals.
+returns it: no coefficient becomes a Fraction before a facet's integral.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
-from operator import mul
+from functools import cached_property, cmp_to_key, reduce
+from itertools import groupby
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -76,42 +90,49 @@ class AlcoveFactor:
         of wall u_j, read off the extended argument, and lines the set of
         those that vary with nu, primitive (walls share one when L is
         singular).  At degree 0 kappa jumps on a wall, so an argument that
-        stays on a wall for every nu raises OnWallError."""
+        stays on a wall for every nu raises OnWallError.
+
+        The corner test runs on every (c, L) pair at once: the argument's
+        coordinates at the alcove's corners, den * c + D L z, in int64
+        when a bound on them is below 2^62 (Python ints above), and each
+        distinct wall row is made primitive once."""
         rs, rank, scale = self.rs, self.rs.rank, self.scale
         extension = self.spline.config.extension
         *imaged, last = self.slots
-        # the L part depends only on which slots vary: made once per root system
-        pattern = (*(s for s in imaged if isinstance(s, str)), last)
-        ls = rs.__dict__.setdefault("_affine_matrices", {}).get(pattern)
-        if ls is None:
-            columns = {NU: np.eye(rank, dtype=np.int64),
-                       STAR_NU: -np.array(rs.w0.matrix, dtype=np.int64)}
-            varying, coefs = _weyl_fold(rs, [columns[s] for s in pattern[:-1]], rank)
-            varying = varying + columns[last].T.reshape(-1)  # the last slot joins every term
-            # the fold gives L column after column; (its rows, extended, coef)
-            ls = rs._affine_matrices[pattern] = [(tuple(map(tuple, L)), coef) for L, coef in zip(
-                (extension @ varying.reshape(-1, rank, rank).transpose(0, 2, 1)).tolist(),
-                coefs.tolist())]
-        fixed, fixed_coefs = _weyl_fold(rs, np.array(
-            [scaled(s, scale) for s in imaged if not isinstance(s, str)], dtype=object))
-        tails = scale * self.lattice.astype(object)
-        cs = ((tails[:, None] + fixed[None]).reshape(-1, rank) @ extension.T).tolist()
-        corners = _alcove_corners(rs)
+        ls, images, image_max, dens = _affine_matrices(
+            rs, (*(s for s in imaged if isinstance(s, str)), last), extension)
+        ints = [scaled(s, scale) for s in imaged if not isinstance(s, str)]
+        # |c| <= |u|_1 (D |l| + weyl_norm sum |m|) and |L z| <= image_max
+        c_max = int(abs(extension).sum(axis=1).max()) * (
+            scale * int(abs(self.lattice).max(initial=0))
+            + rs.weyl_array[2] * sum(max(map(abs, m)) for m in ints))
+        dtype = np.int64 if max(dens) * c_max + scale * image_max < 2**62 else object
+        fixed, fixed_coefs = _weyl_fold(rs, np.array(ints, dtype=dtype).reshape(-1, rank))
+        tails = (scale * self.lattice.astype(dtype))[:, None] + fixed[None]
+        cs = tails.reshape(-1, rank) @ extension.T.astype(dtype)
+        # x[c, L, i, v] = den_v c_i + D L_i.z_v, the coordinate i at corner v, times den_v
+        xs = cs[:, None, :rank, None] * np.array(dens, dtype=dtype) + scale * images.astype(dtype)
+        outside = ((xs.max(axis=3) <= 0) & (xs.min(axis=3) < 0)).any(axis=2)
+        rows = cs.tolist()
+        normals = [[tuple(scale * a for a in row) for row in L[rank:]] for L, _ in ls]
+        coefs = fixed_coefs.tolist() * len(self.lattice)
+        primitive: dict = {}  # each distinct wall row reduced once
         out = []
-        for c, cf in zip(cs, fixed_coefs.tolist() * len(self.lattice)):
-            c, dots = tuple(c[:rank]), c[rank:]
-            for L, cv in ls:
-                L, normals = L[:rank], L[rank:]
-                xs = [[ci * v[-1] + scale * sum(map(mul, row, v[:-1])) for ci, row in zip(c, L)]
-                      for v in corners]
-                if any(max(col) <= 0 < -min(col) for col in zip(*xs)):
-                    continue  # a coordinate negative on the open alcove
-                walls = [(tuple(scale * a for a in row), k) for row, k in zip(normals, dots)]
-                if not self.spline.degree and any(not k and not any(a) for a, k in walls):
-                    raise OnWallError(
-                        f"a kappa argument lies on a wall for every nu (lattice term {c})")
-                out.append((c, L, cf * cv, walls,
-                            {_primitive((*a, k)) for a, k in walls if any(a)}))
+        for i, j in np.argwhere(~outside).tolist():  # in the order (c, L)
+            c, (L, cv) = rows[i], ls[j]
+            walls = list(zip(normals[j], c[rank:]))
+            if not self.spline.degree and any(not k and not any(a) for a, k in walls):
+                raise OnWallError("a kappa argument lies on a wall for every nu "
+                                  f"(lattice term {tuple(c[:rank])})")
+            lines = set()
+            for a, k in walls:
+                if any(a):
+                    row = (*a, k)
+                    line = primitive.get(row)
+                    if line is None:
+                        line = primitive[row] = _primitive(row)
+                    lines.add(line)
+            out.append((tuple(c[:rank]), L[:rank], coefs[i] * cv, walls, lines))
         return out
 
     @cached_property
@@ -120,11 +141,15 @@ class AlcoveFactor:
         meets a wall -> the indices of those arguments; a line is the
         primitive integer (a, k) of a.nu + k = 0, first nonzero a > 0."""
         corners = _alcove_corners(self.rs)
+        crosses: dict = {}
         out: dict = {}
         for i, (*_, arg_lines) in enumerate(self._alcove_args):
             for line in arg_lines:
-                values = [_line_value(line, v) for v in corners]
-                if min(values) < 0 < max(values):
+                inside = crosses.get(line)
+                if inside is None:
+                    values = [_line_value(line, v) for v in corners]
+                    inside = crosses[line] = min(values) < 0 < max(values)
+                if inside:
                     out.setdefault(line, []).append(i)
         return out
 
@@ -137,15 +162,23 @@ class AlcoveFactor:
                        for *_, walls, _ in self._alcove_args for a, _ in walls), default=0)
         return tuple(big * x + y for x, y in zip(along, across))
 
-    def _signs(self, walls, point, direction) -> tuple[int, ...]:
-        """Chamber signs of an argument at point + eps * direction (eps -> 0+);
-        on a wall it keeps for every nu, the nudge side."""
+    def _sides(self, walls, point, direction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Chamber signs of an argument at point + eps * direction and at
+        point - eps * direction (eps -> 0+); on a wall it keeps for every
+        nu, the nudge side."""
         z, den = point[:-1], point[-1]
-        out = []
+        ahead, behind = [], []
         for (a, k), nudge in zip(walls, self.spline.config.nudge_signs):
-            v = sum(map(mul, a, z)) + k * den or sum(map(mul, a, direction))
-            out.append((1 if v > 0 else -1) if v else nudge)
-        return tuple(out)
+            if v := sum(map(mul, a, z)) + k * den:
+                ahead.append(1 if v > 0 else -1)
+                behind.append(ahead[-1])
+            elif v := sum(map(mul, a, direction)):
+                ahead.append(1 if v > 0 else -1)
+                behind.append(-ahead[-1])
+            else:
+                ahead.append(nudge)
+                behind.append(nudge)
+        return tuple(ahead), tuple(behind)
 
     @cached_property
     def _chambers(self) -> dict:
@@ -172,7 +205,7 @@ class AlcoveFactor:
         """Integer form of the polynomial at a homogeneous point (z, den),
         read beside it along `direction` where it lies on a line."""
         return self._polynomial(
-            (arg, self._signs(arg[3], point, direction), arg[2]) for arg in self._alcove_args
+            (arg, self._sides(arg[3], point, direction)[0], arg[2]) for arg in self._alcove_args
         )
 
     def jumps(self) -> dict:
@@ -185,24 +218,57 @@ class AlcoveFactor:
         other walls cross it, so it is taken once between consecutive such
         crossings: the arguments on the line, read on either side.
         """
-        corners = _alcove_corners(self.rs)
+        if self.rs.rank == 1:
+            return self._jumps(None)
+        arrangement = _Arrangement(self.rs, list(self.lines))
+        return {line: ([_position(line, arrangement.stops[line][s]) for s in cuts], polys)
+                for line, (cuts, polys) in self._jumps(arrangement).items()}
+
+    def _jumps(self, arrangement) -> dict:
+        """`jumps`, each cut the index of its point in the line's stops in
+        an arrangement of every line of the factor (rank 2; rank 1: None)."""
         args = self._alcove_args
         out = {}
         for line, on_line in self.lines.items():
-            others = set().union(*(args[i][4] for i in on_line)) - {line}
-            cuts, points = _segment_points(corners, line, others)
+            if arrangement is None:
+                cuts, points = [], [_point([-line[1]], line[0])]
+            else:
+                stops, through = arrangement.stops[line], arrangement.through[line]
+                others = set().union(*(args[i][4] for i in on_line))
+                cuts = [0, *(s for s in range(1, len(stops) - 1)
+                             if not others.isdisjoint(through[s])), len(stops) - 1]
+                points = [_centroid([stops[s], stops[t]]) for s, t in zip(cuts, cuts[1:])]
             jumps = []
             for point in points:
                 terms = []
-                for i in on_line:
-                    for side in (1, -1):
-                        direction = tuple(side * a for a in line[:-1])
-                        terms.append((args[i], self._signs(args[i][3], point, direction),
-                                      side * args[i][2]))
+                for arg in map(args.__getitem__, on_line):
+                    ahead, behind = self._sides(arg[3], point, line[:-1])
+                    terms += [(arg, ahead, arg[2]), (arg, behind, -arg[2])]
                 jumps.append(self._polynomial(terms))
             if any(numerators for numerators, _ in jumps):
                 out[line] = (cuts, jumps)
         return out
+
+
+def _affine_matrices(rs: RootSystem, pattern: tuple, extension: np.ndarray) -> tuple:
+    """For the varying slots `pattern` (the last one joins every term):
+    the (extended rows of L, coef) of the Weyl fold, L z at the alcove's
+    corners (L, row, corner), max |L z| and the corners' denominators.
+    They depend only on the pattern, so each is made once per root system."""
+    cache = rs.__dict__.setdefault("_affine_matrices", {})
+    if pattern not in cache:
+        rank = rs.rank
+        columns = {NU: np.eye(rank, dtype=np.int64),
+                   STAR_NU: -np.array(rs.w0.matrix, dtype=np.int64)}
+        varying, coefs = _weyl_fold(rs, [columns[s] for s in pattern[:-1]], rank)
+        varying = varying + columns[pattern[-1]].T.reshape(-1)
+        # the fold gives L column after column
+        mats = extension @ varying.reshape(-1, rank, rank).transpose(0, 2, 1)
+        corners = _alcove_corners(rs)
+        images = mats[:, :rank] @ np.array([v[:-1] for v in corners], dtype=np.int64).T
+        ls = [(tuple(map(tuple, L)), coef) for L, coef in zip(mats.tolist(), coefs.tolist())]
+        cache[pattern] = ls, images, int(abs(images).max()), [v[-1] for v in corners]
+    return cache[pattern]
 
 
 def _point(coords: list[int], den: int) -> tuple[int, ...]:
@@ -236,76 +302,157 @@ def _centroid(points: list) -> tuple[int, ...]:
 
 
 def _position(line, p) -> Q:
-    """Where a point of a rank-2 line lies along its direction."""
+    """Where a point of a rank-2 line lies along its direction (a_1, -a_0)."""
     return Q(line[1] * p[0] - line[0] * p[1], p[2])
 
 
-def _ends(corners: list, line) -> list:
-    """Where a line through the open alcove meets its boundary, in order
-    along the line (rank 1: the point itself)."""
-    if len(line) == 2:
-        return [_point([-line[1]], line[0])]
-    ends = []
-    for p, q in zip(corners, corners[1:] + corners[:1]):
-        fp, fq = _line_value(line, p), _line_value(line, q)
-        if not fp:
-            ends.append(p)
-        elif fp * fq < 0:
-            ends.append(_point([fq * x - fp * y for x, y in zip(p[:-1], q[:-1])],
-                               fq * p[-1] - fp * q[-1]))
-    return sorted(ends, key=lambda p: _position(line, p))
+def _along(line, points) -> list:
+    """Distinct points of a rank-2 line in order along it (`_position`):
+    sorted by their positions as floats, which the correctly rounded int
+    division keeps in weak order, and where two floats tie, by exact
+    cross-multiplication."""
+    a0, a1 = line[0], line[1]
+    keyed = sorted(((a1 * p[0] - a0 * p[1]) / p[2], p) for p in points)
+    if len({key for key, _ in keyed}) < len(keyed):
+        exact = cmp_to_key(lambda p, q: (a1 * p[0] - a0 * p[1]) * q[2]
+                           - (a1 * q[0] - a0 * q[1]) * p[2])
+        keyed = [(key, p) for key, run in groupby(keyed, key=itemgetter(0))
+                 for p in sorted((p for _, p in run), key=exact)]
+    return [p for _, p in keyed]
 
 
-def _stops(line, ends, lines) -> list:
-    """(point, the lines through it) for the points of a rank-2 wall where
-    other lines meet it after its first end, and its second end, in order."""
-    first, last = (_position(line, p) for p in ends)
-    found: dict = {ends[1]: []}
-    for other in lines:
-        x, y, den = _cross(line, other)
-        if den and first < _position(line, p := _point([x, y], den)) <= last:
-            found.setdefault(p, []).append(other)
-    return sorted(found.items(), key=lambda item: _position(line, item[0]))
+class _Arrangement:
+    """The lines of a rank-2 glue, each pair crossed once.
+
+    stops[line] lists the line's points in order along it (`_position`):
+    its first end on the alcove's boundary, the distinct points of the
+    open alcove where other lines cross it, and its last end.
+    through[line][s] lists the other lines through stop s (none at the
+    ends) and index[line] maps each stop to its index.  edges[e] lists,
+    in order from corner e to corner e + 1 (counterclockwise), the points
+    of (corner e, corner e + 1] where lines end, each with those lines,
+    and corner e + 1.  The crossing points of all pairs are made in one
+    array pass as homogeneous int points (x, y, den), den > 0: in int64
+    when a bound on the entries is below 2^62, in Python ints above.
+    """
+
+    def __init__(self, rs: RootSystem, lines: list):
+        corners = _alcove_corners(rs)
+        sides = list(zip(corners, corners[1:] + corners[:1]))
+        edges = [_cross(p, q) for p, q in sides]  # positive inside
+        ended: list[dict] = [{q: []} for _, q in sides]
+        ends = []
+        for line in lines:
+            here = []
+            for e, (p, q) in enumerate(sides):
+                fp, fq = _line_value(line, p), _line_value(line, q)
+                if not fp:  # a corner, the last point of the edge before
+                    here.append((p, e - 1))
+                elif fp * fq < 0:
+                    here.append((_point([fq * x - fp * y for x, y in zip(p[:-1], q[:-1])],
+                                        fq * p[-1] - fp * q[-1]), e))
+            (p, e), (q, f) = here
+            if (line[1] * p[0] - line[0] * p[1]) * q[2] > (line[1] * q[0] - line[0] * q[1]) * p[2]:
+                p, q = q, p
+            ends.append((p, q))
+            ended[e].setdefault(here[0][0], []).append(line)
+            ended[f].setdefault(here[1][0], []).append(line)
+        found: list[dict] = [{} for _ in lines]
+        if len(lines) > 1:
+            # |x| <= 2 M^2 for M = max |line|, and |edge.x| <= 3 max |edge| |x|
+            biggest = max(abs(x) for line in lines for x in line)
+            bound = 6 * biggest**2 * max(abs(x) for e in edges for x in e)
+            a = np.array(lines, dtype=np.int64 if bound < 2**62 else object)
+            i, j = np.triu_indices(len(lines), 1)
+            x = np.stack(_cross(a[i].T, a[j].T), axis=1)
+            x *= np.where(x[:, 2:] < 0, -1, 1)
+            inside = (x @ np.array(edges, dtype=a.dtype).T > 0).all(axis=1)  # den 0 is not
+            x, i, j = x[inside], i[inside], j[inside]
+            x //= np.gcd.reduce(x, axis=1)[:, None]
+            for s, t, p in zip(i.tolist(), j.tolist(), map(tuple, x.tolist())):
+                found[s].setdefault(p, []).append(lines[t])
+                found[t].setdefault(p, []).append(lines[s])
+        self.stops, self.through, self.index = {}, {}, {}
+        for line, (first, last), points in zip(lines, ends, found):
+            inner = _along(line, points)
+            self.stops[line] = stops = [first, *inner, last]
+            self.through[line] = [[], *(points[p] for p in inner), []]
+            self.index[line] = {p: s for s, p in enumerate(stops)}
+        self.edges = [[(p, on[p]) for p in _along(edge, on)] for edge, on in zip(edges, ended)]
 
 
-def _segment_points(corners: list, line, others) -> tuple[list, list]:
-    """The positions along the line of its ends in the alcove and of its
-    crossings with the other lines inside, in order, and one point
-    between each consecutive two (rank 1: no positions, the point)."""
-    ends = _ends(corners, line)
-    if len(ends) == 1:
-        return [], ends
-    points = [ends[0], *(p for p, _ in _stops(line, ends, others))]
-    return ([_position(line, p) for p in points],
-            [_centroid(pq) for pq in zip(points, points[1:])])
+class _Line:
+    """A rank-2 line (a_0, a_1, k), a.z + k = 0 with a != 0, as
+    P(t) = (u + t v) / w: t is the coordinate z_i, w = |a_j| for the other
+    coordinate j, u_i = 0, v_i = w and (u_j, v_j) = -(k, a_i) sgn a_j.
 
+    A form of degree at most `top` restricts to (rows, den): rows[n][m] is
+    the coefficient of t^m in den w^n f_n(P(t)), f_n its part of degree n.
+    By Lasserre's reduction the cone from the origin over the segment
+    [P(a), P(b)] has integral
+    det(u, v) / w^2 * sum_n 1/(n + 2) * (integral of f_n(P(t)) from a to b),
+    signed by the segment's direction.
+    """
 
-def _jump(jumps: dict, line, point, ahead: bool) -> tuple[dict, int]:
-    """A factor's jump across `line`, an integer form ({}, 1 where none),
-    on its piece that leaves `point` forward along the line, or backward."""
-    if line not in jumps:
-        return {}, 1
-    cuts, polys = jumps[line]
-    if not cuts:
-        return polys[0]
-    return polys[(bisect_right if ahead else bisect_left)(cuts, _position(line, point)) - 1]
+    def __init__(self, line):
+        j = int(abs(line[1]) >= abs(line[0]))
+        self.i, sign = 1 - j, 1 if line[j] > 0 else -1
+        self.w = sign * line[j]
+        self.uj, self.vj = -sign * line[2], -sign * line[self.i]
+        u, v = [0, 0], [0, 0]
+        v[self.i], u[j], v[j] = self.w, self.uj, self.vj
+        self.det = u[0] * v[1] - u[1] * v[0]
+        self._expansions: dict = {}
+        self._weights: dict = {}
 
+    def _expand(self, m) -> list[int]:
+        """The coefficients in t of (t w)^(m_i) (u_j + t v_j)^(m_j)."""
+        mi, mj = m[self.i], m[1 - self.i]
+        head = self.w ** mi
+        out = self._expansions[m] = [0] * mi + [
+            head * math.comb(mj, e) * self.uj ** (mj - e) * self.vj ** e for e in range(mj + 1)]
+        return out
 
-def _crossing(wall, point, through, jumps, lefts, starts=None) -> list:
-    """The factors' polynomials on a wall's positive side past `point`: a
-    line through it adds its jump on its piece on that side, signed as the
-    wall crosses it.  The lines are crossed clockwise from the incoming
-    side; one that starts there, on the boundary, keeps in `starts` the
-    polynomials on its positive side."""
-    a0, a1 = wall[:2]
-    for line in sorted(through, key=lambda x: Q(a0 * x[0] + a1 * x[1], a0 * x[1] - a1 * x[0])):
-        ahead = a0 * line[1] - a1 * line[0] > 0  # its piece on that side lies ahead
-        if ahead and starts is not None:
-            starts[line] = lefts
-        crossed = [_jump(f_jumps, line, point, ahead) for f_jumps in jumps]
-        lefts = [_add(left, jump, -1 if ahead else 1) if jump[0] else left
-                 for left, jump in zip(lefts, crossed)]
-    return lefts
+    def restrict(self, form: tuple[dict, int], top: int) -> tuple[list, int]:
+        ints, den = form
+        rows = [[0] * (n + 1) for n in range(top + 1)]
+        for m, c in ints.items():
+            expansion = self._expansions.get(m) or self._expand(m)
+            row = rows[len(expansion) - 1]
+            for e, x in enumerate(expansion):
+                row[e] += c * x
+        return rows, den
+
+    def integral(self, form: tuple[list, int], a, b) -> Q:
+        """The cone integral over [a, b], points of the line, of a restricted
+        form (rows, den) of degree `top`: with t = p / q at an end and
+        c_m = sum_n rows[n][m] w^(top - n) K / ((n + 2) (m + 1)), K making
+        those integers, it is det(u, v) (F(b) - F(a)) / (den w^(top + 2) K),
+        F(t) = sum_m c_m t^(m + 1), each F one homogeneous Horner pass."""
+        rows, den = form
+        top = len(rows) - 1
+        weights = self._weights.get(top)
+        if weights is None:
+            k = math.lcm(*range(2, top + 3)) * math.lcm(*range(1, top + 2))
+            weights = self._weights[top] = (
+                [[self.w ** (top - n) * k // ((n + 2) * (m + 1)) for m in range(n + 1)]
+                 for n in range(top + 1)],
+                self.w ** (top + 2) * k)
+        weights, scale = weights
+        coeffs = [0] * (top + 1)
+        for row, weight in zip(rows, weights):
+            for m, (x, y) in enumerate(zip(row, weight)):
+                coeffs[m] += x * y
+        values = []
+        for point in (a, b):
+            p, q = point[self.i], point[-1]
+            h, power = coeffs[top], 1
+            for c in reversed(coeffs[:top]):
+                power *= q
+                h = h * p + c * power
+            values.append((p * h, q ** (top + 1)))
+        (fa, qa), (fb, qb) = values
+        return Q(self.det * (fb * qa - fa * qb), den * scale * qa * qb)
 
 
 def _add(a: tuple[dict, int], b: tuple[dict, int], sign: int) -> tuple[dict, int]:
@@ -316,72 +463,74 @@ def _add(a: tuple[dict, int], b: tuple[dict, int], sign: int) -> tuple[dict, int
             if (v := p.get(m, 0) * (den // dp) + sign * q.get(m, 0) * (den // dq))}, den
 
 
-def _cone_integral(factors: list[tuple[dict, int]], points: tuple) -> Q:
-    """Integral of a product of polynomials over the cone from the origin
-    over a facet, signed by its orientation: conv(0, p, q) with det(p, q),
-    or for rank 1 conv(0, p) with p.
-
-    On s p + t q the product is a sum of terms h s^(n-j) t^j, and the
-    simplex integral of s^(n-j) t^j is j! (n - j)! / (n + 2)!; for rank 1,
-    q = 0 and (n + 1)! replaces (n + 2)!.  The sums run in integers over
-    one denominator.
-    """
-    rank = len(points[0]) - 1
-    den = math.lcm(*(x[-1] for x in points))
-    pts = [tuple(x * (den // pt[-1]) for x in pt[:-1]) for pt in points]
-    if rank == 1:
-        (p,), q, volume = pts, (0,), pts[0][0]
-    else:
-        (p, q), volume = pts, pts[0][0] * pts[1][1] - pts[0][1] * pts[1][0]
-    tops = [max(map(sum, ints)) for ints, _ in factors]
-    top = sum(tops)
-    fact = [math.factorial(n) for n in range(top + rank + 1)]
-    # coefficients in t of (p_i s + q_i t)^e
-    lifts = []
-    for pi, qi in zip(p, q):
-        rows = [[1]]
-        for _ in range(max(tops)):
-            last = rows[-1]
-            rows.append([a * pi + b * qi for a, b in zip(last + [0], [0] + last)])
-        lifts.append(rows)
-    product = {(0, 0): 1}  # (degree n, power j of t) -> coefficient, times den^top
-    for (ints, _), degree in zip(factors, tops):
-        restricted: dict = {}
-        for m, c in ints.items():
-            n = sum(m)
-            coeffs = [c * den ** (degree - n)]
-            for rows, e in zip(lifts, m):
-                row = rows[e]
-                nxt = [0] * (len(coeffs) + len(row) - 1)
-                for i, a in enumerate(coeffs):
-                    for j, b in enumerate(row):
-                        nxt[i + j] += a * b
-                coeffs = nxt
-            for j, v in enumerate(coeffs):
-                restricted[n, j] = restricted.get((n, j), 0) + v
-        nxt_product: dict = {}
-        for (n1, j1), a in product.items():
-            for (n2, j2), b in restricted.items():
-                key = (n1 + n2, j1 + j2)
-                nxt_product[key] = nxt_product.get(key, 0) + a * b
-        product = nxt_product
-    total = sum(v * fact[j] * fact[n - j] * (fact[top + rank] // fact[n + rank])
-                for (n, j), v in product.items())
-    dens = math.prod(d for _, d in factors)
-    return Q(volume * total, fact[top + rank] * den ** (top + rank) * dens)
+def _plus(a: tuple[list, int], b: tuple[list, int], sign: int) -> tuple[list, int]:
+    """a + sign * b for restricted forms of one line and degree."""
+    (p, dp), (q, dq) = a, b
+    den = math.lcm(dp, dq)
+    fp, fq = den // dp, sign * (den // dq)
+    return [[x * fp + y * fq for x, y in zip(r, s)] for r, s in zip(p, q)], den
 
 
-def _facet_integral(lefts: list, jumps: list, points: tuple) -> Q:
-    """The cone integral (`_cone_integral`) over a facet of prod(lefts) -
-    prod(rights), rights = lefts - jumps: the sum over the factors f that
-    jump of rights_1 ... rights_(f-1) jump_f lefts_(f+1) ..."""
-    total, rights = 0, []
-    for f, (left, jump) in enumerate(zip(lefts, jumps)):
-        term = [*rights, jump, *lefts[f + 1:]]
-        if all(ints for ints, _ in term):
-            total += _cone_integral(term, points)
-        rights.append(_add(left, jump, -1) if jump[0] else left)
-    return total
+def _times(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+    """The product of restricted forms of one line: degrees and powers of t add."""
+    (p, dp), (q, dq) = a, b
+    out = [[0] * (n + 1) for n in range(len(p) + len(q) - 1)]
+    for n, r in enumerate(p):
+        for k, s in enumerate(q):
+            row = out[n + k]
+            for e, x in enumerate(r):
+                if x:
+                    for f, y in enumerate(s, e):
+                        row[f] += x * y
+    return out, dp * dq
+
+
+def _terms(lefts: list, jumps: list, add):
+    """prod(lefts) - prod(rights), rights = lefts - jumps, as a sum of
+    products: for each factor f that jumps (jump not None), the factor
+    list rights_1 ... rights_(f-1) jump_f lefts_(f+1) ...; the left of
+    the last factor that jumps is not read."""
+    last = max((f for f, jump in enumerate(jumps) if jump is not None), default=-1)
+    rights = []
+    for f, (left, jump) in enumerate(zip(lefts[:last + 1], jumps)):
+        if jump is None:
+            rights.append(left)
+        else:
+            yield [*rights, jump, *lefts[f + 1:]]
+            if f < last:
+                rights.append(add(left, jump, -1))
+
+
+def _point_integral(factors: list[tuple[dict, int]], point) -> Q:
+    """Integral over [0, p] of the product of rank-1 integer forms, signed
+    as p: the cone over a point facet."""
+    product, den = {0: 1}, 1
+    for ints, d in factors:
+        nxt: dict = {}
+        for n, a in product.items():
+            for (e,), b in ints.items():
+                nxt[n + e] = nxt.get(n + e, 0) + a * b
+        product, den = nxt, den * d
+    x, q = point
+    return sum(Q(c * x ** (n + 1), (n + 1) * den * q ** (n + 1)) for n, c in product.items())
+
+
+def _crossing(wall, through, jumps, lefts, starts) -> list:
+    """The factors' polynomials inside the alcove past a boundary point of
+    the edge `wall` where lines end: each line adds its jump on its first
+    or last piece, signed as the edge crosses it.  The lines are crossed
+    clockwise from the incoming side; one that starts there keeps in
+    `starts` the polynomials on its positive side."""
+    a0, a1 = wall[:2]
+    for line in sorted(through, key=lambda x: Q(a0 * x[0] + a1 * x[1], a0 * x[1] - a1 * x[0])):
+        ahead = a0 * line[1] - a1 * line[0] > 0  # the line starts here
+        if ahead:
+            starts[line] = lefts
+        crossed = [f_jumps[line][1][0 if ahead else -1] if line in f_jumps else ({}, 1)
+                   for f_jumps in jumps]
+        lefts = [_add(left, jump, -1 if ahead else 1) if jump[0] else left
+                 for left, jump in zip(lefts, crossed)]
+    return lefts
 
 
 def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int]:
@@ -391,43 +540,96 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     By the divergence theorem the integral is the sum over facets [p, q]
     of the cone integrals of prod(left) - prod(right).  The walk takes
     each alcove edge counterclockwise (right is 0) from the polynomials
-    read at corner 0 beside edge 0, then each line from its first end to
-    its second, positive side left (right is left minus its jump), and
-    `_crossing` carries the polynomials along.  Rank 1 is the same walk
-    along [lo, hi], with point facets.  Euler's formula counts the cells:
-    1 + L + the sum of k - 1 over the inner points where k of L lines meet.
+    read at corner 0 beside edge 0, then each jump line from its first end
+    to its second, positive side left (right is left minus its jump).  The
+    lines are one `_Arrangement`, which also cuts the jumps into pieces.
+    On a jump line each polynomial is restricted to the line once
+    (`_Line`) and carried along it by adding the restricted jumps of the
+    lines it crosses; a run of facets on which the integrand does not
+    change (crossings that move only the left of the one factor that
+    jumps) costs one product and one antiderivative at its two ends.
+    Rank 1 is the same walk along [lo, hi], with point facets.  Euler's formula counts the cells: 1 + L + the sum of k - 1
+    over the inner points where k of L lines meet.
     """
-    jumps = [f.jumps() for f in factors]
-    lines = sorted(set().union(*jumps))
     corners = _alcove_corners(rs)
     start, end = corners[:2]
     if rs.rank == 1:
+        jumps = [f._jumps(None) for f in factors]
+        lines = sorted(set().union(*jumps))
         lefts = [f.cell_polynomial(start, f.beside((1,), (0,))) for f in factors]
-        total = -_facet_integral(lefts, lefts, (start,))  # the side above counts negatively
+        total = -_point_integral(lefts, start)  # the side above counts negatively
         for line in sorted(lines, key=lambda line: Q(-line[1], line[0])):
-            own = [_jump(f_jumps, line, None, True) for f_jumps in jumps]
-            lefts = [_add(left, jump, 1) for left, jump in zip(lefts, own)]
-            total -= _facet_integral(lefts, own, _ends(corners, line))
-        return total + _facet_integral(lefts, lefts, (end,)), 1 + len(lines)
+            own = [f_jumps[line][1][0] if line in f_jumps else None for f_jumps in jumps]
+            lefts = [left if jump is None else _add(left, jump, 1)
+                     for left, jump in zip(lefts, own)]
+            point = _point([-line[1]], line[0])
+            total -= sum(_point_integral(term, point) for term in _terms(lefts, own, _add))
+        return total + _point_integral(lefts, end), 1 + len(lines)
+    arrangement = _Arrangement(rs, sorted(set().union(*(f.lines for f in factors))))
+    jumps = [f._jumps(arrangement) for f in factors]
+    lines = sorted(set().union(*jumps))
+    jumping, tops = set(lines), [f.spline.degree for f in factors]
     edge = _cross(start, end)
     lefts = [f.cell_polynomial(start, f.beside((edge[1], -edge[0]), edge[:2])) for f in factors]
     starts: dict = {}
     total = 0
-    for p, q in zip(corners, corners[1:] + corners[:1]):
+    for (p, q), stops in zip(zip(corners, corners[1:] + corners[:1]), arrangement.edges):
         wall = _cross(p, q)  # positive inside
-        for point, through in _stops(wall, (p, q), lines):
-            total += _facet_integral(lefts, lefts, (p, point))
-            lefts = _crossing(wall, point, through, jumps, lefts, starts)
+        geometry = _Line(wall)
+        for point, through in stops:
+            through = [line for line in through if line in jumping]
+            if not through and point != q:
+                continue
+            if all(ints for ints, _ in lefts):
+                total += geometry.integral(reduce(_times, (
+                    geometry.restrict(left, top) for left, top in zip(lefts, tops))), p, point)
+            lefts = _crossing(wall, through, jumps, lefts, starts)
             p = point
     inner = 0
     for line in lines:
-        p, last = _ends(corners, line)
-        lefts = starts[line]
-        for point, through in _stops(line, (p, last), lines):
-            total += _facet_integral(lefts, [_jump(f_jumps, line, p, True) for f_jumps in jumps],
-                                     (p, point))
-            if point != last:
-                lefts = _crossing(line, point, through, jumps, lefts)
+        geometry = _Line(line)
+        stops, crossings = arrangement.stops[line], arrangement.through[line]
+        own = [f_jumps.get(line, ((), ())) for f_jumps in jumps]
+        # the integrand reads the left of every factor but a single one that jumps
+        jumpers = [f for f, (cuts, _) in enumerate(own) if cuts]
+        read = [any(g != f for g in jumpers) for f in range(len(factors))]
+        lefts = [geometry.restrict(left, top) if r else None
+                 for left, top, r in zip(starts[line], tops, read)]
+        restricted: dict = {}  # (factor, piece) -> its jump across the line, restricted, or None
+        pieces, integrand, span, stale = None, None, 0, True
+        last, p = len(stops) - 1, 0
+        for s in range(1, last + 1):
+            through = [other for other in crossings[s] if other in jumping]
+            if not through and s < last:
+                continue
+            if stale:  # the facets from stops[span] to stops[p] had one integrand
+                if integrand is not None:
+                    total += geometry.integral(integrand, stops[span], stops[p])
+                pieces = [bisect_right(cuts, p) - 1 for cuts, _ in own]
+                facet = []
+                for f, ((_, polys), piece) in enumerate(zip(own, pieces)):
+                    if (f, piece) not in restricted:
+                        poly = polys[piece] if polys else ({}, 1)
+                        restricted[f, piece] = geometry.restrict(poly, tops[f]) if poly[0] else None
+                    facet.append(restricted[f, piece])
+                products = [reduce(_times, term) for term in _terms(lefts, facet, _plus)]
+                integrand = reduce(lambda x, y: _plus(x, y, 1), products) if products else None
+                span, stale = p, False
+            if s < last:
+                for other in through:
+                    ahead = line[0] * other[1] - line[1] * other[0] > 0  # its piece ahead lies left
+                    at = arrangement.index[other][stops[s]]
+                    for f, f_jumps in enumerate(jumps):
+                        if read[f] and other in f_jumps:
+                            cuts, polys = f_jumps[other]
+                            poly = polys[(bisect_right if ahead else bisect_left)(cuts, at) - 1]
+                            if poly[0]:
+                                lefts[f] = _plus(lefts[f], geometry.restrict(poly, tops[f]),
+                                                 -1 if ahead else 1)
+                                stale = True
+                stale = stale or pieces != [bisect_right(cuts, s) - 1 for cuts, _ in own]
                 inner += len(through) * (line < min(through))
-            p = point
+            p = s
+        if integrand is not None:
+            total += geometry.integral(integrand, stops[span], stops[last])
     return total, 1 + len(lines) + inner

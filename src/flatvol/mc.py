@@ -105,12 +105,27 @@ def class_parameter_batch(rs: RootSystem, u: np.ndarray) -> np.ndarray:
 
 
 def _a1_parameter(tr: np.ndarray) -> np.ndarray:
-    """Alcove parameter t in [0, 1] of SU(2) elements from their real traces."""
-    return np.arccos(np.clip(tr / 2.0, -1.0, 1.0)) / math.pi
+    """Alcove parameter t in [0, 1] of SU(2) elements from their real
+    traces, arccos(clip(tr / 2, -1, 1)) / pi: one new array, each later
+    step in place in it (np.clip as its maximum, then its minimum)."""
+    t = tr / 2.0
+    np.maximum(t, -1.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    np.arccos(t, out=t)
+    return np.divide(t, math.pi, out=t)
 
 
 def _bin_index(params: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum((params * bins).astype(int), bins - 1)
+
+
+def _a1_bins(tr: np.ndarray, bins: int) -> np.ndarray:
+    """_bin_index(_a1_parameter(tr), bins), the same steps in one new
+    float array and one int array, not a new array per step."""
+    t = _a1_parameter(tr)
+    np.multiply(t, bins, out=t)
+    idx = t.astype(int)
+    return np.minimum(idx, bins - 1, out=idx)
 
 
 def product_class_histogram(
@@ -154,7 +169,7 @@ def product_class_histogram(
         m = min(_CHUNK, n_samples - done)
         if a1:
             tr = same + (cross - same) * rng.random(m)  # s = |w_01|^2
-            idx = _bin_index(_a1_parameter(tr), bins)
+            idx = _a1_bins(tr, bins)
         else:
             w = haar_sample(rs, m, rng)
             u = e1[:, None] * ((w * e2) @ np.conj(np.swapaxes(w, 1, 2)))

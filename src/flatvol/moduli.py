@@ -1035,10 +1035,11 @@ def glue_volume(rs: RootSystem, surface: Surface, marking: Marking) -> VolumeRep
     sqrt(det Gram * det coroot Gram) times Lebesgue, the inverse of the
     pants normalization.  The integrand is piecewise polynomial and is
     integrated exactly by a walk along the alcove's edges and the lines
-    across which it jumps (`gluing.alcove_integral`), so the value is a
-    rational times the stamped normalization: 1 for (1,1) and that of the
-    four-marked kappa-sum for (0,4).  `cells` counts the pieces those
-    lines cut the alcove into.
+    across which it jumps, one arrangement of those lines, each facet's
+    cone integral taken along its line (`gluing.alcove_integral`), so the
+    value is a rational times the stamped normalization: 1 for (1,1) and
+    that of the four-marked kappa-sum for (0,4).  `cells` counts the
+    pieces those lines cut the alcove into.
     """
     h, b = surface.genus, surface.boundary
     if len(marking) != b:
