@@ -352,11 +352,11 @@ class _Arrangement:
                     here.append((_point([fq * x - fp * y for x, y in zip(p[:-1], q[:-1])],
                                         fq * p[-1] - fp * q[-1]), e))
             (p, e), (q, f) = here
+            ended[e].setdefault(p, []).append(line)
+            ended[f].setdefault(q, []).append(line)
             if (line[1] * p[0] - line[0] * p[1]) * q[2] > (line[1] * q[0] - line[0] * q[1]) * p[2]:
                 p, q = q, p
             ends.append((p, q))
-            ended[e].setdefault(here[0][0], []).append(line)
-            ended[f].setdefault(here[1][0], []).append(line)
         found: list[dict] = [{} for _ in lines]
         if len(lines) > 1:
             # |x| <= 2 M^2 for M = max |line|, and |edge.x| <= 3 max |edge| |x|
