@@ -655,7 +655,7 @@ def _affine_sum(groups, spline, scale: int) -> tuple[dict, int]:
     With y = L nu, sum coef p(c / D + y) = sum_k y^k sum_m p_m binom(m, k)
     M_{m-k} / D^{d - |k|}, M_b = sum coef c^b the integer moments of the
     group (`_column_moments`).  Groups sharing an L are summed first, then
-    composed with nu -> L nu once (skipped for the identity)."""
+    composed with nu -> L nu once (skipped for the identity), in ints."""
     below = {m: list(product(*(range(e + 1) for e in m))) for m in spline.monomials}
     exponents = set().union(*below.values())
     den = math.lcm(*(chamber.den for chamber, *_ in groups))

@@ -1,7 +1,10 @@
 """Dense-free polynomial arithmetic over the rationals.
 
 A polynomial in r variables is a dict mapping exponent tuples of length r
-to nonzero Fractions.  Zero polynomials are empty dicts.
+to nonzero Fractions.  Zero polynomials are empty dicts.  Addition,
+multiplication and substitution start from int 0 and 1, so polynomials
+whose coefficients are all ints stay in ints (`moduli._affine_sum`
+composes its integer forms this way).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ def poly_const(c: Q, nvars: int) -> Poly:
 def poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for m, c in q.items():
-        nc = out.get(m, Q(0)) + c
+        nc = out.get(m, 0) + c
         if nc == 0:
             out.pop(m, None)
         else:
@@ -33,7 +36,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = tuple(a + b for a, b in zip(m1, m2))
-            nc = out.get(m, Q(0)) + c1 * c2
+            nc = out.get(m, 0) + c1 * c2
             if nc == 0:
                 out.pop(m, None)
             else:
@@ -78,7 +81,7 @@ def poly_subs_affine(p: Poly, forms: list[Poly]) -> Poly:
         key = (i, e)
         if key not in pow_cache:
             if e == 0:
-                pow_cache[key] = poly_const(Q(1), new_nvars)
+                pow_cache[key] = poly_const(1, new_nvars)
             else:
                 pow_cache[key] = poly_mul(form_pow(i, e - 1), forms[i])
         return pow_cache[key]
