@@ -548,8 +548,9 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     lines it crosses; a run of facets on which the integrand does not
     change (crossings that move only the left of the one factor that
     jumps) costs one product and one antiderivative at its two ends.
-    Rank 1 is the same walk along [lo, hi], with point facets.  Euler's formula counts the cells: 1 + L + the sum of k - 1
-    over the inner points where k of L lines meet.
+    Rank 1 is the same walk along [lo, hi], with point facets.  Euler's
+    formula counts the cells: 1 + L + the sum of k - 1 over the inner
+    points where k of L lines meet.
     """
     corners = _alcove_corners(rs)
     start, end = corners[:2]
