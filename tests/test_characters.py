@@ -32,6 +32,7 @@ from flatvol import characters
 from flatvol.characters import (
     _cutoff_and_weights,
     _shifted_norms,
+    _stable_order,
     casimir_cutoff_for_count,
     singular_order,
 )
@@ -434,3 +435,14 @@ def test_character_eval_large_weight(a2, b2):
         value = character_eval(rs, DominantWeight((10**6, 3)), mu).value
         nums, den = _reference_sums(rs, lam, mu)
         assert abs(value - nums[0] / den) <= 1e-12 * abs(nums[0] / den)
+
+
+def test_stable_order_is_the_stable_argsort():
+    """The packed-key sort orders norms like a stable argsort, ties by
+    index, and so does its fallback for norms from 2^31 up."""
+    rng = np.random.default_rng(5)
+    for top in (1, 50, 2**31 - 1, 2**40):
+        q = rng.integers(0, top, size=3000, dtype=np.int64)
+        assert np.array_equal(_stable_order(q), np.argsort(q, kind="stable")), top
+    assert len(_stable_order(np.zeros(0, dtype=np.int64))) == 0
+

@@ -16,6 +16,7 @@ from flatvol import (
 from flatvol.mc import (
     _CHUNK,
     MAX_CELLS,
+    _a1_bins,
     class_parameter_batch,
     class_representative,
     haar_sample,
@@ -412,3 +413,17 @@ def test_central_factor_on_bin_edge_fills_one_bin(a1, t1, t2, bins):
         h = product_class_histogram(a1, t_mu(a1, t1), t_mu(a1, t2),
                                     bins=bins, n_samples=5000, seed=seed)
         assert np.count_nonzero(h.counts) == 1
+
+
+def test_a1_bins_match_the_plain_expression():
+    """The A1 binning, run in place in two arrays, gives the bins of the
+    plain expression min(floor(arccos(clip(tr / 2, -1, 1)) / pi * bins),
+    bins - 1), at the ends of the trace range and past them too."""
+    rng = np.random.default_rng(11)
+    tr = np.concatenate([rng.uniform(-2.0, 2.0, 5000), [-2.0, 2.0, 0.0, -2.0000001, 2.0000001,
+                                                      2 * math.cos(math.pi / 3)]])
+    for bins in (1, 7, 64):
+        plain = np.minimum((np.arccos(np.clip(tr / 2.0, -1.0, 1.0)) / math.pi * bins).astype(int),
+                           bins - 1)
+        assert np.array_equal(_a1_bins(tr, bins), plain), bins
+
