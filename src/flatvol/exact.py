@@ -10,13 +10,16 @@ into Python ints.
 
 Every linear-algebra result is read from one fraction-free elimination
 (Bareiss's integer-preserving Gaussian elimination, Math. Comp. 22,
-1968): each row is scaled to Python ints by the lcm of its denominators,
-a forward pass with pivot skipping brings the rows to echelon form with
-exact integer divisions only, and a fraction-free back substitution
-returns the solutions times the last pivot.  `det` reads that pivot,
-`solve` back-substitutes one right-hand column, `scaled_inverse` (and
-`inverse`) eliminates [A | I] once, and `pivot_columns` and `nullspace`
-read the echelon form.
+1968): each row is scaled to Python ints by the lcm of its denominators
+(rows that are already ints, such as the integer root configurations of
+`kappa`, enter unchanged, with scale 1), a forward pass with pivot
+skipping brings the rows to echelon form with exact integer divisions
+only, and a fraction-free back substitution returns the solutions times
+the last pivot, for all right-hand columns in one pass.  `det` reads
+that pivot, `solve` back-substitutes one right-hand column,
+`scaled_inverse` (and `inverse`) eliminates [A | I] once and
+back-substitutes the columns of I, `pivot_columns` reads the echelon
+form, and `nullspace` back-substitutes one column per non-pivot column.
 """
 
 from __future__ import annotations
@@ -91,14 +94,17 @@ def scaled(xs: Iterable[Q | int], scale: int) -> list[int]:
 
 
 def _int_rows(rows: Iterable[Sequence[Q | int]]) -> tuple[list[list[int]], int]:
-    """Each row scaled to ints by the lcm of its denominators, and the
-    product of those scales."""
-    m = []
+    """The rows as lists of ints, and a scale: rows of ints are copied
+    unchanged, with scale 1; otherwise each row is scaled to ints by the
+    lcm of its denominators, and the scale is the product of those lcms."""
+    m = [list(row) for row in rows]
+    if all(type(x) is int for row in m for x in row):
+        return m, 1
     scale = 1
-    for row in rows:
+    for i, row in enumerate(m):
         s = common_denominator(row)
         scale *= s
-        m.append(scaled(row, s))
+        m[i] = scaled(row, s)
     return m, scale
 
 
@@ -145,20 +151,25 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 
 def _back_substitute(
-    m: list[list[int]], pivots: list[int], last: int, rhs: Sequence[int]
-) -> list[int]:
+    m: list[list[int]], pivots: list[int], last: int, rhs: Sequence[Sequence[int]]
+) -> list[list[int]]:
     """Fraction-free back substitution on an eliminated system.
 
-    Solves the pivot rows of m for the unknowns on the pivot columns with
-    right-hand side rhs (one int per pivot row) and returns them times
-    `last`, the last pivot.  By Cramer's rule those products are ints, so
-    every division is exact.
+    Solves the pivot rows of m for the unknowns on the pivot columns, for
+    every right-hand column at once: rhs[i] holds pivot row i's entry of
+    each column.  Returns the unknowns times `last`, the last pivot, in
+    the same layout (one list per pivot row).  By Cramer's rule those
+    products are ints, so every division is exact.
     """
-    y = [0] * len(pivots)
+    y: list[list[int]] = [[]] * len(pivots)
     for i in reversed(range(len(pivots))):
         row = m[i]
-        s = last * rhs[i] - sum(row[pivots[k]] * y[k] for k in range(i + 1, len(pivots)))
-        y[i] = s // row[pivots[i]]
+        s = [last * b for b in rhs[i]]
+        for k in range(i + 1, len(pivots)):
+            if f := row[pivots[k]]:
+                s = [a - f * t for a, t in zip(s, y[k])]
+        p = row[pivots[i]]
+        y[i] = [a // p for a in s]
     return y
 
 
@@ -168,7 +179,7 @@ def det(a: Sequence[Sequence[Q | int]]) -> Q | int:
     Rows of ints give an int, rows holding a Fraction give a Fraction.
     """
     ints = all(type(x) is int for row in a for x in row)
-    m, scale = ([list(row) for row in a], 1) if ints else _int_rows(a)
+    m, scale = _int_rows(a)
     pivots, sign, last = _eliminate(m, len(m))
     d = sign * last if len(pivots) == len(m) else 0
     return d if ints else Q(d, scale)
@@ -181,20 +192,21 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     pivots, _, last = _eliminate(m, n)
     if len(pivots) < n:
         return None
-    return tuple(Q(y, last) for y in _back_substitute(m, pivots, last, [row[n] for row in m]))
+    return tuple(Q(y, last) for y, in _back_substitute(m, pivots, last, [row[n:] for row in m]))
 
 
 def scaled_inverse(a: Mat) -> tuple[list[list[int]], int, Q] | None:
     """(N, e, det a) with a^-1 = N / e, N in ints and e > 0, from one
     elimination of [a | I]; None when a is singular."""
     n = len(a)
-    m, scale = _int_rows([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a))
+    m, scale = _int_rows([*row, *(0,) * i, 1, *(0,) * (n - 1 - i)] for i, row in enumerate(a))
     pivots, sign, last = _eliminate(m, n)
     if len(pivots) < n:
         return None
-    cols = [_back_substitute(m, pivots, last, [row[n + j] for row in m]) for j in range(n)]
     flip = -1 if last < 0 else 1
-    return [[flip * col[i] for col in cols] for i in range(n)], flip * last, Q(sign * last, scale)
+    # scaled by e = |last| in place of last, the solutions are e a^-1
+    rows = _back_substitute(m, pivots, flip * last, [row[n:] for row in m])
+    return rows, flip * last, Q(sign * last, scale)
 
 
 def inverse(a: Mat) -> Mat:
@@ -218,15 +230,14 @@ def nullspace(a: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
     non-pivot entries 0."""
     m, _ = _int_rows(a)
     pivots, _, last = _eliminate(m, ncols)
+    free = [f for f in range(ncols) if f not in pivots]
+    y = _back_substitute(m, pivots, last, [[-row[f] for f in free] for row in m])
     basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
+    for k, f in enumerate(free):
         x = [Q(0)] * ncols
         x[f] = Q(1)
-        y = _back_substitute(m, pivots, last, [-row[f] for row in m])
         for p, yp in zip(pivots, y):
-            x[p] = Q(yp, last)
+            x[p] = Q(yp[k], last)
         basis.append(tuple(x))
     return basis
 

@@ -13,14 +13,20 @@ Lebesgue measure on t*.  Three independent exact evaluators are provided:
   "Polytope volume computation", Math. Comp. 57, 1991; one term per
   feasible basis of the vectors).  The vertex table is kept in Python
   ints (feasibility rows of each basis inverse, and each term as integer
-  numerators over one table denominator); each chamber is stored once, as
-  that integer sum over the denominator, reduced, and is evaluated in ints;
+  numerators over one table denominator) and stacked into arrays, so a
+  new chamber's feasible bases are found by one integer matmul; each
+  chamber is stored once, as that integer sum over the denominator,
+  reduced, and is evaluated in ints;
 * `VectorConfig.truncated_power` evaluates the truncated-power
   recurrence (|S| - r) T_S(x) = sum_{b in B} t_b T_{S-b}(x) over
-  sub-multisets S, B a basis in S and x = sum t_b b, off the walls.  It
-  reads the vectors only, never the vertex table, and checks each new
-  chamber once at its sample point, both when it is built and when it
-  is loaded from a cache.
+  sub-multisets S, B a basis in S and x = sum t_b b, off the walls, with
+  every basis coordinate t from one integer matmul.  It reads the vectors
+  only, never the vertex table, and checks each new chamber once at its
+  sample point, both when it is built and when it is loaded from a
+  cache; the toric route reads its kappa values from it off the walls.
+
+The integer matmuls run in int64 when a bound on every entry allows and
+on Python-int object arrays otherwise (`_row_products`).
 
 Chamber polynomials are stored relative to coordinate Lebesgue measure in
 the simple-root basis; the single conversion factor to inner-product
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, count
-from operator import add, mul, sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -199,10 +205,14 @@ class VectorConfig:
     @cached_property
     def vertex_table(self) -> tuple[list[tuple[list[list[int]], list[int]]], int]:
         """Lawrence's vertex terms in ints: (entries, T), one entry
-        (M_s, N_s) per basis s, with M_s = e_s A_s^-1 for an integer
-        e_s > 0 and N_s = T w_s y_s^d, both in ints.
+        (M_s, N_s) per basis s, with M_s = e_s A_s^-1 for e_s = |det A_s|
+        and N_s = T w_s y_s^d, both in ints.
 
-        A_s is the square matrix of the basis vectors as columns.  For xi
+        A_s is the square matrix of the basis vectors as columns.  Each
+        distinct set of basis vectors is inverted once (`scaled_inverse`,
+        on the vectors in sorted order): another order of the same vectors
+        permutes the columns of A_s and so the rows of its inverse, and a
+        repeated vector of a multiplicity above 1 repeats the set.  For xi
         with A_s^-1 xi > 0, s is a vertex of the fiber polytope over xi,
         and the linear form y_s(xi) is the objective c at that vertex.
         With reduced costs g_j = c_j - y_s(v_j) (j not in s), the weight
@@ -215,39 +225,58 @@ class VectorConfig:
         a = sum_i C_{s_i} (row i of M_s), and g_j = G_j / (L e_s) with
         G_j = e_s C_j - C_s . (M_s v_j).  The multinomial theorem gives
         w_s y_s^d the coefficient (d! / m!) a^m F_s at x^m,
-        F_s = 1 / (d! |det A_s| prod_j (-G_j)), and T is the lcm of the
+        F_s = 1 / (d! e_s prod_j (-G_j)), and T is the lcm of the
         denominators of the F_s.  N_s is a list over `monomials`.
         """
-        bases = []
+        inverses: dict[tuple[tuple[int, ...], ...], tuple | None] = {}
+        sigmas, rows, scales = [], [], []
         for sigma in combinations(range(self.n), self.rank):
-            inv = scaled_inverse(mat_t(tuple(self.vectors[i] for i in sigma)))
-            if inv is not None:
-                rows, e, d = inv
-                # M_s v_j for the vectors off the basis
-                off = [(j, [sum(map(mul, row, self.vectors[j])) for row in rows])
-                       for j in range(self.n) if j not in sigma]
-                bases.append((sigma, rows, e, abs(d), off))
-        fact = math.factorial(self.degree)
+            columns = [self.vectors[i] for i in sigma]
+            order = sorted(range(self.rank), key=columns.__getitem__)
+            key = tuple(columns[i] for i in order)
+            if key not in inverses:  # a repeated vector makes A_s singular
+                inverses[key] = scaled_inverse(mat_t(key)) if len(set(key)) == self.rank else None
+            if inverses[key] is not None:
+                # row p of the sorted matrix's inverse is row order[p] of A_s^-1
+                sorted_rows, e, _ = inverses[key]
+                sigmas.append(sigma)
+                rows.append([sorted_rows[order.index(i)] for i in range(self.rank)])
+                scales.append(e)
+        # one array pass over the bases, on Python-int objects: M_s v_j for
+        # every vector (basis, row, j), and v_j off the basis
+        mats = np.array(rows, dtype=object)
+        moved = mats @ np.array(self.vectors, dtype=object).T
+        off = np.ones((len(sigmas), self.n), dtype=bool)
+        off[np.arange(len(sigmas))[:, None], sigmas] = False
+        es = np.array(scales, dtype=object)
         for k in count(2):
             lcm = math.lcm(*range(k, k + self.n))
-            c = [lcm // (k + j) for j in range(self.n)]
-            weighted = []
-            for sigma, rows, es, absdet, off in bases:
-                cs = [c[i] for i in sigma]
-                costs = math.prod(sum(map(mul, cs, col)) - es * c[j] for j, col in off)
-                if costs == 0:
-                    break
-                a = [sum(map(mul, cs, col)) for col in zip(*rows)]
-                weighted.append((rows, a, 1 / (fact * absdet * costs)))
-            else:  # every reduced cost is nonzero
+            c = np.array([lcm // (k + j) for j in range(self.n)], dtype=object)
+            cs = c[np.array(sigmas)][:, None, :]
+            costs = np.where(off, (cs @ moved)[:, 0] - es[:, None] * c, 1)  # -G_j
+            if not (costs == 0).any():
                 break
-        fs = [f for *_, f in weighted]
-        den = common_denominator(fs)
+        a = (cs @ mats)[:, 0]
+        fact = math.factorial(self.degree)
+        q = fact * es * costs.prod(axis=1)  # F_s = 1 / q_s
+        # T F_s = T / q_s in ints, T = lcm |q_s|
+        den = math.lcm(*q.tolist())
         multinomials = [fact // math.prod(map(math.factorial, m)) for m in self.monomials]
-        entries = [(rows, [mult * b * math.prod(map(pow, a, m))
-                           for b, m in zip(multinomials, self.monomials)])
-                   for (rows, a, _), mult in zip(weighted, scaled(fs, den))]
-        return entries, den
+        powers = (a[:, None, :] ** np.array(self.monomials, dtype=object)).prod(axis=2)
+        terms = (den // q)[:, None] * np.array(multinomials, dtype=object) * powers
+        return list(zip(rows, terms.tolist())), den
+
+    @cached_property
+    def vertex_arrays(self) -> tuple[tuple[np.ndarray, int], np.ndarray]:
+        """`vertex_table` as arrays: its M_s rows stacked basis after basis
+        (`_stacked`), and its N_s one row per basis (`_int_array`, with the
+        row count times the largest |entry| as the bound of any sum of
+        rows)."""
+        entries, _ = self.vertex_table
+        terms = [term for _, term in entries]
+        total = len(terms) * max(abs(c) for term in terms for c in term)
+        return (_stacked([row for rows, _ in entries for row in rows], self.rank),
+                _int_array(terms, total).reshape(len(terms), len(self.monomials)))
 
     def density(self, xi: Vec) -> Q:
         """Pushforward density at xi, relative to coordinate Lebesgue.
@@ -301,7 +330,8 @@ class VectorConfig:
         the inverses' denominators, so at a point x = X / D (X in ints)
         t = rows . X / (E D), and the leaf value of B is L / |det B| for
         L the lcm of the integers |det B|.  A node with |S| = r + k then
-        carries L k! (E D)^k T_S, an int.
+        carries L k! (E D)^k T_S, an int.  `power_rows` stacks the rows
+        for `truncated_power`'s one matmul.
         """
         distinct = list(dict.fromkeys(self.vectors))
         bases: dict[tuple[int, ...], int] = {}
@@ -349,6 +379,12 @@ class VectorConfig:
         den = common_denominator(leaf)
         return nodes, rows, scaled(leaf, den), den, common
 
+    @cached_property
+    def power_rows(self) -> tuple[np.ndarray, int]:
+        """`power_program`'s rows E B_k^-1 stacked basis after basis
+        (`_stacked`)."""
+        return _stacked([row for inv in self.power_program[1] for row in inv], self.rank)
+
     def truncated_power(self, xi: Vec) -> Q:
         """Pushforward density at xi, relative to coordinate Lebesgue, by
         the truncated-power recurrence (`power_program`): C. de Boor,
@@ -357,19 +393,24 @@ class VectorConfig:
         Polytopes and Box-Splines* (2010), ch. 7.  It equals `density`
         off the walls and is undefined on them: a point on a wall raises
         OnWallError.
+
+        Every basis coordinate t = rows . X is made by one integer matmul
+        over the stacked rows (`power_rows`, `_row_products`); one pass
+        over the nodes then evaluates the recurrence in Python ints.
         """
         if self.on_wall(xi):
             raise OnWallError(f"the truncated-power recurrence is undefined on a wall: {xi}")
-        nodes, rows, leaf, leaf_den, common = self.power_program
+        nodes, _, leaf, leaf_den, common = self.power_program
         den = common_denominator(xi)
-        x = scaled(xi, den)
-        taus = [[sum(map(mul, row, x)) for row in inv] for inv in rows]
+        taus = _row_products(self.power_rows, scaled(xi, den)).reshape(-1, self.rank)
+        inside = (taus > 0).all(axis=1).tolist()
+        taus = taus.tolist()
         values: list[int] = []
         for key, children in nodes:
-            tau = taus[key]
             if children is None:
-                values.append(leaf[key] if all(t > 0 for t in tau) else 0)
+                values.append(leaf[key] if inside[key] else 0)
             else:
+                tau = taus[key]
                 values.append(sum(tau[pos] * values[child] for pos, child in children))
         return Q(values[-1],
                  leaf_den * math.factorial(self.degree) * (common * den) ** self.degree)
@@ -382,6 +423,30 @@ class VectorConfig:
         ints = scaled(xi, common_denominator(xi))
         dots = (sum(map(mul, u, ints)) for u in self.walls)
         return tuple((d > 0) - (d < 0) for d in dots)
+
+
+def _int_array(rows: list[list[int]], bound: int) -> np.ndarray:
+    """Integer rows as one array: int64 when `bound`, which bounds every
+    entry and every sum a caller forms from them, is below 2^62, and
+    Python-int objects otherwise, on which the same statements run."""
+    return np.array(rows, dtype=np.int64 if bound < 2**62 else object)
+
+
+def _stacked(rows: list[list[int]], width: int) -> tuple[np.ndarray, int]:
+    """(array, norm): integer rows of length `width` as one array
+    (`_int_array`), and the largest L1 norm of a row, so that
+    |row . x| <= norm max|x|."""
+    norm = max(sum(map(abs, row)) for row in rows)
+    return _int_array(rows, norm).reshape(len(rows), width), norm
+
+
+def _row_products(stack: tuple[np.ndarray, int], x: list[int]) -> np.ndarray:
+    """Every row of a `_stacked` array dotted with the int vector x, in one
+    matmul: in int64 when norm max|x| < 2^62, on Python-int object arrays
+    otherwise."""
+    rows, norm = stack
+    dtype = np.int64 if norm * max(1, *map(abs, x)) < 2**62 else object
+    return rows.astype(dtype, copy=False) @ np.array(x, dtype=dtype)
 
 
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -522,15 +587,16 @@ class PiecewisePolynomial:
 
     def _vertex_sum(self, xi: Vec) -> tuple[list[int], int]:
         """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi,
-        as integer numerators over `monomials` and one denominator: the
-        term lists of `VectorConfig.vertex_table` are added, and the sum
-        and the table denominator are divided by their gcd."""
-        entries, den = self.config.vertex_table
-        x = scaled(xi, common_denominator(xi))
-        acc = [0] * len(self.monomials)
-        for rows, term in entries:
-            if all(sum(map(mul, row, x)) > 0 for row in rows):
-                acc = list(map(add, acc, term))
+        as integer numerators over `monomials` and one denominator.  One
+        integer matmul over the stacked M_s rows (`VectorConfig.vertex_arrays`,
+        `_row_products`) finds the feasible bases, their term rows N_s
+        are added, and the sum and the table denominator are divided by
+        their gcd."""
+        rows, terms = self.config.vertex_arrays
+        products = _row_products(rows, scaled(xi, common_denominator(xi)))
+        feasible = (products.reshape(-1, self.rank) > 0).all(axis=1)
+        acc = terms[feasible].sum(axis=0).tolist()
+        den = self.config.vertex_table[1]
         g = math.gcd(den, *acc)
         return [c // g for c in acc], den // g
 

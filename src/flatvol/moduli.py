@@ -19,8 +19,9 @@ Four routes are provided, each independent of the ones it checks:
   number is the same pass with an operator applied to each chamber
   polynomial (`mixed_characteristic_number`);
 * the signed toric decomposition over affine Weyl representatives,
-  with every kappa value computed by the independent fiber-polytope
-  route;
+  with every kappa value read from the positive roots alone: the
+  truncated-power recurrence off the walls and the fiber-polytope volume
+  on them, never the vertex-formula chambers of the kappa-sum;
 * the character series (Witten series), heat-kernel regularized when the
   dimension exponent makes it only conditionally convergent; and
 * the exact gluing integral over the alcove for the (1,1) and (0,4)
@@ -794,6 +795,21 @@ def _signed_pairs(rs: RootSystem, smu1: Vec, smu2: Vec) -> list[tuple[int, Vec]]
             for s, row in zip(np.outer(signs, signs).ravel().tolist(), sums.tolist())]
 
 
+def _toric_kappa(rs: RootSystem, config, xi: Vec) -> Q:
+    """kappa(xi) relative to coordinate Lebesgue, for one toric term: 0
+    outside the support cone (a negative coordinate), the truncated-power
+    recurrence (`VectorConfig.truncated_power`) off the walls, and the
+    fiber-polytope volume (`kappa_point`) on a wall and at degree 0."""
+    if any(c < 0 for c in xi):
+        return Q(0)
+    if config.degree:
+        try:
+            return config.truncated_power(xi)
+        except OnWallError:
+            pass
+    return kappa_point(rs, xi).rational
+
+
 def toric_decomposition(
     rs: RootSystem,
     mu1: Vec,
@@ -808,14 +824,17 @@ def toric_decomposition(
     representatives x -> w_u x + t mapping the alcove into the dominant
     chamber (`enumerate_waff_positive`), w1 and w2 over W, w1-major.  The
     |W|^2 signed pairs w1(*mu1) + w2(*mu2) are made once per call, by one
-    int broadcast over the Weyl tensor (`_signed_pairs`).  Every
-    kappa value is computed by the fiber-polytope route, independently of
-    the vertex-formula spline used in the kappa-sum.  Nonzero terms require
-    |w(tau)| <= |mu1| + |mu2|, which the default radius provably covers.
+    int broadcast over the Weyl tensor (`_signed_pairs`).  Each term's
+    kappa is read from the vectors alone (`_toric_kappa`): by the
+    truncated-power recurrence off the walls and by the fiber-polytope
+    volume on them, never from the vertex-formula spline that the
+    kappa-sum reads.  Nonzero terms require |w(tau)| <= |mu1| + |mu2|,
+    which the default radius provably covers.
     """
     bound_sq, provable = _support_radii(rs, [mu1, mu2, tau])
     requested = provable if radius_sq is None else radius_sq
     weyl = rs.weyl_elements()
+    config = kappa_build(rs).config
     pairs = _signed_pairs(rs, star(rs, mu1), star(rs, mu2))
     terms: list[SignedToricTerm] = []
     total = Q(0)
@@ -825,12 +844,11 @@ def toric_decomposition(
         if rs.norm_sq(wtau) > bound_sq:
             continue
         for s, pair in pairs:
-            arg = vsub(pair, wtau)
-            kv = kappa_point(rs, arg)
-            if kv.rational == 0:
+            kappa = _toric_kappa(rs, config, vsub(pair, wtau))
+            if kappa == 0:
                 continue
             sign = w.sign * s
-            rational = sign * rs.center_order * kv.rational
+            rational = sign * rs.center_order * kappa
             total += rational
             terms.append(SignedToricTerm(sign=sign, shift=vsub(wtau, pair),
                                          value=_normalized(rs, rational), rational=rational))

@@ -144,3 +144,56 @@ def test_solve_one_by_one_and_empty():
     assert inverse(()) == ()
     assert inverse(((Q(-2, 5),),)) == ((Q(-5, 2),),)
     assert scaled_inverse(((Q(-2, 5),),))[2] == Q(-2, 5)
+
+
+def integer_matrices(rng):
+    """Seeded square int matrices of sizes 1-5, with small entries and with
+    entries above 2^63, nonsingular and singular (the last row a
+    combination of two others, or zero in size 1)."""
+    for n in range(1, 6):
+        for hi in (9, 2**70):
+            for singular in (False, True):
+                for _ in range(4):
+                    m = [[rng.randint(-hi, hi) for _ in range(n)] for _ in range(n)]
+                    if singular:
+                        m[-1] = [2 * a - 3 * b for a, b in zip(m[0], m[-2])] if n > 1 else [0]
+                    yield m
+
+
+def test_integer_rows_give_the_fraction_rows_results(monkeypatch):
+    """Rows of ints enter the elimination unchanged: `scaled_inverse`,
+    `pivot_columns`, `nullspace` and `solve` give exactly what they give
+    for the same matrix written in Fractions, without scaling a row."""
+    from flatvol import exact
+
+    rng = random.Random(12)
+    cases = []
+    for m in integer_matrices(rng):
+        n = len(m)
+        wide = [row + [rng.randint(-9, 9), rng.randint(-2**70, 2**70)] for row in m]
+        b = [rng.randint(-2**70, 2**70) for _ in range(n)]
+        cases.append((m, wide, b))
+
+    def results(convert):
+        out = []
+        for m, wide, b in cases:
+            m, wide = ([[convert(x) for x in row] for row in a] for a in (m, wide))
+            b = [convert(x) for x in b]
+            out.append((scaled_inverse(m), pivot_columns(m), pivot_columns(wide),
+                        nullspace(m, len(m)), nullspace(wide, len(wide[0])), solve(m, b)))
+        return out
+
+    want = results(Q)
+    assert any(r[0] is None for r in want) and any(r[0] is not None for r in want)
+
+    def refuse(*args):
+        raise AssertionError("an integer row was scaled")
+
+    monkeypatch.setattr(exact, "scaled", refuse)
+    monkeypatch.setattr(exact, "common_denominator", refuse)
+    got = results(int)
+    assert got == want
+    for inv, *_, x in got:
+        if inv is not None:
+            assert type(inv[2]) is Q and all(type(c) is int for row in inv[0] for c in row)
+            assert all(type(c) is Q for c in x)

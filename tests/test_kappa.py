@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as Q
 from itertools import combinations, count
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from flatvol import (
     pullback_operator,
     vec,
 )
-from flatvol.kappa import DegenerateArrangementError, PiecewisePolynomial, VectorConfig
+from flatvol.kappa import (
+    DegenerateArrangementError, PiecewisePolynomial, VectorConfig, _row_products,
+)
 from flatvol.liecore import _SUPPORTED
 from flatvol.poly import poly_add, poly_const, poly_eval, poly_mul, poly_subs_affine
-from flatvol.exact import det, inverse, mat_t, nullspace, vdot
+from flatvol.exact import common_denominator, det, inverse, mat_t, nullspace, scaled, vdot
 
 
 def test_a1_value_and_wall(a1):
@@ -125,6 +128,76 @@ def test_integer_vertex_table_matches_reference_sum(name, multiplicity):
     for xi in points:
         poly = spline.chamber_polynomial_at(xi)
         assert list(poly.items()) == list(reference_vertex_sum(spline.config, xi).items())
+
+
+def per_basis_vertex_sum(cfg, xi):
+    """`PiecewisePolynomial._vertex_sum` basis by basis: each entry of the
+    vertex table tested for feasibility by Python dot products, the
+    feasible term lists added, and the sum reduced with the denominator."""
+    entries, den = cfg.vertex_table
+    x = scaled(xi, common_denominator(xi))
+    acc = [0] * len(cfg.monomials)
+    for rows, term in entries:
+        if all(sum(map(mul, row, x)) > 0 for row in rows):
+            acc = list(map(add, acc, term))
+    g = math.gcd(den, *acc)
+    return [c // g for c in acc], den // g
+
+
+def per_basis_truncated_power(cfg, xi):
+    """`VectorConfig.truncated_power` with each basis's coordinates t made
+    by Python dot products, and the program's nodes evaluated in turn."""
+    nodes, rows, leaf, leaf_den, common = cfg.power_program
+    den = common_denominator(xi)
+    x = scaled(xi, den)
+    taus = [[sum(map(mul, row, x)) for row in inv] for inv in rows]
+    values = []
+    for key, children in nodes:
+        tau = taus[key]
+        if children is None:
+            values.append(leaf[key] if all(t > 0 for t in tau) else 0)
+        else:
+            values.append(sum(tau[pos] * values[child] for pos, child in children))
+    return Q(values[-1], leaf_den * math.factorial(cfg.degree) * (common * den) ** cfg.degree)
+
+
+# every group at multiplicities 1-3, but C3 x3, A4 x2-3 and D4 x2-3, whose
+# vertex tables take 10 s and more to build
+STACKED_CASES = [(g, m) for g in ("A1", "A2", "B2", "C2", "G2", "A3") for m in (1, 2, 3)] + [
+    ("C3", 1), ("C3", 2), ("A4", 1), ("D4", 1)]
+
+
+@pytest.mark.parametrize("name,multiplicity", STACKED_CASES)
+def test_stacked_passes_match_per_basis_reference(name, multiplicity):
+    """The stacked feasibility test of the vertex sum and the stacked basis
+    coordinates of the recurrence give the per-basis reference's chamber
+    numerators and values: in int64 at seeded points, and on Python-int
+    objects at points of denominator 2^61 - 1, whose scaled coordinates
+    lie above 2^62."""
+    rs = build_root_system(name)
+    spline = kappa_build(rs, multiplicity)
+    cfg = spline.config
+    assert cfg.vertex_arrays[0][0].dtype == np.int64 and cfg.power_rows[0].dtype == np.int64
+    rng = random.Random(f"stacked-{name}-{multiplicity}")
+    prime = 2**61 - 1
+    for huge in (False, True):
+        checked = 0
+        while checked < 3:
+            if huge:
+                xi = vec([Q(rng.randint(2**62, 2**64), prime) for _ in range(rs.rank)])
+            else:
+                xi = vec([Q(rng.randint(1, 40), rng.randint(1, 13)) for _ in range(rs.rank)])
+            if cfg.on_wall(xi):
+                continue
+            x = scaled(xi, common_denominator(xi))
+            dtype = object if huge else np.int64
+            assert _row_products(cfg.power_rows, x).dtype == dtype
+            assert _row_products(cfg.vertex_arrays[0], x).dtype == dtype
+            numerators, den = per_basis_vertex_sum(cfg, xi)
+            chamber = PiecewisePolynomial(cfg, spline.label).chamber_at(xi)
+            assert (chamber.numerators, chamber.den) == (numerators, den)
+            assert cfg.truncated_power(xi) == per_basis_truncated_power(cfg, xi)
+            checked += 1
 
 
 def test_spline_slow_types_smoke():

@@ -36,7 +36,7 @@ from flatvol import (
 )
 from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import common_denominator, det, lattice_points_in_ball, scaled, vadd, vscale, vsub
-from flatvol.kappa import kappa_build, pullback_operator
+from flatvol.kappa import kappa_build, kappa_point, pullback_operator
 from flatvol import gluing, moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radii
 from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
@@ -547,6 +547,31 @@ def test_toric_term_count_stable_and_signs(a1):
     assert not rep.parameters["truncation_warning"]
     small = toric_decomposition(a1, *mus, radius_sq=Q(0))
     assert small[1].parameters["truncation_warning"]
+
+
+def test_toric_on_wall_term_reads_the_fiber_volume():
+    """Two A3 toric terms have their kappa argument on a wall, inside the
+    support cone, where the truncated-power recurrence refuses: they carry
+    the fiber-polytope value, pinned here.  Every term, on a wall or off,
+    equals sign |Z| times the fiber-polytope kappa."""
+    rs = build_root_system("A3")
+    mus = [rs.from_weight_coords(vec([Q(x) for x in m.split(",")]))
+           for m in ("1/6,1/9,1/12", "1/5,1/7,1/8", "1/8,1/5,1/5")]
+    terms, _ = toric_decomposition(rs, *mus)
+    config = kappa_build(rs).config
+    on_wall = []
+    for term in terms:
+        arg = vscale(Q(-1), term.shift)
+        assert term.rational == term.sign * rs.center_order * kappa_point(rs, arg).rational
+        if config.on_wall(arg):
+            with pytest.raises(OnWallError):
+                config.truncated_power(arg)
+            on_wall.append((term.sign, term.shift, term.rational))
+    assert len(terms) == 12
+    assert on_wall == [
+        (-1, vec([Q(-31, 5040), Q(-451, 2520), Q(-871, 5040)]), Q(-1240651, 96018048000)),
+        (1, vec([Q(-31, 5040), Q(-451, 2520), Q(-31, 5040)]), Q(29791, 96018048000)),
+    ]
 
 
 def _toric_record(rs, mus, radius_sq=None):
