@@ -394,12 +394,17 @@ class VectorConfig:
         off the walls and is undefined on them: a point on a wall raises
         OnWallError.
 
-        Every basis coordinate t = rows . X is made by one integer matmul
-        over the stacked rows (`power_rows`, `_row_products`); one pass
-        over the nodes then evaluates the recurrence in Python ints.
+        The recurrence itself is `_power_recurrence`.
         """
         if self.on_wall(xi):
             raise OnWallError(f"the truncated-power recurrence is undefined on a wall: {xi}")
+        return self._power_recurrence(xi)
+
+    def _power_recurrence(self, xi: Vec) -> Q:
+        """`truncated_power` at xi, which the caller has seen off every
+        wall.  Every basis coordinate t = rows . X is made by one integer
+        matmul over the stacked rows (`power_rows`, `_row_products`); one
+        pass over the nodes then evaluates the recurrence in Python ints."""
         nodes, _, leaf, leaf_den, common = self.power_program
         den = common_denominator(xi)
         taus = _row_products(self.power_rows, scaled(xi, den)).reshape(-1, self.rank)
@@ -603,13 +608,15 @@ class PiecewisePolynomial:
     def _passes_check(self, chamber: Chamber) -> bool:
         """One exact check of a chamber against the truncated-power
         recurrence (`VectorConfig.truncated_power`) at its sample point,
-        which must lie off every wall, on the chamber's side of each."""
+        which must lie off every wall, on the chamber's side of each: its
+        signs are read once, and the recurrence runs without a second wall
+        test (`VectorConfig._power_recurrence`)."""
         xi = chamber.sample_point
         return (
             len(xi) == self.rank
-            and self.config.sign_vector(xi) == chamber.signs
             and 0 not in chamber.signs
-            and chamber.value(xi) == self.config.truncated_power(xi)
+            and self.config.sign_vector(xi) == chamber.signs
+            and chamber.value(xi) == self.config._power_recurrence(xi)
         )
 
     def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> tuple[Vec, tuple[int, ...]]:

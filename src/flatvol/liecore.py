@@ -140,7 +140,7 @@ class RootSystem:
     Single source of truth for inner products, lattices and the alcove.
     The roots, the Weyl group with its lengths, the weights, the lattice
     bases and the alcove are fixed at construction.  Caches grow on use:
-    the lattice table of `coroot_ball`, `weyl_array` on its first read, and
+    the lattice table of `coroot_table`, `weyl_array` on its first read, and
     the entries that `kappa`, `characters` and `gluing` keep in the
     instance's __dict__ (`_kappa_splines`, `_pullback_operators`, the
     weight Gram `_weight_gram`, `_affine_matrices`), so they go with it.
@@ -229,7 +229,7 @@ class RootSystem:
             vertices=(vzero(self.rank),)
             + tuple(self._alcove_vertex(u) for u in inverse(self.gram))
         )
-        self._lattice_table = (-1, np.zeros((0, self.rank), dtype=np.int64), np.zeros(0))
+        self._lattice_table = (-1, np.zeros((0, self.rank + 1), dtype=np.int64), 0)
 
     # -- inner products and pairings -------------------------------------
 
@@ -273,20 +273,29 @@ class RootSystem:
         h = self.ip(self.highest_root, u)
         return vscale(1 / h, u)
 
-    def coroot_ball(self, limit: int) -> np.ndarray:
-        """The coroot-lattice vectors l with g |l|^2 <= limit (g the scale of
-        `int_gram`) as int64 rows in root coordinates, in the
-        order of `lattice_points_in_ball`, read off one table whose radius
-        doubles as needed: filtering a larger ball keeps that (lex) order."""
-        top, vectors, norms = self._lattice_table
+    def coroot_table(self, limit: int) -> tuple[np.ndarray, int]:
+        """(rows, width): the lattice table, one int64 row [l, g |l|^2] for
+        each coroot-lattice vector l (root coordinates) with g |l|^2 <= top
+        for some top >= limit (g the scale of `int_gram`), in the order of
+        `lattice_points_in_ball`, and the largest absolute entry.  Its
+        radius doubles as needed: filtering a larger ball keeps that (lex)
+        order."""
+        top, rows, width = self._lattice_table
         if limit > top:
             igram, g = self.int_gram
             top = max(limit, 2 * top)
             coeffs = lattice_points_in_ball(self.coroot_gram, Q(top, g))
             vectors = np.array(coeffs, dtype=np.int64) @ np.array(self.coroot_basis, dtype=np.int64)
             norms = ((vectors @ np.array(igram, dtype=np.int64)) * vectors).sum(axis=1)
-            self._lattice_table = top, vectors, norms
-        return vectors[norms <= limit]
+            rows = np.column_stack((vectors, norms))
+            self._lattice_table = top, rows, int(np.abs(rows).max(initial=0))
+        return self._lattice_table[1:]
+
+    def coroot_ball(self, limit: int) -> np.ndarray:
+        """The coroot-lattice vectors l with g |l|^2 <= limit, read off
+        `coroot_table` in its order."""
+        rows, _ = self.coroot_table(limit)
+        return rows[rows[:, -1] <= limit, :-1]
 
     # -- Weyl group ----------------------------------------------------------
 

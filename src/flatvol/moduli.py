@@ -5,12 +5,12 @@ Four routes are provided, each independent of the ones it checks:
 * the exact lattice kappa-sum for the b-marked sphere
       (-1)^n (#Z / covol) * sum_{l in lattice} sum_{w1..w_{b-1} in W}
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
-  truncated provably (the alternating double sum is supported in
-  conv(W mu1) + ... so |mu_b + l| <= sum |mu_j| bounds the ball).  It
+  truncated provably to the support ball: the terms of one l sum to zero
+  unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radii`).  It
   is one exact pass over whole integer arrays, scaled by the common
   denominator of the markings, and so are the sums at many last markings
   mu_b at once (`pants_volumes_exact`, the rows of a scan, in passes of
-  at most MOMENT_ROWS argument rows): the lattice ball and the Weyl
+  at most MOMENT_ROWS argument rows): the lattice table and the Weyl
   matrices are cached tables of the root system, the Weyl-image sums are
   broadcast (`_weyl_fold`), each argument's chamber is found by its wall
   signs, and the chamber polynomials' moments are taken for every
@@ -242,15 +242,20 @@ NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 
 
 def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[Q, Q]:
-    """(r, R) for the lattice sum over the slots mu_1 .. mu_b: nonzero terms
-    have |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
-    (sum_{j<b} |mu_j|)^2, so the ball |l|^2 <= R = 2 |mu_b|^2 + 2 r
-    provably covers them; the extra terms cancel exactly in the signed sum.
-    Given radius_sq, r is that and only the last slot is read, so sums that
-    share mu_1 .. mu_{b-1} take r once (`pants_volumes_exact`).  A varying
-    slot counts with its largest norm, at an alcove vertex.  The norms are
-    g D^2 |mu|^2 in ints, D the common denominator of the points read and g
-    that of the Gram matrix."""
+    """(r, R) for the lattice sum over the slots mu_1 .. mu_b.  The terms of
+    one lattice point l, over all Weyl tuples, sum to zero unless
+    |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
+    (sum_{j<b} |mu_j|)^2: each Weyl-alternating factor is divisible by the
+    product of the roots, so the group sum, a box-spline-type function of
+    mu_b + l, is supported in |y| <= sum_{j<b} |mu_j| (Paley-Wiener-Schwartz;
+    C. De Concini and C. Procesi, *Topics in Hyperplane Arrangements,
+    Polytopes and Box-Splines*, 2010).  That support ball lies in the
+    centred ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, since
+    |l| <= |mu_b| + sqrt(r).  Given radius_sq, r is that and only the last
+    slot is read, so sums that share mu_1 .. mu_{b-1} take r once
+    (`pants_volumes_exact`).  A varying slot counts with its largest norm,
+    at an alcove vertex.  The norms are g D^2 |mu|^2 in ints, D the common
+    denominator of the points read and g that of the Gram matrix."""
     if radius_sq is not None:
         slots = slots[-1:]
     points = [max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(s, str) else s for s in slots]
@@ -266,11 +271,36 @@ def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> t
 
 
 def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[np.ndarray, Q]:
-    """The lattice vectors of the ball of `_support_radii`, as int64 rows in
-    root coordinates (`RootSystem.coroot_ball`), and r."""
+    """The lattice vectors summed for the slots mu_1 .. mu_b, as int64 rows in
+    root coordinates in the order of `RootSystem.coroot_table`, and r.
+
+    For a fixed last marking mu_b they are its own lattice ball, the
+    support ball |mu_b + l|^2 <= r of `_support_radii`: each point left out
+    has a group of terms that cancels exactly.  R only sizes the table,
+    which holds the support ball, and one product with the table's rows
+    [l, n] (n = g |l|^2) tests, with x = D mu_b in ints (D its common
+    denominator) and (I, g) = `int_gram`,
+        g D^2 |mu_b + l|^2 = D^2 n + 2 D l.(I x) + x.I x <= floor(g D^2 r),
+    in int64 when a bound on that product is below 2^62 and on Python-int
+    objects above it.  A varying last slot (NU, STAR_NU) takes the centred
+    ball |l|^2 <= R, which holds the support ball of every mu_b of the
+    alcove (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
     radius_sq, provable = _support_radii(rs, slots, radius_sq)
-    limit = rs.int_gram[1] * provable.numerator // provable.denominator  # floor(g R)
-    return rs.coroot_ball(limit), radius_sq
+    igram, g = rs.int_gram
+    reach = g * provable.numerator // provable.denominator  # floor(g R)
+    if isinstance(slots[-1], str):
+        return rs.coroot_ball(reach), radius_sq
+    rows, width = rs.coroot_table(reach)
+    scale = common_denominator(slots[-1])
+    x = scaled(slots[-1], scale)
+    ix = [sum(map(mul, row, x)) for row in igram]
+    # the test less x.I x, D^2 n + l.(2 D I x) <= limit, is one product with the rows [l, n]
+    weights = [*(2 * scale * c for c in ix), scale * scale]
+    limit = g * scale * scale * radius_sq.numerator // radius_sq.denominator - sum(map(mul, x, ix))
+    bound = max(1, width) * sum(map(abs, weights))  # above every |row . weights|, even at l = 0
+    dtype = np.int64 if bound < 2**62 else object
+    lhs = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype)
+    return rows[lhs <= max(limit, -bound), :-1], radius_sq
 
 
 def sphere_volume_kappa(
@@ -280,9 +310,11 @@ def sphere_volume_kappa(
 
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
-    the chamber spline (Lawrence's vertex formula per chamber).  The
-    lattice ball is that of `_support_radii`, and the sum is one pass over
-    integer arrays (`_kappa_sum`).
+    the chamber spline (Lawrence's vertex formula per chamber).  The sum
+    runs over the own lattice ball of mu_b, its support ball
+    |mu_b + l|^2 <= r (`_lattice_ball`; r is radius_sq when given, reported
+    as `lattice_radius_sq`, and `lattice_points` counts the points summed),
+    in one pass over integer arrays (`_kappa_sum`).
     """
     b = len(mus)
     if b < 3:
@@ -588,10 +620,11 @@ def pants_volume_kappa(
 
 def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> list[Q | None]:
     """The exact rational parts of `pants_volume_kappa` at the third
-    markings mu3s, each over its own lattice ball, in batched kappa-sum
-    passes (`_kappa_sums`).  The balls share the fixed pair's support
-    bound r (`_support_radii`), taken at the first row, so each later row
-    reads only its own marking's norm.  A marking at which a kappa argument
+    markings mu3s, each over its own lattice ball, the support ball
+    |mu3 + l|^2 <= r (`_lattice_ball`), in batched kappa-sum passes
+    (`_kappa_sums`).  The balls share the fixed pair's support bound r
+    (`_support_radii`), taken at the first row, so each later row reads
+    only its own marking's norm.  A marking at which a kappa argument
     of the degree-0 (A1) spline lies on a wall, where `pants_volume_kappa`
     raises OnWallError, gives None; the chambers are built as calls in the
     order of mu3s build them.
@@ -682,11 +715,13 @@ class PantsVolumePoly:
     """The pants volume as a function of the third marking mu3.
 
     Piecewise polynomial over the alcove.  A value at one mu3 is
-    `pants_volume_kappa`'s rational, over mu3's own lattice ball.  Wall
-    tests and cell polynomials, which read a neighbourhood of mu3, take
-    the fixed-marking argument arrays (`_kappa_arguments`) over the ball
-    of the slots [mu1, mu2, NU], which covers every mu3 of the alcove and
-    is built on first use, and their chamber groups (`_chamber_groups`);
+    `pants_volume_kappa`'s rational, over mu3's own lattice ball, its
+    support ball.  Wall tests and cell polynomials, which read a
+    neighbourhood of mu3, take the fixed-marking argument arrays
+    (`_kappa_arguments`) over the centred ball of the slots
+    [mu1, mu2, NU], which holds the support ball of every mu3 of the
+    alcove and is built on first use, and their chamber groups
+    (`_chamber_groups`);
     the cell polynomial shifts each group's chamber polynomial to mu3
     (`_affine_sum`).
     """
@@ -755,12 +790,14 @@ def mixed_characteristic_number(
     derivatives (each e_l, l <= k <= |R+|, becomes the l-th elementary
     symmetric polynomial of the |R+| root-directional derivatives,
     `pullback_operator`), and applied to each chamber polynomial of
-    `pants_volume_kappa`'s sum over mu3's own lattice ball (`_kappa_sum`).
-    An e-monomial of weighted degree sum_l l m_l above the chamber degree
-    |R+| - rank acts as zero, so it is dropped first.  When a kappa
-    argument of mu3's own lattice ball lies on a wall of kappa it raises
-    OnWallError, before any chamber is built, even where the volume is one
-    polynomial near mu3.
+    `pants_volume_kappa`'s sum over mu3's own lattice ball, its support
+    ball (`_lattice_ball`, `_kappa_sum`).  An e-monomial of weighted degree
+    sum_l l m_l above the chamber degree |R+| - rank acts as zero, so it
+    is dropped first.  When a kappa argument of mu3's own lattice ball
+    lies on a wall of kappa it raises OnWallError, before any chamber is
+    built, even where the volume is one polynomial near mu3; arguments of
+    the lattice points outside it, whose terms cancel exactly, are not
+    read.
     """
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):

@@ -205,9 +205,9 @@ HUGE_DENOMINATOR_DIGESTS = [
     (("A2", "1/4294967311,1/5", "1/3,1/7", "2/7,1/4294967357"),
      "bebe3c2ade5afcb319ad218bc5ff32fc2f870176fd822ce3ff838850fea5627e"),
     (("A2", "1431655775/4294967311,1/3", "1/3,2/7", "2/7,1431655792/4294967357"),
-     "fa9301cca9da2d7a046122bac0e0046052c3d8d8501b377eaad8167c4bc11881"),
+     "6c9033d2ad23b5a604b04148467d0d85424c55b3f89c927bbf850392ce6e861a"),
     (("G2", "715827886/4294967311,1/2", "1/6,7/12", "1/6,715827894/4294967357"),
-     "936f39f54f2f6a7c36cf297a6705348aa2b7c5f71004ab8f057115455b34768c"),
+     "9150ac881cd7327c108c4e0797a9b9f90f3b25a30daf467e4eb27ac44932bc45"),
 ]
 
 
@@ -383,12 +383,14 @@ def test_chern_identity_and_fd():
 
 def test_chern_where_only_cancelling_terms_meet_a_wall():
     """The volume is linear near this third marking, but kappa arguments of
-    lattice vectors outside its own ball, whose terms cancel identically
-    there, lie on walls.  chern sums over the own ball, so it exits 0 with
-    the exact central difference of the kappa-sum volume along the
-    positive roots.  A kappa argument of the own ball on a wall makes chern
-    exit 3, even at a third marking (the second run) near which the volume
-    is one polynomial in every direction."""
+    lattice vectors outside its own ball, the support ball, whose terms
+    cancel identically there, lie on walls.  chern sums over the own ball,
+    so it exits 0 with the exact central difference of the kappa-sum volume
+    along the positive roots.  So does the B2 run, where the argument on a
+    wall lies in the centred ball |l|^2 <= R but outside the support ball;
+    its value is 2/101 (`test_moduli`).  A kappa argument of the own ball on
+    a wall makes chern exit 3, even at a third marking (the last run) near
+    which the volume is one polynomial in every direction."""
     marks = ("7/20,1/4", "1/4,1/5", "1/5,13/20")
     r = run("chern", "A2", *marks, "--poly", "e1")
     assert r.returncode == 0, r.stderr
@@ -400,6 +402,10 @@ def test_chern_where_only_cancelling_terms_meet_a_wall():
     difference = sum(s * pants_volume_kappa(rs, m1, m2, m).exact["rational"]
                      for s, m in steps) / (2 * h)
     assert json.loads(r.stdout)["value"] == float(difference) / rs.volume_normalization[0] == -2.0
+    r = run("chern", "B2", "43/101,1/101", "63/101,32/101", "21/101,41/101", "--poly", "e1")
+    assert r.returncode == 0, r.stderr
+    b2 = build_root_system("B2")
+    assert json.loads(r.stdout)["value"] == float(Fraction(2, 101)) / b2.volume_normalization[0]
     r = run("chern", "A2", "2/23,16/23", "11/23,7/23", "14/23,4/23", "--poly", "e1")
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr == ("wall error: (Fraction(32, 69), Fraction(22, 69)): a kappa argument "

@@ -353,6 +353,32 @@ def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
     assert not spline.chambers
 
 
+def test_chamber_check_reads_the_signs_once(monkeypatch):
+    """A new chamber's wall signs are read by `chamber_at` and once more by
+    its check, whose recurrence makes no second wall test; a chamber
+    loaded from a dump is checked in full, its signs read once.  A dumped
+    chamber whose sample point lies on a wall or on another side fails."""
+    rs = build_root_system("A2")
+    config = kappa_build(rs).config
+    reads = []
+    sign_vector = VectorConfig.sign_vector
+    monkeypatch.setattr(VectorConfig, "sign_vector",
+                        lambda self, xi: reads.append(xi) or sign_vector(self, xi))
+    spline = PiecewisePolynomial(config, label="A2:kappa^1")
+    spline.value_exact(vec([2, 1]))
+    assert reads == [vec([2, 1])] * 2
+    data = spline.to_json_dict()
+    reads.clear()
+    PiecewisePolynomial(config, label=spline.label).load_chambers_json(data)
+    assert reads == [vec([2, 1])]
+    for point in (["3/2", "3/2"], ["1", "2"]):
+        data["chambers"][0]["sample_point"] = point
+        fresh = PiecewisePolynomial(config, label=spline.label)
+        with pytest.raises(ValueError, match="one-point check"):
+            fresh.load_chambers_json(data)
+        assert not fresh.chambers
+
+
 def test_homogeneity_exact(a2, b2, g2):
     rng = random.Random(2)
     for rs in (a2, b2, g2):

@@ -90,24 +90,42 @@ def test_a1_wall_error_survives_cancellation(a1, ts):
         pants_volume_poly(a1, mus[0], mus[1]).value_exact(mus[2])
 
 
-def reference_kappa_sum(rs, mus):
-    """The kappa-sum term by term: sign * value_exact over every lattice
-    vector and Weyl tuple, with the lattice ball of sphere_volume_kappa.
-    Also returns how many nonnegative arguments lie on a chamber wall."""
+def reference_groups(rs, mus, support_only):
+    """The kappa-sum term by term, grouped by lattice vector: for each l
+    of the centred ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, in
+    `lattice_points_in_ball` order, whether it lies in the support ball
+    |mu_b + l|^2 <= r (r = (b - 1) sum_{j<b} |mu_j|^2, read in Fractions),
+    the sum of sign * value_exact over the Weyl tuples, and how many of
+    those arguments are nonnegative and on a chamber wall.  With
+    support_only the points outside the support ball are skipped, so
+    nothing is evaluated there."""
     spline = kappa_build(rs, len(mus) - 2)
     bound_sq = (len(mus) - 1) * sum(rs.norm_sq(m) for m in mus[:-1])
     radius_sq = 2 * rs.norm_sq(mus[-1]) + 2 * bound_sq
     rows = [[(w.sign, w.act(m)) for w in rs.weyl_elements()] for m in mus[:-1]]
-    total, on_wall = Q(0), 0
     for coeffs in lattice_points_in_ball(rs.coroot_gram, radius_sq):
         tail = vadd(mus[-1], coroot_vector(rs, coeffs))
+        inside = rs.norm_sq(tail) <= bound_sq
+        if support_only and not inside:
+            continue
+        group, on_wall = Q(0), 0
         for choice in itertools.product(*rows):
             arg, sign = tail, 1
             for s, img in choice:
                 arg, sign = vadd(arg, img), sign * s
             on_wall += min(arg) >= 0 and spline.on_wall(arg)
-            total += sign * spline.value_exact(arg)
-    return (-1) ** rs.n_positive * rs.center_order * total, on_wall
+            group += sign * spline.value_exact(arg)
+        yield coeffs, inside, group, on_wall
+
+
+def reference_kappa_sum(rs, mus, ball="centred"):
+    """The kappa-sum term by term over the centred ball (ball="centred"),
+    or over the support ball that sphere_volume_kappa sums, in its term
+    order (ball="support"); also returns how many nonnegative arguments
+    lie on a chamber wall."""
+    groups = list(reference_groups(rs, mus, ball == "support"))
+    total = sum((group for _, _, group, _ in groups), Q(0))
+    return (-1) ** rs.n_positive * rs.center_order * total, sum(w for *_, w in groups)
 
 
 # common denominators above 2^63 (the products of the primes 4294967311 and
@@ -174,13 +192,69 @@ def test_kappa_sum_builds_chambers_in_term_order(name, marks):
     same sample points and in the same order, as the term-by-term sum, so
     a spline cache written after either is the same file."""
     built = []
-    for evaluate in (sphere_volume_kappa, reference_kappa_sum):
+    for evaluate in (sphere_volume_kappa, lambda rs, mus: reference_kappa_sum(rs, mus, "support")):
         rs = RootSystem(GroupSpec.parse(name))
         mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
         evaluate(rs, mus)
         chambers = kappa_build(rs, len(mus) - 2).chambers.values()
         built.append([(c.signs, c.sample_point) for c in chambers])
     assert built[0] == built[1]
+
+
+# markings whose centred ball holds points outside the support ball: A1,
+# every simple type of rank 2, A3 and C3, multiplicities 1 to 3, markings on
+# alcove walls and huge denominators (of those, the A1 ball holds the
+# origin alone)
+SUPPORT_CASES = [
+    ("A1", ["9/10", "4/5", "5/7"]),
+    ("A1", ["1/2", "3/7", "1/3", "9/10"]),
+    ("A1", ["1/2", "3/7", "1/3", "2/5", "9/10"]),
+    ("A2", ["1/2,1/2", "1/4,1/5", "1/5,1/4"]),
+    ("A2", ["1/3,1/3", "1/4,1/5", "0,1/2", "1/3,1/7", "1/5,1/4"]),
+    ("B2", ["1/3,1/3", "1/5,1/2", "1/2,0"]),
+    ("B2", ["1/4,1/5", "0,1/3", "1/3,1/7", "1/5,1/4"]),
+    ("C2", ["1,0", "1/4,1/4", "1/3,1/7"]),
+    ("C2", ["1/3,1/3", "1/4,1/4", "1/2,1/7"]),
+    ("G2", ["1/3,1/4", "1/5,1/3", "1/6,1/3"]),
+    ("G2", ["0,1/2", "1/5,1/4", "1/3,1/6", "1/5,1/3"]),
+    *((name, marks) for name, marks, _ in HUGE_DENOMINATORS[1:]),
+    A3_TRIPLE[:2],
+    ("A3", ["1/2,0,1/2", "1/4,1/5,1/6", "1/3,1/6,1/5"]),
+    ("C3", ["0,0,1", "1/4,1/4,1/4", "1/5,1/6,1/3"]),
+]
+
+
+@pytest.mark.parametrize("name, marks", SUPPORT_CASES)
+def test_points_outside_the_support_ball_cancel(name, marks):
+    """At every point l of the centred ball outside the support ball
+    |mu_b + l|^2 <= r, the terms over all Weyl tuples sum to exactly 0,
+    so summing the support ball alone gives the centred ball's rational;
+    the kappa-sum sums exactly the support ball's points, in table order,
+    as int64 rows also where its test runs on Python ints."""
+    rs = build_root_system(name)
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
+    assert all(alcove_membership(rs, m)[0] != "outside" for m in mus)
+    groups = list(reference_groups(rs, mus, support_only=False))
+    assert all(group == 0 for _, inside, group, _ in groups if not inside)
+    report = sphere_volume_kappa(rs, mus)
+    kept = [list(coroot_vector(rs, coeffs)) for coeffs, inside, _, _ in groups if inside]
+    ball = _lattice_ball(rs, mus)[0]
+    assert ball.dtype == np.int64 and ball.tolist() == kept
+    assert report.parameters["lattice_points"] == len(kept)
+    total = sum(group for _, _, group, _ in groups)
+    assert report.exact["rational"] == (-1) ** rs.n_positive * rs.center_order * total
+    assert len(kept) < len(groups)
+
+
+def test_empty_support_ball():
+    """A support ball can hold no lattice point at all: then nothing is
+    summed and the volume is 0, as the centred ball's terms give."""
+    rs = build_root_system("G2")
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in ("1/37,1/41", "1/43,1/47", "1/7,1/9")]
+    report = sphere_volume_kappa(rs, mus)
+    assert (report.exact["rational"], report.parameters["lattice_points"]) == (0, 0)
+    assert reference_kappa_sum(rs, mus)[0] == 0
+    assert moduli.pants_volumes_exact(rs, *mus[:2], [mus[2], mus[2]]) == [0, 0]
 
 
 # (group, mu1, mu2, the third markings of one batched pass): A1 rows on a
@@ -234,7 +308,7 @@ def test_batched_sums_build_chambers_as_the_row_loop(name, m1, m2, lasts):
             moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
         for mu3 in mu3s if not batched else ():
             try:
-                reference_kappa_sum(rs, [mu1, mu2, mu3])
+                reference_kappa_sum(rs, [mu1, mu2, mu3], "support")
             except OnWallError:
                 pass
         built.append([(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()])
@@ -263,10 +337,12 @@ def test_batched_sums_read_each_rows_own_ball(name, m1, m2, lasts, monkeypatch):
 def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, monkeypatch):
     """`pants_volumes_exact` takes its markings in consecutive passes of
     at most MOMENT_ROWS argument rows, or of one marking whose rows alone
-    exceed it, each as large as the bound allows: below the smallest
-    marking's rows every pass is one marking, at twice the largest every
-    pass but the last holds two or more.  The values and the chambers
-    built, in order, are those of one pass over all the markings."""
+    exceed it, each as large as the bound allows: below the smallest rows
+    of a marking that has rows, no pass holds two markings with rows (a
+    marking whose support ball is empty has none, and takes no room), at
+    twice the largest every pass but the last holds two or more.  The
+    values and the chambers built, in order, are those of one pass over
+    all the markings."""
     rs = RootSystem(GroupSpec.parse(name))
     mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
     tuples = len(rs.weyl_array[0]) ** 2
@@ -274,7 +350,7 @@ def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, m
     one_pass = moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
     built = [(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()]
 
-    cap = min(rows) - 1 if per_pass == 1 else 2 * max(rows)
+    cap = min(r for r in rows if r) - 1 if per_pass == 1 else 2 * max(rows)
     monkeypatch.setattr(moduli, "MOMENT_ROWS", cap)
     passes = []
     engine = moduli._kappa_sums
@@ -290,7 +366,7 @@ def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, m
         assert hi - lo == 1 or sum(rows[lo:hi]) <= cap
         assert hi == len(mu3s) or sum(rows[lo:hi + 1]) > cap
     if per_pass == 1:
-        assert passes == [1] * len(mu3s)
+        assert all(np.count_nonzero(rows[lo:hi]) <= 1 for lo, hi in zip([0, *ends], ends))
     else:
         assert min(passes[:-1], default=2) >= 2 and len(passes) < len(mu3s)
 
@@ -384,7 +460,7 @@ def test_kappa_sum_degree_zero_wall_after_chambers(ts, built):
     """At degree 0 the first on-wall argument raises OnWallError, and the
     chambers met before it in term order are built first, as the
     term-by-term sum builds them."""
-    for evaluate in (sphere_volume_kappa, reference_kappa_sum):
+    for evaluate in (sphere_volume_kappa, lambda rs, mus: reference_kappa_sum(rs, mus, "support")):
         rs = RootSystem(GroupSpec.parse("A1"))
         with pytest.raises(OnWallError):
             evaluate(rs, [t_mu(rs, t) for t in ts])
@@ -823,6 +899,35 @@ def test_mixed_characteristic_number_equals_cell_polynomial_route(monkeypatch, n
         values.append(poly_eval(op.apply_poly(cell), m3))
         assert mixed_characteristic_number(rs, m1, m2, m3, p) == values[-1]
     assert len(set(values)) > 1
+
+
+def test_mixed_characteristic_number_where_only_cancelling_terms_meet_a_wall(monkeypatch):
+    """At this B2 third marking a kappa argument of the alcove ball lies on
+    a wall (`polynomial_at` raises), but only in a group of terms that
+    cancels exactly, outside mu3's support ball, so the characteristic
+    number is defined.  Nudged along seeded directions, mu3 meets one cell
+    polynomial in every direction that leaves the wall, and the number's
+    rational is the operator applied to it at mu3, exactly."""
+    rs = build_root_system("B2")
+    m1, m2, m3 = (rs.from_weight_coords(vec(m.split(",")))
+                  for m in ("43/101,1/101", "63/101,32/101", "21/101,41/101"))
+    vol = pants_volume_poly(rs, m1, m2)
+    with pytest.raises(OnWallError):
+        vol.polynomial_at(m3)
+    rng = random.Random(5)
+    directions = [*rs.positive_roots, *(vscale(Q(-1), a) for a in rs.positive_roots)]
+    directions += [vec([rng.randint(-9, 9) for _ in range(rs.rank)]) for _ in range(30)]
+    cells = []
+    for d in directions:
+        try:
+            cells.append(vol.polynomial_at(vadd(m3, vscale(Q(1, 10**6), d))))
+        except OnWallError:  # along the wall
+            pass
+    assert len(cells) >= 30 and all(cell == cells[0] for cell in cells)
+    p = SymmetricPoly.elementary(1, moduli_dimension(rs, Surface(0, 3)))
+    monkeypatch.setattr(moduli, "_normalized", lambda rs, rational: rational)
+    number = mixed_characteristic_number(rs, m1, m2, m3, p)
+    assert number == poly_eval(pullback_operator(rs, p).apply_poly(cells[0]), m3) == Q(2, 101)
 
 
 def _alcove_ball_rationals(rs, m1, m2, m3, p):
