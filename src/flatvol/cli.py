@@ -6,12 +6,9 @@ Marking coordinates are exact rationals in the fundamental-weight basis
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 wall/regularity error,
-4 convergence failure.  Set FLATVOL_CACHE to a directory to cache the
-serialized kappa chamber splines across runs; a damaged cache file is
-ignored with a warning and rewritten, and a cache that cannot be written
-is skipped with a warning.  Markings outside the closed alcove and an
---out path that cannot be written are usage errors; a directory --out, or
-one in a missing directory, is refused before any work.
+4 convergence failure.  Markings outside the closed alcove and an --out
+path that cannot be written are usage errors; a directory --out, or one
+in a missing directory, is refused before any work.
 """
 
 from __future__ import annotations
@@ -24,14 +21,13 @@ import re
 import stat
 import sys
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 from .exact import Q, Vec, common_denominator, scaled, vec
-from .kappa import OnWallError, SymmetricPoly, kappa_build
+from .kappa import OnWallError, SymmetricPoly
 from .liecore import RootSystem, alcove_membership, build_root_system, covolume_T, volume_G
 from .mc import MAX_CELLS, model_grid, product_class_histogram, shape_compare
 from .moduli import (
@@ -139,61 +135,6 @@ def _write_csv(rows: list[list[str]], header: list[str], out_path: str | None,
                stamp: dict) -> None:
     lines = ["# " + json.dumps(stamp, sort_keys=True), ",".join(header)]
     _write("\n".join(lines + [",".join(r) for r in rows]), out_path)
-
-
-def _spline_cache_path(rs: RootSystem) -> str | None:
-    cache_dir = os.environ.get("FLATVOL_CACHE")
-    if not cache_dir:
-        return None
-    # a directory that cannot be made shows as a failed save, with a warning
-    with suppress(OSError):
-        os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, f"kappa_{rs.spec.name}.json")
-
-
-# cache path -> (spline, file stamp, chamber count) at this process's last
-# write of the file.  A spline only ever gains chambers, so while the stamp
-# and the count still match, the file holds exactly the dump of the spline
-# and repeated commands in one process neither reparse nor rewrite it.
-_written: dict[str, tuple] = {}
-
-
-def _file_stamp(path: str) -> tuple | None:
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-
-
-def _in_sync(path: str, spline) -> bool:
-    entry = _written.get(path)
-    return (entry is not None and entry[0] is spline
-            and entry[1:] == (_file_stamp(path), len(spline.chambers)))
-
-
-def _load_spline_cache(rs: RootSystem) -> None:
-    """Restore cached chambers; a cache that cannot be read or fails the
-    chamber check is ignored with a warning (and rewritten on save)."""
-    path = _spline_cache_path(rs)
-    if path and os.path.exists(path) and not _in_sync(path, kappa_build(rs)):
-        try:
-            with open(path) as fh:
-                kappa_build(rs).load_chambers_json(json.load(fh))
-        except (OSError, ValueError) as exc:
-            sys.stderr.write(f"warning: ignoring spline cache {path}: {exc}\n")
-
-
-def _save_spline_cache(rs: RootSystem) -> None:
-    path = _spline_cache_path(rs)
-    spline = kappa_build(rs)
-    if path and not _in_sync(path, spline):
-        try:
-            spline.dump_json(path)
-        except OSError as exc:
-            sys.stderr.write(f"warning: cannot write spline cache {path}: {exc}\n")
-            return
-        _written[path] = (spline, _file_stamp(path), len(spline.chambers))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -556,13 +497,7 @@ def main(argv: list[str] | None = None) -> int:
             _check_out(args.out)
             if args.func is cmd_oracle:
                 _check_out(args.out + ".json")  # its sidecar
-        rs = build_root_system(args.group)
-        if args.func is cmd_roots:  # builds no spline: no cache to read or save
-            cmd_roots(rs, args)
-        else:
-            _load_spline_cache(rs)
-            args.func(rs, args)
-            _save_spline_cache(rs)
+        args.func(build_root_system(args.group), args)
         return 0
     except OnWallError as exc:
         sys.stderr.write(f"wall error: {exc}\n")

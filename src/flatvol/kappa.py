@@ -685,7 +685,7 @@ class PiecewisePolynomial:
         os.replace(tmp, path)
 
     def load_chambers_json(self, data: dict) -> None:
-        """Adopt chambers from a serialized dump (cache restore).
+        """Adopt chambers from a dump in the form of `to_json_dict`.
 
         Chambers already in memory are kept; each other one must pass the
         one-point check: its sample point lies off every wall, on the
@@ -721,7 +721,7 @@ class PiecewisePolynomial:
             raise ValueError(f"malformed chamber dump: {exc!r}") from exc
         for chamber in adopted:
             if not self._passes_check(chamber):
-                raise ValueError(f"cached chamber {chamber.signs} fails the one-point check")
+                raise ValueError(f"dumped chamber {chamber.signs} fails the one-point check")
         for chamber in adopted:
             self.chambers[chamber.signs] = chamber
 

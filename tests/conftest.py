@@ -1,13 +1,18 @@
-"""Shared helpers: seeded rational alcove points with wall margins, and
-coroot-lattice vectors from their coefficients.  Also puts the checkout's
-src on PYTHONPATH for the child processes that tests start."""
+"""Shared helpers: seeded rational alcove points with wall margins,
+coroot-lattice vectors from their coefficients, and the digest of the
+chambers that CLI commands build.  Also puts the checkout's src on
+PYTHONPATH for the child processes that tests start."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +24,32 @@ from flatvol.exact import vec
 # environment, so the checkout's src goes on PYTHONPATH for them too
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+
+
+_CHAMBERS_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from flatvol import build_root_system, kappa_build
+from flatvol.cli import main
+group, argvs = json.loads(sys.argv[1])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [main(argv) for argv in argvs]
+dump = json.dumps(kappa_build(build_root_system(group)).to_json_dict(), indent=1, sort_keys=True)
+print(json.dumps({"codes": codes, "stdout": out.getvalue(),
+                  "chambers": hashlib.sha256(dump.encode()).hexdigest()}))
+"""
+
+
+def run_for_chambers(group: str, *argvs: list[str], timeout=300) -> SimpleNamespace:
+    """Run `flatvol.cli.main` on each argv in turn in a fresh Python and
+    return the exit codes, the stdout of the runs, their stderr, and the
+    sha256 of `group`'s kappa chambers that the runs leave built: of
+    `json.dumps(to_json_dict(), indent=1, sort_keys=True)`, in the order
+    in which the chambers were first reached."""
+    r = subprocess.run([sys.executable, "-c", _CHAMBERS_SCRIPT, json.dumps([group, argvs])],
+                       capture_output=True, text=True, timeout=timeout)
+    assert r.returncode == 0, r.stderr
+    return SimpleNamespace(stderr=r.stderr, **json.loads(r.stdout))
 
 
 def rational_alcove_point(rs, rng: random.Random, denom: int = 40, margin=Q(1, 20)):

@@ -3,7 +3,6 @@ import hashlib
 import importlib
 import importlib.util
 import json
-import math
 import os
 import random
 import subprocess
@@ -24,6 +23,8 @@ from flatvol.cli import MAX_STEPS, _a1_model_values, _parse_sym_poly, main, pars
 from flatvol.kappa import OnWallError
 from flatvol.mc import MAX_CELLS, model_grid, shape_compare
 from flatvol.poly import poly_eval
+
+from conftest import run_for_chambers
 
 
 @pytest.mark.parametrize("module", ["exact", "liecore", "poly", "kappa", "characters",
@@ -314,31 +315,22 @@ def test_scan_byte_identical_and_threads():
     assert a.stdout == b.stdout == c.stdout
 
 
-def test_scan_cache_bytes_independent_of_threads(tmp_path):
+def test_scan_chambers_independent_of_threads():
     # the scan builds its chambers as the rows would in order, so the row
-    # that first reaches a chamber, and with it the chamber's sample point
-    # in a fresh cache, is fixed: the file is the one that `volume` on each
-    # row in turn writes
-    dumps = []
-    for threads in ("1", "2"):
-        cache = tmp_path / threads
-        r = run("--threads", threads, "scan", "B2", "1/4,1/4", "1/4,1/4",
-                "--along", "0,0:1/2,0", "--steps", "10", env={"FLATVOL_CACHE": str(cache)})
-        assert r.returncode == 0, r.stderr
-        dumps.append((cache / "kappa_B2.json").read_bytes())
-    cache = tmp_path / "rows"
+    # that first reaches a chamber, and with it the chamber's sample point,
+    # is fixed: the chambers are the ones that `volume` on each row in turn
+    # builds
+    scan = ["scan", "B2", "1/4,1/4", "1/4,1/4", "--along", "0,0:1/2,0", "--steps", "10"]
+    runs = [run_for_chambers("B2", ["--threads", threads, *scan]) for threads in ("1", "2")]
     rows = [["volume", "B2", "1/4,1/4", "1/4,1/4", f"{Fraction(j, 20)},0"] for j in range(11)]
-    script = ("import sys; from flatvol.cli import main\n"
-              f"sys.exit(max(main(argv) for argv in {rows!r}))")
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                       env={**os.environ, "FLATVOL_CACHE": str(cache)}, timeout=300)
-    assert r.returncode == 0, r.stderr
-    dumps.append((cache / "kappa_B2.json").read_bytes())
-    assert dumps[0] == dumps[1] == dumps[2]
+    runs.append(run_for_chambers("B2", *rows))
+    for r in runs:
+        assert set(r.codes) == {0}, r.stderr
+    assert runs[0].chambers == runs[1].chambers == runs[2].chambers
 
 
-# sha256 of the stdout, and for a scan of the spline cache file it writes to
-# a fresh FLATVOL_CACHE, of outputs read through the pants-sum layer: scans
+# sha256 of the stdout, and for a scan of its kappa chambers (`conftest.
+# run_for_chambers`), of outputs read through the pants-sum layer: scans
 # with A1 wall rows, in A2 and in A3, the three routes of `volume --method
 # all`, and a rank-2 one-holed torus `glue`
 PANTS_SUM_DIGESTS = [
@@ -361,15 +353,14 @@ PANTS_SUM_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("args, stdout_digest, cache_digest", PANTS_SUM_DIGESTS,
+@pytest.mark.parametrize("args, stdout_digest, chambers_digest", PANTS_SUM_DIGESTS,
                          ids=["scan-A1-walls", "scan-A2", "scan-A3", "volume-all-A2", "glue-B2"])
-def test_pants_sum_outputs_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
-    r = run(*args, env={"FLATVOL_CACHE": str(tmp_path)})
-    assert r.returncode == 0, r.stderr
+def test_pants_sum_outputs_bytes_pinned(args, stdout_digest, chambers_digest):
+    r = run_for_chambers(args[1], list(args))
+    assert r.codes == [0], r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == stdout_digest
-    if cache_digest is not None:
-        cache = (tmp_path / f"kappa_{args[1]}.json").read_bytes()
-        assert hashlib.sha256(cache).hexdigest() == cache_digest
+    if chambers_digest is not None:
+        assert r.chambers == chambers_digest
 
 
 def test_chern_identity_and_fd():
@@ -411,8 +402,8 @@ def test_chern_where_only_cancelling_terms_meet_a_wall():
     assert r.stderr == ("wall error: (Fraction(32, 69), Fraction(22, 69)): a kappa argument "
                         "of its lattice ball lies on a wall of kappa\n")
 
-# sha256 of the `chern` stdout and of the spline cache file it writes to a
-# fresh FLATVOL_CACHE, beyond A2 and degree 1: chamber polynomials of degree
+# sha256 of the `chern` stdout and of its kappa chambers (`conftest.
+# run_for_chambers`), beyond A2 and degree 1: chamber polynomials of degree
 # 2, 4, 3 and 6 under operators of degree 2, 4, 3 and 6 (C3 at top degree),
 # and A4's of degree 6 under e1 (the markings of BENCH_21.json)
 CHERN_DIGESTS = [
@@ -437,14 +428,13 @@ CHERN_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("args, stdout_digest, cache_digest", CHERN_DIGESTS,
+@pytest.mark.parametrize("args, stdout_digest, chambers_digest", CHERN_DIGESTS,
                          ids=["B2", "G2", "A3", "C3-e1^6", "C3-mixed", "A4"])
-def test_chern_bytes_pinned(tmp_path, args, stdout_digest, cache_digest):
-    r = run("chern", *args, env={"FLATVOL_CACHE": str(tmp_path)})
-    assert r.returncode == 0, r.stderr
+def test_chern_bytes_pinned(args, stdout_digest, chambers_digest):
+    r = run_for_chambers(args[0], ["chern", *args])
+    assert r.codes == [0], r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == stdout_digest
-    cache = (tmp_path / f"kappa_{args[0]}.json").read_bytes()
-    assert hashlib.sha256(cache).hexdigest() == cache_digest
+    assert r.chambers == chambers_digest
 
 
 def test_chern_huge_power_acts_as_zero():
@@ -529,12 +519,11 @@ def per_point_model_value(rs, m1, m2, t):
 
 @pytest.mark.parametrize("bins", [1, 3, 64, 256, 400])
 @pytest.mark.parametrize("t1, t2", [("1/8", "3/8"), ("13/40", "19/40")])
-def test_oracle_statistic_bit_identical_to_per_point_model(t1, t2, bins, monkeypatch, capsys):
+def test_oracle_statistic_bit_identical_to_per_point_model(t1, t2, bins, capsys):
     """The sidecar's statistic, from the model values read per cell, equals
     the one from a kappa-sum at every grid point, with ==.  The walls 1/4,
     1/2 of 1/8, 3/8 lie on every grid k / (4 bins); the walls 3/20, 4/5
     of 13/40, 19/40 lie on it for 400 bins only."""
-    monkeypatch.delenv("FLATVOL_CACHE", raising=False)
     assert main(["oracle", "A1", t1, t2, "--samples", "20000", "--seed", "5",
                  "--bins", str(bins)]) == 0
     out = capsys.readouterr().out
@@ -593,7 +582,7 @@ ORACLE_DIGESTS = {
 def test_oracle_bytes_pinned():
     """A sampler change that moves any A1 or A2 count shows here."""
     for args, digest in ORACLE_DIGESTS.items():
-        r = run("oracle", *args, env={"FLATVOL_CACHE": ""})
+        r = run("oracle", *args)
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, args
 
@@ -689,27 +678,6 @@ def test_parse_sym_poly_signed_terms():
     assert _parse_sym_poly("3*e1*e2 - 1/2*e2", 2).terms == {(1, 1): 3, (0, 1): Fraction(-1, 2)}
     assert _parse_sym_poly("e2^2 - e1^0 + 2", 2).terms == {(0, 2): 1, (0, 0): 1}
     assert _parse_sym_poly("-1", 0).terms == {(): -1}
-
-
-def test_spline_cache_env(tmp_path):
-    env = {"FLATVOL_CACHE": str(tmp_path)}
-    r = run("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", env=env)
-    assert r.returncode == 0
-    cache_file = tmp_path / "kappa_A2.json"
-    assert cache_file.exists()
-    data = json.loads(cache_file.read_text())
-    assert data["chambers"]
-    r2 = run("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", env=env)
-    assert json.loads(r2.stdout) == json.loads(r.stdout)
-
-
-def test_glue_and_oracle_save_spline_cache(tmp_path):
-    for command in (("glue", "A1", "--surface", "0,4", "1/3", "1/3", "1/3", "1/3"),
-                    ("oracle", "A1", "1/2", "1/2", "--samples", "2000")):
-        cache = tmp_path / command[0]
-        r = run(*command, env={"FLATVOL_CACHE": str(cache)})
-        assert r.returncode == 0
-        assert json.loads((cache / "kappa_A1.json").read_text())["chambers"]
 
 
 def test_convergence_failure_exit_code():
@@ -846,9 +814,8 @@ VOLUME = ("volume", "A1", "1/2", "1/2", "1/2")
         "volume-missing-dir", "volume-directory"])
 def test_unwritable_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys, args, target):
     """An --out path that is a directory, or whose directory is missing,
-    exits 2 before any volume or histogram is computed and before the
-    spline cache is read; so does oracle's PATH.json sidecar when it is a
-    directory.  The check creates no file."""
+    exits 2 before any volume or histogram is computed; so does oracle's
+    PATH.json sidecar when it is a directory.  The check creates no file."""
     from flatvol import cli
 
     def never(*_args, **_kwargs):
@@ -856,7 +823,6 @@ def test_unwritable_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(cli, "product_class_histogram", never)
     monkeypatch.setattr(cli, "pants_volume_kappa", never)
-    monkeypatch.setenv("FLATVOL_CACHE", str(tmp_path / "cache"))
     path = bad = tmp_path / target
     if target == "o.csv":  # the CSV could be written, its sidecar not
         bad = tmp_path / "o.csv.json"
@@ -880,145 +846,34 @@ def test_gluing_module_loads_on_first_glue():
         "    assert main(['glue', 'A1', '--surface', '1,1', '2/5']) == 0",
         "print(before, 'flatvol.gluing' in sys.modules)",
     ])
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env={**os.environ, "FLATVOL_CACHE": ""})
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "True"]
 
 
-def test_truncated_spline_cache_is_ignored(tmp_path):
+def test_leftover_spline_cache_is_inert(tmp_path):
+    """FLATVOL_CACHE naming a directory that holds a truncated chamber
+    dump, or naming a regular file, changes nothing: the CLI reads and
+    writes neither, warns of nothing, and prints what it prints without it."""
     args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
-    plain = run(*args, env={"FLATVOL_CACHE": ""})
-    env = {"FLATVOL_CACHE": str(tmp_path)}
-    assert run(*args, env=env).returncode == 0
-    cache_file = tmp_path / "kappa_A2.json"
-    full = cache_file.read_text()
-    cache_file.write_text(full[:200])
-    r = run(*args, env=env)
-    assert r.returncode == 0
-    assert r.stdout == plain.stdout
-    assert "warning" in r.stderr
-    assert cache_file.read_text() == full  # rewritten whole
-
-
-def test_unusable_spline_cache_dir_is_skipped(tmp_path):
-    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
-    plain = run(*args, env={"FLATVOL_CACHE": ""})
-    not_a_dir = tmp_path / "cache"
-    not_a_dir.write_text("a file")
-    r = run(*args, env={"FLATVOL_CACHE": str(not_a_dir)})
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == plain.stdout
-    assert r.stderr.count("warning") == 1 and r.stderr.startswith("warning")
-    assert not_a_dir.read_text() == "a file"
-
-
-def test_edited_spline_cache_is_ignored(tmp_path):
-    """A cached chamber with one coefficient changed fails the one-point
-    check: the cache is ignored with a warning and rewritten as a fresh run
-    writes it, for a degree-0 spline and for one of positive degree."""
-    for group, marks in [("A1", ("1/2", "1/2", "1/2")), ("B2", ("1/4,1/5", "1/3,1/7", "2/7,1/6"))]:
-        args = ("volume", group, *marks)
-        plain = run(*args, env={"FLATVOL_CACHE": ""})
-        env = {"FLATVOL_CACHE": str(tmp_path / group)}
-        assert run(*args, env=env).returncode == 0
-        cache_file = tmp_path / group / f"kappa_{group}.json"
-        fresh = cache_file.read_bytes()
-        data = json.loads(fresh)
-        poly = data["chambers"][0]["polynomial"]
-        key = sorted(poly)[0]
-        poly[key] = str(Fraction(poly[key]) + 4)
-        cache_file.write_text(json.dumps(data))
-        r = run(*args, env=env)
-        assert r.returncode == 0
-        assert r.stdout == plain.stdout
-        assert "warning" in r.stderr and "one-point check" in r.stderr
-        assert cache_file.read_bytes() == fresh
-        if group == "A1":
-            assert json.loads(r.stdout)["reports"]["kappa"]["value"] == 1.0
-
-
-@pytest.mark.parametrize("field, value", [
-    ("polynomial", "1/0"), ("polynomial", math.inf), ("sample_point", "3/0"),
-], ids=["polynomial-zero-denominator", "polynomial-infinity", "sample-point-zero-denominator"])
-def test_damaged_spline_cache_is_ignored(tmp_path, field, value):
-    """A cached number that is not a finite rational makes the dump
-    malformed: the cache is ignored with a warning and rewritten, instead of
-    crashing this run and every later one."""
-    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
-    plain = run(*args, env={"FLATVOL_CACHE": ""})
-    env = {"FLATVOL_CACHE": str(tmp_path)}
-    assert run(*args, env=env).returncode == 0
-    cache_file = tmp_path / "kappa_A2.json"
-    fresh = cache_file.read_bytes()
-    data = json.loads(fresh)
-    target = data["chambers"][0][field]
-    target[sorted(target)[0] if field == "polynomial" else 0] = value
-    cache_file.write_text(json.dumps(data))
-    r = run(*args, env=env)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == plain.stdout
-    assert "warning" in r.stderr and "malformed chamber dump" in r.stderr
-    assert cache_file.read_bytes() == fresh
-
-
-def test_cached_chamber_on_a_wall_is_refused(tmp_path):
-    """A cached chamber whose sample point lies on a wall, with the zero
-    sign of that wall, is refused although its polynomial gives the
-    kappa value there; the file is rewritten."""
-    args = ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
-    env = {"FLATVOL_CACHE": str(tmp_path)}
-    plain = run(*args, env=env)
-    assert plain.returncode == 0
-    cache_file = tmp_path / "kappa_A2.json"
-    fresh = cache_file.read_bytes()
-    data = json.loads(fresh)
-    on_wall = (Fraction(1), Fraction(1))  # alpha1 + alpha2, where both chambers give 1
-    signs = kappa_build(build_root_system("A2")).config.sign_vector(on_wall)
-    assert 0 in signs
-    data["chambers"].append({"signs": list(signs), "sample_point": ["1", "1"],
-                             "polynomial": data["chambers"][0]["polynomial"]})
-    cache_file.write_text(json.dumps(data))
-    r = run(*args, env=env)
-    assert r.returncode == 0 and r.stdout == plain.stdout
-    assert r.stderr.startswith("warning") and "one-point check" in r.stderr
-    assert cache_file.read_bytes() == fresh
-
-
-def test_spline_cache_in_sync_within_one_process(tmp_path, monkeypatch, capsys):
-    """Repeated commands in one process leave an unchanged cache file alone;
-    a file changed from outside is read again, and a grown spline is
-    written again."""
-    from flatvol import GroupSpec, RootSystem, cli, kappa_build
-
-    rs = RootSystem(GroupSpec.parse("B2"))  # a spline no other test shares
-    monkeypatch.setattr(cli, "build_root_system", lambda name: rs)
-    monkeypatch.setenv("FLATVOL_CACHE", str(tmp_path))
-    spline = kappa_build(rs)
-    loads = []
-    load = spline.load_chambers_json
-    monkeypatch.setattr(spline, "load_chambers_json", lambda d: loads.append(1) or load(d))
-    cache_file, out = tmp_path / "kappa_B2.json", tmp_path / "v.json"
-    # the toric route builds no chamber, so the spline grows only below
-    args = ["volume", "B2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "toric",
-            "--out", str(out)]
+    leftover = tmp_path / "cache"
+    leftover.mkdir()
+    (leftover / "kappa_A2.json").write_text('{\n "chambers": [\n  {\n   "poly')
+    regular = tmp_path / "file"
+    regular.write_text("a file")
 
     def state():
-        st = cache_file.stat()
-        return st.st_ino, st.st_mtime_ns, cache_file.read_bytes(), out.read_bytes()
+        return sorted((p.relative_to(tmp_path), p.read_bytes() if p.is_file() else None)
+                      for p in tmp_path.rglob("*"))
 
-    assert cli.main(args) == 0
-    first = state()
-    assert cli.main(args) == 0
-    assert state() == first and loads == []
-
-    cache_file.write_bytes(first[2][:20])
-    assert cli.main(args) == 0
-    assert "warning" in capsys.readouterr().err  # read again, and rewritten
-    assert state()[2:] == first[2:]
-
-    spline.enumerate_support_chambers()
-    assert cli.main(args) == 0
-    assert loads == [1]
-    assert len(json.loads(cache_file.read_text())["chambers"]) == len(spline.chambers) > 0
-    assert state()[3] == first[3]
+    before = state()
+    runs = [run(*args, env={"FLATVOL_CACHE": str(leftover)}),
+            run(*args, env={"FLATVOL_CACHE": str(regular)})]
+    env = dict(os.environ)
+    env.pop("FLATVOL_CACHE", None)
+    runs.append(subprocess.run([sys.executable, "-m", "flatvol.cli", *args], capture_output=True,
+                               text=True, env=env, timeout=300))
+    for r in runs:
+        assert (r.returncode, r.stderr) == (0, "")
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout != ""
+    assert state() == before

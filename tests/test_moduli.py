@@ -190,7 +190,7 @@ def test_kappa_sum_matches_term_by_term_reference(name, marks, hits_walls):
 def test_kappa_sum_builds_chambers_in_term_order(name, marks):
     """On a fresh root system the engine builds the same chambers, with the
     same sample points and in the same order, as the term-by-term sum, so
-    a spline cache written after either is the same file."""
+    a dump of the chambers (`to_json_dict`) after either is the same."""
     built = []
     for evaluate in (sphere_volume_kappa, lambda rs, mus: reference_kappa_sum(rs, mus, "support")):
         rs = RootSystem(GroupSpec.parse(name))
@@ -298,8 +298,8 @@ def test_batched_sums_match_term_by_term_reference(name, m1, m2, lasts):
 def test_batched_sums_build_chambers_as_the_row_loop(name, m1, m2, lasts):
     """On a fresh root system one batched pass builds the same chambers,
     at the same sample points and in the same order, as the term-by-term
-    sum of each row in turn, so a scan writes the spline cache that
-    row-by-row volumes write."""
+    sum of each row in turn, so a scan leaves the chambers, in their
+    order, that row-by-row volumes leave."""
     built = []
     for batched in (True, False):
         rs = RootSystem(GroupSpec.parse(name))
@@ -533,7 +533,7 @@ def test_pants_poly_matches_term_by_term_reference(name, marks, thirds, walls):
 
 def test_pants_poly_on_wall_builds_nothing():
     """An on-wall third marking raises OnWallError before any chamber is
-    built, so a spline cache written after it is unchanged: for the cell
+    built, so it leaves the spline's chambers as they were: for the cell
     polynomial and for a characteristic number, each on a fresh root
     system."""
     e1 = SymmetricPoly.elementary(1, 1)
