@@ -6,9 +6,10 @@ Marking coordinates are exact rationals in the fundamental-weight basis
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 wall/regularity error,
-4 convergence failure.  Markings outside the closed alcove and an --out
-path that cannot be written are usage errors; a directory --out, or one
-in a missing directory, is refused before any work.
+4 convergence failure, 141 a stdout closed by its reader (`main`).
+Markings outside the closed alcove, an option given '--' as its value
+and an --out path that cannot be written are usage errors; a directory
+--out, or one in a missing directory, is refused before any work.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .moduli import (
 )
 
 USAGE_ERROR, WALL_ERROR, CONVERGENCE_ERROR = 2, 3, 4
+BROKEN_PIPE = 128 + 13  # the status of a process that SIGPIPE ends
 # a scan holds every row's point and lattice ball before its first pass,
 # about 0.9 KB a row for A2, so the cap bounds that to about 90 MB
 MAX_STEPS = 100_000
@@ -254,23 +256,23 @@ def _parse_sym_poly(text: str, k: int) -> SymmetricPoly:
     terms: dict[tuple[int, ...], Fraction] = {}
     nvars = max(k, 0)
     if not compact or "".join(_SYM_TERM.findall(compact)) != compact:
-        raise UsageError(f"cannot parse polynomial {text!r}")
+        raise UsageError(f"cannot parse --poly {text!r}")
     for term in _SYM_TERM.findall(compact):
         coeff = Fraction(-1 if term[0] == "-" else 1)
         expo = [0] * nvars
         for factor in term.lstrip("+-").split("*"):
             match = _SYM_FACTOR.fullmatch(factor)
             if match is None:
-                raise UsageError(f"cannot parse factor {factor!r} of polynomial {text!r}")
+                raise UsageError(f"cannot parse factor {factor!r} of --poly {text!r}")
             number, index, power = match.groups()
             if number is not None:
                 coeff *= parse_rational(number)
                 continue
             idx = int(index)
             if k <= 0:
-                raise UsageError(f"complex dimension is {k}; only constant polynomials allowed")
+                raise UsageError(f"--poly {text!r}: complex dimension {k} allows only constants")
             if not 1 <= idx <= nvars:
-                raise UsageError(f"e{idx} exceeds the complex dimension {k}")
+                raise UsageError(f"--poly {text!r}: e{idx} exceeds the complex dimension {k}")
             expo[idx - 1] += int(power) if power else 1
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
@@ -487,18 +489,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (module docstring).  When
+    the reader of stdout has closed it, as `| head` does, the command ends
+    quietly with BROKEN_PIPE (141, as a shell reports a process that
+    SIGPIPE ends): no traceback, and the output left unwritten is dropped.
+    No signal handler is set, so an in-process caller is unaffected."""
     ap = build_parser()
     try:
         args = ap.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        bare = [name for name, value in vars(args).items() if value == []]
+        if bare:  # argparse reads '--poly=--', and so '--poly --', as an empty list
+            raise UsageError(f"--{bare[0]} needs a value")
         if args.out:
             _check_out(args.out)
             if args.func is cmd_oracle:
                 _check_out(args.out + ".json")  # its sidecar
         args.func(build_root_system(args.group), args)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:  # stdout goes to devnull, so the last flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except OnWallError as exc:
         sys.stderr.write(f"wall error: {exc}\n")
         return WALL_ERROR

@@ -22,8 +22,8 @@ Lebesgue measure on t*.  Three independent exact evaluators are provided:
   sub-multisets S, B a basis in S and x = sum t_b b, off the walls, with
   every basis coordinate t from one integer matmul.  It reads the vectors
   only, never the vertex table, and checks each new chamber once at its
-  sample point, both when it is built and when it is loaded from a
-  cache; the toric route reads its kappa values from it off the walls.
+  sample point when it is built; the toric route reads its kappa values
+  from it off the walls.
 
 The integer matmuls run in int64 when a bound on every entry allows and
 on Python-int object arrays otherwise (`_row_products`).
@@ -535,7 +535,7 @@ class PiecewisePolynomial:
     over one denominator (`Chamber`) and checked once, exactly, against the
     truncated-power recurrence (`VectorConfig.truncated_power`) at the
     query point.  Materialized chambers are kept for the lifetime of the
-    object, keyed by their wall signs, and can be serialized to JSON.
+    object, keyed by their wall signs, and listed by `to_json_dict`.
     """
 
     def __init__(self, config: VectorConfig, label: str):

@@ -6,7 +6,7 @@ Four routes are provided, each independent of the ones it checks:
       (-1)^n (#Z / covol) * sum_{l in lattice} sum_{w1..w_{b-1} in W}
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably to the support ball: the terms of one l sum to zero
-  unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radii`).  It
+  unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radius`).  It
   is one exact pass over whole integer arrays, scaled by the common
   denominator of the markings, and so are the sums at many last markings
   mu_b at once (`pants_volumes_exact`, the rows of a scan, in passes of
@@ -241,62 +241,60 @@ def moduli_dimension(rs: RootSystem, surface: Surface) -> int:
 NU, STAR_NU = "nu", "*nu"  # marking slots that vary over the alcove
 
 
-def _support_radii(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[Q, Q]:
-    """(r, R) for the lattice sum over the slots mu_1 .. mu_b.  The terms of
-    one lattice point l, over all Weyl tuples, sum to zero unless
-    |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
+def _slot_point(rs: RootSystem, slot):
+    """A slot's point; a varying one (NU, STAR_NU) at its largest norm, a vertex."""
+    return max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(slot, str) else slot
+
+
+def _support_radius(rs: RootSystem, slots: list) -> Q:
+    """r for a lattice sum over mu_1 .. mu_b, from the slots mu_1 .. mu_{b-1}:
+    the terms of one lattice point l, over all Weyl tuples, sum to zero
+    unless |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
     (sum_{j<b} |mu_j|)^2: each Weyl-alternating factor is divisible by the
     product of the roots, so the group sum, a box-spline-type function of
     mu_b + l, is supported in |y| <= sum_{j<b} |mu_j| (Paley-Wiener-Schwartz;
     C. De Concini and C. Procesi, *Topics in Hyperplane Arrangements,
-    Polytopes and Box-Splines*, 2010).  That support ball lies in the
-    centred ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, since
-    |l| <= |mu_b| + sqrt(r).  Given radius_sq, r is that and only the last
-    slot is read, so sums that share mu_1 .. mu_{b-1} take r once
-    (`pants_volumes_exact`).  A varying slot counts with its largest norm,
-    at an alcove vertex.  The norms are g D^2 |mu|^2 in ints, D the common
-    denominator of the points read and g that of the Gram matrix."""
-    if radius_sq is not None:
-        slots = slots[-1:]
-    points = [max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(s, str) else s for s in slots]
+    Polytopes and Box-Splines*, 2010).  The norms are g D^2 |mu|^2 in
+    ints (D the points' common denominator, g the Gram matrix's)."""
+    points = [_slot_point(rs, s) for s in slots]
     scale = common_denominator(chain.from_iterable(points))
     igram, g = rs.int_gram
-    norms = [int_bilinear(igram, x, x) for x in (scaled(m, scale) for m in points)]
-    unit = g * scale * scale
-    if radius_sq is None:  # both in units of 1 / unit, so one Fraction each
-        bound = (len(slots) - 1) * sum(norms[:-1])
-        return Q(bound, unit), Q(2 * norms[-1] + 2 * bound, unit)
-    n, d = radius_sq.numerator, radius_sq.denominator  # R over unit * d, one Fraction
-    return radius_sq, Q(2 * norms[-1] * d + 2 * n * unit, unit * d)
+    norms = sum(int_bilinear(igram, x, x) for x in (scaled(m, scale) for m in points))
+    return Q(len(points) * norms, g * scale * scale)
 
 
 def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[np.ndarray, Q]:
     """The lattice vectors summed for the slots mu_1 .. mu_b, as int64 rows in
-    root coordinates in the order of `RootSystem.coroot_table`, and r.
+    root coordinates in the order of `RootSystem.coroot_table`, and r, the
+    support bound of `_support_radius` unless radius_sq is given.
 
     For a fixed last marking mu_b they are its own lattice ball, the
-    support ball |mu_b + l|^2 <= r of `_support_radii`: each point left out
-    has a group of terms that cancels exactly.  R only sizes the table,
-    which holds the support ball, and one product with the table's rows
-    [l, n] (n = g |l|^2) tests, with x = D mu_b in ints (D its common
-    denominator) and (I, g) = `int_gram`,
+    support ball |mu_b + l|^2 <= r: each point left out has a group of
+    terms that cancels exactly.  As |l| <= |mu_b| + sqrt(r), it lies in the
+    centred ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, which sizes the table.  With
+    x = D mu_b in ints (D its common denominator) and (I, g) = `int_gram`,
+    floor(g R) is read from x.I x and r, and one product with the table's
+    rows [l, n] (n = g |l|^2) tests
         g D^2 |mu_b + l|^2 = D^2 n + 2 D l.(I x) + x.I x <= floor(g D^2 r),
     in int64 when a bound on that product is below 2^62 and on Python-int
     objects above it.  A varying last slot (NU, STAR_NU) takes the centred
-    ball |l|^2 <= R, which holds the support ball of every mu_b of the
-    alcove (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
-    radius_sq, provable = _support_radii(rs, slots, radius_sq)
+    ball at its largest norm, which holds the support ball of every mu_b of
+    the alcove (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
+    if radius_sq is None:
+        radius_sq = _support_radius(rs, slots[:-1])
     igram, g = rs.int_gram
-    reach = g * provable.numerator // provable.denominator  # floor(g R)
+    point = _slot_point(rs, slots[-1])
+    scale = common_denominator(point)
+    x = scaled(point, scale)
+    ix = [sum(map(mul, row, x)) for row in igram]
+    xix, n, d = sum(map(mul, x, ix)), radius_sq.numerator, radius_sq.denominator
+    reach = (2 * xix * d + 2 * g * n * scale * scale) // (scale * scale * d)  # floor(g R)
     if isinstance(slots[-1], str):
         return rs.coroot_ball(reach), radius_sq
     rows, width = rs.coroot_table(reach)
-    scale = common_denominator(slots[-1])
-    x = scaled(slots[-1], scale)
-    ix = [sum(map(mul, row, x)) for row in igram]
     # the test less x.I x, D^2 n + l.(2 D I x) <= limit, is one product with the rows [l, n]
     weights = [*(2 * scale * c for c in ix), scale * scale]
-    limit = g * scale * scale * radius_sq.numerator // radius_sq.denominator - sum(map(mul, x, ix))
+    limit = g * scale * scale * n // d - xix
     bound = max(1, width) * sum(map(abs, weights))  # above every |row . weights|, even at l = 0
     dtype = np.int64 if bound < 2**62 else object
     lhs = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype)
@@ -623,11 +621,11 @@ def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> 
     markings mu3s, each over its own lattice ball, the support ball
     |mu3 + l|^2 <= r (`_lattice_ball`), in batched kappa-sum passes
     (`_kappa_sums`).  The balls share the fixed pair's support bound r
-    (`_support_radii`), taken at the first row, so each later row reads
-    only its own marking's norm.  A marking at which a kappa argument
-    of the degree-0 (A1) spline lies on a wall, where `pants_volume_kappa`
-    raises OnWallError, gives None; the chambers are built as calls in the
-    order of mu3s build them.
+    (`_support_radius`), taken once, so each row reads only its own
+    marking's norm.  A marking at which a kappa argument of the degree-0
+    (A1) spline lies on a wall, where `pants_volume_kappa` raises
+    OnWallError, gives None; the chambers are built as calls in the order
+    of mu3s build them.
 
     The markings are taken in consecutive slices, each a pass whose
     argument rows (lattice points times Weyl tuples) stay within
@@ -635,10 +633,8 @@ def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> 
     one `_moments` block or one call's arrays however many markings there
     are; slices in order keep the chambers' build order."""
     spline, tuples = kappa_build(rs, 1), len(rs.weyl_array[0]) ** 2
-    lattices, radius_sq = [], None
-    for m in mu3s:  # the first row takes r, the later ones read it
-        lattice, radius_sq = _lattice_ball(rs, [mu1, mu2, m], radius_sq)
-        lattices.append(lattice)
+    radius_sq = _support_radius(rs, [mu1, mu2])
+    lattices = [_lattice_ball(rs, [mu1, mu2, m], radius_sq)[0] for m in mu3s]
     slices, rows = [], math.inf
     for j, lattice in enumerate(lattices):
         if rows + len(lattice) * tuples > MOMENT_ROWS:
@@ -868,7 +864,8 @@ def toric_decomposition(
     kappa-sum reads.  Nonzero terms require |w(tau)| <= |mu1| + |mu2|,
     which the default radius provably covers.
     """
-    bound_sq, provable = _support_radii(rs, [mu1, mu2, tau])
+    bound_sq = _support_radius(rs, [mu1, mu2])
+    provable = 2 * rs.norm_sq(tau) + 2 * bound_sq
     requested = provable if radius_sq is None else radius_sq
     weyl = rs.weyl_elements()
     config = kappa_build(rs).config

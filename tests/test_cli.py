@@ -713,6 +713,23 @@ def test_tiny_weight_list_fails_convergence(weights):
     assert r.stdout == ""
 
 
+CHERN = ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6")
+# usage errors and the error line of each, which names its option or marking
+NAMED_USAGE_ERRORS = {
+    # argparse hands '--' over as an empty list: AttributeError, exit 1
+    (*CHERN, "--poly", "--"): "--poly needs a value",
+    (*CHERN, "--poly=--"): "--poly needs a value",
+    ("volume", "A2", "1/4", "1/3,1/7", "2/7,1/6"): "marking '1/4' needs 2 comma-separated rationals",
+    ("volume", "A2", "--", "-1/4,1/5", "1/3,1/7", "2/7,1/6"):
+        "marking '-1/4,1/5' lies outside the closed alcove",
+    ("scan", "A2", "1/4,1/5", "1/3,1/7", "--along", "1/8,1/8"):
+        "--along needs the form START:END in weight coordinates",
+    (*CHERN, "--poly", "e1+"): "cannot parse --poly 'e1+'",
+    (*CHERN, "--poly", "e2"): "--poly 'e2': e2 exceeds the complex dimension 1",
+    ("glue", "A1", "--surface", "x", "2/5"): "cannot parse --surface 'x': h,b",
+}
+
+
 @pytest.mark.parametrize("args", [
     # a one-node schedule certified itself; a nonpositive epsilon overflowed
     ("volume", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--method", "witten",
@@ -754,6 +771,7 @@ def test_tiny_weight_list_fails_convergence(weights):
     ("scan", "A2", "1/4,1/5", "1/3,1/7", "--along", "1/0,1/5:1/3,1/3"),
     ("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1/0*e1"),
     ("scan", "A1", "1/2", "1/2", "--along", "0:1", "--steps", "-1"),
+    *NAMED_USAGE_ERRORS,
 ], ids=["eps-nodes", "eps0-negative", "eps0-zero", "radius-sq", "glue-surplus",
         "glue-missing", "bins-zero", "samples-zero", "seed-negative", "bins-cells-A1",
         "bins-cells-A2", "glue-nodes", "poly-2e1",
@@ -761,11 +779,16 @@ def test_tiny_weight_list_fails_convergence(weights):
         "weights-above-cap",
         "volume-outside-alcove", "chern-outside-alcove", "scan-end-outside-alcove",
         "volume-zero-denominator", "glue-zero-denominator", "oracle-zero-denominator",
-        "scan-zero-denominator", "chern-zero-denominator", "steps-negative"])
+        "scan-zero-denominator", "chern-zero-denominator", "steps-negative",
+        "poly-dashes", "poly-equals-dashes", "marking-wrong-rank", "marking-negative-pairing",
+        "along-without-colon", "poly-unparsable", "poly-above-dimension", "surface-unparsable"])
 def test_usage_errors(args):
     r = run(*args)
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    if args in NAMED_USAGE_ERRORS:
+        assert r.stderr.startswith(f"error: {NAMED_USAGE_ERRORS[args]}\n")
     if "--steps" in args:
         assert "argument --steps:" in r.stderr.splitlines()[-1]
     if any("1/0" in a for a in args):
@@ -790,17 +813,143 @@ def test_scan_steps_above_cap_refused(tmp_path):
     (("oracle", "A1", "1/2", "1/2", "--samples", "100"), "missing/o.csv"),
     (("scan", "A1", "1/2", "1/2", "--along", "0:1", "--steps", "2"), "."),
     (("roots", "A2"), "."),
-], ids=["volume-missing-dir", "oracle-missing-dir", "scan-directory", "roots-directory"])
+    (("roots", "A2"), "/dev/full"),
+], ids=["volume-missing-dir", "oracle-missing-dir", "scan-directory", "roots-directory",
+        "roots-device-full"])
 def test_unwritable_out_is_usage_error(tmp_path, args, target):
     """An --out path that cannot be written exits 2 with one error line,
-    not a traceback."""
+    not a traceback, also when it fails only at write time (/dev/full)."""
     path = tmp_path / target
     r = run(*args, "--out", str(path))
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
-    reason = "Is a directory" if target == "." else "No such file or directory"
+    reason = {".": "Is a directory", "/dev/full": "No space left on device"}.get(
+        target, "No such file or directory")
     assert f"error: cannot write {path}: {reason}\n" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes stdout early, as `| head -c 10` does, ends the
+    command with exit 141 and nothing on stderr: no traceback and no
+    'Exception ignored' line at shutdown.  The CSV is over 64 KB, more than
+    a pipe holds, so the write fails every time."""
+    argv = ["oracle", "A1", "1/3", "1/4", "--samples", "1000", "--bins", "4096"]
+    with subprocess.Popen([sys.executable, "-m", "flatvol.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+    assert head == b'# {"group"'
+    assert err == b""
+
+
+FUZZ_MARKINGS = {  # interior and boundary points of the closed alcove
+    "A1": ["1/2", "2/5", "1/3", "3/5", "1/5", "0", "1"],
+    "A2": ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/5,1/4", "1/3,1/3", "0,1/2"],
+    "B2": ["1/4,1/5", "1/3,1/7", "2/7,1/6", "1/8,1/9", "0,1/4"],
+    "G2": ["1/9,1/11", "1/10,1/12", "1/8,1/13", "1/12,1/7", "0,1/9"],
+}
+FUZZ_BAD = {  # faulty groups, coordinates and option values
+    "group": ["A0", "Z2", "A", "E9", "A-1", "G3", "", "--"],
+    "coordinate": ["1/0", "x", "3/2", "-1/4", "123456789012345678901", "1e3", "", "--", "-e1"],
+    "--method": ["magic", "", "-e1"],
+    "--weights": ["0", "-5", "x", "100001", "1.5", "-e1"],
+    "--eps0": ["0", "-1", "inf", "nan", "x", "-e1"],
+    "--along": ["a:b", "1/2:", "", "-e1"],
+    "--steps": ["-1", "x", "100001", "-e1"],
+    "--samples": ["0", "-1", "x", "1e3", "-e1"],
+    "--bins": ["0", "-3", "1048577", "x", "-e1"],
+    "--seed": ["-1", "x", "-e1"],
+    "--surface": ["x", "1", "2,2", "0,3", "-1,1", "-e1"],
+    "--poly": ["e2", "e1+", "2e1", "e1^-1", "x", "", "-e1*"],
+}
+FUZZ_OPTIONS = {  # valid values
+    "--method": ["kappa", "toric", "witten", "all"],
+    "--weights": ["7", "200", "1000"],
+    "--eps0": ["0.5", "0.05"],
+    "--steps": ["0", "2", "4"],
+    "--samples": ["100", "1000"],
+    "--bins": ["4", "16"],
+    "--seed": ["0", "7"],
+    "--poly": ["e1", "1", "-e1", "1/2*e1", "2*e1-1"],
+}
+FUZZ_COMMANDS = {  # groups, marking count, options always given and optional ones
+    "roots": (["A1", "A2", "B2", "G2", "C3", "D4"], 0, [], []),
+    "volume": (["A1", "A2", "B2", "G2"], 3, [], ["--method", "--weights", "--eps0"]),
+    "scan": (["A1", "A2", "B2"], 2, ["--along"], ["--steps"]),
+    "chern": (["A1", "A2", "B2", "G2"], 3, ["--poly"], []),
+    "oracle": (["A1", "A2"], 2, ["--samples"], ["--bins", "--seed"]),  # not 10^5 samples
+    "glue": (["A1", "A2"], None, ["--surface"], []),
+}
+FUZZ_FAULTS = [None, None, None, "group", "marking", "rank", "count", "option", "option",
+               "missing", "out", "unknown"]
+
+
+def _fuzz_argv(rng: random.Random, tmp_path: Path) -> list[str]:
+    """One argv of the fuzz grammar: a valid command line of one of the six
+    commands, with at most one fault (a bad group, a bad coordinate, a
+    marking of the wrong rank, a surplus or missing marking, a bad option
+    value, often '--', a missing required option, an unwritable --out or an
+    unknown option), written as 'OPTION VALUE' or 'OPTION=VALUE'."""
+    command = rng.choice(list(FUZZ_COMMANDS))
+    groups, count, required, optional = FUZZ_COMMANDS[command]
+    group = rng.choice(groups)
+    fault = rng.choice(FUZZ_FAULTS)
+    options = {o: rng.choice(FUZZ_OPTIONS.get(o, [""])) for o in required}
+    options.update({o: rng.choice(FUZZ_OPTIONS[o]) for o in optional if rng.random() < 0.5})
+    if command == "glue":
+        options["--surface"], count = rng.choice([("1,1", 1), ("0,4", 4)])
+    points = FUZZ_MARKINGS.get(group, FUZZ_MARKINGS["A2"])
+    markings = [rng.choice(points) for _ in range(count)]
+    if command == "scan":
+        options["--along"] = f"{rng.choice(points)}:{rng.choice(points)}"
+    if fault == "group":
+        group = rng.choice(FUZZ_BAD["group"])
+    elif fault in ("marking", "rank") and markings:
+        j, coords = rng.randrange(len(markings)), markings[0].split(",")
+        if fault == "marking":
+            coords[rng.randrange(len(coords))] = rng.choice(FUZZ_BAD["coordinate"])
+        else:
+            coords = coords[1:] if len(coords) > 1 else coords * 2
+        markings[j] = ",".join(coords)
+    elif fault == "count":
+        markings = markings[1:] if markings and rng.random() < 0.5 else markings + markings[:1]
+    elif fault == "option" and required + optional:
+        option = rng.choice(required + optional)
+        options[option] = "--" if rng.random() < 0.4 else rng.choice(FUZZ_BAD[option])
+    elif fault == "missing" and command in ("scan", "chern", "glue"):
+        del options[required[0]]  # the one option argparse requires
+    elif fault == "out":
+        options["--out"] = str(rng.choice([tmp_path / "missing" / "x", tmp_path]))
+    argv = [command, group, *markings]
+    if "--out" not in options and rng.random() < 0.2:
+        options["--out"] = str(tmp_path / "out.txt")
+    for option, value in options.items():
+        argv += [f"{option}={value}"] if rng.random() < 0.3 else [option, value]
+    if fault == "unknown":
+        argv.insert(rng.randrange(len(argv) + 1), "--bogus")
+    if rng.random() < 0.1:
+        argv = ["--threads", "2", *argv]
+    return argv
+
+
+def test_argv_fuzz(tmp_path, capsys):
+    """300 seeded argv over the six commands, run by `main` in process:
+    each exits 0, 2, 3 or 4, raises nothing, prints no traceback, and
+    prints nothing on stdout unless it exits 0."""
+    rng = random.Random(17)
+    for _ in range(300):
+        argv = _fuzz_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, argv
+        assert code == 0 or out == "", argv
 
 
 ORACLE = ("oracle", "A1", "13/40", "19/40", "--samples", "1000000")

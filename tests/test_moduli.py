@@ -38,7 +38,7 @@ from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import common_denominator, det, lattice_points_in_ball, scaled, vadd, vscale, vsub
 from flatvol.kappa import kappa_build, kappa_point, pullback_operator
 from flatvol import gluing, moduli
-from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radii
+from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radius
 from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
@@ -678,7 +678,8 @@ def test_toric_decomposition_pinned():
         triples += [rational_triple(rs, rng, denom=4, margin=0) for _ in range(closed)]
         for mus in triples:
             records.append(_toric_record(rs, mus))
-            records.append(_toric_record(rs, mus, 4 * _support_radii(rs, list(mus))[1] + 1))
+            radius_sq = 2 * rs.norm_sq(mus[2]) + 2 * _support_radius(rs, mus[:2])  # R
+            records.append(_toric_record(rs, mus, 4 * radius_sq + 1))
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == TORIC_DIGEST
 
