@@ -340,7 +340,7 @@ def cmd_oracle(rs: RootSystem, args) -> None:
     )
     if rs.spec.name == "A1":
         try:
-            stat = shape_compare(hist, _a1_model_values(rs, m1, m2, args.bins), rs)
+            stat = shape_compare(hist, _a1_model_values(rs, m1, m2, args.bins))
         except ValueError:
             stat = None  # degenerate markings: volume vanishes a.e.
         rows = [

@@ -153,26 +153,20 @@ class AlcoveFactor:
                     out.setdefault(line, []).append(i)
         return out
 
-    def beside(self, along, across) -> tuple[int, ...]:
-        """The direction M along + across, M = 1 + max |a.across| over the
-        arguments' wall normals a (integer vectors): a point is read beside
-        it along `along`, and on the `across` side of the walls parallel
-        to `along`."""
-        big = 1 + max((abs(sum(map(mul, a, across)))
-                       for *_, walls, _ in self._alcove_args for a, _ in walls), default=0)
-        return tuple(big * x + y for x, y in zip(along, across))
-
-    def _sides(self, walls, point, direction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Chamber signs of an argument at point + eps * direction and at
-        point - eps * direction (eps -> 0+); on a wall it keeps for every
-        nu, the nudge side."""
+    def _sides(self, walls, point, *directions) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Chamber signs of an argument just beside point, ahead and behind:
+        at point + eps d_1 + eps^2 d_2 + ... and at its mirror image
+        point - eps d_1 - ... (eps -> 0+) for the integer `directions`
+        d_1, d_2, ...  A wall through point is read from the first
+        direction that leaves it; on a wall for every direction it keeps
+        the nudge side."""
         z, den = point[:-1], point[-1]
         ahead, behind = [], []
         for (a, k), nudge in zip(walls, self.spline.config.nudge_signs):
             if v := sum(map(mul, a, z)) + k * den:
                 ahead.append(1 if v > 0 else -1)
                 behind.append(ahead[-1])
-            elif v := sum(map(mul, a, direction)):
+            elif v := next(filter(None, (sum(map(mul, a, d)) for d in directions)), 0):
                 ahead.append(1 if v > 0 else -1)
                 behind.append(-ahead[-1])
             else:
@@ -201,11 +195,12 @@ class AlcoveFactor:
             group[3].append(self.prefactor * coef)
         return _affine_sum(groups.values(), self.spline, self.scale)
 
-    def cell_polynomial(self, point, direction) -> tuple[dict, int]:
+    def cell_polynomial(self, point, *directions) -> tuple[dict, int]:
         """Integer form of the polynomial at a homogeneous point (z, den),
-        read beside it along `direction` where it lies on a line."""
+        read just beside it, ahead along `directions` (`_sides`), where it
+        lies on a line."""
         return self._polynomial(
-            (arg, self._sides(arg[3], point, direction)[0], arg[2]) for arg in self._alcove_args
+            (arg, self._sides(arg[3], point, *directions)[0], arg[2]) for arg in self._alcove_args
         )
 
     def jumps(self) -> dict:
@@ -557,7 +552,7 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     if rs.rank == 1:
         jumps = [f._jumps(None) for f in factors]
         lines = sorted(set().union(*jumps))
-        lefts = [f.cell_polynomial(start, f.beside((1,), (0,))) for f in factors]
+        lefts = [f.cell_polynomial(start, (1,)) for f in factors]
         total = -_point_integral(lefts, start)  # the side above counts negatively
         for line in sorted(lines, key=lambda line: Q(-line[1], line[0])):
             own = [f_jumps[line][1][0] if line in f_jumps else None for f_jumps in jumps]
@@ -571,7 +566,7 @@ def alcove_integral(rs: RootSystem, factors: list[AlcoveFactor]) -> tuple[Q, int
     lines = sorted(set().union(*jumps))
     jumping, tops = set(lines), [f.spline.degree for f in factors]
     edge = _cross(start, end)
-    lefts = [f.cell_polynomial(start, f.beside((edge[1], -edge[0]), edge[:2])) for f in factors]
+    lefts = [f.cell_polynomial(start, (edge[1], -edge[0]), edge[:2]) for f in factors]
     starts: dict = {}
     total = 0
     for (p, q), stops in zip(zip(corners, corners[1:] + corners[:1]), arrangement.edges):

@@ -667,10 +667,8 @@ class PiecewisePolynomial:
                 {
                     "signs": list(ch.signs),
                     "sample_point": [str(c) for c in ch.sample_point],
-                    "polynomial": {
-                        ",".join(map(str, m)): str(Q(c, ch.den))
-                        for m, c in zip(self.monomials, ch.numerators) if c
-                    },
+                    "polynomial": {",".join(map(str, m)): str(c)
+                                   for m, c in ch.polynomial.items()},
                 }
                 for ch in self.chambers.values()
             ],

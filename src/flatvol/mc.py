@@ -116,15 +116,11 @@ def _a1_parameter(tr: np.ndarray) -> np.ndarray:
 
 
 def _bin_index(params: np.ndarray, bins: int) -> np.ndarray:
-    return np.minimum((params * bins).astype(int), bins - 1)
-
-
-def _a1_bins(tr: np.ndarray, bins: int) -> np.ndarray:
-    """_bin_index(_a1_parameter(tr), bins), the same steps in one new
-    float array and one int array, not a new array per step."""
-    t = _a1_parameter(tr)
-    np.multiply(t, bins, out=t)
-    idx = t.astype(int)
+    """min(floor(params * bins), bins - 1), the bins of parameters in
+    [0, 1]: params is multiplied in place (a column view too), and the one
+    new array is the int result."""
+    np.multiply(params, bins, out=params)
+    idx = params.astype(int)
     return np.minimum(idx, bins - 1, out=idx)
 
 
@@ -169,7 +165,7 @@ def product_class_histogram(
         m = min(_CHUNK, n_samples - done)
         if a1:
             tr = same + (cross - same) * rng.random(m)  # s = |w_01|^2
-            idx = _a1_bins(tr, bins)
+            idx = _bin_index(_a1_parameter(tr), bins)
         else:
             w = haar_sample(rs, m, rng)
             u = e1[:, None] * ((w * e2) @ np.conj(np.swapaxes(w, 1, 2)))
@@ -193,7 +189,7 @@ def model_grid(bins: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, 4 * bins + 1)
 
 
-def shape_compare(hist: ClassHistogram, vol, rs: RootSystem) -> float:
+def shape_compare(hist: ClassHistogram, vol) -> float:
     """Sup-distance between the empirical CDF and the model CDF.
 
     vol maps an alcove parameter t in [0, 1] (A1 convention <alpha,mu> = t)

@@ -832,15 +832,14 @@ def _toric_kappa(rs: RootSystem, config, xi: Vec) -> Q:
     """kappa(xi) relative to coordinate Lebesgue, for one toric term: 0
     outside the support cone (a negative coordinate), the truncated-power
     recurrence (`VectorConfig.truncated_power`) off the walls, and the
-    fiber-polytope volume (`kappa_point`) on a wall and at degree 0."""
+    fiber-polytope volume (`kappa_point`) on them, which raises
+    OnWallError at degree 0, where kappa jumps."""
     if any(c < 0 for c in xi):
         return Q(0)
-    if config.degree:
-        try:
-            return config.truncated_power(xi)
-        except OnWallError:
-            pass
-    return kappa_point(rs, xi).rational
+    try:
+        return config.truncated_power(xi)
+    except OnWallError:
+        return kappa_point(rs, xi).rational
 
 
 def toric_decomposition(

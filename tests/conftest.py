@@ -1,16 +1,19 @@
 """Shared helpers: seeded rational alcove points with wall margins,
-coroot-lattice vectors from their coefficients, and the digest of the
-chambers that CLI commands build.  Also puts the checkout's src on
+coroot-lattice vectors from their coefficients, the digest of the
+chambers that CLI commands build, and sentinels that keep a route out of
+the internals of the code it checks.  Also puts the checkout's src on
 PYTHONPATH for the child processes that tests start."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,6 +53,22 @@ def run_for_chambers(group: str, *argvs: list[str], timeout=300) -> SimpleNamesp
                        capture_output=True, text=True, timeout=timeout)
     assert r.returncode == 0, r.stderr
     return SimpleNamespace(stderr=r.stderr, **json.loads(r.stdout))
+
+
+def forbid(monkeypatch, owner, *names: str) -> None:
+    """Replace each named function, method or (cached) property of the
+    module or class `owner` by a sentinel that raises AssertionError when
+    it is called or read, for the rest of the test."""
+    def sentinel(label):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"{label} is forbidden here")
+        return raise_
+
+    for name in names:
+        raise_ = sentinel(f"{owner.__name__}.{name}")
+        kind = type(inspect.getattr_static(owner, name))
+        monkeypatch.setattr(owner, name,
+                            property(raise_) if kind in (property, cached_property) else raise_)
 
 
 def rational_alcove_point(rs, rng: random.Random, denom: int = 40, margin=Q(1, 20)):

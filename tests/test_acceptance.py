@@ -94,13 +94,13 @@ def test_criterion_02_mc_oracle_shape(a1):
             except OnWallError:
                 return 0.0
 
-        stat = shape_compare(hist, vol, a1)
+        stat = shape_compare(hist, vol)
         assert stat < 0.01, (t1, t2, stat)
     # negative control: density supported on a shifted interval
     hist = product_class_histogram(
         a1, t_mu(a1, "1/5"), t_mu(a1, "3/10"), bins=400, n_samples=10**5, seed=77
     )
-    bad = shape_compare(hist, lambda t: 1.0 if 0.55 < t < 0.95 else 0.0, a1)
+    bad = shape_compare(hist, lambda t: 1.0 if 0.55 < t < 0.95 else 0.0)
     assert bad > 0.2
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"oracle suite took {elapsed:.1f}s (> 60s)"

@@ -500,7 +500,7 @@ def test_oracle_statistic_matches_per_point_kappa(t1, t2, walls_met):
             return 0.0
 
     hist = product_class_histogram(rs, m1, m2, bins=64, n_samples=20000, seed=5)
-    assert sidecar["ks_statistic_vs_kappa"] == shape_compare(hist, vol, rs)
+    assert sidecar["ks_statistic_vs_kappa"] == shape_compare(hist, vol)
     assert walls == walls_met
 
 
@@ -532,7 +532,7 @@ def test_oracle_statistic_bit_identical_to_per_point_model(t1, t2, bins, capsys)
     m1, m2 = parse_marking(rs, t1), parse_marking(rs, t2)
     hist = product_class_histogram(rs, m1, m2, bins=bins, n_samples=20000, seed=5)
     try:
-        ref = shape_compare(hist, lambda t: per_point_model_value(rs, m1, m2, t), rs)
+        ref = shape_compare(hist, lambda t: per_point_model_value(rs, m1, m2, t))
     except ValueError:  # 1 bin of 1/8, 3/8: every grid point is 0.0
         ref = None
     assert sidecar["ks_statistic_vs_kappa"] == ref

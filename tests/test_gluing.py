@@ -1,9 +1,11 @@
 """The gluing walk's parts against slow references: the line-restricted
-facet integrals against the triangle rule, and the line arrangement's
-sorted crossings against Fractions."""
+facet integrals against the triangle rule, the line arrangement's sorted
+crossings against Fractions, and a factor's polynomial read along one
+direction, then across by another, against one combined direction."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as Q
 from functools import reduce
@@ -222,6 +224,45 @@ def test_along_orders_float_ties_exactly():
               [(big + 1, 3 * big), (1, 3), (big - 1, 3 * big), (2, 3), (-1, 7)]]
     assert gluing._along((0, 1, 0), points) == [points[i] for i in (4, 2, 1, 0, 3)]
     assert gluing._along((0, -1, 0), points) == [points[i] for i in (3, 0, 1, 2, 4)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2"])
+@pytest.mark.parametrize("surface", ["0,4", "1,1"])
+def test_cell_polynomial_reads_along_then_across(name, surface):
+    """`cell_polynomial(p, along, across)` reads each wall through p from
+    `along`, else from `across`: the same as one direction M along + across
+    with M = 1 + max |a.across| over the factor's wall normals a.  It is
+    read at the alcove's corners, its edge midpoints and its centroid,
+    with (along, across) an edge's counterclockwise direction and inward
+    normal, as the walk starts, on a factor of the slot pattern of the
+    surface's glue.  The (0,4) factor's second marking is the dual of the
+    first, so walls of kappa pass through corner 0; in B2, C2 and G2 some
+    run along an edge there, where `across` decides."""
+    rs = build_root_system(name)
+    m0 = rs.from_weight_coords([Q(1, 4)] if rs.rank == 1 else [Q(1, 4), Q(1, 5)])
+    slots = [m0, moduli.star(rs, m0) if surface == "0,4" else moduli.STAR_NU, moduli.NU]
+    factor = gluing.AlcoveFactor(rs, slots)
+    args = factor._alcove_args
+    normals = [a for *_, walls, _ in args for a, _ in walls]
+    corners = gluing._alcove_corners(rs)
+    if rs.rank == 1:
+        points, pairs = [*corners, gluing._centroid(corners)], [((1,), (0,)), ((-1,), (0,))]
+    else:
+        sides = list(zip(corners, corners[1:] + corners[:1]))
+        points = [*corners, *(gluing._centroid(list(side)) for side in sides),
+                  gluing._centroid(corners)]
+        pairs = [((e[1], -e[0]), e[:2]) for e in (gluing._cross(*side) for side in sides)]
+    decided = 0
+    for along, across in pairs:
+        big = 1 + max(abs(sum(map(operator.mul, a, across))) for a in normals)
+        beside = tuple(big * x + y for x, y in zip(along, across))
+        for p in points:
+            assert factor.cell_polynomial(p, along, across) == factor.cell_polynomial(p, beside)
+            decided += any(
+                not sum(map(operator.mul, a, p[:-1])) + k * p[-1]
+                and not sum(map(operator.mul, a, along)) and sum(map(operator.mul, a, across))
+                for *_, walls, _ in args for a, k in walls)
+    assert decided or name in ("A1", "A2") or surface == "1,1"
 
 
 # (group, surface, weight coordinates, exact rational, cells) at markings of

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from flatvol import (
+    GroupSpec,
     OnWallError,
+    RootSystem,
     SymmetricPoly,
     build_root_system,
     kappa_build,
@@ -24,6 +26,8 @@ from flatvol.kappa import (
 from flatvol.liecore import _SUPPORTED
 from flatvol.poly import poly_add, poly_const, poly_eval, poly_mul, poly_subs_affine
 from flatvol.exact import common_denominator, det, inverse, mat_t, nullspace, scaled, vdot
+
+from conftest import forbid
 
 
 def test_a1_value_and_wall(a1):
@@ -319,10 +323,10 @@ KAPPA_POINT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name, multiplicity", sorted(KAPPA_POINT_DIGESTS))
-def test_kappa_point_pinned(name, multiplicity):
-    rs = build_root_system(name)
-    rng = random.Random(f"kappa-point-{name}-{multiplicity}")
+def _kappa_point_records(rs, multiplicity: int) -> list:
+    """`kappa_point` at 16 seeded points of small denominators, some on
+    walls: [rational, on_wall] each, or the name of the error raised."""
+    rng = random.Random(f"kappa-point-{rs.spec.name}-{multiplicity}")
     records = []
     for _ in range(16):
         xi = vec([Q(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(rs.rank)])
@@ -331,9 +335,33 @@ def test_kappa_point_pinned(name, multiplicity):
             records.append([str(kv.rational), kv.on_wall])
         except OnWallError as exc:
             records.append(type(exc).__name__)
+    return records
+
+
+@pytest.mark.parametrize("name, multiplicity", sorted(KAPPA_POINT_DIGESTS))
+def test_kappa_point_pinned(name, multiplicity):
+    records = _kappa_point_records(build_root_system(name), multiplicity)
     assert any(r == "OnWallError" or r[1] for r in records)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == KAPPA_POINT_DIGESTS[name, multiplicity]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_kappa_point_reads_no_vertex_table_or_recurrence(monkeypatch, name):
+    """On a fresh root system, with the vertex formula's table and the
+    truncated-power recurrence's program replaced by sentinels that raise,
+    `kappa_point` (the fiber-polytope volume) gives the same values, wall
+    flags and wall errors as unpatched; the recurrence itself stops at
+    its sentinel."""
+    expected = [_kappa_point_records(build_root_system(name), m) for m in (1, 2)]
+    forbid(monkeypatch, VectorConfig, "vertex_table", "power_program")
+    fresh = RootSystem(GroupSpec.parse(name))
+    assert [_kappa_point_records(fresh, m) for m in (1, 2)] == expected
+    config = kappa_build(fresh).config
+    xi = vec([Q(1, p) for p in (2, 3, 7)[:fresh.rank]])
+    assert not config.on_wall(xi)
+    with pytest.raises(AssertionError, match="is forbidden here"):
+        config.truncated_power(xi)
 
 
 def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):

@@ -16,7 +16,8 @@ from flatvol import (
 from flatvol.mc import (
     _CHUNK,
     MAX_CELLS,
-    _a1_bins,
+    _a1_parameter,
+    _bin_index,
     class_parameter_batch,
     class_representative,
     haar_sample,
@@ -166,7 +167,7 @@ def test_shape_compare_self(a1):
     h = product_class_histogram(a1, t_mu(a1, "1/2"), t_mu(a1, "1/2"),
                                 bins=256, n_samples=400000, seed=6)
     # model equal to the true density: vol = const on (0, 1)
-    stat = shape_compare(h, lambda t: 1.0 if 0 < t < 1 else 0.0, a1)
+    stat = shape_compare(h, lambda t: 1.0 if 0 < t < 1 else 0.0)
     assert stat < 1.0 / 256 + 0.01
 
 
@@ -184,7 +185,7 @@ def test_shape_compare_vs_kappa_density(a1):
         except Exception:
             return 0.0
 
-    stat = shape_compare(h, vol, a1)
+    stat = shape_compare(h, vol)
     assert stat < 0.01
 
 
@@ -196,7 +197,7 @@ def test_shape_compare_negative_control(a1):
         # shifted support: pretend the triangle sits at [0.5, 0.9]
         return 1.0 if 0.5 < t < 0.9 else 0.0
 
-    stat = shape_compare(h, wrong_vol, a1)
+    stat = shape_compare(h, wrong_vol)
     assert stat > 0.2
 
 
@@ -204,7 +205,7 @@ def test_shape_compare_degenerate_error(a1):
     h = product_class_histogram(a1, t_mu(a1, "1/2"), t_mu(a1, "1/2"),
                                 bins=64, n_samples=1000, seed=9)
     with pytest.raises(ValueError):
-        shape_compare(h, lambda t: 0.0, a1)
+        shape_compare(h, lambda t: 0.0)
 
 
 def test_oracle_rejects_high_rank():
@@ -416,14 +417,22 @@ def test_central_factor_on_bin_edge_fills_one_bin(a1, t1, t2, bins):
 
 
 def test_a1_bins_match_the_plain_expression():
-    """The A1 binning, run in place in two arrays, gives the bins of the
-    plain expression min(floor(arccos(clip(tr / 2, -1, 1)) / pi * bins),
-    bins - 1), at the ends of the trace range and past them too."""
+    """The A1 binning, `_bin_index(_a1_parameter(tr), bins)` run in place
+    in two arrays, gives the bins of the plain expression
+    min(floor(arccos(clip(tr / 2, -1, 1)) / pi * bins), bins - 1), at the
+    ends of the trace range and past them too.  On a strided column view,
+    as the A2 path calls it, `_bin_index` bins that column and leaves the
+    other one untouched."""
     rng = np.random.default_rng(11)
     tr = np.concatenate([rng.uniform(-2.0, 2.0, 5000), [-2.0, 2.0, 0.0, -2.0000001, 2.0000001,
                                                       2 * math.cos(math.pi / 3)]])
     for bins in (1, 7, 64):
         plain = np.minimum((np.arccos(np.clip(tr / 2.0, -1.0, 1.0)) / math.pi * bins).astype(int),
                            bins - 1)
-        assert np.array_equal(_a1_bins(tr, bins), plain), bins
-
+        assert np.array_equal(_bin_index(_a1_parameter(tr), bins), plain), bins
+        params = rng.uniform(0.0, 1.0, (1000, 2))
+        params[:4] = [[0.0, 1.0], [1.0, 0.0], [0.5, np.nextafter(1.0, 0.0)], [1 - 1e-12, 0.25]]
+        first, second = params[:, 0].copy(), params[:, 1].copy()
+        idx = _bin_index(params[:, 0], bins)
+        assert np.array_equal(idx, np.minimum((first * bins).astype(int), bins - 1)), bins
+        assert np.array_equal(params[:, 1], second), bins

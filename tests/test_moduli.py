@@ -36,14 +36,14 @@ from flatvol import (
 )
 from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import common_denominator, det, lattice_points_in_ball, scaled, vadd, vscale, vsub
-from flatvol.kappa import kappa_build, kappa_point, pullback_operator
+from flatvol.kappa import PiecewisePolynomial, VectorConfig, kappa_build, kappa_point, pullback_operator
 from flatvol import gluing, moduli
 from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radius
 from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
 
-from conftest import coroot_vector, rational_alcove_point, rational_triple
+from conftest import coroot_vector, forbid, rational_alcove_point, rational_triple
 
 
 def t_mu(rs, t):
@@ -684,6 +684,33 @@ def test_toric_decomposition_pinned():
     assert digest == TORIC_DIGEST
 
 
+# what the toric route checks, the kappa-sum and its vertex-formula spline,
+# and so must not read
+TORIC_FORBIDDEN = [(moduli, ["_kappa_arguments", "_weyl_fold", "_chamber_groups", "_moments"]),
+                   (VectorConfig, ["vertex_table", "vertex_arrays"]),
+                   (PiecewisePolynomial, ["_vertex_sum", "chamber_at"])]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_toric_route_reads_no_kappa_sum_path(monkeypatch, name):
+    """On a fresh root system, with the kappa-sum's private paths and the
+    vertex-formula spline replaced by sentinels that raise,
+    `toric_decomposition` gives the same terms, rationals and wall errors
+    as unpatched, at interior and closed-alcove triples; the kappa-sum
+    itself stops at a sentinel."""
+    rng = random.Random(f"toric-independence-{name}")
+    rs = build_root_system(name)
+    triples = [rational_triple(rs, rng) for _ in range(2)]
+    triples += [rational_triple(rs, rng, denom=4, margin=0) for _ in range(2)]
+    expected = [_toric_record(rs, mus) for mus in triples]
+    for owner, names in TORIC_FORBIDDEN:
+        forbid(monkeypatch, owner, *names)
+    fresh = RootSystem(GroupSpec.parse(name))
+    assert [_toric_record(fresh, mus) for mus in triples] == expected
+    with pytest.raises(AssertionError, match="is forbidden here"):
+        pants_volume_kappa(fresh, *triples[0])
+
+
 def test_nonnegativity_grid(a1, a2, b2):
     """Volume >= 0 at every point of a 15^3 interior grid per type."""
     for rs in (a1, a2, b2):
@@ -1267,7 +1294,7 @@ def test_alcove_factor_on_a_fresh_root_system(name):
     direction = (1,) * warm.rank
 
     def cells(f):
-        return [f.cell_polynomial(p, f.beside(direction, direction)) for p in points]
+        return [f.cell_polynomial(p, direction) for p in points]
 
     expected_jumps, expected_cells = factor(warm).jumps(), cells(factor(warm))
     assert expected_jumps and any(ints for ints, _ in expected_cells)
