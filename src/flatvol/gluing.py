@@ -47,7 +47,10 @@ import numpy as np
 from .exact import Q, common_denominator, scaled
 from .kappa import OnWallError, _primitive, kappa_build
 from .liecore import RootSystem
-from .moduli import NU, STAR_NU, _affine_sum, _lattice_ball, _signed_center, _weyl_fold
+from .moduli import (
+    NU, STAR_NU, _affine_sum, _lattice_ball, _scaled, _signed_center, _slot_point,
+    _support_radius, _weyl_fold,
+)
 
 __all__ = ["AlcoveFactor", "alcove_integral"]
 
@@ -79,7 +82,8 @@ class AlcoveFactor:
         self.prefactor = _signed_center(rs)
         self.scale = common_denominator(c for s in slots if not isinstance(s, str) for c in s)
         # nonzero terms have |slot_b + l| <= sum of the other slot norms
-        self.lattice = _lattice_ball(rs, slots)[0]
+        radius_sq = _support_radius(rs, _scaled([_slot_point(rs, s) for s in slots[:-1]]))
+        self.lattice = _lattice_ball(rs, slots[-1], radius_sq)
 
     @cached_property
     def _alcove_args(self) -> list:

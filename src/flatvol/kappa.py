@@ -192,6 +192,24 @@ class VectorConfig:
         return sorted(walls)
 
     @cached_property
+    def extension_t(self) -> np.ndarray:
+        """`extension` transposed, contiguous: args @ extension_t extends
+        int rows x to [x, wall dot products]."""
+        return np.ascontiguousarray(self.extension.T)
+
+    @cached_property
+    def wall_norm(self) -> int:
+        """The largest |u|_1 over the rows u of `extension` (1 for its
+        identity rows): |u.x| <= wall_norm max|x| for each of them."""
+        return max(1, *(sum(map(abs, u)) for u in self.walls))
+
+    @cached_property
+    def nudge_side(self) -> np.ndarray:
+        """The walls whose positive side the nudge direction points to, as a
+        bool row: a point on such a wall is read on its positive side."""
+        return np.array(self.nudge_signs) > 0
+
+    @cached_property
     def monomials(self) -> tuple[tuple[int, ...], ...]:
         """The exponents of degree `degree` in `rank` variables, in the order
         in which successive products by x_1 + ... + x_r first meet them."""

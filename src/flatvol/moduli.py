@@ -7,17 +7,24 @@ Four routes are provided, each independent of the ones it checks:
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably to the support ball: the terms of one l sum to zero
   unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radius`).  It
-  is one exact pass over whole integer arrays, scaled by the common
-  denominator of the markings, and so are the sums at many last markings
-  mu_b at once (`pants_volumes_exact`, the rows of a scan, in passes of
-  at most MOMENT_ROWS argument rows): the lattice table and the Weyl
-  matrices are cached tables of the root system, the Weyl-image sums are
-  broadcast (`_weyl_fold`), each argument's chamber is found by its wall
-  signs, and the chamber polynomials' moments are taken for every
-  chamber at once, modulo 2^64, exact when a bound allows, and otherwise
-  also from residues modulo primes (`_moments`).  A characteristic
-  number is the same pass with an operator applied to each chamber
-  polynomial (`mixed_characteristic_number`);
+  is one exact pass over whole integer arrays, and so are the sums at
+  many last markings mu_b at once (`pants_volumes_exact`, the rows of a
+  scan, in passes of at most MOMENT_ROWS argument rows), by the same
+  statements.  The markings are scaled to ints once per call (`_scaled`),
+  and the support radius, the lattice ball (`_lattice_ball`) and the
+  arguments (`_kappa_arguments`) read those ints.  The lattice table, the
+  Weyl matrices are cached tables of the root system, the walls' norm
+  bound, the transposed extension and the nudge side are cached on the
+  vector configuration, and the sign vector of each packed side code is
+  made once (`_code_signs`).  The Weyl-image sums of the fixed markings are
+  made once (`_weyl_fold`) and every sum's arguments come from them in
+  one broadcast; each argument's chamber is found by its packed wall
+  signs (`_chamber_groups`), and the chamber polynomials' moments are
+  taken for every chamber at once, modulo 2^64, exact when a bound over
+  all rows (or, when that one reaches 2^63, over each chamber's rows)
+  allows, and otherwise also from residues modulo primes (`_moments`).
+  A characteristic number is the same pass with an operator applied to
+  each chamber polynomial (`mixed_characteristic_number`);
 * the signed toric decomposition over affine Weyl representatives,
   with every kappa value read from the positive roots alone: the
   truncated-power recurrence off the walls and the fiber-polytope volume
@@ -246,51 +253,57 @@ def _slot_point(rs: RootSystem, slot):
     return max(rs.alcove.vertices, key=rs.norm_sq) if isinstance(slot, str) else slot
 
 
-def _support_radius(rs: RootSystem, slots: list) -> Q:
-    """r for a lattice sum over mu_1 .. mu_b, from the slots mu_1 .. mu_{b-1}:
-    the terms of one lattice point l, over all Weyl tuples, sum to zero
-    unless |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
+def _scaled(points) -> tuple[int, list[list[int]]]:
+    """The points in ints: (D, [D mu for each point mu]), D the common
+    denominator of their coordinates.  A kappa-sum scales its fixed
+    markings and each last marking once, and `_support_radius`,
+    `_lattice_ball` and `_kappa_arguments` read these ints."""
+    den = common_denominator(chain.from_iterable(points))
+    return den, [scaled(p, den) for p in points]
+
+
+def _support_radius(rs: RootSystem, fixed: tuple[int, list[list[int]]]) -> Q:
+    """r for a lattice sum over mu_1 .. mu_b, from the slots mu_1 .. mu_{b-1}
+    in ints, fixed = (D, [D mu_j]) (`_scaled`): the terms of one lattice
+    point l, over all Weyl tuples, sum to zero unless
+    |mu_b + l|^2 <= r = (b - 1) sum_{j<b} |mu_j|^2, which bounds
     (sum_{j<b} |mu_j|)^2: each Weyl-alternating factor is divisible by the
     product of the roots, so the group sum, a box-spline-type function of
     mu_b + l, is supported in |y| <= sum_{j<b} |mu_j| (Paley-Wiener-Schwartz;
     C. De Concini and C. Procesi, *Topics in Hyperplane Arrangements,
-    Polytopes and Box-Splines*, 2010).  The norms are g D^2 |mu|^2 in
-    ints (D the points' common denominator, g the Gram matrix's)."""
-    points = [_slot_point(rs, s) for s in slots]
-    scale = common_denominator(chain.from_iterable(points))
+    Polytopes and Box-Splines*, 2010).  With (I, g) = `int_gram`,
+    g D^2 |mu_j|^2 = x.I x for x = D mu_j, so r is one Fraction of ints."""
+    scale, xs = fixed
     igram, g = rs.int_gram
-    norms = sum(int_bilinear(igram, x, x) for x in (scaled(m, scale) for m in points))
-    return Q(len(points) * norms, g * scale * scale)
+    return Q(len(xs) * sum(int_bilinear(igram, x, x) for x in xs), g * scale * scale)
 
 
-def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tuple[np.ndarray, Q]:
-    """The lattice vectors summed for the slots mu_1 .. mu_b, as int64 rows in
-    root coordinates in the order of `RootSystem.coroot_table`, and r, the
-    support bound of `_support_radius` unless radius_sq is given.
+def _lattice_ball(rs: RootSystem, last, radius_sq: Q) -> np.ndarray:
+    """The lattice vectors summed for the last slot mu_b, as int64 rows in
+    root coordinates in the order of `RootSystem.coroot_table`, given the
+    support bound r = radius_sq of the other slots (`_support_radius`).
+    last is mu_b in ints, (D, [x]) with x = D mu_b (`_scaled`), or a
+    varying slot name (NU, STAR_NU).
 
-    For a fixed last marking mu_b they are its own lattice ball, the
-    support ball |mu_b + l|^2 <= r: each point left out has a group of
-    terms that cancels exactly.  As |l| <= |mu_b| + sqrt(r), it lies in the
-    centred ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, which sizes the table.  With
-    x = D mu_b in ints (D its common denominator) and (I, g) = `int_gram`,
-    floor(g R) is read from x.I x and r, and one product with the table's
-    rows [l, n] (n = g |l|^2) tests
+    For a fixed mu_b they are its own lattice ball, the support ball
+    |mu_b + l|^2 <= r: each point left out has a group of terms that
+    cancels exactly.  As |l| <= |mu_b| + sqrt(r), it lies in the centred
+    ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, which sizes the table.  With
+    (I, g) = `int_gram`, floor(g R) is read from x.I x and r, and one
+    product with the table's rows [l, n] (n = g |l|^2) tests
         g D^2 |mu_b + l|^2 = D^2 n + 2 D l.(I x) + x.I x <= floor(g D^2 r),
     in int64 when a bound on that product is below 2^62 and on Python-int
-    objects above it.  A varying last slot (NU, STAR_NU) takes the centred
-    ball at its largest norm, which holds the support ball of every mu_b of
-    the alcove (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
-    if radius_sq is None:
-        radius_sq = _support_radius(rs, slots[:-1])
+    objects above it.  A varying last slot takes the centred ball at its
+    largest norm (`_slot_point`), which holds the support ball of every
+    mu_b of the alcove (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
+    varying = isinstance(last, str)
+    scale, (x,) = _scaled([_slot_point(rs, last)]) if varying else last
     igram, g = rs.int_gram
-    point = _slot_point(rs, slots[-1])
-    scale = common_denominator(point)
-    x = scaled(point, scale)
     ix = [sum(map(mul, row, x)) for row in igram]
     xix, n, d = sum(map(mul, x, ix)), radius_sq.numerator, radius_sq.denominator
     reach = (2 * xix * d + 2 * g * n * scale * scale) // (scale * scale * d)  # floor(g R)
-    if isinstance(slots[-1], str):
-        return rs.coroot_ball(reach), radius_sq
+    if varying:
+        return rs.coroot_ball(reach)
     rows, width = rs.coroot_table(reach)
     # the test less x.I x, D^2 n + l.(2 D I x) <= limit, is one product with the rows [l, n]
     weights = [*(2 * scale * c for c in ix), scale * scale]
@@ -298,7 +311,7 @@ def _lattice_ball(rs: RootSystem, slots: list, radius_sq: Q | None = None) -> tu
     bound = max(1, width) * sum(map(abs, weights))  # above every |row . weights|, even at l = 0
     dtype = np.int64 if bound < 2**62 else object
     lhs = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype)
-    return rows[lhs <= max(limit, -bound), :-1], radius_sq
+    return rows[lhs <= max(limit, -bound), :-1]
 
 
 def sphere_volume_kappa(
@@ -308,10 +321,11 @@ def sphere_volume_kappa(
 
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
-    the chamber spline (Lawrence's vertex formula per chamber).  The sum
-    runs over the own lattice ball of mu_b, its support ball
-    |mu_b + l|^2 <= r (`_lattice_ball`; r is radius_sq when given, reported
-    as `lattice_radius_sq`, and `lattice_points` counts the points summed),
+    the chamber spline (Lawrence's vertex formula per chamber).  The
+    markings are scaled to ints once (`_scaled`), and the sum runs over the
+    own lattice ball of mu_b, its support ball |mu_b + l|^2 <= r
+    (`_lattice_ball`; r is radius_sq when given, reported as
+    `lattice_radius_sq`, and `lattice_points` counts the points summed),
     in one pass over integer arrays (`_kappa_sum`).
     """
     b = len(mus)
@@ -319,9 +333,12 @@ def sphere_volume_kappa(
         raise ValueError("need at least three markings")
     multiplicity = b - 2
     spline = kappa_build(rs, multiplicity)
-    lattice, radius_sq = _lattice_ball(rs, mus, radius_sq)
+    fixed, last = _scaled(mus[:-1]), _scaled(mus[-1:])
+    if radius_sq is None:
+        radius_sq = _support_radius(rs, fixed)
+    lattice = _lattice_ball(rs, last, radius_sq)
 
-    rational = _signed_center(rs) * _kappa_sum(spline, rs, mus, lattice)
+    rational = _signed_center(rs) * _kappa_sum(spline, rs, fixed, last, lattice)
     return _exact_report(rs, "kappa-sum", rational, {
         "markings": [[str(c) for c in m] for m in mus],
         "lattice_radius_sq": radius_sq,
@@ -348,53 +365,53 @@ def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
     return sums, coefs
 
 
-def _kappa_arguments(rs: RootSystem, config, fixed: list[Vec], lasts: list[Vec], lattices):
+def _kappa_arguments(rs: RootSystem, config, fixed, lasts: list, lattices: list[np.ndarray]):
     """The kappa arguments of the lattice sums j, one for each last
-    marking lasts[j], over l in lattices[j] (int vectors in root
+    marking lasts[j], over l in lattices[j] (int64 rows in root
     coordinates) and Weyl tuples (w_1..w_k) acting on the fixed markings,
     b = k + 1, as whole integer arrays (args, coefs), the sums' scales D_j
     and their row bounds: the rows of sum j are bounds[j]:bounds[j + 1].
+    The markings come in ints (`_scaled`): fixed = (D_0, [D_0 mu_i]), and
+    lasts[j] = (d_j, [d_j mu_b]) for each sum.
 
-    A row of sum j is x = D_j (w_1 mu_1 + ... + w_k mu_k + lasts[j] + l),
-    D_j the common denominator of its markings, then its wall dot products
-    (`VectorConfig.extension`); coefs = +-1 is the tuple's sign.  The
-    Weyl-image sums P (`_weyl_fold`) are made once, at the scale D_0 of the
-    fixed markings, which divides every D_j; with the tails
-    T = D_j (lasts[j] + l), T[:, None] + (D_j / D_0) P[None] is in the
-    order (l, w_1, ..., w_k) of the term-by-term sum, and the sums follow
-    each other in order.  Rows with a negative coordinate, outside the
-    support cone, are dropped before the rest are extended.
+    A row of sum j is x = D_j (w_1 mu_1 + ... + w_k mu_k + mu_b + l), mu_b
+    its last marking and D_j = lcm(D_0, d_j) the common denominator of its
+    markings, then its wall dot products (`VectorConfig.extension_t`);
+    coefs = +-1 is the tuple's sign.  The Weyl-image sums P (`_weyl_fold`)
+    are made once, at the scale D_0 of the fixed markings, and every sum's
+    arguments come from them in one broadcast: each lattice row carries
+    its sum's [D_j, D_j / D_0, D_j mu_b], so with the tails
+    T = D_j (mu_b + l), T[:, None] + (D_j / D_0) P[None] is in the order
+    (l, w_1, ..., w_k) of the term-by-term sum, and the sums follow each
+    other in order.  Rows with a negative coordinate, outside the support
+    cone, are dropped before the rest are extended; the indices of the
+    rows kept give each row's tuple sign and each sum's row bounds.
 
     The arrays are int64 when a bound on every entry of every sum is below
-    2^62; for huge denominators the same statements run on object arrays
-    of ints.
+    2^62 (with `VectorConfig.wall_norm` for the dot products); for huge
+    denominators the same statements run on object arrays of ints.
     """
-    rank = config.rank
-    base = common_denominator(chain.from_iterable(fixed))
-    scales = [math.lcm(base, common_denominator(m)) for m in lasts]
-    imaged = [scaled(m, base) for m in fixed]
-    ends = [scaled(m, scale) for m, scale in zip(lasts, scales)]
-    lattices = [np.asarray(lat, dtype=np.int64).reshape(-1, rank) for lat in lattices]
+    base, imaged = fixed
+    scales = [math.lcm(base, d) for d, _ in lasts]
+    # per sum: D_j, D_j / D_0 and D_j mu_b
+    heads = [[scale, scale // base, *(scale // d * c for c in x)]
+             for scale, (d, (x,)) in zip(scales, lasts)]
     # |w m| <= weyl_norm max|m|, |u.x| <= |u|_1 max|x|; scale enters an
     # array even when every lattice vector is zero
     fold_max = rs.weyl_array[2] * sum(max(map(abs, m)) for m in imaged)
     coordinate_max = max(scale * max(1, int(np.abs(lat).max(initial=0))) + max(map(abs, end))
-                         + scale // base * fold_max
-                         for scale, lat, end in zip(scales, lattices, ends))
-    bound = coordinate_max * max(1, *(sum(map(abs, u)) for u in config.walls))
-    dtype = np.int64 if bound < 2**62 else object
+                         + step * fold_max
+                         for lat, (scale, step, *end) in zip(lattices, heads))
+    dtype = np.int64 if coordinate_max * config.wall_norm < 2**62 else object
 
-    folds, coefs = _weyl_fold(rs, np.array(imaged, dtype=dtype))
-    args = np.concatenate([
-        ((scale * lat.astype(dtype, copy=False) + np.array(end, dtype=dtype))[:, None]
-         + scale // base * folds[None]).reshape(-1, rank)
-        for scale, lat, end in zip(scales, lattices, ends)])
-    bounds = [0, *accumulate(len(lat) * len(folds) for lat in lattices)]
-    coefs = np.tile(coefs, len(args) // len(coefs)).astype(dtype, copy=False)
-    inside = (args >= 0).all(axis=1)
-    args, coefs = args[inside], coefs[inside]
-    bounds = [0, *(int(np.count_nonzero(inside[:end])) for end in bounds[1:])]
-    return args @ config.extension.T, coefs, scales, bounds
+    folds, signs = _weyl_fold(rs, np.array(imaged, dtype=dtype))
+    heads = np.repeat(np.array(heads, dtype=dtype), [len(lat) for lat in lattices], axis=0)
+    tails = heads[:, :1] * np.concatenate(lattices) + heads[:, 2:]
+    args = tails[:, None] + heads[:, 1, None, None] * folds  # (l, tuple, coordinate)
+    rows, tuples = (args >= 0).all(axis=2).nonzero()
+    bounds = np.searchsorted(rows, list(accumulate(map(len, lattices), initial=0))).tolist()
+    return (args[rows, tuples] @ config.extension_t, signs[tuples].astype(dtype, copy=False),
+            scales, bounds)
 
 
 def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[int],
@@ -408,36 +425,37 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     denominator) and group_sums[g] its sum.
 
     A row's wall sides are packed into one int64 code (bit i: positive side
-    of wall i; on the wall, the side the nudge direction points to, whose
-    chamber polynomial gives the value by continuity), with its sum's index
-    above the wall bits (added to the rows of sums 1, 2, ..., so one sum
-    adds nothing).  A stable sort by code groups the rows; in the order of
-    their first rows, the first argument the term order meets in each
-    chamber of each sum, the groups' chambers are looked up by sign and
-    built there if new, so sum after sum in term order, as one call per sum
-    builds them.  At degree 0 a sum's first on-wall row stops it: the
-    chambers it met before are built, its later groups are left None and
-    walls[j] is that row's point, at which `PiecewisePolynomial.chamber_at`
-    raises OnWallError.  With smooth_at,
-    the sums' last markings, each sum is read as one polynomial near its
-    marking (or its derivatives): any on-wall row raises first.
+    of wall i; on the wall, the side the nudge direction points to,
+    `VectorConfig.nudge_side`, whose chamber polynomial gives the value by
+    continuity), with its sum's index above the wall bits (added to the
+    rows of sums 1, 2, ..., so one sum adds nothing).  Only when some dot
+    product is zero are the on-wall rows found and read.  A stable sort by
+    code groups the rows; in the order of their first rows, the first
+    argument the term order meets in each chamber of each sum, the groups'
+    chambers are looked up by sign and built there if new, so sum after
+    sum in term order, as one call per sum builds them.  At degree 0 a
+    sum's first on-wall row stops it: the chambers it met before are built,
+    its later groups are left None and walls[j] is that row's point, at
+    which `PiecewisePolynomial.chamber_at` raises OnWallError.  With
+    smooth_at, the sums' last markings, each sum is read as one polynomial
+    near its marking (or its derivatives): any on-wall row raises first.
     """
     config, rank = spline.config, spline.rank
     dots = args[:, rank:]
     shift = dots.shape[1]
     assert shift + (len(scales) - 1).bit_length() <= 62, "each code must fit in one int64"
     side = dots > 0
-    on_wall = dots == 0
     # rows of a sum from its stop on are not evaluated: at degree 0, its
     # first row on a wall
     stops: dict[int, int] = {}
-    if on_wall.any():
+    if not dots.all():
+        on_wall = dots == 0
         hits = np.flatnonzero(on_wall.any(axis=1))
         sums = (np.searchsorted(bounds, hits, "right") - 1).tolist()
         if smooth_at is not None:
             raise OnWallError(f"{smooth_at[sums[0]]}: a kappa argument of its lattice ball "
                               "lies on a wall of kappa")
-        side |= on_wall & (np.array(config.nudge_signs) > 0)
+        side |= on_wall & config.nudge_side
         if not spline.degree:
             for row, j in zip(hits.tolist(), sums):
                 stops.setdefault(j, row)
@@ -445,11 +463,15 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     for j in range(1, len(scales)):
         code[bounds[j]:bounds[j + 1]] += j << shift
     order = np.argsort(code, kind="stable")
-    ordered = code[order]  # a group starts at row 0 and at each new code
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))[:len(code)])
+    ordered = code[order]
+    change = np.empty(len(code), dtype=bool)  # a group starts at row 0 and at each new code
+    change[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    starts = change.nonzero()[0]
     first = order[starts]  # each group's first row, since the sort is stable
-    signs = list(map(tuple, np.where(side[first], 1, -1).tolist()))
-    group_sums = (ordered[starts] >> shift).tolist()
+    codes = ordered[starts].tolist()
+    signs = [_code_signs(c & (1 << shift) - 1, shift) for c in codes]
+    group_sums = [c >> shift for c in codes]
 
     def point(row: int, j: int) -> Vec:
         return tuple(Q(c, scales[j]) for c in args[row, :rank].tolist())
@@ -462,17 +484,25 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     return order, starts, chambers, group_sums, {j: point(row, j) for j, row in stops.items()}
 
 
-def _kappa_sums(spline, rs: RootSystem, fixed: list[Vec], lasts: list[Vec], lattices,
+@lru_cache(maxsize=None)
+def _code_signs(code: int, walls: int) -> tuple[int, ...]:
+    """The sign vector over `walls` walls packed in code (bit i set: the
+    positive side of wall i, as `VectorConfig.wall_bits` packs it), made
+    once per code for every configuration."""
+    return tuple(1 if code >> i & 1 else -1 for i in range(walls))
+
+
+def _kappa_sums(spline, rs: RootSystem, fixed, lasts: list, lattices: list[np.ndarray],
                 op=None) -> tuple[list[Q | None], dict]:
     """For each last marking mu_b = lasts[j], the sum over l in
     lattices[j] and Weyl tuples (w_1..w_k) of the product of the signs times
     kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), mu_1..mu_k the fixed
-    markings, b = k + 1: the kappa-sum engine.  All sums are one pass over
-    the integer arrays of `_kappa_arguments`, sum j scaled by its D_j,
-    grouped by sum and chamber (`_chamber_groups`), with one `_moments`
-    call.  Chamber polynomials are homogeneous of degree d, so with c_g /
-    e_g a group's chamber and M_g its moments sum j is
-    sum_g c_g . M_g / (e_g D_j^d) over its groups g.
+    markings, b = k + 1, all in ints (`_scaled`): the kappa-sum engine.
+    All sums are one pass over the integer arrays of `_kappa_arguments`,
+    sum j scaled by its D_j, grouped by sum and chamber
+    (`_chamber_groups`), with one `_moments` call.  Chamber polynomials are
+    homogeneous of degree d, so with c_g / e_g a group's chamber and M_g
+    its moments sum j is sum_g c_g . M_g / (e_g D_j^d) over its groups g.
 
     With a constant-coefficient operator op (`kappa.DiffOperator`) it is
     the sum of (op p_g)(x), op applied to the sum as a function of mu_b (no
@@ -484,8 +514,9 @@ def _kappa_sums(spline, rs: RootSystem, fixed: list[Vec], lasts: list[Vec], latt
     that meets such a wall is None.
     """
     args, coefs, scales, bounds = _kappa_arguments(rs, spline.config, fixed, lasts, lattices)
+    smooth_at = None if op is None else [tuple(Q(c, d) for c in x) for d, (x,) in lasts]
     order, starts, chambers, group_sums, walls = _chamber_groups(
-        spline, args, scales, bounds, None if op is None else lasts)
+        spline, args, scales, bounds, smooth_at)
     degree, exponents, lcm = spline.degree, spline.exponents, 1
     rows = [ch and ch.numerators for ch in chambers]
     if op is not None:
@@ -507,10 +538,11 @@ def _kappa_sums(spline, rs: RootSystem, fixed: list[Vec], lasts: list[Vec], latt
             for j, (total, scale) in enumerate(zip(totals, scales))], walls
 
 
-def _kappa_sum(spline, rs: RootSystem, mus: list[Vec], lattice, op=None) -> Q:
-    """The one sum of `_kappa_sums` whose markings are mus, over lattice; at
-    a degree-0 wall, OnWallError after the chambers met before it."""
-    (value,), walls = _kappa_sums(spline, rs, mus[:-1], mus[-1:], [lattice], op)
+def _kappa_sum(spline, rs: RootSystem, fixed, last, lattice: np.ndarray, op=None) -> Q:
+    """The one sum of `_kappa_sums` whose last marking is last, over
+    lattice; at a degree-0 wall, OnWallError after the chambers met before
+    it."""
+    (value,), walls = _kappa_sums(spline, rs, fixed, [last], [lattice], op)
     if walls:
         spline.chamber_at(walls[0])  # raises OnWallError
     return value
@@ -522,28 +554,34 @@ MOMENT_ROWS = 4096  # rows per block of `_moments`, whose peak memory is one blo
 def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[list[int]]:
     """M[g][e] = sum of coefs[i] * points[i]^exponents[e] over the rows i of
     group g (from starts[g] to the next start, none empty), in Python ints,
-    for all groups at once: per-coordinate power tables, the monomial
-    matrix gathered from them and weighted by the coefficients, and
-    `np.add.reduceat` over the starts.  The rows are taken in blocks of
+    for all groups at once: one power table of every coordinate, x^0 ..
+    x^t in t products (t the largest degree), the monomial matrix gathered
+    from it one coordinate at a time and weighted by the coefficients, and
+    `np.add.reduceat` over the starts.  Rows run along the last axis of
+    each array (coordinate by row, monomial by row), so that each gather
+    reads one coordinate's contiguous powers.  The rows are taken in blocks of
     MOMENT_ROWS, so only one block's monomial matrix is held at a time,
     and each block's group sums are added into the groups' rows: a group
     that straddles blocks gets a partial sum from each.
 
-    B = max over groups g of max(1, max|x|_g)^t sum_g|coef| (t the largest
-    degree, max|x|_g and sum_g over the group's rows) bounds every entry;
-    taken per group, it does not grow with the number of sums in a batch
-    (`_kappa_sums`).  The pass runs modulo 2^64 in uint64, whose arithmetic
-    wraps, exact alone when B < 2^63; otherwise also modulo the fewest
-    primes below 2^31 (a product of two residues fits int64) that bring the
-    moduli's product P above 2B, and the entries are rebuilt in
-    (-P/2, P/2] by the Chinese remainder theorem (J. von zur Gathen and
-    J. Gerhard, Modern Computer Algebra, ch. 5).  Python ints enter as
-    x % p.
+    B = max(1, max|x|)^t sum|coef| over all rows bounds every entry.  When
+    B >= 2^63 it is taken per group instead, the largest of
+    max(1, max|x|_g)^t sum_g|coef| (max|x|_g and sum_g over the group's
+    rows), which does not grow with the number of sums in a batch
+    (`_kappa_sums`); below 2^63 both give the same passes.  The pass runs
+    modulo 2^64 in uint64, whose arithmetic wraps, exact alone when
+    B < 2^63; otherwise also modulo the fewest primes below 2^31 (a
+    product of two residues fits int64) that bring the moduli's product P
+    above 2B, and the entries are rebuilt in (-P/2, P/2] by the Chinese
+    remainder theorem (J. von zur Gathen and J. Gerhard, Modern Computer
+    Algebra, ch. 5).  Python ints enter as x % p.
     """
-    top = int(exponents.sum(axis=1).max(initial=0))
-    sizes = np.maximum.reduceat(np.abs(points), starts, axis=0).max(axis=1).tolist()
-    weights = np.add.reduceat(np.abs(coefs), starts).tolist()
-    bound = max((max(1, int(x)) ** top * int(w) for x, w in zip(sizes, weights)), default=0)
+    top = max(map(sum, exponents.tolist()), default=0)
+    bound = max(1, int(np.abs(points).max(initial=0))) ** top * int(np.abs(coefs).sum())
+    if bound >= 2**63:
+        sizes = np.maximum.reduceat(np.abs(points), starts, axis=0).max(axis=1).tolist()
+        weights = np.add.reduceat(np.abs(coefs), starts).tolist()
+        bound = max((max(1, int(x)) ** top * int(w) for x, w in zip(sizes, weights)), default=0)
     k = 0
     while _crt_basis(k)[1] <= 2 * bound:
         k += 1
@@ -562,10 +600,10 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
     tables = []
     for p in (0, *primes):
         if p:
-            x, c = ((a % p).astype(np.int64) for a in (points, coefs))
+            x, c = ((a % p).astype(np.int64) for a in (points.T, coefs))
         else:
             x, c = ((a % 2**64).astype(np.uint64) if a.dtype == object else a.view(np.uint64)
-                    for a in (points, coefs))
+                    for a in (points.T, coefs))
 
         def mod(a, p=p):  # a % p in place, through one temporary; // beats %
             if p:
@@ -574,24 +612,26 @@ def _moments(points: np.ndarray, coefs: np.ndarray, starts, exponents) -> list[l
                 a -= q
             return a
 
-        table = np.zeros((len(starts), len(exponents)), x.dtype) if len(blocks) > 1 else None
+        # (monomial, group), so that each block's rows run along the last axis
+        table = np.zeros((len(exponents), len(starts)), x.dtype) if len(blocks) > 1 else None
         for lo, hi, local, first in blocks:
-            terms = np.empty((hi - lo, len(exponents)), dtype=x.dtype)
-            terms[:] = c[lo:hi, None]
+            power = np.empty((len(x), top + 1, hi - lo), dtype=x.dtype)  # (i, e, row): x_i^e
+            power[:, 0] = 1
+            for e in range(top):
+                power[:, e + 1] = mod(power[:, e] * x[:, lo:hi])
+            terms = np.empty((len(exponents), hi - lo), dtype=x.dtype)
+            terms[:] = c[lo:hi]
             for i, column in enumerate(exponents.T):  # one coordinate's powers at a time
-                power = np.ones((hi - lo, top + 1), dtype=x.dtype)
-                for e in range(top):
-                    power[:, e + 1] = mod(power[:, e] * x[lo:hi, i])
-                terms *= power[:, column]
+                terms *= power[i, column]
                 mod(terms)
-            sums = mod(np.add.reduceat(terms, local, axis=0))
+            sums = mod(np.add.reduceat(terms, local, axis=1))
             if table is None:
                 table = sums
             else:
-                rows = table[first:first + len(sums)]
+                rows = table[:, first:first + sums.shape[1]]
                 rows += sums
                 mod(rows)
-        tables.append(table)
+        tables.append(table.T)
     if not primes:  # |M| <= B < 2^63: the signed reading of the pass modulo 2^64
         return tables[0].view(np.int64).tolist()
     moments = sum(t.astype(object) * w for t, w in zip(tables, weights)) % product
@@ -620,8 +660,9 @@ def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> 
     """The exact rational parts of `pants_volume_kappa` at the third
     markings mu3s, each over its own lattice ball, the support ball
     |mu3 + l|^2 <= r (`_lattice_ball`), in batched kappa-sum passes
-    (`_kappa_sums`).  The balls share the fixed pair's support bound r
-    (`_support_radius`), taken once, so each row reads only its own
+    (`_kappa_sums`).  The fixed pair is scaled to ints once and each
+    marking once (`_scaled`), and the balls share the fixed pair's support
+    bound r (`_support_radius`), taken once, so each row reads only its own
     marking's norm.  A marking at which a kappa argument of the degree-0
     (A1) spline lies on a wall, where `pants_volume_kappa` raises
     OnWallError, gives None; the chambers are built as calls in the order
@@ -633,8 +674,9 @@ def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> 
     one `_moments` block or one call's arrays however many markings there
     are; slices in order keep the chambers' build order."""
     spline, tuples = kappa_build(rs, 1), len(rs.weyl_array[0]) ** 2
-    radius_sq = _support_radius(rs, [mu1, mu2])
-    lattices = [_lattice_ball(rs, [mu1, mu2, m], radius_sq)[0] for m in mu3s]
+    fixed, lasts = _scaled([mu1, mu2]), [_scaled([m]) for m in mu3s]
+    radius_sq = _support_radius(rs, fixed)
+    lattices = [_lattice_ball(rs, last, radius_sq) for last in lasts]
     slices, rows = [], math.inf
     for j, lattice in enumerate(lattices):
         if rows + len(lattice) * tuples > MOMENT_ROWS:
@@ -644,7 +686,7 @@ def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> 
         rows += len(lattice) * tuples
     values = []
     for js in slices:
-        values += _kappa_sums(spline, rs, [mu1, mu2], [mu3s[j] for j in js],
+        values += _kappa_sums(spline, rs, fixed, [lasts[j] for j in js],
                               [lattices[j] for j in js])[0]
     return [None if v is None else _signed_center(rs) * v for v in values]
 
@@ -725,10 +767,11 @@ class PantsVolumePoly:
     def __init__(self, rs: RootSystem, mu1: Vec, mu2: Vec):
         self.rs, self.mu1, self.mu2 = rs, mu1, mu2
         self.spline = kappa_build(rs, 1)
+        self.fixed = _scaled([mu1, mu2])
 
     @cached_property
     def lattice(self) -> np.ndarray:
-        return _lattice_ball(self.rs, [self.mu1, self.mu2, NU])[0]
+        return _lattice_ball(self.rs, NU, _support_radius(self.rs, self.fixed))
 
     def value_exact(self, mu3: Vec) -> Q:
         """Exact rational part, that of pants_volume_kappa."""
@@ -747,7 +790,7 @@ class PantsVolumePoly:
         identically, so wall coincidences there do not make mu3
         non-regular.
         """
-        args = _kappa_arguments(self.rs, self.spline.config, [self.mu1, self.mu2], [mu3],
+        args = _kappa_arguments(self.rs, self.spline.config, self.fixed, [_scaled([mu3])],
                                 [self.lattice])[0]
         return bool((args[:, self.rs.rank:] == 0).any())
 
@@ -760,8 +803,8 @@ class PantsVolumePoly:
         near mu3 the sum is that of coef * p((c + D nu) / D), the chambers
         grouped and built as `_kappa_sum` does."""
         rank = self.rs.rank
-        args, coefs, (scale,), rows = _kappa_arguments(self.rs, self.spline.config,
-                                                       [self.mu1, self.mu2], [mu3], [self.lattice])
+        args, coefs, (scale,), rows = _kappa_arguments(self.rs, self.spline.config, self.fixed,
+                                                       [_scaled([mu3])], [self.lattice])
         order, starts, chambers, _, _ = _chamber_groups(self.spline, args, [scale], rows, [mu3])
         offsets = (args[order, :rank] - np.array(scaled(mu3, scale), dtype=args.dtype)).tolist()
         coefs, bounds = coefs[order].tolist(), [*starts.tolist(), len(order)]
@@ -798,12 +841,13 @@ def mixed_characteristic_number(
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):
         raise ValueError(f"polynomial uses e_l with l > complex dimension k={k}")
-    spline, mus = kappa_build(rs, 1), [mu1, mu2, mu3]
+    spline = kappa_build(rs, 1)
     kept = {m: c for m, c in p.terms.items()
             if sum(l * e for l, e in enumerate(m, start=1)) <= spline.degree}
     op = pullback_operator(rs, SymmetricPoly(kept, p.nvars))
-    lattice = _lattice_ball(rs, mus)[0]
-    return _normalized(rs, _signed_center(rs) * _kappa_sum(spline, rs, mus, lattice, op))
+    fixed, last = _scaled([mu1, mu2]), _scaled([mu3])
+    lattice = _lattice_ball(rs, last, _support_radius(rs, fixed))
+    return _normalized(rs, _signed_center(rs) * _kappa_sum(spline, rs, fixed, last, lattice, op))
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +907,7 @@ def toric_decomposition(
     kappa-sum reads.  Nonzero terms require |w(tau)| <= |mu1| + |mu2|,
     which the default radius provably covers.
     """
-    bound_sq = _support_radius(rs, [mu1, mu2])
+    bound_sq = 2 * (rs.norm_sq(mu1) + rs.norm_sq(mu2))  # (b - 1) sum_{j<b} |mu_j|^2
     provable = 2 * rs.norm_sq(tau) + 2 * bound_sq
     requested = provable if radius_sq is None else radius_sq
     weyl = rs.weyl_elements()

@@ -38,7 +38,7 @@ from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import common_denominator, det, lattice_points_in_ball, scaled, vadd, vscale, vsub
 from flatvol.kappa import PiecewisePolynomial, VectorConfig, kappa_build, kappa_point, pullback_operator
 from flatvol import gluing, moduli
-from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _support_radius
+from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _scaled, _support_radius
 from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
@@ -48,6 +48,12 @@ from conftest import coroot_vector, forbid, rational_alcove_point, rational_trip
 
 def t_mu(rs, t):
     return rs.from_weight_coords(vec([Q(t)]))
+
+
+def support_ball(rs, mus):
+    """The lattice ball that `sphere_volume_kappa` sums for the markings
+    mus: the last one's, at the support bound of the others."""
+    return _lattice_ball(rs, _scaled(mus[-1:]), _support_radius(rs, _scaled(mus[:-1])))
 
 
 def test_moduli_dimension(a1, a2, b2):
@@ -238,7 +244,7 @@ def test_points_outside_the_support_ball_cancel(name, marks):
     assert all(group == 0 for _, inside, group, _ in groups if not inside)
     report = sphere_volume_kappa(rs, mus)
     kept = [list(coroot_vector(rs, coeffs)) for coeffs, inside, _, _ in groups if inside]
-    ball = _lattice_ball(rs, mus)[0]
+    ball = support_ball(rs, mus)
     assert ball.dtype == np.int64 and ball.tolist() == kept
     assert report.parameters["lattice_points"] == len(kept)
     total = sum(group for _, _, group, _ in groups)
@@ -246,21 +252,39 @@ def test_points_outside_the_support_ball_cancel(name, marks):
     assert len(kept) < len(groups)
 
 
-def test_empty_support_ball():
+# markings whose support ball holds no lattice point: G2's chosen by hand,
+# the others found once by a seeded search (random.Random("empty-support-ball-"
+# + group): weight coordinates 1/p of the fixed pair, p a prime from 37 to
+# 73, and a third of small denominators) and pinned here
+EMPTY_BALLS = {
+    "A1": ("1/59", "1/61", "1/11"),
+    "A2": ("1/43,1/41", "1/67,1/41", "1/13,1/9"),
+    "B2": ("1/47,1/61", "1/67,1/37", "1/4,3/13"),
+    "G2": ("1/37,1/41", "1/43,1/47", "1/7,1/9"),
+    "A3": ("1/67,1/37,1/43", "1/59,1/53,1/37", "2/9,1/3,1/7"),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_BALLS))
+def test_empty_support_ball(name):
     """A support ball can hold no lattice point at all: then nothing is
-    summed and the volume is 0, as the centred ball's terms give."""
-    rs = build_root_system("G2")
-    mus = [rs.from_weight_coords(vec(m.split(","))) for m in ("1/37,1/41", "1/43,1/47", "1/7,1/9")]
+    summed, no chamber is built, and the volume is 0, as the centred ball's
+    terms give; alone or twice in one batched pass."""
+    rs = RootSystem(GroupSpec.parse(name))
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in EMPTY_BALLS[name]]
+    assert not len(support_ball(rs, mus))
     report = sphere_volume_kappa(rs, mus)
     assert (report.exact["rational"], report.parameters["lattice_points"]) == (0, 0)
-    assert reference_kappa_sum(rs, mus)[0] == 0
     assert moduli.pants_volumes_exact(rs, *mus[:2], [mus[2], mus[2]]) == [0, 0]
+    assert not kappa_build(rs).chambers
+    assert reference_kappa_sum(rs, mus)[0] == 0
 
 
 # (group, mu1, mu2, the third markings of one batched pass): A1 rows on a
 # wall of the degree-0 spline, rows of different denominators (so
 # different scales D_j), a row that needs object arrays beside small ones,
-# prime denominators whose moments overflow int64, and rank 3
+# prime denominators whose moments overflow int64, rank 3, and empty
+# support balls between rows whose balls hold points
 BATCHES = [
     ("A1", "1/2", "1/2", [str(Q(j, 8)) for j in range(9)]),
     ("A1", "1/2", "1/4", ["0", "1/4", "1/3", "1/2", "3/4", "1"]),
@@ -269,6 +293,10 @@ BATCHES = [
     ("A2", *HUGE_DENOMINATORS[1][1][:2], [HUGE_DENOMINATORS[1][1][2], "1/5,1/5"]),
     ("G2", *PRIME_G2[1][:2], [PRIME_G2[1][2], "1/7,1/9", "1/8,1/13"]),
     ("A3", *A3_TRIPLE[1][:2], [A3_TRIPLE[1][2], "1/9,1/8,1/7"]),
+    ("A1", *EMPTY_BALLS["A1"][:2], ["1/79", "1/11", "1/83", "1/11", "1/89"]),
+    ("A2", *EMPTY_BALLS["A2"][:2], ["1/29,1/31", "1/13,1/9", "1/31,1/37", "1/13,1/9", "1/37,1/29"]),
+    ("B2", *EMPTY_BALLS["B2"][:2], ["1/29,1/31", "1/4,3/13", "1/31,1/37", "1/4,3/13", "1/37,1/29"]),
+    ("G2", *EMPTY_BALLS["G2"][:2], ["1/59,1/61", "1/7,1/9", "1/61,1/67", "1/7,1/9", "1/67,1/71"]),
 ]
 
 
@@ -329,7 +357,7 @@ def test_batched_sums_read_each_rows_own_ball(name, m1, m2, lasts, monkeypatch):
     moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
     assert len(balls) == len(mu3s)
     for ball, mu3 in zip(balls, mu3s):
-        assert np.array_equal(ball, _lattice_ball(rs, [mu1, mu2, mu3])[0])
+        assert np.array_equal(ball, support_ball(rs, [mu1, mu2, mu3]))
 
 
 @pytest.mark.parametrize("name, m1, m2, lasts", [BATCHES[0], BATCHES[2], BATCHES[5]])
@@ -346,7 +374,7 @@ def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, m
     rs = RootSystem(GroupSpec.parse(name))
     mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
     tuples = len(rs.weyl_array[0]) ** 2
-    rows = [len(_lattice_ball(rs, [mu1, mu2, mu3])[0]) * tuples for mu3 in mu3s]
+    rows = [len(support_ball(rs, [mu1, mu2, mu3])) * tuples for mu3 in mu3s]
     one_pass = moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
     built = [(c.signs, c.sample_point) for c in kappa_build(rs).chambers.values()]
 
@@ -380,9 +408,8 @@ def test_kappa_arguments_dtype(name, marks, dtype):
     overflow."""
     rs = build_root_system(name)
     mus = [rs.from_weight_coords(vec(m.split(","))) for m in marks]
-    lattice, _ = _lattice_ball(rs, mus)
-    args, coefs, _, _ = _kappa_arguments(rs, kappa_build(rs).config, mus[:-1], mus[-1:],
-                                         [lattice])
+    args, coefs, _, _ = _kappa_arguments(rs, kappa_build(rs).config, _scaled(mus[:-1]),
+                                         [_scaled(mus[-1:])], [support_ball(rs, mus)])
     assert args.dtype == coefs.dtype == dtype
     assert all(type(x) is int for x in args[0].tolist())
 
@@ -396,6 +423,18 @@ def python_moments(points, coefs, starts, exponents):
             for lo, hi in zip(starts, ends)]
 
 
+def group_prime_count(points, coefs, starts, exponents, crt_basis):
+    """The number of primes that the per-group bound asks for: the least k
+    whose moduli's product exceeds twice the largest
+    max(1, max|x|_g)^t sum_g|coef| over the groups g (t the largest
+    degree, max|x|_g and sum_g over the group's rows)."""
+    top = max(map(sum, exponents), default=0)
+    ends = [*starts[1:], len(points)]
+    bound = max((max([1, *(abs(v) for p in points[lo:hi] for v in p)]) ** top
+                 * sum(map(abs, coefs[lo:hi])) for lo, hi in zip(starts, ends)), default=0)
+    return next(k for k in itertools.count() if crt_basis(k)[1] > 2 * bound)
+
+
 @pytest.mark.parametrize("bits, step, dtype", [
     (30, 0, np.int64), (62, 0, np.int64), (63, 0, np.int64), (63, 1, np.int64),
     (160, 0, np.int64), (30, 0, object), (400, 0, object),
@@ -407,9 +446,13 @@ def test_moments_match_python_ints(bits, step, dtype, monkeypatch):
     when B < 2^63, residues modulo primes and the CRT at and above; object
     arrays of Python ints enter alike.  Each case runs in one block and
     in blocks of 7 rows, in which groups straddle blocks, a block opens
-    at a group start, and the one-group case spans six blocks.  A last
+    at a group start, and the one-group case spans six blocks.  A third
     case has that bound over all rows at or above 2^63 and every group's
-    below it: B is the largest bound of a group, so no prime is used."""
+    below it: B is then the largest bound of a group, so no prime is used.
+    Two more cases: rank-1 rows at A1's degree-0 exponents (t = 0), and no
+    rows and no groups, as an empty support ball gives.  In every case the
+    number of primes is the one the per-group bound asks for, so trying
+    the bound over all rows first never adds or drops a pass."""
     rng = random.Random(bits + step)
     n, rank, top = 40, 3, 4
     exponents = [m for m in itertools.product(range(top + 1), repeat=rank) if sum(m) <= top]
@@ -437,19 +480,25 @@ def test_moments_match_python_ints(bits, step, dtype, monkeypatch):
     primes = []
     crt_basis = moduli._crt_basis
     monkeypatch.setattr(moduli, "_crt_basis", lambda k: primes.append(k) or crt_basis(k))
-    # seeded rows in seven groups, then one group whose largest moment is
-    # its bound: every row at -x with coefficient 3
+    assert group_prime_count(spread, signs, starts, exponents, crt_basis) == 0
+    # seeded rows in seven groups, one group whose largest moment is its
+    # bound (every row at -x with coefficient 3), the spread rows, A1's
+    # rows at degree 0, and no rows
+    cases = [(points, coefs, starts, exponents),
+             ([[-x] * rank] * n, [3] * n, [0], exponents),
+             (spread, signs, starts, exponents),
+             ([[rng.randint(-x, x)] for _ in range(n)], coefs, starts, [(0,)]),
+             ([], [], [], exponents)]
     for rows in (moduli.MOMENT_ROWS, 7):
         monkeypatch.setattr(moduli, "MOMENT_ROWS", rows)
-        for points, coefs, starts in ((points, coefs, starts),
-                                      ([[-x] * rank] * n, [3] * n, [0]),
-                                      (spread, signs, starts)):
+        for points, coefs, starts, exps in cases:
             primes.clear()
-            got = _moments(np.array(points, dtype=dtype), np.array(coefs, dtype=dtype),
-                           np.array(starts), np.array(exponents))
-            assert got == python_moments(points, coefs, starts, exponents)
+            got = _moments(np.array(points, dtype=dtype).reshape(-1, len(exps[0])),
+                           np.array(coefs, dtype=dtype), np.array(starts, dtype=np.int64),
+                           np.array(exps))
+            assert got == python_moments(points, coefs, starts, exps)
             assert all(type(v) is int for row in got for v in row)
-        assert primes[-1] == 0  # the last case's basis: the pass modulo 2^64 alone
+            assert primes[-1] == group_prime_count(points, coefs, starts, exps, crt_basis)
 
 
 @pytest.mark.parametrize("ts, built", [
@@ -678,7 +727,7 @@ def test_toric_decomposition_pinned():
         triples += [rational_triple(rs, rng, denom=4, margin=0) for _ in range(closed)]
         for mus in triples:
             records.append(_toric_record(rs, mus))
-            radius_sq = 2 * rs.norm_sq(mus[2]) + 2 * _support_radius(rs, mus[:2])  # R
+            radius_sq = 2 * rs.norm_sq(mus[2]) + 2 * _support_radius(rs, _scaled(mus[:2]))  # R
             records.append(_toric_record(rs, mus, 4 * radius_sq + 1))
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == TORIC_DIGEST
@@ -686,8 +735,10 @@ def test_toric_decomposition_pinned():
 
 # what the toric route checks, the kappa-sum and its vertex-formula spline,
 # and so must not read
-TORIC_FORBIDDEN = [(moduli, ["_kappa_arguments", "_weyl_fold", "_chamber_groups", "_moments"]),
-                   (VectorConfig, ["vertex_table", "vertex_arrays"]),
+TORIC_FORBIDDEN = [(moduli, ["_scaled", "_support_radius", "_kappa_arguments", "_weyl_fold",
+                            "_chamber_groups", "_code_signs", "_moments"]),
+                   (VectorConfig, ["vertex_table", "vertex_arrays", "extension_t", "wall_norm",
+                                   "nudge_side"]),
                    (PiecewisePolynomial, ["_vertex_sum", "chamber_at"])]
 
 
@@ -964,12 +1015,12 @@ def _alcove_ball_rationals(rs, m1, m2, m3, p):
     of the alcove (`PantsVolumePoly.lattice`); the number is None when a
     kappa argument of that ball lies on a wall at m3."""
     vol = pants_volume_poly(rs, m1, m2)
-    center, mus = (-1) ** rs.n_positive * rs.center_order, [m1, m2, m3]
-    value = center * moduli._kappa_sum(vol.spline, rs, mus, vol.lattice)
+    center, last = (-1) ** rs.n_positive * rs.center_order, _scaled([m3])
+    value = center * moduli._kappa_sum(vol.spline, rs, vol.fixed, last, vol.lattice)
     if vol.on_wall(m3):
         return None, value
     op = pullback_operator(rs, p)
-    return center * moduli._kappa_sum(vol.spline, rs, mus, vol.lattice, op), value
+    return center * moduli._kappa_sum(vol.spline, rs, vol.fixed, last, vol.lattice, op), value
 
 
 # seeded triples per group, of denominator 40 (many kappa arguments on
