@@ -6,14 +6,15 @@ Four routes are provided, each independent of the ones it checks:
       (-1)^n (#Z / covol) * sum_{l in lattice} sum_{w1..w_{b-1} in W}
           (-1)^{len(w1..w_{b-1})} kappa^{[b-2]}(w1 mu1 + ... + mu_b + l),
   truncated provably to the support ball: the terms of one l sum to zero
-  unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radius`).  It
-  is one exact pass over whole integer arrays, and so are the sums at
-  many last markings mu_b at once (`pants_volumes_exact`, the rows of a
-  scan, in passes of at most MOMENT_ROWS argument rows), by the same
-  statements.  The markings are scaled to ints once per call (`_scaled`),
-  and the support radius, the lattice ball (`_lattice_ball`) and the
-  arguments (`_kappa_arguments`) read those ints.  The lattice table, the
-  Weyl matrices are cached tables of the root system, the walls' norm
+  unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radius`).  One front
+  end sets up every sum with fixed markings (`_sphere_sums`: the volume,
+  the rows of a scan, a characteristic number): the spline, the markings
+  scaled to ints once (`_scaled`), the support radius, each last
+  marking's lattice ball (`_lattice_ball`) and passes of at most
+  MOMENT_ROWS argument rows over consecutive last markings.  Each pass is
+  one exact pass over whole integer arrays (`_kappa_sums`), whose
+  arguments (`_kappa_arguments`) read those ints.  The lattice table and
+  the Weyl matrices are cached tables of the root system, the walls' norm
   bound, the transposed extension and the nudge side are cached on the
   vector configuration, and the sign vector of each packed side code is
   made once (`_code_signs`).  The Weyl-image sums of the fixed markings are
@@ -321,30 +322,63 @@ def sphere_volume_kappa(
 
     mus are closed-alcove points; b >= 3.  The kappa used is the truncated
     power of the positive roots each repeated (b-2) times, evaluated by
-    the chamber spline (Lawrence's vertex formula per chamber).  The
-    markings are scaled to ints once (`_scaled`), and the sum runs over the
-    own lattice ball of mu_b, its support ball |mu_b + l|^2 <= r
-    (`_lattice_ball`; r is radius_sq when given, reported as
-    `lattice_radius_sq`, and `lattice_points` counts the points summed),
-    in one pass over integer arrays (`_kappa_sum`).
+    the chamber spline (Lawrence's vertex formula per chamber).  The sum
+    is `_sphere_sums`' one sum at mu_b; the report's `lattice_radius_sq` is
+    its r (radius_sq when given) and `lattice_points` counts its lattice
+    ball.  At a degree-0 wall it raises OnWallError, after the chambers
+    met before it.
     """
     b = len(mus)
     if b < 3:
         raise ValueError("need at least three markings")
-    multiplicity = b - 2
-    spline = kappa_build(rs, multiplicity)
-    fixed, last = _scaled(mus[:-1]), _scaled(mus[-1:])
-    if radius_sq is None:
-        radius_sq = _support_radius(rs, fixed)
-    lattice = _lattice_ball(rs, last, radius_sq)
-
-    rational = _signed_center(rs) * _kappa_sum(spline, rs, fixed, last, lattice)
+    (rational,), (lattice,), radius_sq, walls = _sphere_sums(rs, mus[:-1], mus[-1:], radius_sq)
+    if walls:
+        kappa_build(rs, b - 2).chamber_at(walls[0])  # raises OnWallError
     return _exact_report(rs, "kappa-sum", rational, {
         "markings": [[str(c) for c in m] for m in mus],
         "lattice_radius_sq": radius_sq,
         "lattice_points": len(lattice),
-        "multiplicity": multiplicity,
+        "multiplicity": b - 2,
     })
+
+
+def _sphere_sums(rs: RootSystem, fixed_mus: list[Vec], last_mus: list[Vec],
+                 radius_sq: Q | None = None, op=None
+                 ) -> tuple[list[Q | None], list[np.ndarray], Q, list[Vec]]:
+    """The kappa-sums of the b-marked sphere at the fixed markings mu_1 ..
+    mu_{b-1} = fixed_mus and each last marking mu_b of last_mus, times
+    (-1)^{|R+|} #Z (`_kappa_sums`): the one set-up of `volume`, the rows of
+    `scan` and `chern`.  Returns (values, lattices, r, walls).
+
+    The spline is kappa^{[b-2]}, the markings are scaled to ints once
+    (`_scaled`), and each sum runs over its mu_b's support ball
+    |mu_b + l|^2 <= r (`_lattice_ball`), outside which the terms of each l
+    cancel; r is radius_sq, or else the fixed markings' bound
+    (`_support_radius`).  Consecutive last markings share a pass
+    (`_kappa_sums`, with op) of at most MOMENT_ROWS argument rows
+    (|ball| |W|^(b-1) a marking), or one marking whose rows are more, so
+    a pass holds at most one `_moments` block or one sum's arrays; passes
+    in order build the chambers as one call per marking would.  A
+    sum that meets a degree-0 (A1) wall is None, and its wall point is the
+    next entry of walls; with op, any on-wall argument raises OnWallError
+    first.
+    """
+    spline = kappa_build(rs, len(fixed_mus) - 1)
+    fixed, lasts = _scaled(fixed_mus), [_scaled([m]) for m in last_mus]
+    if radius_sq is None:
+        radius_sq = _support_radius(rs, fixed)
+    lattices = [_lattice_ball(rs, last, radius_sq) for last in lasts]
+    tuples, values, walls, lo, rows = len(rs.weyl_array[0]) ** len(fixed_mus), [], [], 0, 0
+    # the pass lo:hi ends at the last marking, or before the next one when
+    # that one's rows would take it above MOMENT_ROWS
+    for hi, lattice in enumerate(lattices, 1):
+        rows += len(lattice) * tuples
+        if hi == len(lattices) or rows + len(lattices[hi]) * tuples > MOMENT_ROWS:
+            sums, met = _kappa_sums(spline, rs, fixed, lasts[lo:hi], lattices[lo:hi], op)
+            values += sums
+            walls += met.values()
+            lo, rows = hi, 0
+    return values, lattices, radius_sq, walls
 
 
 def _weyl_fold(rs: RootSystem, slots, columns: int = 1):
@@ -494,8 +528,9 @@ def _code_signs(code: int, walls: int) -> tuple[int, ...]:
 
 def _kappa_sums(spline, rs: RootSystem, fixed, lasts: list, lattices: list[np.ndarray],
                 op=None) -> tuple[list[Q | None], dict]:
-    """For each last marking mu_b = lasts[j], the sum over l in
-    lattices[j] and Weyl tuples (w_1..w_k) of the product of the signs times
+    """For each last marking mu_b = lasts[j], (-1)^{|R+|} #Z
+    (`_signed_center`) times the sum over l in lattices[j] and Weyl tuples
+    (w_1..w_k) of the product of the signs times
     kappa(w_1 mu_1 + ... + w_k mu_k + mu_b + l), mu_1..mu_k the fixed
     markings, b = k + 1, all in ints (`_scaled`): the kappa-sum engine.
     All sums are one pass over the integer arrays of `_kappa_arguments`,
@@ -534,18 +569,9 @@ def _kappa_sums(spline, rs: RootSystem, fixed, lasts: list, lattices: list[np.nd
     for m, row, ch, j in zip(moments, rows, chambers, group_sums):
         if ch is not None:
             totals[j] += sum(map(mul, m, row)) * (common // ch.den)
-    return [None if j in walls else Q(total, common * lcm * scale**degree)
+    center = _signed_center(rs)
+    return [None if j in walls else Q(center * total, common * lcm * scale**degree)
             for j, (total, scale) in enumerate(zip(totals, scales))], walls
-
-
-def _kappa_sum(spline, rs: RootSystem, fixed, last, lattice: np.ndarray, op=None) -> Q:
-    """The one sum of `_kappa_sums` whose last marking is last, over
-    lattice; at a degree-0 wall, OnWallError after the chambers met before
-    it."""
-    (value,), walls = _kappa_sums(spline, rs, fixed, [last], [lattice], op)
-    if walls:
-        spline.chamber_at(walls[0])  # raises OnWallError
-    return value
 
 
 MOMENT_ROWS = 4096  # rows per block of `_moments`, whose peak memory is one block's terms
@@ -658,37 +684,10 @@ def pants_volume_kappa(
 
 def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> list[Q | None]:
     """The exact rational parts of `pants_volume_kappa` at the third
-    markings mu3s, each over its own lattice ball, the support ball
-    |mu3 + l|^2 <= r (`_lattice_ball`), in batched kappa-sum passes
-    (`_kappa_sums`).  The fixed pair is scaled to ints once and each
-    marking once (`_scaled`), and the balls share the fixed pair's support
-    bound r (`_support_radius`), taken once, so each row reads only its own
-    marking's norm.  A marking at which a kappa argument of the degree-0
-    (A1) spline lies on a wall, where `pants_volume_kappa` raises
-    OnWallError, gives None; the chambers are built as calls in the order
-    of mu3s build them.
-
-    The markings are taken in consecutive slices, each a pass whose
-    argument rows (lattice points times Weyl tuples) stay within
-    MOMENT_ROWS or are those of one marking, so a pass holds no more than
-    one `_moments` block or one call's arrays however many markings there
-    are; slices in order keep the chambers' build order."""
-    spline, tuples = kappa_build(rs, 1), len(rs.weyl_array[0]) ** 2
-    fixed, lasts = _scaled([mu1, mu2]), [_scaled([m]) for m in mu3s]
-    radius_sq = _support_radius(rs, fixed)
-    lattices = [_lattice_ball(rs, last, radius_sq) for last in lasts]
-    slices, rows = [], math.inf
-    for j, lattice in enumerate(lattices):
-        if rows + len(lattice) * tuples > MOMENT_ROWS:
-            slices.append([])
-            rows = 0
-        slices[-1].append(j)
-        rows += len(lattice) * tuples
-    values = []
-    for js in slices:
-        values += _kappa_sums(spline, rs, fixed, [lasts[j] for j in js],
-                              [lattices[j] for j in js])[0]
-    return [None if v is None else _signed_center(rs) * v for v in values]
+    markings mu3s (the rows of a scan), in `_sphere_sums`' batched passes;
+    a marking at a degree-0 (A1) wall, where `pants_volume_kappa` raises
+    OnWallError, gives None."""
+    return _sphere_sums(rs, [mu1, mu2], mu3s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +800,7 @@ class PantsVolumePoly:
 
         Each argument is x = c + D mu3 at the scale D of the markings, so
         near mu3 the sum is that of coef * p((c + D nu) / D), the chambers
-        grouped and built as `_kappa_sum` does."""
+        grouped and built as `_kappa_sums` does."""
         rank = self.rs.rank
         args, coefs, (scale,), rows = _kappa_arguments(self.rs, self.spline.config, self.fixed,
                                                        [_scaled([mu3])], [self.lattice])
@@ -829,25 +828,21 @@ def mixed_characteristic_number(
     derivatives (each e_l, l <= k <= |R+|, becomes the l-th elementary
     symmetric polynomial of the |R+| root-directional derivatives,
     `pullback_operator`), and applied to each chamber polynomial of
-    `pants_volume_kappa`'s sum over mu3's own lattice ball, its support
-    ball (`_lattice_ball`, `_kappa_sum`).  An e-monomial of weighted degree
-    sum_l l m_l above the chamber degree |R+| - rank acts as zero, so it
-    is dropped first.  When a kappa argument of mu3's own lattice ball
-    lies on a wall of kappa it raises OnWallError, before any chamber is
-    built, even where the volume is one polynomial near mu3; arguments of
-    the lattice points outside it, whose terms cancel exactly, are not
-    read.
+    `pants_volume_kappa`'s sum (`_sphere_sums` with the operator).  An
+    e-monomial of weighted degree sum_l l m_l above the chamber degree
+    |R+| - rank acts as zero, so it is dropped first.  When a kappa
+    argument of that sum lies on a wall of kappa it raises OnWallError,
+    before any chamber is built, even where the volume is one polynomial
+    near mu3; arguments of the lattice points outside mu3's support ball,
+    whose terms cancel exactly, are not read.
     """
     k = moduli_dimension(rs, Surface(0, 3))
     if p.nvars > max(k, 0):
         raise ValueError(f"polynomial uses e_l with l > complex dimension k={k}")
-    spline = kappa_build(rs, 1)
     kept = {m: c for m, c in p.terms.items()
-            if sum(l * e for l, e in enumerate(m, start=1)) <= spline.degree}
+            if sum(l * e for l, e in enumerate(m, start=1)) <= rs.n_positive - rs.rank}
     op = pullback_operator(rs, SymmetricPoly(kept, p.nvars))
-    fixed, last = _scaled([mu1, mu2]), _scaled([mu3])
-    lattice = _lattice_ball(rs, last, _support_radius(rs, fixed))
-    return _normalized(rs, _signed_center(rs) * _kappa_sum(spline, rs, fixed, last, lattice, op))
+    return _normalized(rs, _sphere_sums(rs, [mu1, mu2], [mu3], op=op)[0][0])
 
 
 # ---------------------------------------------------------------------------

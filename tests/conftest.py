@@ -19,8 +19,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from flatvol import build_root_system
+from flatvol import build_root_system, characters, gluing, kappa, liecore, moduli
 from flatvol.exact import vec
+from flatvol.kappa import PiecewisePolynomial, VectorConfig
 
 # pyproject's `pythonpath` puts src on this process's path only; the child
 # Pythons that tests start (the CLI, `python -c` scripts) inherit the
@@ -69,6 +70,31 @@ def forbid(monkeypatch, owner, *names: str) -> None:
         kind = type(inspect.getattr_static(owner, name))
         monkeypatch.setattr(owner, name,
                             property(raise_) if kind in (property, cached_property) else raise_)
+
+
+# every kappa-sum, spline, toric and gluing path, as `forbid` takes them:
+# what the character series checks, and so must not read; kappa_build
+# and kappa_point both where kappa defines them and where moduli imports them
+SERIES_FORBIDDEN = [
+    (moduli, ["_sphere_sums", "_kappa_sums", "_kappa_arguments", "_weyl_fold", "_chamber_groups",
+              "_moments", "_lattice_ball", "_support_radius", "_affine_sum", "_toric_kappa",
+              "_signed_pairs", "toric_decomposition", "sphere_volume_kappa", "glue_volume",
+              "kappa_build", "kappa_point"]),
+    (kappa, ["kappa_build", "kappa_point"]),
+    (VectorConfig, ["vertex_table", "power_program", "truncated_power", "density"]),
+    (PiecewisePolynomial, ["chamber_at"]),
+    (liecore, ["enumerate_waff_positive"]),
+    (gluing, ["AlcoveFactor"]),
+]
+
+# the Monte-Carlo histogram checks the series as well: those paths and the
+# characters, both where characters defines them and where moduli imports them
+ORACLE_FORBIDDEN = [
+    *SERIES_FORBIDDEN,
+    (moduli, ["witten_volume", "character_table", "_cutoff_and_weights", "_shifted_norms"]),
+    (characters, ["character_table", "character_eval", "enumerate_dominant",
+                  "_cutoff_and_weights", "_shifted_norms"]),
+]
 
 
 def rational_alcove_point(rs, rng: random.Random, denom: int = 40, margin=Q(1, 20)):

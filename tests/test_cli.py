@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib
@@ -5,6 +6,8 @@ import importlib.util
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +22,9 @@ from flatvol import (
     product_class_histogram,
     sphere_volume_kappa,
 )
-from flatvol.cli import MAX_STEPS, _a1_model_values, _parse_sym_poly, main, parse_marking
+from flatvol.cli import (
+    MAX_STEPS, _a1_model_values, _parse_sym_poly, build_parser, main, parse_marking,
+)
 from flatvol.kappa import OnWallError
 from flatvol.mc import MAX_CELLS, model_grid, shape_compare
 from flatvol.poly import poly_eval
@@ -33,6 +38,24 @@ def test_star_import_resolves(module):
     """Every name in a module's `__all__` exists: a stale one fails the
     star import with AttributeError."""
     exec(f"from flatvol.{module} import *", {})
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Each `flatvol ...` line of the fenced block under README's "## CLI"
+    heading exits 0 through `main`, in process, from an empty working
+    directory (the scan example writes scan.csv there), and the block
+    shows every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(words[0] == "flatvol" for words in lines)
+    argvs = [words[1:] for words in lines]
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in argvs} == set(subparsers.choices)
 
 
 def run(*args, env=None, timeout=300):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from flatvol import (
+    GroupSpec,
+    RootSystem,
     build_root_system,
     pants_volume_kappa,
     product_class_histogram,
@@ -22,6 +24,8 @@ from flatvol.mc import (
     class_representative,
     haar_sample,
 )
+
+from conftest import ORACLE_FORBIDDEN, forbid
 
 
 def t_mu(rs, t):
@@ -345,6 +349,28 @@ def test_a2_histogram_matches_same_draw_reference(a2, w1, w2):
         params = _same_draw_parameters(a2, mu1, mu2, n, seed)
         h = product_class_histogram(a2, mu1, mu2, bins=16, n_samples=n, seed=seed)
         assert np.array_equal(h.counts, _binned(params, 16)), (w1, w2, seed)
+
+
+@pytest.mark.parametrize("name, w1, w2", [("A1", "2/5", "1/3"), ("A2", "1/4,1/5", "1/3,1/7")])
+def test_oracle_histogram_reads_no_kappa_gluing_or_character_path(monkeypatch, name, w1, w2):
+    """On a fresh root system, with every kappa-sum, spline, toric,
+    gluing and character path replaced by a sentinel that raises
+    (`ORACLE_FORBIDDEN`), the histogram of 70 001 samples (the last chunk
+    partial) has the same counts as unpatched; the kappa-sum itself stops
+    at a sentinel."""
+    def marks(rs):
+        return [rs.from_weight_coords(vec([Q(x) for x in w.split(",")])) for w in (w1, w2)]
+
+    def counts(rs):
+        return product_class_histogram(rs, *marks(rs), bins=16, n_samples=70001, seed=3).counts
+
+    expected = counts(build_root_system(name))
+    for owner, names in ORACLE_FORBIDDEN:
+        forbid(monkeypatch, owner, *names)
+    fresh = RootSystem(GroupSpec.parse(name))
+    assert np.array_equal(counts(fresh), expected)
+    with pytest.raises(AssertionError, match="is forbidden here"):
+        pants_volume_kappa(fresh, *marks(fresh), marks(fresh)[0])
 
 
 def _ks_two_sample_bound(n, alpha=1e-6):

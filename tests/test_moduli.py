@@ -43,7 +43,9 @@ from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
 
-from conftest import coroot_vector, forbid, rational_alcove_point, rational_triple
+from conftest import (
+    SERIES_FORBIDDEN, coroot_vector, forbid, rational_alcove_point, rational_triple,
+)
 
 
 def t_mu(rs, t):
@@ -352,8 +354,8 @@ def test_batched_sums_read_each_rows_own_ball(name, m1, m2, lasts, monkeypatch):
     mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
     balls = []
     engine = moduli._kappa_sums
-    monkeypatch.setattr(moduli, "_kappa_sums", lambda spline, rs, fixed, lasts, lattices:
-                        balls.extend(lattices) or engine(spline, rs, fixed, lasts, lattices))
+    monkeypatch.setattr(moduli, "_kappa_sums", lambda spline, rs, fixed, lasts, lattices, op:
+                        balls.extend(lattices) or engine(spline, rs, fixed, lasts, lattices, op))
     moduli.pants_volumes_exact(rs, mu1, mu2, mu3s)
     assert len(balls) == len(mu3s)
     for ball, mu3 in zip(balls, mu3s):
@@ -382,8 +384,8 @@ def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, m
     monkeypatch.setattr(moduli, "MOMENT_ROWS", cap)
     passes = []
     engine = moduli._kappa_sums
-    monkeypatch.setattr(moduli, "_kappa_sums", lambda spline, rs, fixed, lasts, lattices:
-                        passes.append(len(lasts)) or engine(spline, rs, fixed, lasts, lattices))
+    monkeypatch.setattr(moduli, "_kappa_sums", lambda spline, rs, fixed, lasts, lattices, op:
+                        passes.append(len(lasts)) or engine(spline, rs, fixed, lasts, lattices, op))
     rs = RootSystem(GroupSpec.parse(name))
     mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
     assert moduli.pants_volumes_exact(rs, mu1, mu2, mu3s) == one_pass
@@ -735,8 +737,9 @@ def test_toric_decomposition_pinned():
 
 # what the toric route checks, the kappa-sum and its vertex-formula spline,
 # and so must not read
-TORIC_FORBIDDEN = [(moduli, ["_scaled", "_support_radius", "_kappa_arguments", "_weyl_fold",
-                            "_chamber_groups", "_code_signs", "_moments"]),
+TORIC_FORBIDDEN = [(moduli, ["_sphere_sums", "_kappa_sums", "_scaled", "_support_radius",
+                            "_kappa_arguments", "_weyl_fold", "_chamber_groups", "_code_signs",
+                            "_moments"]),
                    (VectorConfig, ["vertex_table", "vertex_arrays", "extension_t", "wall_norm",
                                    "nudge_side"]),
                    (PiecewisePolynomial, ["_vertex_sum", "chamber_at"])]
@@ -760,6 +763,42 @@ def test_toric_route_reads_no_kappa_sum_path(monkeypatch, name):
     assert [_toric_record(fresh, mus) for mus in triples] == expected
     with pytest.raises(AssertionError, match="is forbidden here"):
         pants_volume_kappa(fresh, *triples[0])
+
+
+def _series_record(rs, surface, mus):
+    """`witten_volume`'s report at 2 000 weights, every float as its repr,
+    so bit for bit."""
+    report = witten_volume(rs, surface, Marking.of(rs, mus), weight_count=2000)
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+# two interior triples per group at which the series converges at 2 000
+# weights; a (1,1) surface takes each triple's first marking
+SERIES_TRIPLES = {
+    "A1": ["2/5 1/2 3/5", "1/4 1/2 2/3"],
+    "A2": ["1/4,1/5 1/3,1/7 2/7,1/6", "1/5,1/4 1/6,1/5 1/7,2/7"],
+    "B2": ["1/4,1/5 1/3,1/7 2/7,1/6", "1/5,1/4 1/6,1/5 1/7,2/7"],
+    "G2": ["1/8,1/5 1/9,1/7 1/7,1/6", "1/10,1/4 1/11,1/6 1/8,1/5"],
+}
+
+
+@pytest.mark.parametrize("name, genus, boundary", [
+    ("A1", 0, 3), ("A2", 0, 3), ("B2", 0, 3), ("G2", 0, 3), ("A1", 1, 1), ("A2", 1, 1)])
+def test_series_route_reads_no_kappa_toric_or_gluing_path(monkeypatch, name, genus, boundary):
+    """On a fresh root system, with every kappa-sum, spline, toric and
+    gluing path replaced by a sentinel that raises (`SERIES_FORBIDDEN`),
+    the character series gives the same reports as unpatched, bit for bit;
+    the kappa-sum itself stops at a sentinel."""
+    rs, surface = build_root_system(name), Surface(genus, boundary)
+    markings = [[rs.from_weight_coords(vec(m.split(","))) for m in triple.split()[:boundary]]
+                for triple in SERIES_TRIPLES[name]]
+    expected = [_series_record(rs, surface, mus) for mus in markings]
+    for owner, names in SERIES_FORBIDDEN:
+        forbid(monkeypatch, owner, *names)
+    fresh = RootSystem(GroupSpec.parse(name))
+    assert [_series_record(fresh, surface, mus) for mus in markings] == expected
+    with pytest.raises(AssertionError, match="is forbidden here"):
+        pants_volume_kappa(fresh, *[markings[0][0]] * 3)
 
 
 def test_nonnegativity_grid(a1, a2, b2):
@@ -1014,13 +1053,17 @@ def _alcove_ball_rationals(rs, m1, m2, m3, p):
     the lattice ball of the slots [mu1, mu2, NU], which covers every mu3
     of the alcove (`PantsVolumePoly.lattice`); the number is None when a
     kappa argument of that ball lies on a wall at m3."""
-    vol = pants_volume_poly(rs, m1, m2)
-    center, last = (-1) ** rs.n_positive * rs.center_order, _scaled([m3])
-    value = center * moduli._kappa_sum(vol.spline, rs, vol.fixed, last, vol.lattice)
+    vol, last = pants_volume_poly(rs, m1, m2), _scaled([m3])
+
+    def total(op=None):
+        (value,), walls = moduli._kappa_sums(vol.spline, rs, vol.fixed, [last], [vol.lattice], op)
+        assert not walls  # degree-0 walls are A1's, which no case here reads
+        return value
+
+    value = total()
     if vol.on_wall(m3):
         return None, value
-    op = pullback_operator(rs, p)
-    return center * moduli._kappa_sum(vol.spline, rs, vol.fixed, last, vol.lattice, op), value
+    return total(pullback_operator(rs, p)), value
 
 
 # seeded triples per group, of denominator 40 (many kappa arguments on
