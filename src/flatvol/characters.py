@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -133,13 +132,13 @@ def _weyl_pairings(rs: RootSystem, mu: Vec) -> tuple[np.ndarray, int]:
     """(A, D): A[w, i] = D <w omega_i, mu> as Python ints (an object array)
     for the elements w of `rs.weyl_array` and the fundamental weights
     omega_i, D the least denominator of them all.  The Weyl images of the
-    weights are int64 (the weights scaled by their common denominator);
+    weights are int64 (`RootSystem.int_weights`);
     mu, scaled by its own and paired with the int Gram, is in Python ints."""
     igram, g = rs.int_gram
     d_mu = common_denominator(mu)
     gmu = np.array([sum(map(mul, row, scaled(mu, d_mu))) for row in igram], dtype=object)
-    d_w = common_denominator(chain.from_iterable(rs.fundamental_weights))
-    weights = np.array([scaled(w, d_w) for w in rs.fundamental_weights], dtype=np.int64)
+    weights, d_w, _ = rs.int_weights
+    weights = np.array(weights, dtype=np.int64)
     images = rs.weyl_array[0] @ weights.T  # images[w, :, i] = d_w w omega_i
     pairings = gmu @ images.astype(object)
     d = g * d_w * d_mu

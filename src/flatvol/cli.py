@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import re
 import stat
@@ -24,10 +25,11 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 import numpy as np
 
-from .exact import Q, Vec, common_denominator, scaled, vec
+from .exact import Q, Vec, common_denominator, scaled
 from .kappa import OnWallError, SymmetricPoly
 from .liecore import RootSystem, alcove_membership, build_root_system, covolume_T, volume_G
 from .mc import MAX_CELLS, model_grid, product_class_histogram, shape_compare
@@ -39,20 +41,21 @@ from .moduli import (
     Marking,
     Surface,
     _normalized,
+    _sphere_sums,
     convention_stamp,
     glue_volume,
     mixed_characteristic_number,
     moduli_dimension,
     pants_volume_kappa,
-    pants_volumes_exact,
     toric_decomposition,
     witten_volume,
 )
 
 USAGE_ERROR, WALL_ERROR, CONVERGENCE_ERROR = 2, 3, 4
 BROKEN_PIPE = 128 + 13  # the status of a process that SIGPIPE ends
-# a scan holds every row's point and lattice ball before its first pass,
-# about 0.9 KB a row for A2, so the cap bounds that to about 90 MB
+# a scan holds every row's point, in ints, and lattice ball before its
+# first pass, about 0.5 KB a row for A2 and B2 (0.65 KB while the balls are
+# tested), so the cap bounds that to about 65 MB
 MAX_STEPS = 100_000
 
 
@@ -72,26 +75,15 @@ def parse_rational(text: str) -> Fraction:
 def parse_marking(rs: RootSystem, text: str) -> Vec:
     """Parse exact fundamental-weight coordinates of a point of the closed
     alcove, echoing no floats."""
-    return parse_weight_coords(rs, text)[1]
-
-
-def parse_weight_coords(rs: RootSystem, text: str) -> tuple[Vec, Vec]:
-    """The fundamental-weight coordinates a marking spells and its point,
-    which must lie in the closed alcove."""
     parts = text.split(",")
-    if rs.rank == 1 and len(parts) == 1:
-        coords = [parse_rational(parts[0])]
-    elif len(parts) == rs.rank:
-        coords = [parse_rational(p) for p in parts]
-    else:
+    if len(parts) != rs.rank:
         raise UsageError(
             f"marking {text!r} needs {rs.rank} comma-separated rationals"
         )
-    coords = vec(coords)
-    mu = rs.from_weight_coords(coords)
+    mu = rs.from_weight_coords(map(parse_rational, parts))
     if alcove_membership(rs, mu)[0] == "outside":
         raise UsageError(f"marking {text!r} lies outside the closed alcove")
-    return coords, mu
+    return mu
 
 
 def marking_echo(rs: RootSystem, mu: Vec) -> str:
@@ -207,37 +199,56 @@ def cmd_volume(rs: RootSystem, args) -> None:
     _print_json(out, args.out)
 
 
-def _line_points(a: Vec, b: Vec, n: int) -> list[Vec]:
+def _line_rows(a: Vec, b: Vec, n: int) -> list[tuple[int, list[list[int]]]]:
     """The n + 1 points a + (j / n)(b - a), j = 0..n (a alone when n = 0),
-    exactly: in ints over the common denominator of a and b times n, one
-    Fraction per coordinate."""
+    in ints, as the kappa-sum takes its last markings (`moduli._scaled`):
+    (D, [x]) with x = D times the point and D its least denominator.  Each
+    is placed over the common denominator d of a and b times n, and
+    reduced by one gcd."""
     d, m = common_denominator(a + b), max(n, 1)
-    ends = list(zip(scaled(a, d), scaled(b, d)))
-    return [tuple(Q(x * m + j * (y - x), d * m) for x, y in ends) for j in range(n + 1)]
+    x, y = scaled(a, d), scaled(b, d)
+    steps, den = [v - u for u, v in zip(x, y)], d * m
+    rows = []
+    for j in range(n + 1):
+        p = [u * m + j * s for u, s in zip(x, steps)]
+        g = math.gcd(den, *p)
+        rows.append((den // g, [[c // g for c in p]]))
+    return rows
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from one gcd."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
 def cmd_scan(rs: RootSystem, args) -> None:
     """The pants volume at n + 1 evenly spaced third markings of a line, in
-    kappa-sum passes over consecutive rows (`moduli.pants_volumes_exact`),
-    whose chambers are built as row-by-row volumes would build them.  A
-    row's label interpolates the endpoints' parsed weight coordinates,
-    which is exact and equals the echo of its marking."""
+    kappa-sum passes over consecutive rows (`moduli._sphere_sums`, as
+    `pants_volumes_exact` takes them), whose chambers are built as
+    row-by-row volumes would build them.  The rows are placed in ints
+    (`_line_rows`), and a row's label is read from the same ints: its
+    weight coordinates C x / D (`RootSystem.int_weights`), which
+    interpolate the endpoints' parsed ones exactly and equal the echo of
+    its marking."""
     if args.steps > MAX_STEPS:
         raise UsageError(f"--steps {args.steps} is above the cap of {MAX_STEPS} steps")
     m1, m2 = parse_marking(rs, args.mu1), parse_marking(rs, args.mu2)
     start_txt, _, end_txt = args.along.partition(":")
     if not end_txt:
         raise UsageError("--along needs the form START:END in weight coordinates")
-    (start_w, start), (end_w, end) = (parse_weight_coords(rs, t) for t in (start_txt, end_txt))
-    n = args.steps
-    rationals = pants_volumes_exact(rs, m1, m2, _line_points(start, end, n))
+    start, end = (parse_marking(rs, t) for t in (start_txt, end_txt))
+    lines = _line_rows(start, end, args.steps)
+    rationals = _sphere_sums(rs, [m1, m2], lines)[0]
+    cartan = rs.int_weights[2]
     rows = []
-    for coords, rational in zip(_line_points(start_w, end_w, n), rationals):
-        label = ",".join(map(str, coords))
+    for (den, (x,)), rational in zip(lines, rationals):
+        label = ",".join(_ratio_text(sum(map(mul, row, x)), den) for row in cartan)
         if rational is None:
             rows.append([label, "wall", "kappa-sum", "wall"])
         else:
             rows.append([label, _float_str(_normalized(rs, rational)), "kappa-sum", str(rational)])
+    del lines, rationals  # the text is written without them
     header = ["mu3_weight_coords", "value", "method", "exact_rational"]
     _write_csv(rows, header, args.out, stamp=convention_stamp(rs))
 

@@ -11,8 +11,16 @@ Irrational scalars appear in exactly two places: the covolume of the
 coroot lattice (sqrt of a rational determinant) and the Riemannian volume
 of the group.  Everything else is a Fraction, except the integer objects:
 the Weyl group and the coroot basis are stored once, as integer matrices,
-and as int64 tables for the lattice sums and the affine Weyl
-representatives of the toric route (`enumerate_waff_positive`).
+and as int64 tables for the lattice sums (`coroot_table`, and
+`coroot_balls`, every point's lattice ball from one blocked product) and
+the affine Weyl representatives of the toric route
+(`enumerate_waff_positive`).  Points enter and leave the Fraction world
+through integer forms, made on first use: the inner product through the
+integer Gram matrix (`int_gram`), the alcove test through the simple and
+highest roots paired with it (`int_alcove`, read by `alcove_membership`),
+and the change to and from fundamental-weight coordinates through the
+fundamental weights scaled to ints and the integer Cartan matrix
+(`int_weights`, read by `from_weight_coords` and `to_weight_coords`).
 """
 
 from __future__ import annotations
@@ -41,13 +49,14 @@ from .exact import (
     mat_t,
     matvec,
     scaled,
-    vadd,
     vec,
     vscale,
     vzero,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
+
+BALL_ENTRIES = 1 << 16  # table rows times points in one block of `RootSystem.coroot_balls`
 
 __all__ = [
     "GroupSpec",
@@ -140,7 +149,8 @@ class RootSystem:
     Single source of truth for inner products, lattices and the alcove.
     The roots, the Weyl group with its lengths, the weights, the lattice
     bases and the alcove are fixed at construction.  Caches grow on use:
-    the lattice table of `coroot_table`, `weyl_array` on its first read, and
+    the lattice table of `coroot_table`, `weyl_array`, `int_alcove` and
+    `int_weights` on their first read, and
     the entries that `kappa`, `characters` and `gluing` keep in the
     instance's __dict__ (`_kappa_splines`, `_pullback_operators`, the
     weight Gram `_weight_gram`, `_affine_matrices`), so they go with it.
@@ -256,16 +266,41 @@ class RootSystem:
 
     # -- basis conversions -------------------------------------------------
 
-    def from_weight_coords(self, coeffs: Vec) -> Vec:
-        """Vector with the given fundamental-weight coordinates."""
-        out = vzero(self.rank)
-        for c, w in zip(coeffs, self.fundamental_weights):
-            out = vadd(out, vscale(c, w))
-        return out
+    @cached_property
+    def int_weights(self) -> tuple[IntMat, int, IntMat]:
+        """(F, e, C): the fundamental weights as integer rows F = e omega_i,
+        e their common denominator, and the Cartan matrix in ints, which
+        takes root coordinates to weight coordinates (<mu, alpha_i^vee> =
+        sum_j C_ij mu_j), so that C F^T = e.  Made on first use."""
+        e = common_denominator(chain.from_iterable(self.fundamental_weights))
+        return (tuple(tuple(scaled(w, e)) for w in self.fundamental_weights), e,
+                tuple(tuple(map(int, row)) for row in self.cartan_matrix))
+
+    @cached_property
+    def int_alcove(self) -> tuple[IntMat, int]:
+        """(A, g): the simple roots and then the highest root paired with
+        `int_gram` (I, g), as integer rows, so that <alpha, mu> = (A x) / (g D)
+        for x = D mu in ints.  Made on first use."""
+        igram, g = self.int_gram
+        theta = scaled(self.highest_root, 1)
+        return (*igram, tuple(sum(map(mul, theta, col)) for col in zip(*igram))), g
+
+    def from_weight_coords(self, coeffs) -> Vec:
+        """Vector with the given fundamental-weight coordinates (rationals
+        or ints, any iterable): F^T y / (D e) for y = D c in ints
+        (`int_weights`), one Fraction per coordinate."""
+        coeffs = tuple(coeffs)
+        weights, e, _ = self.int_weights
+        den = common_denominator(coeffs)
+        y = scaled(coeffs, den)
+        return tuple(Q(sum(map(mul, y, col)), den * e) for col in zip(*weights))
 
     def to_weight_coords(self, v: Vec) -> Vec:
-        """Coordinates of v in the fundamental-weight basis."""
-        return tuple(self.pair_coroot(v, a) for a in self.simple_roots)
+        """Coordinates of v in the fundamental-weight basis, <v, alpha_i^vee>:
+        C x / D for x = D v in ints (`int_weights`)."""
+        den = common_denominator(v)
+        x = scaled(v, den)
+        return tuple(Q(sum(map(mul, row, x)), den) for row in self.int_weights[2])
 
     # -- roots -------------------------------------------------------------
 
@@ -296,6 +331,48 @@ class RootSystem:
         `coroot_table` in its order."""
         rows, _ = self.coroot_table(limit)
         return rows[rows[:, -1] <= limit, :-1]
+
+    def coroot_balls(self, points, radius_sq: Q) -> list[np.ndarray]:
+        """For each point mu, given in ints as (D, [x]) with x = D mu, the
+        coroot-lattice vectors l with |mu + l|^2 <= r = radius_sq, as int64
+        rows in the order of `coroot_table`: one array a point.
+
+        As |l| <= |mu| + sqrt(r), each lies in the centred ball
+        |l|^2 <= R = 2 |mu|^2 + 2 r, and floor(g R), read from x.I x and r
+        ((I, g) = `int_gram`), the largest over the points, sizes the
+        table.  One product of the table's rows [l, n] (n = g |l|^2) with
+        a weight matrix whose row j is [2 D_j I x_j, D_j^2] then tests
+            g D^2 |mu + l|^2 = D^2 n + 2 D l.(I x) + x.I x <= floor(g D^2 r)
+        for every point at once (a ball does not depend on the scale D).
+        The product is taken in blocks of at most BALL_ENTRIES // |table|
+        points, so its transient memory stays bounded, in int64 when a
+        bound on every entry is below 2^62 and on Python-int objects above
+        it.  A single point, the last marking of one volume, takes one
+        matrix-vector product, which costs less than a block of one."""
+        igram, g = self.int_gram
+        n, d = radius_sq.numerator, radius_sq.denominator
+        # per point the test less x.I x, D^2 n + l.(2 D I x) <= limit, as a
+        # row [2 D I x, D^2, limit]; the largest of a row's weight sizes
+        # summed and its |limit|, and floor(g R), over all points
+        tests, size, top = [], 0, 0
+        for scale, (x,) in points:
+            ix, square = [sum(map(mul, row, x)) for row in igram], scale * scale
+            xix = sum(map(mul, x, ix))
+            top = max(top, (2 * xix * d + 2 * g * n * square) // (square * d))
+            test = [*(2 * scale * c for c in ix), square, g * square * n // d - xix]
+            size = max(size, sum(map(abs, test[:-1])), abs(test[-1]))
+            tests.append(test)
+        rows, width = self.coroot_table(top)
+        # above every |row . weights|, even at l = 0, and every |limit|
+        dtype = np.int64 if max(1, width) * size < 2**62 else object
+        table = rows.astype(dtype, copy=False)
+        if len(tests) == 1:
+            (*weights, limit), = tests
+            return [rows[table @ np.array(weights, dtype=dtype) <= limit, :-1]]
+        tests = np.array(tests, dtype=dtype).reshape(-1, self.rank + 2)
+        weights, limits, step = tests[:, :-1], tests[:, -1:], max(1, BALL_ENTRIES // len(rows))
+        return [rows[keep, :-1] for lo in range(0, len(tests), step)
+                for keep in weights[lo:lo + step] @ table.T <= limits[lo:lo + step]]
 
     # -- Weyl group ----------------------------------------------------------
 
@@ -332,18 +409,18 @@ def alcove_membership(rs: RootSystem, mu: Vec) -> tuple[str, list[str]]:
     """Classify mu against the closed alcove.
 
     Returns ('interior'|'boundary'|'outside', list of tight facet labels).
+    Each facet's pairing is read in ints from `RootSystem.int_alcove`:
+    <alpha_i, mu> = (A x)_i / (g D) for x = D mu, and <alpha_0, mu> <= 1 is
+    (A x)_0 <= g D.
     """
-    tight: list[str] = []
-    for i, a in enumerate(rs.simple_roots):
-        v = rs.ip(a, mu)
-        if v < 0:
-            return "outside", []
-        if v == 0:
-            tight.append(f"alpha_{i + 1}")
-    h = rs.ip(rs.highest_root, mu)
-    if h > 1:
+    rows, g = rs.int_alcove
+    den = common_denominator(mu)
+    x = scaled(mu, den)
+    *simple, top = (sum(map(mul, row, x)) for row in rows)
+    if min(simple) < 0 or top > g * den:
         return "outside", []
-    if h == 1:
+    tight = [f"alpha_{i + 1}" for i, v in enumerate(simple) if v == 0]
+    if top == g * den:
         tight.append("alpha_0")
     return ("boundary", tight) if tight else ("interior", [])
 

@@ -9,8 +9,9 @@ Four routes are provided, each independent of the ones it checks:
   unless |mu_b + l| <= sum_{j<b} |mu_j| (`_support_radius`).  One front
   end sets up every sum with fixed markings (`_sphere_sums`: the volume,
   the rows of a scan, a characteristic number): the spline, the markings
-  scaled to ints once (`_scaled`), the support radius, each last
-  marking's lattice ball (`_lattice_ball`) and passes of at most
+  scaled to ints once (`_scaled`), the support radius, every last
+  marking's lattice ball from one product with the lattice table, taken
+  in blocks (`RootSystem.coroot_balls`), and passes of at most
   MOMENT_ROWS argument rows over consecutive last markings.  Each pass is
   one exact pass over whole integer arrays (`_kappa_sums`), whose
   arguments (`_kappa_arguments`) read those ints.  The lattice table and
@@ -258,7 +259,7 @@ def _scaled(points) -> tuple[int, list[list[int]]]:
     """The points in ints: (D, [D mu for each point mu]), D the common
     denominator of their coordinates.  A kappa-sum scales its fixed
     markings and each last marking once, and `_support_radius`,
-    `_lattice_ball` and `_kappa_arguments` read these ints."""
+    `RootSystem.coroot_balls` and `_kappa_arguments` read these ints."""
     den = common_denominator(chain.from_iterable(points))
     return den, [scaled(p, den) for p in points]
 
@@ -279,40 +280,19 @@ def _support_radius(rs: RootSystem, fixed: tuple[int, list[list[int]]]) -> Q:
     return Q(len(xs) * sum(int_bilinear(igram, x, x) for x in xs), g * scale * scale)
 
 
-def _lattice_ball(rs: RootSystem, last, radius_sq: Q) -> np.ndarray:
-    """The lattice vectors summed for the last slot mu_b, as int64 rows in
-    root coordinates in the order of `RootSystem.coroot_table`, given the
-    support bound r = radius_sq of the other slots (`_support_radius`).
-    last is mu_b in ints, (D, [x]) with x = D mu_b (`_scaled`), or a
-    varying slot name (NU, STAR_NU).
-
-    For a fixed mu_b they are its own lattice ball, the support ball
-    |mu_b + l|^2 <= r: each point left out has a group of terms that
-    cancels exactly.  As |l| <= |mu_b| + sqrt(r), it lies in the centred
-    ball |l|^2 <= R = 2 |mu_b|^2 + 2 r, which sizes the table.  With
-    (I, g) = `int_gram`, floor(g R) is read from x.I x and r, and one
-    product with the table's rows [l, n] (n = g |l|^2) tests
-        g D^2 |mu_b + l|^2 = D^2 n + 2 D l.(I x) + x.I x <= floor(g D^2 r),
-    in int64 when a bound on that product is below 2^62 and on Python-int
-    objects above it.  A varying last slot takes the centred ball at its
-    largest norm (`_slot_point`), which holds the support ball of every
-    mu_b of the alcove (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
-    varying = isinstance(last, str)
-    scale, (x,) = _scaled([_slot_point(rs, last)]) if varying else last
-    igram, g = rs.int_gram
-    ix = [sum(map(mul, row, x)) for row in igram]
-    xix, n, d = sum(map(mul, x, ix)), radius_sq.numerator, radius_sq.denominator
-    reach = (2 * xix * d + 2 * g * n * scale * scale) // (scale * scale * d)  # floor(g R)
-    if varying:
-        return rs.coroot_ball(reach)
-    rows, width = rs.coroot_table(reach)
-    # the test less x.I x, D^2 n + l.(2 D I x) <= limit, is one product with the rows [l, n]
-    weights = [*(2 * scale * c for c in ix), scale * scale]
-    limit = g * scale * scale * n // d - xix
-    bound = max(1, width) * sum(map(abs, weights))  # above every |row . weights|, even at l = 0
-    dtype = np.int64 if bound < 2**62 else object
-    lhs = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype)
-    return rows[lhs <= max(limit, -bound), :-1]
+def _lattice_ball(rs: RootSystem, slot: str, radius_sq: Q) -> np.ndarray:
+    """The lattice vectors summed for a varying last slot (NU, STAR_NU), as
+    int64 rows in root coordinates in the order of
+    `RootSystem.coroot_table`, given the support bound r = radius_sq of
+    the other slots (`_support_radius`): the centred ball
+    |l|^2 <= R = 2 |mu_b|^2 + 2 r at the slot's largest norm
+    (`_slot_point`), floor(g R) read from x.I x and r ((I, g) =
+    `int_gram`, x = D mu_b).  It holds the support ball
+    |mu_b + l|^2 <= r of every mu_b of the alcove
+    (`PantsVolumePoly.lattice`, `gluing.AlcoveFactor`)."""
+    (igram, g), (scale, (x,)) = rs.int_gram, _scaled([_slot_point(rs, slot)])
+    n, d, square = radius_sq.numerator, radius_sq.denominator, scale * scale
+    return rs.coroot_ball((2 * int_bilinear(igram, x, x) * d + 2 * g * n * square) // (square * d))
 
 
 def sphere_volume_kappa(
@@ -331,7 +311,8 @@ def sphere_volume_kappa(
     b = len(mus)
     if b < 3:
         raise ValueError("need at least three markings")
-    (rational,), (lattice,), radius_sq, walls = _sphere_sums(rs, mus[:-1], mus[-1:], radius_sq)
+    (rational,), (lattice,), radius_sq, walls = _sphere_sums(rs, mus[:-1], [_scaled(mus[-1:])],
+                                                             radius_sq)
     if walls:
         kappa_build(rs, b - 2).chamber_at(walls[0])  # raises OnWallError
     return _exact_report(rs, "kappa-sum", rational, {
@@ -342,19 +323,24 @@ def sphere_volume_kappa(
     })
 
 
-def _sphere_sums(rs: RootSystem, fixed_mus: list[Vec], last_mus: list[Vec],
+def _sphere_sums(rs: RootSystem, fixed_mus: list[Vec], lasts: list,
                  radius_sq: Q | None = None, op=None
                  ) -> tuple[list[Q | None], list[np.ndarray], Q, list[Vec]]:
     """The kappa-sums of the b-marked sphere at the fixed markings mu_1 ..
-    mu_{b-1} = fixed_mus and each last marking mu_b of last_mus, times
-    (-1)^{|R+|} #Z (`_kappa_sums`): the one set-up of `volume`, the rows of
-    `scan` and `chern`.  Returns (values, lattices, r, walls).
+    mu_{b-1} = fixed_mus and each last marking mu_b, times (-1)^{|R+|} #Z
+    (`_kappa_sums`): the one set-up of `volume`, the rows of `scan` and
+    `chern`.  The last markings come in ints, lasts[j] = (D_j, [D_j mu_b])
+    with D_j the least denominator of mu_b (`_scaled`; `cli.cmd_scan`
+    places a line's rows so, with no Fraction).  Returns (values,
+    lattices, r, walls).
 
-    The spline is kappa^{[b-2]}, the markings are scaled to ints once
-    (`_scaled`), and each sum runs over its mu_b's support ball
-    |mu_b + l|^2 <= r (`_lattice_ball`), outside which the terms of each l
-    cancel; r is radius_sq, or else the fixed markings' bound
-    (`_support_radius`).  Consecutive last markings share a pass
+    The spline is kappa^{[b-2]}, the fixed markings are scaled to ints once
+    (`_scaled`), and each sum runs over its mu_b's own lattice ball, the
+    support ball |mu_b + l|^2 <= r: each lattice point left out has a
+    group of terms that cancels exactly.  All the balls come from one
+    product with the lattice table, taken in blocks
+    (`RootSystem.coroot_balls`); r is radius_sq, or else the fixed
+    markings' bound (`_support_radius`).  Consecutive last markings share a pass
     (`_kappa_sums`, with op) of at most MOMENT_ROWS argument rows
     (|ball| |W|^(b-1) a marking), or one marking whose rows are more, so
     a pass holds at most one `_moments` block or one sum's arrays; passes
@@ -364,10 +350,10 @@ def _sphere_sums(rs: RootSystem, fixed_mus: list[Vec], last_mus: list[Vec],
     first.
     """
     spline = kappa_build(rs, len(fixed_mus) - 1)
-    fixed, lasts = _scaled(fixed_mus), [_scaled([m]) for m in last_mus]
+    fixed = _scaled(fixed_mus)
     if radius_sq is None:
         radius_sq = _support_radius(rs, fixed)
-    lattices = [_lattice_ball(rs, last, radius_sq) for last in lasts]
+    lattices = rs.coroot_balls(lasts, radius_sq)
     tuples, values, walls, lo, rows = len(rs.weyl_array[0]) ** len(fixed_mus), [], [], 0, 0
     # the pass lo:hi ends at the last marking, or before the next one when
     # that one's rows would take it above MOMENT_ROWS
@@ -430,20 +416,29 @@ def _kappa_arguments(rs: RootSystem, config, fixed, lasts: list, lattices: list[
     # per sum: D_j, D_j / D_0 and D_j mu_b
     heads = [[scale, scale // base, *(scale // d * c for c in x)]
              for scale, (d, (x,)) in zip(scales, lasts)]
-    # |w m| <= weyl_norm max|m|, |u.x| <= |u|_1 max|x|; scale enters an
-    # array even when every lattice vector is zero
+    sizes = [len(lat) for lat in lattices]
+    cuts, lattice = list(accumulate(sizes, initial=0)), np.concatenate(lattices)
+    # |w m| <= weyl_norm max|m|, |u.x| <= |u|_1 max|x|; every |l_i| read
+    # in one pass, and scale enters an array even when every lattice
+    # vector is zero
     fold_max = rs.weyl_array[2] * sum(max(map(abs, m)) for m in imaged)
-    coordinate_max = max(scale * max(1, int(np.abs(lat).max(initial=0))) + max(map(abs, end))
+    widths, rank = np.abs(lattice).ravel().tolist(), rs.rank
+    coordinate_max = max(scale * max([1, *widths[lo * rank:hi * rank]]) + max(map(abs, end))
                          + step * fold_max
-                         for lat, (scale, step, *end) in zip(lattices, heads))
+                         for lo, hi, (scale, step, *end) in zip(cuts, cuts[1:], heads))
     dtype = np.int64 if coordinate_max * config.wall_norm < 2**62 else object
 
     folds, signs = _weyl_fold(rs, np.array(imaged, dtype=dtype))
-    heads = np.repeat(np.array(heads, dtype=dtype), [len(lat) for lat in lattices], axis=0)
-    tails = heads[:, :1] * np.concatenate(lattices) + heads[:, 2:]
+    heads = np.repeat(np.array(heads, dtype=dtype), sizes, axis=0)
+    tails = heads[:, :1] * lattice + heads[:, 2:]
     args = tails[:, None] + heads[:, 1, None, None] * folds  # (l, tuple, coordinate)
-    rows, tuples = (args >= 0).all(axis=2).nonzero()
-    bounds = np.searchsorted(rows, list(accumulate(map(len, lattices), initial=0))).tolist()
+    # rows with no negative coordinate, one comparison a coordinate: a
+    # reduction over the short last axis costs several times more
+    inside = args[..., 0] >= 0
+    for k in range(1, args.shape[2]):
+        inside &= args[..., k] >= 0
+    rows, tuples = inside.nonzero()
+    bounds = np.searchsorted(rows, cuts).tolist()
     return (args[rows, tuples] @ config.extension_t, signs[tuples].astype(dtype, copy=False),
             scales, bounds)
 
@@ -494,8 +489,8 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
             for row, j in zip(hits.tolist(), sums):
                 stops.setdefault(j, row)
     code = side @ config.wall_bits
-    for j in range(1, len(scales)):
-        code[bounds[j]:bounds[j + 1]] += j << shift
+    if len(scales) > 1:
+        code += np.repeat(np.arange(len(scales), dtype=np.int64) << shift, np.diff(bounds))
     order = np.argsort(code, kind="stable")
     ordered = code[order]
     change = np.empty(len(code), dtype=bool)  # a group starts at row 0 and at each new code
@@ -684,10 +679,10 @@ def pants_volume_kappa(
 
 def pants_volumes_exact(rs: RootSystem, mu1: Vec, mu2: Vec, mu3s: list[Vec]) -> list[Q | None]:
     """The exact rational parts of `pants_volume_kappa` at the third
-    markings mu3s (the rows of a scan), in `_sphere_sums`' batched passes;
+    markings mu3s, in `_sphere_sums`' batched passes (as a scan's rows);
     a marking at a degree-0 (A1) wall, where `pants_volume_kappa` raises
     OnWallError, gives None."""
-    return _sphere_sums(rs, [mu1, mu2], mu3s)[0]
+    return _sphere_sums(rs, [mu1, mu2], [_scaled([m]) for m in mu3s])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +837,7 @@ def mixed_characteristic_number(
     kept = {m: c for m, c in p.terms.items()
             if sum(l * e for l, e in enumerate(m, start=1)) <= rs.n_positive - rs.rank}
     op = pullback_operator(rs, SymmetricPoly(kept, p.nvars))
-    return _normalized(rs, _sphere_sums(rs, [mu1, mu2], [mu3], op=op)[0][0])
+    return _normalized(rs, _sphere_sums(rs, [mu1, mu2], [_scaled([mu3])], op=op)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ SERIES_FORBIDDEN = [
     (VectorConfig, ["vertex_table", "power_program", "truncated_power", "density"]),
     (PiecewisePolynomial, ["chamber_at"]),
     (liecore, ["enumerate_waff_positive"]),
+    (liecore.RootSystem, ["coroot_balls"]),
     (gluing, ["AlcoveFactor"]),
 ]
 

@@ -386,6 +386,48 @@ def test_pants_sum_outputs_bytes_pinned(args, stdout_digest, chambers_digest):
         assert r.chambers == chambers_digest
 
 
+# sha256 of the stdout and of the kappa chambers of two long scans: 2 001
+# B2 rows, whose balls span several column blocks of one lattice-table
+# product, and 241 A1 rows, two of them on walls of the degree-0 spline
+LONG_SCAN_DIGESTS = [
+    (("scan", "B2", "1/4,1/5", "1/3,1/7", "--along", "0,0:1/2,1/4", "--steps", "2000"),
+     "91dc4478b5069c3f9aefb80679a1cb853e12af735f9dc1213284fa7d807096a8",
+     "c341cb6613f9cac68cdfa9d882c5c364042e532ed7065b5a85f67c1309c69f01"),
+    (("scan", "A1", "1/4", "1/3", "--along", "0:1", "--steps", "240"),
+     "8a2be0efbcb8e26ae37b5f55f4baeeea1aafb49b7ef8d19e6209c600ff0528d0",
+     "f6bfe8c10a150a1eb22a0e9435cc89000eb9a4a12201c6ea518cf38de5ce5021"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_digest, chambers_digest", LONG_SCAN_DIGESTS,
+                         ids=["scan-B2-2000", "scan-A1-240-walls"])
+def test_long_scan_outputs_bytes_pinned(args, stdout_digest, chambers_digest):
+    r = run_for_chambers(args[1], list(args))
+    assert r.codes == [0], r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == stdout_digest
+    assert r.chambers == chambers_digest
+    if args[1] == "A1":
+        assert r.stdout.count(",wall,kappa-sum,wall") == 2
+
+
+@pytest.mark.parametrize("name, start, end, steps", [
+    ("A1", "0", "1", 8), ("A2", "1/7,1/9", "1/2,1/3", 12), ("B2", "0,0", "1/2,1/4", 40),
+    ("G2", f"1/{2**61 - 1},1/3", "1/4,1/4294967311", 6), ("A3", "1/9,1/5,1/8", "1/7,1/9,1/5", 0),
+])
+def test_line_rows_are_the_points_least_scaled(name, start, end, steps):
+    """A scan's rows, placed in ints (`_line_rows`), are its points
+    a + (j / n)(b - a) each scaled by its own least denominator, as
+    `moduli._scaled` scales one marking, so the kappa-sum sees the scales
+    D_j it sees for the same points given as Fractions."""
+    from flatvol.cli import _line_rows
+    from flatvol.moduli import _scaled
+    rs = build_root_system(name)
+    a, b = (parse_marking(rs, t) for t in (start, end))
+    points = [tuple(x + Fraction(j, max(steps, 1)) * (y - x) for x, y in zip(a, b))
+              for j in range(steps + 1)]
+    assert _line_rows(a, b, steps) == [_scaled([p]) for p in points]
+
+
 def test_chern_identity_and_fd():
     r = run("chern", "A2", "1/4,1/5", "1/3,1/7", "2/7,1/6", "--poly", "1")
     d = json.loads(r.stdout)

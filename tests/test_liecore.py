@@ -358,3 +358,83 @@ def test_coroot_ball_table_matches_enumeration(name):
         expect = [list(coroot_vector(rs, n))
                   for n in lattice_points_in_ball(rs.coroot_gram, radius)]
         assert rs.coroot_ball(math.floor(g * radius)).tolist() == expect
+
+
+def reference_point(rs, coeffs):
+    """from_weight_coords by its definition: sum of c_i omega_i, in Fractions."""
+    out = (Q(0),) * rs.rank
+    for c, w in zip(coeffs, rs.fundamental_weights):
+        out = vadd(out, vscale(c, w))
+    return out
+
+
+def reference_membership(rs, mu):
+    """alcove_membership by its definition: one Fraction `rs.ip` a facet."""
+    tight = []
+    for i, a in enumerate(rs.simple_roots):
+        v = rs.ip(a, mu)
+        if v < 0:
+            return "outside", []
+        if v == 0:
+            tight.append(f"alpha_{i + 1}")
+    h = rs.ip(rs.highest_root, mu)
+    if h > 1:
+        return "outside", []
+    if h == 1:
+        tight.append("alpha_0")
+    return ("boundary", tight) if tight else ("interior", [])
+
+
+HUGE = (2**32 + 15, 2**61 - 1)
+
+
+def alcove_battery(rs, rng):
+    """Seeded points of every kind: interior points, points on each facet
+    (no weight on the vertex opposite it), the vertices, points just
+    outside each facet (by 1/(2^61 - 1) along a fundamental weight), and
+    combinations with denominators 2^32 + 15 and 2^61 - 1."""
+    verts, eps = rs.alcove.vertices, Q(1, HUGE[1])
+
+    def combination(weights):
+        total = sum(weights)
+        return tuple(sum(w * v[j] for w, v in zip(weights, verts)) / total
+                     for j in range(rs.rank))
+
+    points = list(verts)
+    for den in (7, 40, *HUGE):
+        points.append(combination([Q(rng.randint(1, den), den) for _ in verts]))
+        for k in range(len(verts)):  # on the facet opposite vertex k, and just outside it
+            on = combination([0 if i == k else Q(rng.randint(1, den), den)
+                              for i in range(len(verts))])
+            step = rs.fundamental_weights[max(k, 1) - 1]
+            sign = -1 if k else 1  # alpha_k, k >= 1, decreases; alpha_0 increases
+            points += [on, tuple(c + sign * eps * s for c, s in zip(on, step))]
+    return points
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "C2", "C3", "D4", "G2"])
+def test_integer_alcove_forms_match_their_definitions(name):
+    """`alcove_membership`, `from_weight_coords` and `to_weight_coords`
+    read the integer forms cached on the root system (`int_alcove`,
+    `int_weights`), built on first use only, and give what the Fraction
+    definitions give: on interior, facet, vertex and just-outside points,
+    with huge denominators, from a generator (read once) and from plain
+    ints; `to_weight_coords` undoes `from_weight_coords`."""
+    rs = RootSystem(GroupSpec.parse(name))
+    assert "int_alcove" not in vars(rs) and "int_weights" not in vars(rs)
+    rng = random.Random(f"integer-alcove-forms-{name}")
+    points = alcove_battery(rs, rng)
+    seen = [reference_membership(rs, mu) for mu in points]
+    assert {label for _, tight in seen for label in tight} == {
+        f"alpha_{i}" for i in range(rs.rank + 1)}
+    assert [kind for kind, _ in seen].count("outside") == 4 * (rs.rank + 1)
+    for mu in points:
+        assert alcove_membership(rs, mu) == reference_membership(rs, mu), mu
+        coords = rs.to_weight_coords(mu)
+        assert coords == tuple(rs.pair_coroot(mu, a) for a in rs.simple_roots)
+        assert rs.from_weight_coords(c for c in coords) == mu == reference_point(rs, coords)
+    for ints in ([1] * rs.rank, [rng.randint(-3, 3) for _ in range(rs.rank)]):
+        mu = rs.from_weight_coords(ints)
+        assert mu == reference_point(rs, ints) and all(type(c) is Q for c in mu)
+        assert rs.to_weight_coords(mu) == tuple(map(Q, ints))
+    assert "int_alcove" in vars(rs) and "int_weights" in vars(rs)

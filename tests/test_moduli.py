@@ -37,8 +37,9 @@ from flatvol import (
 from flatvol.characters import casimir_cutoff_for_count
 from flatvol.exact import common_denominator, det, lattice_points_in_ball, scaled, vadd, vscale, vsub
 from flatvol.kappa import PiecewisePolynomial, VectorConfig, kappa_build, kappa_point, pullback_operator
-from flatvol import gluing, moduli
-from flatvol.moduli import _kappa_arguments, _lattice_ball, _moments, _scaled, _support_radius
+from flatvol import gluing, liecore, moduli
+from flatvol.cli import _line_rows
+from flatvol.moduli import _kappa_arguments, _moments, _scaled, _support_radius
 from flatvol.poly import poly_add, poly_eval, poly_shift, poly_subs_affine
 from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
@@ -55,7 +56,7 @@ def t_mu(rs, t):
 def support_ball(rs, mus):
     """The lattice ball that `sphere_volume_kappa` sums for the markings
     mus: the last one's, at the support bound of the others."""
-    return _lattice_ball(rs, _scaled(mus[-1:]), _support_radius(rs, _scaled(mus[:-1])))
+    return rs.coroot_balls([_scaled(mus[-1:])], _support_radius(rs, _scaled(mus[:-1])))[0]
 
 
 def test_moduli_dimension(a1, a2, b2):
@@ -348,8 +349,8 @@ def test_batched_sums_build_chambers_as_the_row_loop(name, m1, m2, lasts):
 @pytest.mark.parametrize("name, m1, m2, lasts", BATCHES)
 def test_batched_sums_read_each_rows_own_ball(name, m1, m2, lasts, monkeypatch):
     """The rows of a batch take the fixed pair's support bound once, and
-    each row's lattice ball is still the one `_lattice_ball` gives its own
-    three markings."""
+    each row's lattice ball is still the one `RootSystem.coroot_balls`
+    gives its own three markings."""
     rs = build_root_system(name)
     mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
     balls = []
@@ -399,6 +400,93 @@ def test_batched_sums_split_into_bounded_passes(name, m1, m2, lasts, per_pass, m
         assert all(np.count_nonzero(rows[lo:hi]) <= 1 for lo, hi in zip([0, *ends], ends))
     else:
         assert min(passes[:-1], default=2) >= 2 and len(passes) < len(mu3s)
+
+
+def brute_support_ball(rs, mu, radius_sq):
+    """The support ball by brute force: the centred ball |l|^2 <= 2 |mu|^2 +
+    2 r of `lattice_points_in_ball`, kept where |mu + l|^2 <= r in
+    Fractions, in its order."""
+    centred = lattice_points_in_ball(rs.coroot_gram, 2 * rs.norm_sq(mu) + 2 * radius_sq)
+    vectors = (coroot_vector(rs, coeffs) for coeffs in centred)
+    return [list(l) for l in vectors if rs.norm_sq(vadd(mu, l)) <= radius_sq]
+
+
+def one_marking_ball(rs, last, radius_sq):
+    """The support ball of one marking (D, [x]) by its own product with
+    the lattice table, one marking a call: the reference a batch of one
+    must reproduce, array for array."""
+    scale, (x,) = last
+    igram, g = rs.int_gram
+    ix = [sum(a * b for a, b in zip(row, x)) for row in igram]
+    xix, n, d = sum(a * b for a, b in zip(x, ix)), radius_sq.numerator, radius_sq.denominator
+    rows, width = rs.coroot_table((2 * xix * d + 2 * g * n * scale * scale) // (scale * scale * d))
+    weights = [*(2 * scale * c for c in ix), scale * scale]
+    limit = g * scale * scale * n // d - xix
+    bound = max(1, width) * sum(map(abs, weights))
+    dtype = np.int64 if bound < 2**62 else object
+    lhs = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype)
+    return rows[lhs <= max(limit, -bound), :-1]
+
+
+# (group, mu1, mu2, the last markings of one batch): A1 rows on the walls
+# of the degree-0 spline, a row of denominator 2^61 - 1 whose test needs
+# Python ints among rows that fit int64, and longer rank-2 and rank-3 lines
+BALL_BATCHES = [
+    BATCHES[0],
+    ("A2", "1/2,1/2", "1,0", ["2/7,1/6", f"1/{2**61 - 1},1/3", "1/5,1/9", "0,1/2", "1/4,1/4"]),
+    ("B2", "0,1", "1/2,1/2", [f"{Q(j, 40)},{Q(j, 80)}" for j in range(21)]),
+    ("G2", "1/3,1/4", "1/5,1/3", [f"{Q(j, 30)},{Q(1, 7)}" for j in range(11)]),
+    ("A3", "1/2,0,1/2", "1/4,1/4,1/4", ["1/9,1/8,1/7", "1/4,1/5,1/6", "0,0,0", "1/2,0,1/2"]),
+]
+
+
+@pytest.mark.parametrize("name, m1, m2, lasts", BALL_BATCHES)
+def test_batched_balls_match_the_support_ball(name, m1, m2, lasts, monkeypatch):
+    """The balls of one batch (`RootSystem.coroot_balls`) are the support
+    balls |mu_b + l|^2 <= r found by brute
+    force, as int64 rows, whether the batch is one column block, blocks of
+    three markings (rows on both sides of a block boundary) or one block a
+    marking; a batch of one marking gives exactly the array of its own
+    product with the table."""
+    rs = build_root_system(name)
+    mu1, mu2, *mu3s = batch_markings(rs, m1, m2, lasts)
+    radius_sq = _support_radius(rs, _scaled([mu1, mu2]))
+    points = [_scaled([mu3]) for mu3 in mu3s]
+    expect = [brute_support_ball(rs, mu3, radius_sq) for mu3 in mu3s]
+    assert all(expect) and (name != "A2" or points[1][0] % (2**61 - 1) == 0)
+    table = len(rs.coroot_balls(points, radius_sq) and rs.coroot_table(0)[0])
+    for entries in (liecore.BALL_ENTRIES, 3 * table + 1, 1):
+        monkeypatch.setattr(liecore, "BALL_ENTRIES", entries)
+        balls = rs.coroot_balls(points, radius_sq)
+        assert [ball.tolist() for ball in balls] == expect, entries
+        assert all(ball.dtype == np.int64 and ball.shape[1:] == (rs.rank,) for ball in balls)
+    for point in points:
+        (ball,) = rs.coroot_balls([point], radius_sq)
+        single = one_marking_ball(rs, point, radius_sq)
+        assert ball.dtype == single.dtype and ball.shape == single.shape
+        assert np.array_equal(ball, single)
+
+
+def test_scan_rows_read_the_lattice_table_once(monkeypatch):
+    """A 2 001-row `_sphere_sums`, its rows placed in ints as a 2 000-step
+    `scan` places them (`cli._line_rows`), reads the lattice table once
+    for all its column blocks, not once a row, and gives each row the
+    rational of its own `pants_volume_kappa`."""
+    rs = RootSystem(GroupSpec.parse("B2"))
+    mu1, mu2, start, end = batch_markings(rs, "1/4,1/5", "1/3,1/7", ["0,0", "1/2,1/4"])
+    lines = _line_rows(start, end, 2000)
+    calls = []
+    table = RootSystem.coroot_table
+    monkeypatch.setattr(RootSystem, "coroot_table",
+                        lambda self, limit: calls.append(limit) or table(self, limit))
+    monkeypatch.setattr(liecore, "BALL_ENTRIES", 4096)
+    values = moduli._sphere_sums(rs, [mu1, mu2], lines)[0]
+    step = liecore.BALL_ENTRIES // len(table(rs, 0)[0])
+    assert len(values) == 2001 and 1 <= step and len(calls) == 1 < -(-2001 // step)
+    for j in (0, 377, 2000):
+        (den, (x,)) = lines[j]
+        mu3 = tuple(Q(c, den) for c in x)
+        assert values[j] == pants_volume_kappa(rs, mu1, mu2, mu3).exact["rational"]
 
 
 @pytest.mark.parametrize("name, marks, dtype", [
