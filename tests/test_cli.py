@@ -23,10 +23,11 @@ from flatvol import (
     sphere_volume_kappa,
 )
 from flatvol.cli import (
-    MAX_STEPS, _a1_model_values, _parse_sym_poly, build_parser, main, parse_marking,
+    MAX_STEPS, _a1_model_values, _line_rows, _parse_sym_poly, build_parser, main, parse_marking,
 )
 from flatvol.kappa import OnWallError
 from flatvol.mc import MAX_CELLS, model_grid, shape_compare
+from flatvol.moduli import _scaled
 from flatvol.poly import poly_eval
 
 from conftest import run_for_chambers
@@ -419,8 +420,6 @@ def test_line_rows_are_the_points_least_scaled(name, start, end, steps):
     a + (j / n)(b - a) each scaled by its own least denominator, as
     `moduli._scaled` scales one marking, so the kappa-sum sees the scales
     D_j it sees for the same points given as Fractions."""
-    from flatvol.cli import _line_rows
-    from flatvol.moduli import _scaled
     rs = build_root_system(name)
     a, b = (parse_marking(rs, t) for t in (start, end))
     points = [tuple(x + Fraction(j, max(steps, 1)) * (y - x) for x, y in zip(a, b))
