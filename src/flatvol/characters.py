@@ -12,10 +12,20 @@ The phases are roots of unity, read from exact integers: lambda + rho is
 given by its integer fundamental-weight coordinates n, and with
 P[w, i] = D <w omega_i, mu> mod D over one denominator D the phase of a
 term is exp(2 pi i (sum_i n_i P[w, i] mod D) / D), the product over i of
-the entries T[w, i, n_i] of a power table
-T[w, i, m] = exp(2 pi i ((m P[w, i]) mod D) / D), m <= max n
-(`character_table`).  No weight needs its own exp, and every exp
-argument is reduced exactly.
+the entries T_i[w, n_i] of power tables
+T_i[w, m] = exp(2 pi i ((m P[w, i]) mod D) / D), one per coordinate over
+the values m of the box of coordinate values that holds the weights.  No
+weight needs its own exp, and every exp argument is reduced exactly.
+
+At a regular mu the Weyl sum sum_w det(w) prod_i T_i[w, m_i] of every
+point m of that box is one complex matrix product L^T R, L and R the
+Khatri-Rao products of the first half's and the other half's power
+tables, and each weight's sum is gathered from it by its flat index in
+the box (`character_tables`); the box is made in blocks, shared by every
+marking of a series.  The limit at a singular mu is summed Weyl element
+by Weyl element.  A series' norms and Weyl dimensions come from the
+integer weight Gram matrix and coroot pairings (`_weight_gram`,
+`_coroot_pairings`), kept on the root system.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ __all__ = [
     "weyl_dimension",
     "character_eval",
     "character_table",
+    "character_tables",
     "singular_order",
     "enumerate_dominant",
 ]
@@ -73,59 +84,189 @@ def weyl_dimension(rs: RootSystem, lam: DominantWeight) -> int:
 
 def singular_order(rs: RootSystem, mu: Vec) -> int:
     """Number of positive roots alpha with <alpha, mu> an integer, exactly:
-    the order to which both Weyl sums at mu vanish along rho."""
-    return sum(1 for a in rs.positive_roots if rs.ip(a, mu).denominator == 1)
+    the order to which both Weyl sums at mu vanish along rho.  With x = D mu
+    in ints and the int Gram (I, g), <alpha, mu> = alpha.(I x) / (g D)."""
+    d = common_denominator(mu)
+    igram, g = rs.int_gram
+    x = scaled(mu, d)
+    gmu = [sum(map(mul, row, x)) for row in igram]
+    return sum(1 for a in rs.positive_roots if not sum(map(mul, scaled(a, 1), gmu)) % (g * d))
+
+
+TABLE_ENTRIES = 2**17  # box entries per block of `_box_sums`' product (2 MB of complex)
+BOX_PER_ROW = 64  # the most box entries per row for which the sums are read off the box
 
 
 def character_table(rs: RootSystem, n: np.ndarray, mu: Vec) -> np.ndarray:
     """chi_lambda(e^mu) for all rows of n, the ints n = lambda + rho in
-    fundamental-weight coordinates, by the Weyl-group sums.
+    fundamental-weight coordinates, by the Weyl-group sums
+    (`character_tables` of the one marking)."""
+    return character_tables(rs, n, [mu])[0]
+
+
+def character_tables(rs: RootSystem, n: np.ndarray, mus: list[Vec]) -> np.ndarray:
+    """chi_lambda(e^mu) for all rows of n, the ints n = lambda + rho in
+    fundamental-weight coordinates, and every marking mu of mus: one row
+    per marking.
 
     The phase of a term is exp(2 pi i <w(lambda+rho), mu>), and
     D <w(lambda+rho), mu> = sum_i n_i P[w, i] with P[w, i] = D <w omega_i, mu>
     mod D exact ints (`_weyl_pairings`).  So each phase is the product over
-    i of T[w, i, n_i], from a power table T[w, i, m] = exp(2 pi i ((m P[w, i])
-    mod D) / D), m <= max n (only the n_i present, when there are fewer):
-    every exp argument is reduced exactly, in int64 when D max n < 2^63 and
-    in Python ints (an object array, whose `/` is correctly rounded) above.
-    The denominator's sum is the same sum at the row n = (1, ..., 1).
+    i of T_i[w, n_i], from a power table T_i[w, m] = exp(2 pi i ((m P[w, i])
+    mod D) / D) per coordinate over the values m of the box that holds the
+    rows (`_box_axes`, `_power_tables`): every exp argument is reduced
+    exactly, in int64 when D max n < 2^63 and in Python ints (an object
+    array, whose `/` is correctly rounded) above.  The denominator's sum is
+    the same sum at the row n = (1, ..., 1).
 
-    At a singular mu both sums vanish to order k = singular_order(rs, mu)
-    along rho, and their k-th derivatives there weight each term by
+    At a regular mu the sums are read off a table over the whole box
+    (`_box_sums`): sum_w det(w) prod_i T_i[w, m_i] is, for every m of the
+    box at once, one complex matrix product, and the box, each row's place
+    in it and its blocks are made once for all the markings.  At a
+    singular mu both sums vanish to order k = singular_order(rs, mu) along
+    rho, and their k-th derivatives there weight each term by
     <w(lambda+rho), rho>^k and <w rho, rho>^k, exact ints over one
-    denominator before the power; the ratio of those is the limit (at
-    k = 0, the plain sums).  Raises OnWallError when the denominator is too
-    small to divide by in floating point.
+    denominator before the power; the ratio of those, summed Weyl element
+    by Weyl element, is the limit.  The same loop, unweighted, serves a
+    box of more than BOX_PER_ROW entries per row (a few rows far apart).
+    Raises OnWallError when a denominator is too small to divide by in
+    floating point.
     """
-    k = singular_order(rs, mu)
     signs = rs.weyl_array[1]
-    pairings, d = _weyl_pairings(rs, mu)
     n = np.vstack([n, np.ones(rs.rank, dtype=n.dtype)])  # the last row, rho, is the denominator's
-    top = int(n.max())
-    if top < n.size:  # the table holds every power m <= max n
-        ms, cols = np.arange(top + 1), n.T
-    else:  # or, for a few large weights, only the powers present
-        ms, inverse = np.unique(n, return_inverse=True)
-        cols = inverse.reshape(n.shape).T
-    dtype = np.int64 if d * top < 2**63 else object
-    powers = (pairings % d).astype(dtype)[:, :, None] * ms.astype(dtype)
-    table = np.exp(2j * np.pi * (powers % d / d).astype(float))
-    table[:, 0] *= signs[:, None]  # each term's sign rides on its first factor
+    values, cols = _box_axes(n)
+    sparse = math.prod(map(len, values)) > BOX_PER_ROW * len(n)
+    sums = np.empty((len(mus), len(n)), dtype=complex)
+    boxed = []  # (marking index, power tables) read off the box
+    for j, mu in enumerate(mus):
+        tables = _power_tables(*_weyl_pairings(rs, mu), values)
+        tables[0] *= signs[:, None]  # each term's sign rides on its first factor
+        k = singular_order(rs, mu)
+        if k or sparse:
+            sums[j] = _weyl_loop(rs, tables, cols, n, k)
+        else:
+            boxed.append((j, tables))
+    if boxed:
+        _box_sums([tables for _, tables in boxed], cols, [sums[j] for j, _ in boxed])
+    den = sums[:, -1:].copy()
+    if (abs(den) < 1e-12 * len(signs)).any():
+        raise OnWallError("marking is not regular; character table undefined")
+    sums /= den
+    return sums[:, :-1]
+
+
+def _box_axes(n: np.ndarray) -> tuple[list, list]:
+    """(values, cols): per coordinate of the rows n, the values m of the box
+    that holds them, and each row's index into those.  A coordinate's
+    values are its range min..max, or only the values present when that
+    range is longer than the rows are many (`character_eval` of one far
+    weight builds a few entries, not 10^6)."""
+    values, cols = [], []
+    for col in n.T:
+        lo, top = int(col.min()), int(col.max())
+        if top - lo < len(col):
+            values.append(np.arange(lo, top + 1))
+            cols.append(col - lo)
+        else:
+            values.append(ms := np.array(sorted(set(col.tolist()))))
+            cols.append(np.searchsorted(ms, col))
+    return values, cols
+
+
+def _power_tables(pairings: np.ndarray, d: int, values: list) -> list:
+    """T_i[w, m] = exp(2 pi i ((m P[w, i]) mod D) / D) for each coordinate
+    i and its box values m, from P = pairings and D = d (`_weyl_pairings`)."""
+    tables = []
+    for i, ms in enumerate(values):
+        dtype = np.int64 if d * int(ms[-1]) < 2**63 else object
+        powers = (pairings[:, i] % d).astype(dtype)[:, None] * ms.astype(dtype)
+        tables.append(np.exp(2j * np.pi * (powers % d / d).astype(float)))
+    return tables
+
+
+def _weyl_loop(rs: RootSystem, tables: list, cols: list, n: np.ndarray, k: int) -> np.ndarray:
+    """sum_w prod_i tables[i][w, cols[i]] for every row, Weyl element by
+    Weyl element, each term weighted by <w(lambda+rho), rho>^k (the limit
+    along rho)."""
     if k:
         rho_pairings, rho_d = _weyl_pairings(rs, rs.rho)
         rho_pairings = rho_pairings.astype(np.int64)
     sums = np.zeros(len(n), dtype=complex)
-    for w, row in enumerate(table):
-        term = row[0, cols[0]]
-        for i in range(1, rs.rank):
-            term = term * row[i, cols[i]]
+    for w, first in enumerate(tables[0]):
+        term = first[cols[0]]
+        for table, col in zip(tables[1:], cols[1:]):
+            term = term * table[w, col]
         if k:
             term = term * (n @ rho_pairings[w] / rho_d) ** k
         sums += term
-    num, den = sums[:-1], sums[-1]
-    if abs(den) < 1e-12 * len(signs):
-        raise OnWallError("marking is not regular; character table undefined")
-    return num / den
+    return sums
+
+
+def _box_sums(tables: list[list], cols: list, out: list[np.ndarray]) -> None:
+    """out[j][:] = sum_w prod_i tables[j][i][w, cols[i]] for every row and
+    each marking j's power tables, over the box of the tables' values.
+
+    With the first h = ceil(rank / 2) coordinates on one side, the box's
+    table is L^T R: L[w, a] = prod_(i < h) T_i[w, a_i] and R[w, b] =
+    prod_(i >= h) T_i[w, b_i] are the Khatri-Rao products of the two
+    sides' tables (`_khatri_rao`), so the Weyl sum of every box entry is
+    one complex matrix product, and each row is gathered from the table
+    by its flat index in the box.  The table is made in blocks
+    (`_box_blocks`), each written into one buffer and its rows gathered
+    before the next is made; the blocks are found once for all the
+    markings, and one marking's L and R are made at a time.
+    """
+    count, sizes = len(tables[0][0]), [len(table[0]) for table in tables[0]]
+    h = (len(sizes) + 1) // 2
+    step, parts = _box_blocks(cols, sizes)
+    buffer = np.empty(step * math.prod(sizes[1:]), dtype=complex)
+
+    def fill(first: np.ndarray, rest: list, row: np.ndarray) -> None:
+        inner, right = _khatri_rao(rest[:h - 1], count), _khatri_rao(rest[h - 1:], count)
+        for lo, rows, index in parts:
+            left = (first[:, lo:lo + step, None] * inner[:, None, :]).reshape(count, -1)
+            table = np.matmul(left.T, right, out=buffer[:left.shape[1] * right.shape[1]]
+                              .reshape(-1, right.shape[1])).ravel()
+            if rows is None:  # every index is in range: "clip" writes row unbuffered
+                np.take(table, index, out=row, mode="clip")
+            else:
+                row[rows] = table[index]
+
+    for (first, *rest), row in zip(tables, out):
+        fill(first, rest, row)
+
+
+def _box_blocks(cols: list, sizes: list[int]) -> tuple[int, list]:
+    """(step, parts): the box of the given sizes cut into as few blocks of
+    step values of the first coordinate as keep a block within
+    TABLE_ENTRIES entries (or at one value), and per block (its first
+    value, the rows in it, their indices in it); rows None for all of
+    them, in one block.  The rows of the blocks come from one sort of the
+    rows' block numbers."""
+    stride = math.prod(sizes[1:])  # box entries per value of the first coordinate
+    flat = cols[0] * stride  # each row's index in the box
+    for i, col in enumerate(cols[1:], 1):
+        flat += col * math.prod(sizes[i + 1:])
+    blocks = min(sizes[0], -(-sizes[0] * stride // TABLE_ENTRIES))
+    step = -(-sizes[0] // blocks)
+    if blocks == 1:
+        return step, [(0, None, flat)]
+    numbers = cols[0] // step
+    order = np.argsort(numbers)
+    ends = np.cumsum(np.bincount(numbers, minlength=blocks)).tolist()
+    return step, [(lo, rows, flat[rows] - lo * stride)
+                  for lo, start, end in zip(range(0, sizes[0], step), [0, *ends], ends)
+                  if len(rows := order[start:end])]
+
+
+def _khatri_rao(tables: list, count: int) -> np.ndarray:
+    """The column-wise Kronecker product of (count, m_i) tables: entry
+    [w, (j_1, ..., j_s) flat] is prod_t tables[t][w, j_t]; ones (count, 1)
+    for no tables."""
+    out = np.ones((count, 1), dtype=complex)
+    for table in tables:
+        out = (out[:, :, None] * table[:, None, :]).reshape(count, -1)
+    return out
 
 
 def _weyl_pairings(rs: RootSystem, mu: Vec) -> tuple[np.ndarray, int]:
@@ -168,6 +309,20 @@ def _weight_gram(rs: RootSystem) -> tuple[np.ndarray, int]:
         gram.setflags(write=False)
         rs._weight_gram = gram, g
     return rs._weight_gram
+
+
+def _coroot_pairings(rs: RootSystem) -> np.ndarray:
+    """C[i, a] = <omega_i, alpha_a^vee> for the fundamental weights omega_i
+    and the positive roots alpha_a, in ints (read-only), so that the
+    pairings <lambda+rho, alpha^vee> of weights n = lambda + rho in
+    fundamental-weight coordinates are n @ C; made once per root system
+    and kept on it."""
+    if "_coroot_pairings" not in rs.__dict__:
+        pairings = np.array([[int(rs.pair_coroot(w, a)) for a in rs.positive_roots]
+                             for w in rs.fundamental_weights], dtype=np.int64)
+        pairings.setflags(write=False)
+        rs._coroot_pairings = pairings
+    return rs._coroot_pairings
 
 
 def _box(rs: RootSystem, casimir_cutoff) -> tuple[np.ndarray, np.ndarray]:

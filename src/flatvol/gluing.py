@@ -90,11 +90,13 @@ class AlcoveFactor:
         """(c, L, coef, walls, lines) for the arguments whose support meets
         the open alcove, in the term order (l, w_1, ..., w_{b-1}) of the
         lattice sum with the Weyl elements of the fixed slots first; equal
-        arguments are not merged.  walls[j] = (D L^T u_j, u_j.c) is the line
-        of wall u_j, read off the extended argument, and lines the set of
-        those that vary with nu, primitive (walls share one when L is
-        singular).  At degree 0 kappa jumps on a wall, so an argument that
-        stays on a wall for every nu raises OnWallError.
+        arguments are not merged.  Wall u_j of an argument is the form
+        (D L^T u_j).nu + u_j.c, read off the extended argument: walls[j] is
+        (line, sign), the form sign * m * line for the primitive line (a, k)
+        of a.nu + k = 0 and some m > 0, or (None, sign of u_j.c) for a form
+        constant in nu; lines is the set of the lines (walls share one when
+        L is singular).  At degree 0 kappa jumps on a wall, so an argument
+        that stays on a wall for every nu raises OnWallError.
 
         The corner test runs on every (c, L) pair at once: the argument's
         coordinates at the alcove's corners, den * c + D L z, in int64
@@ -124,18 +126,20 @@ class AlcoveFactor:
         out = []
         for i, j in np.argwhere(~outside).tolist():  # in the order (c, L)
             c, (L, cv) = rows[i], ls[j]
-            walls = list(zip(normals[j], c[rank:]))
-            if not self.spline.degree and any(not k and not any(a) for a, k in walls):
-                raise OnWallError("a kappa argument lies on a wall for every nu "
-                                  f"(lattice term {tuple(c[:rank])})")
-            lines = set()
-            for a, k in walls:
+            walls = []
+            for a, k in zip(normals[j], c[rank:]):
                 if any(a):
                     row = (*a, k)
                     line = primitive.get(row)
                     if line is None:
                         line = primitive[row] = _primitive(row)
-                    lines.add(line)
+                    walls.append((line, 1 if next(filter(None, a)) > 0 else -1))
+                else:
+                    walls.append((None, (k > 0) - (k < 0)))
+            if not self.spline.degree and (None, 0) in walls:
+                raise OnWallError("a kappa argument lies on a wall for every nu "
+                                  f"(lattice term {tuple(c[:rank])})")
+            lines = {line for line, _ in walls if line}
             out.append((tuple(c[:rank]), L[:rank], coefs[i] * cv, walls, lines))
         return out
 
@@ -157,25 +161,25 @@ class AlcoveFactor:
                     out.setdefault(line, []).append(i)
         return out
 
-    def _sides(self, walls, point, *directions) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _sides(self, walls, point, directions, seen: dict) -> tuple[tuple[int, ...], ...]:
         """Chamber signs of an argument just beside point, ahead and behind:
         at point + eps d_1 + eps^2 d_2 + ... and at its mirror image
         point - eps d_1 - ... (eps -> 0+) for the integer `directions`
         d_1, d_2, ...  A wall through point is read from the first
         direction that leaves it; on a wall for every direction it keeps
-        the nudge side."""
-        z, den = point[:-1], point[-1]
+        the nudge side.  Each wall is its line's sides times its sign
+        (`_line_sides`), a line read once per point: `seen` holds the lines
+        read at this point and these directions."""
         ahead, behind = [], []
-        for (a, k), nudge in zip(walls, self.spline.config.nudge_signs):
-            if v := sum(map(mul, a, z)) + k * den:
-                ahead.append(1 if v > 0 else -1)
-                behind.append(ahead[-1])
-            elif v := next(filter(None, (sum(map(mul, a, d)) for d in directions)), 0):
-                ahead.append(1 if v > 0 else -1)
-                behind.append(-ahead[-1])
+        for (line, sign), nudge in zip(walls, self.spline.config.nudge_signs):
+            if line is None:
+                s = t = sign
             else:
-                ahead.append(nudge)
-                behind.append(nudge)
+                if (sides := seen.get(line)) is None:
+                    sides = seen[line] = _line_sides(line, point, directions)
+                s, t = sign * sides[0], sign * sides[1]
+            ahead.append(s or nudge)
+            behind.append(t or nudge)
         return tuple(ahead), tuple(behind)
 
     @cached_property
@@ -203,8 +207,10 @@ class AlcoveFactor:
         """Integer form of the polynomial at a homogeneous point (z, den),
         read just beside it, ahead along `directions` (`_sides`), where it
         lies on a line."""
+        seen: dict = {}
         return self._polynomial(
-            (arg, self._sides(arg[3], point, *directions)[0], arg[2]) for arg in self._alcove_args
+            (arg, self._sides(arg[3], point, directions, seen)[0], arg[2])
+            for arg in self._alcove_args
         )
 
     def jumps(self) -> dict:
@@ -239,9 +245,9 @@ class AlcoveFactor:
                 points = [_centroid([stops[s], stops[t]]) for s, t in zip(cuts, cuts[1:])]
             jumps = []
             for point in points:
-                terms = []
+                terms, seen = [], {}
                 for arg in map(args.__getitem__, on_line):
-                    ahead, behind = self._sides(arg[3], point, line[:-1])
+                    ahead, behind = self._sides(arg[3], point, (line[:-1],), seen)
                     terms += [(arg, ahead, arg[2]), (arg, behind, -arg[2])]
                 jumps.append(self._polynomial(terms))
             if any(numerators for numerators, _ in jumps):
@@ -286,6 +292,17 @@ def _alcove_corners(rs: RootSystem) -> list[tuple[int, ...]]:
 def _line_value(line, point) -> int:
     """den * (a.z + k): the side of the line the point is on."""
     return sum(map(mul, line, point))
+
+
+def _line_sides(line, point, directions) -> tuple[int, int]:
+    """The signs of a.z + k just beside point, ahead and behind along the
+    integer directions (`AlcoveFactor._sides`): the side the point is on,
+    twice; on the line, the sign of a.d for the first direction d that
+    leaves it and its opposite; (0, 0) when none does."""
+    if v := _line_value(line, point):
+        return (1, 1) if v > 0 else (-1, -1)
+    v = next(filter(None, (sum(map(mul, line, d)) for d in directions)), 0)
+    return (1, -1) if v > 0 else (-1, 1) if v else (0, 0)
 
 
 def _cross(u, v) -> tuple[int, int, int]:

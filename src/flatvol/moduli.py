@@ -62,9 +62,11 @@ from operator import mul, sub
 import numpy as np
 
 from .characters import (
+    _coroot_pairings,
     _cutoff_and_weights,
     _shifted_norms,
-    character_table,
+    _weight_gram,
+    character_tables,
     singular_order,
 )
 from .exact import (
@@ -479,7 +481,12 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     stops: dict[int, int] = {}
     if not dots.all():
         on_wall = dots == 0
-        hits = np.flatnonzero(on_wall.any(axis=1))
+        # rows with a zero dot product, one pass a wall: a reduction over
+        # the short last axis costs more
+        hit = on_wall[:, 0].copy()
+        for k in range(1, shift):
+            hit |= on_wall[:, k]
+        hits = np.flatnonzero(hit)
         sums = (np.searchsorted(bounds, hits, "right") - 1).tolist()
         if smooth_at is not None:
             raise OnWallError(f"{smooth_at[sums[0]]}: a kappa argument of its lattice ball "
@@ -997,30 +1004,24 @@ def witten_volume(
     if not len(weights):
         raise ValueError("empty weight list; raise the cutoff")
 
-    # vectorized weight data: lam+rho in simple-root coordinates, Weyl
-    # dimensions as products of coroot pairings, and shifted Casimir norms
-    wcoords = weights.astype(float) + 1.0
-    fw = np.array(
-        [[float(c) for c in w] for w in rs.fundamental_weights]
-    )  # row i = coords of omega_i
-    lam_rho = wcoords @ fw
-    gram = np.array([[float(x) for x in row] for row in rs.gram])
-    qnorm = np.einsum("ni,ij,nj->n", lam_rho, gram, lam_rho)
-    pair_rows = np.array(
-        [
-            [float(rs.pair_coroot(w, a)) for w in rs.fundamental_weights]
-            for a in rs.positive_roots
-        ]
-    )  # <omega_i, alpha^vee> per positive root
-    pairings = wcoords @ pair_rows.T  # <lam+rho, alpha^vee> per root
-    rho_row = np.ones((1, rs.rank)) @ pair_rows.T
-    dims = np.prod(pairings / rho_row, axis=1)
+    # n = lambda + rho in fundamental-weight coordinates.  The shifted
+    # Casimir norms are g |lambda+rho|^2 from the int weight Gram, over g,
+    # and the Weyl dimensions products of the coroot pairings
+    # <lambda+rho, alpha^vee> / <rho, alpha^vee> from the int pairing
+    # matrix; both run in floats, one row per coordinate, whose sums and
+    # products of ints below 2^53 are exact
+    n = weights + 1
+    rows = n.T.astype(float)
+    gram, g = _weight_gram(rs)
+    qnorm = ((gram @ rows) * rows).sum(axis=0) / g
+    coroots = _coroot_pairings(rs)
+    dims = np.prod(coroots.T @ rows / coroots.sum(axis=0)[:, None], axis=0)
     terms = dims ** (-float(p))
+    if any(singular_order(rs, mu) for mu in marking.points):
+        raise OnWallError("marking is not regular; character table undefined")
     char_product = np.ones(len(weights), dtype=complex)
-    for mu in marking.points:
-        if singular_order(rs, mu):
-            raise OnWallError("marking is not regular; character table undefined")
-        char_product = char_product * character_table(rs, weights + 1, mu)
+    for table in character_tables(rs, n, marking.points):
+        char_product = char_product * table
     series = np.real(terms * char_product)
 
     if b >= 1:
@@ -1084,7 +1085,7 @@ def witten_volume(
 
 
 EPS_NODES = 4  # epsilons in a heat-kernel schedule
-MAX_WEIGHTS = 100_000  # the cutoff search boxes up to 51x as many weights (D4: 187 MB peak)
+MAX_WEIGHTS = 100_000  # the cutoff search boxes up to 51x as many weights (D4 series: 69 MB peak)
 
 
 def _neville(xs, ys, x):

@@ -92,9 +92,11 @@ SERIES_FORBIDDEN = [
 # characters, both where characters defines them and where moduli imports them
 ORACLE_FORBIDDEN = [
     *SERIES_FORBIDDEN,
-    (moduli, ["witten_volume", "character_table", "_cutoff_and_weights", "_shifted_norms"]),
-    (characters, ["character_table", "character_eval", "enumerate_dominant",
-                  "_cutoff_and_weights", "_shifted_norms"]),
+    (moduli, ["witten_volume", "character_tables", "_cutoff_and_weights", "_shifted_norms",
+              "_weight_gram", "_coroot_pairings"]),
+    (characters, ["character_table", "character_tables", "character_eval", "enumerate_dominant",
+                  "_cutoff_and_weights", "_shifted_norms", "_weight_gram", "_coroot_pairings",
+                  "_box_axes", "_power_tables", "_box_sums", "_khatri_rao", "_weyl_loop"]),
 ]
 
 

@@ -70,7 +70,7 @@ def test_a1_closed_form():
     assert abs(cv.value - (-1)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "C3", "A4", "D4"])
 def test_character_at_identity_equals_dimension(name):
     rs = build_root_system(name)
     zero = vec([0] * rs.rank)
@@ -435,6 +435,122 @@ def test_character_eval_large_weight(a2, b2):
         value = character_eval(rs, DominantWeight((10**6, 3)), mu).value
         nums, den = _reference_sums(rs, lam, mu)
         assert abs(value - nums[0] / den) <= 1e-12 * abs(nums[0] / den)
+
+
+def _weyl_element_sums(rs, n, mu):
+    """(numerators, denominator) of chi for the rows n = lambda + rho by the
+    per-Weyl-element sums at a regular mu: one power table T[w, i, m] over
+    m <= max n from the exact pairings, each term the product over i of
+    T[w, i, n_i], signed, the terms summed w by w, the denominator's sum
+    at the row rho."""
+    pairings, d = characters._weyl_pairings(rs, mu)
+    n = np.vstack([n, np.ones(rs.rank, dtype=n.dtype)])
+    top = int(n.max())
+    dtype = np.int64 if d * top < 2**63 else object
+    powers = (pairings % d).astype(dtype)[:, :, None] * np.arange(top + 1).astype(dtype)
+    table = np.exp(2j * np.pi * (powers % d / d).astype(float))
+    sums = np.zeros(len(n), dtype=complex)
+    for sign, row in zip(rs.weyl_array[1], table):
+        term = sign * row[0, n[:, 0]]
+        for i in range(1, rs.rank):
+            term = term * row[i, n[:, i]]
+        sums += term
+    return sums[:-1], sums[-1]
+
+
+def _box_markings(rs, rng):
+    """Two seeded regular markings of denominator 97, one marking 1e-7 off
+    each facet of the alcove (a seeded facet point moved 1e-7 of the way to
+    the centroid), and a seeded marking whose first weight coordinate has
+    the denominator 2^61 - 1, so that its power tables are Python ints."""
+    mus = [rational_alcove_point(rs, rng, 97) for _ in range(2)]
+    verts = rs.alcove.vertices
+    centroid = [sum(c) / len(verts) for c in zip(*verts)]
+    for j in range(len(verts)):
+        coefs = [Q(rng.randint(1, 9)) for _ in range(len(verts) - 1)]
+        facet = [sum(c * v[i] for c, v in zip(coefs, verts[:j] + verts[j + 1:])) / sum(coefs)
+                 for i in range(rs.rank)]
+        mus.append(vec([f + Q(1, 10**7) * (c - f) for f, c in zip(facet, centroid)]))
+    p = 2**61 - 1
+    coords = rs.to_weight_coords(rational_alcove_point(rs, rng, 97))
+    mus.append(rs.from_weight_coords(vec([Q(int(coords[0] * p), p), *coords[1:]])))
+    return mus
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "C3", "A4", "D4"])
+def test_box_table_matches_weyl_element_sums(name, monkeypatch):
+    """On the first 2 000 weights the box's matrix product gives the table
+    of the per-Weyl-element sums, normwise to 1e-12, at regular markings,
+    1e-7 off every wall and at a denominator of 2^61 - 1: in one block,
+    and in blocks of at most 97 entries (a block of one value of the first
+    coordinate where one value has more); one call for all the markings
+    gives each marking's own table.  Off a wall by 1e-7 the denominator is
+    about 1e-7, which any order of summation's rounding in the numerators
+    is divided by (`_assert_table_matches_reference`): there the
+    numerators, table * denominator, are compared at the scale of their
+    terms, |W| per weight."""
+    rs = build_root_system(name)
+    weights = _cutoff_and_weights(rs, 2000)[1][:2000]
+    mus = _box_markings(rs, random.Random(f"box-table-{name}"))
+    assert not any(singular_order(rs, mu) for mu in mus)
+    assert characters._weyl_pairings(rs, mus[-1])[1] * (int(weights.max()) + 1) >= 2**63
+    references = [_weyl_element_sums(rs, weights + 1, mu) for mu in mus]
+    near_wall = [False, False] + [True] * len(rs.alcove.vertices) + [False]
+    terms = len(rs.weyl_elements()) * math.sqrt(len(weights))
+    for entries in (characters.TABLE_ENTRIES, 97):
+        monkeypatch.setattr(characters, "TABLE_ENTRIES", entries)
+        tables = characters.character_tables(rs, weights + 1, mus)
+        for mu, table, (nums, den), near in zip(mus, tables, references, near_wall):
+            if near:
+                error, scale = np.linalg.norm(table * den - nums), terms
+            else:
+                error, scale = np.linalg.norm(table - nums / den), np.linalg.norm(nums / den)
+            assert error <= 1e-12 * scale, (name, entries, mu, error, scale)
+            assert np.array_equal(characters.character_table(rs, weights + 1, mu), table)
+
+
+def test_character_tables_mix_regular_singular_and_sparse_rows():
+    """Markings of one call may be singular (summed Weyl element by Weyl
+    element) or regular (read off the box), in any order; rows far apart,
+    whose box has more than BOX_PER_ROW entries per row, are summed
+    element by element too, and agree with the exact sums."""
+    rs = build_root_system("A3")
+    rng = random.Random("mixed-tables")
+    weights = _cutoff_and_weights(rs, 300)[1][:300]
+    zero = vec([0] * rs.rank)
+    mus = [rational_alcove_point(rs, rng, 97), zero, rs.alcove.vertices[1],
+           rational_alcove_point(rs, rng, 97)]
+    tables = characters.character_tables(rs, weights + 1, mus)
+    for mu, table in zip(mus, tables):
+        assert np.array_equal(table, characters.character_table(rs, weights + 1, mu))
+    assert np.allclose(tables[1], [weyl_dimension(rs, DominantWeight(tuple(w)))
+                                   for w in weights.tolist()], rtol=1e-9)
+    far = np.array([[rng.randrange(5000) for _ in range(3)] for _ in range(12)])
+    values, _ = characters._box_axes(np.vstack([far + 1, np.ones(3, dtype=far.dtype)]))
+    assert math.prod(map(len, values)) > characters.BOX_PER_ROW * (len(far) + 1)
+    for mu in (mus[0], mus[3]):
+        nums, den = _reference_sums(rs, far, mu)
+        table = characters.character_table(rs, far + 1, mu)
+        assert np.linalg.norm(table - nums / den) <= 1e-12 * np.linalg.norm(nums / den)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "C3", "A4", "D4"])
+def test_integer_norms_and_dimensions(name):
+    """The pairings n @ C of `_coroot_pairings` give every Weyl dimension,
+    and the int weight Gram every g |lambda + rho|^2 of the box."""
+    rs = build_root_system(name)
+    norms, coords = characters._shifted_norms(rs, casimir_cutoff_for_count(rs, 200))
+    n = coords + 1
+    pairings = characters._coroot_pairings(rs)
+    rho = pairings.sum(axis=0)
+    for row, lam in zip((n @ pairings).tolist(), coords.tolist()):
+        assert math.prod(row) // math.prod(rho.tolist()) == weyl_dimension(
+            rs, DominantWeight(tuple(lam)))
+    gram, g = characters._weight_gram(rs)
+    assert np.array_equal(((n @ gram) * n).sum(axis=1), norms)
+    assert [rs.ip(vadd(rs.from_weight_coords(vec(lam)), rs.rho),
+                  vadd(rs.from_weight_coords(vec(lam)), rs.rho)) * g
+            for lam in coords[:20].tolist()] == norms[:20].tolist()
 
 
 def test_stable_order_is_the_stable_argsort():

@@ -231,7 +231,8 @@ def test_along_orders_float_ties_exactly():
 def test_cell_polynomial_reads_along_then_across(name, surface):
     """`cell_polynomial(p, along, across)` reads each wall through p from
     `along`, else from `across`: the same as one direction M along + across
-    with M = 1 + max |a.across| over the factor's wall normals a.  It is
+    with M = 1 + max |a.across| over the normals a of the factor's wall
+    lines.  It is
     read at the alcove's corners, its edge midpoints and its centroid,
     with (along, across) an edge's counterclockwise direction and inward
     normal, as the walk starts, on a factor of the slot pattern of the
@@ -243,7 +244,7 @@ def test_cell_polynomial_reads_along_then_across(name, surface):
     slots = [m0, moduli.star(rs, m0) if surface == "0,4" else moduli.STAR_NU, moduli.NU]
     factor = gluing.AlcoveFactor(rs, slots)
     args = factor._alcove_args
-    normals = [a for *_, walls, _ in args for a, _ in walls]
+    normals = [line[:-1] for *_, walls, _ in args for line, _ in walls if line]
     corners = gluing._alcove_corners(rs)
     if rs.rank == 1:
         points, pairs = [*corners, gluing._centroid(corners)], [((1,), (0,)), ((-1,), (0,))]
@@ -259,10 +260,53 @@ def test_cell_polynomial_reads_along_then_across(name, surface):
         for p in points:
             assert factor.cell_polynomial(p, along, across) == factor.cell_polynomial(p, beside)
             decided += any(
-                not sum(map(operator.mul, a, p[:-1])) + k * p[-1]
-                and not sum(map(operator.mul, a, along)) and sum(map(operator.mul, a, across))
-                for *_, walls, _ in args for a, k in walls)
+                line and not gluing._line_value(line, p)
+                and not sum(map(operator.mul, line, along)) and sum(map(operator.mul, line, across))
+                for *_, walls, _ in args for line, _ in walls)
     assert decided or name in ("A1", "A2") or surface == "1,1"
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("surface", ["0,4", "1,1"])
+def test_sides_match_the_wall_forms(name, surface):
+    """`_sides` reads each wall of an argument off its primitive line and
+    sign, each line once per point: the chamber signs, ahead and behind,
+    of each wall's own form (D L^T u).nu + u.c, read at the point, else
+    along the first direction that leaves it, else the nudge side.  Read
+    at the alcove's corners and centroid with an edge's (along, across)
+    pair, and at every stop of every line of the factor (rank 2: its
+    crossings) along the line; a (1,1) factor has walls constant in nu."""
+    rs = build_root_system(name)
+    rank = rs.rank
+    m0 = rs.from_weight_coords([Q(1, 4)] if rank == 1 else [Q(1, 4), Q(1, 5)])
+    second = moduli.star(rs, m0) if surface == "0,4" else moduli.STAR_NU
+    factor = gluing.AlcoveFactor(rs, [m0, second, moduli.NU])
+    config = factor.spline.config
+    normals = config.extension[rank:].tolist()
+    corners = gluing._alcove_corners(rs)
+    edge = gluing._cross(*corners[:2]) if rank == 2 else (1, 0)
+    reads = [(p, ((edge[1], -edge[0]), edge[:2]) if rank == 2 else ((1,),))
+             for p in [*corners, gluing._centroid(corners)]]
+    if rank == 1:
+        reads += [((-line[1], line[0]), (line[:-1],)) for line in factor.lines]
+    else:
+        arrangement = gluing._Arrangement(rs, list(factor.lines))
+        reads += [(p, (line[:-1],)) for line in factor.lines for p in arrangement.stops[line]]
+    constant = 0
+    for point, directions in reads:
+        seen: dict = {}
+        for c, L, _, walls, _ in factor._alcove_args:
+            ahead, behind = [], []
+            for u, nudge in zip(normals, config.nudge_signs):
+                a = [factor.scale * sum(u[i] * L[i][j] for i in range(rank)) for j in range(rank)]
+                constant += not any(a)
+                v = sum(map(operator.mul, a, point[:-1])) + sum(map(operator.mul, u, c)) * point[-1]
+                d = next(filter(None, (sum(map(operator.mul, a, x)) for x in directions)), 0)
+                sign = (v > 0) - (v < 0) or (d > 0) - (d < 0)
+                ahead.append(sign or nudge)
+                behind.append((sign if v else -sign) or nudge)
+            assert factor._sides(walls, point, directions, seen) == (tuple(ahead), tuple(behind))
+    assert constant or surface == "0,4"
 
 
 # (group, surface, weight coordinates, exact rational, cells) at markings of
