@@ -23,9 +23,11 @@ Khatri-Rao products of the first half's and the other half's power
 tables, and each weight's sum is gathered from it by its flat index in
 the box (`character_tables`); the box is made in blocks, shared by every
 marking of a series.  The limit at a singular mu is summed Weyl element
-by Weyl element.  A series' norms and Weyl dimensions come from the
-integer weight Gram matrix and coroot pairings (`_weight_gram`,
-`_coroot_pairings`), kept on the root system.
+by Weyl element.  A series' weights, norms, Weyl dimensions and
+character products come from one call (`series_table`): the norms are
+the integers by which the cutoff search sorts the weights, and the
+dimensions come from the integer coroot pairings (`_coroot_pairings`),
+kept on the root system.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ __all__ = [
     "CharacterValue",
     "weyl_dimension",
     "character_eval",
-    "character_table",
     "character_tables",
+    "series_table",
     "singular_order",
     "enumerate_dominant",
 ]
@@ -94,14 +96,6 @@ def singular_order(rs: RootSystem, mu: Vec) -> int:
 
 
 TABLE_ENTRIES = 2**17  # box entries per block of `_box_sums`' product (2 MB of complex)
-BOX_PER_ROW = 64  # the most box entries per row for which the sums are read off the box
-
-
-def character_table(rs: RootSystem, n: np.ndarray, mu: Vec) -> np.ndarray:
-    """chi_lambda(e^mu) for all rows of n, the ints n = lambda + rho in
-    fundamental-weight coordinates, by the Weyl-group sums
-    (`character_tables` of the one marking)."""
-    return character_tables(rs, n, [mu])[0]
 
 
 def character_tables(rs: RootSystem, n: np.ndarray, mus: list[Vec]) -> np.ndarray:
@@ -127,22 +121,21 @@ def character_tables(rs: RootSystem, n: np.ndarray, mus: list[Vec]) -> np.ndarra
     rho, and their k-th derivatives there weight each term by
     <w(lambda+rho), rho>^k and <w rho, rho>^k, exact ints over one
     denominator before the power; the ratio of those, summed Weyl element
-    by Weyl element, is the limit.  The same loop, unweighted, serves a
-    box of more than BOX_PER_ROW entries per row (a few rows far apart).
-    Raises OnWallError when a denominator is too small to divide by in
-    floating point.
+    by Weyl element, is the limit.  The rows are expected to fill their
+    box, as the series' weights and `character_eval`'s two rows do: a
+    few rows far apart in every coordinate make a box of up to rows^rank
+    entries.  Raises OnWallError when a denominator is too small to
+    divide by in floating point.
     """
     signs = rs.weyl_array[1]
     n = np.vstack([n, np.ones(rs.rank, dtype=n.dtype)])  # the last row, rho, is the denominator's
     values, cols = _box_axes(n)
-    sparse = math.prod(map(len, values)) > BOX_PER_ROW * len(n)
     sums = np.empty((len(mus), len(n)), dtype=complex)
     boxed = []  # (marking index, power tables) read off the box
     for j, mu in enumerate(mus):
         tables = _power_tables(*_weyl_pairings(rs, mu), values)
         tables[0] *= signs[:, None]  # each term's sign rides on its first factor
-        k = singular_order(rs, mu)
-        if k or sparse:
+        if k := singular_order(rs, mu):
             sums[j] = _weyl_loop(rs, tables, cols, n, k)
         else:
             boxed.append((j, tables))
@@ -187,18 +180,15 @@ def _power_tables(pairings: np.ndarray, d: int, values: list) -> list:
 def _weyl_loop(rs: RootSystem, tables: list, cols: list, n: np.ndarray, k: int) -> np.ndarray:
     """sum_w prod_i tables[i][w, cols[i]] for every row, Weyl element by
     Weyl element, each term weighted by <w(lambda+rho), rho>^k (the limit
-    along rho)."""
-    if k:
-        rho_pairings, rho_d = _weyl_pairings(rs, rs.rho)
-        rho_pairings = rho_pairings.astype(np.int64)
+    along rho, k >= 1)."""
+    rho_pairings, rho_d = _weyl_pairings(rs, rs.rho)
+    rho_pairings = rho_pairings.astype(np.int64)
     sums = np.zeros(len(n), dtype=complex)
     for w, first in enumerate(tables[0]):
         term = first[cols[0]]
         for table, col in zip(tables[1:], cols[1:]):
             term = term * table[w, col]
-        if k:
-            term = term * (n @ rho_pairings[w] / rho_d) ** k
-        sums += term
+        sums += term * (n @ rho_pairings[w] / rho_d) ** k
     return sums
 
 
@@ -291,9 +281,9 @@ def character_eval(rs: RootSystem, lam: DominantWeight, mu: Vec) -> CharacterVal
     """chi_lambda at exp(mu), for mu with exact rational coordinates.
 
     The condition is "limit-evaluation" exactly when mu is singular.  A
-    regular mu so near a wall that the float guard of character_table
+    regular mu so near a wall that the float guard of character_tables
     trips raises OnWallError."""
-    table = character_table(rs, np.array([lam.coords], dtype=np.int64) + 1, mu)
+    table = character_tables(rs, np.array([lam.coords], dtype=np.int64) + 1, [mu])[0]
     condition = "limit-evaluation" if singular_order(rs, mu) else "regular-evaluation"
     return CharacterValue(value=complex(table[0]), condition=condition)
 
@@ -390,9 +380,9 @@ def _first_step(count: int, n0: int, rank: int) -> int:
     return max(1, math.ceil(2 * math.log2(count / n0) / rank) - 1)
 
 
-def _cutoff_and_weights(rs: RootSystem, count: int) -> tuple[Fraction, np.ndarray]:
+def _cutoff_and_weights(rs: RootSystem, count: int) -> tuple[Fraction, np.ndarray, np.ndarray]:
     """`casimir_cutoff_for_count`'s cutoff and the weight coordinates of
-    `_shifted_norms` at it.
+    `_shifted_norms` at it, then their norms g |lambda+rho|^2.
 
     The cutoff is the first of c0 2^j, c0 = 4 |rho|^2, whose weight list
     has count entries.  The number of weights grows at least 2^(rank/2)-fold
@@ -420,4 +410,34 @@ def _cutoff_and_weights(rs: RootSystem, count: int) -> tuple[Fraction, np.ndarra
             break
     if i < j:
         norms, weights = norms[inside], weights[inside]
-    return c0 * 2**i, weights[_stable_order(norms)]
+    order = _stable_order(norms)
+    return c0 * 2**i, weights[order], norms[order]
+
+
+def series_table(rs: RootSystem, mus: list[Vec], casimir_cutoff=None,
+                 weight_count: int | None = None) -> tuple:
+    """(cutoff, norms, dims, chars) of the character series over the
+    dominant weights lambda in the order of `enumerate_dominant`: the first
+    weight_count with |lambda+rho|^2 <= casimir_cutoff, or without a cutoff
+    those of the cutoff search for weight_count (2 000 by default).  Per
+    weight: |lambda+rho|^2, the sorted ints g |lambda+rho|^2 over g; the
+    Weyl dimension, the float product of the quotients <lambda+rho,
+    alpha^vee> / <rho, alpha^vee> of int coroot pairings; the product of
+    chi_lambda(e^mu) over the markings mus.  Raises ValueError on an empty weight list and
+    OnWallError at a marking that is not regular."""
+    if casimir_cutoff is None:
+        casimir_cutoff, weights, norms = _cutoff_and_weights(rs, weight_count or 2000)
+    else:
+        norms, weights = _shifted_norms(rs, casimir_cutoff)
+    weights, norms = weights[:weight_count], norms[:weight_count]
+    if not len(weights):
+        raise ValueError("empty weight list; raise the cutoff")
+    n = weights + 1  # lambda + rho in fundamental-weight coordinates
+    coroots = _coroot_pairings(rs)
+    dims = np.prod(coroots.T @ n.T.astype(float) / coroots.sum(axis=0)[:, None], axis=0)
+    if any(singular_order(rs, mu) for mu in mus):
+        raise OnWallError("marking is not regular; character table undefined")
+    chars = np.ones(len(n), dtype=complex)
+    for table in character_tables(rs, n, mus):
+        chars = chars * table
+    return casimir_cutoff, norms / _weight_gram(rs)[1], dims, chars

@@ -167,13 +167,19 @@ def _volume_reports(rs, m1, m2, m3, method, args):
         schedule = None
         if args.eps0 is not None:
             schedule = [args.eps0 / 2**k for k in range(EPS_NODES)]
-        reports["witten"] = witten_volume(
-            rs,
-            Surface(0, 3),
-            marking,
-            weight_count=args.weights,
-            eps_schedule=schedule,
-        )
+        try:
+            reports["witten"] = witten_volume(
+                rs,
+                Surface(0, 3),
+                marking,
+                weight_count=args.weights,
+                eps_schedule=schedule,
+            )
+        except ConvergenceError:  # the exact routes' rationals are kept on stderr
+            for name, report in reports.items():
+                sys.stderr.write(f"{name}: rational {report.exact['rational']}, "
+                                 f"normalization {report.exact['normalization']}\n")
+            raise
     return reports
 
 

@@ -61,14 +61,7 @@ from operator import mul, sub
 
 import numpy as np
 
-from .characters import (
-    _coroot_pairings,
-    _cutoff_and_weights,
-    _shifted_norms,
-    _weight_gram,
-    character_tables,
-    singular_order,
-)
+from .characters import series_table
 from .exact import (
     Q, Vec, common_denominator, int_bilinear, scaled, vadd, vsub,
 )
@@ -995,34 +988,9 @@ def witten_volume(
     if (weight_count or 0) > MAX_WEIGHTS:  # checked before the weight box is allocated
         raise ValueError(f"weight count {weight_count} is above {MAX_WEIGHTS}")
     p = surface.euler_weight
-    # the order of `enumerate_dominant`, without its DominantWeight objects
-    if casimir_cutoff is None:
-        casimir_cutoff, weights = _cutoff_and_weights(rs, weight_count or 2000)
-    else:
-        weights = _shifted_norms(rs, casimir_cutoff)[1]
-    weights = weights[:weight_count]
-    if not len(weights):
-        raise ValueError("empty weight list; raise the cutoff")
-
-    # n = lambda + rho in fundamental-weight coordinates.  The shifted
-    # Casimir norms are g |lambda+rho|^2 from the int weight Gram, over g,
-    # and the Weyl dimensions products of the coroot pairings
-    # <lambda+rho, alpha^vee> / <rho, alpha^vee> from the int pairing
-    # matrix; both run in floats, one row per coordinate, whose sums and
-    # products of ints below 2^53 are exact
-    n = weights + 1
-    rows = n.T.astype(float)
-    gram, g = _weight_gram(rs)
-    qnorm = ((gram @ rows) * rows).sum(axis=0) / g
-    coroots = _coroot_pairings(rs)
-    dims = np.prod(coroots.T @ rows / coroots.sum(axis=0)[:, None], axis=0)
-    terms = dims ** (-float(p))
-    if any(singular_order(rs, mu) for mu in marking.points):
-        raise OnWallError("marking is not regular; character table undefined")
-    char_product = np.ones(len(weights), dtype=complex)
-    for table in character_tables(rs, n, marking.points):
-        char_product = char_product * table
-    series = np.real(terms * char_product)
+    casimir_cutoff, qnorm, dims, char_product = series_table(
+        rs, marking.points, casimir_cutoff, weight_count)
+    series = np.real(dims ** (-float(p)) * char_product)
 
     if b >= 1:
         prefactor = (
@@ -1055,7 +1023,7 @@ def witten_volume(
         params = {"eps_schedule": xs}
     else:
         counts = sorted(
-            {c for c in (len(weights), len(weights) // 2, len(weights) // 4) if c > 0},
+            {c for c in (len(qnorm), len(qnorm) // 2, len(qnorm) // 4) if c > 0},
             reverse=True,
         )
         xs = [1.0 / c for c in counts]
@@ -1064,7 +1032,7 @@ def witten_volume(
         params = {"eps_schedule": None, "tail_extrapolation": "richardson-in-1/N"}
     total = _neville(xs, partials, 0.0)  # with one node, partials[0]
     residual = abs(total - reference)
-    params.update(casimir_cutoff=str(casimir_cutoff), weights=len(weights),
+    params.update(casimir_cutoff=str(casimir_cutoff), weights=len(qnorm),
                   extrapolation_residual=residual, surface={"genus": h, "boundary": b})
 
     value = prefactor * total

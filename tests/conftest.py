@@ -88,13 +88,13 @@ SERIES_FORBIDDEN = [
     (gluing, ["AlcoveFactor"]),
 ]
 
-# the Monte-Carlo histogram checks the series as well: those paths and the
-# characters, both where characters defines them and where moduli imports them
+# the Monte-Carlo histogram checks the series as well: those paths, the
+# series, `series_table` where characters defines it and where moduli
+# imports it, and the character code below it
 ORACLE_FORBIDDEN = [
     *SERIES_FORBIDDEN,
-    (moduli, ["witten_volume", "character_tables", "_cutoff_and_weights", "_shifted_norms",
-              "_weight_gram", "_coroot_pairings"]),
-    (characters, ["character_table", "character_tables", "character_eval", "enumerate_dominant",
+    (moduli, ["witten_volume", "series_table"]),
+    (characters, ["series_table", "character_tables", "character_eval", "enumerate_dominant",
                   "_cutoff_and_weights", "_shifted_norms", "_weight_gram", "_coroot_pairings",
                   "_box_axes", "_power_tables", "_box_sums", "_khatri_rao", "_weyl_loop"]),
 ]

@@ -216,31 +216,35 @@ def test_dominant_weights_match_exact_walk(name):
 
 def doubling_cutoff_search(rs, count):
     """The cutoff search box by box: 4 |rho|^2 doubled until the weight
-    list of `_shifted_norms` holds count entries, and that list."""
+    list of `_shifted_norms` holds count entries, that list and its
+    norms."""
     cutoff = rs.ip(rs.rho, rs.rho) * 4
     while len((box := _shifted_norms(rs, cutoff))[0]) < count:
         cutoff *= 2
-    return cutoff, box[1]
+    return cutoff, box[1], box[0]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
 def test_cutoff_search_matches_doubling_loop(name, monkeypatch):
     """The cutoff read off one box's sorted norms is the doubling loop's,
-    and the weights are its last box, element for element; also when the
-    first box is built steps above or below the loop's last one."""
+    and the weights and their norms are its last box's, element for
+    element; also when the first box is built steps above or below the
+    loop's last one."""
     rs = build_root_system(name)
     for count in (1, 2000, 4000, 20000, MAX_WEIGHTS):
-        cutoff, weights = _cutoff_and_weights(rs, count)
-        ref_cutoff, ref_weights = doubling_cutoff_search(rs, count)
+        cutoff, weights, norms = _cutoff_and_weights(rs, count)
+        ref_cutoff, ref_weights, ref_norms = doubling_cutoff_search(rs, count)
         assert cutoff == ref_cutoff and type(cutoff) is type(ref_cutoff), count
         assert weights.dtype == ref_weights.dtype and np.array_equal(weights, ref_weights), count
+        assert norms.dtype == ref_norms.dtype and np.array_equal(norms, ref_norms), count
     for count in (2000, 4000):
-        ref_cutoff, ref_weights = doubling_cutoff_search(rs, count)
+        ref_cutoff, ref_weights, ref_norms = doubling_cutoff_search(rs, count)
         last = int(math.log2(ref_cutoff / (4 * rs.ip(rs.rho, rs.rho))))
         for step in (1, max(1, last - 1), last + 1, last + 2):
             monkeypatch.setattr(characters, "_first_step", lambda *_: step)
-            cutoff, weights = _cutoff_and_weights(rs, count)
+            cutoff, weights, norms = _cutoff_and_weights(rs, count)
             assert cutoff == ref_cutoff and np.array_equal(weights, ref_weights), (count, step)
+            assert np.array_equal(norms, ref_norms), (count, step)
 
 
 # sha256 of the Weyl dimensions of the first 60 dominant weights and of
@@ -264,7 +268,7 @@ def test_weight_tables_pinned(name):
     weights = enumerate_dominant(rs, casimir_cutoff_for_count(rs, 60))[:60]
     records = [[weyl_dimension(rs, lam) for lam in weights]]
     for count in (1, 500, 4000):
-        cutoff, coords = _cutoff_and_weights(rs, count)
+        cutoff, coords, _ = _cutoff_and_weights(rs, count)
         records.append([str(cutoff), coords.tolist()])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == WEIGHT_TABLE_DIGESTS[name]
@@ -351,13 +355,13 @@ def _reference_sums(rs, weights, mu) -> tuple[np.ndarray, complex]:
 
 
 def _assert_table_matches_reference(rs, weights, mu, near_wall=False):
-    """`character_table` against `_reference_sums`, normwise to 1e-12.
+    """`character_tables` of mu against `_reference_sums`, normwise to 1e-12.
 
     Near a wall the denominator is about the distance to it, and any float
     evaluation's rounding in the numerators, some ulps of their unit terms,
     is divided by it; there the numerators, table * denominator, are
     compared at the scale of their terms, |W| per weight."""
-    table = characters.character_table(rs, weights + 1, mu)
+    table = characters.character_tables(rs, weights + 1, [mu])[0]
     nums, den = _reference_sums(rs, weights, mu)
     if near_wall:
         error = np.linalg.norm(table * den - nums)
@@ -419,7 +423,7 @@ def test_character_table_huge_denominators(a2):
     mu = a2.from_weight_coords(vec([Q(1431655775, 4294967311), Q(1, 3)]))
     weights = _spread_weights(a2)
     _assert_table_matches_reference(a2, weights, mu)
-    fundamental = characters.character_table(a2, np.array([[2, 1]]), mu)[0]
+    fundamental = characters.character_tables(a2, np.array([[2, 1]]), [mu])[0][0]
     assert abs(fundamental - (-5.9123e-9 - 3.4135e-9j)) < 1e-13
     p = 2**61 - 1
     mu = a2.from_weight_coords(vec([Q(p // 3 - 5, p), Q(1, 3)]))
@@ -506,14 +510,14 @@ def test_box_table_matches_weyl_element_sums(name, monkeypatch):
             else:
                 error, scale = np.linalg.norm(table - nums / den), np.linalg.norm(nums / den)
             assert error <= 1e-12 * scale, (name, entries, mu, error, scale)
-            assert np.array_equal(characters.character_table(rs, weights + 1, mu), table)
+            assert np.array_equal(characters.character_tables(rs, weights + 1, [mu])[0], table)
 
 
 def test_character_tables_mix_regular_singular_and_sparse_rows():
     """Markings of one call may be singular (summed Weyl element by Weyl
     element) or regular (read off the box), in any order; rows far apart,
-    whose box has more than BOX_PER_ROW entries per row, are summed
-    element by element too, and agree with the exact sums."""
+    whose box holds only the coordinate values present (at most 13^3
+    entries for 13 rows), are read off that box and agree with the exact sums."""
     rs = build_root_system("A3")
     rng = random.Random("mixed-tables")
     weights = _cutoff_and_weights(rs, 300)[1][:300]
@@ -522,24 +526,26 @@ def test_character_tables_mix_regular_singular_and_sparse_rows():
            rational_alcove_point(rs, rng, 97)]
     tables = characters.character_tables(rs, weights + 1, mus)
     for mu, table in zip(mus, tables):
-        assert np.array_equal(table, characters.character_table(rs, weights + 1, mu))
+        assert np.array_equal(table, characters.character_tables(rs, weights + 1, [mu])[0])
     assert np.allclose(tables[1], [weyl_dimension(rs, DominantWeight(tuple(w)))
                                    for w in weights.tolist()], rtol=1e-9)
     far = np.array([[rng.randrange(5000) for _ in range(3)] for _ in range(12)])
-    values, _ = characters._box_axes(np.vstack([far + 1, np.ones(3, dtype=far.dtype)]))
-    assert math.prod(map(len, values)) > characters.BOX_PER_ROW * (len(far) + 1)
     for mu in (mus[0], mus[3]):
         nums, den = _reference_sums(rs, far, mu)
-        table = characters.character_table(rs, far + 1, mu)
+        table = characters.character_tables(rs, far + 1, [mu])[0]
         assert np.linalg.norm(table - nums / den) <= 1e-12 * np.linalg.norm(nums / den)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "C3", "A4", "D4"])
 def test_integer_norms_and_dimensions(name):
     """The pairings n @ C of `_coroot_pairings` give every Weyl dimension,
-    and the int weight Gram every g |lambda + rho|^2 of the box."""
+    and the int weight Gram every g |lambda + rho|^2 of the box; the
+    series reads the norms exactly from `series_table`, and the
+    dimensions as float products of |R+| correctly rounded quotients,
+    within (2 |R+| + 1) 2^-53 < 1e-14 relative."""
     rs = build_root_system(name)
-    norms, coords = characters._shifted_norms(rs, casimir_cutoff_for_count(rs, 200))
+    cutoff = casimir_cutoff_for_count(rs, 200)
+    norms, coords = characters._shifted_norms(rs, cutoff)
     n = coords + 1
     pairings = characters._coroot_pairings(rs)
     rho = pairings.sum(axis=0)
@@ -551,6 +557,10 @@ def test_integer_norms_and_dimensions(name):
     assert [rs.ip(vadd(rs.from_weight_coords(vec(lam)), rs.rho),
                   vadd(rs.from_weight_coords(vec(lam)), rs.rho)) * g
             for lam in coords[:20].tolist()] == norms[:20].tolist()
+    _, qnorm, dims, _ = characters.series_table(rs, [], cutoff)
+    assert np.array_equal(qnorm, norms / g)
+    exact = [weyl_dimension(rs, DominantWeight(tuple(lam))) for lam in coords.tolist()]
+    assert np.allclose(dims, exact, rtol=1e-14, atol=0)
 
 
 def test_stable_order_is_the_stable_argsort():

@@ -21,6 +21,7 @@ from flatvol import (
     pants_volume_kappa,
     product_class_histogram,
     sphere_volume_kappa,
+    toric_decomposition,
 )
 from flatvol.cli import (
     MAX_STEPS, _a1_model_values, _line_rows, _parse_sym_poly, build_parser, main, parse_marking,
@@ -39,6 +40,15 @@ def test_star_import_resolves(module):
     """Every name in a module's `__all__` exists: a stale one fails the
     star import with AttributeError."""
     exec(f"from flatvol.{module} import *", {})
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject declares requires-python >= 3.10: every module of the
+    package parses with the 3.10 grammar."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "flatvol").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
@@ -764,6 +774,25 @@ def test_large_eps0_fails_convergence(args):
     assert r.returncode == 4
     assert "lowest weight" in r.stderr
     assert r.stdout == ""
+
+
+def test_volume_all_names_the_exact_rationals_when_the_series_fails():
+    """At 2 000 weights the A3 series' residual is too large: `--method
+    all` exits 4 with empty stdout, and stderr names the rationals of the
+    kappa-sum and the toric route, which succeeded, before the unchanged
+    last line."""
+    rs = build_root_system("A3")
+    marks = ["1/5,1/7,1/4", "1/6,1/5,1/8", "1/7,1/9,1/5"]
+    r = run("volume", "A3", *marks, "--method", "all")
+    assert r.returncode == 4 and r.stdout == ""
+    mus = [parse_marking(rs, m) for m in marks]
+    exact = {"kappa": pants_volume_kappa(rs, *mus).exact,
+             "toric": toric_decomposition(rs, *mus)[1].exact}
+    assert exact["kappa"] == exact["toric"]
+    *kept, last = r.stderr.splitlines()
+    assert kept == [f"{name}: rational {e['rational']}, normalization {e['normalization']}"
+                    for name, e in exact.items()]
+    assert last.startswith("convergence failure: series extrapolation residual")
 
 
 @pytest.mark.parametrize("weights", ["3", "7"])

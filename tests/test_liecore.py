@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -44,6 +45,39 @@ def test_root_system_counts(name):
     assert len(rs.weyl_elements()) == worder
     assert rs.center_order == center
     assert (rs.dim_g - rs.rank) // 2 == npos
+
+
+# the degrees of the basic invariants of each Weyl group, written out here
+WEYL_DEGREES = {
+    "A1": (2,), "A2": (2, 3), "A3": (2, 3, 4), "A4": (2, 3, 4, 5),
+    "B2": (2, 4), "C2": (2, 4), "C3": (2, 4, 6), "D4": (2, 4, 4, 6), "G2": (2, 6),
+}
+CENTER_ORDERS = {"A1": 2, "A2": 3, "A3": 4, "A4": 5, "B2": 2, "C2": 2, "C3": 2, "D4": 4, "G2": 1}
+
+
+def _leibniz_det(m) -> int:
+    """The determinant of a square integer matrix as a signed sum over
+    permutations, the sign counted by inversions."""
+    n = len(m)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * math.prod(m[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_DEGREES))
+def test_weyl_tables_closed_forms(name):
+    """From the degrees d_i alone: |W| = prod d_i, |R+| = sum (d_i - 1),
+    dim g = rank + 2 |R+| and the highest root's height max d_i - 1 (the
+    Coxeter number less one); each Weyl element's sign is the determinant
+    of its integer matrix, and the center has its known order."""
+    rs, degrees = build_root_system(name), WEYL_DEGREES[name]
+    assert len(degrees) == rs.rank
+    assert len(rs.weyl_elements()) == math.prod(degrees)
+    assert rs.n_positive == len(rs.positive_roots) == sum(d - 1 for d in degrees)
+    assert rs.dim_g == rs.rank + 2 * sum(d - 1 for d in degrees)
+    assert sum(rs.highest_root) == max(degrees) - 1
+    assert all(w.sign == _leibniz_det(w.matrix) for w in rs.weyl_elements())
+    assert rs.center_order == CENTER_ORDERS[name]
 
 
 def reference_weyl(rs):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ from flatvol.exact import nullspace
 from flatvol.liecore import _SUPPORTED
 
 from conftest import (
-    SERIES_FORBIDDEN, coroot_vector, forbid, rational_alcove_point, rational_triple,
+    ORACLE_FORBIDDEN, SERIES_FORBIDDEN, coroot_vector, forbid, rational_alcove_point,
+    rational_triple,
 )
 
 
@@ -833,6 +835,28 @@ TORIC_FORBIDDEN = [(moduli, ["_sphere_sums", "_kappa_sums", "_scaled", "_support
                    (PiecewisePolynomial, ["_vertex_sum", "chamber_at"])]
 
 
+def test_readme_route_table_names_every_forbidden_path():
+    """README's table "Routes and what each may not read" names, in each
+    route's row, every owner and name that its sentinel test forbids: the
+    toric row `TORIC_FORBIDDEN`, the series row `SERIES_FORBIDDEN`, and
+    the oracle row what `ORACLE_FORBIDDEN` adds to the series' list.  A
+    name counts when it is the last dotted part of a code span of the
+    row, an owner when it is the first."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Routes and what each may not read", 1)[1].split("\n## ", 1)[0]
+    rows = {cells[1].strip(): cells[3] for line in section.splitlines()
+            if line.startswith("| ") and len(cells := line.split("|")) == 6}
+    for route, forbidden in [("toric", TORIC_FORBIDDEN), ("series", SERIES_FORBIDDEN),
+                             ("oracle histogram", ORACLE_FORBIDDEN[len(SERIES_FORBIDDEN):])]:
+        spans = re.findall(r"`([^`]+)`", rows[route])
+        for owner, names in forbidden:
+            assert owner.__name__.rsplit(".", 1)[-1] in {s.split(".")[0] for s in spans}, (
+                route, owner)
+            missing = set(names) - {s.rsplit(".", 1)[-1] for s in spans}
+            assert not missing, (route, owner.__name__, sorted(missing))
+    assert rows["oracle histogram"].strip().startswith("all that the series may not read")
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
 def test_toric_route_reads_no_kappa_sum_path(monkeypatch, name):
     """On a fresh root system, with the kappa-sum's private paths and the
@@ -1304,7 +1328,7 @@ def test_witten_caps_the_weight_count(monkeypatch):
     """A count above MAX_WEIGHTS is refused before the cutoff search, which
     allocates a box of up to 51 times as many weight vectors (D4)."""
     d4 = build_root_system("D4")
-    monkeypatch.setattr(moduli, "_cutoff_and_weights", None)  # never reached
+    monkeypatch.setattr(moduli, "series_table", None)  # never reached
     mus = [d4.from_weight_coords(vec([Q(1, 9)] * 4))] * 3
     with pytest.raises(ValueError, match=f"weight count {10**9} is above {moduli.MAX_WEIGHTS}"):
         witten_volume(d4, Surface(0, 3), Marking.of(d4, mus), weight_count=10**9)
