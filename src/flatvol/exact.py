@@ -8,7 +8,7 @@ the package moves to integer arithmetic: `common_denominator` is the lcm
 of their denominators, and `scaled` multiplies them by such a multiple
 into Python ints.
 
-Every linear-algebra result is read from one fraction-free elimination
+Every elimination result is read from one fraction-free elimination
 (Bareiss's integer-preserving Gaussian elimination, Math. Comp. 22,
 1968): each row is scaled to Python ints by the lcm of its denominators
 (rows that are already ints, such as the integer root configurations of
@@ -17,9 +17,16 @@ skipping brings the rows to echelon form with exact integer divisions
 only, and a fraction-free back substitution returns the solutions times
 the last pivot, for all right-hand columns in one pass.  `det` reads
 that pivot, `solve` back-substitutes one right-hand column,
-`scaled_inverse` (and `inverse`) eliminates [A | I] once and
-back-substitutes the columns of I, `pivot_columns` reads the echelon
-form, and `nullspace` back-substitutes one column per non-pivot column.
+`pivot_columns` reads the echelon form, and `nullspace` back-substitutes
+one column per non-pivot column.
+
+Inverses come from adjugates instead: `adjugates` takes a whole stack of
+square integer matrices at once, each adjugate entry a signed sum of
+Leibniz products (one gather, one product and one matrix product for
+the stack), in int64 when a bound allows and on Python-int objects
+otherwise (`int_dtype`).  `kappa` inverts every basis of a configuration
+in one such pass, and `scaled_inverse` (and `inverse`) is its one-matrix
+call.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Q = Fraction
 Vec = tuple[Q, ...]
@@ -93,19 +102,15 @@ def scaled(xs: Iterable[Q | int], scale: int) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def _int_rows(rows: Iterable[Sequence[Q | int]]) -> tuple[list[list[int]], int]:
-    """The rows as lists of ints, and a scale: rows of ints are copied
-    unchanged, with scale 1; otherwise each row is scaled to ints by the
-    lcm of its denominators, and the scale is the product of those lcms."""
+def _int_rows(rows: Iterable[Sequence[Q | int]]) -> tuple[list[list[int]], list[int]]:
+    """The rows as lists of ints, and each row's scale: rows of ints are
+    copied unchanged, with scale 1; otherwise each row is scaled to ints by
+    the lcm of its denominators."""
     m = [list(row) for row in rows]
     if all(type(x) is int for row in m for x in row):
-        return m, 1
-    scale = 1
-    for i, row in enumerate(m):
-        s = common_denominator(row)
-        scale *= s
-        m[i] = scaled(row, s)
-    return m, scale
+        return m, [1] * len(m)
+    scales = [common_denominator(row) for row in m]
+    return [scaled(row, s) for row, s in zip(m, scales)], scales
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -179,10 +184,10 @@ def det(a: Sequence[Sequence[Q | int]]) -> Q | int:
     Rows of ints give an int, rows holding a Fraction give a Fraction.
     """
     ints = all(type(x) is int for row in a for x in row)
-    m, scale = _int_rows(a)
+    m, scales = _int_rows(a)
     pivots, sign, last = _eliminate(m, len(m))
     d = sign * last if len(pivots) == len(m) else 0
-    return d if ints else Q(d, scale)
+    return d if ints else Q(d, math.prod(scales))
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:
@@ -195,18 +200,67 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return tuple(Q(y, last) for y, in _back_substitute(m, pivots, last, [row[n:] for row in m]))
 
 
+def int_dtype(bound: int):
+    """The dtype of integer arrays whose entries, and every sum a caller
+    forms from them, are bounded by `bound`: int64 below 2^62, Python-int
+    objects otherwise, on which the same statements run."""
+    return np.int64 if bound < 2**62 else object
+
+
+@lru_cache(maxsize=None)
+def _leibniz(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The Leibniz expansion of n x n adjugates: ((rows, columns), scatter).
+    For each permutation p of range(n) and row i, rows and columns index
+    the entries a[k, p(k)], k != i, whose product goes to adjugate entry
+    (p(i), i) with the sign of p: scatter is that signed 0/1 matrix."""
+    perms = list(itertools.permutations(range(n)))
+    others = [[k for k in range(n) if k != i] for i in range(n)]
+    scatter = np.zeros((len(perms) * n, n * n), dtype=np.int64)
+    for s, p in enumerate(perms):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            scatter[s * n + i, p[i] * n + i] = sign
+    shape = (len(perms), n, n - 1)
+    rows = np.array([others] * len(perms), dtype=np.intp).reshape(shape)
+    columns = np.array([[[p[k] for k in ks] for ks in others] for p in perms],
+                       dtype=np.intp).reshape(shape)
+    return (rows, columns), scatter
+
+
+def adjugates(mats: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(adj, dets): the adjugate and the determinant of each matrix of a
+    stack of square integer matrices (int64 or Python-int objects) whose
+    entries are at most `top` in absolute value, so that
+    mats[k] @ adj[k] = dets[k] I, singular matrices included; the 0 x 0
+    determinant is 1.  Each adjugate entry is a sum of signed Leibniz
+    products of n - 1 entries, bounded by n! top^n as the determinant is,
+    and the arithmetic runs in int64 under that bound (`int_dtype`)."""
+    count, n = mats.shape[0], mats.shape[-1]
+    if n == 0:
+        return mats.copy(), np.ones(count, dtype=np.int64)
+    entries, scatter = _leibniz(n)
+    if int_dtype(math.factorial(n) * max(1, top) ** n) is object:
+        mats, scatter = mats.astype(object), scatter.astype(object)
+    products = mats[(slice(None), *entries)].prod(axis=-1)  # over k != i, for every p and i
+    adj = (products.reshape(count, -1) @ scatter).reshape(count, n, n)
+    return adj, (mats[:, 0, :] * adj[:, :, 0]).sum(axis=1)
+
+
 def scaled_inverse(a: Mat) -> tuple[list[list[int]], int, Q] | None:
-    """(N, e, det a) with a^-1 = N / e, N in ints and e > 0, from one
-    elimination of [a | I]; None when a is singular."""
-    n = len(a)
-    m, scale = _int_rows([*row, *(0,) * i, 1, *(0,) * (n - 1 - i)] for i, row in enumerate(a))
-    pivots, sign, last = _eliminate(m, n)
-    if len(pivots) < n:
+    """(N, e, det a) with a^-1 = N / e, N in ints and e > 0; None when a is
+    singular.  With the rows of a scaled to ints (S a, S the diagonal of
+    row scales), e = |det(S a)| and N = +-adj(S a) S: the one-matrix call
+    of `adjugates`."""
+    m, scales = _int_rows(a)
+    n = len(m)
+    top = max((abs(c) for row in m for c in row), default=0)
+    adj, dets = adjugates(np.array(m, dtype=int_dtype(top)).reshape(1, n, n), top)
+    d = int(dets[0])
+    if not d:
         return None
-    flip = -1 if last < 0 else 1
-    # scaled by e = |last| in place of last, the solutions are e a^-1
-    rows = _back_substitute(m, pivots, flip * last, [row[n:] for row in m])
-    return rows, flip * last, Q(sign * last, scale)
+    flip = -1 if d < 0 else 1
+    rows = [[flip * c * s for c, s in zip(row, scales)] for row in adj[0].tolist()]
+    return rows, flip * d, Q(d, math.prod(scales))
 
 
 def inverse(a: Mat) -> Mat:

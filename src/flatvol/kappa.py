@@ -13,8 +13,7 @@ Lebesgue measure on t*.  Three independent exact evaluators are provided:
   "Polytope volume computation", Math. Comp. 57, 1991; one term per
   feasible basis of the vectors).  The vertex table is kept in Python
   ints (feasibility rows of each basis inverse, and each term as integer
-  numerators over one table denominator) and stacked into arrays, so a
-  new chamber's feasible bases are found by one integer matmul; each
+  numerators over one table denominator) and stacked into arrays; each
   chamber is stored once, as that integer sum over the denominator,
   reduced, and is evaluated in ints;
 * `VectorConfig.truncated_power` evaluates the truncated-power
@@ -25,8 +24,16 @@ Lebesgue measure on t*.  Three independent exact evaluators are provided:
   sample point when it is built; the toric route reads its kappa values
   from it off the walls.
 
-The integer matmuls run in int64 when a bound on every entry allows and
-on Python-int object arrays otherwise (`_row_products`).
+Chamber construction is array-shaped.  A configuration's walls and both
+tables come from batched integer adjugates (`exact.adjugates`): the walls
+from (rank - 1)-minors, and each table's distinct bases inverted in one
+pass.  The chambers a query meets for the first time are built together
+(`PiecewisePolynomial.chambers_at`): one integer matmul over the stacked
+table rows finds the feasible bases of all their points, one product of
+that 0/1 matrix with the term rows makes all their vertex sums, and one
+pass of the recurrence over all their points checks them.  The integer
+matmuls run in int64 when a bound on every entry allows and on
+Python-int object arrays otherwise (`exact.int_dtype`).
 
 Chamber polynomials are stored relative to coordinate Lebesgue measure in
 the simple-root basis; the single conversion factor to inner-product
@@ -41,14 +48,14 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, count
+from itertools import chain, combinations, combinations_with_replacement, count
 from operator import mul, sub
 
 import numpy as np
 
 from .exact import (
-    Q, Vec, _eliminate, common_denominator, det, mat_t, nullspace, pivot_columns, scaled,
-    scaled_inverse, solve, vec,
+    Q, Vec, _eliminate, adjugates, common_denominator, det, int_dtype, pivot_columns, scaled,
+    solve, vec,
 )
 from .liecore import RootSystem
 from .poly import (
@@ -143,31 +150,24 @@ class VectorConfig:
     int tuples (positive roots in simple-root coordinates; a non-integral
     vector or a negative coordinate raises ValueError).
 
-    Precomputes the data needed to evaluate the pushforward density of
-    the orthant measure: the free columns that coordinatize each fiber,
-    the change-of-variables factor, and the wall hyperplanes (spans of
-    corank-one subsets) by their primitive integer normals.  Nonnegative
+    Precomputes the wall hyperplanes (spans of corank-one subsets) by
+    their primitive integer normals; the tables of the three evaluators,
+    and the free columns and change-of-variables factor of the fiber
+    coordinates (`density`'s alone), are made on first use.  Nonnegative
     vectors push the orthant into the orthant, so every evaluator reads a
     point with a negative coordinate as density 0 without any computation.
     """
 
     def __init__(self, vectors: list[Vec], det_gram: Q):
-        if any(Q(c).denominator != 1 for v in vectors for c in v):
-            raise ValueError("the vectors must be integral")
         self.vectors = [tuple(map(int, v)) for v in vectors]
+        if any(c != i for v, ints in zip(vectors, self.vectors) for c, i in zip(v, ints)):
+            raise ValueError("the vectors must be integral")
         self.rank = len(self.vectors[0])
         self.n = len(self.vectors)
         self.det_gram = det_gram
         self.degree = self.n - self.rank
         if any(c < 0 for v in self.vectors for c in v):
             raise ValueError("the vectors must have no negative coordinate")
-        # the fiber over xi is coordinatized by x_F, F the non-pivot columns
-        # of the row-reduced configuration; x_P then follows, P the pivots,
-        # and the Jacobian of x -> (sum_i x_i v_i, x_F) is 1/|det A_P|
-        pivots = pivot_columns([tuple(v[i] for v in self.vectors) for i in range(self.rank)])
-        assert len(pivots) == self.rank, "configuration must span"
-        self._free = tuple(j for j in range(self.n) if j not in pivots)
-        self._jacobian = Q(1, abs(det(tuple(self.vectors[j] for j in pivots))))
         self.walls = self._wall_functionals()
         # the int64 matrix [I; walls]: x -> x and its wall dot products
         self.extension = np.vstack([np.eye(self.rank, dtype=np.int64),
@@ -181,15 +181,31 @@ class VectorConfig:
             raise DegenerateArrangementError(f"nudge direction {self.nudge} lies on a wall")
 
     def _wall_functionals(self) -> list[tuple[int, ...]]:
-        """Primitive integer normals of hyperplanes spanned by subsets."""
-        walls: set[tuple[int, ...]] = set()
-        distinct = sorted(set(self.vectors))
-        for subset in combinations(distinct, self.rank - 1):
-            ns = nullspace(subset, self.rank)
-            if len(ns) != 1:
-                continue
-            walls.add(_primitive(scaled(ns[0], common_denominator(ns[0]))))
-        return sorted(walls)
+        """Primitive integer normals of hyperplanes spanned by subsets, from
+        integer minors: for rank - 1 distinct vectors v_i, the last row of
+        the adjugate of [v_1 ... v_{r-1} 0] is normal to every v_i, and
+        zero when they are dependent (all subsets in one `adjugates` pass;
+        at rank 1 it is the 0 x 0 determinant 1)."""
+        subsets = list(combinations(sorted(set(self.vectors)), self.rank - 1))
+        mats = np.zeros((len(subsets), self.rank, self.rank), dtype=np.int64)
+        mats[:, :, :-1] = np.array(subsets, dtype=np.int64).reshape(
+            len(subsets), self.rank - 1, self.rank).transpose(0, 2, 1)
+        normals = adjugates(mats, max(map(max, self.vectors)))[0][:, -1].tolist()
+        return sorted({_primitive(u) for u in normals if any(u)})
+
+    @cached_property
+    def _free(self) -> tuple[int, ...]:
+        """The non-pivot columns F of the row-reduced configuration, which
+        coordinatize the fiber over xi (`density`): x_P then follows, P
+        the pivot columns."""
+        pivots = pivot_columns([tuple(v[i] for v in self.vectors) for i in range(self.rank)])
+        assert len(pivots) == self.rank, "configuration must span"
+        return tuple(j for j in range(self.n) if j not in pivots)
+
+    @cached_property
+    def _jacobian(self) -> Q:
+        """The Jacobian 1/|det A_P| of x -> (sum_i x_i v_i, x_F) (`_free`)."""
+        return Q(1, abs(det([self.vectors[j] for j in range(self.n) if j not in self._free])))
 
     @cached_property
     def extension_t(self) -> np.ndarray:
@@ -212,25 +228,27 @@ class VectorConfig:
     @cached_property
     def monomials(self) -> tuple[tuple[int, ...], ...]:
         """The exponents of degree `degree` in `rank` variables, in the order
-        in which successive products by x_1 + ... + x_r first meet them."""
-        keys = ((0,) * self.rank,)
-        for _ in range(self.degree):
-            keys = tuple(dict.fromkeys(
-                tuple(e + (j == i) for j, e in enumerate(m)) for m in keys for i in range(self.rank)
-            ))
-        return keys
+        in which successive products by x_1 + ... + x_r first meet them:
+        descending lexicographic, the order of the sorted index multisets
+        of `combinations_with_replacement`."""
+        return tuple(tuple(c.count(i) for i in range(self.rank))
+                     for c in combinations_with_replacement(range(self.rank), self.degree))
 
     @cached_property
-    def vertex_table(self) -> tuple[list[tuple[list[list[int]], list[int]]], int]:
-        """Lawrence's vertex terms in ints: (entries, T), one entry
-        (M_s, N_s) per basis s, with M_s = e_s A_s^-1 for e_s = |det A_s|
-        and N_s = T w_s y_s^d, both in ints.
+    def vertex_arrays(self) -> tuple[tuple[np.ndarray, int], np.ndarray, int]:
+        """Lawrence's vertex terms as integer arrays: ((rows, norm), N, T),
+        rows the M_s = e_s A_s^-1 (e_s = |det A_s|) stacked basis after
+        basis with norm their largest L1 norm (as `_stacked` gives them),
+        and N one row N_s = T w_s y_s^d per basis, int64 when the row
+        count times the largest |entry| bounds every sum of rows
+        (`int_dtype`); `vertex_table` lists them in Python ints.
 
         A_s is the square matrix of the basis vectors as columns.  Each
-        distinct set of basis vectors is inverted once (`scaled_inverse`,
-        on the vectors in sorted order): another order of the same vectors
-        permutes the columns of A_s and so the rows of its inverse, and a
-        repeated vector of a multiplicity above 1 repeats the set.  For xi
+        distinct set of basis vectors, in sorted order, is inverted once,
+        all of them in one `adjugates` pass (e A^-1 = +-adj A): another
+        order of the same vectors permutes the columns of A_s and so the
+        rows of its inverse, and a repeated vector of a multiplicity above
+        1 repeats the set; a set with determinant 0 is no basis.  For xi
         with A_s^-1 xi > 0, s is a vertex of the fiber polytope over xi,
         and the linear form y_s(xi) is the objective c at that vertex.
         With reduced costs g_j = c_j - y_s(v_j) (j not in s), the weight
@@ -244,57 +262,75 @@ class VectorConfig:
         G_j = e_s C_j - C_s . (M_s v_j).  The multinomial theorem gives
         w_s y_s^d the coefficient (d! / m!) a^m F_s at x^m,
         F_s = 1 / (d! e_s prod_j (-G_j)), and T is the lcm of the
-        denominators of the F_s.  N_s is a list over `monomials`.
+        denominators of the F_s.  N_s runs over `monomials`.  Up to
+        the F_s every step is an int64 array pass under a stated bound
+        (`int_dtype`); the terms, far above 2^62, are Python ints, a^m
+        read off a power table of each coordinate.
         """
-        inverses: dict[tuple[tuple[int, ...], ...], tuple | None] = {}
-        sigmas, rows, scales = [], [], []
-        for sigma in combinations(range(self.n), self.rank):
-            columns = [self.vectors[i] for i in sigma]
-            order = sorted(range(self.rank), key=columns.__getitem__)
-            key = tuple(columns[i] for i in order)
-            if key not in inverses:  # a repeated vector makes A_s singular
-                inverses[key] = scaled_inverse(mat_t(key)) if len(set(key)) == self.rank else None
-            if inverses[key] is not None:
-                # row p of the sorted matrix's inverse is row order[p] of A_s^-1
-                sorted_rows, e, _ = inverses[key]
-                sigmas.append(sigma)
-                rows.append([sorted_rows[order.index(i)] for i in range(self.rank)])
-                scales.append(e)
-        # one array pass over the bases, on Python-int objects: M_s v_j for
-        # every vector (basis, row, j), and v_j off the basis
-        mats = np.array(rows, dtype=object)
-        moved = mats @ np.array(self.vectors, dtype=object).T
-        off = np.ones((len(sigmas), self.n), dtype=bool)
+        rank, n = self.rank, self.n
+        distinct = sorted(set(self.vectors))
+        ids = np.array([distinct.index(v) for v in self.vectors], dtype=np.intp)
+        sigmas = np.array(list(combinations(range(n), rank)), dtype=np.intp).reshape(-1, rank)
+        # each basis's vectors in sorted order, one slot per set of vectors
+        order = np.argsort(ids[sigmas], axis=1, kind="stable")
+        keys = np.sort(ids[sigmas], axis=1)
+        codes = (keys @ len(distinct) ** np.arange(rank)).tolist()
+        first: dict[int, int] = {}
+        for i, code in enumerate(codes):
+            first.setdefault(code, i)
+        slots = {code: k for k, code in enumerate(first)}
+        back = np.array([slots[code] for code in codes], dtype=np.intp)
+        columns = np.array(distinct, dtype=np.int64)[keys[list(first.values())]].transpose(0, 2, 1)
+        adj, dets = adjugates(columns, max(map(max, self.vectors)))
+        # e A^-1 = +-adj for e = |det|; row p of the sorted matrix's inverse
+        # is row order[p] of A_s^-1, and a singular A_s drops out
+        inverses = adj * np.sign(dets)[:, None, None]
+        kept = (dets != 0)[back]
+        sigmas, back = sigmas[kept], back[kept]
+        mats = inverses[back[:, None], np.argsort(order[kept], axis=1)]
+        es = np.abs(dets)[back]
+        # M_s v_j for every vector (basis, row, j), and v_j off the basis
+        vectors = np.array(self.vectors, dtype=np.int64)
+        moved = mats @ vectors.T
+        off = np.ones((len(sigmas), n), dtype=bool)
         off[np.arange(len(sigmas))[:, None], sigmas] = False
-        es = np.array(scales, dtype=object)
+        top = int(max(1, np.abs(moved).max(), np.abs(mats).max(), es.max()))
         for k in count(2):
-            lcm = math.lcm(*range(k, k + self.n))
-            c = np.array([lcm // (k + j) for j in range(self.n)], dtype=object)
-            cs = c[np.array(sigmas)][:, None, :]
-            costs = np.where(off, (cs @ moved)[:, 0] - es[:, None] * c, 1)  # -G_j
+            lcm = math.lcm(*range(k, k + n))
+            dtype = int_dtype(lcm * (rank + 1) * top)
+            c = np.array([lcm // (k + j) for j in range(n)], dtype=dtype)
+            cs = c[sigmas][:, None, :]
+            costs = np.where(off, (cs @ moved.astype(dtype))[:, 0] - es[:, None] * c, 1)  # -G_j
             if not (costs == 0).any():
                 break
-        a = (cs @ mats)[:, 0]
+        a = (cs @ mats.astype(dtype))[:, 0].astype(object)
         fact = math.factorial(self.degree)
-        q = fact * es * costs.prod(axis=1)  # F_s = 1 / q_s
+        q = [fact * e * math.prod(row) for e, row in zip(es.tolist(), costs.tolist())]  # F_s = 1/q_s
         # T F_s = T / q_s in ints, T = lcm |q_s|
-        den = math.lcm(*q.tolist())
-        multinomials = [fact // math.prod(map(math.factorial, m)) for m in self.monomials]
-        powers = (a[:, None, :] ** np.array(self.monomials, dtype=object)).prod(axis=2)
-        terms = (den // q)[:, None] * np.array(multinomials, dtype=object) * powers
-        return list(zip(rows, terms.tolist())), den
+        den = math.lcm(*q)
+        # a^m from a power table of each coordinate, one product a
+        # coordinate, then the multinomials and T F_s, in place
+        table = np.ones((len(sigmas), rank, self.degree + 1), dtype=object)
+        for p in range(1, self.degree + 1):
+            table[:, :, p] = table[:, :, p - 1] * a
+        exponents = np.array(self.monomials, dtype=np.intp).reshape(-1, rank)
+        terms = table[:, 0, exponents[:, 0]] * np.array(
+            [fact // math.prod(map(math.factorial, m)) for m in self.monomials], dtype=object)
+        for i in range(1, rank):
+            terms *= table[:, i, exponents[:, i]]
+        terms *= np.array([den // x for x in q], dtype=object)[:, None]
+        norm = int(np.abs(mats).sum(axis=2).max())
+        total = len(terms) * max(map(abs, terms.flat))
+        return ((mats.reshape(-1, rank).astype(int_dtype(norm)), norm),
+                terms.astype(int_dtype(total)), den)
 
     @cached_property
-    def vertex_arrays(self) -> tuple[tuple[np.ndarray, int], np.ndarray]:
-        """`vertex_table` as arrays: its M_s rows stacked basis after basis
-        (`_stacked`), and its N_s one row per basis (`_int_array`, with the
-        row count times the largest |entry| as the bound of any sum of
-        rows)."""
-        entries, _ = self.vertex_table
-        terms = [term for _, term in entries]
-        total = len(terms) * max(abs(c) for term in terms for c in term)
-        return (_stacked([row for rows, _ in entries for row in rows], self.rank),
-                _int_array(terms, total).reshape(len(terms), len(self.monomials)))
+    def vertex_table(self) -> tuple[list[tuple[list[list[int]], list[int]]], int]:
+        """`vertex_arrays` in Python ints: (entries, T), one entry (M_s, N_s)
+        per basis s, M_s as its rows and N_s as a list over `monomials`."""
+        (rows, _), terms, den = self.vertex_arrays
+        mats = rows.reshape(len(terms), self.rank, self.rank)
+        return list(zip(mats.tolist(), terms.tolist())), den
 
     def density(self, xi: Vec) -> Q:
         """Pushforward density at xi, relative to coordinate Lebesgue.
@@ -331,10 +367,13 @@ class VectorConfig:
         configuration: (nodes, rows, leaf values, L, E), read from
         `vectors` alone.
 
-        A sub-multiset S is a count tuple over the distinct vectors.  A
-        table keyed by the support of S holds its pivot basis B
-        (`pivot_columns`), or None when the support does not span, and
-        each distinct basis is inverted once (`scaled_inverse`).  With
+        A sub-multiset S is a count tuple over the distinct vectors.  One
+        `adjugates` pass over every rank-subset of the distinct vectors
+        gives their determinants and inverses.  A table keyed by the
+        support of S holds its pivot basis B, the first subset of the
+        support in index order with a nonzero determinant (the greedy
+        basis that row reduction picks), or None when the support does
+        not span.  With
         x = sum_{b in B} t_b b, (|S| - r) T_S(x) = sum_b t_b T_{S-b}(x)
         off the walls, and a child S - b that does not span has T = 0
         there, so it is dropped.  A node is (basis index, children) for
@@ -347,55 +386,61 @@ class VectorConfig:
         Everything is kept in ints: rows[k] is E B_k^-1 for E the lcm of
         the inverses' denominators, so at a point x = X / D (X in ints)
         t = rows . X / (E D), and the leaf value of B is L / |det B| for
-        L the lcm of the integers |det B|.  A node with |S| = r + k then
-        carries L k! (E D)^k T_S, an int.  `power_rows` stacks the rows
-        for `truncated_power`'s one matmul.
+        L the lcm of the integers |det B|, which is also E.  A node with
+        |S| = r + k then carries L k! (E D)^k T_S, an int.  `power_rows`
+        stacks the rows for the recurrence's one matmul.
         """
         distinct = list(dict.fromkeys(self.vectors))
-        bases: dict[tuple[int, ...], int] = {}
-        inverses: list[tuple[tuple[int, ...], list[list[int]], int, Q]] = []
+        subsets = list(combinations(range(len(distinct)), self.rank))
+        columns = np.array(distinct, dtype=np.int64)[np.array(subsets, dtype=np.intp)]
+        adj, dets = adjugates(columns.reshape(len(subsets), self.rank, self.rank).transpose(0, 2, 1),
+                              max(map(max, distinct)))
+        independent = {s: i for i, (s, d) in enumerate(zip(subsets, dets.tolist())) if d}
+        bases: list[tuple[int, ...]] = []
+        keys: dict[tuple[int, ...], int] = {}
         pivots: dict[tuple[int, ...], int | None] = {}
 
         def basis_of(support: tuple[int, ...]) -> int | None:
             if support not in pivots:
-                piv = pivot_columns(list(zip(*(distinct[j] for j in support))))
-                key = None
-                if len(piv) == self.rank:
-                    basis = tuple(support[p] for p in piv)
-                    key = bases.get(basis)
-                    if key is None:
-                        key = bases[basis] = len(inverses)
-                        columns = mat_t([distinct[j] for j in basis])
-                        inverses.append((basis, *scaled_inverse(columns)))
-                pivots[support] = key
+                # the first independent subset in index order: the greedy basis
+                basis = next((s for s in combinations(support, self.rank) if s in independent), None)
+                if basis is not None and basis not in keys:
+                    keys[basis] = len(bases)
+                    bases.append(basis)
+                pivots[support] = None if basis is None else keys[basis]
             return pivots[support]
 
         nodes: list[tuple[int, tuple | None]] = []
         index: dict[tuple[int, ...], int | None] = {}
 
-        def visit(counts: tuple[int, ...]) -> int | None:
+        def visit(counts: tuple[int, ...], support: tuple[int, ...], size: int) -> int | None:
             if counts not in index:
-                key = basis_of(tuple(j for j, c in enumerate(counts) if c))
+                key = basis_of(support)
                 node = None
                 if key is not None:
                     children = None
-                    if sum(counts) > self.rank:
+                    if size > self.rank:
                         children = tuple(
-                            (pos, child) for pos, j in enumerate(inverses[key][0])
-                            if (child := visit(tuple(c - (i == j) for i, c in enumerate(counts))))
-                            is not None
+                            (pos, child) for pos, j in enumerate(bases[key])
+                            if (child := visit(
+                                counts[:j] + (counts[j] - 1,) + counts[j + 1:],
+                                support if counts[j] > 1 else tuple(i for i in support if i != j),
+                                size - 1)) is not None
                         )
                     nodes.append((key, children))
                     node = len(nodes) - 1
                 index[counts] = node
             return index[counts]
 
-        visit(tuple(map(self.vectors.count, distinct)))
-        common = math.lcm(*(e for _, _, e, _ in inverses))
-        rows = [[[common // e * c for c in row] for row in inv] for _, inv, e, _ in inverses]
-        leaf = [1 / abs(d) for *_, d in inverses]
-        den = common_denominator(leaf)
-        return nodes, rows, scaled(leaf, den), den, common
+        visit(tuple(map(self.vectors.count, distinct)), tuple(range(len(distinct))), self.n)
+        # E B^-1 = +-adj B for E = |det B|, and the lcm L of the |det B| is
+        # also the lcm of the inverses' denominators
+        picked = [independent[basis] for basis in bases]
+        inverses = (adj[picked] * np.sign(dets[picked])[:, None, None]).tolist()
+        scales = np.abs(dets[picked]).tolist()
+        common = math.lcm(*scales)
+        rows = [[[common // e * c for c in row] for row in inv] for inv, e in zip(inverses, scales)]
+        return nodes, rows, [common // e for e in scales], common, common
 
     @cached_property
     def power_rows(self) -> tuple[np.ndarray, int]:
@@ -412,31 +457,34 @@ class VectorConfig:
         off the walls and is undefined on them: a point on a wall raises
         OnWallError.
 
-        The recurrence itself is `_power_recurrence`.
+        The recurrence itself is `_power_recurrences`.
         """
         if self.on_wall(xi):
             raise OnWallError(f"the truncated-power recurrence is undefined on a wall: {xi}")
-        return self._power_recurrence(xi)
+        return self._power_recurrences([xi])[0]
 
-    def _power_recurrence(self, xi: Vec) -> Q:
-        """`truncated_power` at xi, which the caller has seen off every
-        wall.  Every basis coordinate t = rows . X is made by one integer
-        matmul over the stacked rows (`power_rows`, `_row_products`); one
-        pass over the nodes then evaluates the recurrence in Python ints."""
+    def _power_recurrences(self, points: list[Vec]) -> list[Q]:
+        """`truncated_power` at each of the points, which the caller has
+        seen off every wall.  Every basis coordinate t = rows . X of every
+        point is made by one integer matmul over the stacked rows
+        (`power_rows`, `_row_products`); one pass over the nodes then
+        evaluates the recurrence at all the points in Python ints."""
         nodes, _, leaf, leaf_den, common = self.power_program
-        den = common_denominator(xi)
-        taus = _row_products(self.power_rows, scaled(xi, den)).reshape(-1, self.rank)
-        inside = (taus > 0).all(axis=1).tolist()
-        taus = taus.tolist()
-        values: list[int] = []
-        for key, children in nodes:
-            if children is None:
-                values.append(leaf[key] if inside[key] else 0)
-            else:
-                tau = taus[key]
-                values.append(sum(tau[pos] * values[child] for pos, child in children))
-        return Q(values[-1],
-                 leaf_den * math.factorial(self.degree) * (common * den) ** self.degree)
+        dens = [common_denominator(xi) for xi in points]
+        taus = _row_products(self.power_rows, [scaled(xi, d) for xi, d in zip(points, dens)])
+        taus = taus.reshape(len(points), -1, self.rank)
+        scale = leaf_den * math.factorial(self.degree)
+        out = []
+        for point_taus, inside, den in zip(taus.tolist(), (taus > 0).all(axis=2).tolist(), dens):
+            values: list[int] = []
+            for key, children in nodes:
+                if children is None:
+                    values.append(leaf[key] if inside[key] else 0)
+                else:
+                    tau = point_taus[key]
+                    values.append(sum([tau[pos] * values[child] for pos, child in children]))
+            out.append(Q(values[-1], scale * (common * den) ** self.degree))
+        return out
 
     def on_wall(self, xi: Vec) -> bool:
         return 0 in self.sign_vector(xi)
@@ -448,28 +496,21 @@ class VectorConfig:
         return tuple((d > 0) - (d < 0) for d in dots)
 
 
-def _int_array(rows: list[list[int]], bound: int) -> np.ndarray:
-    """Integer rows as one array: int64 when `bound`, which bounds every
-    entry and every sum a caller forms from them, is below 2^62, and
-    Python-int objects otherwise, on which the same statements run."""
-    return np.array(rows, dtype=np.int64 if bound < 2**62 else object)
-
-
 def _stacked(rows: list[list[int]], width: int) -> tuple[np.ndarray, int]:
-    """(array, norm): integer rows of length `width` as one array
-    (`_int_array`), and the largest L1 norm of a row, so that
-    |row . x| <= norm max|x|."""
+    """(array, norm): integer rows of length `width` as one array, and the
+    largest L1 norm of a row, so that |row . x| <= norm max|x|; int64 when
+    the norm allows (`int_dtype`)."""
     norm = max(sum(map(abs, row)) for row in rows)
-    return _int_array(rows, norm).reshape(len(rows), width), norm
+    return np.array(rows, dtype=int_dtype(norm)).reshape(len(rows), width), norm
 
 
-def _row_products(stack: tuple[np.ndarray, int], x: list[int]) -> np.ndarray:
-    """Every row of a `_stacked` array dotted with the int vector x, in one
-    matmul: in int64 when norm max|x| < 2^62, on Python-int object arrays
-    otherwise."""
+def _row_products(stack: tuple[np.ndarray, int], points: list[list[int]]) -> np.ndarray:
+    """Each int vector of `points` dotted with every row of a `_stacked`
+    array, one row of the result a point, in one matmul: in int64 when
+    norm max|x| < 2^62, on Python-int object arrays otherwise."""
     rows, norm = stack
-    dtype = np.int64 if norm * max(1, *map(abs, x)) < 2**62 else object
-    return rows.astype(dtype, copy=False) @ np.array(x, dtype=dtype)
+    dtype = int_dtype(norm * max(1, *map(abs, chain.from_iterable(points))))
+    return np.array(points, dtype=dtype) @ rows.astype(dtype, copy=False).T
 
 
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -549,11 +590,16 @@ class PiecewisePolynomial:
 
     Chambers are materialized on first query.  The polynomial is the sum
     of Lawrence's vertex terms w_s y_s(xi)^d over the bases s feasible
-    in the chamber (`VectorConfig.vertex_table`), kept as that integer sum
+    in the chamber (`VectorConfig.vertex_arrays`), kept as that integer sum
     over one denominator (`Chamber`) and checked once, exactly, against the
     truncated-power recurrence (`VectorConfig.truncated_power`) at the
-    query point.  Materialized chambers are kept for the lifetime of the
-    object, keyed by their wall signs, and listed by `to_json_dict`.
+    query point.  Every chamber that one query meets for the first time
+    (`chambers_at`; `chamber_at` is its one-point call) is built in one
+    batched pass (`_build`): one vertex-sum product for all of them
+    (`_vertex_sums`) and one pass of the recurrence over all their sample
+    points (`_passes_checks`), kept in the order of the query's points.
+    Materialized chambers are kept for the lifetime of the object, keyed
+    by their wall signs, and listed by `to_json_dict`.
     """
 
     def __init__(self, config: VectorConfig, label: str):
@@ -579,25 +625,36 @@ class PiecewisePolynomial:
         return self.chamber_at(xi).value(xi)
 
     def chamber_at(self, xi: Vec) -> Chamber:
-        """The chamber whose interior contains xi, built there if new.  On a
-        wall it is the one the nudge direction points to, built at the
-        nudged point: its polynomial gives the value at xi by continuity
-        when the degree is positive; degree-0 walls raise OnWallError."""
-        signs = self.config.sign_vector(xi)
-        if 0 in signs:
-            if self.degree == 0:
-                raise OnWallError(f"on-wall evaluation at {xi} for a degree-0 spline")
-            xi, signs = self._nudge_off_walls(xi, signs)
-        hit = self.chambers.get(signs)
-        if hit is not None:
-            return hit
-        chamber = Chamber(signs, xi, *self._vertex_sum(xi), self.monomials)
-        if not self._passes_check(chamber):
-            raise DegenerateArrangementError(
-                f"vertex formula disagrees with the truncated power in chamber {signs}"
-            )
-        self.chambers[signs] = chamber
-        return chamber
+        """The chamber whose interior contains xi, built there if new: the
+        one-point call of `chambers_at`."""
+        return self.chambers_at([xi])[0]
+
+    def chambers_at(self, points: list[Vec]) -> list[Chamber]:
+        """The chamber whose interior contains each point, in one pass.  On
+        a wall it is the one the nudge direction points to, found at the
+        nudged point: its polynomial gives the value there by continuity
+        when the degree is positive.  The chambers new to the spline are
+        built together (`_build`) at the first point of each, in the order
+        of the points; at degree 0 the first point on a wall raises
+        OnWallError after the chambers of the points before it."""
+        found: list[tuple[int, ...]] = []
+        new: dict[tuple[int, ...], Vec] = {}
+        wall = None
+        for xi in points:
+            signs = self.config.sign_vector(xi)
+            if 0 in signs:
+                if self.degree == 0:
+                    wall = xi
+                    break
+                xi, signs = self._nudge_off_walls(xi, signs)
+            if signs not in self.chambers:
+                new.setdefault(signs, xi)
+            found.append(signs)
+        if new:
+            self._build(new)
+        if wall is not None:
+            raise OnWallError(f"on-wall evaluation at {wall} for a degree-0 spline")
+        return [self.chambers[signs] for signs in found]
 
     def chamber_polynomial_at(self, xi: Vec) -> Poly:
         """Polynomial of `chamber_at(xi)`, as {exponents: Fraction}."""
@@ -608,34 +665,51 @@ class PiecewisePolynomial:
 
     # -- materialization ----------------------------------------------------
 
-    def _vertex_sum(self, xi: Vec) -> tuple[list[int], int]:
-        """Sum of the vertex terms w_s y_s^d over the bases s feasible at xi,
-        as integer numerators over `monomials` and one denominator.  One
-        integer matmul over the stacked M_s rows (`VectorConfig.vertex_arrays`,
-        `_row_products`) finds the feasible bases, their term rows N_s
-        are added, and the sum and the table denominator are divided by
-        their gcd."""
-        rows, terms = self.config.vertex_arrays
-        products = _row_products(rows, scaled(xi, common_denominator(xi)))
-        feasible = (products.reshape(-1, self.rank) > 0).all(axis=1)
-        acc = terms[feasible].sum(axis=0).tolist()
-        den = self.config.vertex_table[1]
-        g = math.gcd(den, *acc)
-        return [c // g for c in acc], den // g
+    def _build(self, new: dict[tuple[int, ...], Vec]) -> None:
+        """Build the chambers new[signs] = sample point, checked together
+        (`_passes_checks`), and keep them in the order given; a chamber that
+        fails its check raises DegenerateArrangementError, after the ones
+        before it are kept."""
+        chambers = [Chamber(signs, xi, numerators, den, self.monomials)
+                    for (signs, xi), (numerators, den)
+                    in zip(new.items(), self._vertex_sums(list(new.values())))]
+        for chamber, ok in zip(chambers, self._passes_checks(chambers)):
+            if not ok:
+                raise DegenerateArrangementError(
+                    f"vertex formula disagrees with the truncated power in chamber {chamber.signs}"
+                )
+            self.chambers[chamber.signs] = chamber
 
-    def _passes_check(self, chamber: Chamber) -> bool:
-        """One exact check of a chamber against the truncated-power
+    def _vertex_sums(self, points: list[Vec]) -> list[tuple[list[int], int]]:
+        """Sum of the vertex terms w_s y_s^d over the bases s feasible at
+        each point, as integer numerators over `monomials` and one
+        denominator.  One integer matmul over the stacked M_s rows
+        (`VectorConfig.vertex_arrays`, `_row_products`) finds the feasible
+        bases of every point, one product of that 0/1 matrix with the
+        term rows N_s adds them up, and each sum and the table denominator
+        are divided by their gcd."""
+        rows, terms, den = self.config.vertex_arrays
+        products = _row_products(rows, [scaled(xi, common_denominator(xi)) for xi in points])
+        feasible = (products.reshape(len(points), -1, self.rank) > 0).all(axis=2)
+        sums = []
+        for acc in (feasible.astype(terms.dtype) @ terms).tolist():
+            g = math.gcd(den, *acc)
+            sums.append(([c // g for c in acc], den // g))
+        return sums
+
+    def _passes_checks(self, chambers: list[Chamber]) -> list[bool]:
+        """One exact check of each chamber against the truncated-power
         recurrence (`VectorConfig.truncated_power`) at its sample point,
         which must lie off every wall, on the chamber's side of each: its
-        signs are read once, and the recurrence runs without a second wall
-        test (`VectorConfig._power_recurrence`)."""
-        xi = chamber.sample_point
-        return (
-            len(xi) == self.rank
-            and 0 not in chamber.signs
-            and self.config.sign_vector(xi) == chamber.signs
-            and chamber.value(xi) == self.config._power_recurrence(xi)
-        )
+        signs are read once, and the recurrence runs at the sample points
+        that pass in one pass, without a second wall test
+        (`VectorConfig._power_recurrences`)."""
+        placed = [len(ch.sample_point) == self.rank and 0 not in ch.signs
+                  and self.config.sign_vector(ch.sample_point) == ch.signs for ch in chambers]
+        points = [ch.sample_point for ch, ok in zip(chambers, placed) if ok]
+        values = iter(self.config._power_recurrences(points) if points else [])
+        return [ok and ch.value(ch.sample_point) == next(values)
+                for ch, ok in zip(chambers, placed)]
 
     def _nudge_off_walls(self, xi: Vec, signs: tuple[int, ...]) -> tuple[Vec, tuple[int, ...]]:
         """The first xi + 4^-k d (k >= 1) along the nudge direction d that
@@ -666,10 +740,8 @@ class PiecewisePolynomial:
             {_primitive(v) for v in self.config.vectors},
             key=lambda r: math.atan2(float(r[1]), float(r[0])),
         )
-        for a, b in zip(rays, rays[1:]):
-            mid = vec([a[0] + b[0], a[1] + b[1]])
-            if self.config.sign_vector(mid).count(0) == 0:
-                self.chamber_at(mid)
+        mids = [vec([a[0] + b[0], a[1] + b[1]]) for a, b in zip(rays, rays[1:])]
+        self.chambers_at([mid for mid in mids if 0 not in self.config.sign_vector(mid)])
         return list(self.chambers.values())
 
     # -- serialization --------------------------------------------------------
@@ -735,8 +807,8 @@ class PiecewisePolynomial:
                                        self.monomials))
         except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed chamber dump: {exc!r}") from exc
-        for chamber in adopted:
-            if not self._passes_check(chamber):
+        for chamber, ok in zip(adopted, self._passes_checks(adopted)):
+            if not ok:
                 raise ValueError(f"dumped chamber {chamber.signs} fails the one-point check")
         for chamber in adopted:
             self.chambers[chamber.signs] = chamber

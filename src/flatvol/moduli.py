@@ -454,10 +454,12 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     continuity), with its sum's index above the wall bits (added to the
     rows of sums 1, 2, ..., so one sum adds nothing).  Only when some dot
     product is zero are the on-wall rows found and read.  A stable sort by
-    code groups the rows; in the order of their first rows, the first
-    argument the term order meets in each chamber of each sum, the groups'
-    chambers are looked up by sign and built there if new, so sum after
-    sum in term order, as one call per sum builds them.  At degree 0 a
+    code groups the rows; the groups' chambers are looked up by sign, and
+    those new to the spline are built in one batched pass
+    (`PiecewisePolynomial.chambers_at`), each at the first argument the
+    term order meets in it, in the order of those first rows: sum after
+    sum in term order, as one call per sum builds them.  A pass whose
+    chambers are all built makes no build call.  At degree 0 a
     sum's first on-wall row stops it: the chambers it met before are built,
     its later groups are left None and walls[j] is that row's point, at
     which `PiecewisePolynomial.chamber_at` raises OnWallError.  With
@@ -505,11 +507,14 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     def point(row: int, j: int) -> Vec:
         return tuple(Q(c, scales[j]) for c in args[row, :rank].tolist())
 
+    met = [(row, g) for row, g in sorted(zip(first.tolist(), range(len(starts))))
+           if group_sums[g] not in stops or row < stops[group_sums[g]]]
+    new = [point(row, group_sums[g]) for row, g in met if signs[g] not in spline.chambers]
+    if new:
+        spline.chambers_at(new)
     chambers = [None] * len(starts)
-    for row, g in sorted(zip(first.tolist(), range(len(starts)))):
-        j = group_sums[g]
-        if j not in stops or row < stops[j]:
-            chambers[g] = spline.chambers.get(signs[g]) or spline.chamber_at(point(row, j))
+    for _, g in met:
+        chambers[g] = spline.chambers[signs[g]]
     return order, starts, chambers, group_sums, {j: point(row, j) for j, row in stops.items()}
 
 

@@ -81,8 +81,10 @@ SERIES_FORBIDDEN = [
               "_signed_pairs", "toric_decomposition", "sphere_volume_kappa", "glue_volume",
               "kappa_build", "kappa_point"]),
     (kappa, ["kappa_build", "kappa_point"]),
-    (VectorConfig, ["vertex_table", "power_program", "truncated_power", "density"]),
-    (PiecewisePolynomial, ["chamber_at"]),
+    (VectorConfig, ["vertex_arrays", "vertex_table", "power_program", "truncated_power",
+                    "_power_recurrences", "density"]),
+    (PiecewisePolynomial, ["chamber_at", "chambers_at", "_build", "_vertex_sums",
+                           "_passes_checks"]),
     (liecore, ["enumerate_waff_positive"]),
     (liecore.RootSystem, ["coroot_balls"]),
     (gluing, ["AlcoveFactor"]),

@@ -18,6 +18,7 @@ from flatvol import (
     kappa_build,
     kappa_point,
     pullback_operator,
+    sphere_volume_kappa,
     vec,
 )
 from flatvol.kappa import (
@@ -195,8 +196,8 @@ def test_stacked_passes_match_per_basis_reference(name, multiplicity):
                 continue
             x = scaled(xi, common_denominator(xi))
             dtype = object if huge else np.int64
-            assert _row_products(cfg.power_rows, x).dtype == dtype
-            assert _row_products(cfg.vertex_arrays[0], x).dtype == dtype
+            assert _row_products(cfg.power_rows, [x]).dtype == dtype
+            assert _row_products(cfg.vertex_arrays[0], [x]).dtype == dtype
             numerators, den = per_basis_vertex_sum(cfg, xi)
             chamber = PiecewisePolynomial(cfg, spline.label).chamber_at(xi)
             assert (chamber.numerators, chamber.den) == (numerators, den)
@@ -304,6 +305,233 @@ def test_config_tables_pinned(name, multiplicity):
     assert digests == CONFIG_TABLE_DIGESTS[name, multiplicity]
 
 
+# sha256 of the JSON of `walls`, `vertex_table`, `power_program` and
+# `power_rows` ([rows, norm, dtype]) for every group at multiplicities 1
+# and 2, measured before their builds were batched; the vertex tables of
+# A4 x2 and D4 x2 take 30 s and more, so they are left out
+BATCHED_TABLE_DIGESTS = {
+    ("A1", 1): {
+        "walls": "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
+        "vertex_table": "c5a0c55e5955b72a6aec05eca113a500ef97eab1e8a6b1a7ad0361eb3bda2274",
+        "power_program": "927ba5f2940796a582b8f7213d9cd37990277adace78fc144d9f1724b9e847d0",
+        "power_rows": "3b632f8cabf26a6eb91057ba827d026b5eb6d2292a8b649019bb872fa0fa411b",
+    },
+    ("A1", 2): {
+        "walls": "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
+        "vertex_table": "7a2779c9ffc8f0b3c79f37809e79cd58016e22e18d29e7de4ea6be1740af3b27",
+        "power_program": "b949d30f1dee3cbe7d5713240347e5e141c1831d0b0b7dfda7f15e6e16d90d7a",
+        "power_rows": "3b632f8cabf26a6eb91057ba827d026b5eb6d2292a8b649019bb872fa0fa411b",
+    },
+    ("A2", 1): {
+        "walls": "da4d5257ed8c8dc796e78355ca44ea6e83d5425d081ffae4910ca77e823f4eaa",
+        "vertex_table": "49ac2517988ee1b928c763bdac51788c77e67f8f13fedf118c526e0e60143f88",
+        "power_program": "3ab22778b6ad612b873ed5ae189053f05c654ca63399782671a28ef8ed750cc9",
+        "power_rows": "a993a63d70e579c5d34334fbe680d15e5513fda349f76704468e3904fba1c82b",
+    },
+    ("A2", 2): {
+        "walls": "da4d5257ed8c8dc796e78355ca44ea6e83d5425d081ffae4910ca77e823f4eaa",
+        "vertex_table": "063deb80fd9c0fd1973964d26cb47cdff26fba203cba1b2c8e5fb90e3b576325",
+        "power_program": "425eddc86ca4d56f4c75820ac8efe2414b2027b60b82952eb9ff0ce65f342c12",
+        "power_rows": "a993a63d70e579c5d34334fbe680d15e5513fda349f76704468e3904fba1c82b",
+    },
+    ("B2", 1): {
+        "walls": "fb7e89a5c3726736e8ba243f630bf804b68ed032448e505b22923b949198c58a",
+        "vertex_table": "f2975c125f9c7b8157865886927f6409640f57fab7142ff16553dc911f14e040",
+        "power_program": "ca0e886a175f3bbe9dc4b5f1af7d7c4a1b2209168405e5009ba9167b499a024e",
+        "power_rows": "c0854b6c385424b5a84c7f45fbb2252f32a44e98501351c45a0a7c9d74036e07",
+    },
+    ("B2", 2): {
+        "walls": "fb7e89a5c3726736e8ba243f630bf804b68ed032448e505b22923b949198c58a",
+        "vertex_table": "954521c2bb7942edd9e3cb32376affd38e141d87fccf5ec4b945944062940bcd",
+        "power_program": "ea5fcebd0d8185587528e13a298a97c8253cb18c5a678f142233991cb0a4c285",
+        "power_rows": "c0854b6c385424b5a84c7f45fbb2252f32a44e98501351c45a0a7c9d74036e07",
+    },
+    ("C2", 1): {
+        "walls": "bfffdbe0145849496b8488321921d7b977af253ef424160616a21e42eaecd760",
+        "vertex_table": "2d216d2e3338345a98f6ce6f81e6f132935b54116e67a246e8268278d2c18178",
+        "power_program": "53d301a12ef10d9709ca8467b582a22edf1af5eb32ca90ce233ec7e96826ecb0",
+        "power_rows": "be612591d5fc2b59865df6c246b8da246dbdcecd3eb5f44960937cd00341afc7",
+    },
+    ("C2", 2): {
+        "walls": "bfffdbe0145849496b8488321921d7b977af253ef424160616a21e42eaecd760",
+        "vertex_table": "2cb92aae20c63986ec88b599e023af50f1635845a8dca0eeaf7f678ac880488e",
+        "power_program": "a1441e71d0ba8db766dcbc16bf07bc4a83a3ffb19665d4184d0a41b5b865078e",
+        "power_rows": "be612591d5fc2b59865df6c246b8da246dbdcecd3eb5f44960937cd00341afc7",
+    },
+    ("G2", 1): {
+        "walls": "aa68bb12d6d976322024ea326cd08495fc966c00e2ad5f145b3768f258b848c9",
+        "vertex_table": "d6f484ca10406943e785e3c1e9bc7c50375b3a8bf94f8c7f50113d2b1119fb51",
+        "power_program": "e00e5198bca63703e726aeaf5d505097865c9e0f3ae6cc2157ad8730e6a78bef",
+        "power_rows": "a87c6751cc93e94a3404d50f41a6dbcacd98546b125c8fdd3bf616378df82006",
+    },
+    ("G2", 2): {
+        "walls": "aa68bb12d6d976322024ea326cd08495fc966c00e2ad5f145b3768f258b848c9",
+        "vertex_table": "7727f2da09df961bf6fa1c5347585f84c64c71ab4ae412d296ee4f5aacdc6692",
+        "power_program": "dd8d5a58aabbd02d531b2f8897a61d57e23760d1aad090e0a3cdb47d049aa15d",
+        "power_rows": "a87c6751cc93e94a3404d50f41a6dbcacd98546b125c8fdd3bf616378df82006",
+    },
+    ("A3", 1): {
+        "walls": "58c542b99e563ce11146c10da28f4edb867f9b0fc77ff9b7d162dd2166e7c71b",
+        "vertex_table": "228a88f6d9a100be94ac5b6d3de79d2d9fb3a792f3812139317fb06755eaf0f5",
+        "power_program": "ad2fb8de800349c338b4ca0de39e9718ae6d0ae1138a65f2e83605fc719aaea7",
+        "power_rows": "75a900c481977e4dd2a25292f311c7a59e036924932f5859f449765c32b10a98",
+    },
+    ("A3", 2): {
+        "walls": "58c542b99e563ce11146c10da28f4edb867f9b0fc77ff9b7d162dd2166e7c71b",
+        "vertex_table": "cb2d0b604398d12023529d0d607ca459f835f87d04cfcc6a8c7274881319d4c1",
+        "power_program": "b64837859b4d7fc1c1b1932a1458cf30d293b241c9570d5d6d056043223f124c",
+        "power_rows": "75a900c481977e4dd2a25292f311c7a59e036924932f5859f449765c32b10a98",
+    },
+    ("C3", 1): {
+        "walls": "704d95beb7dc42030f7d949c03d60341f3fff67bfe93cee08313a3bc0da3bf01",
+        "vertex_table": "f793657f6fef1a780eea458a5e1297eab7f8857f49eef4039fdd230d468807f1",
+        "power_program": "627cf9ae46bcb3344b458dc371717d893426875014306f59ca63f76008b0138a",
+        "power_rows": "dc9bf3883a1a04556d84e36a407f74ac68e1c09c5d20aee2e98ab8f8008f4318",
+    },
+    ("C3", 2): {
+        "walls": "704d95beb7dc42030f7d949c03d60341f3fff67bfe93cee08313a3bc0da3bf01",
+        "vertex_table": "3701646a7a9bc2c6f22a5afd137ddc1e0f60172ce089f616aa2188f831556da1",
+        "power_program": "16bca5477a245a125858b7ab702161db0948aba7db39cd58098f514a91b80ef3",
+        "power_rows": "dc9bf3883a1a04556d84e36a407f74ac68e1c09c5d20aee2e98ab8f8008f4318",
+    },
+    ("A4", 1): {
+        "walls": "d88fb88619c7a06b6302936251afee38780a42debaab9c16ee55778492bb8451",
+        "vertex_table": "ef128804576e82b91fde7203cfd910b4c252e7dc34909ff822a5fcfb55017001",
+        "power_program": "65205448f7696f0cd4ad7698e98cd041a727fd15e54d06f6098aae3bbf101311",
+        "power_rows": "7e28e5dad75333862ee5e78d34784a665fc3e8d5cc46ab8cea130eb0db3c4ade",
+    },
+    ("A4", 2): {
+        "walls": "d88fb88619c7a06b6302936251afee38780a42debaab9c16ee55778492bb8451",
+        "power_program": "e91f6c746ddb8e17bf6147e7f811396d05831e7a77e951b30c4f81ccab1f6a4f",
+        "power_rows": "7e28e5dad75333862ee5e78d34784a665fc3e8d5cc46ab8cea130eb0db3c4ade",
+    },
+    ("D4", 1): {
+        "walls": "37fc78d8957fd50fd7cd4273d8c1221ab4b809cd733e41fc295a457f5cd62fea",
+        "vertex_table": "d7e9ec1342eab2c76b23a18c32950a007ec1153cbc007b1210416f66bde1746e",
+        "power_program": "f73cd3ccf4efa641573ceaa80ac1bbc778402314bffb4787584ed077d45a8d8f",
+        "power_rows": "2b8f5fdbd564603886626873f1435cbd4ab829faf7f591bf4a44c3f6ee824ff3",
+    },
+    ("D4", 2): {
+        "walls": "37fc78d8957fd50fd7cd4273d8c1221ab4b809cd733e41fc295a457f5cd62fea",
+        "power_program": "8bad4c4b540b1eaef3dff5b82d27b501b0ad7ebb18bb52f271cbf3a93d4ba4aa",
+        "power_rows": "2b8f5fdbd564603886626873f1435cbd4ab829faf7f591bf4a44c3f6ee824ff3",
+    },
+}
+
+
+def _table_digest(cfg, name: str) -> str:
+    table = getattr(cfg, name)
+    if name == "power_rows":
+        table = [table[0].tolist(), table[1], str(table[0].dtype)]
+    return hashlib.sha256(json.dumps(table).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, multiplicity", sorted(BATCHED_TABLE_DIGESTS))
+def test_batched_tables_pinned(name, multiplicity):
+    """The walls from integer minors, the vertex table and the
+    truncated-power program from batched adjugates, and the stacked
+    program rows are the tables of one elimination per subset."""
+    cfg = kappa_build(build_root_system(name), multiplicity).config
+    pinned = BATCHED_TABLE_DIGESTS[name, multiplicity]
+    assert {table: _table_digest(cfg, table) for table in pinned} == pinned
+
+
+def _built(spline) -> list:
+    return [(ch.signs, ch.sample_point, ch.numerators, ch.den) for ch in spline.chambers.values()]
+
+
+@pytest.mark.parametrize("name, multiplicity", [
+    ("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("G2", 1), ("G2", 2), ("A3", 1), ("C3", 1),
+    ("D4", 1)])
+def test_batched_build_equals_one_point_builds(name, multiplicity):
+    """`chambers_at` over seeded points, some on walls (nudged), some
+    outside the support and some of denominator 2^61 - 1 (whose scaled
+    coordinates send the whole pass to Python-int objects), builds the
+    chambers that `chamber_at` builds one point at a time, in the same
+    order, each equal to the per-basis vertex sum at its sample point."""
+    cfg = kappa_build(build_root_system(name), multiplicity).config
+    rng = random.Random(f"batched-{name}-{multiplicity}")
+    prime = 2**61 - 1
+    points = [vec([Q(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(cfg.rank)])
+              for _ in range(8 if name == "D4" else 16)]
+    points += [vec([Q(rng.randint(2**62, 2**64), prime) for _ in range(cfg.rank)])
+               for _ in range(2)]
+    assert any(cfg.on_wall(xi) for xi in points)
+    ints = [scaled(xi, common_denominator(xi)) for xi in points]
+    assert _row_products(cfg.vertex_arrays[0], ints).dtype == object
+    batch = PiecewisePolynomial(cfg, "batch")
+    got = batch.chambers_at(points)
+    single = PiecewisePolynomial(cfg, "single")
+    want = [single.chamber_at(xi) for xi in points]
+    assert [ch.signs for ch in got] == [ch.signs for ch in want]
+    assert _built(batch) == _built(single)
+    for ch in batch.chambers.values():
+        assert (ch.numerators, ch.den) == per_basis_vertex_sum(cfg, ch.sample_point)
+
+
+def test_batched_build_stops_at_a_degree_zero_wall(a1):
+    """At degree 0 (A1) the first point on the wall raises OnWallError
+    after the chambers of the points before it are built, as one-point
+    calls stop there."""
+    cfg = kappa_build(a1).config
+    points = [vec([Q(-1, 2)]), vec([Q(1, 3)]), vec([0]), vec([Q(2, 3)])]
+    batch = PiecewisePolynomial(cfg, "batch")
+    with pytest.raises(OnWallError):
+        batch.chambers_at(points)
+    single = PiecewisePolynomial(cfg, "single")
+    with pytest.raises(OnWallError):
+        for xi in points:
+            single.chamber_at(xi)
+    assert _built(batch) == _built(single) and len(batch.chambers) == 2
+
+
+def test_batched_build_keeps_the_chambers_before_a_failed_check(monkeypatch):
+    """A vertex sum shifted in the second chamber of a batch fails its
+    check: DegenerateArrangementError, with the first chamber kept."""
+    vertex_sums = PiecewisePolynomial._vertex_sums
+
+    def shifted(self, points):
+        sums = vertex_sums(self, points)
+        (numerators, den) = sums[1]
+        return [sums[0], ([numerators[0] + 1, *numerators[1:]], den), *sums[2:]]
+
+    monkeypatch.setattr(PiecewisePolynomial, "_vertex_sums", shifted)
+    spline = PiecewisePolynomial(kappa_build(build_root_system("A2")).config, "A2:kappa^1")
+    with pytest.raises(DegenerateArrangementError):
+        spline.chambers_at([vec([2, 1]), vec([1, 2])])
+    assert [ch.signs for ch in spline.chambers.values()] == [spline.config.sign_vector(vec([2, 1]))]
+
+
+def test_a_pass_builds_its_new_chambers_in_one_batch(monkeypatch):
+    """A kappa-sum pass that meets k new chambers makes one vertex-sum
+    product and one recurrence pass over all k sample points (two
+    integer matmuls in all); the same pass again, every chamber built,
+    makes neither and calls no build."""
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(
+            (name, len(args[-1]))) or original(*args))
+
+    from flatvol import kappa
+    spy(PiecewisePolynomial, "_vertex_sums")
+    spy(VectorConfig, "_power_recurrences")
+    spy(kappa, "_row_products")
+    rs = RootSystem(GroupSpec.parse("A3"))
+    mus = [rs.from_weight_coords(vec(m.split(","))) for m in ("1/9,1/5,1/8", "1/7,1/9,1/5",
+                                                               "1/5,1/8,1/7")]
+    first = sphere_volume_kappa(rs, mus).exact["rational"]
+    k = len(kappa_build(rs).chambers)
+    assert k >= 2
+    assert calls == [("_vertex_sums", k), ("_row_products", k), ("_power_recurrences", k),
+                     ("_row_products", k)]
+    calls.clear()
+    forbid(monkeypatch, PiecewisePolynomial, "chambers_at")
+    assert sphere_volume_kappa(rs, mus).exact["rational"] == first
+    assert calls == []
+
+
 # sha256 of `kappa_point`'s (rational, on_wall), or the error's name, at
 # seeded points of small numerators and denominators: many lie on walls
 # and about a third have a negative coordinate
@@ -354,7 +582,7 @@ def test_kappa_point_reads_no_vertex_table_or_recurrence(monkeypatch, name):
     flags and wall errors as unpatched; the recurrence itself stops at
     its sentinel."""
     expected = [_kappa_point_records(build_root_system(name), m) for m in (1, 2)]
-    forbid(monkeypatch, VectorConfig, "vertex_table", "power_program")
+    forbid(monkeypatch, VectorConfig, "vertex_arrays", "vertex_table", "power_program")
     fresh = RootSystem(GroupSpec.parse(name))
     assert [_kappa_point_records(fresh, m) for m in (1, 2)] == expected
     config = kappa_build(fresh).config
@@ -367,13 +595,13 @@ def test_kappa_point_reads_no_vertex_table_or_recurrence(monkeypatch, name):
 def test_chamber_check_catches_a_wrong_vertex_sum(monkeypatch):
     """A vertex sum with one numerator of its integer form shifted fails
     the one-point check."""
-    vertex_sum = PiecewisePolynomial._vertex_sum
+    vertex_sums = PiecewisePolynomial._vertex_sums
 
-    def shifted(self, xi):
-        numerators, den = vertex_sum(self, xi)
-        return [numerators[0] + 1, *numerators[1:]], den
+    def shifted(self, points):
+        (numerators, den), = vertex_sums(self, points)
+        return [([numerators[0] + 1, *numerators[1:]], den)]
 
-    monkeypatch.setattr(PiecewisePolynomial, "_vertex_sum", shifted)
+    monkeypatch.setattr(PiecewisePolynomial, "_vertex_sums", shifted)
     rs = build_root_system("A2")
     spline = PiecewisePolynomial(kappa_build(rs).config, label="A2:kappa^1")
     with pytest.raises(DegenerateArrangementError):

@@ -832,7 +832,8 @@ TORIC_FORBIDDEN = [(moduli, ["_sphere_sums", "_kappa_sums", "_scaled", "_support
                             "_moments"]),
                    (VectorConfig, ["vertex_table", "vertex_arrays", "extension_t", "wall_norm",
                                    "nudge_side"]),
-                   (PiecewisePolynomial, ["_vertex_sum", "chamber_at"])]
+                   (PiecewisePolynomial, ["_vertex_sums", "chamber_at", "chambers_at", "_build",
+                                          "_passes_checks"])]
 
 
 def test_readme_route_table_names_every_forbidden_path():

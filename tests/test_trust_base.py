@@ -242,3 +242,32 @@ def test_exact_echelon_routines_match_gauss_jordan():
                 x[p] = -row[f]
             want.append(x)
         assert [list(x) for x in nullspace(m, ncols)] == want
+
+
+def test_batched_adjugates_match_gauss_jordan():
+    """`adjugates` over stacks of seeded integer matrices, in int64 and on
+    Python-int objects, singular ones included: each determinant is the
+    Gauss-Jordan one, each adjugate is det times the Gauss-Jordan inverse,
+    and a singular matrix times its adjugate is zero."""
+    from flatvol.exact import adjugates
+
+    rng = random.Random(2103)
+    matrices = [m for _ in range(4) for m in seeded_matrices(rng, square=True)]
+    for n in range(1, 6):
+        for hi, dtype in ((9, np.int64), (2**66, object)):
+            stack = [m for m in matrices
+                     if len(m) == n and max(abs(c) for row in m for c in row) <= hi]
+            top = max(abs(c) for m in stack for row in m for c in row)
+            adj, dets = adjugates(np.array(stack, dtype=dtype), top)
+            for m, a, d in zip(stack, adj.tolist(), dets.tolist()):
+                unit = [[int(i == j) for j in range(n)] for i in range(n)]
+                reduced, pivots, want = gauss_jordan([row + e for row, e in zip(m, unit)], n)
+                assert d == want
+                if len(pivots) == n:
+                    assert [[Fraction(c) for c in row] for row in a] == [
+                        [d * c for c in row[n:]] for row in reduced]
+                else:
+                    assert all(sum(r * c for r, c in zip(row, col)) == 0
+                               for row in m for col in zip(*a))
+    adj, dets = adjugates(np.zeros((2, 0, 0), dtype=np.int64), 0)
+    assert adj.shape == (2, 0, 0) and dets.tolist() == [1, 1]
