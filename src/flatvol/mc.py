@@ -104,23 +104,26 @@ def class_parameter_batch(rs: RootSystem, u: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=1)
 
 
-def _a1_parameter(tr: np.ndarray) -> np.ndarray:
+def _a1_parameter(tr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Alcove parameter t in [0, 1] of SU(2) elements from their real
-    traces, arccos(clip(tr / 2, -1, 1)) / pi: one new array, each later
-    step in place in it (np.clip as its maximum, then its minimum)."""
-    t = tr / 2.0
+    traces, arccos(clip(tr / 2, -1, 1)) / pi: written into `out` (tr
+    itself may be given) or into one new array, each later step in place
+    in it (np.clip as its maximum, then its minimum)."""
+    t = np.divide(tr, 2.0, out=out)
     np.maximum(t, -1.0, out=t)
     np.minimum(t, 1.0, out=t)
     np.arccos(t, out=t)
     return np.divide(t, math.pi, out=t)
 
 
-def _bin_index(params: np.ndarray, bins: int) -> np.ndarray:
+def _bin_index(params: np.ndarray, bins: int, out: np.ndarray | None = None) -> np.ndarray:
     """min(floor(params * bins), bins - 1), the bins of parameters in
-    [0, 1]: params is multiplied in place (a column view too), and the one
-    new array is the int result."""
+    [0, 1]: params is multiplied in place (a column view too), and the int
+    result is written into `out`, an int array of params' shape, or into
+    one new array."""
     np.multiply(params, bins, out=params)
-    idx = params.astype(int)
+    idx = np.empty(params.shape, dtype=int) if out is None else out
+    idx[...] = params  # truncated, as astype(int) truncates
     return np.minimum(idx, bins - 1, out=idx)
 
 
@@ -138,7 +141,8 @@ def product_class_histogram(
     Each sample is the class of d1 w d2 w^H for one Haar element w, which
     has the same law (module docstring).  A1 draws s = |w_01|^2 directly,
     one uniform per sample (s has the Beta(1, 1) law), and reads the real
-    trace as S + (C - S) s, without forming a complex matrix.  A2 draws one
+    trace as S + (C - S) s, without forming a complex matrix: every step,
+    from the draw to the bin, runs in place in one reused buffer.  A2 draws one
     `haar_sample` per chunk and forms d1 (w d2 w^H) by diagonal scalings
     around one batched product; the Haar QR and `eigvals` take most of its
     time.  A histogram has bins cells for A1 and bins^2 for A2, at most
@@ -160,12 +164,20 @@ def product_class_histogram(
     if a1:
         coef = np.real(np.outer(e1, e2))  # Re(d1_j d2_k)
         same, cross = coef[0, 0] + coef[1, 1], coef[0, 1] + coef[1, 0]
+        # one float and one int buffer of 2^14 entries (128 KB each) serve
+        # every chunk: the draws, the traces, the parameters and the bins
+        # are made in place; uniforms drawn in chunks of any size follow
+        # each other in the generator's stream
+        draws = np.empty(min(n_samples, 1 << 14))
+        ints = np.empty(draws.size, dtype=int)
     done = 0
     while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
+        m = min(draws.size if a1 else _CHUNK, n_samples - done)
         if a1:
-            tr = same + (cross - same) * rng.random(m)  # s = |w_01|^2
-            idx = _bin_index(_a1_parameter(tr), bins)
+            tr = rng.random(out=draws[:m])  # s = |w_01|^2
+            np.multiply(tr, cross - same, out=tr)
+            np.add(tr, same, out=tr)  # same + (cross - same) s
+            idx = _bin_index(_a1_parameter(tr, out=tr), bins, out=ints[:m])
         else:
             w = haar_sample(rs, m, rng)
             u = e1[:, None] * ((w * e2) @ np.conj(np.swapaxes(w, 1, 2)))
