@@ -29,9 +29,9 @@ tables come from batched integer adjugates (`exact.adjugates`): the walls
 from (rank - 1)-minors, and each table's distinct bases inverted in one
 pass.  The chambers a query meets for the first time are built together
 (`PiecewisePolynomial.chambers_at`): one integer matmul over the stacked
-table rows finds the feasible bases of all their points, one product of
-that 0/1 matrix with the term rows makes all their vertex sums, and one
-pass of the recurrence over all their points checks them.  The integer
+table rows finds the feasible bases of all their points, whose term rows
+make their vertex sums, and one call of the recurrence over all their
+points checks them.  The integer
 matmuls run in int64 when a bound on every entry allows and on
 Python-int object arrays otherwise (`exact.int_dtype`).
 
@@ -243,12 +243,11 @@ class VectorConfig:
         count times the largest |entry| bounds every sum of rows
         (`int_dtype`); `vertex_table` lists them in Python ints.
 
-        A_s is the square matrix of the basis vectors as columns.  Each
-        distinct set of basis vectors, in sorted order, is inverted once,
-        all of them in one `adjugates` pass (e A^-1 = +-adj A): another
-        order of the same vectors permutes the columns of A_s and so the
-        rows of its inverse, and a repeated vector of a multiplicity above
-        1 repeats the set; a set with determinant 0 is no basis.  For xi
+        A_s is the square matrix of the basis vectors as columns; every
+        rank-subset of the vectors is inverted in one `adjugates` pass
+        (e A^-1 = +-adj A), and a subset with determinant 0, such as one
+        with a vector repeated by a multiplicity above 1, is no basis.  For
+        xi
         with A_s^-1 xi > 0, s is a vertex of the fiber polytope over xi,
         and the linear form y_s(xi) is the objective c at that vertex.
         With reduced costs g_j = c_j - y_s(v_j) (j not in s), the weight
@@ -268,29 +267,15 @@ class VectorConfig:
         read off a power table of each coordinate.
         """
         rank, n = self.rank, self.n
-        distinct = sorted(set(self.vectors))
-        ids = np.array([distinct.index(v) for v in self.vectors], dtype=np.intp)
         sigmas = np.array(list(combinations(range(n), rank)), dtype=np.intp).reshape(-1, rank)
-        # each basis's vectors in sorted order, one slot per set of vectors
-        order = np.argsort(ids[sigmas], axis=1, kind="stable")
-        keys = np.sort(ids[sigmas], axis=1)
-        codes = (keys @ len(distinct) ** np.arange(rank)).tolist()
-        first: dict[int, int] = {}
-        for i, code in enumerate(codes):
-            first.setdefault(code, i)
-        slots = {code: k for k, code in enumerate(first)}
-        back = np.array([slots[code] for code in codes], dtype=np.intp)
-        columns = np.array(distinct, dtype=np.int64)[keys[list(first.values())]].transpose(0, 2, 1)
-        adj, dets = adjugates(columns, max(map(max, self.vectors)))
-        # e A^-1 = +-adj for e = |det|; row p of the sorted matrix's inverse
-        # is row order[p] of A_s^-1, and a singular A_s drops out
-        inverses = adj * np.sign(dets)[:, None, None]
-        kept = (dets != 0)[back]
-        sigmas, back = sigmas[kept], back[kept]
-        mats = inverses[back[:, None], np.argsort(order[kept], axis=1)]
-        es = np.abs(dets)[back]
-        # M_s v_j for every vector (basis, row, j), and v_j off the basis
         vectors = np.array(self.vectors, dtype=np.int64)
+        adj, dets = adjugates(vectors[sigmas].transpose(0, 2, 1), max(map(max, self.vectors)))
+        # a singular A_s (a repeated vector, or dependent ones) is no basis,
+        # and e A^-1 = +-adj A for e = |det A|
+        kept = dets != 0
+        sigmas, dets = sigmas[kept], dets[kept]
+        mats, es = adj[kept] * np.sign(dets)[:, None, None], np.abs(dets)
+        # M_s v_j for every vector (basis, row, j), and v_j off the basis
         moved = mats @ vectors.T
         off = np.ones((len(sigmas), n), dtype=bool)
         off[np.arange(len(sigmas))[:, None], sigmas] = False
@@ -475,8 +460,8 @@ class VectorConfig:
         taus = taus.reshape(len(points), -1, self.rank)
         scale = leaf_den * math.factorial(self.degree)
         out = []
-        for point_taus, inside, den in zip(taus.tolist(), (taus > 0).all(axis=2).tolist(), dens):
-            values: list[int] = []
+        for point_taus, inside, den in zip(taus, (taus > 0).all(axis=2), dens):
+            point_taus, inside, values = point_taus.tolist(), inside.tolist(), []
             for key, children in nodes:
                 if children is None:
                     values.append(leaf[key] if inside[key] else 0)
@@ -685,14 +670,15 @@ class PiecewisePolynomial:
         each point, as integer numerators over `monomials` and one
         denominator.  One integer matmul over the stacked M_s rows
         (`VectorConfig.vertex_arrays`, `_row_products`) finds the feasible
-        bases of every point, one product of that 0/1 matrix with the
-        term rows N_s adds them up, and each sum and the table denominator
-        are divided by their gcd."""
+        bases of every point; each point's feasible term rows N_s are then
+        added (a product with the 0/1 matrix would multiply every term, and
+        the terms are mostly Python ints far above 2^62), and each sum and
+        the table denominator are divided by their gcd."""
         rows, terms, den = self.config.vertex_arrays
         products = _row_products(rows, [scaled(xi, common_denominator(xi)) for xi in points])
-        feasible = (products.reshape(len(points), -1, self.rank) > 0).all(axis=2)
         sums = []
-        for acc in (feasible.astype(terms.dtype) @ terms).tolist():
+        for feasible in (products.reshape(len(points), -1, self.rank) > 0).all(axis=2):
+            acc = terms[feasible].sum(axis=0).tolist()
             g = math.gcd(den, *acc)
             sums.append(([c // g for c in acc], den // g))
         return sums
