@@ -507,14 +507,17 @@ def _chamber_groups(spline, args: np.ndarray, scales: list[int], bounds: list[in
     def point(row: int, j: int) -> Vec:
         return tuple(Q(c, scales[j]) for c in args[row, :rank].tolist())
 
-    met = [(row, g) for row, g in sorted(zip(first.tolist(), range(len(starts))))
-           if group_sums[g] not in stops or row < stops[group_sums[g]]]
-    new = [point(row, group_sums[g]) for row, g in met if signs[g] not in spline.chambers]
+    chambers, new = [None] * len(starts), []
+    for row, g in sorted(zip(first.tolist(), range(len(starts)))):
+        j = group_sums[g]
+        if j not in stops or row < stops[j]:
+            chambers[g] = spline.chambers.get(signs[g])
+            if chambers[g] is None:
+                new.append((row, g))
     if new:
-        spline.chambers_at(new)
-    chambers = [None] * len(starts)
-    for _, g in met:
-        chambers[g] = spline.chambers[signs[g]]
+        spline.chambers_at([point(row, group_sums[g]) for row, g in new])
+        for _, g in new:
+            chambers[g] = spline.chambers[signs[g]]
     return order, starts, chambers, group_sums, {j: point(row, j) for j, row in stops.items()}
 
 
