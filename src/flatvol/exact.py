@@ -242,7 +242,7 @@ def adjugates(mats: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     if int_dtype(math.factorial(n) * max(1, top) ** n) is object:
         mats, scatter = mats.astype(object), scatter.astype(object)
     products = mats[(slice(None), *entries)].prod(axis=-1)  # over k != i, for every p and i
-    adj = (products.reshape(count, -1) @ scatter).reshape(count, n, n)
+    adj = (products.reshape(count, len(scatter)) @ scatter).reshape(count, n, n)
     return adj, (mats[:, 0, :] * adj[:, :, 0]).sum(axis=1)
 
 

@@ -580,9 +580,10 @@ class PiecewisePolynomial:
     truncated-power recurrence (`VectorConfig.truncated_power`) at the
     query point.  Every chamber that one query meets for the first time
     (`chambers_at`; `chamber_at` is its one-point call) is built in one
-    batched pass (`_build`): one vertex-sum product for all of them
-    (`_vertex_sums`) and one pass of the recurrence over all their sample
-    points (`_passes_checks`), kept in the order of the query's points.
+    batched pass (`_build`): one feasibility product for all their vertex
+    sums (`_vertex_sums`) and one call of the recurrence over all their
+    sample points (`_passes_checks`), kept in the order of the query's
+    points.
     Materialized chambers are kept for the lifetime of the object, keyed
     by their wall signs, and listed by `to_json_dict`.
     """

@@ -305,51 +305,38 @@ def test_config_tables_pinned(name, multiplicity):
     assert digests == CONFIG_TABLE_DIGESTS[name, multiplicity]
 
 
-# sha256 of the JSON of `walls`, `vertex_table`, `power_program` and
-# `power_rows` ([rows, norm, dtype]) for every group at multiplicities 1
-# and 2, measured before their builds were batched; the vertex tables of
-# A4 x2 and D4 x2 take 30 s and more, so they are left out
+# sha256 of the JSON of `walls` and `power_rows` ([rows, norm, dtype]) for
+# every group at multiplicities 1 and 2, and of `vertex_table` and
+# `power_program` where CONFIG_TABLE_DIGESTS has none, measured before their
+# builds were batched; the vertex tables of A4 x2 and D4 x2 take 30 s and
+# more, so they are left out
 BATCHED_TABLE_DIGESTS = {
     ("A1", 1): {
         "walls": "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
-        "vertex_table": "c5a0c55e5955b72a6aec05eca113a500ef97eab1e8a6b1a7ad0361eb3bda2274",
-        "power_program": "927ba5f2940796a582b8f7213d9cd37990277adace78fc144d9f1724b9e847d0",
         "power_rows": "3b632f8cabf26a6eb91057ba827d026b5eb6d2292a8b649019bb872fa0fa411b",
     },
     ("A1", 2): {
         "walls": "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
-        "vertex_table": "7a2779c9ffc8f0b3c79f37809e79cd58016e22e18d29e7de4ea6be1740af3b27",
-        "power_program": "b949d30f1dee3cbe7d5713240347e5e141c1831d0b0b7dfda7f15e6e16d90d7a",
         "power_rows": "3b632f8cabf26a6eb91057ba827d026b5eb6d2292a8b649019bb872fa0fa411b",
     },
     ("A2", 1): {
         "walls": "da4d5257ed8c8dc796e78355ca44ea6e83d5425d081ffae4910ca77e823f4eaa",
-        "vertex_table": "49ac2517988ee1b928c763bdac51788c77e67f8f13fedf118c526e0e60143f88",
-        "power_program": "3ab22778b6ad612b873ed5ae189053f05c654ca63399782671a28ef8ed750cc9",
         "power_rows": "a993a63d70e579c5d34334fbe680d15e5513fda349f76704468e3904fba1c82b",
     },
     ("A2", 2): {
         "walls": "da4d5257ed8c8dc796e78355ca44ea6e83d5425d081ffae4910ca77e823f4eaa",
-        "vertex_table": "063deb80fd9c0fd1973964d26cb47cdff26fba203cba1b2c8e5fb90e3b576325",
-        "power_program": "425eddc86ca4d56f4c75820ac8efe2414b2027b60b82952eb9ff0ce65f342c12",
         "power_rows": "a993a63d70e579c5d34334fbe680d15e5513fda349f76704468e3904fba1c82b",
     },
     ("B2", 1): {
         "walls": "fb7e89a5c3726736e8ba243f630bf804b68ed032448e505b22923b949198c58a",
-        "vertex_table": "f2975c125f9c7b8157865886927f6409640f57fab7142ff16553dc911f14e040",
-        "power_program": "ca0e886a175f3bbe9dc4b5f1af7d7c4a1b2209168405e5009ba9167b499a024e",
         "power_rows": "c0854b6c385424b5a84c7f45fbb2252f32a44e98501351c45a0a7c9d74036e07",
     },
     ("B2", 2): {
         "walls": "fb7e89a5c3726736e8ba243f630bf804b68ed032448e505b22923b949198c58a",
-        "vertex_table": "954521c2bb7942edd9e3cb32376affd38e141d87fccf5ec4b945944062940bcd",
-        "power_program": "ea5fcebd0d8185587528e13a298a97c8253cb18c5a678f142233991cb0a4c285",
         "power_rows": "c0854b6c385424b5a84c7f45fbb2252f32a44e98501351c45a0a7c9d74036e07",
     },
     ("C2", 1): {
         "walls": "bfffdbe0145849496b8488321921d7b977af253ef424160616a21e42eaecd760",
-        "vertex_table": "2d216d2e3338345a98f6ce6f81e6f132935b54116e67a246e8268278d2c18178",
-        "power_program": "53d301a12ef10d9709ca8467b582a22edf1af5eb32ca90ce233ec7e96826ecb0",
         "power_rows": "be612591d5fc2b59865df6c246b8da246dbdcecd3eb5f44960937cd00341afc7",
     },
     ("C2", 2): {
@@ -360,20 +347,14 @@ BATCHED_TABLE_DIGESTS = {
     },
     ("G2", 1): {
         "walls": "aa68bb12d6d976322024ea326cd08495fc966c00e2ad5f145b3768f258b848c9",
-        "vertex_table": "d6f484ca10406943e785e3c1e9bc7c50375b3a8bf94f8c7f50113d2b1119fb51",
-        "power_program": "e00e5198bca63703e726aeaf5d505097865c9e0f3ae6cc2157ad8730e6a78bef",
         "power_rows": "a87c6751cc93e94a3404d50f41a6dbcacd98546b125c8fdd3bf616378df82006",
     },
     ("G2", 2): {
         "walls": "aa68bb12d6d976322024ea326cd08495fc966c00e2ad5f145b3768f258b848c9",
-        "vertex_table": "7727f2da09df961bf6fa1c5347585f84c64c71ab4ae412d296ee4f5aacdc6692",
-        "power_program": "dd8d5a58aabbd02d531b2f8897a61d57e23760d1aad090e0a3cdb47d049aa15d",
         "power_rows": "a87c6751cc93e94a3404d50f41a6dbcacd98546b125c8fdd3bf616378df82006",
     },
     ("A3", 1): {
         "walls": "58c542b99e563ce11146c10da28f4edb867f9b0fc77ff9b7d162dd2166e7c71b",
-        "vertex_table": "228a88f6d9a100be94ac5b6d3de79d2d9fb3a792f3812139317fb06755eaf0f5",
-        "power_program": "ad2fb8de800349c338b4ca0de39e9718ae6d0ae1138a65f2e83605fc719aaea7",
         "power_rows": "75a900c481977e4dd2a25292f311c7a59e036924932f5859f449765c32b10a98",
     },
     ("A3", 2): {
@@ -384,8 +365,6 @@ BATCHED_TABLE_DIGESTS = {
     },
     ("C3", 1): {
         "walls": "704d95beb7dc42030f7d949c03d60341f3fff67bfe93cee08313a3bc0da3bf01",
-        "vertex_table": "f793657f6fef1a780eea458a5e1297eab7f8857f49eef4039fdd230d468807f1",
-        "power_program": "627cf9ae46bcb3344b458dc371717d893426875014306f59ca63f76008b0138a",
         "power_rows": "dc9bf3883a1a04556d84e36a407f74ac68e1c09c5d20aee2e98ab8f8008f4318",
     },
     ("C3", 2): {
@@ -396,8 +375,6 @@ BATCHED_TABLE_DIGESTS = {
     },
     ("A4", 1): {
         "walls": "d88fb88619c7a06b6302936251afee38780a42debaab9c16ee55778492bb8451",
-        "vertex_table": "ef128804576e82b91fde7203cfd910b4c252e7dc34909ff822a5fcfb55017001",
-        "power_program": "65205448f7696f0cd4ad7698e98cd041a727fd15e54d06f6098aae3bbf101311",
         "power_rows": "7e28e5dad75333862ee5e78d34784a665fc3e8d5cc46ab8cea130eb0db3c4ade",
     },
     ("A4", 2): {
@@ -407,8 +384,6 @@ BATCHED_TABLE_DIGESTS = {
     },
     ("D4", 1): {
         "walls": "37fc78d8957fd50fd7cd4273d8c1221ab4b809cd733e41fc295a457f5cd62fea",
-        "vertex_table": "d7e9ec1342eab2c76b23a18c32950a007ec1153cbc007b1210416f66bde1746e",
-        "power_program": "f73cd3ccf4efa641573ceaa80ac1bbc778402314bffb4787584ed077d45a8d8f",
         "power_rows": "2b8f5fdbd564603886626873f1435cbd4ab829faf7f591bf4a44c3f6ee824ff3",
     },
     ("D4", 2): {
@@ -430,7 +405,8 @@ def _table_digest(cfg, name: str) -> str:
 def test_batched_tables_pinned(name, multiplicity):
     """The walls from integer minors, the vertex table and the
     truncated-power program from batched adjugates, and the stacked
-    program rows are the tables of one elimination per subset."""
+    program rows are the tables of one elimination per subset (with
+    `test_config_tables_pinned`)."""
     cfg = kappa_build(build_root_system(name), multiplicity).config
     pinned = BATCHED_TABLE_DIGESTS[name, multiplicity]
     assert {table: _table_digest(cfg, table) for table in pinned} == pinned
